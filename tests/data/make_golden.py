@@ -1,0 +1,59 @@
+"""Write the golden partition fixture ``golden_partitions.jsonl`` beside this file.
+
+Usage: ``PYTHONPATH=src python tests/data/make_golden.py`` from the repository root.
+
+Each line holds one fixed-seed input (order and edge list), the parts the engine returns
+for it, and the sha256 of its step trace (the ``TraceStep.format()`` lines
+joined by newlines).  ``tests/test_golden.py`` replays every line; a change
+that alters partitions or traces on purpose regenerates the file and says so.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+from itertools import combinations
+from pathlib import Path
+
+from quadparts.engine import partition_with_trace
+from quadparts.families import random_corpus, subdivided_k4, theta
+from quadparts.graphs import SimpleGraph, complete_graph
+
+FIXTURE = Path(__file__).with_name("golden_partitions.jsonl")
+
+
+def cycle_with_chords(n: int, seed: int) -> SimpleGraph:
+    """The cycle 0..n-1 plus between 1 and n/2 seeded random chords."""
+    rng = random.Random(seed)
+    cycle = {(i, i + 1) for i in range(n - 1)} | {(0, n - 1)}
+    pairs = [p for p in combinations(range(n), 2) if p not in cycle]
+    return SimpleGraph(n, frozenset(cycle | set(rng.sample(pairs, rng.randint(1, n // 2)))))
+
+
+def golden_inputs() -> list[tuple[str, SimpleGraph]]:
+    out: list[tuple[str, SimpleGraph]] = []
+    for n, count in ((8, 120), (12, 80), (16, 40)):
+        out += [(f"random-{n}-{i}", g) for i, g in enumerate(random_corpus(n, count, 1000 * n))]
+    for n in range(8, 65, 4):
+        out += [(f"chords-{n}-{seed}", cycle_with_chords(n, seed)) for seed in range(4)]
+    out += [("subdivided_k4-4", subdivided_k4(4)), ("theta-4", theta(4)),
+            ("K8", complete_graph(8)), ("K12", complete_graph(12))]
+    return out
+
+
+def golden_record(name: str, g: SimpleGraph) -> dict:
+    partition, trace = partition_with_trace(g)
+    digest = hashlib.sha256("\n".join(step.format() for step in trace).encode()).hexdigest()
+    return {"name": name, "n": g.n, "edges": [list(e) for e in g.sorted_edges()],
+            "parts": partition.as_lists(), "trace_sha256": digest}
+
+
+def main() -> None:
+    with FIXTURE.open("w", encoding="utf-8") as fh:
+        for name, g in golden_inputs():
+            fh.write(json.dumps(golden_record(name, g), sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    main()
