@@ -4,7 +4,7 @@ Commands compose through stdin/stdout (``-`` reads standard input), so
 pipelines like ``quadparts gen spider -r 4 | quadparts factor - -r 4 -k 5``
 work.  Exit codes: 0 success, 1 a property violation was found (failed
 verification, discovered counterexample), 2 usage error, 3 internal engine
-trap.
+trap or any other unexpected internal error (reported as one line on stderr).
 """
 
 from __future__ import annotations
@@ -281,6 +281,9 @@ def run(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_ENGINE
 
 
 def main() -> None:

@@ -5,6 +5,10 @@ partition of the original vertices into nearly connected 4-sets.
 Reduction priority is fixed (parallel pair, then degree-2 contraction, then
 a zero-weight strip at a removable vertex, then an absorbable edge, then a
 removable vertex), scanning lowest ids first, so runs are reproducible.
+Past the first two checks, one separation index per step
+(:func:`~quadparts.graphs.separation_index`) supplies the 2-cut with the
+smallest side, which confines the search; the vertices in no 2-cut, which
+are the removable ones; and the edges whose deletion would leave no block.
 After every step the driver asserts the two structural invariants: total
 weight plus order stays divisible by 4, and the graph remains a block.
 """
@@ -14,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from ..graphs import SimpleGraph, is_biconnected
+from ..graphs import SimpleGraph, is_biconnected, separation_index
 from ..labels import CATALOG, TreeSet
 from ..oracle import Part, Partition, is_nearly_connected
 from .model import (
@@ -121,69 +125,11 @@ def init_labeled(g: SimpleGraph) -> LabeledMultigraph:
 # Reduction search
 
 
-def _components_multi(lg: LabeledMultigraph, removed: set[int]) -> list[frozenset[int]]:
-    alive = set(lg.vertices) - removed
-    adj: dict[int, set[int]] = {x: set() for x in alive}
-    for _, a, b in lg.graph.edge_tuples():
-        if a in alive and b in alive:
-            adj[a].add(b)
-            adj[b].add(a)
-    comps: list[frozenset[int]] = []
-    seen: set[int] = set()
-    for s in sorted(alive):
-        if s in seen:
-            continue
-        comp = {s}
-        stack = [s]
-        seen.add(s)
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    comp.add(y)
-                    stack.append(y)
-        comps.append(frozenset(comp))
-    comps.sort(key=lambda c: (len(c), min(c)))
-    return comps
-
-
-def _smallest_cut_side(lg: LabeledMultigraph) -> tuple[tuple[int, int], frozenset[int]] | None:
-    """2-cut of the current block minimizing the small side; None if 3-connected."""
-    verts = sorted(lg.vertices)
-    if len(verts) < 4:
-        return None
-    best: tuple[tuple[int, int], frozenset[int]] | None = None
-    for u, v in combinations(verts, 2):
-        comps = _components_multi(lg, {u, v})
-        if len(comps) >= 2:
-            c = comps[0]
-            if best is None or len(c) < len(best[1]):
-                best = ((u, v), c)
-    return best
-
-
-def _without_vertex_is_block(lg: LabeledMultigraph, v: int) -> bool:
-    mg = lg.graph.copy()
-    for eid in mg.incident(v):
-        mg.remove_edge(eid)
-    mg.remove_vertex(v)
-    return is_biconnected(mg)
-
-
-def _without_edge_is_block(lg: LabeledMultigraph, eid: int) -> bool:
-    mg = lg.graph.copy()
-    mg.remove_edge(eid)
-    return is_biconnected(mg)
-
-
-def _is_reducible_vertex(lg: LabeledMultigraph, v: int) -> bool:
-    if lg.degree(v) < 3:
+def _is_reducible_vertex(lg: LabeledMultigraph, v: int, in_cut: set[int]) -> bool:
+    """G - v is a block (v lies in no 2-cut) and at most one L31 edge points away from v."""
+    if v in in_cut:
         return False
-    outward_l31 = sum(1 for eid in lg.incident(v) if lg.view(eid, v).label.name == "L31")
-    if outward_l31 > 1:
-        return False
-    return _without_vertex_is_block(lg, v)
+    return sum(1 for eid in lg.incident(v) if lg.view(eid, v).label.name == "L31") <= 1
 
 
 def find_reduction(lg: LabeledMultigraph) -> ReductionChoice:
@@ -201,15 +147,18 @@ def find_reduction(lg: LabeledMultigraph) -> ReductionChoice:
     for v in sorted(lg.vertices):
         if lg.degree(v) == 2:
             return Series(v)
-    cut = _smallest_cut_side(lg)
-    if cut is None:
+    # The block is now simple with minimum degree 3, so n >= 4: G - v is a
+    # block iff v lies in no 2-cut, and G - e iff e is not a fixed edge.
+    index = separation_index(lg.graph)
+    if index.smallest is None:
         vertex_pool = sorted(lg.vertices)
         host_pool = vertex_pool
     else:
-        (cu, cv), comp = cut
+        (cu, cv), comp = index.smallest
         vertex_pool = sorted(comp)
-        host_pool = sorted(set(comp) | {cu, cv})
-    reducible = [v for v in vertex_pool if _is_reducible_vertex(lg, v)]
+        host_pool = sorted(comp | {cu, cv})
+    in_cut = {x for pair in index.cuts for x in pair}
+    reducible = [v for v in vertex_pool if _is_reducible_vertex(lg, v, in_cut)]
     for v in reducible:
         if any(lg.edges[eid].weight() == 0 for eid in lg.incident(v)):
             return ReducibleVertex(v)
@@ -217,7 +166,7 @@ def find_reduction(lg: LabeledMultigraph) -> ReductionChoice:
         for eid in lg.incident(y):
             if lg.view(eid, y).label.name != "L32":
                 continue
-            if not _without_edge_is_block(lg, eid):
+            if eid in index.fixed_edges:
                 continue
             for eid2 in lg.incident(y):
                 if eid2 != eid and lg.view(eid2, y).label.name in ("L32", "L30"):

@@ -10,20 +10,10 @@ vertices leg-major) so outputs are reproducible.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Iterator
 
 from .graphs import SimpleGraph, is_biconnected
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """CLI-facing description of a generator invocation."""
-
-    family: str  # spider | subdivided-k4 | theta | random-2conn | enumerate-2conn
-    parameter: int
-    seed: int | None = None
 
 
 def _subdivide_path(edges: list[tuple[int, int]], u: int, v: int, count: int, next_id: int) -> int:

@@ -3,8 +3,13 @@
 Vertices are dense integer indices ``0..n-1``.  :class:`SimpleGraph` is the
 immutable world of inputs and outputs; :class:`Multigraph` allows parallel
 edges with stable edge ids and is the mutable state of the reduction engine.
-All algorithms here are written for desk-scale graphs (tens to a few
-thousand vertices); clarity wins over asymptotics.
+
+Blocks, 2-cuts and removable edges all come from one primitive, Tarjan's
+low-point DFS (``_low_points``), run on g or on g minus one vertex: it
+reports the vertices reached, the cut vertices and the bridges.
+:func:`is_biconnected` is one run on g; :func:`separation_index` is one run
+on g - u for every vertex u, which lists every 2-cut of a block and the
+edges whose deletion leaves no block in O(n(n + m)).
 """
 
 from __future__ import annotations
@@ -148,91 +153,81 @@ class Multigraph:
             return u
         raise ValueError(f"vertex {v} is not an endpoint of edge {eid}")
 
-    def copy(self) -> "Multigraph":
-        mg = Multigraph(self._vertices)
-        mg._edges = dict(self._edges)
-        mg._next_eid = self._next_eid
-        return mg
+def _adjacency(g: SimpleGraph | Multigraph) -> tuple[list[int], dict[int, list[tuple[int, int]]]]:
+    """Sorted vertices and, per vertex, its (neighbour, edge id) pairs.
 
-    def to_simple(self) -> SimpleGraph:
-        """Collapse to a simple graph on 0..max-vertex (used for cut search)."""
-        if not self._vertices:
-            return SimpleGraph(0, frozenset())
-        n = max(self._vertices) + 1
-        return SimpleGraph(n, frozenset(norm_edge(u, v) for u, v in self._edges.values()))
-
-
-def _vertex_edge_lists(g: SimpleGraph | Multigraph) -> tuple[list[int], list[tuple[int, int, int]]]:
+    Edge ids of a SimpleGraph are positions in its sorted edge list.
+    """
     if isinstance(g, SimpleGraph):
-        return list(range(g.n)), [(i, u, v) for i, (u, v) in enumerate(sorted(g.edges))]
-    return sorted(g.vertices), g.edge_tuples()
+        verts, edges = list(range(g.n)), [(i, u, v) for i, (u, v) in enumerate(sorted(g.edges))]
+    else:
+        verts, edges = sorted(g.vertices), g.edge_tuples()
+    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in verts}
+    for eid, u, v in edges:
+        adj[u].append((v, eid))
+        adj[v].append((u, eid))
+    return verts, adj
+
+
+def _low_points(adj: dict[int, list[tuple[int, int]]], root: int,
+                skip: int | None = None) -> tuple[dict[int, int], set[int], set[int]]:
+    """Tarjan's low-point DFS from `root` of the graph minus the vertex `skip`.
+
+    Returns the discovery index of every vertex reached, the cut vertices of
+    the component reached and the edge ids of its bridges.  Only the tree
+    edge itself, identified by edge id, is ignored when scanning back to the
+    DFS parent, so a parallel edge to the parent acts as a back edge.
+    """
+    disc = {root: 0}
+    low = {root: 0}
+    entry = {root: -1}
+    iters = {root: iter(adj[root])}
+    stack = [root]
+    cuts: set[int] = set()
+    bridges: set[int] = set()
+    root_children = 0
+    while stack:
+        v = stack[-1]
+        for w, eid in iters[v]:
+            if w == skip or eid == entry[v]:
+                continue
+            if w not in disc:
+                disc[w] = low[w] = len(disc)
+                entry[w] = eid
+                iters[w] = iter(adj[w])
+                stack.append(w)
+                break
+            low[v] = min(low[v], disc[w])
+        else:
+            stack.pop()
+            if stack:
+                p = stack[-1]
+                low[p] = min(low[p], low[v])
+                if low[v] > disc[p]:
+                    bridges.add(entry[v])
+                if p == root:
+                    root_children += 1
+                elif low[v] >= disc[p]:
+                    cuts.add(p)
+    if root_children > 1:
+        cuts.add(root)
+    return disc, cuts, bridges
 
 
 def is_biconnected(g: SimpleGraph | Multigraph) -> bool:
     """True iff g is connected, has at least 2 vertices and no cutvertex.
 
     A two-vertex graph with at least one edge counts as biconnected.  For
-    multigraphs, a parallel edge to the DFS parent acts as a back edge (only
-    the tree edge itself, identified by edge id, is skipped).
+    multigraphs, a parallel edge to the DFS parent acts as a back edge.
     """
-    verts, edges = _vertex_edge_lists(g)
+    verts, adj = _adjacency(g)
     if len(verts) < 2:
         return False
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in verts}
-    for eid, u, v in edges:
-        adj[u].append((v, eid))
-        adj[v].append((u, eid))
-    for lst in adj.values():
-        lst.sort()
-
-    root = verts[0]
-    disc = {root: 0}
-    low = {root: 0}
-    entry = {root: -1}
-    iters = {root: iter(adj[root])}
-    stack = [root]
-    time = 1
-    root_children = 0
-    while stack:
-        v = stack[-1]
-        nxt = None
-        for w, eid in iters[v]:
-            if eid == entry[v]:
-                continue
-            if w in disc:
-                low[v] = min(low[v], disc[w])
-            else:
-                nxt = (w, eid)
-                break
-        if nxt is None:
-            stack.pop()
-            if stack:
-                p = stack[-1]
-                low[p] = min(low[p], low[v])
-                if p != root and low[v] >= disc[p]:
-                    return False
-            continue
-        w, eid = nxt
-        if v == root:
-            root_children += 1
-        disc[w] = time
-        low[w] = time
-        time += 1
-        entry[w] = eid
-        iters[w] = iter(adj[w])
-        stack.append(w)
-    if len(disc) != len(verts):
-        return False
-    return root_children < 2
+    reached, cuts, _ = _low_points(adj, verts[0])
+    return len(reached) == len(verts) and not cuts
 
 
-def is_connected(g: SimpleGraph) -> bool:
-    if g.n == 0:
-        return True
-    return len(_components_of(g.adj(), set(range(g.n)))) <= 1
-
-
-def _components_of(adj: list[list[int]], alive: set[int]) -> list[frozenset[int]]:
+def _components_of(adj: dict[int, list[tuple[int, int]]], alive: set[int]) -> list[frozenset[int]]:
     """Connected components of the subgraph induced by `alive`, sorted by (size, min vertex)."""
     seen: set[int] = set()
     comps: list[frozenset[int]] = []
@@ -244,7 +239,7 @@ def _components_of(adj: list[list[int]], alive: set[int]) -> list[frozenset[int]
         seen.add(s)
         while dq:
             x = dq.popleft()
-            for y in adj[x]:
+            for y, _ in adj[x]:
                 if y in alive and y not in seen:
                     seen.add(y)
                     comp.add(y)
@@ -255,8 +250,50 @@ def _components_of(adj: list[list[int]], alive: set[int]) -> list[frozenset[int]
 
 
 def connected_components(g: SimpleGraph, removed: Iterable[int] = ()) -> list[frozenset[int]]:
-    alive = set(range(g.n)) - set(removed)
-    return _components_of(g.adj(), alive)
+    verts, adj = _adjacency(g)
+    return _components_of(adj, set(verts) - set(removed))
+
+
+@dataclass(frozen=True)
+class SeparationIndex:
+    """The 2-cuts of a block and the edges it cannot lose.
+
+    `cuts` lists every 2-cut {u, v} as (u, v) with u < v, in lexicographic
+    order.  `smallest` pairs the cut minimizing the order of the smallest
+    component of g - {u, v} with that component: among equal orders the
+    first listed cut wins, and within a cut the component with the lowest
+    vertex; it is None when g has no 2-cut.  `fixed_edges` holds the ids of
+    the edges e for which g - e is not a block.
+    """
+
+    cuts: tuple[tuple[int, int], ...]
+    smallest: tuple[tuple[int, int], frozenset[int]] | None
+    fixed_edges: frozenset[int]
+
+
+def separation_index(g: SimpleGraph | Multigraph) -> SeparationIndex:
+    """Separation index of a block g on at least 3 vertices, in O(n(n + m)).
+
+    One low-point DFS of g - u for every vertex u: {u, v} is a 2-cut iff v
+    is a cut vertex of g - u, and g - e is not a block iff e is a bridge of
+    some g - u.  Components are taken only for the listed cuts.  The caller
+    guarantees that g is a block; on other inputs the index is incomplete.
+    """
+    verts, adj = _adjacency(g)
+    cuts: set[tuple[int, int]] = set()
+    fixed: set[int] = set()
+    for u in verts:
+        root = verts[1] if u == verts[0] else verts[0]
+        _, cut_vertices, bridges = _low_points(adj, root, skip=u)
+        cuts.update(norm_edge(u, v) for v in cut_vertices)
+        fixed |= bridges
+    ordered = tuple(sorted(cuts))
+    smallest: tuple[tuple[int, int], frozenset[int]] | None = None
+    for u, v in ordered:
+        comp = _components_of(adj, set(verts) - {u, v})[0]
+        if smallest is None or len(comp) < len(smallest[1]):
+            smallest = ((u, v), comp)
+    return SeparationIndex(ordered, smallest, frozenset(fixed))
 
 
 def induced_is_connected(g: SimpleGraph, vertices: Iterable[int]) -> bool:
@@ -276,28 +313,19 @@ def induced_is_connected(g: SimpleGraph, vertices: Iterable[int]) -> bool:
     return seen == vs
 
 
-def smallest_2cut_component(g: SimpleGraph) -> tuple[tuple[int, int], frozenset[int]] | None:
+def smallest_2cut_component(
+    g: SimpleGraph | Multigraph,
+) -> tuple[tuple[int, int], frozenset[int]] | None:
     """A 2-cut {u,v} minimizing the order of the smallest component of g - {u,v}.
 
     Returns None when g is 3-connected (or too small to have a 2-cut).
-    Raises ValueError when g is not 2-connected.  Deterministic: pairs are
-    scanned in lexicographic order and only strictly smaller components
-    replace the incumbent.
+    Raises ValueError when g is not 2-connected.  Deterministic: cuts are
+    taken in lexicographic order and only strictly smaller components
+    replace the incumbent (see :class:`SeparationIndex`).
     """
     if not is_biconnected(g):
         raise ValueError("graph is not 2-connected")
-    if g.n < 4:
-        return None
-    adj = g.adj()
-    best: tuple[tuple[int, int], frozenset[int]] | None = None
-    for u, v in combinations(range(g.n), 2):
-        alive = set(range(g.n)) - {u, v}
-        comps = _components_of(adj, alive)
-        if len(comps) >= 2:
-            c = comps[0]
-            if best is None or len(c) < len(best[1]):
-                best = ((u, v), c)
-    return best
+    return separation_index(g).smallest
 
 
 def bfs_distances(g: SimpleGraph, source: int, limit: int | None = None) -> dict[int, int]:

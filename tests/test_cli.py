@@ -120,3 +120,14 @@ def test_partition_rejects_odd_order(capture):
     code, _, err = capture(["partition", "-"], stdin=emit_edge_list(cycle_graph(6)))
     assert code == 2
     assert "divisible" in err
+
+
+def test_unexpected_exception_exits_three(capture, monkeypatch):
+    def overflow(g):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("quadparts.cli.partition_with_trace", overflow)
+    code, out, err = capture(["partition", "-"], stdin=emit_edge_list(cycle_graph(8)))
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: RecursionError: maximum recursion depth exceeded\n"

@@ -13,6 +13,7 @@ from quadparts.graphs import (
     graph_power,
     is_biconnected,
     path_graph,
+    separation_index,
     smallest_2cut_component,
 )
 
@@ -32,6 +33,49 @@ def random_graph(n: int, p: float, seed: int) -> SimpleGraph:
     return SimpleGraph.from_edges(
         n, [e for e in combinations(range(n), 2) if rng.random() < p]
     )
+
+
+def random_cycle_multigraph(n: int, seed: int) -> Multigraph:
+    """A Hamiltonian cycle in random order plus up to 2n random extra pairs,
+    parallel edges included."""
+    rng = random.Random(seed)
+    order = rng.sample(range(n), n)
+    pairs = [(order[i], order[(i + 1) % n]) for i in range(n)]
+    pairs += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 2 * n))]
+    return Multigraph(range(n), pairs)
+
+
+def brute_components(alive: set[int], pairs) -> list[frozenset[int]]:
+    """Components of the graph on `alive` by growing each to a fixpoint over
+    the edge list (independent of the library's traversal code)."""
+    comps = []
+    left = set(alive)
+    while left:
+        comp = {min(left)}
+        grown = True
+        while grown:
+            grown = False
+            for a, b in pairs:
+                if a in alive and b in alive and (a in comp) != (b in comp):
+                    comp |= {a, b}
+                    grown = True
+        comps.append(frozenset(comp))
+        left -= comp
+    return comps
+
+
+def brute_smallest_cut(vertices, pairs):
+    """Lexicographic scan of all vertex pairs: a pair replaces the incumbent
+    only when its smallest side (lowest vertex on equal orders) is strictly
+    smaller."""
+    best = None
+    for u, v in combinations(sorted(vertices), 2):
+        comps = brute_components(set(vertices) - {u, v}, pairs)
+        if len(comps) >= 2:
+            side = min(comps, key=lambda c: (len(c), min(c)))
+            if best is None or len(side) < len(best[1]):
+                best = ((u, v), side)
+    return best
 
 
 class TestBiconnected:
@@ -104,17 +148,41 @@ class TestSmallest2Cut:
                 g = random_graph(n, 0.45, 77 * n + seed)
                 if not is_biconnected(g):
                     continue
-                got = smallest_2cut_component(g)
-                best = None
-                for u, v in combinations(range(n), 2):
-                    comps = connected_components(g, removed={u, v})
-                    if len(comps) >= 2:
-                        small = min(len(c) for c in comps)
-                        best = small if best is None else min(best, small)
-                if best is None:
-                    assert got is None
-                else:
-                    assert got is not None and len(got[1]) == best
+                pairs = g.sorted_edges()
+                assert smallest_2cut_component(g) == brute_smallest_cut(range(n), pairs), (n, seed)
+                # the same block as a multigraph: reversed, spread-out ids and doubled edges
+                name = {v: 3 * (n - 1 - v) + 2 for v in range(n)}
+                moved = [(name[a], name[b]) for a, b in pairs]
+                mg = Multigraph(name.values(), moved + moved[::3])
+                assert smallest_2cut_component(mg) == brute_smallest_cut(name.values(), moved), (n, seed)
+
+
+class TestSeparationIndexAgainstNetworkx:
+    def test_random_cycle_multigraphs(self):
+        nx = pytest.importorskip("networkx")
+        for n in range(3, 10):
+            for seed in range(40):
+                mg = random_cycle_multigraph(n, 100 * n + seed)
+                edges = mg.edge_tuples()
+                index = separation_index(mg)
+                simple = nx.Graph([(u, v) for _, u, v in edges])
+                cuts = [(u, v) for u, v in combinations(range(n), 2)
+                        if not nx.is_connected(simple.subgraph(set(range(n)) - {u, v}))]
+                assert list(index.cuts) == cuts, (n, seed)
+                assert is_biconnected(mg) and nx.is_biconnected(nx.MultiGraph(simple))
+                for eid, _, _ in edges:
+                    rest = [(u, v) for e, u, v in edges if e != eid]
+                    block = nx.is_biconnected(nx.MultiGraph(rest))
+                    assert is_biconnected(Multigraph(range(n), rest)) == block, (n, seed, eid)
+                    assert (eid in index.fixed_edges) == (not block), (n, seed, eid)
+                in_cut = {x for pair in cuts for x in pair}
+                for v in range(n):
+                    alive = set(range(n)) - {v}
+                    rest = [(a, b) for _, a, b in edges if v not in (a, b)]
+                    block = nx.is_biconnected(nx.MultiGraph(rest))
+                    assert is_biconnected(Multigraph(alive, rest)) == block, (n, seed, v)
+                    if n >= 4:
+                        assert (v in in_cut) == (not block), (n, seed, v)
 
 
 class TestGraphPower:
