@@ -11,9 +11,10 @@ import time
 from itertools import combinations
 from typing import Callable
 
-from .engine import partition_with_trace
+from .engine import find_reduction, init_labeled, partition_with_trace
+from .engine.driver import apply_reduction
 from .families import enumerate_2connected, random_corpus, spider, subdivided_k4, theta
-from .graphs import SimpleGraph, graph_power
+from .graphs import SimpleGraph, graph_power, induced_is_connected
 from .labels import LABELS, TreeSet, admits, involution, leq
 from .oracle import brute_force_partition, has_kr_factor, verify_partition
 from .treepart import partition_tree
@@ -22,9 +23,7 @@ import random
 
 
 def _partition_and_verify(g: SimpleGraph) -> tuple[bool, str]:
-    partition, trace = partition_with_trace(g)
-    if not all(t.mod4_ok and t.block_ok for t in trace):
-        return False, "invariant flag false in trace"
+    partition, _ = partition_with_trace(g)
     res = verify_partition(g, partition.member_sets())
     if not res.ok:
         return False, "; ".join(res.problems)
@@ -52,21 +51,33 @@ def criterion_1_exhaustive_main(fast: bool = False) -> tuple[bool, str]:
 
 
 def criterion_2_trace_invariants(fast: bool = False) -> tuple[bool, str]:
-    """Weight-plus-order divisibility and blockness hold after every
-    reduction step across a mixed corpus (trace replay)."""
+    """Replaying the reductions step by step reproduces the engine's trace,
+    and weight-plus-order divisibility and blockness, recomputed from
+    scratch, hold after every step across a mixed corpus."""
     count = 40 if fast else 200
     graphs = list(enumerate_2connected(4)) + random_corpus(8, count) + \
         random_corpus(12, count, base_seed=20_000)
     steps = 0
     for idx, g in enumerate(graphs):
         _, trace = partition_with_trace(g)
+        lg = init_labeled(g)
         for t in trace:
-            if not t.mod4_ok:
+            kind, detail = apply_reduction(lg, find_reduction(lg))
+            if (kind, detail) != (t.kind, t.detail):
+                return False, f"graph[{idx}] step {t.index}: replay gave {kind} {detail}, trace {t.format()}"
+            weight = sum(le.label.weight for le in lg.edges.values())
+            if (weight + len(lg.vertices)) % 4 != 0:
                 return False, f"graph[{idx}] {t.format()}: divisibility broken"
-            if not t.block_ok:
+            # a block by definition: one BFS on the whole graph and one per deleted vertex
+            simple = SimpleGraph.from_edges(g.n, [(a, b) for _, a, b in lg.graph.edge_tuples()])
+            alive = lg.vertices
+            if len(alive) < 2 or not induced_is_connected(simple, alive) or \
+                    not all(induced_is_connected(simple, alive - {x}) for x in alive):
                 return False, f"graph[{idx}] {t.format()}: block property broken"
             steps += 1
-    return True, f"{steps} reduction steps, both invariants held"
+        if len(lg.edges) != 1:
+            return False, f"graph[{idx}]: replay ends with {len(lg.edges)} edges, not 1"
+    return True, f"{steps} replayed reduction steps, both invariants held"
 
 
 def criterion_3_counterexamples(fast: bool = False) -> tuple[bool, str]:
@@ -159,8 +170,6 @@ def criterion_6_oracle_differential(fast: bool = False) -> tuple[bool, str]:
 def criterion_7_tree_partition_suite(fast: bool = False) -> tuple[bool, str]:
     """Random trees with random size compositions always get witnesses of
     order at most 2*size - 1 inducing connected subgraphs."""
-    from .graphs import induced_is_connected
-
     rounds = 40 if fast else 200
     rng = random.Random(7)
     for trial in range(rounds):

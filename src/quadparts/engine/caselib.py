@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+from ..graphs import norm_edge
 from ..labels import Pair, TreeSet
-from .model import EngineBug, Realization, merge_fragments, merge_parts
+from .model import EngineBug, Realization
 
 PLAIN = {0: TreeSet.S0, 1: TreeSet.S1, 2: TreeSet.S2, 3: TreeSet.S3}
 PLUS = {1: TreeSet.S1P, 2: TreeSet.S2P, 3: TreeSet.S3P}
@@ -29,5 +30,14 @@ def pair_shape(pair: Pair) -> tuple[str, int, int]:
 
 
 def collect(*reals: Realization):
-    """Fragment edges and cascaded parts of several child realizations."""
-    return merge_fragments(*reals), merge_parts(*reals)
+    """Fragment edges (materialized and bound-tree edges) and cascaded parts
+    of several child realizations."""
+    edges: set[tuple[int, int]] = set()
+    parts: list[frozenset[int]] = []
+    for r in reals:
+        edges |= r.fragment
+        for t in (r.p_tree, r.q_tree):
+            if t is not None:
+                edges.update(norm_edge(a, b) for a, b in t.edges)
+        parts.extend(r.parts)
+    return frozenset(edges), tuple(parts)

@@ -412,23 +412,23 @@ def run_reduction(g: SimpleGraph) -> tuple[tuple[frozenset[int], ...], list[Trac
     return parts, trace
 
 
-def partition_2connected(g: SimpleGraph) -> Partition:
-    """Partition V(g) into nearly connected 4-sets (g 2-connected, 4 | n).
+def partition_with_trace(g: SimpleGraph) -> tuple[Partition, list[TraceStep]]:
+    """Partition V(g) into nearly connected 4-sets (g 2-connected, 4 | n),
+    with the reduction trace.
 
     Deterministic, and self-checking: coverage, disjointness and
     near-connectedness of every part are verified against g before returning.
     """
     parts, trace = run_reduction(g)
-    return _verified(g, parts, trace)
+    return _verified(g, parts), trace
 
 
-def partition_with_trace(g: SimpleGraph) -> tuple[Partition, list[TraceStep]]:
-    parts, trace = run_reduction(g)
-    return _verified(g, parts, trace), trace
+def partition_2connected(g: SimpleGraph) -> Partition:
+    """The partition of :func:`partition_with_trace` without the trace."""
+    return partition_with_trace(g)[0]
 
 
-def _verified(g: SimpleGraph, parts: tuple[frozenset[int], ...],
-              trace: list[TraceStep]) -> Partition:
+def _verified(g: SimpleGraph, parts: tuple[frozenset[int], ...]) -> Partition:
     seen: set[int] = set()
     for p in parts:
         if len(p) != 4:

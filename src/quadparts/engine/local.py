@@ -4,8 +4,11 @@ When a rewrite finalizes the vertices gathered around an eliminated vertex,
 the exact grouping into nearly connected 4-sets depends on the shapes the
 child realizations happened to produce.  Rather than hard-coding one grouping
 per case, the lifts hand the materialized local fragment (real graph edges)
-to a tiny exact search.  A failure here means a case table was transcribed
-wrongly, so it traps loudly instead of returning None.
+to a tiny exact search.  :func:`group` answers whether a grouping exists
+(None when it does not), for lifts that try several vertex allocations;
+:func:`finalize` is the same search for lifts whose case table promises a
+grouping, and traps with the caller's provenance when there is none, since
+that means the table was transcribed wrongly.
 """
 
 from __future__ import annotations
@@ -63,22 +66,23 @@ class Fragment:
         return None
 
 
-def finalize(fragment: Fragment, finalize_set: Iterable[int], provenance: str) -> tuple[frozenset[int], ...]:
-    """Partition `finalize_set` into nearly connected 4-sets within the fragment.
+def group(fragment: Fragment, pool: Iterable[int]) -> tuple[frozenset[int], ...] | None:
+    """Partition `pool` into nearly connected 4-sets within the fragment, or None.
 
     Canonical backtracking (each part is seeded with the lowest unplaced
     vertex, candidate triples in lexicographic order) makes the outcome
-    deterministic.  Traps when no grouping exists.
+    deterministic.  None when the pool size is not a multiple of 4 or no
+    grouping exists.
     """
-    todo = sorted(set(finalize_set))
+    todo = sorted(set(pool))
     if len(todo) % 4 != 0:
-        raise EngineBug(f"finalize set {todo} has size {len(todo)}, not a multiple of 4", provenance)
+        return None
     chosen: list[frozenset[int]] = []
 
-    def solve(pool: list[int]) -> bool:
-        if not pool:
+    def solve(remaining: list[int]) -> bool:
+        if not remaining:
             return True
-        seed, rest = pool[0], pool[1:]
+        seed, rest = remaining[0], remaining[1:]
         for combo in combinations(rest, 3):
             part = frozenset((seed, *combo))
             if fragment.witness_for(part) is None:
@@ -89,18 +93,18 @@ def finalize(fragment: Fragment, finalize_set: Iterable[int], provenance: str) -
             chosen.pop()
         return False
 
-    if not solve(todo):
+    return tuple(chosen) if solve(todo) else None
+
+
+def finalize(fragment: Fragment, finalize_set: Iterable[int], provenance: str) -> tuple[frozenset[int], ...]:
+    """:func:`group`, trapping when the set cannot be grouped."""
+    todo = sorted(set(finalize_set))
+    if len(todo) % 4 != 0:
+        raise EngineBug(f"finalize set {todo} has size {len(todo)}, not a multiple of 4", provenance)
+    parts = group(fragment, todo)
+    if parts is None:
         raise EngineBug(f"no nearly connected grouping of {todo} in the local fragment", provenance)
-    return tuple(chosen)
-
-
-def try_finalize(fragment: Fragment, finalize_set: Iterable[int]) -> tuple[frozenset[int], ...] | None:
-    """Like :func:`finalize` but returns None instead of trapping; used by
-    lifts that search over several vertex allocations."""
-    try:
-        return finalize(fragment, finalize_set, "probe")
-    except EngineBug:
-        return None
+    return parts
 
 
 def assert_part(fragment: Fragment, part: Iterable[int], provenance: str) -> frozenset[int]:

@@ -242,27 +242,6 @@ class Realization:
             fragment=self.fragment,
         )
 
-    def tree_fragment(self) -> frozenset[tuple[int, int]]:
-        out = set(self.fragment)
-        for t in (self.p_tree, self.q_tree):
-            if t is not None:
-                out.update(norm_edge(a, b) for a, b in t.edges)
-        return frozenset(out)
-
-
-def merge_fragments(*reals: Realization) -> frozenset[tuple[int, int]]:
-    out: set[tuple[int, int]] = set()
-    for r in reals:
-        out |= r.tree_fragment()
-    return frozenset(out)
-
-
-def merge_parts(*reals: Realization) -> tuple[frozenset[int], ...]:
-    out: list[frozenset[int]] = []
-    for r in reals:
-        out.extend(r.parts)
-    return tuple(out)
-
 
 # ---------------------------------------------------------------------------
 # Gadgets
@@ -273,15 +252,10 @@ class Gadget:
 
     `split_lift` receives the witness pair actually admitted (always a literal
     pair of the label) and returns a Realization; `subdiv_lift` receives the
-    subdivision count.  Every realization is validated against the
-    conservation invariant and the witness pair before being returned.
-
-    The class attribute `validate` exists for tests that drive case tables
-    with synthetic child gadgets whose vertex books do not balance; it stays
-    True in production use.
+    subdivision count.  Every realization is checked against the
+    conservation invariant (its ledger must cover `scope` exactly once) and
+    the witness pair before being returned.
     """
-
-    validate = True
 
     def __init__(
         self,
@@ -308,15 +282,13 @@ class Gadget:
             if self._subdiv_lift is None:
                 raise EngineBug(f"no subdivision lift on {self.label}", self.provenance)
             real = self._subdiv_lift(op.k)
-            if Gadget.validate:
-                self._check_subdiv(real, op.k)
+            self._check_subdiv(real, op.k)
             return real
         witness = admits(self.label, op.p, op.q)
         if witness is None:
             raise EngineBug(f"label {self.label} does not admit {op}", self.provenance)
         real = self._split_lift(witness)
-        if Gadget.validate:
-            self._check_split(real, witness)
+        self._check_split(real, witness)
         return real
 
     # -- validation -------------------------------------------------------

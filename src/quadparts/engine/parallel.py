@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from ..labels import CATALOG, Label, Pair, TreeSet
 from .caselib import PLAIN, PLUS, collect, pair_shape
-from .local import Fragment, assert_part, finalize, try_finalize
+from .local import Fragment, assert_part, finalize, group
 from .model import (
     EdgeView,
     EngineBug,
@@ -272,7 +272,7 @@ def _general_lift(e1: EdgeView, e2: EdgeView, u: int, v: int, tag: str):
             rest = at_v - {keep}
             if not fr.connected(frozenset({v, keep})):
                 continue
-            local = try_finalize(fr, rest)
+            local = group(fr, rest)
             if local is None:
                 continue
             q = span_tree(v, {v, keep}, frag)

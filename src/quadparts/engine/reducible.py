@@ -14,7 +14,7 @@ from itertools import combinations
 
 from ..labels import CATALOG, Label, Pair, TreeSet
 from .caselib import PLAIN, PLUS, collect, pair_shape
-from .local import Fragment, assert_part, finalize, try_finalize
+from .local import Fragment, assert_part, finalize, group
 from .model import (
     EdgeView,
     EngineBug,
@@ -111,7 +111,7 @@ def _keep_subtree_at(v: int, size: int, pool: set[int], frag, cascaded,
         keep = frozenset(combo)
         if not fr.connected(keep | {v}):
             continue
-        local = try_finalize(fr, pool - keep)
+        local = group(fr, pool - keep)
         if local is None:
             continue
         p = span_tree(v, keep | {v}, frag)
@@ -191,7 +191,7 @@ def build_deg3_pair_config(e1: EdgeView, e2: EdgeView, e3: EdgeView, v: int,
                 fr = Fragment(frag)
                 for cq in cs:
                     rest = (r1.p_tree.actives - {v}) | (set(cs) - {cq})
-                    local = try_finalize(fr, rest)
+                    local = group(fr, rest)
                     if local is None:
                         continue
                     q = span_tree(v3, {v3, v, cq, *r3.subdiv}, frag)
@@ -907,7 +907,7 @@ def build_deg4plus_light(e1: EdgeView, e2: EdgeView, singles: list[EdgeView], v:
                     if fr.witness_for(frozenset({v, m})) != frozenset({v, m}):
                         continue
                     pool = ((e2_spl.p_tree.actives - {v}) | set(avs)) - {m}
-                    local = try_finalize(fr, pool)
+                    local = group(fr, pool)
                     if local is None:
                         continue
                     p = span_tree(v1, {v1, v, *s1.subdiv, m}, frag)

@@ -151,59 +151,13 @@ def admits(label: Label, p: TreeSet, q: TreeSet) -> Pair | None:
 
 
 # ---------------------------------------------------------------------------
-# Concrete rooted-tree shapes and set membership
-
-
-@dataclass(frozen=True)
-class TreeShape:
-    """A small rooted tree over slots 0..order-1 with optional dummy slots."""
-
-    parent: tuple[int | None, ...]  # parent[i] is None exactly for the root
-    dummies: frozenset[int] = frozenset()
-
-    def __post_init__(self) -> None:
-        roots = [i for i, p in enumerate(self.parent) if p is None]
-        if len(roots) != 1:
-            raise ValueError("shape must have exactly one root")
-        for i, p in enumerate(self.parent):
-            if p is not None and not 0 <= p < len(self.parent):
-                raise ValueError(f"slot {i} has parent {p} out of range")
-        if self.root in self.dummies:
-            raise ValueError("the root slot cannot be a dummy")
-        # reject cycles: walking to the root must terminate
-        for i in range(len(self.parent)):
-            seen = set()
-            j: int | None = i
-            while j is not None:
-                if j in seen:
-                    raise ValueError("parent pointers contain a cycle")
-                seen.add(j)
-                j = self.parent[j]
-
-    @property
-    def root(self) -> int:
-        return next(i for i, p in enumerate(self.parent) if p is None)
-
-    @property
-    def order(self) -> int:
-        return len(self.parent)
-
-    def children(self, i: int) -> list[int]:
-        return [j for j, p in enumerate(self.parent) if p == i]
-
-    def root_degree(self) -> int:
-        return len(self.children(self.root))
-
-    def subtree_size(self, i: int) -> int:
-        return 1 + sum(self.subtree_size(c) for c in self.children(i))
-
-    def child_subtree_sizes(self) -> tuple[int, ...]:
-        return tuple(sorted(self.subtree_size(c) for c in self.children(self.root)))
+# Set membership of concrete rooted trees
 
 
 def shape_matches(order: int, root_degree: int, n_dummies: int,
                   child_sizes: tuple[int, ...], ts: TreeSet) -> bool:
-    """Structural membership test shared by abstract shapes and bound trees."""
+    """Membership of a rooted tree in `ts`, read from its order, root degree,
+    dummy count and sorted child subtree sizes."""
     if ts in (S0, S1, S2, S3):
         return n_dummies == 0 and order == ts.order
     if ts in (S1P, S2P, S3P):
@@ -224,73 +178,6 @@ def shape_matches(order: int, root_degree: int, n_dummies: int,
                     return True
         return False
     raise ValueError(f"unknown tree set {ts}")
-
-
-def member_of(shape: TreeShape, ts: TreeSet) -> bool:
-    return shape_matches(shape.order, shape.root_degree(), len(shape.dummies),
-                         shape.child_subtree_sizes(), ts)
-
-
-def fits(shape: TreeShape, ts: TreeSet) -> bool:
-    """True when the shape belongs to ts or to any set below it in the order."""
-    return any(member_of(shape, s) for s in down_set(ts))
-
-
-def canonical_member(ts: TreeSet, shape_hint: str | None = None) -> TreeShape:
-    """A fixed concrete member of each tree set.
-
-    Plain sets use the path rooted at an end; plus sets add a dummy leaf
-    hanging from the root's neighbor.  ``shape_hint='star'`` selects the
-    claw-shaped member of S3-.
-    """
-    if ts in (S0, S1, S2, S3):
-        k = ts.order
-        return TreeShape(tuple([None] + list(range(k - 1))))
-    if ts in (S1P, S2P, S3P):
-        k = ts.order
-        # path on order-1 slots rooted at 0, dummy leaf attached to slot 1
-        parent = [None] + list(range(k - 2)) + [1]
-        return TreeShape(tuple(parent), frozenset({k - 1}))
-    if ts == S2M:
-        return TreeShape((None, 0, 0))
-    if ts == S3M:
-        if shape_hint == "star":
-            return TreeShape((None, 0, 0, 0))
-        return TreeShape((None, 0, 0, 2))  # path c-root-a-b rooted internally
-    if ts == S5M:
-        # path of 3 below the root fused with a path of 2 below the root
-        return TreeShape((None, 0, 1, 2, 0, 4))
-    raise ValueError(f"unknown tree set {ts}")
-
-
-def enumerate_rooted_trees(order: int) -> list[TreeShape]:
-    """All rooted trees on `order` slots, one representative per isomorphism class."""
-    if order == 1:
-        return [TreeShape((None,))]
-    result: list[TreeShape] = []
-    seen: set[tuple[tuple[int, ...], ...]] = set()
-    for smaller in enumerate_rooted_trees(order - 1):
-        for attach in range(smaller.order):
-            parent = smaller.parent + (attach,)
-            shape = TreeShape(parent)
-            key = _rooted_canon(shape)
-            if key not in seen:
-                seen.add(key)
-                result.append(shape)
-    return result
-
-
-def _rooted_canon(shape: TreeShape, node: int | None = None):
-    if node is None:
-        node = shape.root
-    return tuple(sorted(_rooted_canon(shape, c) for c in shape.children(node)))
-
-
-def members_extensional(ts: TreeSet) -> list[TreeShape]:
-    """Enumerate all members of a dummy-free tree set up to isomorphism."""
-    if ts in (S1P, S2P, S3P):
-        raise ValueError("plus sets are not enumerated extensionally (dummy placement varies)")
-    return [t for t in enumerate_rooted_trees(ts.order) if member_of(t, ts)]
 
 
 def catalog_dump() -> str:

@@ -1,18 +1,26 @@
-"""Synthetic gadgets for driving the case tables directly.
+"""Test-only helpers: concrete rooted-tree shapes and synthetic gadgets.
 
-A StubGadget realizes any admitted operation with canonical tree shapes over
-freshly allocated vertex ids, so a lift table can be exercised for every
-label combination without constructing a graph that actually reaches it.
-Stub realizations do not balance a vertex ledger, so tests using them turn
-off Gadget validation.
+`TreeShape` and its companions enumerate and test small rooted trees over
+abstract slots; the engine itself only needs `labels.shape_matches`, which
+reads the same structure off bound trees.
+
+A StubGadget realizes any admitted operation with canonical tree shapes, so
+a lift table can be exercised for every label combination without
+constructing a graph that actually reaches it.  Each stub owns
+`label.weight + 8` fresh vertices (its scope) and every realization covers
+that scope exactly once: the active tree slots (or the subdivision path)
+take the first scope vertices and the rest are emitted as 4-sets.  The
+active counts of every catalog pair are congruent to the weight mod 4 and at
+most weight + 4, so at least one 4-set is always emitted, and a dummy slot
+takes one of its vertices.  The gadgets built on top of stubs therefore run
+with the conservation ledger on, exactly as on real graphs.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
-from quadparts.graphs import norm_edge
-from quadparts.labels import Label, admits, canonical_member
 from quadparts.engine.model import (
     BoundTree,
     EngineBug,
@@ -21,6 +29,134 @@ from quadparts.engine.model import (
     Split,
     Subdivide,
 )
+from quadparts.graphs import norm_edge
+from quadparts.labels import Label, TreeSet, admits, down_set, shape_matches
+
+S0, S1, S2, S3 = TreeSet.S0, TreeSet.S1, TreeSet.S2, TreeSet.S3
+S1P, S2P, S3P = TreeSet.S1P, TreeSet.S2P, TreeSet.S3P
+S2M, S3M, S5M = TreeSet.S2M, TreeSet.S3M, TreeSet.S5M
+
+
+# ---------------------------------------------------------------------------
+# Concrete rooted-tree shapes
+
+
+@dataclass(frozen=True)
+class TreeShape:
+    """A small rooted tree over slots 0..order-1 with optional dummy slots."""
+
+    parent: tuple[int | None, ...]  # parent[i] is None exactly for the root
+    dummies: frozenset[int] = frozenset()
+
+    def __post_init__(self) -> None:
+        roots = [i for i, p in enumerate(self.parent) if p is None]
+        if len(roots) != 1:
+            raise ValueError("shape must have exactly one root")
+        for i, p in enumerate(self.parent):
+            if p is not None and not 0 <= p < len(self.parent):
+                raise ValueError(f"slot {i} has parent {p} out of range")
+        if self.root in self.dummies:
+            raise ValueError("the root slot cannot be a dummy")
+        # reject cycles: walking to the root must terminate
+        for i in range(len(self.parent)):
+            seen = set()
+            j: int | None = i
+            while j is not None:
+                if j in seen:
+                    raise ValueError("parent pointers contain a cycle")
+                seen.add(j)
+                j = self.parent[j]
+
+    @property
+    def root(self) -> int:
+        return next(i for i, p in enumerate(self.parent) if p is None)
+
+    @property
+    def order(self) -> int:
+        return len(self.parent)
+
+    def children(self, i: int) -> list[int]:
+        return [j for j, p in enumerate(self.parent) if p == i]
+
+    def root_degree(self) -> int:
+        return len(self.children(self.root))
+
+    def subtree_size(self, i: int) -> int:
+        return 1 + sum(self.subtree_size(c) for c in self.children(i))
+
+    def child_subtree_sizes(self) -> tuple[int, ...]:
+        return tuple(sorted(self.subtree_size(c) for c in self.children(self.root)))
+
+
+def member_of(shape: TreeShape, ts: TreeSet) -> bool:
+    return shape_matches(shape.order, shape.root_degree(), len(shape.dummies),
+                         shape.child_subtree_sizes(), ts)
+
+
+def fits(shape: TreeShape, ts: TreeSet) -> bool:
+    """True when the shape belongs to ts or to any set below it in the order."""
+    return any(member_of(shape, s) for s in down_set(ts))
+
+
+def canonical_member(ts: TreeSet, shape_hint: str | None = None) -> TreeShape:
+    """A fixed concrete member of each tree set.
+
+    Plain sets use the path rooted at an end; plus sets add a dummy leaf
+    hanging from the root's neighbor.  ``shape_hint='star'`` selects the
+    claw-shaped member of S3-.
+    """
+    if ts in (S0, S1, S2, S3):
+        k = ts.order
+        return TreeShape(tuple([None] + list(range(k - 1))))
+    if ts in (S1P, S2P, S3P):
+        k = ts.order
+        # path on order-1 slots rooted at 0, dummy leaf attached to slot 1
+        parent = [None] + list(range(k - 2)) + [1]
+        return TreeShape(tuple(parent), frozenset({k - 1}))
+    if ts == S2M:
+        return TreeShape((None, 0, 0))
+    if ts == S3M:
+        if shape_hint == "star":
+            return TreeShape((None, 0, 0, 0))
+        return TreeShape((None, 0, 0, 2))  # path c-root-a-b rooted internally
+    if ts == S5M:
+        # path of 3 below the root fused with a path of 2 below the root
+        return TreeShape((None, 0, 1, 2, 0, 4))
+    raise ValueError(f"unknown tree set {ts}")
+
+
+def enumerate_rooted_trees(order: int) -> list[TreeShape]:
+    """All rooted trees on `order` slots, one representative per isomorphism class."""
+    if order == 1:
+        return [TreeShape((None,))]
+    result: list[TreeShape] = []
+    seen: set[tuple[tuple[int, ...], ...]] = set()
+    for smaller in enumerate_rooted_trees(order - 1):
+        for attach in range(smaller.order):
+            parent = smaller.parent + (attach,)
+            shape = TreeShape(parent)
+            key = _rooted_canon(shape)
+            if key not in seen:
+                seen.add(key)
+                result.append(shape)
+    return result
+
+
+def _rooted_canon(shape: TreeShape, node: int | None = None):
+    if node is None:
+        node = shape.root
+    return tuple(sorted(_rooted_canon(shape, c) for c in shape.children(node)))
+
+
+def members_extensional(ts: TreeSet) -> list[TreeShape]:
+    """Enumerate all members of a dummy-free tree set up to isomorphism."""
+    if ts in (S1P, S2P, S3P):
+        raise ValueError("plus sets are not enumerated extensionally (dummy placement varies)")
+    return [t for t in enumerate_rooted_trees(ts.order) if member_of(t, ts)]
+
+
+# ---------------------------------------------------------------------------
+# Synthetic gadgets
 
 _counter = itertools.count(10_000)
 
@@ -29,49 +165,65 @@ def fresh() -> int:
     return next(_counter)
 
 
-def bind_shape(ts, root: int) -> BoundTree:
-    """Canonical member of the set bound to fresh ids below the given root."""
+def bind_shape(ts: TreeSet, root: int, actives, dummy: int) -> BoundTree:
+    """Canonical member of `ts` below `root`: active slots take ids from the
+    `actives` iterator, a dummy slot takes `dummy`."""
     shape = canonical_member(ts)
     ids = {shape.root: root}
     for slot in range(shape.order):
         if slot != shape.root:
-            ids[slot] = fresh()
+            ids[slot] = dummy if slot in shape.dummies else next(actives)
     edges = tuple(
         (ids[a], ids[parent]) for a, parent in enumerate(shape.parent) if parent is not None
     )
-    dummies = frozenset(ids[d] for d in shape.dummies)
-    return BoundTree(root, edges, dummies)
+    return BoundTree(root, edges, frozenset(ids[d] for d in shape.dummies))
+
+
+def _quads(vertices: list[int]) -> tuple[frozenset[int], ...]:
+    return tuple(frozenset(vertices[i:i + 4]) for i in range(0, len(vertices), 4))
 
 
 class StubGadget:
-    """Duck-typed gadget: canonical realizations, empty part stream."""
+    """Duck-typed gadget whose canonical realizations balance its ledger.
 
-    def __init__(self, label: Label, u: int, v: int):
+    With `withhold=True` every realization drops its last emitted 4-set, so
+    the ledger of any gadget built on top of the stub must trap.
+    """
+
+    def __init__(self, label: Label, u: int, v: int, withhold: bool = False):
         self.label = label
         self.u = u
         self.v = v
-        self.scope = frozenset()
+        self.owned = [fresh() for _ in range(label.weight + 8)]
+        self.scope = frozenset(self.owned)
+        self.withhold = withhold
         self.provenance = f"stub({label.name})"
+
+    def _emit(self, used: int) -> tuple[frozenset[int], ...]:
+        parts = _quads(self.owned[used:])
+        return parts[:-1] if self.withhold else parts
 
     def realize(self, op):
         if isinstance(op, Subdivide):
             if not self.label.subdividable or op.k != self.label.weight:
                 raise EngineBug(f"stub {self.label} cannot {op}")
-            ids = [fresh() for _ in range(op.k)]
+            ids = self.owned[:op.k]
             path = [self.u, *ids, self.v]
             frag = frozenset(norm_edge(a, b) for a, b in zip(path, path[1:]))
-            return Realization(subdiv=tuple(ids), fragment=frag)
+            return Realization(parts=self._emit(op.k), subdiv=tuple(ids), fragment=frag)
         witness = admits(self.label, op.p, op.q)
         if witness is None:
             raise EngineBug(f"stub {self.label} does not admit {op}")
-        p = bind_shape(witness[0], self.u)
-        q = bind_shape(witness[1], self.v)
+        used = witness[0].actives + witness[1].actives
+        actives = iter(self.owned[:used])
+        p = bind_shape(witness[0], self.u, actives, dummy=self.owned[used])
+        q = bind_shape(witness[1], self.v, actives, dummy=self.owned[used + 1])
         frag = frozenset(norm_edge(a, b) for t in (p, q) for a, b in t.edges)
-        return Realization(p_tree=p, q_tree=q, fragment=frag)
+        return Realization(parts=self._emit(used), p_tree=p, q_tree=q, fragment=frag)
 
 
-def stub_edge(label: Label, u: int, v: int, eid: int = 0) -> LabeledEdge:
-    return LabeledEdge(eid, u, v, label, StubGadget(label, u, v))
+def stub_edge(label: Label, u: int, v: int, eid: int = 0, withhold: bool = False) -> LabeledEdge:
+    return LabeledEdge(eid, u, v, label, StubGadget(label, u, v, withhold))
 
 
 def all_ops(label: Label):

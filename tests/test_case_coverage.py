@@ -2,15 +2,16 @@
 
 For every label combination a rewrite can face and every operation the
 replacement label allows, the lift must select a branch and assemble a
-realization without hitting a guard trap.  Synthetic child gadgets with
-canonical tree shapes stand in for real recursion, which lets the full
+realization without hitting a guard trap, and the conservation ledger of the
+gadget it builds must balance.  Synthetic child gadgets with canonical tree
+shapes and balanced ledgers stand in for real recursion, which lets the full
 combination space be swept even though most combinations need a contrived
 graph to arise naturally.
 """
 
 import pytest
 
-from quadparts.engine.model import EdgeView, Gadget
+from quadparts.engine.model import EdgeView, EngineBug
 from quadparts.engine.parallel import build_parallel_gadget
 from quadparts.engine.reducible import (
     build_deg3_general,
@@ -34,16 +35,6 @@ S0, S1, S2, S3 = TreeSet.S0, TreeSet.S1, TreeSet.S2, TreeSet.S3
 W1 = [CATALOG["L1"], CATALOG["L10"]]
 W2 = [CATALOG["L2"], CATALOG["L20"], CATALOG["L21"]]
 W3 = [CATALOG["L30"], CATALOG["L31"], CATALOG["L32"]]
-
-
-@pytest.fixture(autouse=True)
-def relaxed_validation():
-    # stub children have no vertex ledger, so conservation cannot balance
-    Gadget.validate = False
-    try:
-        yield
-    finally:
-        Gadget.validate = True
 
 
 def run_all_ops(label, gadget):
@@ -212,3 +203,30 @@ class TestDegree4PlusCoverage:
                         label, gadget, ends = self._light(l1, l2, [s1, s2])
                         assert label.name == "L10"
                         run_all_ops(label, gadget)
+
+
+class TestLedgerIsOn:
+    """A child that withholds one emitted 4-set leaves four scope vertices
+    uncovered, so the ledger of the lift built on it must trap."""
+
+    def _assert_traps(self, label, gadget, tag):
+        for op in all_ops(label):
+            with pytest.raises(EngineBug, match="scope mismatch") as info:
+                gadget.realize(op)
+            assert info.value.provenance == tag
+
+    def test_series_lift(self):
+        v1, v, v2 = 1, 0, 2
+        e1 = EdgeView(stub_edge(CATALOG["L1"], v1, v, eid=0), v1)
+        e2 = EdgeView(stub_edge(CATALOG["L2"], v, v2, eid=1, withhold=True), v)
+        label, gadget = build_series_gadget(e1, e2, v, v1, v2, "ledger[series]")
+        self._assert_traps(label, gadget, "ledger[series]")
+
+    def test_light_degree4_lift(self):
+        v = 0
+        e1 = EdgeView(stub_edge(CATALOG["L20"], v, 1, eid=0), v)
+        e2 = EdgeView(stub_edge(CATALOG["L1"], v, 2, eid=1), v)
+        singles = [EdgeView(stub_edge(CATALOG["L1"], v, 3, eid=2), v),
+                   EdgeView(stub_edge(CATALOG["L10"], v, 4, eid=3, withhold=True), v)]
+        label, gadget, ends = build_deg4plus_light(e1, e2, singles, v, "ledger[light]")
+        self._assert_traps(label, gadget, "ledger[light]")

@@ -13,6 +13,7 @@ from quadparts.engine import (
     partition_with_trace,
 )
 from quadparts.engine.driver import apply_reduction
+from quadparts.engine.local import Fragment, finalize, group
 from quadparts.families import enumerate_2connected, random_2connected, random_corpus
 from quadparts.graphs import SimpleGraph, complete_graph, cycle_graph, norm_edge, path_graph
 from quadparts.oracle import verify_partition
@@ -31,6 +32,38 @@ class TestInit:
         lg = init_labeled(cycle_graph(4))
         assert all(le.label.name == "L0" for le in lg.edges.values())
         assert lg.invariant_ok()
+
+
+class TestLocalGrouping:
+    PATH8 = Fragment([(i, i + 1) for i in range(7)])
+    SPLIT = Fragment([(0, 1), (2, 3)])  # two components: {0,1,2,3} has no witness
+
+    def test_group_finds_the_canonical_grouping(self):
+        assert group(self.PATH8, range(8)) == (frozenset({0, 1, 2, 3}), frozenset({4, 5, 6, 7}))
+        assert group(self.PATH8, []) == ()
+
+    def test_group_uses_one_extra_vertex(self):
+        # 0 and 2 are joined through 1, which is outside the pool
+        assert group(self.PATH8, {0, 2, 3, 4}) == (frozenset({0, 2, 3, 4}),)
+
+    def test_group_returns_none_on_bad_size(self):
+        assert group(self.PATH8, {0, 1, 2}) is None
+        assert group(self.PATH8, range(6)) is None
+
+    def test_group_returns_none_without_grouping(self):
+        assert group(self.SPLIT, {0, 1, 2, 3}) is None
+        assert group(self.PATH8, {0, 1, 6, 7}) is None
+
+    def test_finalize_traps_with_provenance(self):
+        with pytest.raises(EngineBug, match="not a multiple of 4") as info:
+            finalize(self.PATH8, {0, 1, 2}, "caller[size]")
+        assert info.value.provenance == "caller[size]"
+        with pytest.raises(EngineBug, match="no nearly connected grouping") as info:
+            finalize(self.SPLIT, {0, 1, 2, 3}, "caller[group]")
+        assert info.value.provenance == "caller[group]"
+
+    def test_finalize_agrees_with_group(self):
+        assert finalize(self.PATH8, range(8), "caller") == group(self.PATH8, range(8))
 
 
 class TestFindReduction:

@@ -1,16 +1,12 @@
 from itertools import product
 
-from quadparts.labels import (
-    CATALOG,
-    LABELS,
-    TreeSet,
-    admits,
+from quadparts.labels import CATALOG, LABELS, TreeSet, admits, catalog_dump, involution, leq
+
+from .support import (
+    TreeShape,
     canonical_member,
-    catalog_dump,
     enumerate_rooted_trees,
     fits,
-    involution,
-    leq,
     member_of,
     members_extensional,
 )
@@ -136,8 +132,6 @@ class TestShapes:
             sizes = shape.child_subtree_sizes()
             assert sum(sizes) == 5
         # a 6-vertex tree whose root hangs one size-5 subtree is not a fusion
-        from quadparts.labels import TreeShape
-
         chain6 = TreeShape((None, 0, 1, 2, 3, 4))
         assert not member_of(chain6, S5M)
 
