@@ -69,7 +69,7 @@ def criterion_2_trace_invariants(fast: bool = False) -> tuple[bool, str]:
             if (weight + len(lg.vertices)) % 4 != 0:
                 return False, f"graph[{idx}] {t.format()}: divisibility broken"
             # a block by definition: one BFS on the whole graph and one per deleted vertex
-            simple = SimpleGraph.from_edges(g.n, [(a, b) for _, a, b in lg.graph.edge_tuples()])
+            simple = SimpleGraph.from_edges(g.n, [(a, b) for _, a, b in lg.edge_tuples()])
             alive = lg.vertices
             if len(alive) < 2 or not induced_is_connected(simple, alive) or \
                     not all(induced_is_connected(simple, alive - {x}) for x in alive):

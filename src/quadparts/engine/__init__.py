@@ -25,7 +25,6 @@ from .model import (
     EdgeView,
     EngineBug,
     Gadget,
-    LabeledEdge,
     LabeledMultigraph,
     Operation,
     Realization,
@@ -39,6 +38,6 @@ __all__ = [
     "TraceStep", "find_reduction", "init_labeled", "partition_2connected",
     "partition_with_trace", "reduce_edge", "reduce_parallel", "reduce_series",
     "reduce_vertex", "run_reduction", "solve_base",
-    "BoundTree", "EdgeView", "EngineBug", "Gadget", "LabeledEdge", "LabeledMultigraph",
+    "BoundTree", "EdgeView", "EngineBug", "Gadget", "LabeledMultigraph",
     "Operation", "Realization", "Split", "Subdivide", "leaf_gadget",
 ]

@@ -24,10 +24,7 @@ from ..oracle import Part, Partition, is_nearly_connected
 from .model import (
     EdgeView,
     EngineBug,
-    Gadget,
-    LabeledEdge,
     LabeledMultigraph,
-    Realization,
     Split,
     Subdivide,
     leaf_gadget,
@@ -39,7 +36,6 @@ from .reducible import (
     build_deg3_sum9_a,
     build_deg3_sum9_b,
     build_deg3_sum9_c,
-    build_deg3_sum10,
     build_deg4plus_heavy,
     build_deg4plus_light,
     build_edge_absorb,
@@ -115,7 +111,7 @@ def init_labeled(g: SimpleGraph) -> LabeledMultigraph:
     lg = LabeledMultigraph(g)
     l0 = CATALOG["L0"]
     for u, v in g.sorted_edges():
-        lg.add_labeled(u, v, l0, leaf_gadget(l0, u, v))
+        lg.add(leaf_gadget(l0, u, v))
     if not lg.invariant_ok():
         raise EngineBug("weight/order invariant broken at initialization")
     return lg
@@ -139,8 +135,8 @@ def find_reduction(lg: LabeledMultigraph) -> ReductionChoice:
         return Base()
     seen_pairs: dict[tuple[int, int], int] = {}
     for eid in eids:
-        le = lg.edges[eid]
-        key = (min(le.u, le.v), max(le.u, le.v))
+        e = lg.edges[eid]
+        key = (min(e.u, e.v), max(e.u, e.v))
         if key in seen_pairs:
             return Parallel(seen_pairs[key], eid)
         seen_pairs[key] = eid
@@ -149,7 +145,7 @@ def find_reduction(lg: LabeledMultigraph) -> ReductionChoice:
             return Series(v)
     # The block is now simple with minimum degree 3, so n >= 4: G - v is a
     # block iff v lies in no 2-cut, and G - e iff e is not a fixed edge.
-    index = separation_index(lg.graph)
+    index = separation_index(lg)
     if index.smallest is None:
         vertex_pool = sorted(lg.vertices)
         host_pool = vertex_pool
@@ -160,7 +156,7 @@ def find_reduction(lg: LabeledMultigraph) -> ReductionChoice:
     in_cut = {x for pair in index.cuts for x in pair}
     reducible = [v for v in vertex_pool if _is_reducible_vertex(lg, v, in_cut)]
     for v in reducible:
-        if any(lg.edges[eid].weight() == 0 for eid in lg.incident(v)):
+        if any(lg.edges[eid].label.weight == 0 for eid in lg.incident(v)):
             return ReducibleVertex(v)
     for y in host_pool:
         for eid in lg.incident(y):
@@ -181,11 +177,10 @@ def find_reduction(lg: LabeledMultigraph) -> ReductionChoice:
 
 
 def reduce_parallel(lg: LabeledMultigraph, eid1: int, eid2: int) -> str:
-    a, b = lg.edges[eid1], lg.edges[eid2]
+    a = lg.edges[eid1]
     u = min(a.u, a.v)
     v = max(a.u, a.v)
-    va, vb = EdgeView(a, u), EdgeView(b, u)
-    e1, e2 = sorted((va, vb), key=lambda e: (e.weight(), e.eid))
+    e1, e2 = sorted((lg.view(eid1, u), lg.view(eid2, u)), key=lambda e: (e.weight(), e.eid))
     if e1.weight() == 0:
         real = e1.request(Split(S0, S0))
         lg.emit(real.parts)
@@ -194,26 +189,26 @@ def reduce_parallel(lg: LabeledMultigraph, eid1: int, eid2: int) -> str:
     if e1.label.name == "L30" and e2.label.name != "L30":
         e1, e2 = e2, e1
     tag = f"parallel[{e1.label.name}+{e2.label.name}]@({u},{v})"
-    label, gadget = build_parallel_gadget(e1, e2, u, v, tag)
+    gadget = build_parallel_gadget(e1, e2, u, v, tag)
     lg.remove_labeled(eid1)
     lg.remove_labeled(eid2)
-    lg.add_labeled(u, v, label, gadget)
+    lg.add(gadget)
     return tag
 
 
 def reduce_series(lg: LabeledMultigraph, v: int) -> str:
     ea, eb = lg.incident(v)
     na, nb = lg.other_end(ea, v), lg.other_end(eb, v)
-    if (lg.edges[ea].weight(), ea) <= (lg.edges[eb].weight(), eb):
+    if (lg.edges[ea].label.weight, ea) <= (lg.edges[eb].label.weight, eb):
         e1, e2, v1, v2 = lg.view(ea, na), lg.view(eb, v), na, nb
     else:
         e1, e2, v1, v2 = lg.view(eb, nb), lg.view(ea, v), nb, na
     tag = f"series[{e1.label.name}+{e2.label.name}]@{v}"
-    label, gadget = build_series_gadget(e1, e2, v, v1, v2, tag)
+    gadget = build_series_gadget(e1, e2, v, v1, v2, tag)
     lg.remove_labeled(ea)
     lg.remove_labeled(eb)
     lg.remove_vertex(v)
-    lg.add_labeled(v1, v2, label, gadget)
+    lg.add(gadget)
     return tag
 
 
@@ -221,15 +216,15 @@ def reduce_edge(lg: LabeledMultigraph, eid1: int, eid2: int, v: int) -> str:
     e1, e2 = lg.view(eid1, v), lg.view(eid2, v)
     v2 = e2.head
     tag = f"absorb[{e1.label.name}->{e2.label.name}]@{v}"
-    label, gadget = build_edge_absorb(e1, e2, v, v2, tag)
+    gadget = build_edge_absorb(e1, e2, v, v2, tag)
     lg.remove_labeled(eid1)
     lg.remove_labeled(eid2)
-    lg.add_labeled(v, v2, label, gadget)
+    lg.add(gadget)
     return tag
 
 
 def _strip_weight0(lg: LabeledMultigraph, v: int) -> str:
-    eid = min(e for e in lg.incident(v) if lg.edges[e].weight() == 0)
+    eid = min(e for e in lg.incident(v) if lg.edges[e].label.weight == 0)
     view = lg.view(eid, v)
     real = view.request(Split(S0, S0))
     lg.emit(real.parts)
@@ -276,28 +271,28 @@ def _reduce_vertex_deg3(lg: LabeledMultigraph, v: int, views: list[EdgeView]) ->
     tag = f"vertex3[{names}]@{v}"
     if 5 <= s <= 7:
         if k == 1 and b.label.name == "L21" and a.label.name in ("L21", "L32"):
-            label, gadget, ends = build_deg3_pair_config(a, b, c, v, tag)
+            gadget = build_deg3_pair_config(a, b, c, v, tag)
         else:
-            label, gadget, ends = build_deg3_general(a, b, c, v, tag)
+            gadget = build_deg3_general(a, b, c, v, tag)
     elif s == 9:
         if b.label.name == "L31":
             a, b = b, a
         if a.label.name == "L31" and b.label.name == "L30" and c.label.name in ("L2", "L20"):
-            label, gadget, ends = build_deg3_sum9_a(a, b, c, v, tag)
+            gadget = build_deg3_sum9_a(a, b, c, v, tag)
         elif a.label.name == "L31" and b.label.name == "L32" and c.label.name in ("L2", "L20"):
-            label, gadget, ends = build_deg3_sum9_b(a, b, c, v, tag)
+            gadget = build_deg3_sum9_b(a, b, c, v, tag)
         else:
-            label, gadget, ends = build_deg3_sum9_c(a, b, c, v, tag)
+            gadget = build_deg3_sum9_c(a, b, c, v, tag)
     elif s == 10:
         heavies = sorted(views, key=lambda e: (e.label.name != "L31", e.eid))
         a, b, c = heavies[0], heavies[1], heavies[2]
         if b.label.name != "L30" or c.label.name != "L30":
             raise EngineBug(f"unabsorbed asymmetric weight-3 edge at {v} ({names})", tag)
-        label, gadget, ends = build_deg3_sum10(a, b, c, v, tag)
+        gadget = build_deg4plus_heavy(b, c, v, tag, fixed=a)
     else:
         raise EngineBug(f"impossible combined weight {s} at vertex {v}", tag)
     _remove_star(lg, v, views)
-    lg.add_labeled(ends[0], ends[1], label, gadget)
+    lg.add(gadget)
     return tag
 
 
@@ -334,9 +329,9 @@ def _reduce_vertex_deg4plus(lg: LabeledMultigraph, v: int, views: list[EdgeView]
         e1, e2 = ordered[0], ordered[1]
         singles = ordered[2:]
         tag = f"vertex4-light[{names}]@{v}"
-        label, gadget, ends = build_deg4plus_light(e1, e2, singles, v, tag)
+        gadget = build_deg4plus_light(e1, e2, singles, v, tag)
         _remove_star(lg, v, views)
-        lg.add_labeled(ends[0], ends[1], label, gadget)
+        lg.add(gadget)
         return tag
     if 1 in weights:
         raise EngineBug(f"mixed unit and weight-3 edges survived pair elimination at {v}", names)
@@ -345,10 +340,10 @@ def _reduce_vertex_deg4plus(lg: LabeledMultigraph, v: int, views: list[EdgeView]
         raise EngineBug(f"expected two plain weight-3 edges at {v}, got {names}", names)
     e3, e4 = plain_heavy[0], plain_heavy[1]
     tag = f"vertex4-heavy[{e3.label.name}+{e4.label.name}]@{v}"
-    label, gadget, ends = build_deg4plus_heavy(e3, e4, v, tag)
+    gadget = build_deg4plus_heavy(e3, e4, v, tag)
     lg.remove_labeled(e3.eid)
     lg.remove_labeled(e4.eid)
-    lg.add_labeled(ends[0], ends[1], label, gadget)
+    lg.add(gadget)
     return tag
 
 
@@ -360,7 +355,7 @@ def apply_reduction(lg: LabeledMultigraph, choice: ReductionChoice) -> tuple[str
     if isinstance(choice, ReducibleEdge):
         return "absorb", reduce_edge(lg, choice.e1, choice.e2, choice.v)
     if isinstance(choice, ReducibleVertex):
-        if any(lg.edges[eid].weight() == 0 for eid in lg.incident(choice.v)):
+        if any(lg.edges[eid].label.weight == 0 for eid in lg.incident(choice.v)):
             return "strip", _strip_weight0(lg, choice.v)
         return "vertex", reduce_vertex(lg, choice.v)
     raise EngineBug(f"cannot apply reduction choice {choice}")
@@ -375,17 +370,17 @@ def solve_base(lg: LabeledMultigraph) -> tuple[frozenset[int], ...]:
     eids = lg.edge_ids()
     if len(eids) != 1:
         raise EngineBug(f"base case reached with {len(eids)} edges")
-    le = lg.edges[eids[0]]
-    if le.weight() != 2:
-        raise EngineBug(f"final edge has weight {le.weight()}, the invariant forces 2")
-    if le.label.name == "L2":
-        real = le.gadget.realize(Subdivide(2))
-        path_part = frozenset({le.u, *real.subdiv, le.v})
+    edge = lg.edges[eids[0]]
+    if edge.label.weight != 2:
+        raise EngineBug(f"final edge has weight {edge.label.weight}, the invariant forces 2")
+    if edge.label.name == "L2":
+        real = edge.realize(Subdivide(2))
+        path_part = frozenset({edge.u, *real.subdiv, edge.v})
         return real.parts + (path_part,)
-    if le.label.name in ("L20", "L21"):
-        real = le.gadget.realize(Split(S3, S3P))
+    if edge.label.name in ("L20", "L21"):
+        real = edge.realize(Split(S3, S3P))
         return real.parts + (frozenset(real.p_tree.actives), frozenset(real.q_tree.actives))
-    raise EngineBug(f"final edge carries unexpected label {le.label}")
+    raise EngineBug(f"final edge carries unexpected label {edge.label}")
 
 
 def run_reduction(g: SimpleGraph) -> tuple[tuple[frozenset[int], ...], list[TraceStep]]:

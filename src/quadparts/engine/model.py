@@ -1,10 +1,14 @@
 """Data model of the reduction engine.
 
-A labeled edge stands for a connected chunk of the original graph.  Its
-gadget knows how to *realize* any operation the label admits: the result
-binds concrete original-graph vertices into trees attached at the edge's
-endpoints (or into a subdivision path) and emits any nearly connected 4-sets
-that the rewrite finalized along the way.
+A labeled edge stands for a connected chunk of the original graph, and its
+:class:`Gadget` is the one record of it: the label, the stored orientation
+u -> v and the lift that *realizes* any operation the label admits.  The
+result binds concrete original-graph vertices into trees attached at the
+edge's two ends (or into a subdivision path) and emits any nearly connected
+4-sets that the rewrite finalized along the way.  The
+:class:`LabeledMultigraph` is a :class:`~quadparts.graphs.Multigraph` whose
+edge ids map to these gadgets; an :class:`EdgeView` reads one of them from
+either end.
 
 Conservation invariant: every gadget owns a fixed set of interior vertices
 (its *scope*); each realization must cover that scope exactly once between
@@ -248,7 +252,8 @@ class Realization:
 
 
 class Gadget:
-    """Realizer for one labeled edge, oriented from u to v (stored orientation).
+    """One labeled edge: its label for the stored orientation u -> v, the
+    scope it owns, and the lifts that realize its operations.
 
     `split_lift` receives the witness pair actually admitted (always a literal
     pair of the label) and returns a Realization; `subdiv_lift` receives the
@@ -360,35 +365,25 @@ def leaf_gadget(label: Label, u: int, v: int) -> Gadget:
 
 
 # ---------------------------------------------------------------------------
-# Labeled edges and the labeled multigraph
-
-
-@dataclass
-class LabeledEdge:
-    eid: int
-    u: int
-    v: int
-    label: Label  # with respect to the stored orientation u -> v
-    gadget: Gadget
-
-    def weight(self) -> int:
-        return self.label.weight
+# The labeled multigraph and directed reads of its edges
 
 
 @dataclass(frozen=True)
 class EdgeView:
-    """A labeled edge read in a chosen direction.
+    """The labeled edge `eid`, whose gadget is `edge`, read from `tail`.
 
-    Reading against the stored orientation swaps the label by the involution
-    and mirrors realizations, so case code can be written for one orientation.
+    Reading against the gadget's stored orientation (u -> v) swaps the label
+    by the involution and mirrors realizations, so case code can be written
+    for one orientation.
     """
 
-    edge: LabeledEdge
+    edge: Gadget
     tail: int
+    eid: int
 
     def __post_init__(self) -> None:
         if self.tail not in (self.edge.u, self.edge.v):
-            raise EngineBug(f"vertex {self.tail} is not an endpoint of edge {self.edge.eid}")
+            raise EngineBug(f"vertex {self.tail} is not an endpoint of edge {self.eid}")
 
     @property
     def flipped_store(self) -> bool:
@@ -403,85 +398,68 @@ class EdgeView:
         return involution(self.edge.label) if self.flipped_store else self.edge.label
 
     @property
-    def eid(self) -> int:
-        return self.edge.eid
-
-    @property
     def scope(self) -> frozenset[int]:
-        return self.edge.gadget.scope
+        return self.edge.scope
 
     def weight(self) -> int:
         return self.edge.label.weight
 
     def reversed(self) -> "EdgeView":
-        return EdgeView(self.edge, self.head)
+        return EdgeView(self.edge, self.head, self.eid)
 
     def request(self, op: Operation) -> Realization:
         if not self.flipped_store:
-            return self.edge.gadget.realize(op)
-        return self.edge.gadget.realize(flip_op(op)).flipped()
+            return self.edge.realize(op)
+        return self.edge.realize(flip_op(op)).flipped()
 
     def admits(self, p: TreeSet, q: TreeSet) -> Pair | None:
         return admits(self.label, p, q)
 
 
-class LabeledMultigraph:
-    """The engine state: a block multigraph with labeled, gadget-bearing edges
-    plus the stream of parts already finalized by eager reductions."""
+class LabeledMultigraph(Multigraph):
+    """The engine state: a block multigraph whose every edge carries a gadget,
+    plus the stream of parts already finalized by eager reductions.
+
+    `edges` maps each edge id to its gadget, which holds the edge's label
+    and its stored orientation u -> v; the graph structure itself is the
+    inherited incidence map.
+    """
 
     def __init__(self, original: SimpleGraph):
-        self.original = original
-        self.graph = Multigraph(range(original.n))
-        self.edges: dict[int, LabeledEdge] = {}
+        super().__init__(range(original.n))
+        self.edges: dict[int, Gadget] = {}
         self.emitted: list[frozenset[int]] = []
 
     # -- construction / mutation ------------------------------------------
 
-    def add_labeled(self, u: int, v: int, label: Label, gadget: Gadget) -> LabeledEdge:
-        eid = self.graph.add_edge(u, v)
-        le = LabeledEdge(eid, u, v, label, gadget)
-        self.edges[eid] = le
-        return le
+    def add(self, gadget: Gadget) -> int:
+        """Install `gadget` as a new edge from gadget.u to gadget.v."""
+        eid = self.add_edge(gadget.u, gadget.v)
+        self.edges[eid] = gadget
+        return eid
 
-    def remove_labeled(self, eid: int) -> LabeledEdge:
-        le = self.edges.pop(eid)
-        self.graph.remove_edge(eid)
-        return le
-
-    def remove_vertex(self, v: int) -> None:
-        self.graph.remove_vertex(v)
+    def remove_labeled(self, eid: int) -> None:
+        self.remove_edge(eid)
+        del self.edges[eid]
 
     # -- inspection --------------------------------------------------------
-
-    @property
-    def vertices(self) -> frozenset[int]:
-        return self.graph.vertices
 
     def edge_ids(self) -> list[int]:
         return sorted(self.edges)
 
     def view(self, eid: int, tail: int) -> EdgeView:
-        return EdgeView(self.edges[eid], tail)
-
-    def incident(self, v: int) -> list[int]:
-        return self.graph.incident(v)
-
-    def degree(self, v: int) -> int:
-        return self.graph.degree(v)
-
-    def other_end(self, eid: int, v: int) -> int:
-        return self.graph.other_end(eid, v)
+        return EdgeView(self.edges[eid], tail, eid)
 
     def weight(self) -> int:
-        return sum(le.weight() for le in self.edges.values())
+        return sum(g.label.weight for g in self.edges.values())
 
     def invariant_ok(self) -> bool:
-        return (self.weight() + len(self.vertices)) % 4 == 0
+        return (self.weight() + self.n) % 4 == 0
 
     def is_block(self) -> bool:
         from ..graphs import is_biconnected
 
-        return is_biconnected(self.graph)
+        return is_biconnected(self)
 
     def emit(self, parts) -> None:
         self.emitted.extend(parts)

@@ -39,8 +39,8 @@ def merged_parallel_label(l1: Label, l2: Label) -> Label:
     return CATALOG[f"L{w}0"]
 
 
-def build_parallel_gadget(e1: EdgeView, e2: EdgeView, u: int, v: int, tag: str) -> tuple[Label, Gadget]:
-    """New label and gadget replacing parallel edges e1, e2 (both viewed u -> v).
+def build_parallel_gadget(e1: EdgeView, e2: EdgeView, u: int, v: int, tag: str) -> Gadget:
+    """New gadget (u -> v) replacing parallel edges e1, e2 (both viewed u -> v).
 
     Caller guarantees w(e1) <= w(e2), both weights positive, and for the
     general case that e1 is not the plain weight-3 label.
@@ -50,16 +50,16 @@ def build_parallel_gadget(e1: EdgeView, e2: EdgeView, u: int, v: int, tag: str) 
     if l1.name == l2.name == "L30":
         label = CATALOG["L21"]
         lift = _both_w3_lift(e1, e2, u, v, tag)
-        return label, Gadget(label, u, v, scope, lift, provenance=tag)
+        return Gadget(label, u, v, scope, lift, provenance=tag)
     if l1.name == l2.name == "L1":
         label = CATALOG["L2"]
         split, subdiv = _both_w1_lifts(e1, e2, u, v, tag)
-        return label, Gadget(label, u, v, scope, split, subdiv, provenance=tag)
+        return Gadget(label, u, v, scope, split, subdiv, provenance=tag)
     if l1.name == "L30":
         raise EngineBug("caller must order the general parallel case so e1 is not L30", tag)
     label = merged_parallel_label(l1, l2)
     lift = _general_lift(e1, e2, u, v, tag)
-    return label, Gadget(label, u, v, scope, lift, provenance=tag)
+    return Gadget(label, u, v, scope, lift, provenance=tag)
 
 
 # ---------------------------------------------------------------------------

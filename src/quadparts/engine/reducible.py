@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from ..labels import CATALOG, Label, Pair, TreeSet
+from ..labels import CATALOG, Pair, TreeSet
 from .caselib import PLAIN, PLUS, collect, pair_shape
 from .local import Fragment, assert_part, finalize, group
 from .model import (
@@ -58,7 +58,7 @@ def eliminate_with_fixed_splits(ops: list[tuple[EdgeView, Pair]], v: int,
 # Absorbing a removable asymmetric weight-3 edge into a sibling
 
 
-def build_edge_absorb(e1: EdgeView, e2: EdgeView, v: int, v2: int, tag: str) -> tuple[Label, Gadget]:
+def build_edge_absorb(e1: EdgeView, e2: EdgeView, v: int, v2: int, tag: str) -> Gadget:
     """e1 (v -> v1, the forward asymmetric weight-3 label) is deleted and its
     sibling e2 (v -> v2, weight 3) is relabeled to the paired weight-2 label.
 
@@ -100,7 +100,7 @@ def build_edge_absorb(e1: EdgeView, e2: EdgeView, v: int, v2: int, tag: str) -> 
             return Realization(parts=cascaded, p_tree=r1.p_tree, q_tree=r2.q_tree, fragment=frag)
         raise EngineBug(f"pair {pair} is not part of the absorbed-edge table", tag)
 
-    return label, Gadget(label, v, v2, scope, lift, provenance=tag)
+    return Gadget(label, v, v2, scope, lift, provenance=tag)
 
 
 def _keep_subtree_at(v: int, size: int, pool: set[int], frag, cascaded,
@@ -124,7 +124,7 @@ def _keep_subtree_at(v: int, size: int, pool: set[int], frag, cascaded,
 
 
 def build_deg3_pair_config(e1: EdgeView, e2: EdgeView, e3: EdgeView, v: int,
-                           tag: str) -> tuple[Label, Gadget, tuple[int, int]]:
+                           tag: str) -> Gadget:
     """Configuration: e1 carries the weight-2 or weight-3 minus-pair-bearing
     label, e2 the weight-2 minus-pair label, w(e3) = 1.  The replacement edge
     runs from e1's far end to e3's far end; e2 always receives (S2-, S0)."""
@@ -206,7 +206,7 @@ def build_deg3_pair_config(e1: EdgeView, e2: EdgeView, e3: EdgeView, v: int,
                                fragment=frag)
         raise EngineBug(f"pair {pair} is not liftable in the paired-tail configuration", tag)
 
-    return label, Gadget(label, v1, v3, scope, lift, provenance=tag), (v1, v3)
+    return Gadget(label, v1, v3, scope, lift, provenance=tag)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +214,7 @@ def build_deg3_pair_config(e1: EdgeView, e2: EdgeView, e3: EdgeView, v: int,
 
 
 def build_deg3_general(e1: EdgeView, e2: EdgeView, e3: EdgeView, v: int,
-                       tag: str) -> tuple[Label, Gadget, tuple[int, int]]:
+                       tag: str) -> Gadget:
     """Edges ordered by weight i >= j >= k; the replacement edge joins the two
     heaviest far ends and e3 always receives (S_k, S0)."""
     i, j, k = e1.label.weight, e2.label.weight, e3.label.weight
@@ -262,7 +262,7 @@ def build_deg3_general(e1: EdgeView, e2: EdgeView, e3: EdgeView, v: int,
             if (x, y) == (3, 3):
                 if i == 3:
                     return _plus_33(r3, a3)  # the heavy-tail lift is plain on both sides
-                inner_label, inner_gadget, _ = build_deg3_general(e2, e1, e3, v, tag + "~")
+                inner_gadget = build_deg3_general(e2, e1, e3, v, tag + "~")
                 return inner_gadget._split_lift((pair[1], pair[0])).flipped()
             raise EngineBug(f"plus pair {pair} is out of range", tag)
         if (x, y) == (2, 3):
@@ -431,7 +431,7 @@ def build_deg3_general(e1: EdgeView, e2: EdgeView, e3: EdgeView, v: int,
         q = span_tree(v2, {v2, v, a3[0], *r2.subdiv}, frag, dummies={v})
         return Realization(parts=cascaded, p_tree=p, q_tree=q, fragment=frag)
 
-    return label, Gadget(label, v1, v2, scope, lift, provenance=tag), (v1, v2)
+    return Gadget(label, v1, v2, scope, lift, provenance=tag)
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +439,7 @@ def build_deg3_general(e1: EdgeView, e2: EdgeView, e3: EdgeView, v: int,
 
 
 def build_deg3_sum9_a(e1: EdgeView, e2: EdgeView, e3: EdgeView, v: int,
-                      tag: str) -> tuple[Label, Gadget, tuple[int, int]]:
+                      tag: str) -> Gadget:
     """e1 reverse-asymmetric weight 3, e2 plain weight 3, e3 subdividable
     weight 2.  Replacement edge joins e2's and e3's far ends; e1 is fixed."""
     v2, v3 = e2.head, e3.head
@@ -490,11 +490,11 @@ def build_deg3_sum9_a(e1: EdgeView, e2: EdgeView, e3: EdgeView, v: int,
                                fragment=frag)
         raise EngineBug(f"pair {pair} not liftable at combined weight 9 (variant A)", tag)
 
-    return label, Gadget(label, v2, v3, scope, lift, provenance=tag), (v2, v3)
+    return Gadget(label, v2, v3, scope, lift, provenance=tag)
 
 
 def build_deg3_sum9_b(e1: EdgeView, e2: EdgeView, e3: EdgeView, v: int,
-                      tag: str) -> tuple[Label, Gadget, tuple[int, int]]:
+                      tag: str) -> Gadget:
     """e1 reverse-asymmetric weight 3, e2 forward-asymmetric weight 3, e3
     subdividable weight 2.  Replacement edge joins e1's and e3's far ends;
     e2 is fixed with (S3-, S0)."""
@@ -546,11 +546,11 @@ def build_deg3_sum9_b(e1: EdgeView, e2: EdgeView, e3: EdgeView, v: int,
                                fragment=frag)
         raise EngineBug(f"pair {pair} not liftable at combined weight 9 (variant B)", tag)
 
-    return label, Gadget(label, v1, v3, scope, lift, provenance=tag), (v1, v3)
+    return Gadget(label, v1, v3, scope, lift, provenance=tag)
 
 
 def build_deg3_sum9_c(e1: EdgeView, e2: EdgeView, e3: EdgeView, v: int,
-                      tag: str) -> tuple[Label, Gadget, tuple[int, int]]:
+                      tag: str) -> Gadget:
     """Remaining combined-weight-9 configurations: the replacement edge joins
     the far ends of the two weight-3 edges and e3 is fixed with (S2, S0)."""
     v1, v2 = e1.head, e2.head
@@ -604,12 +604,12 @@ def build_deg3_sum9_c(e1: EdgeView, e2: EdgeView, e3: EdgeView, v: int,
                                fragment=frag)
         raise EngineBug(f"pair {pair} not liftable at combined weight 9 (variant C)", tag)
 
-    return label, Gadget(label, v1, v2, scope, lift, provenance=tag), (v1, v2)
+    return Gadget(label, v1, v2, scope, lift, provenance=tag)
 
 
 # ---------------------------------------------------------------------------
-# The shared two-edge weight-3 table (degree-3 all-heavy, and degree >= 4
-# with two plain weight-3 edges)
+# Two plain weight-3 edges merged into one weight-2 edge (degree-3 all-heavy,
+# and degree >= 4 with two plain weight-3 edges)
 
 _W3_PAIR_ROWS: dict[Pair, tuple[Pair, Pair]] = {
     (S0, S2): ((S3, S0), (S1, S2)),
@@ -620,51 +620,34 @@ _W3_PAIR_ROWS: dict[Pair, tuple[Pair, Pair]] = {
 }
 
 
-def build_deg3_sum10(e1: EdgeView, e2: EdgeView, e3: EdgeView, v: int,
-                     tag: str) -> tuple[Label, Gadget, tuple[int, int]]:
-    """All three edges weigh 3; e2 and e3 carry the plain weight-3 label and
-    host the replacement edge, e1 is fixed with (S3, S0)."""
-    v2, v3 = e2.head, e3.head
+def build_deg4plus_heavy(e3: EdgeView, e4: EdgeView, v: int, tag: str,
+                         fixed: EdgeView | None = None) -> Gadget:
+    """Two plain weight-3 edges are replaced by one weight-2 edge between
+    their far ends.
+
+    At degree >= 4 with no weight-1 edges, v stays put.  At degree 3 with
+    combined weight 10, `fixed` is the third weight-3 edge: it receives
+    (S3, S0) before the pair is split, and v leaves with the finalized parts.
+    """
     label = CATALOG["L20"]
-    scope = e1.scope | e2.scope | e3.scope | {v}
+    leaving = frozenset() if fixed is None else frozenset({v})
+    scope = e3.scope | e4.scope | leaving | (frozenset() if fixed is None else fixed.scope)
 
     def lift(pair: Pair) -> Realization:
         row = _W3_PAIR_ROWS.get(pair)
         if row is None:
             raise EngineBug(f"pair {pair} missing from the weight-3 pair table", tag)
-        r1 = e1.request(Split(S3, S0))
-        ra = e2.request(Split(*row[0]))
-        rb = e3.request(Split(*row[1]))
-        frag, cascaded = collect(r1, ra, rb)
-        pool = ((r1.p_tree.actives | ra.p_tree.actives | rb.p_tree.actives) - {v}) | {v}
-        local = finalize(Fragment(frag), pool, tag)
-        return Realization(parts=cascaded + local, p_tree=ra.q_tree, q_tree=rb.q_tree,
-                           fragment=frag)
-
-    return label, Gadget(label, v2, v3, scope, lift, provenance=tag), (v2, v3)
-
-
-def build_deg4plus_heavy(e3: EdgeView, e4: EdgeView, v: int,
-                         tag: str) -> tuple[Label, Gadget, tuple[int, int]]:
-    """Degree >= 4 with no weight-1 edges: two plain weight-3 edges are
-    replaced by one weight-2 edge between their far ends; v stays put."""
-    v3, v4 = e3.head, e4.head
-    label = CATALOG["L20"]
-    scope = e3.scope | e4.scope
-
-    def lift(pair: Pair) -> Realization:
-        row = _W3_PAIR_ROWS.get(pair)
-        if row is None:
-            raise EngineBug(f"pair {pair} missing from the weight-3 pair table", tag)
+        reals = [] if fixed is None else [fixed.request(Split(S3, S0))]
         ra = e3.request(Split(*row[0]))
         rb = e4.request(Split(*row[1]))
-        frag, cascaded = collect(ra, rb)
-        pool = (ra.p_tree.actives | rb.p_tree.actives) - {v}
+        reals += [ra, rb]
+        frag, cascaded = collect(*reals)
+        pool = (set().union(*(r.p_tree.actives for r in reals)) - {v}) | leaving
         local = finalize(Fragment(frag, extra_vertices=[v]), pool, tag) if pool else ()
         return Realization(parts=cascaded + local, p_tree=ra.q_tree, q_tree=rb.q_tree,
                            fragment=frag)
 
-    return label, Gadget(label, v3, v4, scope, lift, provenance=tag), (v3, v4)
+    return Gadget(label, e3.head, e4.head, scope, lift, provenance=tag)
 
 
 # ---------------------------------------------------------------------------
@@ -673,7 +656,7 @@ def build_deg4plus_heavy(e3: EdgeView, e4: EdgeView, v: int,
 
 
 def build_deg4plus_light(e1: EdgeView, e2: EdgeView, singles: list[EdgeView], v: int,
-                         tag: str) -> tuple[Label, Gadget, tuple[int, int]]:
+                         tag: str) -> Gadget:
     """Light elimination: every edge in `singles` is fixed with (S1, S0).
 
     With w(e1)=2 (degree 4) or five unit edges (degree 5) the replacement
@@ -925,7 +908,7 @@ def build_deg4plus_light(e1: EdgeView, e2: EdgeView, singles: list[EdgeView], v:
         raise EngineBug(f"pair {pair} not liftable in the unit-weight elimination", tag)
 
     def _swap_mirror(pair: Pair, sgl: list[EdgeView]) -> Realization:
-        _, gadget, _ = build_deg4plus_light(e2, e1, sgl, v, tag + "~")
+        gadget = build_deg4plus_light(e2, e1, sgl, v, tag + "~")
         return gadget._split_lift((pair[1], pair[0])).flipped()
 
-    return label, Gadget(label, v1, v2, scope, lift, provenance=tag), (v1, v2)
+    return Gadget(label, v1, v2, scope, lift, provenance=tag)

@@ -95,8 +95,8 @@ def merged_series_label(l1: Label, l2: Label) -> Label:
 
 
 def build_series_gadget(e1: EdgeView, e2: EdgeView, v: int, v1: int, v2: int,
-                        tag: str) -> tuple[Label, Gadget]:
-    """Replacement label and gadget for contracting degree-2 vertex v.
+                        tag: str) -> Gadget:
+    """Replacement gadget (v1 -> v2) for contracting degree-2 vertex v.
 
     e1 is viewed v1 -> v and e2 is viewed v -> v2 with w(e1) <= w(e2).
     """
@@ -108,7 +108,7 @@ def build_series_gadget(e1: EdgeView, e2: EdgeView, v: int, v1: int, v2: int,
 
     if l1.name == "L0" and l2.name in ("L0", "L1"):
         split, subdiv = _chain_lifts(e1, e2, v, v1, v2, tag)
-        return label, Gadget(label, v1, v2, scope, split, subdiv, provenance=tag)
+        return Gadget(label, v1, v2, scope, split, subdiv, provenance=tag)
     table = None
     if l1.name == "L0" and l2.name == "L21":
         table = _TABLE_ZERO_PLUS_MINUSPAIR
@@ -120,14 +120,14 @@ def build_series_gadget(e1: EdgeView, e2: EdgeView, v: int, v1: int, v2: int,
         table = _TABLE_BOTH_W3ASYM
     if table is not None:
         lift = _table_lift(e1, e2, v, v1, v2, table, tag)
-        return label, Gadget(label, v1, v2, scope, lift, provenance=tag)
+        return Gadget(label, v1, v2, scope, lift, provenance=tag)
     if l1.name == "L31" and l2.name == "L31":
         # reading the chain from the other side turns both labels into L32
         inner = _table_lift(e2.reversed(), e1.reversed(), v, v2, v1, _TABLE_BOTH_W3ASYM, tag + "~")
         lift = _mirror_wrap(inner)
-        return label, Gadget(label, v1, v2, scope, lift, provenance=tag)
+        return Gadget(label, v1, v2, scope, lift, provenance=tag)
     lift = _general_series_lift(e1, e2, v, v1, v2, tag)
-    return label, Gadget(label, v1, v2, scope, lift, provenance=tag)
+    return Gadget(label, v1, v2, scope, lift, provenance=tag)
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,18 @@
 Vertices are dense integer indices ``0..n-1``.  :class:`SimpleGraph` is the
 immutable world of inputs and outputs; :class:`Multigraph` allows parallel
 edges with stable edge ids and is the mutable state of the reduction engine.
+A multigraph keeps one incidence map, vertex -> {edge id: other end}, in
+which each vertex's edges iterate in edge-id order, so degrees and incident
+edges cost O(degree).
 
 Blocks, 2-cuts and removable edges all come from one primitive, Tarjan's
-low-point DFS (``_low_points``), run on g or on g minus one vertex: it
-reports the vertices reached, the cut vertices and the bridges.
-:func:`is_biconnected` is one run on g; :func:`separation_index` is one run
-on g - u for every vertex u, which lists every 2-cut of a block and the
-edges whose deletion leaves no block in O(n(n + m)).
+low-point DFS (``_low_points``) over that incidence map, run on g or on g
+minus one vertex: it reports the vertices reached, the cut vertices and the
+bridges.  A SimpleGraph argument is first turned into the multigraph whose
+edge ids are the positions of its sorted edge list.  :func:`is_biconnected`
+is one run on g; :func:`separation_index` is one run on g - u for every
+vertex u, which lists every 2-cut of a block and the edges whose deletion
+leaves no block in O(n(n + m)).
 """
 
 from __future__ import annotations
@@ -53,9 +58,6 @@ class SimpleGraph:
     def m(self) -> int:
         return len(self.edges)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return norm_edge(u, v) in self.edges
-
     def adj(self) -> list[list[int]]:
         """Adjacency lists, each sorted ascending."""
         out: list[list[int]] = [[] for _ in range(self.n)]
@@ -65,9 +67,6 @@ class SimpleGraph:
         for row in out:
             row.sort()
         return out
-
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
@@ -92,11 +91,12 @@ class Multigraph:
 
     Parallel edges are allowed; self-loops are not.  Edge ids are unique and
     stable across mutations, which the reduction engine relies on for
-    deterministic scanning and provenance.
+    deterministic scanning and provenance.  Ids are handed out in increasing
+    order, so insertion order is id order in every map below.
     """
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[tuple[int, int]] = ()):
-        self._vertices: set[int] = set(vertices)
+        self._inc: dict[int, dict[int, int]] = {v: {} for v in vertices}
         self._edges: dict[int, tuple[int, int]] = {}
         self._next_eid = 0
         for u, v in edges:
@@ -104,11 +104,11 @@ class Multigraph:
 
     @property
     def vertices(self) -> frozenset[int]:
-        return frozenset(self._vertices)
+        return frozenset(self._inc)
 
     @property
     def n(self) -> int:
-        return len(self._vertices)
+        return len(self._inc)
 
     @property
     def m(self) -> int:
@@ -117,61 +117,54 @@ class Multigraph:
     def add_edge(self, u: int, v: int) -> int:
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
-        if u not in self._vertices or v not in self._vertices:
+        if u not in self._inc or v not in self._inc:
             raise ValueError(f"edge {(u, v)} references a missing vertex")
         eid = self._next_eid
         self._next_eid += 1
         self._edges[eid] = (u, v)
+        self._inc[u][eid] = v
+        self._inc[v][eid] = u
         return eid
 
     def remove_edge(self, eid: int) -> None:
-        del self._edges[eid]
+        u, v = self._edges.pop(eid)
+        del self._inc[u][eid]
+        del self._inc[v][eid]
 
     def remove_vertex(self, v: int) -> None:
-        if any(v in ends for ends in self._edges.values()):
+        if self._inc[v]:
             raise ValueError(f"vertex {v} still has incident edges")
-        self._vertices.remove(v)
-
-    def endpoints(self, eid: int) -> tuple[int, int]:
-        return self._edges[eid]
+        del self._inc[v]
 
     def edge_tuples(self) -> list[tuple[int, int, int]]:
         """All edges as (eid, u, v), sorted by edge id."""
-        return [(eid, u, v) for eid, (u, v) in sorted(self._edges.items())]
+        return [(eid, u, v) for eid, (u, v) in self._edges.items()]
 
     def incident(self, v: int) -> list[int]:
-        return sorted(eid for eid, ends in self._edges.items() if v in ends)
+        """Ids of the edges at v, ascending."""
+        return list(self._inc[v])
 
     def degree(self, v: int) -> int:
-        return sum(1 for ends in self._edges.values() if v in ends)
+        return len(self._inc[v])
 
     def other_end(self, eid: int, v: int) -> int:
-        u, w = self._edges[eid]
-        if v == u:
-            return w
-        if v == w:
-            return u
-        raise ValueError(f"vertex {v} is not an endpoint of edge {eid}")
-
-def _adjacency(g: SimpleGraph | Multigraph) -> tuple[list[int], dict[int, list[tuple[int, int]]]]:
-    """Sorted vertices and, per vertex, its (neighbour, edge id) pairs.
-
-    Edge ids of a SimpleGraph are positions in its sorted edge list.
-    """
-    if isinstance(g, SimpleGraph):
-        verts, edges = list(range(g.n)), [(i, u, v) for i, (u, v) in enumerate(sorted(g.edges))]
-    else:
-        verts, edges = sorted(g.vertices), g.edge_tuples()
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in verts}
-    for eid, u, v in edges:
-        adj[u].append((v, eid))
-        adj[v].append((u, eid))
-    return verts, adj
+        w = self._inc.get(v, {}).get(eid)
+        if w is None:
+            raise ValueError(f"vertex {v} is not an endpoint of edge {eid}")
+        return w
 
 
-def _low_points(adj: dict[int, list[tuple[int, int]]], root: int,
+def _as_multigraph(g: SimpleGraph | Multigraph) -> Multigraph:
+    """g itself, or for a SimpleGraph the multigraph whose edge ids are the
+    positions of its sorted edge list."""
+    return Multigraph(range(g.n), sorted(g.edges)) if isinstance(g, SimpleGraph) else g
+
+
+def _low_points(adj: dict[int, dict[int, int]], root: int,
                 skip: int | None = None) -> tuple[dict[int, int], set[int], set[int]]:
     """Tarjan's low-point DFS from `root` of the graph minus the vertex `skip`.
+
+    `adj` is an incidence map, vertex -> {edge id: other end}.
 
     Returns the discovery index of every vertex reached, the cut vertices of
     the component reached and the edge ids of its bridges.  Only the tree
@@ -181,20 +174,20 @@ def _low_points(adj: dict[int, list[tuple[int, int]]], root: int,
     disc = {root: 0}
     low = {root: 0}
     entry = {root: -1}
-    iters = {root: iter(adj[root])}
+    iters = {root: iter(adj[root].items())}
     stack = [root]
     cuts: set[int] = set()
     bridges: set[int] = set()
     root_children = 0
     while stack:
         v = stack[-1]
-        for w, eid in iters[v]:
+        for eid, w in iters[v]:
             if w == skip or eid == entry[v]:
                 continue
             if w not in disc:
                 disc[w] = low[w] = len(disc)
                 entry[w] = eid
-                iters[w] = iter(adj[w])
+                iters[w] = iter(adj[w].items())
                 stack.append(w)
                 break
             low[v] = min(low[v], disc[w])
@@ -220,14 +213,14 @@ def is_biconnected(g: SimpleGraph | Multigraph) -> bool:
     A two-vertex graph with at least one edge counts as biconnected.  For
     multigraphs, a parallel edge to the DFS parent acts as a back edge.
     """
-    verts, adj = _adjacency(g)
-    if len(verts) < 2:
+    adj = _as_multigraph(g)._inc
+    if len(adj) < 2:
         return False
-    reached, cuts, _ = _low_points(adj, verts[0])
-    return len(reached) == len(verts) and not cuts
+    reached, cuts, _ = _low_points(adj, min(adj))
+    return len(reached) == len(adj) and not cuts
 
 
-def _components_of(adj: dict[int, list[tuple[int, int]]], alive: set[int]) -> list[frozenset[int]]:
+def _components_of(adj: dict[int, dict[int, int]], alive: set[int]) -> list[frozenset[int]]:
     """Connected components of the subgraph induced by `alive`, sorted by (size, min vertex)."""
     seen: set[int] = set()
     comps: list[frozenset[int]] = []
@@ -239,7 +232,7 @@ def _components_of(adj: dict[int, list[tuple[int, int]]], alive: set[int]) -> li
         seen.add(s)
         while dq:
             x = dq.popleft()
-            for y, _ in adj[x]:
+            for y in adj[x].values():
                 if y in alive and y not in seen:
                     seen.add(y)
                     comp.add(y)
@@ -247,11 +240,6 @@ def _components_of(adj: dict[int, list[tuple[int, int]]], alive: set[int]) -> li
         comps.append(frozenset(comp))
     comps.sort(key=lambda c: (len(c), min(c)))
     return comps
-
-
-def connected_components(g: SimpleGraph, removed: Iterable[int] = ()) -> list[frozenset[int]]:
-    verts, adj = _adjacency(g)
-    return _components_of(adj, set(verts) - set(removed))
 
 
 @dataclass(frozen=True)
@@ -279,7 +267,8 @@ def separation_index(g: SimpleGraph | Multigraph) -> SeparationIndex:
     some g - u.  Components are taken only for the listed cuts.  The caller
     guarantees that g is a block; on other inputs the index is incomplete.
     """
-    verts, adj = _adjacency(g)
+    adj = _as_multigraph(g)._inc
+    verts = sorted(adj)
     cuts: set[tuple[int, int]] = set()
     fixed: set[int] = set()
     for u in verts:
@@ -323,6 +312,7 @@ def smallest_2cut_component(
     taken in lexicographic order and only strictly smaller components
     replace the incumbent (see :class:`SeparationIndex`).
     """
+    g = _as_multigraph(g)
     if not is_biconnected(g):
         raise ValueError("graph is not 2-connected")
     return separation_index(g).smallest
@@ -353,14 +343,3 @@ def graph_power(g: SimpleGraph, k: int) -> SimpleGraph:
             if t > s:
                 edges.add((s, t))
     return SimpleGraph(g.n, frozenset(edges))
-
-
-def diameter(g: SimpleGraph) -> int:
-    """Largest finite distance; raises on disconnected input."""
-    best = 0
-    for s in range(g.n):
-        dist = bfs_distances(g, s)
-        if len(dist) != g.n:
-            raise ValueError("graph is disconnected")
-        best = max(best, max(dist.values()))
-    return best

@@ -1,4 +1,5 @@
-"""Test-only helpers: concrete rooted-tree shapes and synthetic gadgets.
+"""Test-only helpers: concrete rooted-tree shapes, synthetic gadgets and
+plain graph traversals.
 
 `TreeShape` and its companions enumerate and test small rooted trees over
 abstract slots; the engine itself only needs `labels.shape_matches`, which
@@ -14,22 +15,27 @@ active counts of every catalog pair are congruent to the weight mod 4 and at
 most weight + 4, so at least one 4-set is always emitted, and a dummy slot
 takes one of its vertices.  The gadgets built on top of stubs therefore run
 with the conservation ledger on, exactly as on real graphs.
+
+`connected_components`, `diameter` and `degree` read a SimpleGraph's edge
+list directly, so tests can use them as oracles independent of the library's
+own traversals.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
+from typing import Iterable
 
 from quadparts.engine.model import (
     BoundTree,
     EngineBug,
-    LabeledEdge,
     Realization,
     Split,
     Subdivide,
 )
-from quadparts.graphs import norm_edge
+from quadparts.graphs import SimpleGraph, norm_edge
 from quadparts.labels import Label, TreeSet, admits, down_set, shape_matches
 
 S0, S1, S2, S3 = TreeSet.S0, TreeSet.S1, TreeSet.S2, TreeSet.S3
@@ -222,8 +228,8 @@ class StubGadget:
         return Realization(parts=self._emit(used), p_tree=p, q_tree=q, fragment=frag)
 
 
-def stub_edge(label: Label, u: int, v: int, eid: int = 0, withhold: bool = False) -> LabeledEdge:
-    return LabeledEdge(eid, u, v, label, StubGadget(label, u, v, withhold))
+def stub_edge(label: Label, u: int, v: int, withhold: bool = False) -> StubGadget:
+    return StubGadget(label, u, v, withhold)
 
 
 def all_ops(label: Label):
@@ -232,3 +238,56 @@ def all_ops(label: Label):
     if label.subdividable:
         ops.append(Subdivide(label.weight))
     return ops
+
+
+# ---------------------------------------------------------------------------
+# Plain traversals over a SimpleGraph's edge list
+
+
+def _distances(neighbours: dict[int, list[int]], source: int) -> dict[int, int]:
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        x = queue.popleft()
+        for y in neighbours[x]:
+            if y not in dist:
+                dist[y] = dist[x] + 1
+                queue.append(y)
+    return dist
+
+
+def _neighbours(g: SimpleGraph, alive: set[int]) -> dict[int, list[int]]:
+    out: dict[int, list[int]] = {v: [] for v in alive}
+    for a, b in g.edges:
+        if a in alive and b in alive:
+            out[a].append(b)
+            out[b].append(a)
+    return out
+
+
+def connected_components(g: SimpleGraph, removed: Iterable[int] = ()) -> list[frozenset[int]]:
+    """Components of g minus `removed`, by breadth-first search."""
+    alive = set(range(g.n)) - set(removed)
+    neighbours = _neighbours(g, alive)
+    comps: list[frozenset[int]] = []
+    while alive:
+        comp = frozenset(_distances(neighbours, min(alive)))
+        comps.append(comp)
+        alive -= comp
+    return comps
+
+
+def diameter(g: SimpleGraph) -> int:
+    """Largest distance in g; raises on disconnected input."""
+    neighbours = _neighbours(g, set(range(g.n)))
+    best = 0
+    for s in range(g.n):
+        dist = _distances(neighbours, s)
+        if len(dist) != g.n:
+            raise ValueError("graph is disconnected")
+        best = max(best, max(dist.values()))
+    return best
+
+
+def degree(g: SimpleGraph, v: int) -> int:
+    return sum(1 for e in g.edges if v in e)

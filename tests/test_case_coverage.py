@@ -19,7 +19,6 @@ from quadparts.engine.reducible import (
     build_deg3_sum9_a,
     build_deg3_sum9_b,
     build_deg3_sum9_c,
-    build_deg3_sum10,
     build_deg4plus_heavy,
     build_deg4plus_light,
     build_edge_absorb,
@@ -37,8 +36,8 @@ W2 = [CATALOG["L2"], CATALOG["L20"], CATALOG["L21"]]
 W3 = [CATALOG["L30"], CATALOG["L31"], CATALOG["L32"]]
 
 
-def run_all_ops(label, gadget):
-    for op in all_ops(label):
+def run_all_ops(gadget):
+    for op in all_ops(gadget.label):
         real = gadget.realize(op)
         for part in real.parts:
             assert len(part) == 4
@@ -51,12 +50,11 @@ class TestSeriesCoverage:
             for l2 in LABELS:
                 if l1.weight > l2.weight:
                     continue
-                e1 = EdgeView(stub_edge(l1, v1, v, eid=0), v1)
-                e2 = EdgeView(stub_edge(l2, v, v2, eid=1), v)
-                label, gadget = build_series_gadget(e1, e2, v, v1, v2,
-                                                    f"cover[{l1.name}+{l2.name}]")
-                assert label.weight == (l1.weight + l2.weight + 1) % 4
-                run_all_ops(label, gadget)
+                e1 = EdgeView(stub_edge(l1, v1, v), v1, 0)
+                e2 = EdgeView(stub_edge(l2, v, v2), v, 1)
+                gadget = build_series_gadget(e1, e2, v, v1, v2, f"cover[{l1.name}+{l2.name}]")
+                assert gadget.label.weight == (l1.weight + l2.weight + 1) % 4
+                run_all_ops(gadget)
 
 
 class TestParallelCoverage:
@@ -68,29 +66,27 @@ class TestParallelCoverage:
                     continue
                 if l1.name == "L30" and l2.name != "L30":
                     continue  # the driver orders this pair the other way
-                e1 = EdgeView(stub_edge(l1, u, v, eid=0), u)
-                e2 = EdgeView(stub_edge(l2, u, v, eid=1), u)
-                label, gadget = build_parallel_gadget(e1, e2, u, v,
-                                                      f"cover[{l1.name}+{l2.name}]")
-                assert label.weight == (l1.weight + l2.weight) % 4
-                run_all_ops(label, gadget)
+                e1 = EdgeView(stub_edge(l1, u, v), u, 0)
+                e2 = EdgeView(stub_edge(l2, u, v), u, 1)
+                gadget = build_parallel_gadget(e1, e2, u, v, f"cover[{l1.name}+{l2.name}]")
+                assert gadget.label.weight == (l1.weight + l2.weight) % 4
+                run_all_ops(gadget)
 
 
 class TestAbsorbCoverage:
     def test_both_sibling_labels(self):
         v, v1, v2 = 0, 1, 2
         for sibling in ("L30", "L32"):
-            e1 = EdgeView(stub_edge(CATALOG["L32"], v, v1, eid=0), v)
-            e2 = EdgeView(stub_edge(CATALOG[sibling], v, v2, eid=1), v)
-            label, gadget = build_edge_absorb(e1, e2, v, v2, f"cover[{sibling}]")
-            run_all_ops(label, gadget)
+            e1 = EdgeView(stub_edge(CATALOG["L32"], v, v1), v, 0)
+            e2 = EdgeView(stub_edge(CATALOG[sibling], v, v2), v, 1)
+            run_all_ops(build_edge_absorb(e1, e2, v, v2, f"cover[{sibling}]"))
 
 
 def _deg3_views(la, lb, lc):
     v = 0
-    ea = EdgeView(stub_edge(la, v, 1, eid=0), v)
-    eb = EdgeView(stub_edge(lb, v, 2, eid=1), v)
-    ec = EdgeView(stub_edge(lc, v, 3, eid=2), v)
+    ea = EdgeView(stub_edge(la, v, 1), v, 0)
+    eb = EdgeView(stub_edge(lb, v, 2), v, 1)
+    ec = EdgeView(stub_edge(lc, v, 3), v, 2)
     return v, ea, eb, ec
 
 
@@ -112,9 +108,9 @@ class TestDegree3Coverage:
         for la in (CATALOG["L21"], CATALOG["L32"]):
             for lc in W1:
                 v, a, b, c = _deg3_views(la, CATALOG["L21"], lc)
-                label, gadget, ends = build_deg3_pair_config(a, b, c, v, "cover")
-                assert label.name == f"L{la.weight}0"
-                run_all_ops(label, gadget)
+                gadget = build_deg3_pair_config(a, b, c, v, "cover")
+                assert gadget.label.name == f"L{la.weight}0"
+                run_all_ops(gadget)
 
     def test_general_mid_weight_configurations(self):
         for la in W2 + W3:
@@ -128,9 +124,9 @@ class TestDegree3Coverage:
                     if k == 1 and lb.name == "L21" and la.name in ("L21", "L32"):
                         continue  # routed to the paired-tail configuration
                     v, a, b, c = _deg3_views(la, lb, lc)
-                    label, gadget, ends = build_deg3_general(a, b, c, v, "cover")
-                    assert label.weight == (i + j + k + 1) % 4
-                    run_all_ops(label, gadget)
+                    gadget = build_deg3_general(a, b, c, v, "cover")
+                    assert gadget.label.weight == (i + j + k + 1) % 4
+                    run_all_ops(gadget)
 
     def test_weight9_configurations(self):
         builders = []
@@ -150,29 +146,26 @@ class TestDegree3Coverage:
         assert builders
         for build, la, lb, lc in builders:
             v, a, b, c = _deg3_views(la, lb, lc)
-            label, gadget, ends = build(a, b, c, v, f"cover[{la.name}/{lb.name}/{lc.name}]")
-            run_all_ops(label, gadget)
+            run_all_ops(build(a, b, c, v, f"cover[{la.name}/{lb.name}/{lc.name}]"))
 
     def test_weight10_configurations(self):
         for la in ("L30", "L31"):
             v, a, b, c = _deg3_views(CATALOG[la], CATALOG["L30"], CATALOG["L30"])
-            label, gadget, ends = build_deg3_sum10(a, b, c, v, f"cover[{la}]")
-            run_all_ops(label, gadget)
+            run_all_ops(build_deg4plus_heavy(b, c, v, f"cover[{la}]", fixed=a))
 
 
 class TestDegree4PlusCoverage:
     def test_heavy_pair(self):
         v = 0
-        e3 = EdgeView(stub_edge(CATALOG["L30"], v, 1, eid=0), v)
-        e4 = EdgeView(stub_edge(CATALOG["L30"], v, 2, eid=1), v)
-        label, gadget, ends = build_deg4plus_heavy(e3, e4, v, "cover")
-        run_all_ops(label, gadget)
+        e3 = EdgeView(stub_edge(CATALOG["L30"], v, 1), v, 0)
+        e4 = EdgeView(stub_edge(CATALOG["L30"], v, 2), v, 1)
+        run_all_ops(build_deg4plus_heavy(e3, e4, v, "cover"))
 
     def _light(self, l1, l2, single_labels):
         v = 0
-        e1 = EdgeView(stub_edge(l1, v, 1, eid=0), v)
-        e2 = EdgeView(stub_edge(l2, v, 2, eid=1), v)
-        singles = [EdgeView(stub_edge(ls, v, 3 + idx, eid=2 + idx), v)
+        e1 = EdgeView(stub_edge(l1, v, 1), v, 0)
+        e2 = EdgeView(stub_edge(l2, v, 2), v, 1)
+        singles = [EdgeView(stub_edge(ls, v, 3 + idx), v, 2 + idx)
                    for idx, ls in enumerate(single_labels)]
         return build_deg4plus_light(e1, e2, singles, v, "cover")
 
@@ -181,9 +174,9 @@ class TestDegree4PlusCoverage:
             for l2 in W1:
                 for s1 in W1:
                     for s2 in W1:
-                        label, gadget, ends = self._light(l1, l2, [s1, s2])
-                        assert label.name == "L20"
-                        run_all_ops(label, gadget)
+                        gadget = self._light(l1, l2, [s1, s2])
+                        assert gadget.label.name == "L20"
+                        run_all_ops(gadget)
 
     def test_degree5_all_unit(self):
         for l1 in W1:
@@ -191,42 +184,42 @@ class TestDegree4PlusCoverage:
                 for s1 in W1:
                     for s2 in W1:
                         for s3 in W1:
-                            label, gadget, ends = self._light(l1, l2, [s1, s2, s3])
-                            assert label.name == "L20"
-                            run_all_ops(label, gadget)
+                            gadget = self._light(l1, l2, [s1, s2, s3])
+                            assert gadget.label.name == "L20"
+                            run_all_ops(gadget)
 
     def test_degree4_all_unit(self):
         for l1 in W1:
             for l2 in W1:
                 for s1 in W1:
                     for s2 in W1:
-                        label, gadget, ends = self._light(l1, l2, [s1, s2])
-                        assert label.name == "L10"
-                        run_all_ops(label, gadget)
+                        gadget = self._light(l1, l2, [s1, s2])
+                        assert gadget.label.name == "L10"
+                        run_all_ops(gadget)
 
 
 class TestLedgerIsOn:
     """A child that withholds one emitted 4-set leaves four scope vertices
     uncovered, so the ledger of the lift built on it must trap."""
 
-    def _assert_traps(self, label, gadget, tag):
-        for op in all_ops(label):
+    def _assert_traps(self, gadget, tag):
+        for op in all_ops(gadget.label):
             with pytest.raises(EngineBug, match="scope mismatch") as info:
                 gadget.realize(op)
             assert info.value.provenance == tag
 
     def test_series_lift(self):
         v1, v, v2 = 1, 0, 2
-        e1 = EdgeView(stub_edge(CATALOG["L1"], v1, v, eid=0), v1)
-        e2 = EdgeView(stub_edge(CATALOG["L2"], v, v2, eid=1, withhold=True), v)
-        label, gadget = build_series_gadget(e1, e2, v, v1, v2, "ledger[series]")
-        self._assert_traps(label, gadget, "ledger[series]")
+        e1 = EdgeView(stub_edge(CATALOG["L1"], v1, v), v1, 0)
+        e2 = EdgeView(stub_edge(CATALOG["L2"], v, v2, withhold=True), v, 1)
+        gadget = build_series_gadget(e1, e2, v, v1, v2, "ledger[series]")
+        self._assert_traps(gadget, "ledger[series]")
 
     def test_light_degree4_lift(self):
         v = 0
-        e1 = EdgeView(stub_edge(CATALOG["L20"], v, 1, eid=0), v)
-        e2 = EdgeView(stub_edge(CATALOG["L1"], v, 2, eid=1), v)
-        singles = [EdgeView(stub_edge(CATALOG["L1"], v, 3, eid=2), v),
-                   EdgeView(stub_edge(CATALOG["L10"], v, 4, eid=3, withhold=True), v)]
-        label, gadget, ends = build_deg4plus_light(e1, e2, singles, v, "ledger[light]")
-        self._assert_traps(label, gadget, "ledger[light]")
+        e1 = EdgeView(stub_edge(CATALOG["L20"], v, 1), v, 0)
+        e2 = EdgeView(stub_edge(CATALOG["L1"], v, 2), v, 1)
+        singles = [EdgeView(stub_edge(CATALOG["L1"], v, 3), v, 2),
+                   EdgeView(stub_edge(CATALOG["L10"], v, 4, withhold=True), v, 3)]
+        gadget = build_deg4plus_light(e1, e2, singles, v, "ledger[light]")
+        self._assert_traps(gadget, "ledger[light]")

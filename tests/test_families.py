@@ -9,7 +9,9 @@ from quadparts.families import (
     subdivided_k4,
     theta,
 )
-from quadparts.graphs import connected_components, is_biconnected
+from quadparts.graphs import is_biconnected
+
+from .support import connected_components, degree
 
 
 def test_vertex_count_formulas():
@@ -22,7 +24,7 @@ def test_vertex_count_formulas():
 def test_spider_degree_spectrum():
     for r in (2, 3, 4, 5):
         g = spider(r)
-        degs = sorted(g.degree(v) for v in range(g.n))
+        degs = sorted(degree(g, v) for v in range(g.n))
         assert degs.count(1) == r + 1          # leaves
         assert degs[-1] == r + 1               # the center
         assert degs.count(2) == g.n - r - 2    # subdivision vertices
@@ -31,21 +33,21 @@ def test_spider_degree_spectrum():
 
 def test_spider_r2_is_a_star():
     g = spider(2)
-    assert g.n == 4 and g.degree(0) == 3
+    assert g.n == 4 and degree(g, 0) == 3
 
 
 def test_subdivided_k4_structure():
     for r in (2, 3, 4, 6):
         g = subdivided_k4(r)
         assert is_biconnected(g)
-        assert sum(1 for v in range(g.n) if g.degree(v) == 3) == 4
+        assert sum(1 for v in range(g.n) if degree(g, v) == 3) == 4
 
 
 def test_theta_structure():
     for r in (2, 3, 4, 6):
         g = theta(r)
         assert is_biconnected(g)
-        assert g.degree(0) == r + 2 and g.degree(1) == r + 2
+        assert degree(g, 0) == r + 2 and degree(g, 1) == r + 2
 
 
 def test_random_always_biconnected():

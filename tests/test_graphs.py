@@ -7,15 +7,15 @@ from quadparts.graphs import (
     Multigraph,
     SimpleGraph,
     complete_graph,
-    connected_components,
     cycle_graph,
-    diameter,
     graph_power,
     is_biconnected,
     path_graph,
     separation_index,
     smallest_2cut_component,
 )
+
+from .support import connected_components, diameter
 
 
 def brute_biconnected(g: SimpleGraph) -> bool:
@@ -225,7 +225,7 @@ class TestMultigraph:
         mg = Multigraph(range(3), [(0, 1), (1, 2)])
         e = mg.add_edge(0, 2)
         mg.remove_edge(0)
-        assert mg.endpoints(e) == (0, 2)
+        assert mg.other_end(e, 0) == 2 and mg.other_end(e, 2) == 0
         e2 = mg.add_edge(0, 1)
         assert e2 > e
 
@@ -238,3 +238,51 @@ class TestMultigraph:
         mg = Multigraph(range(2))
         with pytest.raises(ValueError):
             mg.add_edge(1, 1)
+
+    def test_incidence_map_matches_edge_list(self):
+        """Random add/remove sequences with parallel edges: every query
+        agrees with a scan of the edge list, and the connectivity primitives
+        agree with a freshly built copy."""
+        indexed = 0
+        for seed in range(40):
+            rng = random.Random(seed)
+            n = rng.randint(3, 7)
+            mg = Multigraph(range(n))
+            alive, edges = set(range(n)), {}
+            for _ in range(60):
+                roll = rng.random()
+                if roll < 0.6 and len(alive) >= 2:
+                    u, v = rng.sample(sorted(alive), 2)
+                    edges[mg.add_edge(u, v)] = (u, v)
+                elif roll < 0.85 and edges:
+                    eid = rng.choice(sorted(edges))
+                    mg.remove_edge(eid)
+                    del edges[eid]
+                elif len(alive) > 2:
+                    x = rng.choice(sorted(alive))
+                    if any(x in ends for ends in edges.values()):
+                        with pytest.raises(ValueError):
+                            mg.remove_vertex(x)
+                    else:
+                        mg.remove_vertex(x)
+                        alive.remove(x)
+                tuples = mg.edge_tuples()
+                assert tuples == [(eid, u, v) for eid, (u, v) in sorted(edges.items())]
+                assert mg.vertices == alive and mg.n == len(alive) and mg.m == len(edges)
+                for x in alive:
+                    at_x = [eid for eid, u, v in tuples if x in (u, v)]
+                    assert mg.incident(x) == at_x
+                    assert mg.degree(x) == len(at_x)
+                for eid, u, v in tuples:
+                    assert mg.other_end(eid, u) == v and mg.other_end(eid, v) == u
+                    for x in alive - {u, v}:
+                        with pytest.raises(ValueError):
+                            mg.other_end(eid, x)
+                fresh = Multigraph(sorted(alive), [(u, v) for _, u, v in tuples])
+                assert is_biconnected(mg) == is_biconnected(fresh)
+                if len(alive) >= 3 and is_biconnected(mg):
+                    index, again = separation_index(mg), separation_index(fresh)
+                    assert (index.cuts, index.smallest) == (again.cuts, again.smallest)
+                    assert index.fixed_edges == {tuples[i][0] for i in again.fixed_edges}
+                    indexed += 1
+        assert indexed > 100
