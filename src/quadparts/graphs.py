@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable
 
 
@@ -70,20 +69,6 @@ class SimpleGraph:
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
-
-
-def path_graph(n: int) -> SimpleGraph:
-    return SimpleGraph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def cycle_graph(n: int) -> SimpleGraph:
-    if n < 3:
-        raise ValueError("cycle needs at least 3 vertices")
-    return SimpleGraph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def complete_graph(n: int) -> SimpleGraph:
-    return SimpleGraph.from_edges(n, combinations(range(n), 2))
 
 
 class Multigraph:

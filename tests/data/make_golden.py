@@ -1,10 +1,13 @@
-"""Write the golden partition fixture ``golden_partitions.jsonl`` beside this file.
+"""Write the golden partition fixtures ``golden_partitions.jsonl`` and
+``golden_dense.jsonl`` beside this file.
 
-Usage: ``PYTHONPATH=src python tests/data/make_golden.py`` from the repository root.
+Usage: ``PYTHONPATH=src:. python tests/data/make_golden.py`` from the repository root.
 
 Each line holds one fixed-seed input (order and edge list), the parts the engine returns
 for it, and the sha256 of its step trace (the ``TraceStep.format()`` lines
-joined by newlines).  ``tests/test_golden.py`` replays every line; a change
+joined by newlines).  The first fixture holds many small and sparse inputs,
+the second a few dense blocks (a Hamiltonian cycle plus half of the other
+pairs), on which almost every step strips one edge.  ``tests/test_golden.py`` replays every line; a change
 that alters partitions or traces on purpose regenerates the file and says so.
 """
 
@@ -18,9 +21,11 @@ from pathlib import Path
 
 from quadparts.engine import partition_with_trace
 from quadparts.families import random_corpus, subdivided_k4, theta
-from quadparts.graphs import SimpleGraph, complete_graph
+from quadparts.graphs import SimpleGraph
+from tests.support import complete_graph, dense_block
 
 FIXTURE = Path(__file__).with_name("golden_partitions.jsonl")
+DENSE_FIXTURE = Path(__file__).with_name("golden_dense.jsonl")
 
 
 def cycle_with_chords(n: int, seed: int) -> SimpleGraph:
@@ -42,6 +47,11 @@ def golden_inputs() -> list[tuple[str, SimpleGraph]]:
     return out
 
 
+def dense_inputs() -> list[tuple[str, SimpleGraph]]:
+    return [(f"dense-{n}-{seed}", dense_block(n, seed)) for n in (24, 32, 40, 48)
+            for seed in range(3)]
+
+
 def golden_record(name: str, g: SimpleGraph) -> dict:
     partition, trace = partition_with_trace(g)
     digest = hashlib.sha256("\n".join(step.format() for step in trace).encode()).hexdigest()
@@ -50,9 +60,10 @@ def golden_record(name: str, g: SimpleGraph) -> dict:
 
 
 def main() -> None:
-    with FIXTURE.open("w", encoding="utf-8") as fh:
-        for name, g in golden_inputs():
-            fh.write(json.dumps(golden_record(name, g), sort_keys=True) + "\n")
+    for path, inputs in ((FIXTURE, golden_inputs()), (DENSE_FIXTURE, dense_inputs())):
+        with path.open("w", encoding="utf-8") as fh:
+            for name, g in inputs:
+                fh.write(json.dumps(golden_record(name, g), sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":

@@ -16,14 +16,17 @@ most weight + 4, so at least one 4-set is always emitted, and a dummy slot
 takes one of its vertices.  The gadgets built on top of stubs therefore run
 with the conservation ledger on, exactly as on real graphs.
 
-`connected_components`, `diameter` and `degree` read a SimpleGraph's edge
-list directly, so tests can use them as oracles independent of the library's
-own traversals.
+`path_graph`, `cycle_graph` and `complete_graph` build the standard small
+graphs, and `dense_block` the dense random blocks of the second golden
+fixture.  `connected_components`, `diameter` and `degree` read a
+SimpleGraph's edge list directly, so tests can use them as oracles
+independent of the library's own traversals.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
@@ -241,7 +244,31 @@ def all_ops(label: Label):
 
 
 # ---------------------------------------------------------------------------
-# Plain traversals over a SimpleGraph's edge list
+# Standard graphs and plain traversals over a SimpleGraph's edge list
+
+
+def path_graph(n: int) -> SimpleGraph:
+    return SimpleGraph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def cycle_graph(n: int) -> SimpleGraph:
+    if n < 3:
+        raise ValueError("cycle needs at least 3 vertices")
+    return SimpleGraph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def complete_graph(n: int) -> SimpleGraph:
+    return SimpleGraph.from_edges(n, itertools.combinations(range(n), 2))
+
+
+def dense_block(n: int, seed: int) -> SimpleGraph:
+    """A Hamiltonian cycle in seeded random order plus half of the other pairs."""
+    rng = random.Random(seed)
+    order = list(range(n))
+    rng.shuffle(order)
+    cycle = {norm_edge(order[i - 1], order[i]) for i in range(n)}
+    rest = [p for p in itertools.combinations(range(n), 2) if p not in cycle]
+    return SimpleGraph(n, frozenset(cycle | set(rng.sample(rest, len(rest) // 2))))
 
 
 def _distances(neighbours: dict[int, list[int]], source: int) -> dict[int, int]:

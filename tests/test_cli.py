@@ -5,7 +5,9 @@ import pytest
 
 from quadparts.cli import run
 from quadparts.graphio import emit_edge_list, parse_edge_list
-from quadparts.graphs import cycle_graph, graph_power
+from quadparts.graphs import graph_power
+
+from .support import cycle_graph
 
 
 @pytest.fixture

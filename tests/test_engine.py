@@ -15,8 +15,10 @@ from quadparts.engine import (
 from quadparts.engine.driver import apply_reduction
 from quadparts.engine.local import Fragment, finalize, group
 from quadparts.families import enumerate_2connected, random_2connected, random_corpus
-from quadparts.graphs import SimpleGraph, complete_graph, cycle_graph, norm_edge, path_graph
+from quadparts.graphs import SimpleGraph, norm_edge
 from quadparts.oracle import verify_partition
+
+from .support import complete_graph, cycle_graph, path_graph
 
 
 class TestInit:

@@ -1,7 +1,7 @@
-"""Partitions and step traces must match the committed golden fixture.
+"""Partitions and step traces must match the committed golden fixtures.
 
-The fixture is written by ``tests/data/make_golden.py``; a change that alters
-engine output on purpose regenerates it and says so.
+The fixtures are written by ``tests/data/make_golden.py``; a change that
+alters engine output on purpose regenerates them and says so.
 """
 
 import hashlib
@@ -11,15 +11,24 @@ from pathlib import Path
 from quadparts.engine import partition_with_trace
 from quadparts.graphs import SimpleGraph
 
-FIXTURE = Path(__file__).parent / "data" / "golden_partitions.jsonl"
+DATA = Path(__file__).parent / "data"
 
 
-def test_partitions_and_traces_match_fixture():
-    records = [json.loads(line) for line in FIXTURE.read_text(encoding="utf-8").splitlines()]
-    assert len(records) >= 300
+def _check_fixture(name: str) -> int:
+    records = [json.loads(line) for line in (DATA / name).read_text(encoding="utf-8").splitlines()]
     for rec in records:
         g = SimpleGraph.from_edges(rec["n"], rec["edges"])
         partition, trace = partition_with_trace(g)
         digest = hashlib.sha256("\n".join(s.format() for s in trace).encode()).hexdigest()
         assert partition.as_lists() == rec["parts"], rec["name"]
         assert digest == rec["trace_sha256"], rec["name"]
+    return len(records)
+
+
+def test_partitions_and_traces_match_fixture():
+    assert _check_fixture("golden_partitions.jsonl") >= 300
+
+
+def test_dense_partitions_and_traces_match_fixture():
+    """Dense blocks of order 24 to 48, where almost every step is a strip."""
+    assert _check_fixture("golden_dense.jsonl") == 12

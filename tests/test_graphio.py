@@ -8,7 +8,9 @@ from quadparts.graphio import (
     parse_graph,
     parse_graph6,
 )
-from quadparts.graphs import SimpleGraph, complete_graph, cycle_graph
+from quadparts.graphs import SimpleGraph
+
+from .support import complete_graph, cycle_graph
 
 
 def test_parse_c4():

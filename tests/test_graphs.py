@@ -6,16 +6,13 @@ import pytest
 from quadparts.graphs import (
     Multigraph,
     SimpleGraph,
-    complete_graph,
-    cycle_graph,
     graph_power,
     is_biconnected,
-    path_graph,
     separation_index,
     smallest_2cut_component,
 )
 
-from .support import connected_components, diameter
+from .support import complete_graph, connected_components, cycle_graph, diameter, path_graph
 
 
 def brute_biconnected(g: SimpleGraph) -> bool:

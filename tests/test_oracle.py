@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadparts.families import random_2connected, spider, subdivided_k4
-from quadparts.graphs import SimpleGraph, complete_graph, cycle_graph, graph_power, path_graph
+from quadparts.graphs import SimpleGraph, graph_power
 from quadparts.oracle import (
     FactorInstance,
     InstanceTooLarge,
@@ -15,6 +15,8 @@ from quadparts.oracle import (
     is_nearly_connected,
     verify_partition,
 )
+
+from .support import complete_graph, cycle_graph, path_graph
 
 
 class TestNearlyConnected:

@@ -4,8 +4,10 @@ from itertools import combinations
 import pytest
 
 from quadparts.families import spider
-from quadparts.graphs import SimpleGraph, graph_power, induced_is_connected, path_graph
+from quadparts.graphs import SimpleGraph, graph_power, induced_is_connected
 from quadparts.treepart import partition_tree
+
+from .support import path_graph
 
 
 def random_tree(n: int, seed: int) -> SimpleGraph:
