@@ -5,10 +5,11 @@ partition of the original vertices into nearly connected 4-sets.
 Reduction priority is fixed (parallel pair, then degree-2 contraction, then
 a zero-weight strip at a removable vertex, then an absorbable edge, then a
 removable vertex), scanning lowest ids first, so runs are reproducible.
-Past the first two checks, one separation index per step
-(:func:`~quadparts.graphs.separation_index`) supplies the 2-cut with the
-smallest side, which confines the search; the vertices in no 2-cut, which
-are the removable ones; and the edges whose deletion would leave no block.
+Past the first two checks, the separation index (rebuilt only when it can
+change: :meth:`~quadparts.engine.model.LabeledMultigraph.separation_index`)
+supplies the 2-cut with the smallest side, which confines the search; the
+vertices in no 2-cut, which are the removable ones; and the edges whose
+deletion would leave no block.
 After every step the driver asserts the two structural invariants: total
 weight plus order stays divisible by 4, and the graph remains a block.
 """
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from ..graphs import SimpleGraph, is_biconnected, separation_index
+from ..graphs import SimpleGraph, is_biconnected
 from ..labels import CATALOG, TreeSet
 from ..oracle import Part, Partition, is_nearly_connected
 from .model import (
@@ -123,9 +124,7 @@ def init_labeled(g: SimpleGraph) -> LabeledMultigraph:
 
 def _is_reducible_vertex(lg: LabeledMultigraph, v: int, in_cut: set[int]) -> bool:
     """G - v is a block (v lies in no 2-cut) and at most one L31 edge points away from v."""
-    if v in in_cut:
-        return False
-    return sum(1 for eid in lg.incident(v) if lg.view(eid, v).label.name == "L31") <= 1
+    return v not in in_cut and sum(1 for e in lg.incident(v) if lg.view(e, v).label.name == "L31") <= 1
 
 
 def find_reduction(lg: LabeledMultigraph) -> ReductionChoice:
@@ -145,7 +144,7 @@ def find_reduction(lg: LabeledMultigraph) -> ReductionChoice:
             return Series(v)
     # The block is now simple with minimum degree 3, so n >= 4: G - v is a
     # block iff v lies in no 2-cut, and G - e iff e is not a fixed edge.
-    index = separation_index(lg)
+    index = lg.separation_index()
     if index.smallest is None:
         vertex_pool = sorted(lg.vertices)
         host_pool = vertex_pool
@@ -154,10 +153,13 @@ def find_reduction(lg: LabeledMultigraph) -> ReductionChoice:
         vertex_pool = sorted(comp)
         host_pool = sorted(comp | {cu, cv})
     in_cut = {x for pair in index.cuts for x in pair}
-    reducible = [v for v in vertex_pool if _is_reducible_vertex(lg, v, in_cut)]
-    for v in reducible:
-        if any(lg.edges[eid].label.weight == 0 for eid in lg.incident(v)):
-            return ReducibleVertex(v)
+    first_reducible = None
+    for v in vertex_pool:
+        zero = any(lg.edges[eid].label.weight == 0 for eid in lg.incident(v))
+        if (zero or first_reducible is None) and _is_reducible_vertex(lg, v, in_cut):
+            if zero:
+                return ReducibleVertex(v)
+            first_reducible = v
     for y in host_pool:
         for eid in lg.incident(y):
             if lg.view(eid, y).label.name != "L32":
@@ -167,8 +169,8 @@ def find_reduction(lg: LabeledMultigraph) -> ReductionChoice:
             for eid2 in lg.incident(y):
                 if eid2 != eid and lg.view(eid2, y).label.name in ("L32", "L30"):
                     return ReducibleEdge(eid, eid2, y)
-    if reducible:
-        return ReducibleVertex(reducible[0])
+    if first_reducible is not None:
+        return ReducibleVertex(first_reducible)
     raise EngineBug("no reduction applies; the block analysis promises one")
 
 

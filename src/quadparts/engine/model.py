@@ -23,7 +23,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
-from ..graphs import Multigraph, SimpleGraph, norm_edge
+from ..graphs import Multigraph, SeparationIndex, SimpleGraph, has_three_paths, norm_edge, separation_index
 from ..labels import Label, Pair, TreeSet, admits, down_set, involution, shape_matches
 
 
@@ -429,8 +429,22 @@ class LabeledMultigraph(Multigraph):
         super().__init__(range(original.n))
         self.edges: dict[int, Gadget] = {}
         self.emitted: list[frozenset[int]] = []
+        self._deleted: list[tuple[int, int]] | None = None
 
     # -- construction / mutation ------------------------------------------
+
+    def add_edge(self, u: int, v: int) -> int:
+        self._deleted = None
+        return super().add_edge(u, v)
+
+    def remove_edge(self, eid: int) -> None:
+        if self._deleted is not None:
+            self._deleted.append(self._edges[eid])
+        super().remove_edge(eid)
+
+    def remove_vertex(self, v: int) -> None:
+        self._deleted = None
+        super().remove_vertex(v)
 
     def add(self, gadget: Gadget) -> int:
         """Install `gadget` as a new edge from gadget.u to gadget.v."""
@@ -455,6 +469,25 @@ class LabeledMultigraph(Multigraph):
 
     def invariant_ok(self) -> bool:
         return (self.weight() + self.n) % 4 == 0
+
+    def separation_index(self) -> SeparationIndex:
+        """The separation index of this graph, which must be a simple block.
+
+        `_deleted` lists the ends of the edges deleted since an index with no
+        2-cut, or is None.  Lemma: if G is simple with no 2-cut and G' is G
+        minus edges a1b1, ..., akbk, G' has no 2-cut iff in G' each ai, bi are
+        joined by three internally disjoint paths.  If a 2-set S separates G',
+        the first deletion after which S separates took a bridge aibi of the
+        graph minus S, so S separates ai from bi.  Conversely ai, bi are not
+        adjacent in G', so Menger gives a separator of at most two vertices.
+        With no 2-cut each G' - u is 2-connected: no edge is fixed either.
+        """
+        if self._deleted is not None and all(has_three_paths(self, *ab) for ab in self._deleted):
+            self._deleted = []
+            return SeparationIndex((), None, frozenset())
+        index = separation_index(self)
+        self._deleted = None if index.cuts else []
+        return index
 
     def is_block(self) -> bool:
         from ..graphs import is_biconnected

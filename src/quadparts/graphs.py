@@ -14,7 +14,8 @@ bridges.  A SimpleGraph argument is first turned into the multigraph whose
 edge ids are the positions of its sorted edge list.  :func:`is_biconnected`
 is one run on g; :func:`separation_index` is one run on g - u for every
 vertex u, which lists every 2-cut of a block and the edges whose deletion
-leaves no block in O(n(n + m)).
+leaves no block in O(n(n + m)).  :func:`has_three_paths` decides in O(m),
+by at most three flow augmentations, whether no 2-set separates a from b.
 """
 
 from __future__ import annotations
@@ -270,11 +271,49 @@ def separation_index(g: SimpleGraph | Multigraph) -> SeparationIndex:
     return SeparationIndex(ordered, smallest, frozenset(fixed))
 
 
-def induced_is_connected(g: SimpleGraph, vertices: Iterable[int]) -> bool:
+def has_three_paths(g: SimpleGraph | Multigraph, a: int, b: int) -> bool:
+    """True iff g has three internally vertex-disjoint a-b paths (a != b): at
+    most three BFS augmentations, O(m), of a unit-capacity flow where every
+    other vertex x is split into x_in -> x_out, the states (x, 0) and (x, 1),
+    and each edge xy gives the arcs x_out -> y_in and y_out -> x_in."""
+    adj = _as_multigraph(g)._inc
+    used: set[tuple[int, int]] = set()  # edge arcs with flow, as (edge id, tail)
+    into: dict[int, tuple[int, int]] = {}  # x -> the arc in `used` entering x_in
+    for _ in range(3):
+        prev: dict = {(a, 1): None}
+        dq = deque([(a, 1)])
+        while dq and (b, 0) not in prev:
+            x, side = state = dq.popleft()
+            if side == 1:
+                nxt = [((y, 0), eid) for eid, y in adj[x].items() if y != a and (eid, x) not in used]
+                nxt += [((x, 0), None)] if x in into else []
+            else:  # x is not a or b; with flow through x, x_in leads back along it
+                nxt = [((into[x][1], 1), into[x][0])] if x in into else [((x, 1), None)]
+            for t, eid in nxt:
+                if t not in prev:
+                    prev[t] = (state, eid)
+                    dq.append(t)
+        if (b, 0) not in prev:
+            return False
+        t = (b, 0)
+        while prev[t] is not None:  # sink first: x_in drops its old arc, then gets the new one
+            s, eid = prev[t]
+            if eid is not None and s[1] == 1:
+                used.add((eid, s[0]))
+                into[t[0]] = (eid, s[0])  # into[b] is never read
+            elif eid is not None:
+                used.discard((eid, t[0]))
+                del into[s[0]]
+            t = s
+    return True
+
+
+def induced_is_connected(g: SimpleGraph, vertices: Iterable[int], adj: list[list[int]] | None = None) -> bool:
+    """`adj` is g.adj() when the caller has it already."""
     vs = set(vertices)
     if not vs:
         return False
-    adj = g.adj()
+    adj = g.adj() if adj is None else adj
     start = min(vs)
     seen = {start}
     dq = deque([start])

@@ -45,22 +45,21 @@ class InstanceTooLarge(ValueError):
 def is_nearly_connected(g: SimpleGraph, a: Iterable[int]) -> frozenset[int] | None:
     """Witness set S with a ⊆ S, |S| <= |a|+1 and g[S] connected, or None.
 
-    Tries the set itself first, then every single extra vertex in ascending
-    order, which is exhaustive because the witness may exceed the set by at
-    most one vertex.
+    Tries the set itself, then each neighbour of it as the one extra vertex
+    in ascending order: the witness exceeds the set by at most one vertex,
+    and that vertex must be adjacent to the set.
     """
     part = frozenset(a)
     if not part:
         raise ValueError("the vertex set must be nonempty")
     if any(not 0 <= v < g.n for v in part):
         raise ValueError("vertex out of range")
-    if induced_is_connected(g, part):
+    adj = g.adj()
+    if induced_is_connected(g, part, adj):
         return part
-    for x in range(g.n):
-        if x in part:
-            continue
+    for x in sorted({y for v in part for y in adj[v]} - part):
         cand = part | {x}
-        if induced_is_connected(g, cand):
+        if induced_is_connected(g, cand, adj):
             return cand
     return None
 

@@ -7,8 +7,9 @@ Each line holds one fixed-seed input (order and edge list), the parts the engine
 for it, and the sha256 of its step trace (the ``TraceStep.format()`` lines
 joined by newlines).  The first fixture holds many small and sparse inputs,
 the second a few dense blocks (a Hamiltonian cycle plus half of the other
-pairs), on which almost every step strips one edge.  ``tests/test_golden.py`` replays every line; a change
-that alters partitions or traces on purpose regenerates the file and says so.
+pairs), on which almost every step strips one edge.  ``tests/test_golden.py``
+replays every line; a change that alters partitions or traces on purpose
+regenerates the files and says so.
 """
 
 from __future__ import annotations

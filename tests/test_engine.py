@@ -7,18 +7,21 @@ from quadparts.engine import (
     Parallel,
     ReducibleVertex,
     Series,
+    LabeledMultigraph,
     find_reduction,
     init_labeled,
+    leaf_gadget,
     partition_2connected,
     partition_with_trace,
 )
 from quadparts.engine.driver import apply_reduction
 from quadparts.engine.local import Fragment, finalize, group
 from quadparts.families import enumerate_2connected, random_2connected, random_corpus
-from quadparts.graphs import SimpleGraph, norm_edge
+from quadparts.graphs import SimpleGraph, is_biconnected, norm_edge, separation_index
+from quadparts.labels import CATALOG
 from quadparts.oracle import verify_partition
 
-from .support import complete_graph, cycle_graph, path_graph
+from .support import complete_graph, cycle_graph, dense_block, path_graph
 
 
 class TestInit:
@@ -83,6 +86,43 @@ class TestFindReduction:
         apply_reduction(lg, Series(0))
         apply_reduction(lg, find_reduction(lg))
         assert isinstance(find_reduction(lg), Parallel)
+
+
+class TestCarriedSeparationIndex:
+    def test_matches_a_fresh_index_under_random_rewrites(self):
+        """Random edge deletions, edge additions and vertex removals on
+        3-connected blocks: whenever the graph is a simple block, the index
+        find_reduction would use equals a freshly built one."""
+        carried = rebuilt_after_deletions = 0
+        for seed in range(60):
+            rng = random.Random(seed)
+            g = dense_block(rng.randint(6, 11), seed)
+            lg = LabeledMultigraph(g)
+            for u, v in g.sorted_edges():
+                lg.add(leaf_gadget(CATALOG["L0"], u, v))
+            if separation_index(lg).cuts:
+                continue
+            for _ in range(40):
+                roll = rng.random()
+                if roll < 0.75 and lg.edges:
+                    lg.remove_labeled(rng.choice(lg.edge_ids()))
+                elif roll < 0.9:
+                    lg.add(leaf_gadget(CATALOG["L0"], *rng.sample(sorted(lg.vertices), 2)))
+                elif lg.n > 4:
+                    x = rng.choice(sorted(lg.vertices))
+                    for eid in lg.incident(x):
+                        lg.remove_labeled(eid)
+                    lg.remove_vertex(x)
+                pairs = [(min(u, v), max(u, v)) for _, u, v in lg.edge_tuples()]
+                if lg.n < 4 or len(set(pairs)) < len(pairs) or not is_biconnected(lg):
+                    continue
+                deletions = lg._deleted
+                index, fresh = lg.separation_index(), separation_index(lg)
+                assert index == fresh, seed
+                if deletions:
+                    carried += not fresh.cuts
+                    rebuilt_after_deletions += bool(fresh.cuts)
+        assert carried > 50 and rebuilt_after_deletions > 20
 
 
 class TestReplacementLabels:

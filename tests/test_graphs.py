@@ -7,6 +7,7 @@ from quadparts.graphs import (
     Multigraph,
     SimpleGraph,
     graph_power,
+    has_three_paths,
     is_biconnected,
     separation_index,
     smallest_2cut_component,
@@ -180,6 +181,29 @@ class TestSeparationIndexAgainstNetworkx:
                     assert is_biconnected(Multigraph(alive, rest)) == block, (n, seed, v)
                     if n >= 4:
                         assert (v in in_cut) == (not block), (n, seed, v)
+
+
+class TestThreePaths:
+    def test_agrees_with_networkx_on_non_adjacent_pairs(self):
+        nx = pytest.importorskip("networkx")
+        from networkx.algorithms.connectivity import local_node_connectivity
+
+        verdicts = {True: 0, False: 0}
+        for seed in range(250):
+            rng = random.Random(seed)
+            n = rng.randint(4, 10)
+            g = random_graph(n, rng.uniform(0.3, 0.9), seed)
+            simple = nx.Graph(list(g.edges))
+            simple.add_nodes_from(range(n))
+            mg = Multigraph(range(n), sorted(g.edges))
+            for a, b in combinations(range(n), 2):
+                if (a, b) in g.edges:
+                    continue
+                expected = local_node_connectivity(simple, a, b) >= 3
+                assert has_three_paths(g, a, b) == expected, (seed, a, b)
+                assert has_three_paths(mg, b, a) == expected, (seed, a, b)
+                verdicts[expected] += 1
+        assert min(verdicts.values()) > 500
 
 
 class TestGraphPower:

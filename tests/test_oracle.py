@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadparts.families import random_2connected, spider, subdivided_k4
-from quadparts.graphs import SimpleGraph, graph_power
+from quadparts.graphs import SimpleGraph, graph_power, induced_is_connected
 from quadparts.oracle import (
     FactorInstance,
     InstanceTooLarge,
@@ -47,6 +47,30 @@ class TestNearlyConnected:
             return
         power = graph_power(g, len(a)).edges
         assert all((x, y) in power for x, y in combinations(sorted(a), 2))
+
+    def test_same_witness_as_trying_every_vertex(self):
+        """Trying only neighbours of the set as the extra vertex finds the
+        witness that trying every vertex in ascending order finds."""
+        def every_vertex(g, part):
+            if induced_is_connected(g, part):
+                return part
+            for x in range(g.n):
+                if x not in part and induced_is_connected(g, part | {x}):
+                    return part | {x}
+            return None
+
+        found = 0
+        for seed in range(300):
+            rng = random.Random(seed)
+            n = rng.randint(2, 9)
+            p = rng.random()
+            g = SimpleGraph.from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+            for size in range(1, n + 1):
+                part = frozenset(rng.sample(range(n), size))
+                expected = every_vertex(g, part)
+                assert is_nearly_connected(g, part) == expected, (seed, sorted(part))
+                found += expected is not None and expected != part
+        assert found > 100
 
 
 class TestVerifyPartition:
