@@ -1,5 +1,5 @@
-"""Write the golden partition fixtures ``golden_partitions.jsonl`` and
-``golden_dense.jsonl`` beside this file.
+"""Write the golden fixtures ``golden_partitions.jsonl``, ``golden_dense.jsonl``
+and ``golden_stub_realizations.jsonl`` beside this file.
 
 Usage: ``PYTHONPATH=src:. python tests/data/make_golden.py`` from the repository root.
 
@@ -7,9 +7,13 @@ Each line holds one fixed-seed input (order and edge list), the parts the engine
 for it, and the sha256 of its step trace (the ``TraceStep.format()`` lines
 joined by newlines).  The first fixture holds many small and sparse inputs,
 the second a few dense blocks (a Hamiltonian cycle plus half of the other
-pairs), on which almost every step strips one edge.  ``tests/test_golden.py``
-replays every line; a change that alters partitions or traces on purpose
-regenerates the files and says so.
+pairs), on which almost every step strips one edge.  The third holds one
+sha256 per builder sweep of ``tests/sweeps.py`` over every realization of
+the lifts built on stub children (bound trees, subdivision paths, fragments
+and parts), which pins the lifts that the partition fixtures rarely reach,
+and one more for ``partition_tree`` on seeded random trees.
+``tests/test_golden.py`` replays every line; a change that alters partitions,
+traces or realizations on purpose regenerates the files and says so.
 """
 
 from __future__ import annotations
@@ -24,9 +28,11 @@ from quadparts.engine import partition_with_trace
 from quadparts.families import random_corpus, subdivided_k4, theta
 from quadparts.graphs import SimpleGraph
 from tests.support import complete_graph, dense_block
+from tests.sweeps import stub_realization_lines
 
 FIXTURE = Path(__file__).with_name("golden_partitions.jsonl")
 DENSE_FIXTURE = Path(__file__).with_name("golden_dense.jsonl")
+STUB_FIXTURE = Path(__file__).with_name("golden_stub_realizations.jsonl")
 
 
 def cycle_with_chords(n: int, seed: int) -> SimpleGraph:
@@ -65,6 +71,7 @@ def main() -> None:
         with path.open("w", encoding="utf-8") as fh:
             for name, g in inputs:
                 fh.write(json.dumps(golden_record(name, g), sort_keys=True) + "\n")
+    STUB_FIXTURE.write_text("".join(line + "\n" for line in stub_realization_lines()), encoding="utf-8")
 
 
 if __name__ == "__main__":

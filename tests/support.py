@@ -16,8 +16,8 @@ most weight + 4, so at least one 4-set is always emitted, and a dummy slot
 takes one of its vertices.  The gadgets built on top of stubs therefore run
 with the conservation ledger on, exactly as on real graphs.
 
-`path_graph`, `cycle_graph` and `complete_graph` build the standard small
-graphs, and `dense_block` the dense random blocks of the second golden
+`path_graph`, `cycle_graph`, `complete_graph` and `random_tree` build the
+standard small graphs, and `dense_block` the dense random blocks of the second golden
 fixture.  `connected_components`, `diameter` and `degree` read a
 SimpleGraph's edge list directly, so tests can use them as oracles
 independent of the library's own traversals.
@@ -174,6 +174,13 @@ def fresh() -> int:
     return next(_counter)
 
 
+def reset_fresh() -> None:
+    """Restart the fresh ids at 10000, so a sweep numbers its stubs the same
+    way whatever ran before it."""
+    global _counter
+    _counter = itertools.count(10_000)
+
+
 def bind_shape(ts: TreeSet, root: int, actives, dummy: int) -> BoundTree:
     """Canonical member of `ts` below `root`: active slots take ids from the
     `actives` iterator, a dummy slot takes `dummy`."""
@@ -259,6 +266,12 @@ def cycle_graph(n: int) -> SimpleGraph:
 
 def complete_graph(n: int) -> SimpleGraph:
     return SimpleGraph.from_edges(n, itertools.combinations(range(n), 2))
+
+
+def random_tree(n: int, seed: int) -> SimpleGraph:
+    """Seeded random recursive tree: vertex i hangs below a random earlier vertex."""
+    rng = random.Random(seed)
+    return SimpleGraph.from_edges(n, [(rng.randrange(i), i) for i in range(1, n)])
 
 
 def dense_block(n: int, seed: int) -> SimpleGraph:

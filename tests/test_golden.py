@@ -11,6 +11,8 @@ from pathlib import Path
 from quadparts.engine import partition_with_trace
 from quadparts.graphs import SimpleGraph
 
+from .sweeps import stub_realization_lines
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -32,3 +34,10 @@ def test_partitions_and_traces_match_fixture():
 def test_dense_partitions_and_traces_match_fixture():
     """Dense blocks of order 24 to 48, where almost every step is a strip."""
     assert _check_fixture("golden_dense.jsonl") == 12
+
+
+def test_stub_realizations_match_fixture():
+    """Every lift swept over stub children, and partition_tree on seeded
+    random trees, realizes exactly what was recorded."""
+    recorded = (DATA / "golden_stub_realizations.jsonl").read_text(encoding="utf-8").splitlines()
+    assert stub_realization_lines() == recorded

@@ -7,12 +7,7 @@ from quadparts.families import spider
 from quadparts.graphs import SimpleGraph, graph_power, induced_is_connected
 from quadparts.treepart import partition_tree
 
-from .support import path_graph
-
-
-def random_tree(n: int, seed: int) -> SimpleGraph:
-    rng = random.Random(seed)
-    return SimpleGraph.from_edges(n, [(rng.randrange(i), i) for i in range(1, n)])
+from .support import path_graph, random_tree
 
 
 def check_output(g, sizes, parts):
