@@ -23,10 +23,10 @@ from .families import (
     subdivided_k4,
     theta,
 )
-from .graphio import GraphParseError, emit_graph, parse_graph
+from .graphio import emit_graph, parse_graph
 from .graphs import SimpleGraph, graph_power
 from .labels import catalog_dump
-from .oracle import InstanceTooLarge, brute_force_partition, has_kr_factor, verify_partition
+from .oracle import brute_force_partition, has_kr_factor, verify_partition
 from .treepart import partition_tree
 
 EXIT_OK = 0
@@ -264,18 +264,12 @@ def run(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (GraphParseError, InstanceTooLarge, ValueError) as exc:
+    except (ValueError, FileNotFoundError) as exc:  # UsageError, GraphParseError and InstanceTooLarge too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except EngineBug as exc:
         print(f"engine trap: {exc}", file=sys.stderr)
         return EXIT_ENGINE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ENGINE

@@ -8,15 +8,18 @@ to a tiny exact search.  :func:`group` answers whether a grouping exists
 (None when it does not), for lifts that try several vertex allocations;
 :func:`finalize` is the same search for lifts whose case table promises a
 grouping, and traps with the caller's provenance when there is none, since
-that means the table was transcribed wrongly.
+that means the table was transcribed wrongly.  A :class:`Fragment` is an
+adjacency from :func:`graphs.adjacency`; its connectivity test and witness
+search are the graph layer's :func:`bfs_parents` and
+:func:`nearly_connected_witness`, which the oracle uses too.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import combinations
 from typing import Iterable
 
+from ..graphs import adjacency, bfs_parents, nearly_connected_witness
 from .model import EngineBug
 
 
@@ -24,46 +27,18 @@ class Fragment:
     """A small scratch graph of real edges materialized by child realizations."""
 
     def __init__(self, edges: Iterable[tuple[int, int]], extra_vertices: Iterable[int] = ()):
-        self.adj: dict[int, set[int]] = {}
-        for v in extra_vertices:
-            self.adj.setdefault(v, set())
-        for a, b in edges:
-            self.adj.setdefault(a, set()).add(b)
-            self.adj.setdefault(b, set()).add(a)
-
-    @property
-    def vertices(self) -> list[int]:
-        return sorted(self.adj)
+        self.adj = adjacency(edges, extra_vertices)
 
     def connected(self, vs: frozenset[int]) -> bool:
-        if not vs:
+        if not vs or min(vs) not in self.adj:
             return False
-        start = min(vs)
-        if start not in self.adj:
-            return False
-        seen = {start}
-        dq = deque([start])
-        while dq:
-            x = dq.popleft()
-            for y in self.adj.get(x, ()):
-                if y in vs and y not in seen:
-                    seen.add(y)
-                    dq.append(y)
-        return seen == set(vs)
+        return len(bfs_parents(self.adj, min(vs), vs)) == len(vs)
 
     def witness_for(self, part: frozenset[int]) -> frozenset[int] | None:
         """Connected superset of `part` within the fragment, at most one extra vertex."""
-        if part - set(self.adj):
+        if part - self.adj.keys():
             return None
-        if self.connected(part):
-            return part
-        for x in self.vertices:
-            if x in part:
-                continue
-            cand = part | {x}
-            if self.connected(cand):
-                return cand
-        return None
+        return nearly_connected_witness(self.adj, part)
 
 
 def group(fragment: Fragment, pool: Iterable[int]) -> tuple[frozenset[int], ...] | None:

@@ -19,11 +19,12 @@ never count toward coverage.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
-from ..graphs import Multigraph, SeparationIndex, SimpleGraph, has_three_paths, norm_edge, separation_index
+from ..graphs import (Multigraph, SeparationIndex, SimpleGraph, adjacency, bfs_parents, has_three_paths,
+                      norm_edge, separation_index)
 from ..labels import Label, Pair, TreeSet, admits, down_set, involution, shape_matches
 
 
@@ -88,7 +89,7 @@ class BoundTree:
             raise EngineBug(f"root {self.root} missing from tree vertices")
         if len(self.edges) != len(verts) - 1:
             raise EngineBug(f"edge count {len(self.edges)} does not make a tree on {len(verts)} vertices")
-        if verts - self._reach():
+        if len(bfs_parents(adjacency(self.edges, (self.root,)), self.root)) != len(verts):
             raise EngineBug("tree edges are not connected")
         if self.root in self.dummies:
             raise EngineBug("root cannot be a dummy")
@@ -103,21 +104,6 @@ class BoundTree:
             vs.add(b)
         return frozenset(vs)
 
-    def _reach(self) -> set[int]:
-        adj: dict[int, list[int]] = {}
-        for a, b in self.edges:
-            adj.setdefault(a, []).append(b)
-            adj.setdefault(b, []).append(a)
-        seen = {self.root}
-        dq = deque([self.root])
-        while dq:
-            x = dq.popleft()
-            for y in adj.get(x, ()):
-                if y not in seen:
-                    seen.add(y)
-                    dq.append(y)
-        return seen
-
     @property
     def actives(self) -> frozenset[int]:
         return self.vertices - self.dummies
@@ -126,37 +112,20 @@ class BoundTree:
     def order(self) -> int:
         return len(self.vertices)
 
-    def neighbors(self, v: int) -> list[int]:
-        out = []
-        for a, b in self.edges:
-            if a == v:
-                out.append(b)
-            elif b == v:
-                out.append(a)
-        return sorted(out)
-
     def root_children(self) -> list[int]:
-        return self.neighbors(self.root)
+        return adjacency(self.edges, (self.root,))[self.root]
 
     def child_subtree_sizes(self) -> tuple[int, ...]:
-        sizes = []
-        for c in self.root_children():
-            seen = {self.root, c}
-            dq = deque([c])
-            count = 1
-            while dq:
-                x = dq.popleft()
-                for y in self.neighbors(x):
-                    if y not in seen:
-                        seen.add(y)
-                        count += 1
-                        dq.append(y)
-            sizes.append(count)
-        return tuple(sorted(sizes))
+        """Orders of the subtrees below the root's children, ascending."""
+        below: dict[int, int] = {}  # vertex -> the root child above it
+        for x, p in bfs_parents(adjacency(self.edges, (self.root,)), self.root).items():
+            if p is not None:
+                below[x] = x if p == self.root else below[p]
+        return tuple(sorted(Counter(below.values()).values()))
 
     def member_of(self, ts: TreeSet) -> bool:
-        return shape_matches(self.order, len(self.root_children()), len(self.dummies),
-                             self.child_subtree_sizes(), ts)
+        sizes = self.child_subtree_sizes()  # one per root child
+        return shape_matches(self.order, len(sizes), len(self.dummies), sizes, ts)
 
     def fits(self, ts: TreeSet) -> bool:
         return any(self.member_of(s) for s in down_set(ts))
@@ -191,29 +160,16 @@ def span_tree(root: int, vertices: set[int] | frozenset[int],
               edge_pool, dummies: frozenset[int] | set[int] = frozenset()) -> BoundTree:
     """BFS spanning tree of `vertices` inside the given edge pool, rooted at `root`.
 
-    Deterministic: neighbors are visited in ascending order.  Used to build
-    composite trees out of child fragments whose exact shape varies.
+    The tree's edges are the (parent, child) pairs of :func:`graphs.bfs_parents`
+    confined to `vertices`, in discovery order, with neighbours visited in
+    ascending order.  Used to build composite trees out of child fragments
+    whose exact shape varies.
     """
-    adj: dict[int, list[int]] = {}
-    for a, b in edge_pool:
-        if a in vertices and b in vertices:
-            adj.setdefault(a, []).append(b)
-            adj.setdefault(b, []).append(a)
-    for lst in adj.values():
-        lst.sort()
-    seen = {root}
-    edges: list[tuple[int, int]] = []
-    dq = deque([root])
-    while dq:
-        x = dq.popleft()
-        for y in adj.get(x, ()):
-            if y not in seen:
-                seen.add(y)
-                edges.append((x, y))
-                dq.append(y)
-    if seen != set(vertices):
+    parent = bfs_parents(adjacency(edge_pool, (root,)), root, vertices)
+    if parent.keys() != set(vertices):
         raise EngineBug(f"cannot span {sorted(vertices)} from {root} with the available edges")
-    return BoundTree(root, tuple(edges), frozenset(dummies))
+    edges = tuple((p, x) for x, p in parent.items() if p is not None)
+    return BoundTree(root, edges, frozenset(dummies))
 
 
 # ---------------------------------------------------------------------------

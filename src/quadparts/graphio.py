@@ -67,10 +67,10 @@ def parse_graph6(line: str) -> SimpleGraph:
     s = line.strip()
     if not s:
         raise GraphParseError("empty graph6 line", "byte 1")
-    data = s.encode("ascii", errors="replace")
-    for i, b in enumerate(data):
-        if not 63 <= b <= 126:
-            raise GraphParseError(f"byte {data[i:i + 1]!r} outside graph6 range 63..126", f"byte {i + 1}")
+    for i, ch in enumerate(s):
+        if not 63 <= ord(ch) <= 126:
+            raise GraphParseError(f"character {ch!r} outside graph6 range 63..126", f"byte {i + 1}")
+    data = s.encode("ascii")
     if data[0] == 126:
         raise GraphParseError("multi-byte order field (n > 62) is not supported", "byte 1")
     n = data[0] - 63

@@ -16,13 +16,20 @@ is one run on g; :func:`separation_index` is one run on g - u for every
 vertex u, which lists every 2-cut of a block and the edges whose deletion
 leaves no block in O(n(n + m)).  :func:`has_three_paths` decides in O(m),
 by at most three flow augmentations, whether no 2-set separates a from b.
+
+Every other traversal in the package calls three primitives: :func:`adjacency`
+builds a vertex -> ascending neighbours map, :func:`bfs_parents` is the one
+breadth-first search, and :func:`nearly_connected_witness` the one search
+for a connected superset of a set with at most one extra vertex.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Collection, Iterable, Mapping, Sequence
+
+Adjacency = Mapping[int, Iterable[int]] | Sequence[Iterable[int]]
 
 
 def norm_edge(u: int, v: int) -> tuple[int, int]:
@@ -60,13 +67,7 @@ class SimpleGraph:
 
     def adj(self) -> list[list[int]]:
         """Adjacency lists, each sorted ascending."""
-        out: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            out[u].append(v)
-            out[v].append(u)
-        for row in out:
-            row.sort()
-        return out
+        return list(adjacency(self.edges, range(self.n)).values())
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
@@ -140,6 +141,58 @@ class Multigraph:
         return w
 
 
+def adjacency(edges: Iterable[tuple[int, int]], vertices: Iterable[int] = ()) -> dict[int, list[int]]:
+    """Map from each of `vertices` and each end of `edges` to its neighbours
+    in ascending order; `vertices` come first in the map's order."""
+    adj: dict[int, list[int]] = {}
+    for v in vertices:
+        adj[v] = []
+    for a, b in edges:
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    for row in adj.values():
+        row.sort()
+    return adj
+
+
+def bfs_parents(adj: Adjacency, root: int, within: Collection[int] | None = None) -> dict[int, int | None]:
+    """Breadth-first search from `root`: the parent of every vertex reached
+    (None for the root), in discovery order.  Neighbours are scanned in the
+    order `adj` lists them, and with `within` only its vertices are entered
+    after the root."""
+    parent: dict[int, int | None] = {root: None}
+    dq = deque([root])
+    while dq:
+        x = dq.popleft()
+        for y in adj[x]:
+            if y not in parent and (within is None or y in within):
+                parent[y] = x
+                dq.append(y)
+    return parent
+
+
+def _spans(adj: Adjacency, vs: Collection[int]) -> bool:
+    """True iff the nonempty set `vs` induces a connected subgraph."""
+    return len(bfs_parents(adj, min(vs), vs)) == len(vs)
+
+
+def nearly_connected_witness(adj: Adjacency, part: frozenset[int]) -> frozenset[int] | None:
+    """Witness set S with part ⊆ S, |S| <= |part| + 1 and S inducing a
+    connected subgraph, or None; `part` is nonempty.
+
+    Tries the set itself, then each neighbour of it as the one extra vertex
+    in ascending order: a vertex that is not adjacent to a disconnected set
+    cannot connect it.
+    """
+    if _spans(adj, part):
+        return part
+    for x in sorted({y for v in part for y in adj[v]} - part):
+        cand = part | {x}
+        if _spans(adj, cand):
+            return cand
+    return None
+
+
 def _as_multigraph(g: SimpleGraph | Multigraph) -> Multigraph:
     """g itself, or for a SimpleGraph the multigraph whose edge ids are the
     positions of its sorted edge list."""
@@ -206,24 +259,14 @@ def is_biconnected(g: SimpleGraph | Multigraph) -> bool:
     return len(reached) == len(adj) and not cuts
 
 
-def _components_of(adj: dict[int, dict[int, int]], alive: set[int]) -> list[frozenset[int]]:
+def _components_of(adj: Adjacency, alive: set[int]) -> list[frozenset[int]]:
     """Connected components of the subgraph induced by `alive`, sorted by (size, min vertex)."""
     seen: set[int] = set()
     comps: list[frozenset[int]] = []
     for s in sorted(alive):
-        if s in seen:
-            continue
-        comp = {s}
-        dq = deque([s])
-        seen.add(s)
-        while dq:
-            x = dq.popleft()
-            for y in adj[x].values():
-                if y in alive and y not in seen:
-                    seen.add(y)
-                    comp.add(y)
-                    dq.append(y)
-        comps.append(frozenset(comp))
+        if s not in seen:
+            comps.append(frozenset(bfs_parents(adj, s, alive)))
+            seen |= comps[-1]
     comps.sort(key=lambda c: (len(c), min(c)))
     return comps
 
@@ -264,8 +307,9 @@ def separation_index(g: SimpleGraph | Multigraph) -> SeparationIndex:
         fixed |= bridges
     ordered = tuple(sorted(cuts))
     smallest: tuple[tuple[int, int], frozenset[int]] | None = None
+    neighbours = {x: ends.values() for x, ends in adj.items()}
     for u, v in ordered:
-        comp = _components_of(adj, set(verts) - {u, v})[0]
+        comp = _components_of(neighbours, set(verts) - {u, v})[0]
         if smallest is None or len(comp) < len(smallest[1]):
             smallest = ((u, v), comp)
     return SeparationIndex(ordered, smallest, frozenset(fixed))
@@ -311,19 +355,7 @@ def has_three_paths(g: SimpleGraph | Multigraph, a: int, b: int) -> bool:
 def induced_is_connected(g: SimpleGraph, vertices: Iterable[int], adj: list[list[int]] | None = None) -> bool:
     """`adj` is g.adj() when the caller has it already."""
     vs = set(vertices)
-    if not vs:
-        return False
-    adj = g.adj() if adj is None else adj
-    start = min(vs)
-    seen = {start}
-    dq = deque([start])
-    while dq:
-        x = dq.popleft()
-        for y in adj[x]:
-            if y in vs and y not in seen:
-                seen.add(y)
-                dq.append(y)
-    return seen == vs
+    return bool(vs) and _spans(g.adj() if adj is None else adj, vs)
 
 
 def smallest_2cut_component(
@@ -342,28 +374,17 @@ def smallest_2cut_component(
     return separation_index(g).smallest
 
 
-def bfs_distances(g: SimpleGraph, source: int, limit: int | None = None) -> dict[int, int]:
-    adj = g.adj()
-    dist = {source: 0}
-    dq = deque([source])
-    while dq:
-        x = dq.popleft()
-        if limit is not None and dist[x] >= limit:
-            continue
-        for y in adj[x]:
-            if y not in dist:
-                dist[y] = dist[x] + 1
-                dq.append(y)
-    return dist
-
-
 def graph_power(g: SimpleGraph, k: int) -> SimpleGraph:
     """Graph on the same vertices joining pairs at distance between 1 and k."""
     if k < 1:
         raise ValueError("power must be at least 1")
+    adj = g.adj()
     edges: set[tuple[int, int]] = set()
     for s in range(g.n):
-        for t in bfs_distances(g, s, limit=k):
-            if t > s:
-                edges.add((s, t))
+        dist = {s: 0}
+        for t, p in bfs_parents(adj, s).items():
+            if p is not None:
+                dist[t] = dist[p] + 1
+                if t > s and dist[t] <= k:
+                    edges.add((s, t))
     return SimpleGraph(g.n, frozenset(edges))

@@ -3,8 +3,10 @@ exact clique-factor decision, and exhaustive partition search.
 
 A vertex set A is *nearly connected* in g when some connected subgraph of g
 on at most |A|+1 vertices contains A.  Every routine here is exact and
-deterministic; they are the oracles the reduction engine is tested against,
-so none of them share code with the engine.
+deterministic; they are the oracles the reduction engine is tested against.
+They share the traversal primitives of :mod:`quadparts.graphs` with the
+engine, which the tests check against networkx, but none of the reduction
+logic.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .graphs import SimpleGraph, graph_power, induced_is_connected
+from .graphs import SimpleGraph, graph_power, nearly_connected_witness
 
 
 @dataclass(frozen=True)
@@ -43,25 +45,14 @@ class InstanceTooLarge(ValueError):
 
 
 def is_nearly_connected(g: SimpleGraph, a: Iterable[int]) -> frozenset[int] | None:
-    """Witness set S with a ⊆ S, |S| <= |a|+1 and g[S] connected, or None.
-
-    Tries the set itself, then each neighbour of it as the one extra vertex
-    in ascending order: the witness exceeds the set by at most one vertex,
-    and that vertex must be adjacent to the set.
-    """
+    """Witness set S with a ⊆ S, |S| <= |a|+1 and g[S] connected, or None:
+    :func:`graphs.nearly_connected_witness` after the input checks."""
     part = frozenset(a)
     if not part:
         raise ValueError("the vertex set must be nonempty")
     if any(not 0 <= v < g.n for v in part):
         raise ValueError("vertex out of range")
-    adj = g.adj()
-    if induced_is_connected(g, part, adj):
-        return part
-    for x in sorted({y for v in part for y in adj[v]} - part):
-        cand = part | {x}
-        if induced_is_connected(g, cand, adj):
-            return cand
-    return None
+    return nearly_connected_witness(g.adj(), part)
 
 
 @dataclass(frozen=True)

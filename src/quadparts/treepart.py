@@ -10,11 +10,10 @@ components, which keeps the remainder connected.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graphs import SimpleGraph, induced_is_connected
+from .graphs import SimpleGraph, bfs_parents, induced_is_connected
 from .oracle import Part
 
 
@@ -28,20 +27,15 @@ class RootedTreeView:
 
     @staticmethod
     def build(g: SimpleGraph, root: int = 0) -> "RootedTreeView":
-        adj = g.adj()
-        parent = [-2] * g.n  # -2 marks unreached
-        depth = [0] * g.n
-        parent[root] = -1
-        dq = deque([root])
-        while dq:
-            x = dq.popleft()
-            for y in adj[x]:
-                if parent[y] == -2:
-                    parent[y] = x
-                    depth[y] = depth[x] + 1
-                    dq.append(y)
-        if any(p == -2 for p in parent):
+        reached = bfs_parents(g.adj(), root)
+        if len(reached) != g.n:
             raise ValueError("graph is disconnected")
+        parent = [-1] * g.n
+        depth = [0] * g.n
+        for x, p in reached.items():
+            if p is not None:
+                parent[x] = p
+                depth[x] = depth[p] + 1
         return RootedTreeView(tuple(parent), tuple(depth), root)
 
 
@@ -60,13 +54,7 @@ def _descendants(view: RootedTreeView, alive: set[int], w: int) -> set[int]:
         p = view.parent[v]
         if p >= 0 and p in alive:
             children[p].append(v)
-    out = set()
-    dq = deque([w])
-    while dq:
-        x = dq.popleft()
-        out.add(x)
-        dq.extend(children[x])
-    return out
+    return set(bfs_parents(children, w))
 
 
 def partition_tree(g: SimpleGraph, sizes: Sequence[int]) -> list[Part]:

@@ -17,8 +17,8 @@ takes one of its vertices.  The gadgets built on top of stubs therefore run
 with the conservation ledger on, exactly as on real graphs.
 
 `path_graph`, `cycle_graph`, `complete_graph` and `random_tree` build the
-standard small graphs, and `dense_block` the dense random blocks of the second golden
-fixture.  `connected_components`, `diameter` and `degree` read a
+standard small graphs, and `dense_block` the dense random blocks of the
+second golden fixture.  `connected_components`, `diameter` and `degree` read a
 SimpleGraph's edge list directly, so tests can use them as oracles
 independent of the library's own traversals.
 """

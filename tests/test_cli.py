@@ -116,6 +116,7 @@ def test_usage_errors_exit_two(capture):
     assert capture(["partition", "-"], stdin="not a graph\n0 0\n")[0] == 2
     assert capture(["nonsense"])[0] == 2
     assert capture(["partition", "/does/not/exist"])[0] == 2
+    assert capture(["power", "-", "-k", "2"], stdin="Cé\n")[0] == 2
 
 
 def test_partition_rejects_odd_order(capture):

@@ -68,6 +68,13 @@ def test_graph6_bad_byte_position():
     assert "byte 2" in str(exc.value)
 
 
+def test_graph6_rejects_non_ascii_at_its_position():
+    # 'é' must not pass as '?' (byte 63), which would read as an empty graph
+    with pytest.raises(GraphParseError) as exc:
+        parse_graph6("Cé")
+    assert "byte 2" in str(exc.value)
+
+
 def test_graph6_truncated_payload():
     with pytest.raises(GraphParseError):
         parse_graph6("C")

@@ -3,15 +3,19 @@ from itertools import combinations
 
 import pytest
 
+from quadparts.engine.local import Fragment
 from quadparts.graphs import (
     Multigraph,
     SimpleGraph,
+    bfs_parents,
     graph_power,
     has_three_paths,
+    induced_is_connected,
     is_biconnected,
     separation_index,
     smallest_2cut_component,
 )
+from quadparts.oracle import is_nearly_connected
 
 from .support import complete_graph, connected_components, cycle_graph, diameter, path_graph
 
@@ -204,6 +208,39 @@ class TestThreePaths:
                 assert has_three_paths(mg, b, a) == expected, (seed, a, b)
                 verdicts[expected] += 1
         assert min(verdicts.values()) > 500
+
+
+class TestTraversalAgainstNetworkx:
+    """The shared breadth-first search and nearly-connected search against
+    networkx, on every vertex subset of up to 5 vertices of random graphs."""
+
+    def test_every_small_subset(self):
+        nx = pytest.importorskip("networkx")
+        witnessed = {"itself": 0, "one more": 0, "none": 0}
+        for n in range(2, 11):
+            for p in (0.2, 0.4, 0.7):
+                g = random_graph(n, p, 10 * n + int(10 * p))
+                simple = nx.Graph(list(g.edges))
+                simple.add_nodes_from(range(n))
+                adj, fragment = g.adj(), Fragment(g.edges, extra_vertices=range(n))
+                for size in range(1, 6):
+                    for part in map(frozenset, combinations(range(n), size)):
+                        induced = simple.subgraph(part)
+                        assert induced_is_connected(g, part) == nx.is_connected(induced)
+                        root = min(part)
+                        parent = bfs_parents(adj, root, within=part)
+                        assert parent.keys() == nx.node_connected_component(induced, root)
+                        depth = nx.single_source_shortest_path_length(induced, root)
+                        assert list(parent) == sorted(parent, key=depth.__getitem__)
+                        assert all(x == root or ((parent[x], x) in induced.edges
+                                                 and depth[parent[x]] + 1 == depth[x]) for x in parent)
+                        expected = next((s for s in [part, *(part | {x} for x in range(n) if x not in part)]
+                                         if nx.is_connected(simple.subgraph(s))), None)
+                        assert is_nearly_connected(g, part) == expected, (n, p, sorted(part))
+                        assert fragment.witness_for(part) == expected, (n, p, sorted(part))
+                        witnessed["none" if expected is None else "itself" if expected == part
+                                  else "one more"] += 1
+        assert min(witnessed.values()) > 300
 
 
 class TestGraphPower:
