@@ -1,8 +1,12 @@
-"""Small shared vocabulary for the case lifts."""
+"""Small shared vocabulary for the case lifts: the plain and plus tree-set
+names by size, the shape of a requested pair, and :func:`mirrored`, which
+serves a pair by reading the lift's configuration from the other end.
+How a lift closes lives in :mod:`quadparts.engine.local`."""
 
 from __future__ import annotations
 
-from ..graphs import norm_edge
+from typing import Callable
+
 from ..labels import Pair, TreeSet
 from .model import EngineBug, Realization
 
@@ -29,15 +33,7 @@ def pair_shape(pair: Pair) -> tuple[str, int, int]:
     raise EngineBug(f"pair {pair} is not a plain/plus combination")
 
 
-def collect(*reals: Realization):
-    """Fragment edges (materialized and bound-tree edges) and cascaded parts
-    of several child realizations."""
-    edges: set[tuple[int, int]] = set()
-    parts: list[frozenset[int]] = []
-    for r in reals:
-        edges |= r.fragment
-        for t in (r.p_tree, r.q_tree):
-            if t is not None:
-                edges.update(norm_edge(a, b) for a, b in t.edges)
-        parts.extend(r.parts)
-    return frozenset(edges), tuple(parts)
+def mirrored(lift: Callable[[Pair], Realization], pair: Pair) -> Realization:
+    """Realize `pair` through `lift` built on the reversed configuration: the
+    lift receives the swapped pair and its realization is flipped back."""
+    return lift((pair[1], pair[0])).flipped()

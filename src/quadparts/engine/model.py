@@ -156,22 +156,6 @@ def graft(new_root: int, bridge: tuple[int, int], subtree: BoundTree) -> BoundTr
     return BoundTree(new_root, (bridge, *subtree.edges), subtree.dummies)
 
 
-def span_tree(root: int, vertices: set[int] | frozenset[int],
-              edge_pool, dummies: frozenset[int] | set[int] = frozenset()) -> BoundTree:
-    """BFS spanning tree of `vertices` inside the given edge pool, rooted at `root`.
-
-    The tree's edges are the (parent, child) pairs of :func:`graphs.bfs_parents`
-    confined to `vertices`, in discovery order, with neighbours visited in
-    ascending order.  Used to build composite trees out of child fragments
-    whose exact shape varies.
-    """
-    parent = bfs_parents(adjacency(edge_pool, (root,)), root, vertices)
-    if parent.keys() != set(vertices):
-        raise EngineBug(f"cannot span {sorted(vertices)} from {root} with the available edges")
-    edges = tuple((p, x) for x, p in parent.items() if p is not None)
-    return BoundTree(root, edges, frozenset(dummies))
-
-
 # ---------------------------------------------------------------------------
 # Realizations
 
@@ -182,8 +166,9 @@ class Realization:
 
     For splits, `p_tree`/`q_tree` are bound at the tail/head.  For
     subdivisions, `subdiv` lists the new internal vertices from tail to head.
-    `fragment` collects every real edge this realization materialized (used by
-    parents for local witness search), and `parts` carries all nearly
+    `fragment` collects every real edge this realization materialized, which
+    the parent lift's :class:`~quadparts.engine.local.Local` searches for
+    witnesses and spans its trees in, and `parts` carries all nearly
     connected 4-sets finalized at or below this edge.
     """
 

@@ -10,19 +10,9 @@ edge is simply deleted by the driver; no merge gadget is involved.)
 from __future__ import annotations
 
 from ..labels import CATALOG, Label, Pair, TreeSet
-from .caselib import PLAIN, PLUS, collect, pair_shape
-from .local import Fragment, assert_part, finalize, group
-from .model import (
-    EdgeView,
-    EngineBug,
-    Gadget,
-    Realization,
-    Split,
-    Subdivide,
-    fuse,
-    single,
-    span_tree,
-)
+from .caselib import PLAIN, PLUS, mirrored, pair_shape
+from .local import Local
+from .model import EdgeView, EngineBug, Gadget, Realization, Split, Subdivide, fuse, single
 
 S0, S1, S2, S3 = TreeSet.S0, TreeSet.S1, TreeSet.S2, TreeSet.S3
 S1P, S2P, S3P = TreeSet.S1P, TreeSet.S2P, TreeSet.S3P
@@ -68,35 +58,25 @@ def build_parallel_gadget(e1: EdgeView, e2: EdgeView, u: int, v: int, tag: str) 
 
 def _both_w3_lift(e1: EdgeView, e2: EdgeView, u: int, v: int, tag: str):
     def lift(pair: Pair) -> Realization:
+        if pair in ((S2M, S0), (S1P, S1), (S5M, S1)):
+            return mirrored(_both_w3_lift(e1.reversed(), e2.reversed(), v, u, tag + "~"), pair)
         if pair == (S0, S2M):
             r1, r2 = e1.request(Split(S2, S1)), e2.request(Split(S2, S1))
-            frag, cascaded = collect(r1, r2)
-            local = finalize(Fragment(frag), (r1.p_tree.actives | r2.p_tree.actives) - {u}, tag)
-            return Realization(parts=cascaded + local, p_tree=single(u),
-                               q_tree=fuse(r1.q_tree, r2.q_tree), fragment=frag)
-        if pair == (S2M, S0):
-            return _mirror(_both_w3_lift, e1, e2, u, v, pair, tag)
+            loc = Local(tag, r1, r2)
+            loc.finalize((r1.p_tree.actives | r2.p_tree.actives) - {u})
+            return loc.done(single(u), fuse(r1.q_tree, r2.q_tree))
         if pair == (S1, S1P):
             r1, r2 = e1.request(Split(S1, S2)), e2.request(Split(S0, S3))
-            frag, cascaded = collect(r1, r2)
+            loc = Local(tag, r1, r2)
             v_prime = min(r1.q_tree.root_children())
-            part = assert_part(Fragment(frag), (r2.q_tree.actives - {v}) | {v_prime}, tag)
-            return Realization(parts=cascaded + (part,), p_tree=r1.p_tree,
-                               q_tree=r1.q_tree.with_dummies({v_prime}), fragment=frag)
-        if pair == (S1P, S1):
-            return _mirror(_both_w3_lift, e1, e2, u, v, pair, tag)
+            loc.part((r2.q_tree.actives - {v}) | {v_prime})
+            return loc.done(r1.p_tree, r1.q_tree.with_dummies({v_prime}))
         if pair == (S1, S5M):
             r1, r2 = e1.request(Split(S1, S2)), e2.request(Split(S0, S3))
-            frag, cascaded = collect(r1, r2)
-            return Realization(parts=cascaded, p_tree=r1.p_tree,
-                               q_tree=fuse(r1.q_tree, r2.q_tree), fragment=frag)
-        if pair == (S5M, S1):
-            return _mirror(_both_w3_lift, e1, e2, u, v, pair, tag)
+            return Local(tag, r1, r2).done(r1.p_tree, fuse(r1.q_tree, r2.q_tree))
         if pair == (S3M, S3M):
             r1, r2 = e1.request(Split(S2, S1)), e2.request(Split(S1, S2))
-            frag, cascaded = collect(r1, r2)
-            return Realization(parts=cascaded, p_tree=fuse(r1.p_tree, r2.p_tree),
-                               q_tree=fuse(r1.q_tree, r2.q_tree), fragment=frag)
+            return Local(tag, r1, r2).done(fuse(r1.p_tree, r2.p_tree), fuse(r1.q_tree, r2.q_tree))
         raise EngineBug(f"unhandled pair {pair} for merged weight-3 parallels", tag)
 
     return lift
@@ -110,24 +90,19 @@ def _both_w1_lifts(e1: EdgeView, e2: EdgeView, u: int, v: int, tag: str):
     def split_lift(pair: Pair) -> Realization:
         if pair == (S0, S2):
             r1, r2 = e1.request(Split(S0, S1)), e2.request(Split(S0, S1))
-            frag, cascaded = collect(r1, r2)
-            return Realization(parts=cascaded, p_tree=single(u),
-                               q_tree=fuse(r1.q_tree, r2.q_tree), fragment=frag)
+            return Local(tag, r1, r2).done(single(u), fuse(r1.q_tree, r2.q_tree))
         if pair == (S2, S0):
-            return _mirror(lambda a, b, uu, vv, t: _both_w1_lifts(a, b, uu, vv, t)[0],
-                           e1, e2, u, v, pair, tag)
+            return mirrored(_both_w1_lifts(e1.reversed(), e2.reversed(), v, u, tag + "~")[0], pair)
         if pair == (S1, S1):
             r1, r2 = e1.request(Split(S1, S0)), e2.request(Split(S0, S1))
-            frag, cascaded = collect(r1, r2)
-            return Realization(parts=cascaded, p_tree=r1.p_tree, q_tree=r2.q_tree, fragment=frag)
+            return Local(tag, r1, r2).done(r1.p_tree, r2.q_tree)
         raise EngineBug(f"unhandled pair {pair} for merged weight-1 parallels", tag)
 
     def subdiv_lift(k: int) -> Realization:
         # two internal vertices realized on separate strands; any small part
         # using both strands stays connected through an endpoint
         r1, r2 = e1.request(Subdivide(1)), e2.request(Subdivide(1))
-        frag, cascaded = collect(r1, r2)
-        return Realization(parts=cascaded, subdiv=(r1.subdiv[0], r2.subdiv[0]), fragment=frag)
+        return Local(tag, r1, r2).done(subdiv=(r1.subdiv[0], r2.subdiv[0]))
 
     return split_lift, subdiv_lift
 
@@ -139,6 +114,9 @@ def _both_w1_lifts(e1: EdgeView, e2: EdgeView, u: int, v: int, tag: str):
 def _general_lift(e1: EdgeView, e2: EdgeView, u: int, v: int, tag: str):
     i, j = e1.label.weight, e2.label.weight
 
+    def reverse():
+        return _general_lift(e1.reversed(), e2.reversed(), v, u, tag + "~")
+
     def lift(pair: Pair) -> Realization:
         kind, x, y = pair_shape(pair)
         if kind == "plain" and x + y == i + j:
@@ -148,24 +126,21 @@ def _general_lift(e1: EdgeView, e2: EdgeView, u: int, v: int, tag: str):
         if kind == "plus_right":
             return _plus_right(pair, x, y)
         if kind == "plus_left":
-            return _mirror(_general_lift, e1, e2, u, v, pair, tag)
+            return mirrored(reverse(), pair)
         raise EngineBug(f"pair {pair} inconsistent with child weights {i},{j}", tag)
 
     def _plain_low(pair: Pair, x: int, y: int) -> Realization:
         # no finalization: total attached activity matches the request exactly
         if x > j:
-            return _mirror(_general_lift, e1, e2, u, v, pair, tag)
+            return mirrored(reverse(), pair)
         if e2.admits(PLAIN[x], PLAIN[j - x]):
             r2 = e2.request(Split(PLAIN[x], PLAIN[j - x]))
             r1 = e1.request(Split(S0, PLAIN[i]))
-            frag, cascaded = collect(r1, r2)
-            return Realization(parts=cascaded, p_tree=r2.p_tree,
-                               q_tree=fuse(r2.q_tree, r1.q_tree), fragment=frag)
+            return Local(tag, r1, r2).done(r2.p_tree, fuse(r2.q_tree, r1.q_tree))
         if e2.label.name == "L21" and x == 1 and y == 2 and i == 1:
             r1 = e1.request(Split(S1, S0))
             r2 = e2.request(Split(S0, S2M))
-            frag, cascaded = collect(r1, r2)
-            return Realization(parts=cascaded, p_tree=r1.p_tree, q_tree=r2.q_tree, fragment=frag)
+            return Local(tag, r1, r2).done(r1.p_tree, r2.q_tree)
         raise EngineBug(f"no route for plain pair {pair} on labels {e1.label},{e2.label}", tag)
 
     def _plain_high(pair: Pair, x: int, y: int) -> Realization:
@@ -174,57 +149,46 @@ def _general_lift(e1: EdgeView, e2: EdgeView, u: int, v: int, tag: str):
             if e1.admits(PLAIN[i - y], PLAIN[y]):
                 r1 = e1.request(Split(PLAIN[i - y], PLAIN[y]))
                 r2 = e2.request(Split(PLAIN[j], S0))
-                frag, cascaded = collect(r1, r2)
-                at_u = (r1.p_tree.actives | r2.p_tree.actives) - {u}
-                local = finalize(Fragment(frag), at_u, tag)
-                return Realization(parts=cascaded + local, p_tree=single(u),
-                                   q_tree=r1.q_tree, fragment=frag)
-            if e2.admits(PLAIN[j - y], PLAIN[y]):
+                q = r1.q_tree
+            elif e2.admits(PLAIN[j - y], PLAIN[y]):
                 r2 = e2.request(Split(PLAIN[j - y], PLAIN[y]))
                 r1 = e1.request(Split(PLAIN[i], S0))
-                frag, cascaded = collect(r1, r2)
-                at_u = (r1.p_tree.actives | r2.p_tree.actives) - {u}
-                local = finalize(Fragment(frag), at_u, tag)
-                return Realization(parts=cascaded + local, p_tree=single(u),
-                                   q_tree=r2.q_tree, fragment=frag)
-            if y == 1:
+                q = r2.q_tree
+            elif y == 1:
                 # forced labels: e1 the weight-2 minus-pair label, e2 the
                 # asymmetric weight-3 label read forward
                 r1 = e1.request(Split(S0, S2M))
                 r2 = e2.request(Split(S0, S3M))
-                frag, cascaded = collect(r1, r2)
+                loc = Local(tag, r1, r2)
                 a, b = sorted(r1.q_tree.root_children())
-                part = assert_part(Fragment(frag), (r2.q_tree.actives - {v}) | {a}, tag)
-                q = span_tree(v, {v, b}, frag)
-                return Realization(parts=cascaded + (part,), p_tree=single(u), q_tree=q, fragment=frag)
-            if y == 2:
+                loc.part((r2.q_tree.actives - {v}) | {a})
+                return loc.done(single(u), loc.span(v, {v, b}))
+            elif y == 2:
                 r1 = e1.request(Split(S2M, S1))
                 r2 = e2.request(Split(S2M, S1))
-                frag, cascaded = collect(r1, r2)
-                at_u = (r1.p_tree.actives | r2.p_tree.actives) - {u}
-                local = finalize(Fragment(frag), at_u, tag)
-                return Realization(parts=cascaded + local, p_tree=single(u),
-                                   q_tree=fuse(r1.q_tree, r2.q_tree), fragment=frag)
-            raise EngineBug(f"no zero-left route for {pair} on {e1.label},{e2.label}", tag)
+                q = fuse(r1.q_tree, r2.q_tree)
+            else:
+                raise EngineBug(f"no zero-left route for {pair} on {e1.label},{e2.label}", tag)
+            loc = Local(tag, r1, r2)
+            loc.finalize((r1.p_tree.actives | r2.p_tree.actives) - {u})
+            return loc.done(single(u), q)
         if y == 0:
-            return _mirror(_general_lift, e1, e2, u, v, pair, tag)
+            return mirrored(reverse(), pair)
         if x == 1 and y == 1:
             if e1.label.name == "L31":
                 r1 = e1.request(Split(S1, S2M))
                 r2 = e2.request(Split(S0, S3))
-                frag, cascaded = collect(r1, r2)
+                loc = Local(tag, r1, r2)
                 a, b = sorted(r1.q_tree.root_children())
-                part = assert_part(Fragment(frag), (r2.q_tree.actives - {v}) | {a}, tag)
-                q = span_tree(v, {v, b}, frag)
-                return Realization(parts=cascaded + (part,), p_tree=r1.p_tree, q_tree=q, fragment=frag)
+                loc.part((r2.q_tree.actives - {v}) | {a})
+                return loc.done(r1.p_tree, loc.span(v, {v, b}))
             if e1.label.name == "L32":
                 r1 = e1.request(Split(S2M, S1))
                 r2 = e2.request(Split(S3, S0))
-                frag, cascaded = collect(r1, r2)
+                loc = Local(tag, r1, r2)
                 a, b = sorted(r1.p_tree.root_children())
-                part = assert_part(Fragment(frag), (r2.p_tree.actives - {u}) | {a}, tag)
-                p = span_tree(u, {u, b}, frag)
-                return Realization(parts=cascaded + (part,), p_tree=p, q_tree=r1.q_tree, fragment=frag)
+                loc.part((r2.p_tree.actives - {u}) | {a})
+                return loc.done(loc.span(u, {u, b}), r1.q_tree)
             raise EngineBug(f"plain (1,1) reached with e1 labeled {e1.label}", tag)
         raise EngineBug(f"unhandled reduced plain pair {pair}", tag)
 
@@ -238,16 +202,12 @@ def _general_lift(e1: EdgeView, e2: EdgeView, u: int, v: int, tag: str):
             ea, eb = (e1, e2) if e1.label.name != "L1" else (e2, e1)
             ra = ea.request(Split(S3, S2P))
             rb = eb.request(Split(S0, S1))
-            frag, cascaded = collect(ra, rb)
-            return Realization(parts=cascaded, p_tree=ra.p_tree,
-                               q_tree=fuse(ra.q_tree, rb.q_tree), fragment=frag)
+            return Local(tag, ra, rb).done(ra.p_tree, fuse(ra.q_tree, rb.q_tree))
         if x <= j:
             want_q = PLUS[j - x] if j - x >= 1 else S0
             r2 = e2.request(Split(PLAIN[x], want_q))
             r1 = e1.request(Split(S0, PLAIN[i]))
-            frag, cascaded = collect(r1, r2)
-            return Realization(parts=cascaded, p_tree=r2.p_tree,
-                               q_tree=fuse(r2.q_tree, r1.q_tree), fragment=frag)
+            return Local(tag, r1, r2).done(r2.p_tree, fuse(r2.q_tree, r1.q_tree))
         # x > j is reachable only at weights (2,2) with the pair (S3, S1+):
         # split the request three-and-one across the two children
         if not (i == 2 and j == 2 and x == 3 and y == 1):
@@ -258,36 +218,16 @@ def _general_lift(e1: EdgeView, e2: EdgeView, u: int, v: int, tag: str):
             ea = e2 if eb is e1 else e1
             ra = ea.request(Split(S2, S0))
             rb = eb.request(Split(S1, S1))
-            frag, cascaded = collect(ra, rb)
-            return Realization(parts=cascaded, p_tree=fuse(ra.p_tree, rb.p_tree),
-                               q_tree=rb.q_tree, fragment=frag)
+            return Local(tag, ra, rb).done(fuse(ra.p_tree, rb.p_tree), rb.q_tree)
         # both children carry the minus-pair label: their realized shapes are
         # dummy-free, so a kept vertex plus a finalized 4-set always exists
         ra = e1.request(Split(S3, S3P))
         rb = e2.request(Split(S0, S2))
-        frag, cascaded = collect(ra, rb)
+        loc = Local(tag, ra, rb)
         at_v = (ra.q_tree.actives | rb.q_tree.actives) - {v}
-        fr = Fragment(frag)
         for keep in sorted(at_v):
-            rest = at_v - {keep}
-            if not fr.connected(frozenset({v, keep})):
-                continue
-            local = group(fr, rest)
-            if local is None:
-                continue
-            q = span_tree(v, {v, keep}, frag)
-            return Realization(parts=cascaded + local, p_tree=ra.p_tree, q_tree=q, fragment=frag)
+            if loc.fragment.connected({v, keep}) and loc.group(at_v - {keep}):
+                return loc.done(ra.p_tree, loc.span(v, {v, keep}))
         raise EngineBug(f"no leftover split of the head side for {pair}", tag)
 
     return lift
-
-
-# ---------------------------------------------------------------------------
-
-
-def _mirror(lift_builder, e1: EdgeView, e2: EdgeView, u: int, v: int,
-            pair: Pair, tag: str) -> Realization:
-    """Realize the swapped pair on the reversed configuration and flip back."""
-    builder = lift_builder(e1.reversed(), e2.reversed(), v, u, tag + "~")
-    swapped = (pair[1], pair[0])
-    return builder(swapped).flipped()

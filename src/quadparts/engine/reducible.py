@@ -13,18 +13,9 @@ from __future__ import annotations
 from itertools import combinations
 
 from ..labels import CATALOG, Pair, TreeSet
-from .caselib import PLAIN, PLUS, collect, pair_shape
-from .local import Fragment, assert_part, finalize, group
-from .model import (
-    EdgeView,
-    EngineBug,
-    Gadget,
-    Realization,
-    Split,
-    Subdivide,
-    single,
-    span_tree,
-)
+from .caselib import PLAIN, PLUS, mirrored, pair_shape
+from .local import Local
+from .model import BoundTree, EdgeView, EngineBug, Gadget, Realization, Split, Subdivide, single
 
 S0, S1, S2, S3 = TreeSet.S0, TreeSet.S1, TreeSet.S2, TreeSet.S3
 S1P, S2P, S3P = TreeSet.S1P, TreeSet.S2P, TreeSet.S3P
@@ -44,14 +35,10 @@ def eliminate_with_fixed_splits(ops: list[tuple[EdgeView, Pair]], v: int,
     4-sets with no residue.
     """
     reals = [e.request(Split(*op)) for e, op in ops]
-    frag, cascaded = collect(*reals)
-    pool: set[int] = set()
-    for r in reals:
-        pool |= r.p_tree.actives - {v}
-    if include_v:
-        pool.add(v)
-    local = finalize(Fragment(frag, extra_vertices=[v]), pool, tag)
-    return cascaded + local
+    loc = Local(tag, *reals)
+    pool = set().union(*(r.p_tree.actives for r in reals)) - {v}
+    loc.finalize(pool | {v} if include_v else pool)
+    return tuple(loc.parts)
 
 
 # ---------------------------------------------------------------------------
@@ -79,44 +66,28 @@ def build_edge_absorb(e1: EdgeView, e2: EdgeView, v: int, v2: int, tag: str) -> 
         m = r1.p_tree.actives - {v}
         if pair == (S0, S2):
             r2 = e2.request(Split(S5M, S2) if sibling_asym else Split(S1, S2))
-            frag, cascaded = collect(r1, r2)
-            pool = m | (r2.p_tree.actives - {v})
-            local = finalize(Fragment(frag), pool, tag)
-            return Realization(parts=cascaded + local, p_tree=single(v), q_tree=r2.q_tree,
-                               fragment=frag)
-        if pair == (S1, S1):
-            r2 = e2.request(Split(S2, S1))
-            frag, cascaded = collect(r1, r2)
-            pool = m | (r2.p_tree.actives - {v})
-            return _keep_subtree_at(v, 1, pool, frag, cascaded, r2.q_tree, tag)
-        if pair == (S2, S0):
-            r2 = e2.request(Split(S3, S0))
-            frag, cascaded = collect(r1, r2)
-            pool = m | (r2.p_tree.actives - {v})
-            return _keep_subtree_at(v, 2, pool, frag, cascaded, r2.q_tree, tag)
+            loc = Local(tag, r1, r2)
+            loc.finalize(m | (r2.p_tree.actives - {v}))
+            return loc.done(single(v), r2.q_tree)
+        if pair in ((S1, S1), (S2, S0)):
+            size = 1 if pair == (S1, S1) else 2
+            r2 = e2.request(Split(S2, S1) if size == 1 else Split(S3, S0))
+            return _keep_subtree_at(Local(tag, r1, r2), v, size, m | (r2.p_tree.actives - {v}), r2.q_tree)
         if pair in ((S3, S3P), (S3P, S3)):
             r2 = e2.request(Split(S0, S3))
-            frag, cascaded = collect(r1, r2)
-            return Realization(parts=cascaded, p_tree=r1.p_tree, q_tree=r2.q_tree, fragment=frag)
+            return Local(tag, r1, r2).done(r1.p_tree, r2.q_tree)
         raise EngineBug(f"pair {pair} is not part of the absorbed-edge table", tag)
 
     return Gadget(label, v, v2, scope, lift, provenance=tag)
 
 
-def _keep_subtree_at(v: int, size: int, pool: set[int], frag, cascaded,
-                     q_tree, tag: str) -> Realization:
+def _keep_subtree_at(loc: Local, v: int, size: int, pool: set[int], q_tree: BoundTree) -> Realization:
     """Keep a `size`-vertex subtree at v as the new tail tree and finalize the rest."""
-    fr = Fragment(frag, extra_vertices=[v])
     for combo in combinations(sorted(pool), size):
         keep = frozenset(combo)
-        if not fr.connected(keep | {v}):
-            continue
-        local = group(fr, pool - keep)
-        if local is None:
-            continue
-        p = span_tree(v, keep | {v}, frag)
-        return Realization(parts=cascaded + local, p_tree=p, q_tree=q_tree, fragment=frag)
-    raise EngineBug(f"no way to keep a {size}-vertex subtree at {v} from pool {sorted(pool)}", tag)
+        if loc.fragment.connected(keep | {v}) and loc.group(pool - keep):
+            return loc.done(loc.span(v, keep | {v}), q_tree)
+    raise EngineBug(f"no way to keep a {size}-vertex subtree at {v} from pool {sorted(pool)}", loc.tag)
 
 
 # ---------------------------------------------------------------------------
@@ -142,68 +113,41 @@ def build_deg3_pair_config(e1: EdgeView, e2: EdgeView, e3: EdgeView, v: int,
                 r3 = e3.request(Split(PLAIN[1 - y], PLAIN[y]))
                 want = PLUS[i - x] if i - x >= 1 else S0
                 r1 = e1.request(Split(want, PLAIN[x]))
-                frag, cascaded = collect(r1, r2, r3)
-                pool = ((r1.p_tree.actives | r3.p_tree.actives) - {v}) | set(cs) | {v}
-                local = finalize(Fragment(frag), pool, tag)
-                return Realization(parts=cascaded + local, p_tree=r1.q_tree, q_tree=r3.q_tree,
-                                   fragment=frag)
+                loc = Local(tag, r1, r2, r3)
+                loc.finalize(r1.p_tree.actives | r3.p_tree.actives | {v, *cs})
+                return loc.done(r1.q_tree, r3.q_tree)
             if y == 2:
                 r1 = e1.request(Split(S2M, PLAIN[x]))
+                r3 = e3.request(Subdivide(1) if e3.label.subdividable else Split(S3P, S2))
+                loc = Local(tag, r1, r2, r3)
+                loc.finalize((r1.p_tree.actives - {v}) | set(cs))
                 if e3.label.subdividable:
-                    r3 = e3.request(Subdivide(1))
-                    frag, cascaded = collect(r1, r2, r3)
-                    pool = (r1.p_tree.actives - {v}) | set(cs)
-                    local = finalize(Fragment(frag), pool, tag)
-                    q = span_tree(v3, {v3, v, *r3.subdiv}, frag)
-                    return Realization(parts=cascaded + local, p_tree=r1.q_tree, q_tree=q,
-                                       fragment=frag)
-                r3 = e3.request(Split(S3P, S2))
-                frag, cascaded = collect(r1, r2, r3)
-                pool = (r1.p_tree.actives - {v}) | set(cs)
-                local = finalize(Fragment(frag), pool, tag)
-                more = finalize(Fragment(frag), (r3.p_tree.actives - {v}) | {v}, tag)
-                return Realization(parts=cascaded + local + more, p_tree=r1.q_tree,
-                                   q_tree=r3.q_tree, fragment=frag)
+                    return loc.done(r1.q_tree, loc.span(v3, {v3, v, *r3.subdiv}))
+                loc.finalize(r3.p_tree.actives | {v})
+                return loc.done(r1.q_tree, r3.q_tree)
             if y == 3:
                 # only the weight-3 tail reaches here
                 r1 = e1.request(Split(S3M, S0))
-                frag0 = None
+                r3 = e3.request(Subdivide(1) if e3.label.subdividable else Split(S2P, S3))
+                loc = Local(tag, r1, r2, r3)
+                loc.part((r1.p_tree.actives - {v}) | {cs[0]})
                 if e3.label.subdividable:
-                    r3 = e3.request(Subdivide(1))
-                    frag, cascaded = collect(r1, r2, r3)
-                    part = assert_part(Fragment(frag), (r1.p_tree.actives - {v}) | {cs[0]}, tag)
-                    q = span_tree(v3, {v3, v, cs[1], *r3.subdiv}, frag)
-                    return Realization(parts=cascaded + (part,), p_tree=r1.q_tree, q_tree=q,
-                                       fragment=frag)
-                r3 = e3.request(Split(S2P, S3))
-                frag, cascaded = collect(r1, r2, r3)
-                part = assert_part(Fragment(frag), (r1.p_tree.actives - {v}) | {cs[0]}, tag)
-                more = finalize(Fragment(frag), (r3.p_tree.actives - {v}) | {v, cs[1]}, tag)
-                return Realization(parts=cascaded + (part,) + more, p_tree=r1.q_tree,
-                                   q_tree=r3.q_tree, fragment=frag)
+                    return loc.done(r1.q_tree, loc.span(v3, {v3, v, cs[1], *r3.subdiv}))
+                loc.finalize(r3.p_tree.actives | {v, cs[1]})
+                return loc.done(r1.q_tree, r3.q_tree)
             raise EngineBug(f"plain pair {pair} out of range for tail weight {i}", tag)
         if kind in ("plus_right", "plus_left") and {x, y} == {3} and i == 2:
             # large-pair request on the weight-2 replacement edge
             r1 = e1.request(Split(S3, S3P))
-            if e3.label.subdividable:
-                r3 = e3.request(Subdivide(1))
-                frag, cascaded = collect(r1, r2, r3)
-                fr = Fragment(frag)
-                for cq in cs:
-                    rest = (r1.p_tree.actives - {v}) | (set(cs) - {cq})
-                    local = group(fr, rest)
-                    if local is None:
-                        continue
-                    q = span_tree(v3, {v3, v, cq, *r3.subdiv}, frag)
-                    return Realization(parts=cascaded + local, p_tree=r1.q_tree, q_tree=q,
-                                       fragment=frag)
-                raise EngineBug("no single-vertex graft keeps the pool partitionable", tag)
-            r3 = e3.request(Split(S2P, S3))
-            frag, cascaded = collect(r1, r2, r3)
-            pool = ((r1.p_tree.actives | r3.p_tree.actives) - {v}) | set(cs) | {v}
-            local = finalize(Fragment(frag), pool, tag)
-            return Realization(parts=cascaded + local, p_tree=r1.q_tree, q_tree=r3.q_tree,
-                               fragment=frag)
+            r3 = e3.request(Subdivide(1) if e3.label.subdividable else Split(S2P, S3))
+            loc = Local(tag, r1, r2, r3)
+            if not e3.label.subdividable:
+                loc.finalize(r1.p_tree.actives | r3.p_tree.actives | {v, *cs})
+                return loc.done(r1.q_tree, r3.q_tree)
+            for cq in cs:
+                if loc.group((r1.p_tree.actives - {v}) | (set(cs) - {cq})):
+                    return loc.done(r1.q_tree, loc.span(v3, {v3, v, cq, *r3.subdiv}))
+            raise EngineBug("no single-vertex graft keeps the pool partitionable", tag)
         raise EngineBug(f"pair {pair} is not liftable in the paired-tail configuration", tag)
 
     return Gadget(label, v1, v3, scope, lift, provenance=tag)
@@ -243,11 +187,9 @@ def build_deg3_general(e1: EdgeView, e2: EdgeView, e3: EdgeView, v: int,
                     raise EngineBug(
                         f"neither heavy edge admits the plain route for {pair}; the "
                         "paired-tail configuration should have matched first", tag)
-                frag, cascaded = collect(r1, r2, r3)
-                pool = ((r1.p_tree.actives | r2.p_tree.actives) - {v}) | set(a3) | {v}
-                local = finalize(Fragment(frag), pool, tag)
-                return Realization(parts=cascaded + local, p_tree=r1.q_tree, q_tree=r2.q_tree,
-                                   fragment=frag)
+                loc = Local(tag, r1, r2, r3)
+                loc.finalize(r1.p_tree.actives | r2.p_tree.actives | {v, *a3})
+                return loc.done(r1.q_tree, r2.q_tree)
             if y > j:
                 return _plain_overweight_head(pair, x, y, r3, a3)
             return _plain_overweight_tail(pair, x, y, r3, a3)
@@ -256,17 +198,16 @@ def build_deg3_general(e1: EdgeView, e2: EdgeView, e3: EdgeView, v: int,
             raise EngineBug(f"plus pair {pair} needs a unit third edge and full weight", tag)
         if kind == "plus_left":
             if (x, y) == (2, 3):
-                return _plus_23(r3, a3)  # every tree it builds is plain, so it fits
+                return _plus_23(e1.request(Split(S0, S2)), r3, a3)  # every tree it builds is plain, so it fits
             if (x, y) == (3, 2):
                 return _plus_32_left(r3, a3)
             if (x, y) == (3, 3):
                 if i == 3:
                     return _plus_33(r3, a3)  # the heavy-tail lift is plain on both sides
-                inner_gadget = build_deg3_general(e2, e1, e3, v, tag + "~")
-                return inner_gadget._split_lift((pair[1], pair[0])).flipped()
+                return mirrored(build_deg3_general(e2, e1, e3, v, tag + "~")._split_lift, pair)
             raise EngineBug(f"plus pair {pair} is out of range", tag)
         if (x, y) == (2, 3):
-            return _plus_23(r3, a3)
+            return _plus_23(e1.request(Split(S0, S2)), r3, a3)
         if (x, y) == (3, 2):
             return _plus_32(r3, a3)
         if (x, y) == (3, 3):
@@ -277,159 +218,103 @@ def build_deg3_general(e1: EdgeView, e2: EdgeView, e3: EdgeView, v: int,
         # y exceeds w(e2): the head side is served by e2 whole (subdivided or
         # with its large complement), the tail pools with the third edge
         r1 = e1.request(Split(PLAIN[i], S0))
-        frag1 = (r1.p_tree.actives - {v}) | set(a3)
+        r2 = e2.request(Subdivide(j) if e2.label.subdividable else Split(S3P, PLAIN[y]))
+        loc = Local(tag, r1, r2, r3)
+        loc.finalize((r1.p_tree.actives - {v}) | set(a3))
         if e2.label.subdividable:
-            r2 = e2.request(Subdivide(j))
-            frag, cascaded = collect(r1, r2, r3)
-            local = finalize(Fragment(frag), frag1, tag)
-            q = span_tree(v2, {v2, v, *r2.subdiv}, frag)
-            return Realization(parts=cascaded + local, p_tree=r1.q_tree, q_tree=q, fragment=frag)
-        r2 = e2.request(Split(S3P, PLAIN[y]))
-        frag, cascaded = collect(r1, r2, r3)
-        local = finalize(Fragment(frag), frag1, tag)
-        more = finalize(Fragment(frag), (r2.p_tree.actives - {v}) | {v}, tag)
-        return Realization(parts=cascaded + local + more, p_tree=r1.q_tree, q_tree=r2.q_tree,
-                           fragment=frag)
+            return loc.done(r1.q_tree, loc.span(v2, {v2, v, *r2.subdiv}))
+        loc.finalize(r2.p_tree.actives | {v})
+        return loc.done(r1.q_tree, r2.q_tree)
 
     def _plain_overweight_tail(pair: Pair, x: int, y: int, r3, a3) -> Realization:
         # x = 3 with all weights 2: both light edges close a part, the heavy
         # tail absorbs the triple request
         r2 = e2.request(Split(S2, S0))
-        frag1 = (r2.p_tree.actives - {v}) | set(a3)
+        r1 = e1.request(Subdivide(2) if e1.label.subdividable else Split(S3P, S3))
+        loc = Local(tag, r1, r2, r3)
+        loc.finalize((r2.p_tree.actives - {v}) | set(a3))
         if e1.label.subdividable:
-            r1 = e1.request(Subdivide(2))
-            frag, cascaded = collect(r1, r2, r3)
-            local = finalize(Fragment(frag), frag1, tag)
-            p = span_tree(v1, {v1, v, *r1.subdiv}, frag)
-            return Realization(parts=cascaded + local, p_tree=p, q_tree=r2.q_tree, fragment=frag)
-        r1 = e1.request(Split(S3P, S3))
-        frag, cascaded = collect(r1, r2, r3)
-        local = finalize(Fragment(frag), frag1, tag)
-        more = finalize(Fragment(frag), (r1.p_tree.actives - {v}) | {v}, tag)
-        return Realization(parts=cascaded + local + more, p_tree=r1.q_tree, q_tree=r2.q_tree,
-                           fragment=frag)
+            return loc.done(loc.span(v1, {v1, v, *r1.subdiv}), r2.q_tree)
+        loc.finalize(r1.p_tree.actives | {v})
+        return loc.done(r1.q_tree, r2.q_tree)
 
-    def _plus_23(r3, a3) -> Realization:
-        r1 = e1.request(Split(S0, S2))
+    def _plus_23(r1, r3, a3) -> Realization:
+        # e1 already split with an empty tail tree: e2 serves the head side
+        r2 = e2.request(Subdivide(1) if e2.label.subdividable else Split(S2P, S3))
+        loc = Local(tag, r1, r2, r3)
         if e2.label.subdividable:
-            r2 = e2.request(Subdivide(1))
-            frag, cascaded = collect(r1, r2, r3)
-            q = span_tree(v2, {v2, v, a3[0], *r2.subdiv}, frag)
-            return Realization(parts=cascaded, p_tree=r1.q_tree, q_tree=q, fragment=frag)
-        r2 = e2.request(Split(S2P, S3))
-        frag, cascaded = collect(r1, r2, r3)
-        pool = (r2.p_tree.actives - {v}) | {v, a3[0]}
-        local = finalize(Fragment(frag), pool, tag)
-        return Realization(parts=cascaded + local, p_tree=r1.q_tree, q_tree=r2.q_tree,
-                           fragment=frag)
+            return loc.done(r1.q_tree, loc.span(v2, {v2, v, a3[0], *r2.subdiv}))
+        loc.finalize(r2.p_tree.actives | {v, a3[0]})
+        return loc.done(r1.q_tree, r2.q_tree)
 
     def _plus_32(r3, a3) -> Realization:
         if e1.admits(S3P, S3) is not None:
             r1 = e1.request(Split(S3P, S3))
             if e2.label.subdividable:
                 r2 = e2.request(Subdivide(1))
-                frag, cascaded = collect(r1, r2, r3)
-                part = assert_part(Fragment(frag), (r1.p_tree.actives - {v}) | {v}, tag)
-                q = span_tree(v2, {v2, v, a3[0], *r2.subdiv}, frag, dummies={v})
-                return Realization(parts=cascaded + (part,), p_tree=r1.q_tree, q_tree=q,
-                                   fragment=frag)
+                loc = Local(tag, r1, r2, r3)
+                loc.part(r1.p_tree.actives | {v})
+                return loc.done(r1.q_tree, loc.span(v2, {v2, v, a3[0], *r2.subdiv}, {v}))
             r2 = e2.request(Split(S3, S2P))
-            frag, cascaded = collect(r1, r2, r3)
-            part1 = assert_part(Fragment(frag), (r2.p_tree.actives - {v}) | {a3[0]}, tag)
-            part2 = assert_part(Fragment(frag), (r1.p_tree.actives - {v}) | {v}, tag)
-            return Realization(parts=cascaded + (part1, part2), p_tree=r1.q_tree,
-                               q_tree=r2.q_tree, fragment=frag)
+            loc = Local(tag, r1, r2, r3)
+            loc.part((r2.p_tree.actives - {v}) | {a3[0]})
+            loc.part(r1.p_tree.actives | {v})
+            return loc.done(r1.q_tree, r2.q_tree)
         r1 = e1.request(Subdivide(2))
         if e2.label.subdividable:
             r2 = e2.request(Subdivide(1))
-            frag, cascaded = collect(r1, r2, r3)
-            p = span_tree(v1, {v1, v, *r1.subdiv}, frag)
-            q = span_tree(v2, {v2, v, a3[0], *r2.subdiv}, frag, dummies={v})
-            return Realization(parts=cascaded, p_tree=p, q_tree=q, fragment=frag)
+            loc = Local(tag, r1, r2, r3)
+            p = loc.span(v1, {v1, v, *r1.subdiv})
+            return loc.done(p, loc.span(v2, {v2, v, a3[0], *r2.subdiv}, {v}))
         r2 = e2.request(Split(S3, S2P))
-        frag, cascaded = collect(r1, r2, r3)
-        part = assert_part(Fragment(frag), (r2.p_tree.actives - {v}) | {a3[0]}, tag)
-        p = span_tree(v1, {v1, v, *r1.subdiv}, frag)
-        return Realization(parts=cascaded + (part,), p_tree=p, q_tree=r2.q_tree, fragment=frag)
+        loc = Local(tag, r1, r2, r3)
+        loc.part((r2.p_tree.actives - {v}) | {a3[0]})
+        return loc.done(loc.span(v1, {v1, v, *r1.subdiv}), r2.q_tree)
 
     def _plus_32_left(r3, a3) -> Realization:
         # large tail, plain head: the head side must stay dummy-free
         e1_spl = None if not e1.admits(S3, S3P) else e1.request(Split(S3, S3P))
         e2_spl = None if e2.label.subdividable else e2.request(Split(S3P, S2))
         if e1_spl is not None and e2_spl is not None:
-            frag, cascaded = collect(e1_spl, e2_spl, r3)
-            pool = ((e1_spl.p_tree.actives | e2_spl.p_tree.actives) - {v}) | {v, a3[0]}
-            local = finalize(Fragment(frag), pool, tag)
-            return Realization(parts=cascaded + local, p_tree=e1_spl.q_tree,
-                               q_tree=e2_spl.q_tree, fragment=frag)
+            loc = Local(tag, e1_spl, e2_spl, r3)
+            loc.finalize(e1_spl.p_tree.actives | e2_spl.p_tree.actives | {v, a3[0]})
+            return loc.done(e1_spl.q_tree, e2_spl.q_tree)
         if e1_spl is not None and e2_spl is None:
             s2 = e2.request(Subdivide(1))
-            frag, cascaded = collect(e1_spl, s2, r3)
-            local = finalize(Fragment(frag), (e1_spl.p_tree.actives - {v}) | {a3[0]}, tag)
-            q = span_tree(e2.head, {e2.head, v, *s2.subdiv}, frag)
-            return Realization(parts=cascaded + local, p_tree=e1_spl.q_tree, q_tree=q,
-                               fragment=frag)
+            loc = Local(tag, e1_spl, s2, r3)
+            loc.finalize((e1_spl.p_tree.actives - {v}) | {a3[0]})
+            return loc.done(e1_spl.q_tree, loc.span(e2.head, {e2.head, v, *s2.subdiv}))
         if e1_spl is None and e2_spl is not None:
             s1 = e1.request(Subdivide(2))
-            frag, cascaded = collect(s1, e2_spl, r3)
-            local = finalize(Fragment(frag), (e2_spl.p_tree.actives - {v}) | {v}, tag)
-            p = span_tree(v1, {v1, v, *s1.subdiv, a3[0]}, frag, dummies={v})
-            return Realization(parts=cascaded + local, p_tree=p, q_tree=e2_spl.q_tree,
-                               fragment=frag)
+            loc = Local(tag, s1, e2_spl, r3)
+            loc.finalize(e2_spl.p_tree.actives | {v})
+            return loc.done(loc.span(v1, {v1, v, *s1.subdiv, a3[0]}, {v}), e2_spl.q_tree)
         s1 = e1.request(Subdivide(2))
         s2 = e2.request(Subdivide(1))
-        frag, cascaded = collect(s1, s2, r3)
-        p = span_tree(v1, {v1, v, *s1.subdiv, a3[0]}, frag, dummies={v})
-        q = span_tree(e2.head, {e2.head, v, *s2.subdiv}, frag)
-        return Realization(parts=cascaded, p_tree=p, q_tree=q, fragment=frag)
+        loc = Local(tag, s1, s2, r3)
+        p = loc.span(v1, {v1, v, *s1.subdiv, a3[0]}, {v})
+        return loc.done(p, loc.span(e2.head, {e2.head, v, *s2.subdiv}))
 
     def _plus_33(r3, a3) -> Realization:
         if i == 3:
-            r1 = e1.request(Split(S0, S3))
-            if e2.label.subdividable:
-                r2 = e2.request(Subdivide(1))
-                frag, cascaded = collect(r1, r2, r3)
-                q = span_tree(v2, {v2, v, a3[0], *r2.subdiv}, frag)
-                return Realization(parts=cascaded, p_tree=r1.q_tree, q_tree=q, fragment=frag)
-            r2 = e2.request(Split(S2P, S3))
-            frag, cascaded = collect(r1, r2, r3)
-            pool = (r2.p_tree.actives - {v}) | {v, a3[0]}
-            local = finalize(Fragment(frag), pool, tag)
-            return Realization(parts=cascaded + local, p_tree=r1.q_tree, q_tree=r2.q_tree,
-                               fragment=frag)
+            return _plus_23(e1.request(Split(S0, S3)), r3, a3)
         # i == j == 2
         e1_split = e1.admits(S3P, S3) is not None
         e2_split = e2.admits(S3, S3P) is not None
+        r1 = e1.request(Split(S3P, S3) if e1_split else Subdivide(2))
+        r2 = e2.request(Split(S3, S3P) if e2_split else Subdivide(2))
+        loc = Local(tag, r1, r2, r3)
         if e1_split and e2_split:
-            r1 = e1.request(Split(S3P, S3))
-            r2 = e2.request(Split(S3, S3P))
-            frag, cascaded = collect(r1, r2, r3)
-            pool = ((r1.p_tree.actives | r2.p_tree.actives) - {v}) | {v, a3[0]}
-            local = finalize(Fragment(frag), pool, tag)
-            return Realization(parts=cascaded + local, p_tree=r1.q_tree, q_tree=r2.q_tree,
-                               fragment=frag)
-        if not e1_split and e2_split:
-            r1 = e1.request(Subdivide(2))
-            r2 = e2.request(Split(S3, S3P))
-            frag, cascaded = collect(r1, r2, r3)
-            part = assert_part(Fragment(frag), (r2.p_tree.actives - {v}) | {a3[0]}, tag)
-            p = span_tree(v1, {v1, v, *r1.subdiv}, frag)
-            return Realization(parts=cascaded + (part,), p_tree=p, q_tree=r2.q_tree,
-                               fragment=frag)
-        if e1_split and not e2_split:
-            r1 = e1.request(Split(S3P, S3))
-            r2 = e2.request(Subdivide(2))
-            frag, cascaded = collect(r1, r2, r3)
-            part = assert_part(Fragment(frag), (r1.p_tree.actives - {v}) | {v}, tag)
-            q = span_tree(v2, {v2, v, a3[0], *r2.subdiv}, frag, dummies={v})
-            return Realization(parts=cascaded + (part,), p_tree=r1.q_tree, q_tree=q,
-                               fragment=frag)
-        r1 = e1.request(Subdivide(2))
-        r2 = e2.request(Subdivide(2))
-        frag, cascaded = collect(r1, r2, r3)
-        p = span_tree(v1, {v1, v, *r1.subdiv}, frag)
-        q = span_tree(v2, {v2, v, a3[0], *r2.subdiv}, frag, dummies={v})
-        return Realization(parts=cascaded, p_tree=p, q_tree=q, fragment=frag)
+            loc.finalize(r1.p_tree.actives | r2.p_tree.actives | {v, a3[0]})
+            return loc.done(r1.q_tree, r2.q_tree)
+        if e2_split:
+            loc.part((r2.p_tree.actives - {v}) | {a3[0]})
+            return loc.done(loc.span(v1, {v1, v, *r1.subdiv}), r2.q_tree)
+        if e1_split:
+            loc.part(r1.p_tree.actives | {v})
+            return loc.done(r1.q_tree, loc.span(v2, {v2, v, a3[0], *r2.subdiv}, {v}))
+        p = loc.span(v1, {v1, v, *r1.subdiv})
+        return loc.done(p, loc.span(v2, {v2, v, a3[0], *r2.subdiv}, {v}))
 
     return Gadget(label, v1, v2, scope, lift, provenance=tag)
 
@@ -452,42 +337,31 @@ def build_deg3_sum9_a(e1: EdgeView, e2: EdgeView, e3: EdgeView, v: int,
         if pair == (S1, S0):
             r2 = e2.request(Split(S2, S1))
             r3 = e3.request(Split(S2, S0))
-            frag, cascaded = collect(r1, r2, r3)
-            part1 = finalize(Fragment(frag),
-                             (r2.p_tree.actives | r3.p_tree.actives) - {v}, tag)
-            part2 = finalize(Fragment(frag), m | {v}, tag)
-            return Realization(parts=cascaded + part1 + part2, p_tree=r2.q_tree,
-                               q_tree=r3.q_tree, fragment=frag)
+            loc = Local(tag, r1, r2, r3)
+            loc.finalize((r2.p_tree.actives | r3.p_tree.actives) - {v})
+            loc.finalize(m | {v})
+            return loc.done(r2.q_tree, r3.q_tree)
         if pair == (S0, S1):
             r2 = e2.request(Split(S3, S0))
             r3 = e3.request(Split(S1, S1))
-            frag, cascaded = collect(r1, r2, r3)
-            pool = m | ((r2.p_tree.actives | r3.p_tree.actives) - {v}) | {v}
-            local = finalize(Fragment(frag), pool, tag)
-            return Realization(parts=cascaded + local, p_tree=r2.q_tree, q_tree=r3.q_tree,
-                               fragment=frag)
+            loc = Local(tag, r1, r2, r3)
+            loc.finalize(m | r2.p_tree.actives | r3.p_tree.actives | {v})
+            return loc.done(r2.q_tree, r3.q_tree)
         if pair in ((S2, S3P), (S2P, S3)):
             r2 = e2.request(Split(S1, S2))
+            r3 = e3.request(Subdivide(2) if e3.label.subdividable else Split(S3P, S3))
+            loc = Local(tag, r1, r2, r3)
+            loc.finalize(m | (r2.p_tree.actives - {v}))
             if e3.label.subdividable:
-                r3 = e3.request(Subdivide(2))
-                frag, cascaded = collect(r1, r2, r3)
-                part1 = finalize(Fragment(frag), m | (r2.p_tree.actives - {v}), tag)
-                q = span_tree(v3, {v3, v, *r3.subdiv}, frag)
-                return Realization(parts=cascaded + part1, p_tree=r2.q_tree, q_tree=q,
-                                   fragment=frag)
-            r3 = e3.request(Split(S3P, S3))
-            frag, cascaded = collect(r1, r2, r3)
-            part1 = finalize(Fragment(frag), m | (r2.p_tree.actives - {v}), tag)
-            part2 = finalize(Fragment(frag), (r3.p_tree.actives - {v}) | {v}, tag)
-            return Realization(parts=cascaded + part1 + part2, p_tree=r2.q_tree,
-                               q_tree=r3.q_tree, fragment=frag)
+                return loc.done(r2.q_tree, loc.span(v3, {v3, v, *r3.subdiv}))
+            loc.finalize(r3.p_tree.actives | {v})
+            return loc.done(r2.q_tree, r3.q_tree)
         if pair in ((S3, S2P), (S3P, S2)):
             r2 = e2.request(Split(S0, S3))
             r3 = e3.request(Split(S0, S2))
-            frag, cascaded = collect(r1, r2, r3)
-            local = finalize(Fragment(frag), m | {v}, tag)
-            return Realization(parts=cascaded + local, p_tree=r2.q_tree, q_tree=r3.q_tree,
-                               fragment=frag)
+            loc = Local(tag, r1, r2, r3)
+            loc.finalize(m | {v})
+            return loc.done(r2.q_tree, r3.q_tree)
         raise EngineBug(f"pair {pair} not liftable at combined weight 9 (variant A)", tag)
 
     return Gadget(label, v2, v3, scope, lift, provenance=tag)
@@ -505,45 +379,27 @@ def build_deg3_sum9_b(e1: EdgeView, e2: EdgeView, e3: EdgeView, v: int,
     def lift(pair: Pair) -> Realization:
         r2 = e2.request(Split(S3M, S0))
         m = r2.p_tree.actives - {v}
-        if pair == (S1, S0):
-            r1 = e1.request(Split(S2P, S1))
-            r3 = e3.request(Split(S2, S0))
-            frag, cascaded = collect(r1, r2, r3)
-            pool = m | ((r1.p_tree.actives | r3.p_tree.actives) - {v}) | {v}
-            local = finalize(Fragment(frag), pool, tag)
-            return Realization(parts=cascaded + local, p_tree=r1.q_tree, q_tree=r3.q_tree,
-                               fragment=frag)
-        if pair == (S0, S1):
-            r1 = e1.request(Split(S3, S0))
-            r3 = e3.request(Split(S1, S1))
-            frag, cascaded = collect(r1, r2, r3)
-            pool = m | ((r1.p_tree.actives | r3.p_tree.actives) - {v}) | {v}
-            local = finalize(Fragment(frag), pool, tag)
-            return Realization(parts=cascaded + local, p_tree=r1.q_tree, q_tree=r3.q_tree,
-                               fragment=frag)
+        if pair in ((S1, S0), (S0, S1)):
+            r1 = e1.request(Split(S2P, S1) if pair == (S1, S0) else Split(S3, S0))
+            r3 = e3.request(Split(S2, S0) if pair == (S1, S0) else Split(S1, S1))
+            loc = Local(tag, r1, r2, r3)
+            loc.finalize(m | r1.p_tree.actives | r3.p_tree.actives | {v})
+            return loc.done(r1.q_tree, r3.q_tree)
         if pair in ((S2, S3P), (S2P, S3)):
             r1 = e1.request(Split(S1, S2M))
-            part1_pool = m | (r1.p_tree.actives - {v})
+            r3 = e3.request(Subdivide(2) if e3.label.subdividable else Split(S3P, S3))
+            loc = Local(tag, r1, r2, r3)
+            loc.finalize(m | (r1.p_tree.actives - {v}))
             if e3.label.subdividable:
-                r3 = e3.request(Subdivide(2))
-                frag, cascaded = collect(r1, r2, r3)
-                part1 = finalize(Fragment(frag), part1_pool, tag)
-                q = span_tree(v3, {v3, v, *r3.subdiv}, frag)
-                return Realization(parts=cascaded + part1, p_tree=r1.q_tree, q_tree=q,
-                                   fragment=frag)
-            r3 = e3.request(Split(S3P, S3))
-            frag, cascaded = collect(r1, r2, r3)
-            part1 = finalize(Fragment(frag), part1_pool, tag)
-            part2 = finalize(Fragment(frag), (r3.p_tree.actives - {v}) | {v}, tag)
-            return Realization(parts=cascaded + part1 + part2, p_tree=r1.q_tree,
-                               q_tree=r3.q_tree, fragment=frag)
+                return loc.done(r1.q_tree, loc.span(v3, {v3, v, *r3.subdiv}))
+            loc.finalize(r3.p_tree.actives | {v})
+            return loc.done(r1.q_tree, r3.q_tree)
         if pair in ((S3, S2P), (S3P, S2)):
             r1 = e1.request(Split(S0, S3M))
             r3 = e3.request(Split(S0, S2))
-            frag, cascaded = collect(r1, r2, r3)
-            local = finalize(Fragment(frag), m | {v}, tag)
-            return Realization(parts=cascaded + local, p_tree=r1.q_tree, q_tree=r3.q_tree,
-                               fragment=frag)
+            loc = Local(tag, r1, r2, r3)
+            loc.finalize(m | {v})
+            return loc.done(r1.q_tree, r3.q_tree)
         raise EngineBug(f"pair {pair} not liftable at combined weight 9 (variant B)", tag)
 
     return Gadget(label, v1, v3, scope, lift, provenance=tag)
@@ -564,44 +420,31 @@ def build_deg3_sum9_c(e1: EdgeView, e2: EdgeView, e3: EdgeView, v: int,
             if e1.admits(S2, S1) is not None:
                 r1 = e1.request(Split(S2, S1))
                 r2 = e2.request(Split(S3, S0))
-                frag, cascaded = collect(r1, r2, r3)
-                part1 = finalize(Fragment(frag), (r1.p_tree.actives - {v}) | set(cs), tag)
-                part2 = finalize(Fragment(frag), (r2.p_tree.actives - {v}) | {v}, tag)
-                return Realization(parts=cascaded + part1 + part2, p_tree=r1.q_tree,
-                                   q_tree=r2.q_tree, fragment=frag)
+                loc = Local(tag, r1, r2, r3)
+                loc.finalize((r1.p_tree.actives - {v}) | set(cs))
+                loc.finalize(r2.p_tree.actives | {v})
+                return loc.done(r1.q_tree, r2.q_tree)
             # the first heavy edge reads as the reverse asymmetric label
             r1 = e1.request(Split(S2P, S1))
             r2 = e2.request(Split(S3, S0))
-            frag, cascaded = collect(r1, r2, r3)
-            part1 = assert_part(Fragment(frag), (r2.p_tree.actives - {v}) | {cs[0]}, tag)
-            part2 = finalize(Fragment(frag),
-                             (r1.p_tree.actives - {v}) | {v, cs[1]}, tag)
-            return Realization(parts=cascaded + (part1,) + part2, p_tree=r1.q_tree,
-                               q_tree=r2.q_tree, fragment=frag)
+            loc = Local(tag, r1, r2, r3)
+            loc.part((r2.p_tree.actives - {v}) | {cs[0]})
+            loc.finalize(r1.p_tree.actives | {v, cs[1]})
+            return loc.done(r1.q_tree, r2.q_tree)
         if pair == (S0, S1):
             r1 = e1.request(Split(S3, S0))
             r2 = e2.request(Split(S2, S1))
-            frag, cascaded = collect(r1, r2, r3)
-            part1 = finalize(Fragment(frag), (r2.p_tree.actives - {v}) | set(cs), tag)
-            part2 = finalize(Fragment(frag), (r1.p_tree.actives - {v}) | {v}, tag)
-            return Realization(parts=cascaded + part1 + part2, p_tree=r1.q_tree,
-                               q_tree=r2.q_tree, fragment=frag)
-        if pair in ((S2, S3P), (S2P, S3)):
-            r1 = e1.request(Split(S1P, S2))
-            r2 = e2.request(Split(S0, S3))
-            frag, cascaded = collect(r1, r2, r3)
-            pool = (r1.p_tree.actives - {v}) | set(cs) | {v}
-            local = finalize(Fragment(frag), pool, tag)
-            return Realization(parts=cascaded + local, p_tree=r1.q_tree, q_tree=r2.q_tree,
-                               fragment=frag)
-        if pair in ((S3, S2P), (S3P, S2)):
-            r1 = e1.request(Split(S0, S3))
-            r2 = e2.request(Split(S1P, S2))
-            frag, cascaded = collect(r1, r2, r3)
-            pool = (r2.p_tree.actives - {v}) | set(cs) | {v}
-            local = finalize(Fragment(frag), pool, tag)
-            return Realization(parts=cascaded + local, p_tree=r1.q_tree, q_tree=r2.q_tree,
-                               fragment=frag)
+            loc = Local(tag, r1, r2, r3)
+            loc.finalize((r2.p_tree.actives - {v}) | set(cs))
+            loc.finalize(r1.p_tree.actives | {v})
+            return loc.done(r1.q_tree, r2.q_tree)
+        if pair in ((S2, S3P), (S2P, S3), (S3, S2P), (S3P, S2)):
+            tail_plain = pair in ((S2, S3P), (S2P, S3))
+            r1 = e1.request(Split(S1P, S2) if tail_plain else Split(S0, S3))
+            r2 = e2.request(Split(S0, S3) if tail_plain else Split(S1P, S2))
+            loc = Local(tag, r1, r2, r3)
+            loc.finalize(r1.p_tree.actives | r2.p_tree.actives | {v, *cs})
+            return loc.done(r1.q_tree, r2.q_tree)
         raise EngineBug(f"pair {pair} not liftable at combined weight 9 (variant C)", tag)
 
     return Gadget(label, v1, v2, scope, lift, provenance=tag)
@@ -641,11 +484,9 @@ def build_deg4plus_heavy(e3: EdgeView, e4: EdgeView, v: int, tag: str,
         ra = e3.request(Split(*row[0]))
         rb = e4.request(Split(*row[1]))
         reals += [ra, rb]
-        frag, cascaded = collect(*reals)
-        pool = (set().union(*(r.p_tree.actives for r in reals)) - {v}) | leaving
-        local = finalize(Fragment(frag, extra_vertices=[v]), pool, tag) if pool else ()
-        return Realization(parts=cascaded + local, p_tree=ra.q_tree, q_tree=rb.q_tree,
-                           fragment=frag)
+        loc = Local(tag, *reals)
+        loc.finalize((set().union(*(r.p_tree.actives for r in reals)) - {v}) | leaving)
+        return loc.done(ra.q_tree, rb.q_tree)
 
     return Gadget(label, e3.head, e4.head, scope, lift, provenance=tag)
 
@@ -674,10 +515,19 @@ def build_deg4plus_light(e1: EdgeView, e2: EdgeView, singles: list[EdgeView], v:
         avs = sorted(set().union(*(r.p_tree.actives for r in rs)) - {v})
         return rs, avs
 
+    def swapped():
+        return build_deg4plus_light(e2, e1, singles, v, tag + "~")._split_lift
+
     def lift(pair: Pair) -> Realization:
         if label.name == "L20":
             return _lift_w2(pair)
         return _lift_w1(pair)
+
+    def _close(r1: Realization, r2: Realization, rs, avs) -> Realization:
+        # both edges split: every tail tree at v closes with v and the singles
+        loc = Local(tag, r1, r2, *rs)
+        loc.finalize(r1.p_tree.actives | r2.p_tree.actives | {v, *avs})
+        return loc.done(r1.q_tree, r2.q_tree)
 
     # -- replacement weight 2 (degree 5 all-unit, or degree 4 with one weight-2)
 
@@ -688,60 +538,33 @@ def build_deg4plus_light(e1: EdgeView, e2: EdgeView, singles: list[EdgeView], v:
             if not d5:
                 r1 = e1.request(Split(S0, S2))
                 r2 = e2.request(Split(S1, S0))
-                frag, cascaded = collect(r1, r2, *rs)
-                pool = (r2.p_tree.actives - {v}) | set(avs) | {v}
-                local = finalize(Fragment(frag), pool, tag)
-                return Realization(parts=cascaded + local, p_tree=r1.q_tree, q_tree=r2.q_tree,
-                                   fragment=frag)
+                return _close(r1, r2, rs, avs)
             r2 = e2.request(Split(S1, S0))
+            r1 = e1.request(Subdivide(1) if e1.label.subdividable else Split(S3P, S2))
+            loc = Local(tag, r1, r2, *rs)
+            loc.finalize((r2.p_tree.actives - {v}) | set(avs))
             if e1.label.subdividable:
-                r1 = e1.request(Subdivide(1))
-                frag, cascaded = collect(r1, r2, *rs)
-                local = finalize(Fragment(frag), (r2.p_tree.actives - {v}) | set(avs), tag)
-                p = span_tree(v1, {v1, v, *r1.subdiv}, frag)
-                return Realization(parts=cascaded + local, p_tree=p, q_tree=r2.q_tree,
-                                   fragment=frag)
-            r1 = e1.request(Split(S3P, S2))
-            frag, cascaded = collect(r1, r2, *rs)
-            part1 = finalize(Fragment(frag), (r2.p_tree.actives - {v}) | set(avs), tag)
-            part2 = finalize(Fragment(frag), (r1.p_tree.actives - {v}) | {v}, tag)
-            return Realization(parts=cascaded + part1 + part2, p_tree=r1.q_tree,
-                               q_tree=r2.q_tree, fragment=frag)
+                return loc.done(loc.span(v1, {v1, v, *r1.subdiv}), r2.q_tree)
+            loc.finalize(r1.p_tree.actives | {v})
+            return loc.done(r1.q_tree, r2.q_tree)
         if pair == (S0, S2):
             r1 = e1.request(Split(PLAIN[w1], S0))
+            r2 = e2.request(Subdivide(1) if e2.label.subdividable else Split(S3P, S2))
+            loc = Local(tag, r1, r2, *rs)
+            loc.finalize((r1.p_tree.actives - {v}) | set(avs))
             if e2.label.subdividable:
-                r2 = e2.request(Subdivide(1))
-                frag, cascaded = collect(r1, r2, *rs)
-                local = finalize(Fragment(frag), (r1.p_tree.actives - {v}) | set(avs), tag)
-                q = span_tree(v2, {v2, v, *r2.subdiv}, frag)
-                return Realization(parts=cascaded + local, p_tree=r1.q_tree, q_tree=q,
-                                   fragment=frag)
-            r2 = e2.request(Split(S3P, S2))
-            frag, cascaded = collect(r1, r2, *rs)
-            part1 = finalize(Fragment(frag), (r1.p_tree.actives - {v}) | set(avs), tag)
-            part2 = finalize(Fragment(frag), (r2.p_tree.actives - {v}) | {v}, tag)
-            return Realization(parts=cascaded + part1 + part2, p_tree=r1.q_tree,
-                               q_tree=r2.q_tree, fragment=frag)
+                return loc.done(r1.q_tree, loc.span(v2, {v2, v, *r2.subdiv}))
+            loc.finalize(r2.p_tree.actives | {v})
+            return loc.done(r1.q_tree, r2.q_tree)
         if pair == (S1, S1):
-            if d5:
-                r1 = e1.request(Split(S0, S1))
-                r2 = e2.request(Split(S0, S1))
-                frag, cascaded = collect(r1, r2, *rs)
-                local = finalize(Fragment(frag), set(avs) | {v}, tag)
-                return Realization(parts=cascaded + local, p_tree=r1.q_tree, q_tree=r2.q_tree,
-                                   fragment=frag)
-            r1 = e1.request(Split(S1P, S1))
+            r1 = e1.request(Split(S0, S1) if d5 else Split(S1P, S1))
             r2 = e2.request(Split(S0, S1))
-            frag, cascaded = collect(r1, r2, *rs)
-            pool = (r1.p_tree.actives - {v}) | set(avs) | {v}
-            local = finalize(Fragment(frag), pool, tag)
-            return Realization(parts=cascaded + local, p_tree=r1.q_tree, q_tree=r2.q_tree,
-                               fragment=frag)
+            return _close(r1, r2, rs, avs)
         if pair == (S3, S3P):
             return _w2_large(False, rs, avs, d5)
         if pair == (S3P, S3):
             if d5:
-                return _swap_mirror(pair, singles)
+                return mirrored(swapped(), pair)
             return _w2_large(True, rs, avs, d5)
         raise EngineBug(f"pair {pair} not liftable in the light elimination", tag)
 
@@ -754,161 +577,107 @@ def build_deg4plus_light(e1: EdgeView, e2: EdgeView, singles: list[EdgeView], v:
             r1 = None if e1_sub else e1.request(Split(S2P, S3) if d5 else Split(S3P, S3))
             r2 = None if e2_sub else e2.request(Split(S2, S3P))
             if r1 is not None and r2 is not None:
-                frag, cascaded = collect(r1, r2, *rs)
-                pool = ((r1.p_tree.actives | r2.p_tree.actives) - {v}) | set(avs) | {v}
-                local = finalize(Fragment(frag), pool, tag)
-                return Realization(parts=cascaded + local, p_tree=r1.q_tree, q_tree=r2.q_tree,
-                                   fragment=frag)
+                return _close(r1, r2, rs, avs)
             if r1 is None and r2 is not None:
                 s1 = e1.request(Subdivide(k1))
-                frag, cascaded = collect(s1, r2, *rs)
+                loc = Local(tag, s1, r2, *rs)
                 grabs = [avs[0]] if d5 else []
-                p = span_tree(v1, {v1, v, *s1.subdiv} | set(grabs), frag)
-                pool = (r2.p_tree.actives - {v}) | (set(avs) - set(grabs))
-                local = finalize(Fragment(frag), pool, tag)
-                return Realization(parts=cascaded + local, p_tree=p, q_tree=r2.q_tree,
-                                   fragment=frag)
+                p = loc.span(v1, {v1, v, *s1.subdiv} | set(grabs))
+                loc.finalize((r2.p_tree.actives - {v}) | (set(avs) - set(grabs)))
+                return loc.done(p, r2.q_tree)
             if r1 is not None and r2 is None:
                 s2 = e2.request(Subdivide(1))
-                frag, cascaded = collect(r1, s2, *rs)
+                loc = Local(tag, r1, s2, *rs)
                 grabs = avs[:2]
-                q = span_tree(v2, {v2, v, *s2.subdiv} | set(grabs), frag, dummies={v})
-                pool = (r1.p_tree.actives - {v}) | (set(avs) - set(grabs)) | {v}
-                local = finalize(Fragment(frag), pool, tag)
-                return Realization(parts=cascaded + local, p_tree=r1.q_tree, q_tree=q,
-                                   fragment=frag)
+                q = loc.span(v2, {v2, v, *s2.subdiv} | set(grabs), {v})
+                loc.finalize(r1.p_tree.actives | (set(avs) - set(grabs)) | {v})
+                return loc.done(r1.q_tree, q)
             s1 = e1.request(Subdivide(k1))
             s2 = e2.request(Subdivide(1))
-            frag, cascaded = collect(s1, s2, *rs)
+            loc = Local(tag, s1, s2, *rs)
             grabs = avs[:2]
             rest = [a for a in avs if a not in grabs]
-            p = span_tree(v1, {v1, v, *s1.subdiv} | set(rest), frag)
-            q = span_tree(v2, {v2, v, *s2.subdiv} | set(grabs), frag, dummies={v})
-            return Realization(parts=cascaded, p_tree=p, q_tree=q, fragment=frag)
+            p = loc.span(v1, {v1, v, *s1.subdiv} | set(rest))
+            return loc.done(p, loc.span(v2, {v2, v, *s2.subdiv} | set(grabs), {v}))
         # (S3+, S3) at degree 4 with w(e1) = 2
         r1 = None if e1_sub else e1.request(Split(S3, S3P))
         r2 = None if e2_sub else e2.request(Split(S2P, S3))
         if r1 is not None and r2 is not None:
-            frag, cascaded = collect(r1, r2, *rs)
-            pool = ((r1.p_tree.actives | r2.p_tree.actives) - {v}) | set(avs) | {v}
-            local = finalize(Fragment(frag), pool, tag)
-            return Realization(parts=cascaded + local, p_tree=r1.q_tree, q_tree=r2.q_tree,
-                               fragment=frag)
+            return _close(r1, r2, rs, avs)
         if r1 is not None and r2 is None:
             s2 = e2.request(Subdivide(1))
-            frag, cascaded = collect(r1, s2, *rs)
-            q = span_tree(v2, {v2, v, *s2.subdiv, avs[0]}, frag)
-            pool = (r1.p_tree.actives - {v}) | set(avs[1:])
-            local = finalize(Fragment(frag), pool, tag)
-            return Realization(parts=cascaded + local, p_tree=r1.q_tree, q_tree=q,
-                               fragment=frag)
+            loc = Local(tag, r1, s2, *rs)
+            q = loc.span(v2, {v2, v, *s2.subdiv, avs[0]})
+            loc.finalize((r1.p_tree.actives - {v}) | set(avs[1:]))
+            return loc.done(r1.q_tree, q)
         if r1 is None and r2 is not None:
             s1 = e1.request(Subdivide(2))
-            frag, cascaded = collect(s1, r2, *rs)
-            p = span_tree(v1, {v1, v, *s1.subdiv, avs[0]}, frag, dummies={v})
-            pool = (r2.p_tree.actives - {v}) | set(avs[1:]) | {v}
-            local = finalize(Fragment(frag), pool, tag)
-            return Realization(parts=cascaded + local, p_tree=p, q_tree=r2.q_tree,
-                               fragment=frag)
+            loc = Local(tag, s1, r2, *rs)
+            p = loc.span(v1, {v1, v, *s1.subdiv, avs[0]}, {v})
+            loc.finalize(r2.p_tree.actives | set(avs[1:]) | {v})
+            return loc.done(p, r2.q_tree)
         s1 = e1.request(Subdivide(2))
         s2 = e2.request(Subdivide(1))
-        frag, cascaded = collect(s1, s2, *rs)
-        q = span_tree(v2, {v2, v, *s2.subdiv, avs[0]}, frag)
-        p = span_tree(v1, {v1, v, *s1.subdiv, avs[1]}, frag, dummies={v})
-        return Realization(parts=cascaded, p_tree=p, q_tree=q, fragment=frag)
+        loc = Local(tag, s1, s2, *rs)
+        q = loc.span(v2, {v2, v, *s2.subdiv, avs[0]})
+        return loc.done(loc.span(v1, {v1, v, *s1.subdiv, avs[1]}, {v}), q)
 
     # -- replacement weight 1 (degree 4, all edges unit weight)
 
     def _lift_w1(pair: Pair) -> Realization:
         rs, avs = fixed_singles()
+        if pair in ((S1, S0), (S2P, S3), (S3P, S2)):
+            return mirrored(swapped(), pair)
         if pair == (S0, S1):
             r1 = e1.request(Split(S1, S0))
             r2 = e2.request(Split(S0, S1))
-            frag, cascaded = collect(r1, r2, *rs)
-            pool = (r1.p_tree.actives - {v}) | set(avs) | {v}
-            local = finalize(Fragment(frag), pool, tag)
-            return Realization(parts=cascaded + local, p_tree=r1.q_tree, q_tree=r2.q_tree,
-                               fragment=frag)
-        if pair == (S1, S0):
-            return _swap_mirror(pair, singles)
+            return _close(r1, r2, rs, avs)
         if pair == (S2, S3P):
             e1_spl = None if e1.label.subdividable else e1.request(Split(S3P, S2))
             e2_spl = None if e2.label.subdividable else e2.request(Split(S2, S3P))
             if e1_spl is not None and e2_spl is not None:
-                frag, cascaded = collect(e1_spl, e2_spl, *rs)
-                pool = ((e1_spl.p_tree.actives | e2_spl.p_tree.actives) - {v}) | set(avs) | {v}
-                local = finalize(Fragment(frag), pool, tag)
-                return Realization(parts=cascaded + local, p_tree=e1_spl.q_tree,
-                                   q_tree=e2_spl.q_tree, fragment=frag)
+                return _close(e1_spl, e2_spl, rs, avs)
             if e1_spl is not None and e2_spl is None:
                 s2 = e2.request(Subdivide(1))
-                frag, cascaded = collect(e1_spl, s2, *rs)
-                q = span_tree(v2, {v2, v, *s2.subdiv} | set(avs), frag, dummies={v})
-                pool = (e1_spl.p_tree.actives - {v}) | {v}
-                local = finalize(Fragment(frag), pool, tag)
-                return Realization(parts=cascaded + local, p_tree=e1_spl.q_tree, q_tree=q,
-                                   fragment=frag)
+                loc = Local(tag, e1_spl, s2, *rs)
+                q = loc.span(v2, {v2, v, *s2.subdiv} | set(avs), {v})
+                loc.finalize(e1_spl.p_tree.actives | {v})
+                return loc.done(e1_spl.q_tree, q)
             if e1_spl is None and e2_spl is not None:
                 s1 = e1.request(Subdivide(1))
-                frag, cascaded = collect(s1, e2_spl, *rs)
-                p = span_tree(v1, {v1, v, *s1.subdiv}, frag)
-                pool = (e2_spl.p_tree.actives - {v}) | set(avs)
-                local = finalize(Fragment(frag), pool, tag)
-                return Realization(parts=cascaded + local, p_tree=p, q_tree=e2_spl.q_tree,
-                                   fragment=frag)
+                loc = Local(tag, s1, e2_spl, *rs)
+                p = loc.span(v1, {v1, v, *s1.subdiv})
+                loc.finalize((e2_spl.p_tree.actives - {v}) | set(avs))
+                return loc.done(p, e2_spl.q_tree)
             s1 = e1.request(Subdivide(1))
             s2 = e2.request(Subdivide(1))
-            frag, cascaded = collect(s1, s2, *rs)
-            p = span_tree(v1, {v1, v, *s1.subdiv}, frag)
-            q = span_tree(v2, {v2, v, *s2.subdiv} | set(avs), frag, dummies={v})
-            return Realization(parts=cascaded, p_tree=p, q_tree=q, fragment=frag)
-        if pair == (S2P, S3):
-            return _swap_mirror(pair, singles)
+            loc = Local(tag, s1, s2, *rs)
+            p = loc.span(v1, {v1, v, *s1.subdiv})
+            return loc.done(p, loc.span(v2, {v2, v, *s2.subdiv} | set(avs), {v}))
         if pair == (S3, S2P):
             e1_spl = None if e1.label.subdividable else e1.request(Split(S2P, S3))
             e2_spl = None if e2.label.subdividable else e2.request(Split(S3P, S2))
             if e1_spl is not None and e2_spl is not None:
-                frag, cascaded = collect(e1_spl, e2_spl, *rs)
-                pool = ((e1_spl.p_tree.actives | e2_spl.p_tree.actives) - {v}) | set(avs) | {v}
-                local = finalize(Fragment(frag), pool, tag)
-                return Realization(parts=cascaded + local, p_tree=e1_spl.q_tree,
-                                   q_tree=e2_spl.q_tree, fragment=frag)
+                return _close(e1_spl, e2_spl, rs, avs)
             if e1_spl is not None and e2_spl is None:
                 s2 = e2.request(Subdivide(1))
-                frag, cascaded = collect(e1_spl, s2, *rs)
-                q = span_tree(v2, {v2, v, *s2.subdiv, avs[1]}, frag, dummies={v})
-                pool = (e1_spl.p_tree.actives - {v}) | {avs[0], v}
-                local = finalize(Fragment(frag), pool, tag)
-                return Realization(parts=cascaded + local, p_tree=e1_spl.q_tree, q_tree=q,
-                                   fragment=frag)
+                loc = Local(tag, e1_spl, s2, *rs)
+                q = loc.span(v2, {v2, v, *s2.subdiv, avs[1]}, {v})
+                loc.finalize(e1_spl.p_tree.actives | {avs[0], v})
+                return loc.done(e1_spl.q_tree, q)
             if e1_spl is None and e2_spl is not None:
                 s1 = e1.request(Subdivide(1))
-                frag, cascaded = collect(s1, e2_spl, *rs)
-                fr = Fragment(frag)
-                grafts = sorted(set(avs) | (e2_spl.p_tree.actives - {v}))
-                for m in grafts:
-                    if fr.witness_for(frozenset({v, m})) != frozenset({v, m}):
-                        continue
-                    pool = ((e2_spl.p_tree.actives - {v}) | set(avs)) - {m}
-                    local = group(fr, pool)
-                    if local is None:
-                        continue
-                    p = span_tree(v1, {v1, v, *s1.subdiv, m}, frag)
-                    return Realization(parts=cascaded + local, p_tree=p,
-                                       q_tree=e2_spl.q_tree, fragment=frag)
+                loc = Local(tag, s1, e2_spl, *rs)
+                pool = (e2_spl.p_tree.actives - {v}) | set(avs)
+                for m in sorted(pool):
+                    if loc.fragment.connected({v, m}) and loc.group(pool - {m}):
+                        return loc.done(loc.span(v1, {v1, v, *s1.subdiv, m}), e2_spl.q_tree)
                 raise EngineBug("no graft choice closes the light (S3,S2+) lift", tag)
             s1 = e1.request(Subdivide(1))
             s2 = e2.request(Subdivide(1))
-            frag, cascaded = collect(s1, s2, *rs)
-            p = span_tree(v1, {v1, v, *s1.subdiv, avs[0]}, frag)
-            q = span_tree(v2, {v2, v, *s2.subdiv, avs[1]}, frag, dummies={v})
-            return Realization(parts=cascaded, p_tree=p, q_tree=q, fragment=frag)
-        if pair == (S3P, S2):
-            return _swap_mirror(pair, singles)
+            loc = Local(tag, s1, s2, *rs)
+            p = loc.span(v1, {v1, v, *s1.subdiv, avs[0]})
+            return loc.done(p, loc.span(v2, {v2, v, *s2.subdiv, avs[1]}, {v}))
         raise EngineBug(f"pair {pair} not liftable in the unit-weight elimination", tag)
-
-    def _swap_mirror(pair: Pair, sgl: list[EdgeView]) -> Realization:
-        gadget = build_deg4plus_light(e2, e1, sgl, v, tag + "~")
-        return gadget._split_lift((pair[1], pair[0])).flipped()
 
     return Gadget(label, v1, v2, scope, lift, provenance=tag)

@@ -11,19 +11,9 @@ gathered around v together with v itself are finalized into nearly connected
 from __future__ import annotations
 
 from ..labels import CATALOG, Label, Pair, TreeSet
-from .caselib import PLAIN, PLUS, collect, pair_shape
-from .local import Fragment, finalize
-from .model import (
-    EdgeView,
-    EngineBug,
-    Gadget,
-    Realization,
-    Split,
-    Subdivide,
-    graft,
-    single,
-    span_tree,
-)
+from .caselib import PLAIN, PLUS, mirrored, pair_shape
+from .local import Local
+from .model import EdgeView, EngineBug, Gadget, Realization, Split, Subdivide, graft, single
 
 S0, S1, S2, S3 = TreeSet.S0, TreeSet.S1, TreeSet.S2, TreeSet.S3
 S1P, S2P, S3P = TreeSet.S1P, TreeSet.S2P, TreeSet.S3P
@@ -124,8 +114,7 @@ def build_series_gadget(e1: EdgeView, e2: EdgeView, v: int, v1: int, v2: int,
     if l1.name == "L31" and l2.name == "L31":
         # reading the chain from the other side turns both labels into L32
         inner = _table_lift(e2.reversed(), e1.reversed(), v, v2, v1, _TABLE_BOTH_W3ASYM, tag + "~")
-        lift = _mirror_wrap(inner)
-        return Gadget(label, v1, v2, scope, lift, provenance=tag)
+        return Gadget(label, v1, v2, scope, lambda pair: mirrored(inner, pair), provenance=tag)
     lift = _general_series_lift(e1, e2, v, v1, v2, tag)
     return Gadget(label, v1, v2, scope, lift, provenance=tag)
 
@@ -144,20 +133,16 @@ def _chain_lifts(e1: EdgeView, e2: EdgeView, v: int, v1: int, v2: int, tag: str)
         if x == 0:
             r1 = e1.request(Split(S0, S0))
             r2 = e2.request(Subdivide(j))
-            frag, cascaded = collect(r1, r2)
-            q = span_tree(v2, {v2, v, *r2.subdiv}, frag)
-            return Realization(parts=cascaded, p_tree=single(v1), q_tree=q, fragment=frag)
+            loc = Local(tag, r1, r2)
+            return loc.done(single(v1), loc.span(v2, {v2, v, *r2.subdiv}))
         r1 = e1.request(Subdivide(0))
         r2 = e2.request(Split(PLAIN[x - 1], PLAIN[j + 1 - x]))
-        frag, cascaded = collect(r1, r2)
-        p = graft(v1, (v1, v), r2.p_tree)
-        return Realization(parts=cascaded, p_tree=p, q_tree=r2.q_tree, fragment=frag)
+        return Local(tag, r1, r2).done(graft(v1, (v1, v), r2.p_tree), r2.q_tree)
 
     def subdiv_lift(k: int) -> Realization:
         r1 = e1.request(Subdivide(0))
         r2 = e2.request(Subdivide(j))
-        frag, cascaded = collect(r1, r2)
-        return Realization(parts=cascaded, subdiv=(v, *r2.subdiv), fragment=frag)
+        return Local(tag, r1, r2).done(subdiv=(v, *r2.subdiv))
 
     return split_lift, subdiv_lift
 
@@ -175,23 +160,18 @@ def _table_lift(e1: EdgeView, e2: EdgeView, v: int, v1: int, v2: int, table: dic
         r2 = e2.request(Split(*op2))
         if op1 == KEEP:
             r1 = e1.request(Subdivide(0))
-            frag, cascaded = collect(r1, r2)
-            p = graft(v1, (v1, v), r2.p_tree)
-            return Realization(parts=cascaded, p_tree=p, q_tree=r2.q_tree, fragment=frag)
+            return Local(tag, r1, r2).done(graft(v1, (v1, v), r2.p_tree), r2.q_tree)
         r1 = e1.request(Split(*op1))
-        frag, cascaded = collect(r1, r2)
-        at_v = (r1.q_tree.actives | r2.p_tree.actives) - {v}
-        local = finalize(Fragment(frag), at_v | {v}, tag)
-        return Realization(parts=cascaded + local, p_tree=r1.p_tree, q_tree=r2.q_tree, fragment=frag)
+        return _close_at_v(tag, r1, r2, v)
 
     return lift
 
 
-def _mirror_wrap(inner_lift):
-    def lift(pair: Pair) -> Realization:
-        return inner_lift((pair[1], pair[0])).flipped()
-
-    return lift
+def _close_at_v(tag: str, r1: Realization, r2: Realization, v: int) -> Realization:
+    """Both children split: finalize v with the trees gathered at v."""
+    loc = Local(tag, r1, r2)
+    loc.finalize(r1.q_tree.actives | r2.p_tree.actives | {v})
+    return loc.done(r1.p_tree, r2.q_tree)
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +190,18 @@ def _general_series_lift(e1: EdgeView, e2: EdgeView, v: int, v1: int, v2: int, t
         if kind == "plus_right":
             return _plus_low(pair, x, y) if low else _plus_high(pair, x, y)
         # plus_left: replay from the far side
-        inner = _general_series_lift(e2.reversed(), e1.reversed(), v, v2, v1, tag + "~")
-        return inner((pair[1], pair[0])).flipped()
+        return mirrored(_general_series_lift(e2.reversed(), e1.reversed(), v, v2, v1, tag + "~"), pair)
+
+    def _head_side(r1: Realization, r2: Realization, dummies=frozenset()) -> Realization:
+        # e2 subdivided: v and its path join e1's head tree
+        loc = Local(tag, r1, r2)
+        q = loc.span(v2, {v2, v, *r2.subdiv} | set(r1.q_tree.vertices), dummies)
+        return loc.done(r1.p_tree, q)
+
+    def _tail_side(r1: Realization, r2: Realization) -> Realization:
+        # e1 subdivided: v and its path join e2's tail tree
+        loc = Local(tag, r1, r2)
+        return loc.done(loc.span(v1, {v1, v, *r1.subdiv} | set(r2.p_tree.vertices)), r2.q_tree)
 
     # -- combined weight at most 2 -----------------------------------------
 
@@ -225,28 +215,15 @@ def _general_series_lift(e1: EdgeView, e2: EdgeView, v: int, v1: int, v2: int, t
                     "this configuration belongs to a fixed table", tag)
             r2 = e2.request(Split(PLAIN[j - y], PLAIN[y]))
             if e1.label.subdividable:
-                r1 = e1.request(Subdivide(i))
-                frag, cascaded = collect(r1, r2)
-                p = span_tree(v1, {v1, v, *r1.subdiv} | set(r2.p_tree.vertices), frag)
-                return Realization(parts=cascaded, p_tree=p, q_tree=r2.q_tree, fragment=frag)
+                return _tail_side(e1.request(Subdivide(i)), r2)
             r1 = e1.request(Split(PLAIN[x], PLUS[i + 4 - x]))
-            frag, cascaded = collect(r1, r2)
-            at_v = (r1.q_tree.actives | r2.p_tree.actives) - {v}
-            local = finalize(Fragment(frag), at_v | {v}, tag)
-            return Realization(parts=cascaded + local, p_tree=r1.p_tree, q_tree=r2.q_tree,
-                               fragment=frag)
+            return _close_at_v(tag, r1, r2, v)
         # y > j, hence x <= i
         r1 = e1.request(Split(PLAIN[x], PLAIN[i - x]))
         if e2.label.subdividable:
-            r2 = e2.request(Subdivide(j))
-            frag, cascaded = collect(r1, r2)
-            q = span_tree(v2, {v2, v, *r2.subdiv} | set(r1.q_tree.vertices), frag)
-            return Realization(parts=cascaded, p_tree=r1.p_tree, q_tree=q, fragment=frag)
+            return _head_side(r1, e2.request(Subdivide(j)))
         r2 = e2.request(Split(PLUS[j + 4 - y], PLAIN[y]))
-        frag, cascaded = collect(r1, r2)
-        at_v = (r1.q_tree.actives | r2.p_tree.actives) - {v}
-        local = finalize(Fragment(frag), at_v | {v}, tag)
-        return Realization(parts=cascaded + local, p_tree=r1.p_tree, q_tree=r2.q_tree, fragment=frag)
+        return _close_at_v(tag, r1, r2, v)
 
     def _plus_low(pair: Pair, x: int, y: int) -> Realization:
         # combined weight at most 1, so x exceeds the tail weight by at least 2
@@ -255,24 +232,14 @@ def _general_series_lift(e1: EdgeView, e2: EdgeView, v: int, v1: int, v2: int, t
         if not e1.label.subdividable:
             r1 = e1.request(Split(PLAIN[x], PLUS[i + 4 - x]))
             if e2.label.subdividable:
-                r2 = e2.request(Subdivide(j))
-                frag, cascaded = collect(r1, r2)
-                q = span_tree(v2, {v2, v, *r2.subdiv} | set(r1.q_tree.vertices), frag,
-                              dummies=r1.q_tree.dummies)
-                return Realization(parts=cascaded, p_tree=r1.p_tree, q_tree=q, fragment=frag)
+                return _head_side(r1, e2.request(Subdivide(j)), r1.q_tree.dummies)
             r2 = e2.request(Split(PLAIN[j + 4 - y], PLUS[y]))
-            frag, cascaded = collect(r1, r2)
-            at_v = (r1.q_tree.actives | r2.p_tree.actives) - {v}
-            local = finalize(Fragment(frag), at_v | {v}, tag)
-            return Realization(parts=cascaded + local, p_tree=r1.p_tree, q_tree=r2.q_tree,
-                               fragment=frag)
+            return _close_at_v(tag, r1, r2, v)
         if e2.label.subdividable:
             raise EngineBug("pure chain must be handled by the chain table", tag)
         r1 = e1.request(Subdivide(i))
         r2 = e2.request(Split(PLAIN[x - i - 1], PLUS[y]))
-        frag, cascaded = collect(r1, r2)
-        p = span_tree(v1, {v1, v, *r1.subdiv} | set(r2.p_tree.vertices), frag)
-        return Realization(parts=cascaded, p_tree=p, q_tree=r2.q_tree, fragment=frag)
+        return _tail_side(r1, r2)
 
     # -- combined weight at least 3 ----------------------------------------
 
@@ -291,10 +258,7 @@ def _general_series_lift(e1: EdgeView, e2: EdgeView, v: int, v1: int, v2: int, t
             raise EngineBug(
                 f"neither child of ({e1.label},{e2.label}) admits the plain route for {pair}; "
                 "this configuration belongs to a fixed table", tag)
-        frag, cascaded = collect(r1, r2)
-        at_v = (r1.q_tree.actives | r2.p_tree.actives) - {v}
-        local = finalize(Fragment(frag), at_v | {v}, tag)
-        return Realization(parts=cascaded + local, p_tree=r1.p_tree, q_tree=r2.q_tree, fragment=frag)
+        return _close_at_v(tag, r1, r2, v)
 
     def _plus_high(pair: Pair, x: int, y: int) -> Realization:
         if x + y != i + j + 1:
@@ -303,30 +267,15 @@ def _general_series_lift(e1: EdgeView, e2: EdgeView, v: int, v1: int, v2: int, t
             want_q = PLUS[i - x] if i - x >= 1 else S0
             r1 = e1.request(Split(PLAIN[x], want_q))
             if e2.label.subdividable:
-                r2 = e2.request(Subdivide(j))
-                frag, cascaded = collect(r1, r2)
-                q = span_tree(v2, {v2, v, *r2.subdiv} | set(r1.q_tree.vertices), frag,
-                              dummies=r1.q_tree.dummies)
-                return Realization(parts=cascaded, p_tree=r1.p_tree, q_tree=q, fragment=frag)
+                return _head_side(r1, e2.request(Subdivide(j)), r1.q_tree.dummies)
             r2 = e2.request(Split(PLAIN[j + 4 - y], PLUS[y]))
-            frag, cascaded = collect(r1, r2)
-            at_v = (r1.q_tree.actives | r2.p_tree.actives) - {v}
-            local = finalize(Fragment(frag), at_v | {v}, tag)
-            return Realization(parts=cascaded + local, p_tree=r1.p_tree, q_tree=r2.q_tree,
-                               fragment=frag)
+            return _close_at_v(tag, r1, r2, v)
         if y <= j:
             r2 = e2.request(Split(PLAIN[j - y], PLUS[y]))
             if e1.label.subdividable:
-                r1 = e1.request(Subdivide(i))
-                frag, cascaded = collect(r1, r2)
-                p = span_tree(v1, {v1, v, *r1.subdiv} | set(r2.p_tree.vertices), frag)
-                return Realization(parts=cascaded, p_tree=p, q_tree=r2.q_tree, fragment=frag)
+                return _tail_side(e1.request(Subdivide(i)), r2)
             r1 = e1.request(Split(PLAIN[x], PLUS[i + 4 - x]))
-            frag, cascaded = collect(r1, r2)
-            at_v = (r1.q_tree.actives | r2.p_tree.actives) - {v}
-            local = finalize(Fragment(frag), at_v | {v}, tag)
-            return Realization(parts=cascaded + local, p_tree=r1.p_tree, q_tree=r2.q_tree,
-                               fragment=frag)
+            return _close_at_v(tag, r1, r2, v)
         raise EngineBug(f"plus pair {pair} has neither side within the child weights", tag)
 
     return lift

@@ -66,8 +66,11 @@ class SimpleGraph:
         return len(self.edges)
 
     def adj(self) -> list[list[int]]:
-        """Adjacency lists, each sorted ascending."""
-        return list(adjacency(self.edges, range(self.n)).values())
+        """Adjacency lists, each sorted ascending.  Built on the first call and
+        returned as the same object afterwards, so callers must not mutate it."""
+        if "_adj" not in self.__dict__:
+            object.__setattr__(self, "_adj", list(adjacency(self.edges, range(self.n)).values()))
+        return self.__dict__["_adj"]
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
@@ -352,10 +355,10 @@ def has_three_paths(g: SimpleGraph | Multigraph, a: int, b: int) -> bool:
     return True
 
 
-def induced_is_connected(g: SimpleGraph, vertices: Iterable[int], adj: list[list[int]] | None = None) -> bool:
-    """`adj` is g.adj() when the caller has it already."""
+def induced_is_connected(g: SimpleGraph, vertices: Iterable[int]) -> bool:
+    """True iff `vertices` is nonempty and induces a connected subgraph of g."""
     vs = set(vertices)
-    return bool(vs) and _spans(g.adj() if adj is None else adj, vs)
+    return bool(vs) and _spans(g.adj(), vs)
 
 
 def smallest_2cut_component(

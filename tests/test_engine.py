@@ -1,4 +1,7 @@
+import ast
+import inspect
 import random
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +18,8 @@ from quadparts.engine import (
     partition_with_trace,
 )
 from quadparts.engine.driver import apply_reduction
-from quadparts.engine.local import Fragment, finalize, group
+from quadparts.engine.local import Fragment, Local, group
+from quadparts.engine.model import BoundTree, Realization, single
 from quadparts.families import enumerate_2connected, random_2connected, random_corpus
 from quadparts.graphs import SimpleGraph, is_biconnected, norm_edge, separation_index
 from quadparts.labels import CATALOG
@@ -39,36 +43,110 @@ class TestInit:
         assert lg.invariant_ok()
 
 
+def _local(edges, tag: str = "caller") -> Local:
+    """A Local over one child whose fragment is `edges`."""
+    return Local(tag, Realization(fragment=frozenset(edges)))
+
+
 class TestLocalGrouping:
-    PATH8 = Fragment([(i, i + 1) for i in range(7)])
-    SPLIT = Fragment([(0, 1), (2, 3)])  # two components: {0,1,2,3} has no witness
+    """The closing protocol of the lifts: :class:`Local` and the search under it."""
+
+    PATH8 = [(i, i + 1) for i in range(7)]
+    SPLIT = [(0, 1), (2, 3)]  # two components: {0,1,2,3} has no witness
 
     def test_group_finds_the_canonical_grouping(self):
-        assert group(self.PATH8, range(8)) == (frozenset({0, 1, 2, 3}), frozenset({4, 5, 6, 7}))
-        assert group(self.PATH8, []) == ()
+        canonical = (frozenset({0, 1, 2, 3}), frozenset({4, 5, 6, 7}))
+        assert group(Fragment(self.PATH8), range(8)) == canonical
+        assert group(Fragment(self.PATH8), []) == ()
+        loc = _local(self.PATH8)
+        assert loc.group(range(8)) and loc.group([])
+        assert tuple(loc.parts) == canonical
 
     def test_group_uses_one_extra_vertex(self):
         # 0 and 2 are joined through 1, which is outside the pool
-        assert group(self.PATH8, {0, 2, 3, 4}) == (frozenset({0, 2, 3, 4}),)
+        assert group(Fragment(self.PATH8), {0, 2, 3, 4}) == (frozenset({0, 2, 3, 4}),)
+        loc = _local(self.PATH8)
+        assert loc.group({0, 2, 3, 4}) and loc.parts == [frozenset({0, 2, 3, 4})]
 
     def test_group_returns_none_on_bad_size(self):
-        assert group(self.PATH8, {0, 1, 2}) is None
-        assert group(self.PATH8, range(6)) is None
+        for pool in ({0, 1, 2}, range(6)):
+            assert group(Fragment(self.PATH8), pool) is None
+            loc = _local(self.PATH8)
+            assert not loc.group(pool) and loc.parts == []
 
     def test_group_returns_none_without_grouping(self):
-        assert group(self.SPLIT, {0, 1, 2, 3}) is None
-        assert group(self.PATH8, {0, 1, 6, 7}) is None
+        for edges, pool in ((self.SPLIT, {0, 1, 2, 3}), (self.PATH8, {0, 1, 6, 7})):
+            assert group(Fragment(edges), pool) is None
+            loc = _local(edges)
+            assert not loc.group(pool) and loc.parts == []
 
     def test_finalize_traps_with_provenance(self):
         with pytest.raises(EngineBug, match="not a multiple of 4") as info:
-            finalize(self.PATH8, {0, 1, 2}, "caller[size]")
+            _local(self.PATH8, "caller[size]").finalize({0, 1, 2})
         assert info.value.provenance == "caller[size]"
         with pytest.raises(EngineBug, match="no nearly connected grouping") as info:
-            finalize(self.SPLIT, {0, 1, 2, 3}, "caller[group]")
+            _local(self.SPLIT, "caller[group]").finalize({0, 1, 2, 3})
         assert info.value.provenance == "caller[group]"
 
     def test_finalize_agrees_with_group(self):
-        assert finalize(self.PATH8, range(8), "caller") == group(self.PATH8, range(8))
+        loc = _local(self.PATH8)
+        loc.finalize(range(8))
+        assert tuple(loc.parts) == group(Fragment(self.PATH8), range(8))
+
+    def test_part_traps_with_provenance(self):
+        loc = _local(self.PATH8 + self.SPLIT, "caller[part]")
+        for members, message in (({0, 1, 2}, "does not have 4 vertices"),
+                                 (range(8), "does not have 4 vertices"),
+                                 ({0, 1, 6, 7}, "not nearly connected locally"),
+                                 ({0, 1, 2, 9}, "not nearly connected locally")):
+            with pytest.raises(EngineBug, match=message) as info:
+                loc.part(members)
+            assert info.value.provenance == "caller[part]"
+        loc.part({0, 2, 3, 4})
+        assert loc.parts == [frozenset({0, 2, 3, 4})]
+
+    def test_parts_follow_the_cascaded_parts_in_call_order(self):
+        """The fragment is the union of the children's fragments and tree
+        edges; the parts are the children's parts in request order, then
+        whatever the lift finalized, in call order."""
+        left = Realization(parts=(frozenset({20, 21, 22, 23}),),
+                           p_tree=BoundTree(0, ((0, 1), (1, 2))), q_tree=single(9),
+                           fragment=frozenset({(2, 3), (3, 4)}))
+        right = Realization(parts=(frozenset({30, 31, 32, 33}), frozenset({24, 25, 26, 27})),
+                            subdiv=(5, 6), fragment=frozenset({(4, 5), (5, 6), (6, 7), (3, 4)}))
+        loc = Local("caller", left, right)
+        assert loc.edges == {(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)}
+        loc.part({4, 5, 6, 7})
+        loc.finalize({0, 1, 2, 3})
+        real = loc.done(subdiv=(8,))
+        assert real.parts == (frozenset({20, 21, 22, 23}), frozenset({30, 31, 32, 33}),
+                              frozenset({24, 25, 26, 27}), frozenset({4, 5, 6, 7}),
+                              frozenset({0, 1, 2, 3}))
+        assert real.fragment == loc.edges and real.subdiv == (8,)
+        assert real.p_tree is None and real.q_tree is None
+
+    def test_span_is_a_breadth_first_tree_of_the_fragment(self):
+        loc = _local([(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)], "caller[span]")
+        tree = loc.span(0, {0, 1, 2, 3}, {2})
+        assert tree.edges == ((0, 1), (0, 2), (1, 3)) and tree.dummies == {2}
+        assert loc.done(tree, single(4)).p_tree == tree
+        for root, vertices in ((0, {0, 4}), (9, {9, 0})):
+            with pytest.raises(EngineBug, match="cannot span") as info:
+                loc.span(root, vertices)
+            assert info.value.provenance == "caller[span]"
+
+
+class TestClosingProtocol:
+    def test_case_modules_close_only_through_local(self):
+        """The case lifts construct no Realization or Fragment themselves:
+        how a lift closes is decided in engine/local.py alone."""
+        engine = Path(inspect.getfile(Local)).parent
+        for name in ("series.py", "parallel.py", "reducible.py"):
+            tree = ast.parse((engine / name).read_text(encoding="utf-8"))
+            called = {getattr(node.func, "id", getattr(node.func, "attr", None))
+                      for node in ast.walk(tree) if isinstance(node, ast.Call)}
+            assert "Local" in called, name
+            assert not called & {"Realization", "Fragment"}, name
 
 
 class TestFindReduction:
