@@ -11,7 +11,14 @@ supplies the 2-cut with the smallest side, which confines the search; the
 vertices in no 2-cut, which are the removable ones; and the edges whose
 deletion would leave no block.
 After every step the driver asserts the two structural invariants: total
-weight plus order stays divisible by 4, and the graph remains a block.
+weight plus order stays divisible by 4, read off a running total, and the
+graph remains a block.  Parallel, drop, series and strip steps prove the
+second with an O(degree) certificate (:func:`_still_a_block`); absorb and
+vertex steps run the full block check.  The parallel pair and the degree-2
+vertex come from worklists the graph keeps up to date
+(:meth:`~quadparts.engine.model.LabeledMultigraph.parallel_pair` and
+:meth:`~quadparts.engine.model.LabeledMultigraph.degree2_vertex`), so those
+steps cost O(degree) plus heap upkeep.
 """
 
 from __future__ import annotations
@@ -129,19 +136,14 @@ def _is_reducible_vertex(lg: LabeledMultigraph, v: int, in_cut: set[int]) -> boo
 
 def find_reduction(lg: LabeledMultigraph) -> ReductionChoice:
     """Next reduction under the fixed priority order; traps if none exists."""
-    eids = lg.edge_ids()
-    if len(eids) == 1:
+    if len(lg.edges) == 1:
         return Base()
-    seen_pairs: dict[tuple[int, int], int] = {}
-    for eid in eids:
-        e = lg.edges[eid]
-        key = (min(e.u, e.v), max(e.u, e.v))
-        if key in seen_pairs:
-            return Parallel(seen_pairs[key], eid)
-        seen_pairs[key] = eid
-    for v in sorted(lg.vertices):
-        if lg.degree(v) == 2:
-            return Series(v)
+    pair = lg.parallel_pair()
+    if pair is not None:
+        return Parallel(*pair)
+    v = lg.degree2_vertex()
+    if v is not None:
+        return Series(v)
     # The block is now simple with minimum degree 3, so n >= 4: G - v is a
     # block iff v lies in no 2-cut, and G - e iff e is not a fixed edge.
     index = lg.separation_index()
@@ -385,6 +387,41 @@ def solve_base(lg: LabeledMultigraph) -> tuple[frozenset[int], ...]:
     raise EngineBug(f"final edge carries unexpected label {edge.label}")
 
 
+def _still_a_block(lg: LabeledMultigraph, kind: str, choice: ReductionChoice) -> bool:
+    """Whether the graph, a block before the step `choice` of `kind`, is
+    still one: an O(degree) certificate for the step kinds below, the full
+    O(n + m) check for absorb and vertex steps.
+
+    Adding an edge between two vertices of a block leaves a block, so each
+    certificate reads only what the step removed (`take_changes`).
+
+    - parallel (merge or drop): no vertex and no adjacency went, so the
+      underlying simple graph is unchanged.
+    - series at v: v went with exactly its two adjacencies, to distinct a
+      and b (distinct because no parallel pair was left when series was
+      chosen), and a, b are adjacent now.  That is v contracted into ab,
+      and contracting keeps a block a block: G' - x for x not in {a, b} is
+      G - x with the path a v b shortened to an edge, and G' - a is
+      G - a less the leaf v.
+    - strip at v: no vertex went and at most one adjacency, at v, while v
+      keeps two neighbours.  v lies in no 2-cut (that is why it was
+      chosen), so G - v is a block, and G - e is G - v plus an ear through
+      v.
+    """
+    removed, lost = lg.take_changes()
+    if kind == "parallel":
+        return not removed and not lost
+    if kind == "series":
+        v = choice.v
+        ends = {x for pair in lost for x in pair} - {v}
+        return removed == [v] and len(lost) == 2 and all(v in pair for pair in lost) and lg.adjacent(*ends)
+    if kind == "strip":
+        v = choice.v
+        return (not removed and len(lost) <= 1 and all(v in pair for pair in lost)
+                and len({lg.other_end(eid, v) for eid in lg.incident(v)}) >= 2)
+    return lg.is_block()
+
+
 def run_reduction(g: SimpleGraph) -> tuple[tuple[frozenset[int], ...], list[TraceStep]]:
     """Reduce to a single edge and realize; returns raw parts and the trace."""
     lg = init_labeled(g)
@@ -397,13 +434,13 @@ def run_reduction(g: SimpleGraph) -> tuple[tuple[frozenset[int], ...], list[Trac
         choice = find_reduction(lg)
         kind, detail = apply_reduction(lg, choice)
         mod4 = lg.invariant_ok()
-        block = lg.is_block()
-        trace.append(TraceStep(step, kind, detail, mod4, block,
-                               len(lg.edges), len(lg.vertices)))
+        block = _still_a_block(lg, kind, choice)
+        trace.append(TraceStep(step, kind, detail, mod4, block, len(lg.edges), lg.n))
         if not mod4:
             raise EngineBug(f"weight/order invariant broken after {detail}")
         if not block:
-            raise EngineBug(f"graph stopped being a block after {detail}")
+            raise EngineBug(f"graph stopped being a block after {detail}"
+                            if kind in ("absorb", "vertex") else f"block certificate failed after {detail}")
         step += 1
     parts = solve_base(lg) + tuple(lg.emitted)
     return parts, trace

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from itertools import islice
 from typing import Callable
 
 from ..graphs import (Multigraph, SeparationIndex, SimpleGraph, adjacency, bfs_parents, has_three_paths,
@@ -363,7 +365,23 @@ class LabeledMultigraph(Multigraph):
 
     `edges` maps each edge id to its gadget, which holds the edge's label
     and its stored orientation u -> v; the graph structure itself is the
-    inherited incidence map.
+    inherited incidence map.  The mutation hooks keep up to date, in
+    O(log m) per edge added or removed:
+
+    - the total weight of the labels, so :meth:`weight` and
+      :meth:`invariant_ok` cost O(1);
+    - the pair map, (min end, max end) -> the ids of the edges joining that
+      pair in ascending order, with a heap of (second-lowest id, pair)
+      candidates read by :meth:`parallel_pair`;
+    - a heap of the vertices whose degree became 2, read by
+      :meth:`degree2_vertex`;
+    - the vertices removed and the pairs whose last edge went since the last
+      :meth:`take_changes`, which the driver's block certificates read.
+
+    Both heaps are cleaned lazily: an entry that no longer holds is popped
+    when it reaches the top.  A vertex is pushed whenever its degree becomes
+    2, and a pair whenever its second-lowest id changes, so every vertex of
+    degree 2 and every pair joined twice has an entry that holds.
     """
 
     def __init__(self, original: SimpleGraph):
@@ -371,42 +389,105 @@ class LabeledMultigraph(Multigraph):
         self.edges: dict[int, Gadget] = {}
         self.emitted: list[frozenset[int]] = []
         self._deleted: list[tuple[int, int]] | None = None
+        self._weight = 0
+        self._pairs: dict[tuple[int, int], dict[int, None]] = {}
+        self._pair_heap: list[tuple[int, tuple[int, int]]] = []
+        self._degree2_heap: list[int] = []
+        self._removed: list[int] = []
+        self._emptied: list[tuple[int, int]] = []
 
     # -- construction / mutation ------------------------------------------
 
     def add_edge(self, u: int, v: int) -> int:
         self._deleted = None
-        return super().add_edge(u, v)
+        eid = super().add_edge(u, v)
+        pair = norm_edge(u, v)
+        ids = self._pairs.setdefault(pair, {})
+        ids[eid] = None
+        if len(ids) == 2:
+            heappush(self._pair_heap, (eid, pair))
+        self._note_degrees(u, v)
+        return eid
 
     def remove_edge(self, eid: int) -> None:
+        u, v = self._edges[eid]
         if self._deleted is not None:
-            self._deleted.append(self._edges[eid])
+            self._deleted.append((u, v))
         super().remove_edge(eid)
+        pair = norm_edge(u, v)
+        ids = self._pairs[pair]
+        del ids[eid]
+        if not ids:
+            del self._pairs[pair]
+            self._emptied.append(pair)
+        elif len(ids) >= 2:
+            heappush(self._pair_heap, (next(islice(ids, 1, None)), pair))
+        self._note_degrees(u, v)
+
+    def _note_degrees(self, *ends: int) -> None:
+        for x in ends:
+            if len(self._inc[x]) == 2:
+                heappush(self._degree2_heap, x)
 
     def remove_vertex(self, v: int) -> None:
         self._deleted = None
         super().remove_vertex(v)
+        self._removed.append(v)
 
     def add(self, gadget: Gadget) -> int:
         """Install `gadget` as a new edge from gadget.u to gadget.v."""
         eid = self.add_edge(gadget.u, gadget.v)
         self.edges[eid] = gadget
+        self._weight += gadget.label.weight
         return eid
 
     def remove_labeled(self, eid: int) -> None:
         self.remove_edge(eid)
-        del self.edges[eid]
+        self._weight -= self.edges.pop(eid).label.weight
 
     # -- inspection --------------------------------------------------------
 
     def edge_ids(self) -> list[int]:
-        return sorted(self.edges)
+        return list(self.edges)
+
+    def parallel_pair(self) -> tuple[int, int] | None:
+        """Among the pairs joined by two or more edges, the one whose
+        second-lowest edge id is least: its lowest and second-lowest ids."""
+        heap = self._pair_heap
+        while heap:
+            second, pair = heap[0]
+            ids = self._pairs.get(pair, ())
+            if len(ids) >= 2:
+                first, current = islice(ids, 2)
+                if current == second:
+                    return first, second
+            heappop(heap)
+        return None
+
+    def degree2_vertex(self) -> int | None:
+        """The lowest vertex of degree 2, counting parallel edges."""
+        heap = self._degree2_heap
+        while heap:
+            if len(self._inc.get(heap[0], ())) == 2:
+                return heap[0]
+            heappop(heap)
+        return None
+
+    def adjacent(self, u: int, v: int) -> bool:
+        return norm_edge(u, v) in self._pairs
+
+    def take_changes(self) -> tuple[list[int], set[tuple[int, int]]]:
+        """The vertices removed since the last call, and the pairs (min, max)
+        whose last edge was removed since then and that no edge joins now."""
+        removed, lost = self._removed, {p for p in self._emptied if p not in self._pairs}
+        self._removed, self._emptied = [], []
+        return removed, lost
 
     def view(self, eid: int, tail: int) -> EdgeView:
         return EdgeView(self.edges[eid], tail, eid)
 
     def weight(self) -> int:
-        return sum(g.label.weight for g in self.edges.values())
+        return self._weight
 
     def invariant_ok(self) -> bool:
         return (self.weight() + self.n) % 4 == 0

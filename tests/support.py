@@ -17,10 +17,15 @@ takes one of its vertices.  The gadgets built on top of stubs therefore run
 with the conservation ledger on, exactly as on real graphs.
 
 `path_graph`, `cycle_graph`, `complete_graph` and `random_tree` build the
-standard small graphs, and `dense_block` the dense random blocks of the
-second golden fixture.  `connected_components`, `diameter` and `degree` read a
+standard small graphs, `dense_block` the dense random blocks of the
+second golden fixture, and `relabelled` applies a seeded random permutation
+to the vertex ids.  `connected_components`, `diameter` and `degree` read a
 SimpleGraph's edge list directly, so tests can use them as oracles
 independent of the library's own traversals.
+
+`scanned_parallel_pair`, `scanned_degree2_vertex` and `summed_weight` scan
+every edge of a labeled multigraph: they are the oracle for the worklists
+and the running weight total that the multigraph keeps.
 """
 
 from __future__ import annotations
@@ -331,3 +336,39 @@ def diameter(g: SimpleGraph) -> int:
 
 def degree(g: SimpleGraph, v: int) -> int:
     return sum(1 for e in g.edges if v in e)
+
+
+def relabelled(g: SimpleGraph, seed: int) -> SimpleGraph:
+    """g with its vertex ids permuted by a seeded random permutation."""
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return SimpleGraph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+# ---------------------------------------------------------------------------
+# Whole-graph scans of a labeled multigraph
+
+
+def scanned_parallel_pair(lg) -> tuple[int, int] | None:
+    """Scanning edge ids in ascending order, the first id whose ends an
+    earlier edge already joins, after that earlier edge's id."""
+    seen: dict[tuple[int, int], int] = {}
+    for eid in sorted(lg.edges):
+        gadget = lg.edges[eid]
+        key = (min(gadget.u, gadget.v), max(gadget.u, gadget.v))
+        if key in seen:
+            return seen[key], eid
+        seen[key] = eid
+    return None
+
+
+def scanned_degree2_vertex(lg) -> int | None:
+    """The lowest vertex with exactly two incident edges."""
+    for v in sorted(lg.vertices):
+        if sum(1 for g in lg.edges.values() if v in (g.u, g.v)) == 2:
+            return v
+    return None
+
+
+def summed_weight(lg) -> int:
+    return sum(g.label.weight for g in lg.edges.values())

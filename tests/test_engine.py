@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from quadparts import graphs
+from quadparts.engine import driver
 from quadparts.engine import (
     EngineBug,
     Parallel,
@@ -19,13 +21,14 @@ from quadparts.engine import (
 )
 from quadparts.engine.driver import apply_reduction
 from quadparts.engine.local import Fragment, Local, group
-from quadparts.engine.model import BoundTree, Realization, single
-from quadparts.families import enumerate_2connected, random_2connected, random_corpus
+from quadparts.engine.model import BoundTree, Gadget, Realization, single
+from quadparts.families import enumerate_2connected, random_2connected, random_corpus, subdivided_k4, theta
 from quadparts.graphs import SimpleGraph, is_biconnected, norm_edge, separation_index
 from quadparts.labels import CATALOG
 from quadparts.oracle import verify_partition
 
-from .support import complete_graph, cycle_graph, dense_block, path_graph
+from .support import (complete_graph, cycle_graph, dense_block, path_graph, relabelled, scanned_degree2_vertex,
+                      scanned_parallel_pair, stub_edge, summed_weight)
 
 
 class TestInit:
@@ -201,6 +204,152 @@ class TestCarriedSeparationIndex:
                     carried += not fresh.cuts
                     rebuilt_after_deletions += bool(fresh.cuts)
         assert carried > 50 and rebuilt_after_deletions > 20
+
+
+class TestWorklists:
+    def test_picks_match_the_scans_under_random_rewrites(self):
+        """Random edge deletions and additions, parallel edges and vertex
+        removals on labeled blocks: after every mutation the parallel pair,
+        the degree-2 vertex, the weight, the adjacencies and the changes
+        reported since the last mutation equal whole-graph scans."""
+        pairs_seen = degree2_seen = vertices_removed = 0
+        for seed in range(60):
+            rng = random.Random(seed)
+            g = dense_block(rng.randint(5, 10), seed)
+            lg = LabeledMultigraph(g)
+            names = sorted(CATALOG)
+            for u, v in g.sorted_edges():
+                lg.add(stub_edge(CATALOG[rng.choice(names)], u, v))
+            lg.take_changes()
+            for _ in range(60):
+                before = {norm_edge(gd.u, gd.v) for gd in lg.edges.values()}
+                removed = []
+                roll = rng.random()
+                if roll < 0.4 and lg.edges:
+                    lg.remove_labeled(rng.choice(sorted(lg.edges)))
+                elif roll < 0.7 and lg.edges:
+                    ends = rng.choice(sorted(before))
+                    lg.add(stub_edge(CATALOG[rng.choice(names)], *ends))
+                elif roll < 0.85 or lg.n <= 3:
+                    lg.add(stub_edge(CATALOG[rng.choice(names)], *rng.sample(sorted(lg.vertices), 2)))
+                else:
+                    x = rng.choice(sorted(lg.vertices))
+                    for eid in lg.incident(x):
+                        lg.remove_labeled(eid)
+                    lg.remove_vertex(x)
+                    removed.append(x)
+                after = {norm_edge(gd.u, gd.v) for gd in lg.edges.values()}
+                assert lg.take_changes() == (removed, before - after), seed
+                assert lg.parallel_pair() == scanned_parallel_pair(lg), seed
+                assert lg.degree2_vertex() == scanned_degree2_vertex(lg), seed
+                assert lg.weight() == summed_weight(lg), seed
+                assert lg.invariant_ok() == ((summed_weight(lg) + lg.n) % 4 == 0)
+                alive = sorted(lg.vertices)
+                for a in alive:
+                    for b in alive:
+                        if a < b:
+                            assert lg.adjacent(a, b) == ((a, b) in after), seed
+                pairs_seen += lg.parallel_pair() is not None
+                degree2_seen += lg.degree2_vertex() is not None
+                vertices_removed += bool(removed)
+        assert pairs_seen > 2000 and degree2_seen > 1000 and vertices_removed > 200
+
+
+def _plant_after(monkeypatch, prefix: str, rewrite):
+    """Make the first step whose detail starts with `prefix` run `rewrite(lg,
+    choice)` after the real rewrite; returns the list that receives that
+    step's detail."""
+    planted: list[str] = []
+    real = driver.apply_reduction
+
+    def apply(lg, choice):
+        kind, detail = real(lg, choice)
+        if not planted and detail.startswith(prefix):
+            planted.append(detail)
+            rewrite(lg, choice)
+        return kind, detail
+
+    monkeypatch.setattr(driver, "apply_reduction", apply)
+    return planted
+
+
+def _hang_off_one_neighbour(lg, choice):
+    """Re-attach every edge of the lowest vertex w with two neighbours, other
+    than the step's own vertex, to one neighbour x of w, keeping the labels:
+    weight and order are unchanged but x becomes a cut vertex."""
+    skip = getattr(choice, "v", None)
+    for w in sorted(lg.vertices):
+        ends = {lg.other_end(eid, w) for eid in lg.incident(w)}
+        if w != skip and len(ends) >= 2:
+            break
+    x = min(ends)
+    for eid in lg.incident(w):
+        gadget = lg.edges[eid]
+        lg.remove_labeled(eid)
+        lg.add(Gadget(gadget.label, w, x, gadget.scope, lambda pair: None))
+
+
+class TestBlockCertificates:
+    @pytest.mark.parametrize("graph, prefix, message", [
+        (dense_block(8, 1), "drop[", "block certificate failed after"),
+        (dense_block(8, 1), "parallel[", "block certificate failed after"),
+        (dense_block(8, 1), "series[", "block certificate failed after"),
+        (dense_block(8, 1), "strip[", "block certificate failed after"),
+        (subdivided_k4(2), "vertex3[", "graph stopped being a block after"),
+    ])
+    def test_planted_blockness_breaking_rewrites_trap(self, monkeypatch, graph, prefix, message):
+        planted = _plant_after(monkeypatch, prefix, _hang_off_one_neighbour)
+        with pytest.raises(EngineBug) as trap:
+            partition_with_trace(graph)
+        assert planted and f"{message} {planted[0]}" in str(trap.value)
+
+    def test_series_certificate_needs_the_new_adjacency(self, monkeypatch):
+        """A series rewrite that removes v with its two edges but joins its
+        first neighbour a to a's other neighbour instead of to b traps:
+        weight and order agree and only the pairs at v went, but b is left
+        with one neighbour."""
+        real = driver.apply_reduction
+
+        def misplaced_series(lg, choice):
+            if not isinstance(choice, Series):
+                return real(lg, choice)
+            ea, eb = lg.incident(choice.v)
+            a = lg.other_end(ea, choice.v)
+            c = next(x for x in (lg.other_end(eid, a) for eid in lg.incident(a)) if x != choice.v)
+            lg.remove_labeled(ea)
+            lg.remove_labeled(eb)
+            lg.remove_vertex(choice.v)
+            lg.add(Gadget(CATALOG["L1"], a, c, frozenset(), lambda pair: None))
+            return "series", f"misplaced@{choice.v}"
+
+        monkeypatch.setattr(driver, "apply_reduction", misplaced_series)
+        with pytest.raises(EngineBug, match="block certificate failed after misplaced@0"):
+            partition_with_trace(cycle_graph(8))
+
+
+class TestConstantStepWork:
+    @pytest.mark.parametrize("graph", [cycle_graph(2400), theta(44), subdivided_k4(334)],
+                             ids=["cycle2400", "theta1980", "k4_2004"])
+    def test_long_chains_need_no_per_step_block_check(self, monkeypatch, graph):
+        """Only init_labeled and the absorb and vertex steps run the
+        whole-graph block check.  Vertex ids are randomly relabelled: in
+        label order, realization recurses once per contracted vertex and
+        overflows the interpreter stack at these sizes."""
+        calls = []
+        real = graphs.is_biconnected
+
+        def counted(g):
+            calls.append(g)
+            return real(g)
+
+        monkeypatch.setattr(graphs, "is_biconnected", counted)
+        monkeypatch.setattr(driver, "is_biconnected", counted)
+        g = relabelled(graph, 1)
+        partition, trace = partition_with_trace(g)
+        assert verify_partition(g, partition.member_sets()).ok
+        full = sum(1 for t in trace if t.kind in ("absorb", "vertex"))
+        assert len(calls) == 1 + full <= 4
+        assert len(trace) > 1900
 
 
 class TestReplacementLabels:
