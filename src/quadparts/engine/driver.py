@@ -5,8 +5,9 @@ partition of the original vertices into nearly connected 4-sets.
 Reduction priority is fixed (parallel pair, then degree-2 contraction, then
 a zero-weight strip at a removable vertex, then an absorbable edge, then a
 removable vertex), scanning lowest ids first, so runs are reproducible.
-Past the first two checks, the separation index (rebuilt only when it can
-change: :meth:`~quadparts.engine.model.LabeledMultigraph.separation_index`)
+Past the first two checks, the separation index (carried while three-path
+checks between the ends of removed edges show it still has no 2-cut:
+:meth:`~quadparts.engine.model.LabeledMultigraph.separation_index`)
 supplies the 2-cut with the smallest side, which confines the search; the
 vertices in no 2-cut, which are the removable ones; and the edges whose
 deletion would leave no block.

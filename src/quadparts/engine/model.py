@@ -19,10 +19,9 @@ never count toward coverage.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import islice
+from itertools import combinations, islice
 from typing import Callable
 
 from ..graphs import (Multigraph, SeparationIndex, SimpleGraph, adjacency, bfs_parents, has_three_paths,
@@ -123,14 +122,12 @@ class BoundTree:
         for x, p in bfs_parents(adjacency(self.edges, (self.root,)), self.root).items():
             if p is not None:
                 below[x] = x if p == self.root else below[p]
-        return tuple(sorted(Counter(below.values()).values()))
-
-    def member_of(self, ts: TreeSet) -> bool:
-        sizes = self.child_subtree_sizes()  # one per root child
-        return shape_matches(self.order, len(sizes), len(self.dummies), sizes, ts)
+        tops = list(below.values())
+        return tuple(sorted(map(tops.count, set(tops))))
 
     def fits(self, ts: TreeSet) -> bool:
-        return any(self.member_of(s) for s in down_set(ts))
+        order, sizes = self.order, self.child_subtree_sizes()  # one size per root child
+        return any(shape_matches(order, len(sizes), len(self.dummies), sizes, s) for s in down_set(ts))
 
     def with_dummies(self, extra: frozenset[int] | set[int]) -> "BoundTree":
         return BoundTree(self.root, self.edges, self.dummies | frozenset(extra))
@@ -388,7 +385,7 @@ class LabeledMultigraph(Multigraph):
         super().__init__(range(original.n))
         self.edges: dict[int, Gadget] = {}
         self.emitted: list[frozenset[int]] = []
-        self._deleted: list[tuple[int, int]] | None = None
+        self._touched: set[int] | None = None
         self._weight = 0
         self._pairs: dict[tuple[int, int], dict[int, None]] = {}
         self._pair_heap: list[tuple[int, tuple[int, int]]] = []
@@ -399,7 +396,6 @@ class LabeledMultigraph(Multigraph):
     # -- construction / mutation ------------------------------------------
 
     def add_edge(self, u: int, v: int) -> int:
-        self._deleted = None
         eid = super().add_edge(u, v)
         pair = norm_edge(u, v)
         ids = self._pairs.setdefault(pair, {})
@@ -411,8 +407,8 @@ class LabeledMultigraph(Multigraph):
 
     def remove_edge(self, eid: int) -> None:
         u, v = self._edges[eid]
-        if self._deleted is not None:
-            self._deleted.append((u, v))
+        if self._touched is not None:
+            self._touched.update((u, v))
         super().remove_edge(eid)
         pair = norm_edge(u, v)
         ids = self._pairs[pair]
@@ -430,8 +426,9 @@ class LabeledMultigraph(Multigraph):
                 heappush(self._degree2_heap, x)
 
     def remove_vertex(self, v: int) -> None:
-        self._deleted = None
         super().remove_vertex(v)
+        if self._touched is not None:
+            self._touched.discard(v)
         self._removed.append(v)
 
     def add(self, gadget: Gadget) -> int:
@@ -495,20 +492,28 @@ class LabeledMultigraph(Multigraph):
     def separation_index(self) -> SeparationIndex:
         """The separation index of this graph, which must be a simple block.
 
-        `_deleted` lists the ends of the edges deleted since an index with no
-        2-cut, or is None.  Lemma: if G is simple with no 2-cut and G' is G
-        minus edges a1b1, ..., akbk, G' has no 2-cut iff in G' each ai, bi are
-        joined by three internally disjoint paths.  If a 2-set S separates G',
-        the first deletion after which S separates took a bridge aibi of the
-        graph minus S, so S separates ai from bi.  Conversely ai, bi are not
-        adjacent in G', so Menger gives a separator of at most two vertices.
-        With no 2-cut each G' - u is 2-connected: no edge is fixed either.
+        `_touched` holds the live vertices that are an end of an edge removed
+        since the last index with no 2-cut, or is None.  Lemma: let R have no
+        2-cut and let K come from R by deleting edges and vertices (each
+        vertex after its edges) and adding edges.  K has no 2-cut iff every
+        two non-adjacent touched vertices are joined in K by three internally
+        disjoint paths.  Suppose a 2-set S separates K.  R - S is connected,
+        so a path of R - S joins two components of K - S.  Cut that path at
+        its deleted edges and vertices: the last vertex of its first piece and
+        the first vertex of its last piece are touched, lie in different
+        components of K - S and so are non-adjacent, and S separates them.
+        Conversely Menger gives two non-adjacent vertices without three such
+        paths a separator of at most two vertices.  Adding an edge cannot
+        create a 2-cut, so it leaves the set as it is.  With no 2-cut each
+        K - u is 2-connected: no edge is fixed either.
         """
-        if self._deleted is not None and all(has_three_paths(self, *ab) for ab in self._deleted):
-            self._deleted = []
+        touched = self._touched
+        if touched is not None and all(has_three_paths(self, a, b) for a, b in combinations(sorted(touched), 2)
+                                       if not self.adjacent(a, b)):
+            self._touched = set()
             return SeparationIndex((), None, frozenset())
         index = separation_index(self)
-        self._deleted = None if index.cuts else []
+        self._touched = None if index.cuts else set()
         return index
 
     def is_block(self) -> bool:

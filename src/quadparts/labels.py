@@ -80,9 +80,12 @@ def leq(a: TreeSet, b: TreeSet) -> bool:
     return (a, b) in _LEQ
 
 
+_DOWN_SETS = {b: tuple(a for a in TreeSet if leq(a, b)) for b in TreeSet}
+
+
 def down_set(b: TreeSet) -> tuple[TreeSet, ...]:
     """All sets a with a <= b, in catalog order."""
-    return tuple(a for a in TreeSet if leq(a, b))
+    return _DOWN_SETS[b]
 
 
 Pair = tuple[TreeSet, TreeSet]

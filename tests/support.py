@@ -18,7 +18,8 @@ with the conservation ledger on, exactly as on real graphs.
 
 `path_graph`, `cycle_graph`, `complete_graph` and `random_tree` build the
 standard small graphs, `dense_block` the dense random blocks of the
-second golden fixture, and `relabelled` applies a seeded random permutation
+second golden fixture, `sparse_block` cycle-plus-chord blocks like the
+benchmark's sparse inputs, and `relabelled` applies a seeded random permutation
 to the vertex ids.  `connected_components`, `diameter` and `degree` read a
 SimpleGraph's edge list directly, so tests can use them as oracles
 independent of the library's own traversals.
@@ -287,6 +288,23 @@ def dense_block(n: int, seed: int) -> SimpleGraph:
     cycle = {norm_edge(order[i - 1], order[i]) for i in range(n)}
     rest = [p for p in itertools.combinations(range(n), 2) if p not in cycle]
     return SimpleGraph(n, frozenset(cycle | set(rng.sample(rest, len(rest) // 2))))
+
+
+def sparse_block(n: int, seed: int) -> SimpleGraph:
+    """A Hamiltonian cycle in seeded random order plus n/4 chords with distinct
+    ends, each spanning at least n/8 steps of the cycle."""
+    rng = random.Random(seed)
+    order = list(range(n))
+    rng.shuffle(order)
+    edges = {norm_edge(order[i - 1], order[i]) for i in range(n)}
+    free = list(range(n))  # positions on the cycle
+    rng.shuffle(free)
+    for _ in range(n // 4):
+        a = free.pop()
+        b = rng.choice([b for b in free if min((a - b) % n, (b - a) % n) >= n // 8])
+        free.remove(b)
+        edges.add(norm_edge(order[a], order[b]))
+    return SimpleGraph(n, frozenset(edges))
 
 
 def _distances(neighbours: dict[int, list[int]], source: int) -> dict[int, int]:

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from quadparts import graphs
-from quadparts.engine import driver
+from quadparts.engine import driver, model
 from quadparts.engine import (
     EngineBug,
     Parallel,
@@ -28,7 +28,7 @@ from quadparts.labels import CATALOG
 from quadparts.oracle import verify_partition
 
 from .support import (complete_graph, cycle_graph, dense_block, path_graph, relabelled, scanned_degree2_vertex,
-                      scanned_parallel_pair, stub_edge, summed_weight)
+                      scanned_parallel_pair, sparse_block, stub_edge, summed_weight)
 
 
 class TestInit:
@@ -171,11 +171,13 @@ class TestFindReduction:
 
 class TestCarriedSeparationIndex:
     def test_matches_a_fresh_index_under_random_rewrites(self):
-        """Random edge deletions, edge additions and vertex removals on
-        3-connected blocks: whenever the graph is a simple block, the index
-        find_reduction would use equals a freshly built one."""
-        carried = rebuilt_after_deletions = 0
-        for seed in range(60):
+        """Random edge deletions and additions, vertex removals, series
+        contractions and parallel merges on 3-connected blocks: the index
+        equals a freshly built one, also when it was carried across vertex
+        removals.  Odd seeds consult it where find_reduction would (a simple
+        block of minimum degree 3), even seeds at every simple block."""
+        carried = rebuilt_after_deletions = carried_after_vertex_removal = 0
+        for seed in range(100):
             rng = random.Random(seed)
             g = dense_block(rng.randint(6, 11), seed)
             lg = LabeledMultigraph(g)
@@ -183,27 +185,78 @@ class TestCarriedSeparationIndex:
                 lg.add(leaf_gadget(CATALOG["L0"], u, v))
             if separation_index(lg).cuts:
                 continue
+            vertex_gone = False  # since the last index with no 2-cut
             for _ in range(40):
                 roll = rng.random()
-                if roll < 0.75 and lg.edges:
+                v, pair = lg.degree2_vertex(), lg.parallel_pair()
+                ends = [lg.other_end(eid, v) for eid in lg.incident(v)] if v is not None else []
+                if roll < 0.5 and len(set(ends)) == 2 and lg.n > 4:
+                    (ea, eb), (a, b) = lg.incident(v), ends
+                    lg.remove_labeled(ea)
+                    lg.remove_labeled(eb)
+                    lg.remove_vertex(v)
+                    lg.add(leaf_gadget(CATALOG["L0"], a, b))
+                    vertex_gone = True
+                elif roll < 0.55 and pair is not None:
+                    gadget = lg.edges[pair[0]]
+                    lg.remove_labeled(pair[0])
+                    lg.remove_labeled(pair[1])
+                    lg.add(leaf_gadget(CATALOG["L0"], gadget.u, gadget.v))
+                elif roll < 0.75 and lg.edges:
                     lg.remove_labeled(rng.choice(lg.edge_ids()))
-                elif roll < 0.9:
+                elif roll < 0.97:
                     lg.add(leaf_gadget(CATALOG["L0"], *rng.sample(sorted(lg.vertices), 2)))
                 elif lg.n > 4:
                     x = rng.choice(sorted(lg.vertices))
                     for eid in lg.incident(x):
                         lg.remove_labeled(eid)
                     lg.remove_vertex(x)
+                    vertex_gone = True
                 pairs = [(min(u, v), max(u, v)) for _, u, v in lg.edge_tuples()]
                 if lg.n < 4 or len(set(pairs)) < len(pairs) or not is_biconnected(lg):
                     continue
-                deletions = lg._deleted
+                if seed % 2 and lg.degree2_vertex() is not None:
+                    continue
+                touched = lg._touched
                 index, fresh = lg.separation_index(), separation_index(lg)
                 assert index == fresh, seed
-                if deletions:
+                if touched:
                     carried += not fresh.cuts
                     rebuilt_after_deletions += bool(fresh.cuts)
-        assert carried > 50 and rebuilt_after_deletions > 20
+                    carried_after_vertex_removal += vertex_gone and not fresh.cuts
+                if not fresh.cuts:
+                    vertex_gone = False
+        assert carried > 200 and rebuilt_after_deletions > 50 and carried_after_vertex_removal > 40
+
+    @pytest.mark.parametrize("seed", [11, 17])
+    def test_rebuilds_only_where_a_2_cut_is_or_was(self, monkeypatch, seed):
+        """On a sparse block of 128 vertices, every full rebuild after the
+        first either finds a 2-cut or follows a consultation that found one:
+        no rebuild is spent on an index that could be carried.  Seed 17
+        meets 2-cuts on the way, seed 11 none."""
+        consultations: list[tuple[bool, bool]] = []  # (rebuilt, has a 2-cut)
+        builds = []
+        real_build, real_consult = model.separation_index, LabeledMultigraph.separation_index
+
+        def build(g):
+            builds.append(g)
+            return real_build(g)
+
+        def consult(lg):
+            before = len(builds)
+            index = real_consult(lg)
+            consultations.append((len(builds) > before, bool(index.cuts)))
+            return index
+
+        monkeypatch.setattr(model, "separation_index", build)
+        monkeypatch.setattr(LabeledMultigraph, "separation_index", consult)
+        g = sparse_block(128, seed)
+        partition, _ = partition_with_trace(g)
+        assert verify_partition(g, partition.member_sets()).ok
+        assert consultations[0][0]
+        for (_, cut_before), (rebuilt, cut) in zip(consultations, consultations[1:]):
+            assert not rebuilt or cut or cut_before
+        assert len(consultations) > 20 and len(builds) < len(consultations) // 2
 
 
 class TestWorklists:
