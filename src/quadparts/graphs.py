@@ -14,8 +14,10 @@ bridges.  A SimpleGraph argument is first turned into the multigraph whose
 edge ids are the positions of its sorted edge list.  :func:`is_biconnected`
 is one run on g; :func:`separation_index` is one run on g - u for every
 vertex u, which lists every 2-cut of a block and the edges whose deletion
-leaves no block in O(n(n + m)).  :func:`has_three_paths` decides in O(m),
-by at most three flow augmentations, whether no 2-set separates a from b.
+leaves no block in O(n(n + m)).  :func:`has_three_paths` decides whether
+no 2-set separates two non-adjacent vertices a and b: three common
+neighbours settle it in O(deg a + deg b), else at most three breadth-first
+augmentations, O(m) each, search g minus the common neighbours.
 
 Every other traversal in the package calls three primitives: :func:`adjacency`
 builds a vertex -> ascending neighbours map, :func:`bfs_parents` is the one
@@ -319,39 +321,67 @@ def separation_index(g: SimpleGraph | Multigraph) -> SeparationIndex:
 
 
 def has_three_paths(g: SimpleGraph | Multigraph, a: int, b: int) -> bool:
-    """True iff g has three internally vertex-disjoint a-b paths (a != b): at
-    most three BFS augmentations, O(m), of a unit-capacity flow where every
-    other vertex x is split into x_in -> x_out, the states (x, 0) and (x, 1),
-    and each edge xy gives the arcs x_out -> y_in and y_out -> x_in."""
+    """True iff g has three internally vertex-disjoint a-b paths; a and b
+    must be distinct and non-adjacent.
+
+    Let C be the common neighbours of a and b.  For each c in C some maximum
+    family of such paths contains a-c-b: c lies on a path of every maximum
+    family, else a-c-b would join it, and swapping that path for a-c-b keeps
+    the family disjoint and keeps the paths a-c'-b of the other common
+    neighbours.  So three paths exist iff |C| >= 3, settled in O(deg a +
+    deg b), or g - C has 3 - |C| of them, found by as many breadth-first
+    augmentations, O(m) each, that never enter C.
+
+    The augmentations split every other vertex x into x_in -> x_out of unit
+    capacity, and each neighbour y of x gives the arc x_out -> y_in; parallel
+    edges give one arc, as between non-adjacent vertices they add no
+    disjoint path.  `into` maps each vertex with flow to the vertex its flow
+    comes from, and is the whole flow: the arc from x to the next vertex y
+    of its flow needs no mark, because x_out is then reached only back from
+    y_in (or x is a, and y_in leads only back to a).  An entry y_in has one
+    way on, to y_out when no flow passes y, else back to into[y]_out, so the
+    search queues exits only.
+    """
     adj = _as_multigraph(g)._inc
-    used: set[tuple[int, int]] = set()  # edge arcs with flow, as (edge id, tail)
-    into: dict[int, tuple[int, int]] = {}  # x -> the arc in `used` entering x_in
-    for _ in range(3):
-        prev: dict = {(a, 1): None}
-        dq = deque([(a, 1)])
-        while dq and (b, 0) not in prev:
-            x, side = state = dq.popleft()
-            if side == 1:
-                nxt = [((y, 0), eid) for eid, y in adj[x].items() if y != a and (eid, x) not in used]
-                nxt += [((x, 0), None)] if x in into else []
-            else:  # x is not a or b; with flow through x, x_in leads back along it
-                nxt = [((into[x][1], 1), into[x][0])] if x in into else [((x, 1), None)]
-            for t, eid in nxt:
-                if t not in prev:
-                    prev[t] = (state, eid)
-                    dq.append(t)
-        if (b, 0) not in prev:
+    common = set(adj[a].values()).intersection(adj[b].values())
+    if len(common) >= 3:
+        return True
+    closed = common | {a}  # never entered
+    into: dict[int, int] = {}  # x -> the tail of the flow arc entering x_in
+    for _ in range(3 - len(common)):
+        in_from: dict[int, int] = {}  # y -> x: y_in reached from x_out (x == y: back from y_out)
+        out_from: dict[int, int] = {a: a}  # x -> y: x_out reached from y_in (y == x: through x)
+        queue = deque([a])
+        while queue and b not in in_from:
+            x = queue.popleft()
+            if x in into and x not in in_from:  # back from x_out into x_in, then along its flow arc
+                in_from[x] = x
+                t = into[x]
+                if t not in out_from:
+                    out_from[t] = x
+                    queue.append(t)
+            for y in adj[x].values():
+                if y in in_from or y in closed:
+                    continue
+                in_from[y] = x
+                if y == b:
+                    break
+                t = into.get(y, y)
+                if t not in out_from:
+                    out_from[t] = y
+                    queue.append(t)
+        if b not in in_from:
             return False
-        t = (b, 0)
-        while prev[t] is not None:  # sink first: x_in drops its old arc, then gets the new one
-            s, eid = prev[t]
-            if eid is not None and s[1] == 1:
-                used.add((eid, s[0]))
-                into[t[0]] = (eid, s[0])  # into[b] is never read
-            elif eid is not None:
-                used.discard((eid, t[0]))
-                del into[s[0]]
-            t = s
+        y = b
+        while True:  # sink first: an entry loses its old flow arc before it gains the new one
+            x = in_from[y]
+            if x != y:
+                into[y] = x  # into[b] is never read
+            if x == a:
+                break
+            y = out_from[x]
+            if y != x:
+                del into[y]
     return True
 
 

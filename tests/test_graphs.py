@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -189,25 +190,39 @@ class TestSeparationIndexAgainstNetworkx:
 
 class TestThreePaths:
     def test_agrees_with_networkx_on_non_adjacent_pairs(self):
+        """Both routes of has_three_paths against networkx: three common
+        neighbours settle a pair at once, one or two leave a search in g
+        minus them, and with none the search runs in g.  Random 3-regular
+        graphs give pairs where no common neighbour helps."""
         nx = pytest.importorskip("networkx")
-        from networkx.algorithms.connectivity import local_node_connectivity
+        from networkx.algorithms.connectivity import build_auxiliary_node_connectivity, local_node_connectivity
+        from networkx.algorithms.flow import build_residual_network
 
-        verdicts = {True: 0, False: 0}
+        graphs = []
         for seed in range(250):
             rng = random.Random(seed)
-            n = rng.randint(4, 10)
-            g = random_graph(n, rng.uniform(0.3, 0.9), seed)
-            simple = nx.Graph(list(g.edges))
+            graphs.append(random_graph(rng.randint(4, 10), rng.uniform(0.3, 0.9), seed))
+        for seed in range(24):
+            cubic = nx.random_regular_graph(3, 8 + 2 * (seed % 12), seed)
+            graphs.append(SimpleGraph.from_edges(cubic.number_of_nodes(), cubic.edges))
+        routes: Counter[tuple[int, bool]] = Counter()  # (common neighbours up to 3, verdict)
+        for i, g in enumerate(graphs):
+            n, adj, edges = g.n, g.adj(), g.sorted_edges()
+            simple = nx.Graph(edges)
             simple.add_nodes_from(range(n))
-            mg = Multigraph(range(n), sorted(g.edges))
+            mg = Multigraph(range(n), edges + edges[::2])  # parallel edges add no disjoint path
+            aux = build_auxiliary_node_connectivity(simple)
+            flows = {"auxiliary": aux, "residual": build_residual_network(aux, "capacity"), "cutoff": 3}
             for a, b in combinations(range(n), 2):
                 if (a, b) in g.edges:
                     continue
-                expected = local_node_connectivity(simple, a, b) >= 3
-                assert has_three_paths(g, a, b) == expected, (seed, a, b)
-                assert has_three_paths(mg, b, a) == expected, (seed, a, b)
-                verdicts[expected] += 1
-        assert min(verdicts.values()) > 500
+                expected = local_node_connectivity(simple, a, b, **flows) >= 3
+                assert has_three_paths(g, a, b) == expected, (i, a, b)
+                assert has_three_paths(mg, b, a) == expected, (i, a, b)
+                routes[min(len(set(adj[a]) & set(adj[b])), 3), expected] += 1
+        for route, least in {(3, True): 300, (2, True): 150, (2, False): 100, (1, True): 500,
+                             (1, False): 300, (0, True): 1300, (0, False): 300}.items():
+            assert routes[route] > least, (route, routes[route])
 
 
 class TestTraversalAgainstNetworkx:
