@@ -19,7 +19,8 @@ never count toward coverage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import combinations, islice
 from typing import Callable
@@ -73,68 +74,119 @@ def flip_op(op: Operation) -> Operation:
 
 # ---------------------------------------------------------------------------
 # Bound trees: rooted trees over original vertex ids with real graph edges
+#
+# Every split realization is checked against the tree sets its witness pair
+# promises, and that check reads each tree's order, dummy count and child
+# subtree sizes.  A tree therefore carries its shape (vertex set, active set,
+# order, ascending root children and their subtree sizes) from the moment it
+# is built: a tree given by raw edges runs the tree checks and one
+# breadth-first search once, at construction, while `single`, `fuse`, `graft`
+# and `with_dummies` compose the shapes of their inputs and check only what
+# the composition could break.  Membership in a tree set depends only on the
+# shape, so `fits` answers from a table filled on first use.
 
 
 @dataclass(frozen=True)
 class BoundTree:
     """A rooted tree whose vertices are original-graph ids and whose edges are
-    real edges of the graph being partitioned."""
+    real edges of the graph being partitioned.
+
+    `root`, `edges` and `dummies` define the tree and are all that equality,
+    hashing and repr see.  The rest is its shape, computed once when it is
+    built: the vertex set (the ends of the edges, or just the root), the
+    non-dummy `actives`, the `order`, and `child_subtree_sizes`, the orders of
+    the subtrees below the root's children in ascending order.  Building from
+    raw edges traps unless the edges form a tree on those vertices that
+    contains the root, the root is not a dummy and every dummy is a vertex;
+    the composing constructors keep each of these facts with a check on
+    their inputs alone.
+    """
 
     root: int
     edges: tuple[tuple[int, int], ...]
     dummies: frozenset[int] = frozenset()
+    vertices: frozenset[int] = field(init=False, repr=False, compare=False)
+    actives: frozenset[int] = field(init=False, repr=False, compare=False)
+    order: int = field(init=False, repr=False, compare=False)
+    child_subtree_sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _children: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        verts = self.vertices
-        if self.root not in verts:
-            raise EngineBug(f"root {self.root} missing from tree vertices")
-        if len(self.edges) != len(verts) - 1:
-            raise EngineBug(f"edge count {len(self.edges)} does not make a tree on {len(verts)} vertices")
-        if len(bfs_parents(adjacency(self.edges, (self.root,)), self.root)) != len(verts):
+        root, edges = self.root, self.edges
+        verts = frozenset(x for e in edges for x in e) if edges else frozenset((root,))
+        if root not in verts:
+            raise EngineBug(f"root {root} missing from tree vertices")
+        if len(edges) != len(verts) - 1:
+            raise EngineBug(f"edge count {len(edges)} does not make a tree on {len(verts)} vertices")
+        adj = adjacency(edges, (root,))
+        parent = bfs_parents(adj, root)
+        if len(parent) != len(verts):
             raise EngineBug("tree edges are not connected")
-        if self.root in self.dummies:
-            raise EngineBug("root cannot be a dummy")
-        if self.dummies - verts:
-            raise EngineBug("dummy markers outside the tree")
-
-    @property
-    def vertices(self) -> frozenset[int]:
-        vs = {self.root}
-        for a, b in self.edges:
-            vs.add(a)
-            vs.add(b)
-        return frozenset(vs)
-
-    @property
-    def actives(self) -> frozenset[int]:
-        return self.vertices - self.dummies
-
-    @property
-    def order(self) -> int:
-        return len(self.vertices)
+        _check_dummies(root, verts, self.dummies)
+        top: dict[int, int] = {}  # vertex -> the root child above it, in discovery order
+        size = dict.fromkeys(adj[root], 0)
+        for x, p in parent.items():
+            if p is not None:
+                t = top[x] = x if p == root else top[p]
+                size[t] += 1
+        _shape(self, verts, tuple(adj[root]), tuple(sorted(size.values())))
 
     def root_children(self) -> list[int]:
-        return adjacency(self.edges, (self.root,))[self.root]
-
-    def child_subtree_sizes(self) -> tuple[int, ...]:
-        """Orders of the subtrees below the root's children, ascending."""
-        below: dict[int, int] = {}  # vertex -> the root child above it
-        for x, p in bfs_parents(adjacency(self.edges, (self.root,)), self.root).items():
-            if p is not None:
-                below[x] = x if p == self.root else below[p]
-        tops = list(below.values())
-        return tuple(sorted(map(tops.count, set(tops))))
+        """The root's neighbours in ascending order."""
+        return list(self._children)
 
     def fits(self, ts: TreeSet) -> bool:
-        order, sizes = self.order, self.child_subtree_sizes()  # one size per root child
-        return any(shape_matches(order, len(sizes), len(self.dummies), sizes, s) for s in down_set(ts))
+        """True when the tree belongs to `ts` or to a set below it in the order."""
+        key = (self.order, len(self.dummies), self.child_subtree_sizes, ts)
+        hit = _FITS.get(key)
+        if hit is None:
+            order, n_dummies, sizes, _ = key  # one size per root child
+            hit = _FITS[key] = any(shape_matches(order, len(sizes), n_dummies, sizes, s) for s in down_set(ts))
+        return hit
 
     def with_dummies(self, extra: frozenset[int] | set[int]) -> "BoundTree":
-        return BoundTree(self.root, self.edges, self.dummies | frozenset(extra))
+        dummies = self.dummies | frozenset(extra)
+        _check_dummies(self.root, self.vertices, dummies)
+        return _composed(self.root, self.edges, dummies, self.vertices, self._children, self.child_subtree_sizes)
+
+
+# (order, dummy count, child subtree sizes, tree set) -> BoundTree.fits; it
+# stays small, since a realized tree on more than 6 vertices fits no set and
+# traps its gadget.
+_FITS: dict[tuple[int, int, tuple[int, ...], TreeSet], bool] = {}
+
+
+def _check_dummies(root: int, vertices: frozenset[int], dummies: frozenset[int]) -> None:
+    if root in dummies:
+        raise EngineBug("root cannot be a dummy")
+    if dummies - vertices:
+        raise EngineBug("dummy markers outside the tree")
+
+
+def _shape(tree: BoundTree, vertices: frozenset[int], children: tuple[int, ...], sizes: tuple[int, ...]) -> None:
+    """Set the carried shape fields of `tree`."""
+    setf = object.__setattr__
+    setf(tree, "vertices", vertices)
+    setf(tree, "actives", vertices - tree.dummies)
+    setf(tree, "order", len(vertices))
+    setf(tree, "child_subtree_sizes", sizes)
+    setf(tree, "_children", children)
+
+
+def _composed(root: int, edges: tuple[tuple[int, int], ...], dummies: frozenset[int], vertices: frozenset[int],
+              children: tuple[int, ...], sizes: tuple[int, ...]) -> BoundTree:
+    """A tree whose shape the caller composed from checked trees: no search."""
+    tree = object.__new__(BoundTree)
+    setf = object.__setattr__
+    setf(tree, "root", root)
+    setf(tree, "edges", edges)
+    setf(tree, "dummies", dummies)
+    _shape(tree, vertices, children, sizes)
+    return tree
 
 
 def single(root: int) -> BoundTree:
-    return BoundTree(root, ())
+    return _composed(root, (), frozenset(), frozenset((root,)), (), ())
 
 
 def fuse(*trees: BoundTree) -> BoundTree:
@@ -144,15 +196,35 @@ def fuse(*trees: BoundTree) -> BoundTree:
         raise EngineBug(f"fuse needs a common root, got {sorted(roots)}")
     edges: list[tuple[int, int]] = []
     dummies: set[int] = set()
+    vertices: set[int] = set()
+    children: list[int] = []
+    sizes: list[int] = []
     for t in trees:
         edges.extend(t.edges)
         dummies |= t.dummies
-    return BoundTree(trees[0].root, tuple(edges), frozenset(dummies))
+        vertices |= t.vertices
+        children.extend(t._children)
+        sizes.extend(t.child_subtree_sizes)
+    if len(vertices) != 1 + sum(sizes):
+        seen = Counter(x for t in trees for x in t.vertices)
+        shared = sorted(x for x, count in seen.items() if count > 1 and x != trees[0].root)
+        raise EngineBug(f"fuse needs trees that meet only at the root, they share {shared}")
+    children.sort()
+    sizes.sort()
+    return _composed(trees[0].root, tuple(edges), frozenset(dummies), frozenset(vertices),
+                     tuple(children), tuple(sizes))
 
 
 def graft(new_root: int, bridge: tuple[int, int], subtree: BoundTree) -> BoundTree:
-    """Re-root: hang `subtree` below `new_root` via the real edge `bridge`."""
-    return BoundTree(new_root, (bridge, *subtree.edges), subtree.dummies)
+    """Re-root: hang `subtree` below `new_root` via the real edge `bridge`,
+    which joins `new_root`, outside the subtree, to a vertex of it.  Any other
+    bridge gets the raw-edge checks and their trap."""
+    a, b = bridge
+    end = b if a == new_root else a if b == new_root else None
+    edges = (bridge, *subtree.edges)
+    if end is None or end not in subtree.vertices or new_root in subtree.vertices:
+        return BoundTree(new_root, edges, subtree.dummies)
+    return _composed(new_root, edges, subtree.dummies, subtree.vertices | {new_root}, (end,), (subtree.order,))
 
 
 # ---------------------------------------------------------------------------
@@ -314,28 +386,27 @@ class EdgeView:
 
     Reading against the gadget's stored orientation (u -> v) swaps the label
     by the involution and mirrors realizations, so case code can be written
-    for one orientation.
+    for one orientation.  Whether the read is flipped, and the label it sees,
+    are worked out once when the view is made.
     """
 
     edge: Gadget
     tail: int
     eid: int
+    flipped_store: bool = field(init=False, repr=False, compare=False)
+    label: Label = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.tail not in (self.edge.u, self.edge.v):
+        edge = self.edge
+        if self.tail not in (edge.u, edge.v):
             raise EngineBug(f"vertex {self.tail} is not an endpoint of edge {self.eid}")
-
-    @property
-    def flipped_store(self) -> bool:
-        return self.tail != self.edge.u
+        flipped = self.tail != edge.u
+        object.__setattr__(self, "flipped_store", flipped)
+        object.__setattr__(self, "label", involution(edge.label) if flipped else edge.label)
 
     @property
     def head(self) -> int:
         return self.edge.v if not self.flipped_store else self.edge.u
-
-    @property
-    def label(self) -> Label:
-        return involution(self.edge.label) if self.flipped_store else self.edge.label
 
     @property
     def scope(self) -> frozenset[int]:

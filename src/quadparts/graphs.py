@@ -234,12 +234,14 @@ def _low_points(adj: dict[int, dict[int, int]], root: int,
                 iters[w] = iter(adj[w].items())
                 stack.append(w)
                 break
-            low[v] = min(low[v], disc[w])
+            if disc[w] < low[v]:
+                low[v] = disc[w]
         else:
             stack.pop()
             if stack:
                 p = stack[-1]
-                low[p] = min(low[p], low[v])
+                if low[v] < low[p]:
+                    low[p] = low[v]
                 if low[v] > disc[p]:
                     bridges.add(entry[v])
                 if p == root:

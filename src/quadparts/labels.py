@@ -141,16 +141,26 @@ def involution(label: Label) -> Label:
     return label
 
 
+# (label name, p, q) -> admits(label, p, q), filled on first use; the
+# catalog holds one label per name.
+_ADMITS: dict[tuple[str, TreeSet, TreeSet], Pair | None] = {}
+
+
 def admits(label: Label, p: TreeSet, q: TreeSet) -> Pair | None:
     """Witness pair (p1, q1) in the label with p1 <= p and q1 <= q, if any.
 
     Ties break to the lexicographically smallest witness by catalog rank, so
     realizations are reproducible.
     """
+    key = (label.name, p, q)
+    try:
+        return _ADMITS[key]
+    except KeyError:
+        pass
     candidates = [(a, b) for a, b in label.pairs if leq(a, p) and leq(b, q)]
-    if not candidates:
-        return None
-    return min(candidates, key=lambda ab: (ab[0].rank, ab[1].rank))
+    witness = min(candidates, key=lambda ab: (ab[0].rank, ab[1].rank)) if candidates else None
+    _ADMITS[key] = witness
+    return witness
 
 
 # ---------------------------------------------------------------------------

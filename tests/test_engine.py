@@ -1,12 +1,13 @@
 import ast
 import inspect
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from quadparts import graphs
-from quadparts.engine import driver, model
+from quadparts.engine import driver, local, model
 from quadparts.engine import (
     EngineBug,
     Parallel,
@@ -21,14 +22,15 @@ from quadparts.engine import (
 )
 from quadparts.engine.driver import apply_reduction
 from quadparts.engine.local import Fragment, Local, group
-from quadparts.engine.model import BoundTree, Gadget, Realization, single
+from quadparts.engine.model import BoundTree, Gadget, Realization, fuse, graft, single
 from quadparts.families import enumerate_2connected, random_2connected, random_corpus, subdivided_k4, theta
 from quadparts.graphs import SimpleGraph, is_biconnected, norm_edge, separation_index
-from quadparts.labels import CATALOG
+from quadparts.labels import CATALOG, TreeSet
 from quadparts.oracle import verify_partition
 
-from .support import (complete_graph, cycle_graph, dense_block, path_graph, relabelled, scanned_degree2_vertex,
-                      scanned_parallel_pair, sparse_block, stub_edge, summed_weight)
+from .support import (TreeShape, complete_graph, cycle_graph, dense_block, path_graph, relabelled,
+                      scanned_degree2_vertex, scanned_parallel_pair, sparse_block, stub_edge, summed_weight)
+from .support import fits as shape_fits
 
 
 class TestInit:
@@ -150,6 +152,107 @@ class TestClosingProtocol:
                       for node in ast.walk(tree) if isinstance(node, ast.Call)}
             assert "Local" in called, name
             assert not called & {"Realization", "Fragment"}, name
+
+
+def _random_tree(rng: random.Random, ids, root: int, budget: int, depth: int = 0) -> tuple[BoundTree, list[str]]:
+    """A random tree rooted at `root` whose other vertices are fresh ids from
+    `ids`, and the constructors that built it (outermost first).  Raw and
+    spanned trees have at most `budget` vertices; composite constructors
+    recurse on random inputs with smaller budgets."""
+    kinds = ["single", "raw", "span"] + (["fuse", "graft", "dummies"] if depth < 3 else [])
+    kind = rng.choice(kinds) if budget > 1 else "single"
+    if kind == "single":
+        return single(root), [kind]
+    if kind in ("raw", "span"):
+        vs = [root] + [next(ids) for _ in range(rng.randrange(budget))]
+        edges = [(vs[rng.randrange(i)], vs[i]) for i in range(1, len(vs))]
+        edges = [e if rng.random() < 0.5 else e[::-1] for e in edges]
+        rng.shuffle(edges)
+        dummies = frozenset(rng.sample(vs[1:], min(len(vs) - 1, rng.choice((0, 0, 1, 2)))))
+        if kind == "raw":
+            return BoundTree(root, tuple(edges), dummies), [kind]
+        extra = [tuple(rng.sample(vs, 2)) for _ in range(rng.randrange(len(vs)))] if len(vs) > 1 else []
+        outside = [(rng.choice(vs), next(ids)) for _ in range(rng.randrange(3))]
+        loc = Local("shape", Realization(fragment=frozenset(norm_edge(a, b) for a, b in edges + extra + outside)))
+        return loc.span(root, set(vs), dummies), [kind]
+    if kind == "fuse":
+        parts = [_random_tree(rng, ids, root, rng.randint(1, budget - 1), depth + 1)
+                 for _ in range(rng.randint(1, 3))]
+        return fuse(*(t for t, _ in parts)), [kind, *(k for _, ks in parts for k in ks)]
+    if kind == "graft":
+        sub, ks = _random_tree(rng, ids, next(ids), budget - 1, depth + 1)
+        x = rng.choice(sorted(sub.vertices))
+        return graft(root, rng.choice([(root, x), (x, root)]), sub), [kind, *ks]
+    tree, ks = _random_tree(rng, ids, root, budget, depth + 1)
+    extra = rng.sample(sorted(tree.vertices - {root}), min(tree.order - 1, rng.choice((0, 1, 1, 2))))
+    return tree.with_dummies(set(extra)), [kind, *ks]
+
+
+class TestBoundTreeShape:
+    def test_carried_shape_matches_a_recomputation(self):
+        """Seeded random trees from every constructor: the carried vertex
+        set, actives, order, child subtree sizes and root children equal a
+        networkx recomputation from the edges, and `fits` agrees with the
+        slot-level membership test for every tree set."""
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(12)
+        built = Counter()
+        fitted = Counter()
+        for _ in range(600):
+            ids = iter(rng.sample(range(100_000), 500))
+            tree, kinds = _random_tree(rng, ids, next(ids), rng.randint(1, 7))
+            built.update(kinds)
+            g = nx.Graph(tree.edges)
+            g.add_node(tree.root)
+            assert nx.is_tree(g) and g.number_of_edges() == len(tree.edges)
+            vertices = frozenset(g)
+            children = sorted(g[tree.root])
+            sizes = sorted(len(c) for c in nx.connected_components(g.subgraph(vertices - {tree.root})))
+            assert tree.vertices == vertices and tree.order == len(vertices), kinds
+            assert tree.actives == vertices - tree.dummies, kinds
+            assert list(tree.child_subtree_sizes) == sizes and tree.root_children() == children, kinds
+            slots = [tree.root] + sorted(vertices - {tree.root})
+            slot = {v: i for i, v in enumerate(slots)}
+            parent = dict(nx.bfs_predecessors(g, tree.root))
+            shape = TreeShape(tuple(slot[parent[v]] if v != tree.root else None for v in slots),
+                              frozenset(slot[d] for d in tree.dummies))
+            for ts in TreeSet:
+                assert tree.fits(ts) == shape_fits(shape, ts), (kinds, ts)
+                fitted[ts] += tree.fits(ts)
+        assert min(built[k] for k in ("single", "raw", "span", "fuse", "graft", "dummies")) >= 50, built
+        assert all(fitted[ts] for ts in TreeSet), fitted
+
+
+class TestBoundTreeTraps:
+    """Each trap of the tree constructors fires both for raw edges and
+    through the constructors that compose checked trees."""
+
+    PATH = BoundTree(0, ((0, 1), (1, 2)))
+
+    @pytest.mark.parametrize("message, raw, composed", [
+        ("root 5 missing", lambda: BoundTree(5, ((0, 1),)),
+         lambda: graft(5, (0, 1), TestBoundTreeTraps.PATH)),
+        ("edge count", lambda: BoundTree(0, ((0, 1), (1, 2), (2, 0))),
+         lambda: graft(5, (5, 7), TestBoundTreeTraps.PATH)),
+        ("not connected", lambda: BoundTree(0, ((0, 1), (2, 3), (3, 2))),
+         lambda: graft(5, (5, 5), TestBoundTreeTraps.PATH)),
+        ("root cannot be a dummy", lambda: BoundTree(0, ((0, 1),), frozenset({0})),
+         lambda: TestBoundTreeTraps.PATH.with_dummies({0})),
+        ("dummy markers outside", lambda: BoundTree(0, ((0, 1),), frozenset({5})),
+         lambda: TestBoundTreeTraps.PATH.with_dummies({5})),
+    ], ids=["root", "edge_count", "connected", "dummy_root", "dummy_outside"])
+    def test_tree_traps(self, message, raw, composed):
+        for build in (raw, composed):
+            with pytest.raises(EngineBug, match=message):
+                build()
+
+    def test_fuse_traps(self):
+        with pytest.raises(EngineBug, match="common root"):
+            fuse(single(0), single(1))
+        with pytest.raises(EngineBug, match=r"meet only at the root, they share \[1\]"):
+            fuse(BoundTree(0, ((0, 1),)), self.PATH)
+        with pytest.raises(EngineBug, match=r"they share \[1, 2\]"):
+            fuse(self.PATH, self.PATH)
 
 
 class TestFindReduction:
@@ -405,10 +508,42 @@ class TestConstantStepWork:
         assert len(trace) > 1900
 
 
+    def test_tree_shapes_build_no_adjacency(self, monkeypatch):
+        """Bound trees carry their shape, so `fits`, `order` and
+        `root_children` build no adjacency: every `graphs.adjacency` call of
+        a partition is the one search of a tree built from raw edges or a
+        Local's fragment.  The input graph's own adjacency, which the final
+        verification reads, is built before counting starts."""
+        g = relabelled(cycle_graph(400), 1)
+        g.adj()
+        counts = Counter()
+        real_adjacency, real_post_init, real_fragment = graphs.adjacency, BoundTree.__post_init__, Fragment.__init__
+
+        def adjacency(*args):
+            counts["adjacency"] += 1
+            return real_adjacency(*args)
+
+        def post_init(tree):
+            counts["raw tree"] += 1
+            real_post_init(tree)
+
+        def fragment(frag, edges):
+            counts["fragment"] += 1
+            real_fragment(frag, edges)
+
+        for module in (graphs, model, local):
+            monkeypatch.setattr(module, "adjacency", adjacency)
+        monkeypatch.setattr(BoundTree, "__post_init__", post_init)
+        monkeypatch.setattr(Fragment, "__init__", fragment)
+        partition, trace = partition_with_trace(g)
+        assert 0 < counts["adjacency"] <= counts["raw tree"] + counts["fragment"], counts
+        assert len(trace) > 300 and verify_partition(g, partition.member_sets()).ok
+
+
 class TestReplacementLabels:
     def test_parallel_merge_rows(self):
         from quadparts.engine.parallel import merged_parallel_label
-        from quadparts.labels import CATALOG
+        from quadparts.labels import CATALOG, TreeSet
 
         rows = [("L30", "L30", "L21"), ("L1", "L1", "L2"), ("L1", "L30", "L00"),
                 ("L2", "L20", "L00"), ("L1", "L2", "L30"), ("L21", "L32", "L10")]
@@ -417,7 +552,7 @@ class TestReplacementLabels:
 
     def test_series_contraction_rows(self):
         from quadparts.engine.series import merged_series_label
-        from quadparts.labels import CATALOG
+        from quadparts.labels import CATALOG, TreeSet
 
         rows = [("L0", "L0", "L1"), ("L0", "L1", "L2"), ("L0", "L21", "L31"),
                 ("L00", "L21", "L31"), ("L21", "L31", "L21"), ("L32", "L32", "L32"),

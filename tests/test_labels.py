@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
+from quadparts import labels
 from quadparts.labels import CATALOG, LABELS, TreeSet, admits, catalog_dump, involution, leq
 
 from .support import (
@@ -97,6 +102,28 @@ class TestAdmits:
                 wit = admits(lab, p, q)
                 if wit is not None:
                     assert wit in lab.pairs
+
+
+class TestMemoTables:
+    def test_admits_matches_a_brute_force_search_fresh_and_filled(self, monkeypatch):
+        """The witness table against a scan of each label's pairs in catalog
+        rank order, first while it fills and then read back full."""
+        monkeypatch.setattr(labels, "_ADMITS", {})
+        for turn in ("fresh", "filled"):
+            for lab in LABELS:
+                ranked = sorted(lab.pairs, key=lambda ab: (ab[0].rank, ab[1].rank))
+                for p, q in product(TreeSet, repeat=2):
+                    expected = next(((a, b) for a, b in ranked if leq(a, p) and leq(b, q)), None)
+                    assert admits(lab, p, q) == expected, (turn, lab.name, p, q)
+            assert len(labels._ADMITS) == len(LABELS) * len(TreeSet) ** 2
+
+    def test_tables_fill_on_first_use_only(self):
+        """Importing the engine builds neither the witness nor the fit table."""
+        probe = ("import quadparts.cli; from quadparts import labels; from quadparts.engine import model; "
+                 "print(len(labels._ADMITS), len(model._FITS))")
+        env = dict(os.environ, PYTHONPATH=str(Path(labels.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["0", "0"]
 
 
 class TestShapes:
