@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from ..graphs import SimpleGraph, is_biconnected
-from ..labels import CATALOG, TreeSet
+from ..labels import CATALOG, Pair, TreeSet
 from ..oracle import Part, Partition, is_nearly_connected
 from .model import (
     EdgeView,
@@ -253,25 +253,29 @@ def _remove_star(lg: LabeledMultigraph, v: int, views: list[EdgeView]) -> None:
     lg.remove_vertex(v)
 
 
+def _eliminate(lg: LabeledMultigraph, ops: list[tuple[EdgeView, Pair]], v: int, with_v: bool, tag: str) -> None:
+    """An eager elimination at v: realize the fixed splits `ops`, emit the
+    parts they free and remove their edges, and v too when `with_v`."""
+    lg.emit(eliminate_with_fixed_splits(ops, v, with_v, tag))
+    for e, _ in ops:
+        lg.remove_labeled(e.eid)
+    if with_v:
+        lg.remove_vertex(v)
+
+
 def _reduce_vertex_deg3(lg: LabeledMultigraph, v: int, views: list[EdgeView]) -> str:
     a, b, c = sorted(views, key=lambda e: (-e.weight(), e.eid))
     i, j, k = a.weight(), b.weight(), c.weight()
     s = i + j + k + 1
     names = f"{a.label.name}/{b.label.name}/{c.label.name}"
-    if s == 4:
-        parts = eliminate_with_fixed_splits([(a, (S1, S0)), (b, (S1, S0)), (c, (S1, S0))],
-                                            v, True, f"vertex3[{names}]@{v}")
-        lg.emit(parts)
-        _remove_star(lg, v, views)
-        return f"vertex3-flat[{names}]@{v}"
-    if s == 8:
-        if j == 2:
+    if s in (4, 8):
+        if s == 4:
+            ops = [(a, (S1, S0)), (b, (S1, S0)), (c, (S1, S0))]
+        elif j == 2:
             ops = [(a, (S3, S0)), (b, (S2, S0)), (c, (S2, S0))]
         else:
             ops = [(a, (S3, S0)), (b, (S3, S0)), (c, (S1, S0))]
-        parts = eliminate_with_fixed_splits(ops, v, True, f"vertex3[{names}]@{v}")
-        lg.emit(parts)
-        _remove_star(lg, v, views)
+        _eliminate(lg, ops, v, True, f"vertex3[{names}]@{v}")
         return f"vertex3-flat[{names}]@{v}"
     tag = f"vertex3[{names}]@{v}"
     if 5 <= s <= 7:
@@ -308,28 +312,17 @@ def _reduce_vertex_deg4plus(lg: LabeledMultigraph, v: int, views: list[EdgeView]
     for ei, ej in combinations(sorted(views, key=lambda e: e.eid), 2):
         if ei.weight() + ej.weight() == 4:
             ops = [(ei, (plain[ei.weight()], S0)), (ej, (plain[ej.weight()], S0))]
-            parts = eliminate_with_fixed_splits(ops, v, False, f"vertex4+pair[{names}]@{v}")
-            lg.emit(parts)
-            lg.remove_labeled(ei.eid)
-            lg.remove_labeled(ej.eid)
+            _eliminate(lg, ops, v, False, f"vertex4+pair[{names}]@{v}")
             return f"vertex4-pair[{ei.label.name}+{ej.label.name}]@{v}"
     weights = sorted(e.weight() for e in views)
     if weights[-1] < 3:
         ordered = sorted(views, key=lambda e: (-e.weight(), e.eid))
-        if d >= 6:
-            tail = ordered[-4:]
-            parts = eliminate_with_fixed_splits([(e, (S1, S0)) for e in tail], v, False,
-                                                f"vertex4+flat[{names}]@{v}")
-            lg.emit(parts)
-            for e in tail:
-                lg.remove_labeled(e.eid)
-            return f"vertex4-flat[{names}]@{v}"
-        if d == 5 and ordered[0].weight() == 2:
-            chosen = [(ordered[0], (S2, S0)), (ordered[-2], (S1, S0)), (ordered[-1], (S1, S0))]
-            parts = eliminate_with_fixed_splits(chosen, v, False, f"vertex4+flat[{names}]@{v}")
-            lg.emit(parts)
-            for e, _ in chosen:
-                lg.remove_labeled(e.eid)
+        if d >= 6 or (d == 5 and ordered[0].weight() == 2):
+            if d >= 6:
+                ops = [(e, (S1, S0)) for e in ordered[-4:]]
+            else:
+                ops = [(ordered[0], (S2, S0)), (ordered[-2], (S1, S0)), (ordered[-1], (S1, S0))]
+            _eliminate(lg, ops, v, False, f"vertex4+flat[{names}]@{v}")
             return f"vertex4-flat[{names}]@{v}"
         e1, e2 = ordered[0], ordered[1]
         singles = ordered[2:]

@@ -1,34 +1,67 @@
 """How a lift closes: gathering its children and finalizing what they free.
 
-Every lift requests operations on its child edges and then closes the same
-way, through one :class:`Local` built from the child realizations.  The
-Local holds the union of the children's fragments and bound-tree edges (the
-real graph edges they materialized) and starts its part list with their
-cascaded parts, in request order.  The lift then finalizes the vertices
-gathered around the eliminated vertex and builds the new bound trees over
-that fragment, and :meth:`Local.done` returns the :class:`Realization`.
+Every lift requests operations on its child edges, then closes through one
+:class:`Local` built from the child realizations: the union of their
+fragments and bound-tree edges (the real edges they materialized), and
+their cascaded parts in request order.  Its methods are the closing moves:
 
-The exact grouping into nearly connected 4-sets depends on the shapes the
-child realizations happened to produce, so rather than hard-coding one
-grouping per case, the lifts hand the pool to a tiny exact search.
-:func:`group` answers whether a grouping exists (None when it does not), for
-lifts that try several vertex allocations; :meth:`Local.finalize` is the
-same search for lifts whose case table promises a grouping, and traps with
-the lift's provenance when there is none, since that means the table was
-transcribed wrongly.  A :class:`Fragment` is an adjacency from
-:func:`graphs.adjacency`; its connectivity test and witness search are the
-graph layer's :func:`bfs_parents` and :func:`nearly_connected_witness`,
-which the oracle uses too.  A vertex outside the fragment is neither
-connected to nor connectable with anything.
+- :meth:`~Local.group` finalizes a pool if it groups into nearly connected
+  4-sets, and :meth:`~Local.finalize` traps with the lift's provenance when
+  it does not (the case table promised a grouping);
+- :meth:`~Local.part` finalizes one constructed 4-set;
+- :meth:`~Local.keep` keeps a few freed vertices at the eliminated vertex v
+  and finalizes the rest;
+- :meth:`~Local.far_tree` serves the far side through a child read from v;
+- :meth:`~Local.span` builds a breadth-first tree over the fragment;
+- :meth:`~Local.done` returns the lift's :class:`Realization`.
+
+The lifts' pair vocabulary lives here too: :data:`PLAIN` and :data:`PLUS`
+name tree sets by size, :func:`pair_shape` classifies a pair and
+:func:`mirrored` serves one by reading the lift from the other end.
+
+Groupings come from a tiny exact search, :func:`group`, since they depend
+on the shapes the children happened to produce.  A :class:`Fragment` is an
+adjacency from :func:`graphs.adjacency` searched by the graph layer's
+:func:`bfs_parents` and :func:`nearly_connected_witness`, which the oracle
+uses too; a vertex outside it is connected to nothing.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Collection, Iterable
+from typing import Callable, Collection, Iterable
 
 from ..graphs import adjacency, bfs_parents, nearly_connected_witness, norm_edge
-from .model import BoundTree, EngineBug, Realization
+from ..labels import Pair, TreeSet
+from .model import BoundTree, EngineBug, Realization, from_parents
+
+PLAIN = {0: TreeSet.S0, 1: TreeSet.S1, 2: TreeSet.S2, 3: TreeSet.S3}
+PLUS = {1: TreeSet.S1P, 2: TreeSet.S2P, 3: TreeSet.S3P}
+
+_KIND = {
+    TreeSet.S0: ("plain", 0), TreeSet.S1: ("plain", 1),
+    TreeSet.S2: ("plain", 2), TreeSet.S3: ("plain", 3),
+    TreeSet.S1P: ("plus", 1), TreeSet.S2P: ("plus", 2), TreeSet.S3P: ("plus", 3),
+    TreeSet.S2M: ("minus", 2), TreeSet.S3M: ("minus", 3), TreeSet.S5M: ("minus", 5),
+}
+
+
+def pair_shape(pair: Pair) -> tuple[str, int, int]:
+    """Classify a plain/plus pair: ('plain'|'plus_right'|'plus_left', x, y)."""
+    (ka, x), (kb, y) = _KIND[pair[0]], _KIND[pair[1]]
+    if ka == "plain" and kb == "plain":
+        return "plain", x, y
+    if ka == "plain" and kb == "plus":
+        return "plus_right", x, y
+    if ka == "plus" and kb == "plain":
+        return "plus_left", x, y
+    raise EngineBug(f"pair {pair} is not a plain/plus combination")
+
+
+def mirrored(lift: Callable[[Pair], Realization], pair: Pair) -> Realization:
+    """Realize `pair` through `lift` built on the reversed configuration: the
+    lift receives the swapped pair and its realization is flipped back."""
+    return lift((pair[1], pair[0])).flipped()
 
 
 class Fragment:
@@ -130,6 +163,29 @@ class Local:
             raise EngineBug(f"constructed part {sorted(p)} is not nearly connected locally", self.tag)
         self.parts.append(p)
 
+    def keep(self, v: int, size: int, pool: Collection[int]) -> frozenset[int]:
+        """The first `size`-subset of `pool`, in lexicographic order, that is
+        connected to `v` in the fragment and whose complement groups into
+        nearly connected 4-sets; that complement is finalized.  Traps when no
+        subset works."""
+        for combo in combinations(sorted(pool), size):
+            kept = frozenset(combo)
+            if self.fragment.connected(kept | {v}) and self.group(set(pool) - kept):
+                return kept
+        raise EngineBug(f"no way to keep a {size}-vertex subtree at {v} from pool {sorted(pool)}", self.tag)
+
+    def far_tree(self, r: Realization, v: int, head: int, *extra: int) -> BoundTree:
+        """The tree at `head` of a child realization `r` read v -> head.
+
+        A subdivided child hands v, its path and `extra` to the far side,
+        spanned from `head`; a split child's tail tree closes with v and
+        `extra` into finalized 4-sets, and its head tree serves the far side.
+        """
+        if r.subdiv is not None:
+            return self.span(head, {head, v, *extra, *r.subdiv})
+        self.finalize(r.p_tree.actives | {v, *extra})
+        return r.q_tree
+
     def span(self, root: int, vertices: set[int] | frozenset[int],
              dummies: frozenset[int] | set[int] = frozenset()) -> BoundTree:
         """BFS spanning tree of `vertices` inside the fragment, rooted at `root`.
@@ -143,8 +199,7 @@ class Local:
         parent = bfs_parents(adj, root, vertices) if root in adj else {root: None}
         if parent.keys() != set(vertices):
             raise EngineBug(f"cannot span {sorted(vertices)} from {root} with the available edges", self.tag)
-        edges = tuple((p, x) for x, p in parent.items() if p is not None)
-        return BoundTree(root, edges, frozenset(dummies))
+        return from_parents(root, parent, frozenset(dummies))
 
     def done(self, p_tree: BoundTree | None = None, q_tree: BoundTree | None = None,
              subdiv: tuple[int, ...] | None = None) -> Realization:

@@ -80,9 +80,10 @@ def flip_op(op: Operation) -> Operation:
 # subtree sizes.  A tree therefore carries its shape (vertex set, active set,
 # order, ascending root children and their subtree sizes) from the moment it
 # is built: a tree given by raw edges runs the tree checks and one
-# breadth-first search once, at construction, while `single`, `fuse`, `graft`
-# and `with_dummies` compose the shapes of their inputs and check only what
-# the composition could break.  Membership in a tree set depends only on the
+# breadth-first search once, at construction, `from_parents` reads the shape
+# off a breadth-first search already run, and `single`, `fuse`, `graft` and
+# `with_dummies` compose the shapes of their inputs and check only what the
+# composition could break.  Membership in a tree set depends only on the
 # shape, so `fits` answers from a table filled on first use.
 
 
@@ -123,13 +124,7 @@ class BoundTree:
         if len(parent) != len(verts):
             raise EngineBug("tree edges are not connected")
         _check_dummies(root, verts, self.dummies)
-        top: dict[int, int] = {}  # vertex -> the root child above it, in discovery order
-        size = dict.fromkeys(adj[root], 0)
-        for x, p in parent.items():
-            if p is not None:
-                t = top[x] = x if p == root else top[p]
-                size[t] += 1
-        _shape(self, verts, tuple(adj[root]), tuple(sorted(size.values())))
+        _shape(self, verts, *_subtrees(root, parent))
 
     def root_children(self) -> list[int]:
         """The root's neighbours in ascending order."""
@@ -163,6 +158,18 @@ def _check_dummies(root: int, vertices: frozenset[int], dummies: frozenset[int])
         raise EngineBug("dummy markers outside the tree")
 
 
+def _subtrees(root: int, parent: dict[int, int | None]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The root's children and the orders of their subtrees, each ascending,
+    from a breadth-first parent map of the tree."""
+    top: dict[int, int] = {}  # vertex -> the root child above it
+    size: dict[int, int] = {}
+    for x, p in parent.items():
+        if p is not None:
+            t = top[x] = x if p == root else top[p]
+            size[t] = size.get(t, 0) + 1
+    return tuple(sorted(size)), tuple(sorted(size.values()))
+
+
 def _shape(tree: BoundTree, vertices: frozenset[int], children: tuple[int, ...], sizes: tuple[int, ...]) -> None:
     """Set the carried shape fields of `tree`."""
     setf = object.__setattr__
@@ -183,6 +190,15 @@ def _composed(root: int, edges: tuple[tuple[int, int], ...], dummies: frozenset[
     setf(tree, "dummies", dummies)
     _shape(tree, vertices, children, sizes)
     return tree
+
+
+def from_parents(root: int, parent: dict[int, int | None], dummies: frozenset[int]) -> BoundTree:
+    """The tree of a :func:`graphs.bfs_parents` map from `root`, with edges
+    in discovery order; such a map is a tree, so only the dummies are checked."""
+    vertices = frozenset(parent)
+    _check_dummies(root, vertices, dummies)
+    edges = tuple((p, x) for x, p in parent.items() if p is not None)
+    return _composed(root, edges, dummies, vertices, *_subtrees(root, parent))
 
 
 def single(root: int) -> BoundTree:

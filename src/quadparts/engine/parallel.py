@@ -10,8 +10,7 @@ edge is simply deleted by the driver; no merge gadget is involved.)
 from __future__ import annotations
 
 from ..labels import CATALOG, Label, Pair, TreeSet
-from .caselib import PLAIN, PLUS, mirrored, pair_shape
-from .local import Local
+from .local import PLAIN, PLUS, Local, mirrored, pair_shape
 from .model import EdgeView, EngineBug, Gadget, Realization, Split, Subdivide, fuse, single
 
 S0, S1, S2, S3 = TreeSet.S0, TreeSet.S1, TreeSet.S2, TreeSet.S3
@@ -224,10 +223,7 @@ def _general_lift(e1: EdgeView, e2: EdgeView, u: int, v: int, tag: str):
         ra = e1.request(Split(S3, S3P))
         rb = e2.request(Split(S0, S2))
         loc = Local(tag, ra, rb)
-        at_v = (ra.q_tree.actives | rb.q_tree.actives) - {v}
-        for keep in sorted(at_v):
-            if loc.fragment.connected({v, keep}) and loc.group(at_v - {keep}):
-                return loc.done(ra.p_tree, loc.span(v, {v, keep}))
-        raise EngineBug(f"no leftover split of the head side for {pair}", tag)
+        kept = loc.keep(v, 1, (ra.q_tree.actives | rb.q_tree.actives) - {v})
+        return loc.done(ra.p_tree, loc.span(v, kept | {v}))
 
     return lift

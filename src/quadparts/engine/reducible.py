@@ -10,12 +10,9 @@ former neighbours whose gadget replays its operations onto the removed edges.
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from ..labels import CATALOG, Pair, TreeSet
-from .caselib import PLAIN, PLUS, mirrored, pair_shape
-from .local import Local
-from .model import BoundTree, EdgeView, EngineBug, Gadget, Realization, Split, Subdivide, single
+from .local import PLAIN, PLUS, Local, mirrored, pair_shape
+from .model import EdgeView, EngineBug, Gadget, Realization, Split, Subdivide, single
 
 S0, S1, S2, S3 = TreeSet.S0, TreeSet.S1, TreeSet.S2, TreeSet.S3
 S1P, S2P, S3P = TreeSet.S1P, TreeSet.S2P, TreeSet.S3P
@@ -72,22 +69,15 @@ def build_edge_absorb(e1: EdgeView, e2: EdgeView, v: int, v2: int, tag: str) -> 
         if pair in ((S1, S1), (S2, S0)):
             size = 1 if pair == (S1, S1) else 2
             r2 = e2.request(Split(S2, S1) if size == 1 else Split(S3, S0))
-            return _keep_subtree_at(Local(tag, r1, r2), v, size, m | (r2.p_tree.actives - {v}), r2.q_tree)
+            loc = Local(tag, r1, r2)
+            kept = loc.keep(v, size, m | (r2.p_tree.actives - {v}))
+            return loc.done(loc.span(v, kept | {v}), r2.q_tree)
         if pair in ((S3, S3P), (S3P, S3)):
             r2 = e2.request(Split(S0, S3))
             return Local(tag, r1, r2).done(r1.p_tree, r2.q_tree)
         raise EngineBug(f"pair {pair} is not part of the absorbed-edge table", tag)
 
     return Gadget(label, v, v2, scope, lift, provenance=tag)
-
-
-def _keep_subtree_at(loc: Local, v: int, size: int, pool: set[int], q_tree: BoundTree) -> Realization:
-    """Keep a `size`-vertex subtree at v as the new tail tree and finalize the rest."""
-    for combo in combinations(sorted(pool), size):
-        keep = frozenset(combo)
-        if loc.fragment.connected(keep | {v}) and loc.group(pool - keep):
-            return loc.done(loc.span(v, keep | {v}), q_tree)
-    raise EngineBug(f"no way to keep a {size}-vertex subtree at {v} from pool {sorted(pool)}", loc.tag)
 
 
 # ---------------------------------------------------------------------------
@@ -121,20 +111,14 @@ def build_deg3_pair_config(e1: EdgeView, e2: EdgeView, e3: EdgeView, v: int,
                 r3 = e3.request(Subdivide(1) if e3.label.subdividable else Split(S3P, S2))
                 loc = Local(tag, r1, r2, r3)
                 loc.finalize((r1.p_tree.actives - {v}) | set(cs))
-                if e3.label.subdividable:
-                    return loc.done(r1.q_tree, loc.span(v3, {v3, v, *r3.subdiv}))
-                loc.finalize(r3.p_tree.actives | {v})
-                return loc.done(r1.q_tree, r3.q_tree)
+                return loc.done(r1.q_tree, loc.far_tree(r3, v, v3))
             if y == 3:
                 # only the weight-3 tail reaches here
                 r1 = e1.request(Split(S3M, S0))
                 r3 = e3.request(Subdivide(1) if e3.label.subdividable else Split(S2P, S3))
                 loc = Local(tag, r1, r2, r3)
                 loc.part((r1.p_tree.actives - {v}) | {cs[0]})
-                if e3.label.subdividable:
-                    return loc.done(r1.q_tree, loc.span(v3, {v3, v, cs[1], *r3.subdiv}))
-                loc.finalize(r3.p_tree.actives | {v, cs[1]})
-                return loc.done(r1.q_tree, r3.q_tree)
+                return loc.done(r1.q_tree, loc.far_tree(r3, v, v3, cs[1]))
             raise EngineBug(f"plain pair {pair} out of range for tail weight {i}", tag)
         if kind in ("plus_right", "plus_left") and {x, y} == {3} and i == 2:
             # large-pair request on the weight-2 replacement edge
@@ -168,9 +152,12 @@ def build_deg3_general(e1: EdgeView, e2: EdgeView, e3: EdgeView, v: int,
     scope = e1.scope | e2.scope | e3.scope | {v}
 
     def lift(pair: Pair) -> Realization:
+        kind, x, y = pair_shape(pair)
+        if kind == "plus_left" and (x, y) == (3, 3) and i != 3:
+            # read from e2's side before any request, so e3 is realized once
+            return mirrored(build_deg3_general(e2, e1, e3, v, tag + "~")._split_lift, pair)
         r3 = e3.request(Split(PLAIN[k], S0))
         a3 = sorted(r3.p_tree.actives - {v})
-        kind, x, y = pair_shape(pair)
         if kind == "plain":
             if x + y != w:
                 raise EngineBug(f"plain pair {pair} inconsistent with weight {w}", tag)
@@ -202,9 +189,7 @@ def build_deg3_general(e1: EdgeView, e2: EdgeView, e3: EdgeView, v: int,
             if (x, y) == (3, 2):
                 return _plus_32_left(r3, a3)
             if (x, y) == (3, 3):
-                if i == 3:
-                    return _plus_33(r3, a3)  # the heavy-tail lift is plain on both sides
-                return mirrored(build_deg3_general(e2, e1, e3, v, tag + "~")._split_lift, pair)
+                return _plus_33(r3, a3)  # i == 3: the heavy-tail lift is plain on both sides
             raise EngineBug(f"plus pair {pair} is out of range", tag)
         if (x, y) == (2, 3):
             return _plus_23(e1.request(Split(S0, S2)), r3, a3)
@@ -221,10 +206,7 @@ def build_deg3_general(e1: EdgeView, e2: EdgeView, e3: EdgeView, v: int,
         r2 = e2.request(Subdivide(j) if e2.label.subdividable else Split(S3P, PLAIN[y]))
         loc = Local(tag, r1, r2, r3)
         loc.finalize((r1.p_tree.actives - {v}) | set(a3))
-        if e2.label.subdividable:
-            return loc.done(r1.q_tree, loc.span(v2, {v2, v, *r2.subdiv}))
-        loc.finalize(r2.p_tree.actives | {v})
-        return loc.done(r1.q_tree, r2.q_tree)
+        return loc.done(r1.q_tree, loc.far_tree(r2, v, v2))
 
     def _plain_overweight_tail(pair: Pair, x: int, y: int, r3, a3) -> Realization:
         # x = 3 with all weights 2: both light edges close a part, the heavy
@@ -233,19 +215,13 @@ def build_deg3_general(e1: EdgeView, e2: EdgeView, e3: EdgeView, v: int,
         r1 = e1.request(Subdivide(2) if e1.label.subdividable else Split(S3P, S3))
         loc = Local(tag, r1, r2, r3)
         loc.finalize((r2.p_tree.actives - {v}) | set(a3))
-        if e1.label.subdividable:
-            return loc.done(loc.span(v1, {v1, v, *r1.subdiv}), r2.q_tree)
-        loc.finalize(r1.p_tree.actives | {v})
-        return loc.done(r1.q_tree, r2.q_tree)
+        return loc.done(loc.far_tree(r1, v, v1), r2.q_tree)
 
     def _plus_23(r1, r3, a3) -> Realization:
         # e1 already split with an empty tail tree: e2 serves the head side
         r2 = e2.request(Subdivide(1) if e2.label.subdividable else Split(S2P, S3))
         loc = Local(tag, r1, r2, r3)
-        if e2.label.subdividable:
-            return loc.done(r1.q_tree, loc.span(v2, {v2, v, a3[0], *r2.subdiv}))
-        loc.finalize(r2.p_tree.actives | {v, a3[0]})
-        return loc.done(r1.q_tree, r2.q_tree)
+        return loc.done(r1.q_tree, loc.far_tree(r2, v, v2, a3[0]))
 
     def _plus_32(r3, a3) -> Realization:
         if e1.admits(S3P, S3) is not None:
@@ -352,10 +328,7 @@ def build_deg3_sum9_a(e1: EdgeView, e2: EdgeView, e3: EdgeView, v: int,
             r3 = e3.request(Subdivide(2) if e3.label.subdividable else Split(S3P, S3))
             loc = Local(tag, r1, r2, r3)
             loc.finalize(m | (r2.p_tree.actives - {v}))
-            if e3.label.subdividable:
-                return loc.done(r2.q_tree, loc.span(v3, {v3, v, *r3.subdiv}))
-            loc.finalize(r3.p_tree.actives | {v})
-            return loc.done(r2.q_tree, r3.q_tree)
+            return loc.done(r2.q_tree, loc.far_tree(r3, v, v3))
         if pair in ((S3, S2P), (S3P, S2)):
             r2 = e2.request(Split(S0, S3))
             r3 = e3.request(Split(S0, S2))
@@ -390,10 +363,7 @@ def build_deg3_sum9_b(e1: EdgeView, e2: EdgeView, e3: EdgeView, v: int,
             r3 = e3.request(Subdivide(2) if e3.label.subdividable else Split(S3P, S3))
             loc = Local(tag, r1, r2, r3)
             loc.finalize(m | (r1.p_tree.actives - {v}))
-            if e3.label.subdividable:
-                return loc.done(r1.q_tree, loc.span(v3, {v3, v, *r3.subdiv}))
-            loc.finalize(r3.p_tree.actives | {v})
-            return loc.done(r1.q_tree, r3.q_tree)
+            return loc.done(r1.q_tree, loc.far_tree(r3, v, v3))
         if pair in ((S3, S2P), (S3P, S2)):
             r1 = e1.request(Split(S0, S3M))
             r3 = e3.request(Split(S0, S2))
@@ -532,8 +502,10 @@ def build_deg4plus_light(e1: EdgeView, e2: EdgeView, singles: list[EdgeView], v:
     # -- replacement weight 2 (degree 5 all-unit, or degree 4 with one weight-2)
 
     def _lift_w2(pair: Pair) -> Realization:
-        rs, avs = fixed_singles()
         d5 = len(singles) == 3
+        if d5 and pair == (S3P, S3):
+            return mirrored(swapped(), pair)
+        rs, avs = fixed_singles()
         if pair == (S2, S0):
             if not d5:
                 r1 = e1.request(Split(S0, S2))
@@ -543,19 +515,13 @@ def build_deg4plus_light(e1: EdgeView, e2: EdgeView, singles: list[EdgeView], v:
             r1 = e1.request(Subdivide(1) if e1.label.subdividable else Split(S3P, S2))
             loc = Local(tag, r1, r2, *rs)
             loc.finalize((r2.p_tree.actives - {v}) | set(avs))
-            if e1.label.subdividable:
-                return loc.done(loc.span(v1, {v1, v, *r1.subdiv}), r2.q_tree)
-            loc.finalize(r1.p_tree.actives | {v})
-            return loc.done(r1.q_tree, r2.q_tree)
+            return loc.done(loc.far_tree(r1, v, v1), r2.q_tree)
         if pair == (S0, S2):
             r1 = e1.request(Split(PLAIN[w1], S0))
             r2 = e2.request(Subdivide(1) if e2.label.subdividable else Split(S3P, S2))
             loc = Local(tag, r1, r2, *rs)
             loc.finalize((r1.p_tree.actives - {v}) | set(avs))
-            if e2.label.subdividable:
-                return loc.done(r1.q_tree, loc.span(v2, {v2, v, *r2.subdiv}))
-            loc.finalize(r2.p_tree.actives | {v})
-            return loc.done(r1.q_tree, r2.q_tree)
+            return loc.done(r1.q_tree, loc.far_tree(r2, v, v2))
         if pair == (S1, S1):
             r1 = e1.request(Split(S0, S1) if d5 else Split(S1P, S1))
             r2 = e2.request(Split(S0, S1))
@@ -563,8 +529,6 @@ def build_deg4plus_light(e1: EdgeView, e2: EdgeView, singles: list[EdgeView], v:
         if pair == (S3, S3P):
             return _w2_large(False, rs, avs, d5)
         if pair == (S3P, S3):
-            if d5:
-                return mirrored(swapped(), pair)
             return _w2_large(True, rs, avs, d5)
         raise EngineBug(f"pair {pair} not liftable in the light elimination", tag)
 
@@ -625,9 +589,9 @@ def build_deg4plus_light(e1: EdgeView, e2: EdgeView, singles: list[EdgeView], v:
     # -- replacement weight 1 (degree 4, all edges unit weight)
 
     def _lift_w1(pair: Pair) -> Realization:
-        rs, avs = fixed_singles()
         if pair in ((S1, S0), (S2P, S3), (S3P, S2)):
             return mirrored(swapped(), pair)
+        rs, avs = fixed_singles()
         if pair == (S0, S1):
             r1 = e1.request(Split(S1, S0))
             r2 = e2.request(Split(S0, S1))
@@ -668,11 +632,8 @@ def build_deg4plus_light(e1: EdgeView, e2: EdgeView, singles: list[EdgeView], v:
             if e1_spl is None and e2_spl is not None:
                 s1 = e1.request(Subdivide(1))
                 loc = Local(tag, s1, e2_spl, *rs)
-                pool = (e2_spl.p_tree.actives - {v}) | set(avs)
-                for m in sorted(pool):
-                    if loc.fragment.connected({v, m}) and loc.group(pool - {m}):
-                        return loc.done(loc.span(v1, {v1, v, *s1.subdiv, m}), e2_spl.q_tree)
-                raise EngineBug("no graft choice closes the light (S3,S2+) lift", tag)
+                kept = loc.keep(v, 1, (e2_spl.p_tree.actives - {v}) | set(avs))
+                return loc.done(loc.span(v1, {v1, v, *s1.subdiv, *kept}), e2_spl.q_tree)
             s1 = e1.request(Subdivide(1))
             s2 = e2.request(Subdivide(1))
             loc = Local(tag, s1, s2, *rs)

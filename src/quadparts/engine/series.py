@@ -11,8 +11,7 @@ gathered around v together with v itself are finalized into nearly connected
 from __future__ import annotations
 
 from ..labels import CATALOG, Label, Pair, TreeSet
-from .caselib import PLAIN, PLUS, mirrored, pair_shape
-from .local import Local
+from .local import PLAIN, PLUS, Local, mirrored, pair_shape
 from .model import EdgeView, EngineBug, Gadget, Realization, Split, Subdivide, graft, single
 
 S0, S1, S2, S3 = TreeSet.S0, TreeSet.S1, TreeSet.S2, TreeSet.S3

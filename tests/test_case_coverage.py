@@ -10,9 +10,11 @@ graph to arise naturally.  The sweeps themselves live in ``tests/sweeps.py``,
 which also hashes what they realize into a golden fixture.
 """
 
+from collections import Counter
+
 import pytest
 
-from quadparts.engine.model import EdgeView, EngineBug
+from quadparts.engine.model import EdgeView, EngineBug, flip_op
 from quadparts.engine.reducible import build_deg4plus_light
 from quadparts.engine.series import build_series_gadget
 from quadparts.labels import CATALOG
@@ -86,6 +88,30 @@ class TestDegree4PlusCoverage:
 
     def test_degree4_all_unit(self):
         run_sweep(sweeps.degree4_all_unit, lambda ls, out: out.name == "L10")
+
+
+class TestSingleRequests:
+    def test_no_child_operation_is_requested_twice(self, monkeypatch):
+        """Within one realization of a swept gadget, each child edge is
+        asked for each operation (in its stored orientation) at most once:
+        a lift that serves a pair from the other end does so before it
+        requests anything, so no child realization is thrown away."""
+        requests = Counter()
+        real_request = EdgeView.request
+
+        def counted(view, op):
+            requests[id(view.edge), flip_op(op) if view.flipped_store else op] += 1
+            return real_request(view, op)
+
+        monkeypatch.setattr(EdgeView, "request", counted)
+        repeats = Counter()
+        for name, sweep in sweeps.GADGET_SWEEPS.items():
+            for _, gadget in sweep():
+                for op in all_ops(gadget.label):
+                    requests.clear()
+                    gadget.realize(op)
+                    repeats[name] += sum(count - 1 for count in requests.values())
+        assert not +repeats, dict(+repeats)
 
 
 class TestLedgerIsOn:

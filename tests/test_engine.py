@@ -140,18 +140,59 @@ class TestLocalGrouping:
                 loc.span(root, vertices)
             assert info.value.provenance == "caller[span]"
 
+    def test_far_tree_spans_a_subdivided_child(self):
+        """A subdivided child v -> 9 hands v, its path and the extra vertices
+        to a tree spanned from the head; nothing is finalized."""
+        child = Realization(subdiv=(5,), fragment=frozenset({(0, 5), (5, 9), (0, 3)}))
+        for extra, edges in (((), ((9, 5), (5, 0))), ((3,), ((9, 5), (5, 0), (0, 3)))):
+            loc = Local("caller", child)
+            tree = loc.far_tree(child, 0, 9, *extra)
+            assert tree.root == 9 and tree.edges == edges and loc.parts == []
+
+    def test_far_tree_closes_a_split_child(self):
+        """A split child v -> 9 closes its tail tree with v and the extra
+        vertices into 4-sets, and its head tree serves the far side."""
+        head = BoundTree(9, ((9, 8),))
+        for tail, extra in ((BoundTree(0, ((0, 1), (1, 2), (2, 3))), ()),
+                            (BoundTree(0, ((0, 1), (1, 2))), (3,))):
+            child = Realization(p_tree=tail, q_tree=head, fragment=frozenset({(2, 3)}))
+            loc = Local("caller", child)
+            assert loc.far_tree(child, 0, 9, *extra) is head
+            assert loc.parts == [frozenset({0, 1, 2, 3})]
+
+    def test_keep_picks_the_first_subset_that_closes(self):
+        fan = _local([(0, x) for x in range(1, 6)])
+        assert fan.keep(0, 1, range(1, 6)) == {1} and fan.parts == [frozenset({2, 3, 4, 5})]
+        # {0} would leave a grouping but is not connected to 4; {5} is
+        loc = _local(self.PATH8)
+        assert loc.keep(4, 1, {0, 1, 2, 3, 5}) == {5} and loc.parts == [frozenset({0, 1, 2, 3})]
+        assert _local(self.PATH8).keep(0, 2, range(1, 7)) == {1, 2}
+
+    def test_keep_traps_with_provenance(self):
+        loc = _local(self.PATH8, "caller[keep]")
+        with pytest.raises(EngineBug, match="no way to keep a 1-vertex subtree at 0") as info:
+            loc.keep(0, 1, {2, 3, 4, 5, 6})
+        assert info.value.provenance == "caller[keep]" and loc.parts == []
+
 
 class TestClosingProtocol:
     def test_case_modules_close_only_through_local(self):
-        """The case lifts construct no Realization or Fragment themselves:
-        how a lift closes is decided in engine/local.py alone."""
+        """The case lifts construct no Realization or Fragment themselves,
+        read no fragment and take their vocabulary from engine/local.py
+        alone: how a lift closes is decided there."""
         engine = Path(inspect.getfile(Local)).parent
         for name in ("series.py", "parallel.py", "reducible.py"):
             tree = ast.parse((engine / name).read_text(encoding="utf-8"))
+            nodes = list(ast.walk(tree))
             called = {getattr(node.func, "id", getattr(node.func, "attr", None))
-                      for node in ast.walk(tree) if isinstance(node, ast.Call)}
+                      for node in nodes if isinstance(node, ast.Call)}
+            read = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+            imported = {node.module for node in nodes if isinstance(node, ast.ImportFrom)}
+            imported |= {alias.name for node in nodes if isinstance(node, ast.Import) for alias in node.names}
             assert "Local" in called, name
             assert not called & {"Realization", "Fragment"}, name
+            assert "fragment" not in read, name
+            assert not any("caselib" in (module or "") for module in imported), name
 
 
 def _random_tree(rng: random.Random, ids, root: int, budget: int, depth: int = 0) -> tuple[BoundTree, list[str]]:
@@ -510,10 +551,11 @@ class TestConstantStepWork:
 
     def test_tree_shapes_build_no_adjacency(self, monkeypatch):
         """Bound trees carry their shape, so `fits`, `order` and
-        `root_children` build no adjacency: every `graphs.adjacency` call of
-        a partition is the one search of a tree built from raw edges or a
-        Local's fragment.  The input graph's own adjacency, which the final
-        verification reads, is built before counting starts."""
+        `root_children` build no adjacency, and `Local.span` builds its tree
+        from the search it already ran: a partition builds no tree from raw
+        edges, and every `graphs.adjacency` call is a Local's fragment.  The
+        input graph's own adjacency, which the final verification reads, is
+        built before counting starts."""
         g = relabelled(cycle_graph(400), 1)
         g.adj()
         counts = Counter()
@@ -536,7 +578,7 @@ class TestConstantStepWork:
         monkeypatch.setattr(BoundTree, "__post_init__", post_init)
         monkeypatch.setattr(Fragment, "__init__", fragment)
         partition, trace = partition_with_trace(g)
-        assert 0 < counts["adjacency"] <= counts["raw tree"] + counts["fragment"], counts
+        assert counts["raw tree"] == 0 and 0 < counts["adjacency"] <= counts["fragment"], counts
         assert len(trace) > 300 and verify_partition(g, partition.member_sets()).ok
 
 
