@@ -1,5 +1,5 @@
-"""Write the golden fixtures ``golden_partitions.jsonl``, ``golden_dense.jsonl``
-and ``golden_stub_realizations.jsonl`` beside this file.
+"""Write the golden fixtures ``golden_partitions.jsonl``, ``golden_dense.jsonl``,
+``golden_deep.jsonl`` and ``golden_stub_realizations.jsonl`` beside this file.
 
 Usage: ``PYTHONPATH=src:. python tests/data/make_golden.py`` from the repository root.
 
@@ -7,7 +7,11 @@ Each line holds one fixed-seed input (order and edge list), the parts the engine
 for it, and the sha256 of its step trace (the ``TraceStep.format()`` lines
 joined by newlines).  The first fixture holds many small and sparse inputs,
 the second a few dense blocks (a Hamiltonian cycle plus half of the other
-pairs), on which almost every step strips one edge.  The third holds one
+pairs), on which almost every step strips one edge.  The deep fixture holds
+three identity-labelled chains (a 400-cycle, the 600-vertex theta of three
+paths of equal length and a 396-vertex subdivided K4), whose long paths
+contract in label order into a realization cascade hundreds of gadgets
+deep.  The last holds one
 sha256 per builder sweep of ``tests/sweeps.py`` over every realization of
 the lifts built on stub children (bound trees, subdivision paths, fragments
 and parts), which pins the lifts that the partition fixtures rarely reach,
@@ -27,11 +31,12 @@ from pathlib import Path
 from quadparts.engine import partition_with_trace
 from quadparts.families import random_corpus, subdivided_k4, theta
 from quadparts.graphs import SimpleGraph
-from tests.support import complete_graph, dense_block
+from tests.support import complete_graph, cycle_graph, dense_block, equal_theta
 from tests.sweeps import stub_realization_lines
 
 FIXTURE = Path(__file__).with_name("golden_partitions.jsonl")
 DENSE_FIXTURE = Path(__file__).with_name("golden_dense.jsonl")
+DEEP_FIXTURE = Path(__file__).with_name("golden_deep.jsonl")
 STUB_FIXTURE = Path(__file__).with_name("golden_stub_realizations.jsonl")
 
 
@@ -59,6 +64,11 @@ def dense_inputs() -> list[tuple[str, SimpleGraph]]:
             for seed in range(3)]
 
 
+def deep_inputs() -> list[tuple[str, SimpleGraph]]:
+    return [("cycle-400", cycle_graph(400)), ("theta3-600", equal_theta(600, 3)),
+            ("subdivided_k4-396", subdivided_k4(66))]
+
+
 def golden_record(name: str, g: SimpleGraph) -> dict:
     partition, trace = partition_with_trace(g)
     digest = hashlib.sha256("\n".join(step.format() for step in trace).encode()).hexdigest()
@@ -66,11 +76,16 @@ def golden_record(name: str, g: SimpleGraph) -> dict:
             "parts": partition.as_lists(), "trace_sha256": digest}
 
 
+def write_fixture(path: Path, inputs: list[tuple[str, SimpleGraph]]) -> None:
+    with path.open("w", encoding="utf-8") as fh:
+        for name, g in inputs:
+            fh.write(json.dumps(golden_record(name, g), sort_keys=True) + "\n")
+
+
 def main() -> None:
-    for path, inputs in ((FIXTURE, golden_inputs()), (DENSE_FIXTURE, dense_inputs())):
-        with path.open("w", encoding="utf-8") as fh:
-            for name, g in inputs:
-                fh.write(json.dumps(golden_record(name, g), sort_keys=True) + "\n")
+    for path, inputs in ((FIXTURE, golden_inputs()), (DENSE_FIXTURE, dense_inputs()),
+                         (DEEP_FIXTURE, deep_inputs())):
+        write_fixture(path, inputs)
     STUB_FIXTURE.write_text("".join(line + "\n" for line in stub_realization_lines()), encoding="utf-8")
 
 

@@ -17,7 +17,8 @@ takes one of its vertices.  The gadgets built on top of stubs therefore run
 with the conservation ledger on, exactly as on real graphs.
 
 `path_graph`, `cycle_graph`, `complete_graph` and `random_tree` build the
-standard small graphs, `dense_block` the dense random blocks of the
+standard small graphs, `equal_theta` thetas whose paths differ in length
+by at most one, `dense_block` the dense random blocks of the
 second golden fixture, `sparse_block` cycle-plus-chord blocks like the
 benchmark's sparse inputs, and `relabelled` applies a seeded random permutation
 to the vertex ids.  `connected_components`, `diameter` and `degree` read a
@@ -272,6 +273,19 @@ def cycle_graph(n: int) -> SimpleGraph:
 
 def complete_graph(n: int) -> SimpleGraph:
     return SimpleGraph.from_edges(n, itertools.combinations(range(n), 2))
+
+
+def equal_theta(n: int, paths: int) -> SimpleGraph:
+    """Poles 0 and 1 joined by `paths` internally disjoint paths on n vertices
+    in all, whose inner vertex counts differ by at most one (longer paths
+    first), numbered path by path from 2 in order along each path."""
+    inner = [(n - 2) // paths + (i < (n - 2) % paths) for i in range(paths)]
+    edges, nxt = [], 2
+    for count in inner:
+        path = [0, *range(nxt, nxt + count), 1]
+        edges += zip(path, path[1:])
+        nxt += count
+    return SimpleGraph.from_edges(n, edges)
 
 
 def random_tree(n: int, seed: int) -> SimpleGraph:
