@@ -36,6 +36,7 @@ from .model import (
     LabeledMultigraph,
     Split,
     Subdivide,
+    drive,
     leaf_gadget,
 )
 from .parallel import build_parallel_gadget
@@ -256,7 +257,7 @@ def _remove_star(lg: LabeledMultigraph, v: int, views: list[EdgeView]) -> None:
 def _eliminate(lg: LabeledMultigraph, ops: list[tuple[EdgeView, Pair]], v: int, with_v: bool, tag: str) -> None:
     """An eager elimination at v: realize the fixed splits `ops`, emit the
     parts they free and remove their edges, and v too when `with_v`."""
-    lg.emit(eliminate_with_fixed_splits(ops, v, with_v, tag))
+    lg.emit(drive(eliminate_with_fixed_splits(ops, v, with_v, tag)))
     for e, _ in ops:
         lg.remove_labeled(e.eid)
     if with_v:

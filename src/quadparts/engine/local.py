@@ -1,7 +1,11 @@
 """How a lift closes: gathering its children and finalizing what they free.
 
-Every lift requests operations on its child edges, then closes through one
-:class:`Local` built from the child realizations: the union of their
+Every lift is a generator (:data:`~quadparts.engine.model.Lift`).  It
+requests an operation on a child edge by yielding ``(view, op)`` and
+receives the child's realization as the value of that ``yield``, so that
+:func:`~quadparts.engine.model.drive` realizes the whole cascade on one
+explicit stack; a lift never calls a child itself.  It then closes through
+one :class:`Local` built from the child realizations: the union of their
 fragments and bound-tree edges (the real edges they materialized), and
 their cascaded parts in request order.  Its methods are the closing moves:
 
@@ -17,7 +21,8 @@ their cascaded parts in request order.  Its methods are the closing moves:
 
 The lifts' pair vocabulary lives here too: :data:`PLAIN` and :data:`PLUS`
 name tree sets by size, :func:`pair_shape` classifies a pair and
-:func:`mirrored` serves one by reading the lift from the other end.
+:func:`mirrored` serves one by reading the lift from the other end, as a
+lift that delegates with ``yield from``.
 
 Groupings come from a tiny exact search, :func:`group`, since they depend
 on the shapes the children happened to produce.  A :class:`Fragment` is an
@@ -33,7 +38,7 @@ from typing import Callable, Collection, Iterable
 
 from ..graphs import adjacency, bfs_parents, nearly_connected_witness, norm_edge
 from ..labels import Pair, TreeSet
-from .model import BoundTree, EngineBug, Realization, from_parents
+from .model import BoundTree, EngineBug, Lift, Realization, from_parents
 
 PLAIN = {0: TreeSet.S0, 1: TreeSet.S1, 2: TreeSet.S2, 3: TreeSet.S3}
 PLUS = {1: TreeSet.S1P, 2: TreeSet.S2P, 3: TreeSet.S3P}
@@ -58,10 +63,10 @@ def pair_shape(pair: Pair) -> tuple[str, int, int]:
     raise EngineBug(f"pair {pair} is not a plain/plus combination")
 
 
-def mirrored(lift: Callable[[Pair], Realization], pair: Pair) -> Realization:
+def mirrored(lift: Callable[[Pair], Lift], pair: Pair) -> Lift:
     """Realize `pair` through `lift` built on the reversed configuration: the
     lift receives the swapped pair and its realization is flipped back."""
-    return lift((pair[1], pair[0])).flipped()
+    return (yield from lift((pair[1], pair[0]))).flipped()
 
 
 class Fragment:

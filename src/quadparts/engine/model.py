@@ -5,7 +5,10 @@ A labeled edge stands for a connected chunk of the original graph, and its
 u -> v and the lift that *realizes* any operation the label admits.  The
 result binds concrete original-graph vertices into trees attached at the
 edge's two ends (or into a subdivision path) and emits any nearly connected
-4-sets that the rewrite finalized along the way.  The
+4-sets that the rewrite finalized along the way.  A gadget's lift does not
+call its children: it yields each child request and :func:`drive` realizes
+the whole cascade on one explicit stack, so deep cascades need no deep
+Python stack.  The
 :class:`LabeledMultigraph` is a :class:`~quadparts.graphs.Multigraph` whose
 edge ids map to these gadgets; an :class:`EdgeView` reads one of them from
 either end.
@@ -23,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import combinations, islice
-from typing import Callable
+from typing import Callable, Generator, TypeVar
 
 from ..graphs import (Multigraph, SeparationIndex, SimpleGraph, adjacency, bfs_parents, has_three_paths,
                       norm_edge, separation_index)
@@ -256,7 +259,9 @@ class Realization:
     `fragment` collects every real edge this realization materialized, which
     the parent lift's :class:`~quadparts.engine.local.Local` searches for
     witnesses and spans its trees in, and `parts` carries all nearly
-    connected 4-sets finalized at or below this edge.
+    connected 4-sets finalized at or below this edge.  A lift receives it as
+    the value of the ``yield`` that requested it, read from the tail of the
+    view it yielded, and only after the child's gadget has checked it.
     """
 
     parts: tuple[frozenset[int], ...] = ()
@@ -279,15 +284,28 @@ class Realization:
 # Gadgets
 
 
+# A running lift: it yields ``(view, op)`` for each child operation it needs,
+# in order, receives each child's realization read from the view's tail, and
+# returns its own result.
+Lift = Generator[tuple["EdgeView", Operation], Realization, Realization]
+_R = TypeVar("_R")
+
+
 class Gadget:
     """One labeled edge: its label for the stored orientation u -> v, the
     scope it owns, and the lifts that realize its operations.
 
     `split_lift` receives the witness pair actually admitted (always a literal
-    pair of the label) and returns a Realization; `subdiv_lift` receives the
-    subdivision count.  Every realization is checked against the
+    pair of the label), `subdiv_lift` the subdivision count.  A lift that
+    needs no child, like a leaf edge's, returns its Realization at once.
+    Every other lift is a generator, a :data:`Lift`: instead of calling its
+    children it yields ``(view, op)`` for each child operation, in order,
+    and receives that child's realization as the value of the ``yield``.
+    :meth:`realize` runs the whole cascade below a gadget on one explicit
+    stack (:func:`drive`), so Python's stack depth does not grow with the
+    depth of the cascade.  Every realization is checked against the
     conservation invariant (its ledger must cover `scope` exactly once) and
-    the witness pair before being returned.
+    the witness pair when its lift returns, before its parent receives it.
     """
 
     def __init__(
@@ -296,8 +314,8 @@ class Gadget:
         u: int,
         v: int,
         scope: frozenset[int],
-        split_lift: Callable[[Pair], Realization],
-        subdiv_lift: Callable[[int], Realization] | None = None,
+        split_lift: Callable[[Pair], Realization | Lift],
+        subdiv_lift: Callable[[int], Realization | Lift] | None = None,
         provenance: str = "",
     ):
         self.label = label
@@ -309,20 +327,43 @@ class Gadget:
         self.provenance = provenance
 
     def realize(self, op: Operation) -> Realization:
+        """The checked realization of `op`, read in the stored orientation,
+        with the cascade below driven to completion by :func:`drive`."""
+        out = self.start(op)
+        if isinstance(out, Realization):
+            return out
+        real = drive(out)
+        self.check(real, op)
+        return real
+
+    def start(self, op: Operation) -> Realization | Lift:
+        """Begin realizing `op` (stored orientation): the checked realization
+        when the lift needs no child, else the running lift, whose result
+        must pass :meth:`check`."""
         if isinstance(op, Subdivide):
             if not self.label.subdividable or op.k != self.label.weight:
                 raise EngineBug(f"label {self.label} does not allow {op}", self.provenance)
             if self._subdiv_lift is None:
                 raise EngineBug(f"no subdivision lift on {self.label}", self.provenance)
-            real = self._subdiv_lift(op.k)
-            self._check_subdiv(real, op.k)
-            return real
+            out = self._subdiv_lift(op.k)
+            if isinstance(out, Realization):
+                self._check_subdiv(out, op.k)
+            return out
         witness = admits(self.label, op.p, op.q)
         if witness is None:
             raise EngineBug(f"label {self.label} does not admit {op}", self.provenance)
-        real = self._split_lift(witness)
-        self._check_split(real, witness)
-        return real
+        out = self._split_lift(witness)
+        if isinstance(out, Realization):
+            self._check_split(out, witness)
+        return out
+
+    def check(self, real: Realization, op: Operation) -> None:
+        """Trap unless `real` realizes `op` (stored orientation): the
+        operation's shape, the witness pair and the ledger."""
+        if isinstance(op, Subdivide):
+            self._check_subdiv(real, op.k)
+        else:
+            self._check_split(real, admits(self.label, op.p, op.q))
 
     # -- validation -------------------------------------------------------
 
@@ -392,6 +433,42 @@ def leaf_gadget(label: Label, u: int, v: int) -> Gadget:
     return Gadget(label, u, v, frozenset(), split_lift, subdiv_lift, provenance=f"leaf({u},{v})")
 
 
+def drive(lift: Generator[tuple["EdgeView", Operation], Realization, _R]) -> _R:
+    """Run `lift` to completion and return its value, realizing every child
+    operation it yields, and theirs in turn, on one explicit stack.
+
+    Each frame holds a running lift, its gadget, the operation it realizes
+    in the gadget's stored orientation and whether its parent reads it
+    mirrored.  A yielded ``(view, op)`` goes to :meth:`EdgeView.start`: a
+    realization that comes back at once is sent straight back, a running
+    lift is pushed.  When a pushed lift returns, its gadget checks the
+    realization, which is mirrored if need be and sent to the frame below.
+    Children are realized in the order they are yielded, and an exception
+    leaves the loop unchanged, since no lift catches one.
+    """
+    stack: list[tuple[Generator, Gadget | None, Operation | None, bool]] = [(lift, None, None, False)]
+    sent = None
+    while True:
+        top = stack[-1]
+        try:
+            view, op = top[0].send(sent)
+        except StopIteration as stop:
+            stack.pop()
+            if not stack:
+                return stop.value
+            _, gadget, gadget_op, flip = top
+            gadget.check(stop.value, gadget_op)
+            sent = stop.value.flipped() if flip else stop.value
+            continue
+        out = view.start(op)
+        if isinstance(out, Realization):
+            sent = out
+        else:
+            flip = view.flipped_store
+            stack.append((out, view.edge, flip_op(op) if flip else op, flip))
+            sent = None
+
+
 # ---------------------------------------------------------------------------
 # The labeled multigraph and directed reads of its edges
 
@@ -434,7 +511,20 @@ class EdgeView:
     def reversed(self) -> "EdgeView":
         return EdgeView(self.edge, self.head, self.eid)
 
+    def start(self, op: Operation) -> Realization | Lift:
+        """Begin realizing `op` read from `tail`: :meth:`Gadget.start` on the
+        stored orientation, with a finished realization mirrored back.  Every
+        child request that :func:`drive` serves passes through here."""
+        if not self.flipped_store:
+            return self.edge.start(op)
+        out = self.edge.start(flip_op(op))
+        return out.flipped() if isinstance(out, Realization) else out
+
     def request(self, op: Operation) -> Realization:
+        """The checked realization of `op` read from `tail`, with the cascade
+        below driven to completion by :meth:`Gadget.realize`.  The reduction
+        driver calls this for the edges it drops; a lift yields
+        ``(view, op)`` instead, so that :func:`drive` keeps one stack."""
         if not self.flipped_store:
             return self.edge.realize(op)
         return self.edge.realize(flip_op(op)).flipped()

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from ..labels import CATALOG, Label, Pair, TreeSet
 from .local import PLAIN, PLUS, Local, mirrored, pair_shape
-from .model import EdgeView, EngineBug, Gadget, Realization, Split, Subdivide, fuse, single
+from .model import EdgeView, EngineBug, Gadget, Lift, Split, Subdivide, fuse, single
 
 S0, S1, S2, S3 = TreeSet.S0, TreeSet.S1, TreeSet.S2, TreeSet.S3
 S1P, S2P, S3P = TreeSet.S1P, TreeSet.S2P, TreeSet.S3P
@@ -56,25 +56,29 @@ def build_parallel_gadget(e1: EdgeView, e2: EdgeView, u: int, v: int, tag: str) 
 
 
 def _both_w3_lift(e1: EdgeView, e2: EdgeView, u: int, v: int, tag: str):
-    def lift(pair: Pair) -> Realization:
+    def lift(pair: Pair) -> Lift:
         if pair in ((S2M, S0), (S1P, S1), (S5M, S1)):
-            return mirrored(_both_w3_lift(e1.reversed(), e2.reversed(), v, u, tag + "~"), pair)
+            return (yield from mirrored(_both_w3_lift(e1.reversed(), e2.reversed(), v, u, tag + "~"), pair))
         if pair == (S0, S2M):
-            r1, r2 = e1.request(Split(S2, S1)), e2.request(Split(S2, S1))
+            r1 = yield e1, Split(S2, S1)
+            r2 = yield e2, Split(S2, S1)
             loc = Local(tag, r1, r2)
             loc.finalize((r1.p_tree.actives | r2.p_tree.actives) - {u})
             return loc.done(single(u), fuse(r1.q_tree, r2.q_tree))
         if pair == (S1, S1P):
-            r1, r2 = e1.request(Split(S1, S2)), e2.request(Split(S0, S3))
+            r1 = yield e1, Split(S1, S2)
+            r2 = yield e2, Split(S0, S3)
             loc = Local(tag, r1, r2)
             v_prime = min(r1.q_tree.root_children())
             loc.part((r2.q_tree.actives - {v}) | {v_prime})
             return loc.done(r1.p_tree, r1.q_tree.with_dummies({v_prime}))
         if pair == (S1, S5M):
-            r1, r2 = e1.request(Split(S1, S2)), e2.request(Split(S0, S3))
+            r1 = yield e1, Split(S1, S2)
+            r2 = yield e2, Split(S0, S3)
             return Local(tag, r1, r2).done(r1.p_tree, fuse(r1.q_tree, r2.q_tree))
         if pair == (S3M, S3M):
-            r1, r2 = e1.request(Split(S2, S1)), e2.request(Split(S1, S2))
+            r1 = yield e1, Split(S2, S1)
+            r2 = yield e2, Split(S1, S2)
             return Local(tag, r1, r2).done(fuse(r1.p_tree, r2.p_tree), fuse(r1.q_tree, r2.q_tree))
         raise EngineBug(f"unhandled pair {pair} for merged weight-3 parallels", tag)
 
@@ -86,21 +90,24 @@ def _both_w3_lift(e1: EdgeView, e2: EdgeView, u: int, v: int, tag: str):
 
 
 def _both_w1_lifts(e1: EdgeView, e2: EdgeView, u: int, v: int, tag: str):
-    def split_lift(pair: Pair) -> Realization:
+    def split_lift(pair: Pair) -> Lift:
         if pair == (S0, S2):
-            r1, r2 = e1.request(Split(S0, S1)), e2.request(Split(S0, S1))
+            r1 = yield e1, Split(S0, S1)
+            r2 = yield e2, Split(S0, S1)
             return Local(tag, r1, r2).done(single(u), fuse(r1.q_tree, r2.q_tree))
         if pair == (S2, S0):
-            return mirrored(_both_w1_lifts(e1.reversed(), e2.reversed(), v, u, tag + "~")[0], pair)
+            return (yield from mirrored(_both_w1_lifts(e1.reversed(), e2.reversed(), v, u, tag + "~")[0], pair))
         if pair == (S1, S1):
-            r1, r2 = e1.request(Split(S1, S0)), e2.request(Split(S0, S1))
+            r1 = yield e1, Split(S1, S0)
+            r2 = yield e2, Split(S0, S1)
             return Local(tag, r1, r2).done(r1.p_tree, r2.q_tree)
         raise EngineBug(f"unhandled pair {pair} for merged weight-1 parallels", tag)
 
-    def subdiv_lift(k: int) -> Realization:
+    def subdiv_lift(k: int) -> Lift:
         # two internal vertices realized on separate strands; any small part
         # using both strands stays connected through an endpoint
-        r1, r2 = e1.request(Subdivide(1)), e2.request(Subdivide(1))
+        r1 = yield e1, Subdivide(1)
+        r2 = yield e2, Subdivide(1)
         return Local(tag, r1, r2).done(subdiv=(r1.subdiv[0], r2.subdiv[0]))
 
     return split_lift, subdiv_lift
@@ -116,55 +123,55 @@ def _general_lift(e1: EdgeView, e2: EdgeView, u: int, v: int, tag: str):
     def reverse():
         return _general_lift(e1.reversed(), e2.reversed(), v, u, tag + "~")
 
-    def lift(pair: Pair) -> Realization:
+    def lift(pair: Pair) -> Lift:
         kind, x, y = pair_shape(pair)
         if kind == "plain" and x + y == i + j:
-            return _plain_low(pair, x, y)
+            return (yield from _plain_low(pair, x, y))
         if kind == "plain" and x + y == i + j - 4:
-            return _plain_high(pair, x, y)
+            return (yield from _plain_high(pair, x, y))
         if kind == "plus_right":
-            return _plus_right(pair, x, y)
+            return (yield from _plus_right(pair, x, y))
         if kind == "plus_left":
-            return mirrored(reverse(), pair)
+            return (yield from mirrored(reverse(), pair))
         raise EngineBug(f"pair {pair} inconsistent with child weights {i},{j}", tag)
 
-    def _plain_low(pair: Pair, x: int, y: int) -> Realization:
+    def _plain_low(pair: Pair, x: int, y: int) -> Lift:
         # no finalization: total attached activity matches the request exactly
         if x > j:
-            return mirrored(reverse(), pair)
+            return (yield from mirrored(reverse(), pair))
         if e2.admits(PLAIN[x], PLAIN[j - x]):
-            r2 = e2.request(Split(PLAIN[x], PLAIN[j - x]))
-            r1 = e1.request(Split(S0, PLAIN[i]))
+            r2 = yield e2, Split(PLAIN[x], PLAIN[j - x])
+            r1 = yield e1, Split(S0, PLAIN[i])
             return Local(tag, r1, r2).done(r2.p_tree, fuse(r2.q_tree, r1.q_tree))
         if e2.label.name == "L21" and x == 1 and y == 2 and i == 1:
-            r1 = e1.request(Split(S1, S0))
-            r2 = e2.request(Split(S0, S2M))
+            r1 = yield e1, Split(S1, S0)
+            r2 = yield e2, Split(S0, S2M)
             return Local(tag, r1, r2).done(r1.p_tree, r2.q_tree)
         raise EngineBug(f"no route for plain pair {pair} on labels {e1.label},{e2.label}", tag)
 
-    def _plain_high(pair: Pair, x: int, y: int) -> Realization:
+    def _plain_high(pair: Pair, x: int, y: int) -> Lift:
         # the weights exceed the request by 4: one local 4-set is finalized
         if x == 0:
             if e1.admits(PLAIN[i - y], PLAIN[y]):
-                r1 = e1.request(Split(PLAIN[i - y], PLAIN[y]))
-                r2 = e2.request(Split(PLAIN[j], S0))
+                r1 = yield e1, Split(PLAIN[i - y], PLAIN[y])
+                r2 = yield e2, Split(PLAIN[j], S0)
                 q = r1.q_tree
             elif e2.admits(PLAIN[j - y], PLAIN[y]):
-                r2 = e2.request(Split(PLAIN[j - y], PLAIN[y]))
-                r1 = e1.request(Split(PLAIN[i], S0))
+                r2 = yield e2, Split(PLAIN[j - y], PLAIN[y])
+                r1 = yield e1, Split(PLAIN[i], S0)
                 q = r2.q_tree
             elif y == 1:
                 # forced labels: e1 the weight-2 minus-pair label, e2 the
                 # asymmetric weight-3 label read forward
-                r1 = e1.request(Split(S0, S2M))
-                r2 = e2.request(Split(S0, S3M))
+                r1 = yield e1, Split(S0, S2M)
+                r2 = yield e2, Split(S0, S3M)
                 loc = Local(tag, r1, r2)
                 a, b = sorted(r1.q_tree.root_children())
                 loc.part((r2.q_tree.actives - {v}) | {a})
                 return loc.done(single(u), loc.span(v, {v, b}))
             elif y == 2:
-                r1 = e1.request(Split(S2M, S1))
-                r2 = e2.request(Split(S2M, S1))
+                r1 = yield e1, Split(S2M, S1)
+                r2 = yield e2, Split(S2M, S1)
                 q = fuse(r1.q_tree, r2.q_tree)
             else:
                 raise EngineBug(f"no zero-left route for {pair} on {e1.label},{e2.label}", tag)
@@ -172,18 +179,18 @@ def _general_lift(e1: EdgeView, e2: EdgeView, u: int, v: int, tag: str):
             loc.finalize((r1.p_tree.actives | r2.p_tree.actives) - {u})
             return loc.done(single(u), q)
         if y == 0:
-            return mirrored(reverse(), pair)
+            return (yield from mirrored(reverse(), pair))
         if x == 1 and y == 1:
             if e1.label.name == "L31":
-                r1 = e1.request(Split(S1, S2M))
-                r2 = e2.request(Split(S0, S3))
+                r1 = yield e1, Split(S1, S2M)
+                r2 = yield e2, Split(S0, S3)
                 loc = Local(tag, r1, r2)
                 a, b = sorted(r1.q_tree.root_children())
                 loc.part((r2.q_tree.actives - {v}) | {a})
                 return loc.done(r1.p_tree, loc.span(v, {v, b}))
             if e1.label.name == "L32":
-                r1 = e1.request(Split(S2M, S1))
-                r2 = e2.request(Split(S3, S0))
+                r1 = yield e1, Split(S2M, S1)
+                r2 = yield e2, Split(S3, S0)
                 loc = Local(tag, r1, r2)
                 a, b = sorted(r1.p_tree.root_children())
                 loc.part((r2.p_tree.actives - {u}) | {a})
@@ -191,7 +198,7 @@ def _general_lift(e1: EdgeView, e2: EdgeView, u: int, v: int, tag: str):
             raise EngineBug(f"plain (1,1) reached with e1 labeled {e1.label}", tag)
         raise EngineBug(f"unhandled reduced plain pair {pair}", tag)
 
-    def _plus_right(pair: Pair, x: int, y: int) -> Realization:
+    def _plus_right(pair: Pair, x: int, y: int) -> Lift:
         expected = i + j if i + j >= 4 else i + j + 4
         if x + y != expected:
             raise EngineBug(f"plus pair {pair} inconsistent with weights {i},{j}", tag)
@@ -199,13 +206,13 @@ def _general_lift(e1: EdgeView, e2: EdgeView, u: int, v: int, tag: str):
             # only (S3, S3+) arises; the child that is not purely subdividable
             # absorbs the large side
             ea, eb = (e1, e2) if e1.label.name != "L1" else (e2, e1)
-            ra = ea.request(Split(S3, S2P))
-            rb = eb.request(Split(S0, S1))
+            ra = yield ea, Split(S3, S2P)
+            rb = yield eb, Split(S0, S1)
             return Local(tag, ra, rb).done(ra.p_tree, fuse(ra.q_tree, rb.q_tree))
         if x <= j:
             want_q = PLUS[j - x] if j - x >= 1 else S0
-            r2 = e2.request(Split(PLAIN[x], want_q))
-            r1 = e1.request(Split(S0, PLAIN[i]))
+            r2 = yield e2, Split(PLAIN[x], want_q)
+            r1 = yield e1, Split(S0, PLAIN[i])
             return Local(tag, r1, r2).done(r2.p_tree, fuse(r2.q_tree, r1.q_tree))
         # x > j is reachable only at weights (2,2) with the pair (S3, S1+):
         # split the request three-and-one across the two children
@@ -215,13 +222,13 @@ def _general_lift(e1: EdgeView, e2: EdgeView, u: int, v: int, tag: str):
         if pairers:
             eb = pairers[0]
             ea = e2 if eb is e1 else e1
-            ra = ea.request(Split(S2, S0))
-            rb = eb.request(Split(S1, S1))
+            ra = yield ea, Split(S2, S0)
+            rb = yield eb, Split(S1, S1)
             return Local(tag, ra, rb).done(fuse(ra.p_tree, rb.p_tree), rb.q_tree)
         # both children carry the minus-pair label: their realized shapes are
         # dummy-free, so a kept vertex plus a finalized 4-set always exists
-        ra = e1.request(Split(S3, S3P))
-        rb = e2.request(Split(S0, S2))
+        ra = yield e1, Split(S3, S3P)
+        rb = yield e2, Split(S0, S2)
         loc = Local(tag, ra, rb)
         kept = loc.keep(v, 1, (ra.q_tree.actives | rb.q_tree.actives) - {v})
         return loc.done(ra.p_tree, loc.span(v, kept | {v}))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from ..labels import CATALOG, Label, Pair, TreeSet
 from .local import PLAIN, PLUS, Local, mirrored, pair_shape
-from .model import EdgeView, EngineBug, Gadget, Realization, Split, Subdivide, graft, single
+from .model import EdgeView, EngineBug, Gadget, Lift, Realization, Split, Subdivide, graft, single
 
 S0, S1, S2, S3 = TreeSet.S0, TreeSet.S1, TreeSet.S2, TreeSet.S3
 S1P, S2P, S3P = TreeSet.S1P, TreeSet.S2P, TreeSet.S3P
@@ -125,22 +125,22 @@ def build_series_gadget(e1: EdgeView, e2: EdgeView, v: int, v1: int, v2: int,
 def _chain_lifts(e1: EdgeView, e2: EdgeView, v: int, v1: int, v2: int, tag: str):
     j = e2.label.weight
 
-    def split_lift(pair: Pair) -> Realization:
+    def split_lift(pair: Pair) -> Lift:
         kind, x, y = pair_shape(pair)
         if kind != "plain" or x + y != j + 1:
             raise EngineBug(f"pair {pair} invalid for a chained weight-{j + 1} edge", tag)
         if x == 0:
-            r1 = e1.request(Split(S0, S0))
-            r2 = e2.request(Subdivide(j))
+            r1 = yield e1, Split(S0, S0)
+            r2 = yield e2, Subdivide(j)
             loc = Local(tag, r1, r2)
             return loc.done(single(v1), loc.span(v2, {v2, v, *r2.subdiv}))
-        r1 = e1.request(Subdivide(0))
-        r2 = e2.request(Split(PLAIN[x - 1], PLAIN[j + 1 - x]))
+        r1 = yield e1, Subdivide(0)
+        r2 = yield e2, Split(PLAIN[x - 1], PLAIN[j + 1 - x])
         return Local(tag, r1, r2).done(graft(v1, (v1, v), r2.p_tree), r2.q_tree)
 
-    def subdiv_lift(k: int) -> Realization:
-        r1 = e1.request(Subdivide(0))
-        r2 = e2.request(Subdivide(j))
+    def subdiv_lift(k: int) -> Lift:
+        r1 = yield e1, Subdivide(0)
+        r2 = yield e2, Subdivide(j)
         return Local(tag, r1, r2).done(subdiv=(v, *r2.subdiv))
 
     return split_lift, subdiv_lift
@@ -151,16 +151,16 @@ def _chain_lifts(e1: EdgeView, e2: EdgeView, v: int, v1: int, v2: int, tag: str)
 
 
 def _table_lift(e1: EdgeView, e2: EdgeView, v: int, v1: int, v2: int, table: dict, tag: str):
-    def lift(pair: Pair) -> Realization:
+    def lift(pair: Pair) -> Lift:
         row = table.get(pair)
         if row is None:
             raise EngineBug(f"pair {pair} missing from the series table", tag)
         op1, op2 = row
-        r2 = e2.request(Split(*op2))
+        r2 = yield e2, Split(*op2)
         if op1 == KEEP:
-            r1 = e1.request(Subdivide(0))
+            r1 = yield e1, Subdivide(0)
             return Local(tag, r1, r2).done(graft(v1, (v1, v), r2.p_tree), r2.q_tree)
-        r1 = e1.request(Split(*op1))
+        r1 = yield e1, Split(*op1)
         return _close_at_v(tag, r1, r2, v)
 
     return lift
@@ -182,14 +182,14 @@ def _general_series_lift(e1: EdgeView, e2: EdgeView, v: int, v1: int, v2: int, t
     i, j = e1.label.weight, e2.label.weight
     low = i + j + 1 <= 3
 
-    def lift(pair: Pair) -> Realization:
+    def lift(pair: Pair) -> Lift:
         kind, x, y = pair_shape(pair)
         if kind == "plain":
-            return _plain_low(pair, x, y) if low else _plain_high(pair, x, y)
+            return (yield from (_plain_low if low else _plain_high)(pair, x, y))
         if kind == "plus_right":
-            return _plus_low(pair, x, y) if low else _plus_high(pair, x, y)
+            return (yield from (_plus_low if low else _plus_high)(pair, x, y))
         # plus_left: replay from the far side
-        return mirrored(_general_series_lift(e2.reversed(), e1.reversed(), v, v2, v1, tag + "~"), pair)
+        return (yield from mirrored(_general_series_lift(e2.reversed(), e1.reversed(), v, v2, v1, tag + "~"), pair))
 
     def _head_side(r1: Realization, r2: Realization, dummies=frozenset()) -> Realization:
         # e2 subdivided: v and its path join e1's head tree
@@ -204,7 +204,7 @@ def _general_series_lift(e1: EdgeView, e2: EdgeView, v: int, v1: int, v2: int, t
 
     # -- combined weight at most 2 -----------------------------------------
 
-    def _plain_low(pair: Pair, x: int, y: int) -> Realization:
+    def _plain_low(pair: Pair, x: int, y: int) -> Lift:
         if x + y != i + j + 1:
             raise EngineBug(f"pair {pair} inconsistent with weights {i},{j}", tag)
         if y <= j:
@@ -212,68 +212,68 @@ def _general_series_lift(e1: EdgeView, e2: EdgeView, v: int, v1: int, v2: int, t
                 raise EngineBug(
                     f"head child {e2.label} lacks ({PLAIN[j - y]},{PLAIN[y]}); "
                     "this configuration belongs to a fixed table", tag)
-            r2 = e2.request(Split(PLAIN[j - y], PLAIN[y]))
+            r2 = yield e2, Split(PLAIN[j - y], PLAIN[y])
             if e1.label.subdividable:
-                return _tail_side(e1.request(Subdivide(i)), r2)
-            r1 = e1.request(Split(PLAIN[x], PLUS[i + 4 - x]))
+                return _tail_side((yield e1, Subdivide(i)), r2)
+            r1 = yield e1, Split(PLAIN[x], PLUS[i + 4 - x])
             return _close_at_v(tag, r1, r2, v)
         # y > j, hence x <= i
-        r1 = e1.request(Split(PLAIN[x], PLAIN[i - x]))
+        r1 = yield e1, Split(PLAIN[x], PLAIN[i - x])
         if e2.label.subdividable:
-            return _head_side(r1, e2.request(Subdivide(j)))
-        r2 = e2.request(Split(PLUS[j + 4 - y], PLAIN[y]))
+            return _head_side(r1, (yield e2, Subdivide(j)))
+        r2 = yield e2, Split(PLUS[j + 4 - y], PLAIN[y])
         return _close_at_v(tag, r1, r2, v)
 
-    def _plus_low(pair: Pair, x: int, y: int) -> Realization:
+    def _plus_low(pair: Pair, x: int, y: int) -> Lift:
         # combined weight at most 1, so x exceeds the tail weight by at least 2
         if x + y != i + j + 5 or i + j > 1:
             raise EngineBug(f"plus pair {pair} invalid at weights {i},{j}", tag)
         if not e1.label.subdividable:
-            r1 = e1.request(Split(PLAIN[x], PLUS[i + 4 - x]))
+            r1 = yield e1, Split(PLAIN[x], PLUS[i + 4 - x])
             if e2.label.subdividable:
-                return _head_side(r1, e2.request(Subdivide(j)), r1.q_tree.dummies)
-            r2 = e2.request(Split(PLAIN[j + 4 - y], PLUS[y]))
+                return _head_side(r1, (yield e2, Subdivide(j)), r1.q_tree.dummies)
+            r2 = yield e2, Split(PLAIN[j + 4 - y], PLUS[y])
             return _close_at_v(tag, r1, r2, v)
         if e2.label.subdividable:
             raise EngineBug("pure chain must be handled by the chain table", tag)
-        r1 = e1.request(Subdivide(i))
-        r2 = e2.request(Split(PLAIN[x - i - 1], PLUS[y]))
+        r1 = yield e1, Subdivide(i)
+        r2 = yield e2, Split(PLAIN[x - i - 1], PLUS[y])
         return _tail_side(r1, r2)
 
     # -- combined weight at least 3 ----------------------------------------
 
-    def _plain_high(pair: Pair, x: int, y: int) -> Realization:
+    def _plain_high(pair: Pair, x: int, y: int) -> Lift:
         if x + y != i + j - 3:
             raise EngineBug(f"pair {pair} inconsistent with weights {i},{j}", tag)
         if e1.admits(PLAIN[x], PLAIN[i - x]) is not None:
-            r1 = e1.request(Split(PLAIN[x], PLAIN[i - x]))
+            r1 = yield e1, Split(PLAIN[x], PLAIN[i - x])
             want_p = PLUS[j - y] if j - y >= 1 else S0
-            r2 = e2.request(Split(want_p, PLAIN[y]))
+            r2 = yield e2, Split(want_p, PLAIN[y])
         elif e2.admits(PLAIN[j - y], PLAIN[y]) is not None:
-            r2 = e2.request(Split(PLAIN[j - y], PLAIN[y]))
+            r2 = yield e2, Split(PLAIN[j - y], PLAIN[y])
             want_q = PLUS[i - x] if i - x >= 1 else S0
-            r1 = e1.request(Split(PLAIN[x], want_q))
+            r1 = yield e1, Split(PLAIN[x], want_q)
         else:
             raise EngineBug(
                 f"neither child of ({e1.label},{e2.label}) admits the plain route for {pair}; "
                 "this configuration belongs to a fixed table", tag)
         return _close_at_v(tag, r1, r2, v)
 
-    def _plus_high(pair: Pair, x: int, y: int) -> Realization:
+    def _plus_high(pair: Pair, x: int, y: int) -> Lift:
         if x + y != i + j + 1:
             raise EngineBug(f"plus pair {pair} inconsistent with weights {i},{j}", tag)
         if x <= i:
             want_q = PLUS[i - x] if i - x >= 1 else S0
-            r1 = e1.request(Split(PLAIN[x], want_q))
+            r1 = yield e1, Split(PLAIN[x], want_q)
             if e2.label.subdividable:
-                return _head_side(r1, e2.request(Subdivide(j)), r1.q_tree.dummies)
-            r2 = e2.request(Split(PLAIN[j + 4 - y], PLUS[y]))
+                return _head_side(r1, (yield e2, Subdivide(j)), r1.q_tree.dummies)
+            r2 = yield e2, Split(PLAIN[j + 4 - y], PLUS[y])
             return _close_at_v(tag, r1, r2, v)
         if y <= j:
-            r2 = e2.request(Split(PLAIN[j - y], PLUS[y]))
+            r2 = yield e2, Split(PLAIN[j - y], PLUS[y])
             if e1.label.subdividable:
-                return _tail_side(e1.request(Subdivide(i)), r2)
-            r1 = e1.request(Split(PLAIN[x], PLUS[i + 4 - x]))
+                return _tail_side((yield e1, Subdivide(i)), r2)
+            r1 = yield e1, Split(PLAIN[x], PLUS[i + 4 - x])
             return _close_at_v(tag, r1, r2, v)
         raise EngineBug(f"plus pair {pair} has neither side within the child weights", tag)
 

@@ -5,7 +5,8 @@ plain graph traversals.
 abstract slots; the engine itself only needs `labels.shape_matches`, which
 reads the same structure off bound trees.
 
-A StubGadget realizes any admitted operation with canonical tree shapes, so
+A StubGadget realizes any admitted operation with canonical tree shapes, at
+once and without children (its `start` returns the Realization), so
 a lift table can be exercised for every label combination without
 constructing a graph that actually reaches it.  Each stub owns
 `label.weight + 8` fresh vertices (its scope) and every realization covers
@@ -226,7 +227,8 @@ class StubGadget:
         parts = _quads(self.owned[used:])
         return parts[:-1] if self.withhold else parts
 
-    def realize(self, op):
+    def start(self, op):
+        """A stub needs no child, so starting an operation finishes it."""
         if isinstance(op, Subdivide):
             if not self.label.subdividable or op.k != self.label.weight:
                 raise EngineBug(f"stub {self.label} cannot {op}")
@@ -243,6 +245,8 @@ class StubGadget:
         q = bind_shape(witness[1], self.v, actives, dummy=self.owned[used + 1])
         frag = frozenset(norm_edge(a, b) for t in (p, q) for a, b in t.edges)
         return Realization(parts=self._emit(used), p_tree=p, q_tree=q, fragment=frag)
+
+    realize = start
 
 
 def stub_edge(label: Label, u: int, v: int, withhold: bool = False) -> StubGadget:

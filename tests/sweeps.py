@@ -17,7 +17,7 @@ import json
 import random
 from itertools import product
 
-from quadparts.engine.model import EdgeView
+from quadparts.engine.model import EdgeView, drive
 from quadparts.engine.parallel import build_parallel_gadget
 from quadparts.engine.reducible import (
     build_deg3_general,
@@ -85,12 +85,12 @@ def _deg3_views(la, lb, lc):
 
 def flat_eliminations():
     v, a, b, c = _deg3_views(CATALOG["L1"], CATALOG["L10"], CATALOG["L1"])
-    yield eliminate_with_fixed_splits([(a, (S1, S0)), (b, (S1, S0)), (c, (S1, S0))], v, True, "cover")
+    yield drive(eliminate_with_fixed_splits([(a, (S1, S0)), (b, (S1, S0)), (c, (S1, S0))], v, True, "cover"))
     for heavy, mids in ((CATALOG["L30"], (CATALOG["L2"], CATALOG["L21"])),
                         (CATALOG["L31"], (CATALOG["L20"], CATALOG["L2"])),
                         (CATALOG["L32"], (CATALOG["L21"], CATALOG["L20"]))):
         v, a, b, c = _deg3_views(heavy, mids[0], mids[1])
-        yield eliminate_with_fixed_splits([(a, (S3, S0)), (b, (S2, S0)), (c, (S2, S0))], v, True, "cover")
+        yield drive(eliminate_with_fixed_splits([(a, (S3, S0)), (b, (S2, S0)), (c, (S2, S0))], v, True, "cover"))
 
 
 def paired_tail():

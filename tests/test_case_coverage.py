@@ -95,21 +95,23 @@ class TestSingleRequests:
         """Within one realization of a swept gadget, each child edge is
         asked for each operation (in its stored orientation) at most once:
         a lift that serves a pair from the other end does so before it
-        requests anything, so no child realization is thrown away."""
+        requests anything, so no child realization is thrown away.  Every
+        request a lift yields is counted where the driver dispatches it."""
         requests = Counter()
-        real_request = EdgeView.request
+        real_start = EdgeView.start
 
         def counted(view, op):
             requests[id(view.edge), flip_op(op) if view.flipped_store else op] += 1
-            return real_request(view, op)
+            return real_start(view, op)
 
-        monkeypatch.setattr(EdgeView, "request", counted)
+        monkeypatch.setattr(EdgeView, "start", counted)
         repeats = Counter()
         for name, sweep in sweeps.GADGET_SWEEPS.items():
             for _, gadget in sweep():
                 for op in all_ops(gadget.label):
                     requests.clear()
                     gadget.realize(op)
+                    assert requests, (name, op)
                     repeats[name] += sum(count - 1 for count in requests.values())
         assert not +repeats, dict(+repeats)
 

@@ -125,6 +125,13 @@ def test_partition_rejects_odd_order(capture):
     assert "divisible" in err
 
 
+def test_partition_identity_labelled_long_cycle(capture):
+    """Its realization cascade is about 2000 gadgets deep."""
+    code, out, _ = capture(["partition", "-", "--json"], stdin=emit_edge_list(cycle_graph(2000)))
+    assert code == 0
+    assert json.loads(out)["ok"]
+
+
 def test_unexpected_exception_exits_three(capture, monkeypatch):
     def overflow(g):
         raise RecursionError("maximum recursion depth exceeded")

@@ -1,6 +1,7 @@
 import ast
 import inspect
 import random
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -28,7 +29,7 @@ from quadparts.graphs import SimpleGraph, is_biconnected, norm_edge, separation_
 from quadparts.labels import CATALOG, TreeSet
 from quadparts.oracle import verify_partition
 
-from .support import (TreeShape, complete_graph, cycle_graph, dense_block, path_graph, relabelled,
+from .support import (TreeShape, complete_graph, cycle_graph, dense_block, equal_theta, path_graph, relabelled,
                       scanned_degree2_vertex, scanned_parallel_pair, sparse_block, stub_edge, summed_weight)
 from .support import fits as shape_fits
 
@@ -179,7 +180,9 @@ class TestClosingProtocol:
     def test_case_modules_close_only_through_local(self):
         """The case lifts construct no Realization or Fragment themselves,
         read no fragment and take their vocabulary from engine/local.py
-        alone: how a lift closes is decided there."""
+        alone: how a lift closes is decided there.  They request no child
+        realization by a call either: every request is yielded to the
+        explicit-stack driver."""
         engine = Path(inspect.getfile(Local)).parent
         for name in ("series.py", "parallel.py", "reducible.py"):
             tree = ast.parse((engine / name).read_text(encoding="utf-8"))
@@ -190,7 +193,7 @@ class TestClosingProtocol:
             imported = {node.module for node in nodes if isinstance(node, ast.ImportFrom)}
             imported |= {alias.name for node in nodes if isinstance(node, ast.Import) for alias in node.names}
             assert "Local" in called, name
-            assert not called & {"Realization", "Fragment"}, name
+            assert not called & {"Realization", "Fragment", "request", "realize", "drive"}, name
             assert "fragment" not in read, name
             assert not any("caselib" in (module or "") for module in imported), name
 
@@ -628,6 +631,36 @@ class TestSmallGraphs:
             assert p.witness is not None
             assert p.members <= p.witness
             assert len(p.witness) <= 5
+
+
+def _frame_depth() -> int:
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+class TestDeepCascades:
+    """Identity-labelled chains contract their long paths in label order, so
+    their realization cascades are about as deep as the paths are long."""
+
+    @pytest.mark.parametrize("name", ["cycle-2000", "theta3-2000", "subdivided_k4-2004"])
+    def test_long_chain_partitions_and_verifies(self, name):
+        g = {"cycle-2000": lambda: cycle_graph(2000), "theta3-2000": lambda: equal_theta(2000, 3),
+             "subdivided_k4-2004": lambda: subdivided_k4(334)}[name]()
+        assert verify_partition(g, partition_2connected(g).member_sets()).ok
+
+    def test_stack_depth_does_not_grow_with_the_chain(self):
+        """One fixed allowance of frames above this test's own serves a
+        400-cycle and a 1600-cycle alike."""
+        graphs = [cycle_graph(400), cycle_graph(1600)]
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(_frame_depth() + 150)
+        try:
+            partitions = [partition_2connected(g) for g in graphs]
+        finally:
+            sys.setrecursionlimit(limit)
+        assert all(verify_partition(g, p.member_sets()).ok for g, p in zip(graphs, partitions))
 
 
 class TestCorpus:

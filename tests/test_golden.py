@@ -36,6 +36,13 @@ def test_dense_partitions_and_traces_match_fixture():
     assert _check_fixture("golden_dense.jsonl") == 12
 
 
+def test_deep_partitions_and_traces_match_fixture():
+    """Identity-labelled chains whose realization cascades are hundreds of
+    gadgets deep, recorded by the recursive cascade under a raised
+    recursion limit."""
+    assert _check_fixture("golden_deep.jsonl") == 3
+
+
 def test_stub_realizations_match_fixture():
     """Every lift swept over stub children, and partition_tree on seeded
     random trees, realizes exactly what was recorded."""
