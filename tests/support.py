@@ -246,8 +246,6 @@ class StubGadget:
         frag = frozenset(norm_edge(a, b) for t in (p, q) for a, b in t.edges)
         return Realization(parts=self._emit(used), p_tree=p, q_tree=q, fragment=frag)
 
-    realize = start
-
 
 def stub_edge(label: Label, u: int, v: int, withhold: bool = False) -> StubGadget:
     return StubGadget(label, u, v, withhold)
