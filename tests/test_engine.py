@@ -644,10 +644,11 @@ class TestDeepCascades:
     """Identity-labelled chains contract their long paths in label order, so
     their realization cascades are about as deep as the paths are long."""
 
-    @pytest.mark.parametrize("name", ["cycle-2000", "theta3-2000", "subdivided_k4-2004"])
-    def test_long_chain_partitions_and_verifies(self, name):
-        g = {"cycle-2000": lambda: cycle_graph(2000), "theta3-2000": lambda: equal_theta(2000, 3),
-             "subdivided_k4-2004": lambda: subdivided_k4(334)}[name]()
+    @pytest.mark.parametrize("build", [lambda: cycle_graph(2000), lambda: equal_theta(2000, 3),
+                                       lambda: subdivided_k4(334)],
+                             ids=["cycle-2000", "theta3-2000", "subdivided_k4-2004"])
+    def test_long_chain_partitions_and_verifies(self, build):
+        g = build()
         assert verify_partition(g, partition_2connected(g).member_sets()).ok
 
     def test_stack_depth_does_not_grow_with_the_chain(self):
