@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from . import acceptance
 from .engine import EngineBug, partition_with_trace
@@ -40,7 +41,7 @@ class UsageError(ValueError):
 
 
 def _read_graph(path: str, fmt: str) -> SimpleGraph:
-    text = sys.stdin.read() if path == "-" else open(path, "r", encoding="utf-8").read()
+    text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
     return parse_graph(text, fmt)
 
 
@@ -108,12 +109,12 @@ def cmd_power(args) -> int:
 
 def cmd_factor(args) -> int:
     g = _read_graph(args.graph, args.format)
-    host = graph_power(g, args.k) if args.k else g
+    host = graph_power(g, args.k) if args.k is not None else g
     factor = has_kr_factor(host, args.r)
     name = f"K{args.r}-factor"
     if factor is None:
         _emit({"ok": True, "factor": None, "r": args.r, "k": args.k}, args.json,
-              [f"no {name}" + (f" in the power k={args.k}" if args.k else "")])
+              [f"no {name}" + (f" in the power k={args.k}" if args.k is not None else "")])
         return EXIT_OK
     payload = {"ok": True, "r": args.r, "k": args.k, "factor": [sorted(c) for c in factor]}
     lines = [f"{name} found:"] + [f"  {sorted(c)}" for c in factor]
@@ -129,6 +130,8 @@ def cmd_verify(args) -> int:
         raise UsageError(f"--parts is not valid JSON: {exc}") from None
     if not isinstance(parts, list) or not all(isinstance(p, list) for p in parts):
         raise UsageError("--parts must be a JSON list of vertex lists")
+    if not all(type(v) is int for p in parts for v in p):
+        raise UsageError("--parts vertices must be JSON integers")
     sizes = _parse_sizes(args.sizes) if args.sizes else None
     result = verify_partition(g, [frozenset(p) for p in parts], sizes)
     payload = {"ok": result.ok, "problems": list(result.problems)}

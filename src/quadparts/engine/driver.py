@@ -36,6 +36,7 @@ from .model import (
     LabeledMultigraph,
     Split,
     Subdivide,
+    ask,
     drive,
     leaf_gadget,
 )
@@ -188,7 +189,7 @@ def reduce_parallel(lg: LabeledMultigraph, eid1: int, eid2: int) -> str:
     v = max(a.u, a.v)
     e1, e2 = sorted((lg.view(eid1, u), lg.view(eid2, u)), key=lambda e: (e.weight(), e.eid))
     if e1.weight() == 0:
-        real = e1.request(Split(S0, S0))
+        real = drive(ask(e1, Split(S0, S0)))
         lg.emit(real.parts)
         lg.remove_labeled(e1.eid)
         return f"drop[{e1.label.name}] eid={e1.eid}"
@@ -232,7 +233,7 @@ def reduce_edge(lg: LabeledMultigraph, eid1: int, eid2: int, v: int) -> str:
 def _strip_weight0(lg: LabeledMultigraph, v: int) -> str:
     eid = min(e for e in lg.incident(v) if lg.edges[e].label.weight == 0)
     view = lg.view(eid, v)
-    real = view.request(Split(S0, S0))
+    real = drive(ask(view, Split(S0, S0)))
     lg.emit(real.parts)
     lg.remove_labeled(eid)
     return f"strip[{view.label.name}] eid={eid}@{v}"
@@ -370,14 +371,15 @@ def solve_base(lg: LabeledMultigraph) -> tuple[frozenset[int], ...]:
     if len(eids) != 1:
         raise EngineBug(f"base case reached with {len(eids)} edges")
     edge = lg.edges[eids[0]]
+    view = lg.view(eids[0], edge.u)
     if edge.label.weight != 2:
         raise EngineBug(f"final edge has weight {edge.label.weight}, the invariant forces 2")
     if edge.label.name == "L2":
-        real = edge.realize(Subdivide(2))
+        real = drive(ask(view, Subdivide(2)))
         path_part = frozenset({edge.u, *real.subdiv, edge.v})
         return real.parts + (path_part,)
     if edge.label.name in ("L20", "L21"):
-        real = edge.realize(Split(S3, S3P))
+        real = drive(ask(view, Split(S3, S3P)))
         return real.parts + (frozenset(real.p_tree.actives), frozenset(real.q_tree.actives))
     raise EngineBug(f"final edge carries unexpected label {edge.label}")
 

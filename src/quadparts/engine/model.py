@@ -8,10 +8,11 @@ edge's two ends (or into a subdivision path) and emits any nearly connected
 4-sets that the rewrite finalized along the way.  A gadget's lift does not
 call its children: it yields each child request and :func:`drive` realizes
 the whole cascade on one explicit stack, so deep cascades need no deep
-Python stack.  The
-:class:`LabeledMultigraph` is a :class:`~quadparts.graphs.Multigraph` whose
-edge ids map to these gadgets; an :class:`EdgeView` reads one of them from
-either end.
+Python stack.  The reduction driver's own requests (a dropped or stripped
+edge, the final edge) run through the same loop as the one-request lift
+:func:`ask`.  The :class:`LabeledMultigraph` is a
+:class:`~quadparts.graphs.Multigraph` whose edge ids map to these gadgets;
+an :class:`EdgeView` reads one of them from either end.
 
 Conservation invariant: every gadget owns a fixed set of interior vertices
 (its *scope*); each realization must cover that scope exactly once between
@@ -301,11 +302,12 @@ class Gadget:
     Every other lift is a generator, a :data:`Lift`: instead of calling its
     children it yields ``(view, op)`` for each child operation, in order,
     and receives that child's realization as the value of the ``yield``.
-    :meth:`realize` runs the whole cascade below a gadget on one explicit
-    stack (:func:`drive`), so Python's stack depth does not grow with the
-    depth of the cascade.  Every realization is checked against the
-    conservation invariant (its ledger must cover `scope` exactly once) and
-    the witness pair when its lift returns, before its parent receives it.
+    :func:`drive` runs the whole cascade below a request on one explicit
+    stack, so Python's stack depth does not grow with the depth of the
+    cascade; a request from outside any lift is ``drive(ask(view, op))``.
+    :func:`drive` checks every realization against the conservation
+    invariant (its ledger must cover `scope` exactly once) and the witness
+    pair when it is finished, before its parent receives it.
     """
 
     def __init__(
@@ -326,36 +328,20 @@ class Gadget:
         self._subdiv_lift = subdiv_lift
         self.provenance = provenance
 
-    def realize(self, op: Operation) -> Realization:
-        """The checked realization of `op`, read in the stored orientation,
-        with the cascade below driven to completion by :func:`drive`."""
-        out = self.start(op)
-        if isinstance(out, Realization):
-            return out
-        real = drive(out)
-        self.check(real, op)
-        return real
-
     def start(self, op: Operation) -> Realization | Lift:
-        """Begin realizing `op` (stored orientation): the checked realization
-        when the lift needs no child, else the running lift, whose result
-        must pass :meth:`check`."""
+        """Begin realizing `op` (stored orientation): the realization when
+        the lift needs no child, else the running lift.  Either way the
+        result is unchecked until :func:`drive` passes it to :meth:`check`."""
         if isinstance(op, Subdivide):
             if not self.label.subdividable or op.k != self.label.weight:
                 raise EngineBug(f"label {self.label} does not allow {op}", self.provenance)
             if self._subdiv_lift is None:
                 raise EngineBug(f"no subdivision lift on {self.label}", self.provenance)
-            out = self._subdiv_lift(op.k)
-            if isinstance(out, Realization):
-                self._check_subdiv(out, op.k)
-            return out
+            return self._subdiv_lift(op.k)
         witness = admits(self.label, op.p, op.q)
         if witness is None:
             raise EngineBug(f"label {self.label} does not admit {op}", self.provenance)
-        out = self._split_lift(witness)
-        if isinstance(out, Realization):
-            self._check_split(out, witness)
-        return out
+        return self._split_lift(witness)
 
     def check(self, real: Realization, op: Operation) -> None:
         """Trap unless `real` realizes `op` (stored orientation): the
@@ -435,14 +421,18 @@ def leaf_gadget(label: Label, u: int, v: int) -> Gadget:
 
 def drive(lift: Generator[tuple["EdgeView", Operation], Realization, _R]) -> _R:
     """Run `lift` to completion and return its value, realizing every child
-    operation it yields, and theirs in turn, on one explicit stack.
+    operation it yields, and theirs in turn, on one explicit stack.  This is
+    the one place where a gadget operation starts, and where its result is
+    checked and mirrored: the reduction driver's own requests come here too,
+    each as the one-request lift :func:`ask`.
 
     Each frame holds a running lift, its gadget, the operation it realizes
     in the gadget's stored orientation and whether its parent reads it
-    mirrored.  A yielded ``(view, op)`` goes to :meth:`EdgeView.start`: a
-    realization that comes back at once is sent straight back, a running
-    lift is pushed.  When a pushed lift returns, its gadget checks the
-    realization, which is mirrored if need be and sent to the frame below.
+    mirrored.  A yielded ``(view, op)`` is mapped to the stored orientation
+    and goes to :meth:`Gadget.start`: a running lift is pushed, and a
+    realization that comes back at once (a leaf's) is finished on the spot.
+    A finished realization, at once or when its pushed lift returns, is
+    checked by its gadget, mirrored if need be and sent to the frame below.
     Children are realized in the order they are yielded, and an exception
     leaves the loop unchanged, since no lift catches one.
     """
@@ -456,17 +446,24 @@ def drive(lift: Generator[tuple["EdgeView", Operation], Realization, _R]) -> _R:
             stack.pop()
             if not stack:
                 return stop.value
-            _, gadget, gadget_op, flip = top
-            gadget.check(stop.value, gadget_op)
-            sent = stop.value.flipped() if flip else stop.value
-            continue
-        out = view.start(op)
-        if isinstance(out, Realization):
-            sent = out
+            _, gadget, op, flip = top
+            out = stop.value
         else:
-            flip = view.flipped_store
-            stack.append((out, view.edge, flip_op(op) if flip else op, flip))
-            sent = None
+            gadget, flip = view.edge, view.flipped_store
+            if flip:
+                op = flip_op(op)
+            out = gadget.start(op)
+            if not isinstance(out, Realization):
+                stack.append((out, gadget, op, flip))
+                sent = None
+                continue
+        gadget.check(out, op)
+        sent = out.flipped() if flip else out
+
+
+def ask(view: "EdgeView", op: Operation) -> Lift:
+    """The lift that requests `op` on `view` and returns the realization."""
+    return (yield view, op)
 
 
 # ---------------------------------------------------------------------------
@@ -510,24 +507,6 @@ class EdgeView:
 
     def reversed(self) -> "EdgeView":
         return EdgeView(self.edge, self.head, self.eid)
-
-    def start(self, op: Operation) -> Realization | Lift:
-        """Begin realizing `op` read from `tail`: :meth:`Gadget.start` on the
-        stored orientation, with a finished realization mirrored back.  Every
-        child request that :func:`drive` serves passes through here."""
-        if not self.flipped_store:
-            return self.edge.start(op)
-        out = self.edge.start(flip_op(op))
-        return out.flipped() if isinstance(out, Realization) else out
-
-    def request(self, op: Operation) -> Realization:
-        """The checked realization of `op` read from `tail`, with the cascade
-        below driven to completion by :meth:`Gadget.realize`.  The reduction
-        driver calls this for the edges it drops; a lift yields
-        ``(view, op)`` instead, so that :func:`drive` keeps one stack."""
-        if not self.flipped_store:
-            return self.edge.realize(op)
-        return self.edge.realize(flip_op(op)).flipped()
 
     def admits(self, p: TreeSet, q: TreeSet) -> Pair | None:
         return admits(self.label, p, q)

@@ -74,7 +74,8 @@ def verify_partition(
 
     With ``expected_sizes=None`` every part must have exactly 4 vertices.
     Sizes are compared as multisets.  All failures are collected rather than
-    reported one at a time.
+    reported one at a time; a part holding a vertex outside 0..n-1 is not
+    tested for near-connectedness, since its unknown vertices are reported.
     """
     sets = [frozenset(p) for p in parts]
     problems: list[str] = []
@@ -84,13 +85,13 @@ def verify_partition(
         if dup:
             problems.append(f"part {i} overlaps earlier parts on {sorted(dup)}")
         union |= s
-    if union != set(range(g.n)):
-        missing = sorted(set(range(g.n)) - union)
-        extra = sorted(union - set(range(g.n)))
-        if missing:
-            problems.append(f"vertices not covered: {missing}")
-        if extra:
-            problems.append(f"unknown vertices in parts: {extra}")
+    vertices = set(range(g.n))
+    missing = sorted(vertices - union)
+    extra = union - vertices
+    if missing:
+        problems.append(f"vertices not covered: {missing}")
+    if extra:
+        problems.append(f"unknown vertices in parts: {sorted(extra)}")
     if expected_sizes is None:
         for i, s in enumerate(sets):
             if len(s) != 4:
@@ -104,6 +105,8 @@ def verify_partition(
     for i, s in enumerate(sets):
         if not s:
             problems.append(f"part {i} is empty")
+            continue
+        if s & extra:
             continue
         w = is_nearly_connected(g, s)
         if w is None:

@@ -8,7 +8,11 @@ reads the same structure off bound trees.
 A StubGadget realizes any admitted operation with canonical tree shapes, at
 once and without children (its `start` returns the Realization), so
 a lift table can be exercised for every label combination without
-constructing a graph that actually reaches it.  Each stub owns
+constructing a graph that actually reaches it.  Its `check` passes
+everything: a stub's ledger is balanced by construction, and a withholding
+stub must leave the trap to the ledger of the gadget built on it.
+`realize` drives one operation on a gadget read in its stored orientation,
+as the reduction driver does.  Each stub owns
 `label.weight + 8` fresh vertices (its scope) and every realization covers
 that scope exactly once: the active tree slots (or the subdivision path)
 take the first scope vertices and the rest are emitted as 4-sets.  The
@@ -41,10 +45,13 @@ from typing import Iterable
 
 from quadparts.engine.model import (
     BoundTree,
+    EdgeView,
     EngineBug,
     Realization,
     Split,
     Subdivide,
+    ask,
+    drive,
 )
 from quadparts.graphs import SimpleGraph, norm_edge
 from quadparts.labels import Label, TreeSet, admits, down_set, shape_matches
@@ -246,9 +253,17 @@ class StubGadget:
         frag = frozenset(norm_edge(a, b) for t in (p, q) for a, b in t.edges)
         return Realization(parts=self._emit(used), p_tree=p, q_tree=q, fragment=frag)
 
+    def check(self, real, op) -> None:
+        """Stub results are not checked (see the module docstring)."""
+
 
 def stub_edge(label: Label, u: int, v: int, withhold: bool = False) -> StubGadget:
     return StubGadget(label, u, v, withhold)
+
+
+def realize(gadget, op) -> Realization:
+    """The checked realization of `op` on `gadget`, stored orientation."""
+    return drive(ask(EdgeView(gadget, gadget.u, -1), op))
 
 
 def all_ops(label: Label):

@@ -34,7 +34,7 @@ from quadparts.engine.series import build_series_gadget
 from quadparts.labels import CATALOG, LABELS, TreeSet
 from quadparts.treepart import partition_tree
 
-from .support import all_ops, random_tree, reset_fresh, stub_edge
+from .support import all_ops, random_tree, realize, reset_fresh, stub_edge
 
 S0, S1, S2, S3 = TreeSet.S0, TreeSet.S1, TreeSet.S2, TreeSet.S3
 
@@ -230,7 +230,7 @@ def stub_realization_lines() -> list[str]:
         records = []
         for _, gadget in sweep():
             for op in all_ops(gadget.label):
-                real = gadget.realize(op)
+                real = realize(gadget, op)
                 records.append([_parts(real.parts), _tree(real.p_tree), _tree(real.q_tree),
                                 None if real.subdiv is None else list(real.subdiv),
                                 sorted(real.fragment)])

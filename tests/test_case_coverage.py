@@ -14,18 +14,18 @@ from collections import Counter
 
 import pytest
 
-from quadparts.engine.model import EdgeView, EngineBug, flip_op
+from quadparts.engine.model import EdgeView, EngineBug
 from quadparts.engine.reducible import build_deg4plus_light
 from quadparts.engine.series import build_series_gadget
 from quadparts.labels import CATALOG
 
 from . import sweeps
-from .support import all_ops, stub_edge
+from .support import StubGadget, all_ops, realize, stub_edge
 
 
 def run_all_ops(gadget):
     for op in all_ops(gadget.label):
-        real = gadget.realize(op)
+        real = realize(gadget, op)
         for part in real.parts:
             assert len(part) == 4
 
@@ -96,21 +96,23 @@ class TestSingleRequests:
         asked for each operation (in its stored orientation) at most once:
         a lift that serves a pair from the other end does so before it
         requests anything, so no child realization is thrown away.  Every
-        request a lift yields is counted where the driver dispatches it."""
+        swept child is a stub, so every request a lift yields is counted
+        where the driver starts it: at the stub's `start`, which receives
+        the operation already in the stored orientation."""
         requests = Counter()
-        real_start = EdgeView.start
+        real_start = StubGadget.start
 
-        def counted(view, op):
-            requests[id(view.edge), flip_op(op) if view.flipped_store else op] += 1
-            return real_start(view, op)
+        def counted(stub, op):
+            requests[id(stub), op] += 1
+            return real_start(stub, op)
 
-        monkeypatch.setattr(EdgeView, "start", counted)
+        monkeypatch.setattr(StubGadget, "start", counted)
         repeats = Counter()
         for name, sweep in sweeps.GADGET_SWEEPS.items():
             for _, gadget in sweep():
                 for op in all_ops(gadget.label):
                     requests.clear()
-                    gadget.realize(op)
+                    realize(gadget, op)
                     assert requests, (name, op)
                     repeats[name] += sum(count - 1 for count in requests.values())
         assert not +repeats, dict(+repeats)
@@ -123,7 +125,7 @@ class TestLedgerIsOn:
     def _assert_traps(self, gadget, tag):
         for op in all_ops(gadget.label):
             with pytest.raises(EngineBug, match="scope mismatch") as info:
-                gadget.realize(op)
+                realize(gadget, op)
             assert info.value.provenance == tag
 
     def test_series_lift(self):

@@ -82,6 +82,24 @@ def test_verify_good_partition(capture):
     assert code == 0
 
 
+@pytest.mark.parametrize("stray", [8, -1])
+def test_verify_unknown_vertex_exits_one(capture, stray):
+    code, out, err = capture(
+        ["verify", "-", "--parts", f"[[0,1,2,3],[4,5,6,{stray}]]"],
+        stdin=emit_edge_list(cycle_graph(8)),
+    )
+    assert (code, err) == (1, "")
+    assert f"unknown vertices in parts: [{stray}]" in out
+
+
+def test_partition_reads_a_graph_file(capture, tmp_path):
+    path = tmp_path / "c8.txt"
+    path.write_text(emit_edge_list(cycle_graph(8)), encoding="utf-8")
+    code, out, _ = capture(["partition", str(path), "--json"])
+    assert code == 0
+    assert json.loads(out)["parts"] == [[0, 1, 2, 7], [3, 4, 5, 6]]
+
+
 def test_tree_partition_sizes(capture):
     code, out, _ = capture(
         ["tree-partition", "-", "--sizes", "3,3", "--json"],
@@ -117,6 +135,12 @@ def test_usage_errors_exit_two(capture):
     assert capture(["nonsense"])[0] == 2
     assert capture(["partition", "/does/not/exist"])[0] == 2
     assert capture(["power", "-", "-k", "2"], stdin="Cé\n")[0] == 2
+    c8 = emit_edge_list(cycle_graph(8))
+    for entry in ('"x"', "7.5", "[7]", "7.0", "true"):
+        code, _, err = capture(["verify", "-", "--parts", f"[[0,1,2,3],[4,5,6,{entry}]]"], stdin=c8)
+        assert (code, err) == (2, "error: --parts vertices must be JSON integers\n"), entry
+    code, _, err = capture(["factor", "-", "-r", "4", "-k", "0"], stdin=c8)
+    assert (code, err) == (2, "error: power must be at least 1\n")
 
 
 def test_partition_rejects_odd_order(capture):

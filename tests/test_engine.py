@@ -193,7 +193,7 @@ class TestClosingProtocol:
             imported = {node.module for node in nodes if isinstance(node, ast.ImportFrom)}
             imported |= {alias.name for node in nodes if isinstance(node, ast.Import) for alias in node.names}
             assert "Local" in called, name
-            assert not called & {"Realization", "Fragment", "request", "realize", "drive"}, name
+            assert not called & {"Realization", "Fragment", "request", "realize", "drive", "ask"}, name
             assert "fragment" not in read, name
             assert not any("caselib" in (module or "") for module in imported), name
 
@@ -662,6 +662,26 @@ class TestDeepCascades:
         finally:
             sys.setrecursionlimit(limit)
         assert all(verify_partition(g, p.member_sets()).ok for g, p in zip(graphs, partitions))
+
+
+class TestOneRealizationPath:
+    @pytest.mark.parametrize("g", [dense_block(8, 1), random_2connected(16, 0)], ids=["dense8", "random16"])
+    def test_every_driver_request_runs_through_drive(self, monkeypatch, g):
+        """The driver realizes at each drop, strip and eager elimination,
+        and once at the base, and each time through one `drive`."""
+        calls = []
+        real = driver.drive
+
+        def counted(lift):
+            calls.append(lift)
+            return real(lift)
+
+        monkeypatch.setattr(driver, "drive", counted)
+        _, trace = partition_with_trace(g)
+        kinds = Counter(t.detail.split("[")[0] for t in trace)
+        requesting = kinds["drop"] + kinds["strip"] + sum(c for k, c in kinds.items() if k.endswith(("-flat", "-pair")))
+        assert kinds["drop"] and kinds["strip"]
+        assert len(calls) == requesting + 1
 
 
 class TestCorpus:

@@ -97,6 +97,13 @@ class TestVerifyPartition:
         res2 = verify_partition(cycle_graph(8), [[0, 1, 2], [3, 4, 5, 6, 7]], [3, 5])
         assert res2.ok
 
+    @pytest.mark.parametrize("stray", [8, -1])
+    def test_unknown_vertex_is_reported_not_raised(self, stray):
+        res = verify_partition(cycle_graph(8), [[0, 1, 2, 3], [4, 5, 6, stray]])
+        assert not res.ok
+        assert res.problems == ("vertices not covered: [7]", f"unknown vertices in parts: [{stray}]")
+        assert len(res.witnesses) == 1
+
 
 class TestKrFactor:
     def test_k4(self):
