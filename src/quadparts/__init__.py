@@ -3,7 +3,7 @@ clique factors in graph powers, and the exact oracles that verify them."""
 
 from .engine import partition_2connected, partition_with_trace
 from .families import enumerate_2connected, random_2connected, spider, subdivided_k4, theta
-from .graphs import Multigraph, SimpleGraph, graph_power, is_biconnected, smallest_2cut_component
+from .graphs import Multigraph, SimpleGraph, graph_power, is_biconnected
 from .graphio import emit_graph, parse_graph
 from .oracle import (
     Part,
@@ -18,7 +18,7 @@ from .treepart import partition_tree
 __all__ = [
     "partition_2connected", "partition_with_trace",
     "enumerate_2connected", "random_2connected", "spider", "subdivided_k4", "theta",
-    "Multigraph", "SimpleGraph", "graph_power", "is_biconnected", "smallest_2cut_component",
+    "Multigraph", "SimpleGraph", "graph_power", "is_biconnected",
     "emit_graph", "parse_graph",
     "Part", "Partition", "brute_force_partition", "has_kr_factor",
     "is_nearly_connected", "verify_partition",

@@ -2,7 +2,6 @@
 nearly connected 4-sets."""
 
 from .driver import (
-    Base,
     Parallel,
     ReducibleEdge,
     ReducibleVertex,
@@ -34,7 +33,7 @@ from .model import (
 )
 
 __all__ = [
-    "Base", "Parallel", "Series", "ReducibleEdge", "ReducibleVertex", "ReductionChoice",
+    "Parallel", "Series", "ReducibleEdge", "ReducibleVertex", "ReductionChoice",
     "TraceStep", "find_reduction", "init_labeled", "partition_2connected",
     "partition_with_trace", "reduce_edge", "reduce_parallel", "reduce_series",
     "reduce_vertex", "run_reduction", "solve_base",

@@ -63,11 +63,6 @@ S3P = TreeSet.S3P
 
 
 @dataclass(frozen=True)
-class Base:
-    pass
-
-
-@dataclass(frozen=True)
 class Parallel:
     e1: int
     e2: int
@@ -90,7 +85,7 @@ class ReducibleVertex:
     v: int
 
 
-ReductionChoice = Base | Parallel | Series | ReducibleEdge | ReducibleVertex
+ReductionChoice = Parallel | Series | ReducibleEdge | ReducibleVertex
 
 
 @dataclass(frozen=True)
@@ -132,15 +127,16 @@ def init_labeled(g: SimpleGraph) -> LabeledMultigraph:
 # Reduction search
 
 
-def _is_reducible_vertex(lg: LabeledMultigraph, v: int, in_cut: set[int]) -> bool:
+def _is_reducible_vertex(lg: LabeledMultigraph, v: int, in_cut: frozenset[int]) -> bool:
     """G - v is a block (v lies in no 2-cut) and at most one L31 edge points away from v."""
     return v not in in_cut and sum(1 for e in lg.incident(v) if lg.view(e, v).label.name == "L31") <= 1
 
 
 def find_reduction(lg: LabeledMultigraph) -> ReductionChoice:
-    """Next reduction under the fixed priority order; traps if none exists."""
-    if len(lg.edges) == 1:
-        return Base()
+    """Next reduction under the fixed priority order; traps if none exists
+    and on a single edge, which the caller realizes instead."""
+    if len(lg.edges) < 2:
+        raise EngineBug(f"find_reduction called with {len(lg.edges)} edges; a single edge is the base case")
     pair = lg.parallel_pair()
     if pair is not None:
         return Parallel(*pair)
@@ -157,11 +153,10 @@ def find_reduction(lg: LabeledMultigraph) -> ReductionChoice:
         (cu, cv), comp = index.smallest
         vertex_pool = sorted(comp)
         host_pool = sorted(comp | {cu, cv})
-    in_cut = {x for pair in index.cuts for x in pair}
     first_reducible = None
     for v in vertex_pool:
         zero = any(lg.edges[eid].label.weight == 0 for eid in lg.incident(v))
-        if (zero or first_reducible is None) and _is_reducible_vertex(lg, v, in_cut):
+        if (zero or first_reducible is None) and _is_reducible_vertex(lg, v, index.in_cut):
             if zero:
                 return ReducibleVertex(v)
             first_reducible = v

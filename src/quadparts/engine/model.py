@@ -667,9 +667,9 @@ class LabeledMultigraph(Multigraph):
         if touched is not None and all(has_three_paths(self, a, b) for a, b in combinations(sorted(touched), 2)
                                        if not self.adjacent(a, b)):
             self._touched = set()
-            return SeparationIndex((), None, frozenset())
+            return SeparationIndex(frozenset(), None, frozenset())
         index = separation_index(self)
-        self._touched = None if index.cuts else set()
+        self._touched = None if index.in_cut else set()
         return index
 
     def is_block(self) -> bool:

@@ -1,9 +1,9 @@
 """Reading and writing graphs as edge lists and graph6 lines.
 
 Edge-list format: first significant line is the vertex count, then one
-``u v`` pair per line, 0-based.  ``#`` starts a comment anywhere on a line.
-graph6: standard printable-ASCII encoding, one graph per line, supported for
-n <= 62 (single-byte order field).
+``u v`` pair per line, 0-based.  graph6: standard printable-ASCII encoding,
+one graph per line, supported for n <= 62 (single-byte order field).  In
+both, ``#`` starts a comment anywhere on a line; it is never a graph6 byte.
 """
 
 from __future__ import annotations
@@ -112,15 +112,16 @@ def emit_graph6(g: SimpleGraph) -> str:
     return bytes(out).decode("ascii")
 
 
+def _significant_lines(text: str) -> list[str]:
+    """The nonblank lines of `text` with comments stripped; "#" is never a
+    graph6 byte, so this holds for both formats."""
+    return [ln for ln in (raw.split("#", 1)[0].strip() for raw in text.splitlines()) if ln]
+
+
 def looks_like_graph6(text: str) -> bool:
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
-    if not lines:
-        return False
-    first = lines[0].strip()
-    if " " in first or "\t" in first:
-        return False
-    # A bare integer header line means edge-list.
-    return not first.isdigit()
+    # A bare integer or several fields on the first line mean edge-list.
+    lines = _significant_lines(text)
+    return bool(lines) and not lines[0].isdigit() and len(lines[0].split()) == 1
 
 
 def parse_graph(text: str, fmt: str = "auto") -> SimpleGraph:
@@ -130,7 +131,7 @@ def parse_graph(text: str, fmt: str = "auto") -> SimpleGraph:
     if fmt == "edge-list":
         return parse_edge_list(text)
     if fmt == "graph6":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
+        lines = _significant_lines(text)
         if not lines:
             raise GraphParseError("no graph6 line found", "end of input")
         return parse_graph6(lines[0])

@@ -13,11 +13,12 @@ minus one vertex: it reports the vertices reached, the cut vertices and the
 bridges.  A SimpleGraph argument is first turned into the multigraph whose
 edge ids are the positions of its sorted edge list.  :func:`is_biconnected`
 is one run on g; :func:`separation_index` is one run on g - u for every
-vertex u, which lists every 2-cut of a block and the edges whose deletion
-leaves no block in O(n(n + m)).  :func:`has_three_paths` decides whether
-no 2-set separates two non-adjacent vertices a and b: three common
-neighbours settle it in O(deg a + deg b), else at most three breadth-first
-augmentations, O(m) each, search g minus the common neighbours.
+vertex u, which finds the vertices of a block that lie in some 2-cut, the
+2-cut with the smallest side and the edges whose deletion leaves no block.
+:func:`has_three_paths` decides whether no 2-set separates two
+non-adjacent vertices a and b: three common neighbours settle it in
+O(deg a + deg b), else at most three breadth-first augmentations, O(m)
+each, search g minus the common neighbours.
 
 Every other traversal in the package calls three primitives: :func:`adjacency`
 builds a vertex -> ascending neighbours map, :func:`bfs_parents` is the one
@@ -135,9 +136,6 @@ class Multigraph:
     def incident(self, v: int) -> list[int]:
         """Ids of the edges at v, ascending."""
         return list(self._inc[v])
-
-    def degree(self, v: int) -> int:
-        return len(self._inc[v])
 
     def other_end(self, eid: int, v: int) -> int:
         w = self._inc.get(v, {}).get(eid)
@@ -280,46 +278,50 @@ def _components_of(adj: Adjacency, alive: set[int]) -> list[frozenset[int]]:
 
 @dataclass(frozen=True)
 class SeparationIndex:
-    """The 2-cuts of a block and the edges it cannot lose.
+    """What the reduction driver reads from the 2-cuts of a block.
 
-    `cuts` lists every 2-cut {u, v} as (u, v) with u < v, in lexicographic
-    order.  `smallest` pairs the cut minimizing the order of the smallest
-    component of g - {u, v} with that component: among equal orders the
-    first listed cut wins, and within a cut the component with the lowest
-    vertex; it is None when g has no 2-cut.  `fixed_edges` holds the ids of
-    the edges e for which g - e is not a block.
+    `in_cut` holds every vertex of some 2-cut, so it is empty exactly when
+    g has no 2-cut.  `smallest` pairs the 2-cut (u, v), u < v, minimizing
+    the order of the smallest component of g - {u, v} with that component:
+    among equal orders the first cut in lexicographic order wins, and within
+    a cut the component with the lowest vertex; it is None when g has no
+    2-cut.  `fixed_edges` holds the ids of the edges e for which g - e is
+    not a block.
     """
 
-    cuts: tuple[tuple[int, int], ...]
+    in_cut: frozenset[int]
     smallest: tuple[tuple[int, int], frozenset[int]] | None
     fixed_edges: frozenset[int]
 
 
 def separation_index(g: SimpleGraph | Multigraph) -> SeparationIndex:
-    """Separation index of a block g on at least 3 vertices, in O(n(n + m)).
+    """Separation index of a block g on at least 3 vertices, in O(n(n + m))
+    plus O(n + m) per 2-cut.
 
     One low-point DFS of g - u for every vertex u: {u, v} is a 2-cut iff v
     is a cut vertex of g - u, and g - e is not a block iff e is a bridge of
-    some g - u.  Components are taken only for the listed cuts.  The caller
-    guarantees that g is a block; on other inputs the index is incomplete.
+    some g - u.  Each cut (u, v) is met at u with v > u, u ascending and v
+    ascending, so cuts are met in lexicographic order and components are
+    taken once per cut.  The caller guarantees that g is a block; on other
+    inputs the index is incomplete.
     """
     adj = _as_multigraph(g)._inc
     verts = sorted(adj)
-    cuts: set[tuple[int, int]] = set()
+    in_cut: set[int] = set()
     fixed: set[int] = set()
+    smallest: tuple[tuple[int, int], frozenset[int]] | None = None
+    neighbours = {x: ends.values() for x, ends in adj.items()}
     for u in verts:
         root = verts[1] if u == verts[0] else verts[0]
         _, cut_vertices, bridges = _low_points(adj, root, skip=u)
-        cuts.update(norm_edge(u, v) for v in cut_vertices)
         fixed |= bridges
-    ordered = tuple(sorted(cuts))
-    smallest: tuple[tuple[int, int], frozenset[int]] | None = None
-    neighbours = {x: ends.values() for x, ends in adj.items()}
-    for u, v in ordered:
-        comp = _components_of(neighbours, set(verts) - {u, v})[0]
-        if smallest is None or len(comp) < len(smallest[1]):
-            smallest = ((u, v), comp)
-    return SeparationIndex(ordered, smallest, frozenset(fixed))
+        if cut_vertices:
+            in_cut |= cut_vertices | {u}
+        for v in sorted(x for x in cut_vertices if x > u):
+            comp = _components_of(neighbours, set(verts) - {u, v})[0]
+            if smallest is None or len(comp) < len(smallest[1]):
+                smallest = ((u, v), comp)
+    return SeparationIndex(frozenset(in_cut), smallest, frozenset(fixed))
 
 
 def has_three_paths(g: SimpleGraph | Multigraph, a: int, b: int) -> bool:
@@ -391,22 +393,6 @@ def induced_is_connected(g: SimpleGraph, vertices: Iterable[int]) -> bool:
     """True iff `vertices` is nonempty and induces a connected subgraph of g."""
     vs = set(vertices)
     return bool(vs) and _spans(g.adj(), vs)
-
-
-def smallest_2cut_component(
-    g: SimpleGraph | Multigraph,
-) -> tuple[tuple[int, int], frozenset[int]] | None:
-    """A 2-cut {u,v} minimizing the order of the smallest component of g - {u,v}.
-
-    Returns None when g is 3-connected (or too small to have a 2-cut).
-    Raises ValueError when g is not 2-connected.  Deterministic: cuts are
-    taken in lexicographic order and only strictly smaller components
-    replace the incumbent (see :class:`SeparationIndex`).
-    """
-    g = _as_multigraph(g)
-    if not is_biconnected(g):
-        raise ValueError("graph is not 2-connected")
-    return separation_index(g).smallest
 
 
 def graph_power(g: SimpleGraph, k: int) -> SimpleGraph:

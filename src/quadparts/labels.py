@@ -42,13 +42,6 @@ class TreeSet(Enum):
         return self.value
 
     @property
-    def actives(self) -> int:
-        """Number of active non-root vertices in any member."""
-        return {"S0": 0, "S1": 1, "S2": 2, "S3": 3,
-                "S1+": 1, "S2+": 2, "S3+": 3,
-                "S2-": 2, "S3-": 3, "S5-": 5}[self.value]
-
-    @property
     def order(self) -> int:
         """Vertex count of any member (root included)."""
         return {"S0": 1, "S1": 2, "S2": 3, "S3": 4,

@@ -70,6 +70,8 @@ def partition_tree(g: SimpleGraph, sizes: Sequence[int]) -> list[Part]:
         raise ValueError("all part sizes must be positive")
     if sum(sizes) != g.n:
         raise ValueError(f"sizes sum to {sum(sizes)}, expected n={g.n}")
+    if g.n == 0:
+        return []
     view = RootedTreeView.build(g)
     alive = set(range(g.n))
     parts: list[Part] = []

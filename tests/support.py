@@ -3,7 +3,8 @@ plain graph traversals.
 
 `TreeShape` and its companions enumerate and test small rooted trees over
 abstract slots; the engine itself only needs `labels.shape_matches`, which
-reads the same structure off bound trees.
+reads the same structure off bound trees.  `active_count` reads the number
+of active vertices of a tree set off its canonical member.
 
 A StubGadget realizes any admitted operation with canonical tree shapes, at
 once and without children (its `start` returns the Realization), so
@@ -149,6 +150,12 @@ def canonical_member(ts: TreeSet, shape_hint: str | None = None) -> TreeShape:
     raise ValueError(f"unknown tree set {ts}")
 
 
+def active_count(ts: TreeSet) -> int:
+    """The number of active vertices, neither root nor dummy, in any member of `ts`."""
+    shape = canonical_member(ts)
+    return shape.order - 1 - len(shape.dummies)
+
+
 def enumerate_rooted_trees(order: int) -> list[TreeShape]:
     """All rooted trees on `order` slots, one representative per isomorphism class."""
     if order == 1:
@@ -246,7 +253,7 @@ class StubGadget:
         witness = admits(self.label, op.p, op.q)
         if witness is None:
             raise EngineBug(f"stub {self.label} does not admit {op}")
-        used = witness[0].actives + witness[1].actives
+        used = active_count(witness[0]) + active_count(witness[1])
         actives = iter(self.owned[:used])
         p = bind_shape(witness[0], self.u, actives, dummy=self.owned[used])
         q = bind_shape(witness[1], self.v, actives, dummy=self.owned[used + 1])

@@ -100,6 +100,14 @@ def test_partition_reads_a_graph_file(capture, tmp_path):
     assert json.loads(out)["parts"] == [[0, 1, 2, 7], [3, 4, 5, 6]]
 
 
+def test_partition_reads_an_edge_list_with_a_commented_header(capture, tmp_path):
+    path = tmp_path / "c4.txt"
+    path.write_text("4#order\n0 1\n1 2\n2 3\n3 0\n", encoding="utf-8")
+    code, out, err = capture(["partition", str(path), "--json"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["parts"] == [[0, 1, 2, 3]]
+
+
 def test_tree_partition_sizes(capture):
     code, out, _ = capture(
         ["tree-partition", "-", "--sizes", "3,3", "--json"],

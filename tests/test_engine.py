@@ -315,6 +315,14 @@ class TestFindReduction:
         apply_reduction(lg, find_reduction(lg))
         assert isinstance(find_reduction(lg), Parallel)
 
+    def test_single_edge_traps(self):
+        """One edge left is the base case, which the caller realizes; there
+        is no reduction to choose."""
+        lg = LabeledMultigraph(SimpleGraph.from_edges(2, [(0, 1)]))
+        lg.add(leaf_gadget(CATALOG["L0"], 0, 1))
+        with pytest.raises(EngineBug, match="single edge is the base case"):
+            find_reduction(lg)
+
 
 class TestCarriedSeparationIndex:
     def test_matches_a_fresh_index_under_random_rewrites(self):
@@ -330,7 +338,7 @@ class TestCarriedSeparationIndex:
             lg = LabeledMultigraph(g)
             for u, v in g.sorted_edges():
                 lg.add(leaf_gadget(CATALOG["L0"], u, v))
-            if separation_index(lg).cuts:
+            if separation_index(lg).in_cut:
                 continue
             vertex_gone = False  # since the last index with no 2-cut
             for _ in range(40):
@@ -368,10 +376,10 @@ class TestCarriedSeparationIndex:
                 index, fresh = lg.separation_index(), separation_index(lg)
                 assert index == fresh, seed
                 if touched:
-                    carried += not fresh.cuts
-                    rebuilt_after_deletions += bool(fresh.cuts)
-                    carried_after_vertex_removal += vertex_gone and not fresh.cuts
-                if not fresh.cuts:
+                    carried += not fresh.in_cut
+                    rebuilt_after_deletions += bool(fresh.in_cut)
+                    carried_after_vertex_removal += vertex_gone and not fresh.in_cut
+                if not fresh.in_cut:
                     vertex_gone = False
         assert carried > 200 and rebuilt_after_deletions > 50 and carried_after_vertex_removal > 40
 
@@ -392,7 +400,7 @@ class TestCarriedSeparationIndex:
         def consult(lg):
             before = len(builds)
             index = real_consult(lg)
-            consultations.append((len(builds) > before, bool(index.cuts)))
+            consultations.append((len(builds) > before, bool(index.in_cut)))
             return index
 
         monkeypatch.setattr(model, "separation_index", build)

@@ -4,6 +4,7 @@ from quadparts.graphio import (
     GraphParseError,
     emit_edge_list,
     emit_graph6,
+    looks_like_graph6,
     parse_edge_list,
     parse_graph,
     parse_graph6,
@@ -83,3 +84,17 @@ def test_graph6_truncated_payload():
 def test_auto_format_detection():
     assert parse_graph("C~", "auto").edges == complete_graph(4).edges
     assert parse_graph("4\n0 1\n1 2\n2 3\n0 3\n", "auto").edges == cycle_graph(4).edges
+
+
+def test_auto_format_strips_a_comment_on_the_header():
+    """A "#" is never a graph6 byte: a header with a comment glued to it is an
+    edge list."""
+    text = "4#order\n0 1\n1 2\n2 3\n0 3\n"
+    assert not looks_like_graph6(text)
+    assert parse_graph(text, "auto").edges == cycle_graph(4).edges
+
+
+def test_auto_format_reads_graph6_after_a_comment_line():
+    text = "# K4\nC~  # complete\n"
+    assert looks_like_graph6(text)
+    assert parse_graph(text, "auto").edges == complete_graph(4).edges

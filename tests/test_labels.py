@@ -9,6 +9,7 @@ from quadparts.labels import CATALOG, LABELS, TreeSet, admits, catalog_dump, inv
 
 from .support import (
     TreeShape,
+    active_count,
     canonical_member,
     enumerate_rooted_trees,
     fits,
@@ -49,7 +50,7 @@ class TestCatalog:
             for p, q in lab.pairs:
                 if lab.name in exceptional and (p in minus or q in minus):
                     continue
-                assert (p.actives + q.actives) % 4 == lab.weight % 4, (lab.name, p, q)
+                assert (active_count(p) + active_count(q)) % 4 == lab.weight % 4, (lab.name, p, q)
 
     def test_subdividable_flags(self):
         assert [lab.name for lab in LABELS if lab.subdividable] == ["L0", "L1", "L2"]

@@ -1,0 +1,45 @@
+"""Static checks over the package source."""
+
+import ast
+from pathlib import Path
+
+import quadparts
+
+SRC = Path(quadparts.__file__).parent
+
+
+def _trees() -> dict[str, ast.Module]:
+    return {str(path.relative_to(SRC)): ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(SRC.rglob("*.py"))}
+
+
+def _named(tree: ast.Module) -> set[str]:
+    """Every name a module reads: variables, attributes, imported names
+    (re-exports included) and the strings listed in `__all__`."""
+    names: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            names.update(elt.value for elt in node.value.elts)
+    return names
+
+
+def test_every_definition_is_named_in_src():
+    """No function, method or class of the package exists only for the
+    tests: each is named by some module of the package.  Dunder methods are
+    called by the language and exempt.  The check goes by name, so a
+    definition whose name another definition shares is not caught."""
+    trees = _trees()
+    named = set().union(*map(_named, trees.values()))
+    unnamed = sorted(
+        f"{module}:{node.lineno} {node.name}"
+        for module, tree in trees.items() for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__")) and node.name not in named
+    )
+    assert unnamed == []

@@ -29,6 +29,10 @@ def test_single_part_path():
     assert len(parts[0].witness) <= 7
 
 
+def test_empty_graph_has_the_empty_partition():
+    assert partition_tree(SimpleGraph(0, frozenset()), []) == []
+
+
 def test_p6_into_triples():
     parts = partition_tree(path_graph(6), [3, 3])
     assert parts[0].members == frozenset({3, 4, 5})
