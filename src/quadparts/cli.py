@@ -163,6 +163,8 @@ def cmd_gen(args) -> int:
 def cmd_explore(args) -> int:
     sizes = _parse_sizes(args.sizes)
     n = sum(sizes)
+    if args.count < 1:
+        raise UsageError(f"--count must be at least 1, got {args.count}")
     if args.n is not None and args.n != n:
         raise UsageError(f"--n {args.n} disagrees with the size sum {n}")
     if n <= 6:

@@ -20,6 +20,10 @@ vertex come from worklists the graph keeps up to date
 (:meth:`~quadparts.engine.model.LabeledMultigraph.parallel_pair` and
 :meth:`~quadparts.engine.model.LabeledMultigraph.degree2_vertex`), so those
 steps cost O(degree) plus heap upkeep.
+
+Every part finalized along the way goes to one list, ``lg.emitted``: each
+drop, strip, eager elimination and the base case passes it to
+:func:`~quadparts.engine.model.drive` as the sink.
 """
 
 from __future__ import annotations
@@ -184,8 +188,7 @@ def reduce_parallel(lg: LabeledMultigraph, eid1: int, eid2: int) -> str:
     v = max(a.u, a.v)
     e1, e2 = sorted((lg.view(eid1, u), lg.view(eid2, u)), key=lambda e: (e.weight(), e.eid))
     if e1.weight() == 0:
-        real = drive(ask(e1, Split(S0, S0)))
-        lg.emit(real.parts)
+        drive(ask(e1, Split(S0, S0)), lg.emitted)
         lg.remove_labeled(e1.eid)
         return f"drop[{e1.label.name}] eid={e1.eid}"
     if e1.label.name == "L30" and e2.label.name != "L30":
@@ -228,8 +231,7 @@ def reduce_edge(lg: LabeledMultigraph, eid1: int, eid2: int, v: int) -> str:
 def _strip_weight0(lg: LabeledMultigraph, v: int) -> str:
     eid = min(e for e in lg.incident(v) if lg.edges[e].label.weight == 0)
     view = lg.view(eid, v)
-    real = drive(ask(view, Split(S0, S0)))
-    lg.emit(real.parts)
+    drive(ask(view, Split(S0, S0)), lg.emitted)
     lg.remove_labeled(eid)
     return f"strip[{view.label.name}] eid={eid}@{v}"
 
@@ -251,9 +253,10 @@ def _remove_star(lg: LabeledMultigraph, v: int, views: list[EdgeView]) -> None:
 
 
 def _eliminate(lg: LabeledMultigraph, ops: list[tuple[EdgeView, Pair]], v: int, with_v: bool, tag: str) -> None:
-    """An eager elimination at v: realize the fixed splits `ops`, emit the
-    parts they free and remove their edges, and v too when `with_v`."""
-    lg.emit(drive(eliminate_with_fixed_splits(ops, v, with_v, tag)))
+    """An eager elimination at v: realize the fixed splits `ops`, add the
+    parts they free to `lg.emitted` and remove their edges, and v too when
+    `with_v`."""
+    lg.emitted.extend(drive(eliminate_with_fixed_splits(ops, v, with_v, tag), lg.emitted))
     for e, _ in ops:
         lg.remove_labeled(e.eid)
     if with_v:
@@ -361,7 +364,8 @@ def apply_reduction(lg: LabeledMultigraph, choice: ReductionChoice) -> tuple[str
 
 
 def solve_base(lg: LabeledMultigraph) -> tuple[frozenset[int], ...]:
-    """Realize the final single edge; its weight is forced to 2."""
+    """Realize the final single edge, whose weight is forced to 2, adding
+    the parts it finalizes to `lg.emitted`; returns every emitted part."""
     eids = lg.edge_ids()
     if len(eids) != 1:
         raise EngineBug(f"base case reached with {len(eids)} edges")
@@ -370,13 +374,14 @@ def solve_base(lg: LabeledMultigraph) -> tuple[frozenset[int], ...]:
     if edge.label.weight != 2:
         raise EngineBug(f"final edge has weight {edge.label.weight}, the invariant forces 2")
     if edge.label.name == "L2":
-        real = drive(ask(view, Subdivide(2)))
-        path_part = frozenset({edge.u, *real.subdiv, edge.v})
-        return real.parts + (path_part,)
-    if edge.label.name in ("L20", "L21"):
-        real = drive(ask(view, Split(S3, S3P)))
-        return real.parts + (frozenset(real.p_tree.actives), frozenset(real.q_tree.actives))
-    raise EngineBug(f"final edge carries unexpected label {edge.label}")
+        real = drive(ask(view, Subdivide(2)), lg.emitted)
+        lg.emitted.append(frozenset({edge.u, *real.subdiv, edge.v}))
+    elif edge.label.name in ("L20", "L21"):
+        real = drive(ask(view, Split(S3, S3P)), lg.emitted)
+        lg.emitted += (real.p_tree.actives, real.q_tree.actives)
+    else:
+        raise EngineBug(f"final edge carries unexpected label {edge.label}")
+    return tuple(lg.emitted)
 
 
 def _still_a_block(lg: LabeledMultigraph, kind: str, choice: ReductionChoice) -> bool:
@@ -434,8 +439,7 @@ def run_reduction(g: SimpleGraph) -> tuple[tuple[frozenset[int], ...], list[Trac
             raise EngineBug(f"graph stopped being a block after {detail}"
                             if kind in ("absorb", "vertex") else f"block certificate failed after {detail}")
         step += 1
-    parts = solve_base(lg) + tuple(lg.emitted)
-    return parts, trace
+    return solve_base(lg), trace
 
 
 def partition_with_trace(g: SimpleGraph) -> tuple[Partition, list[TraceStep]]:

@@ -6,8 +6,10 @@ receives the child's realization as the value of that ``yield``, so that
 :func:`~quadparts.engine.model.drive` realizes the whole cascade on one
 explicit stack; a lift never calls a child itself.  It then closes through
 one :class:`Local` built from the child realizations: the union of their
-fragments and bound-tree edges (the real edges they materialized), and
-their cascaded parts in request order.  Its methods are the closing moves:
+fragments, which hold every real edge they materialized, tree edges
+included.  The children's parts are not gathered: drive has already
+appended them to its sink, and a Local holds only the parts its lift
+finalizes.  Its methods are the closing moves:
 
 - :meth:`~Local.group` finalizes a pool if it groups into nearly connected
   4-sets, and :meth:`~Local.finalize` traps with the lift's provenance when
@@ -36,7 +38,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Callable, Collection, Iterable
 
-from ..graphs import adjacency, bfs_parents, nearly_connected_witness, norm_edge
+from ..graphs import adjacency, bfs_parents, nearly_connected_witness
 from ..labels import Pair, TreeSet
 from .model import BoundTree, EngineBug, Lift, Realization, from_parents
 
@@ -120,22 +122,16 @@ def group(fragment: Fragment, pool: Iterable[int]) -> tuple[frozenset[int], ...]
 class Local:
     """The closing state of one lift over its child realizations.
 
-    `edges` is the union of the children's fragments and bound-tree edges,
-    `parts` their cascaded parts followed by the parts this lift finalizes,
-    in call order.  The fragment adjacency is built on first use only.
+    `edges` is the union of the children's fragments and nothing else: every
+    tree edge of a child lies in that child's fragment.  `parts` holds the
+    parts this lift finalizes, in call order, and only those.  The fragment
+    adjacency is built on first use only.
     """
 
     def __init__(self, tag: str, *children: Realization):
         self.tag = tag
-        edges: set[tuple[int, int]] = set()
+        self.edges: frozenset[tuple[int, int]] = frozenset().union(*(r.fragment for r in children))
         self.parts: list[frozenset[int]] = []
-        for r in children:
-            edges |= r.fragment
-            for t in (r.p_tree, r.q_tree):
-                if t is not None:
-                    edges.update(norm_edge(a, b) for a, b in t.edges)
-            self.parts.extend(r.parts)
-        self.edges = frozenset(edges)
         self._fragment: Fragment | None = None
 
     @property
@@ -208,7 +204,7 @@ class Local:
 
     def done(self, p_tree: BoundTree | None = None, q_tree: BoundTree | None = None,
              subdiv: tuple[int, ...] | None = None) -> Realization:
-        """The lift's realization: the given trees or subdivision path, all
-        parts so far, and the gathered fragment."""
+        """The lift's realization: the given trees or subdivision path, the
+        parts this lift finalized, and the gathered fragment."""
         return Realization(parts=tuple(self.parts), p_tree=p_tree, q_tree=q_tree,
                            subdiv=subdiv, fragment=self.edges)

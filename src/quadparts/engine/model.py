@@ -14,6 +14,11 @@ edge, the final edge) run through the same loop as the one-request lift
 :class:`~quadparts.graphs.Multigraph` whose edge ids map to these gadgets;
 an :class:`EdgeView` reads one of them from either end.
 
+Each record of a realization comes in by one path: :func:`drive` appends
+each finalized part once to its sink, a bound tree is only composed from
+other bound trees or a breadth-first search, and real edges travel only in
+fragments, which hold every tree edge.
+
 Conservation invariant: every gadget owns a fixed set of interior vertices
 (its *scope*); each realization must cover that scope exactly once between
 active tree slots, subdivision vertices, and finalized-part members.  Dummy
@@ -29,8 +34,7 @@ from heapq import heappop, heappush
 from itertools import combinations, islice
 from typing import Callable, Generator, TypeVar
 
-from ..graphs import (Multigraph, SeparationIndex, SimpleGraph, adjacency, bfs_parents, has_three_paths,
-                      norm_edge, separation_index)
+from ..graphs import Multigraph, SeparationIndex, SimpleGraph, has_three_paths, norm_edge, separation_index
 from ..labels import Label, Pair, TreeSet, admits, down_set, involution, shape_matches
 
 
@@ -81,14 +85,14 @@ def flip_op(op: Operation) -> Operation:
 #
 # Every split realization is checked against the tree sets its witness pair
 # promises, and that check reads each tree's order, dummy count and child
-# subtree sizes.  A tree therefore carries its shape (vertex set, active set,
-# order, ascending root children and their subtree sizes) from the moment it
-# is built: a tree given by raw edges runs the tree checks and one
-# breadth-first search once, at construction, `from_parents` reads the shape
-# off a breadth-first search already run, and `single`, `fuse`, `graft` and
+# subtree sizes.  A tree therefore carries its shape (vertex set, ascending
+# root children and their subtree sizes) from the moment it is built, and
+# it is only ever composed: `single` starts one, `from_parents` reads one
+# off a breadth-first search already run, and `fuse`, `graft` and
 # `with_dummies` compose the shapes of their inputs and check only what the
-# composition could break.  Membership in a tree set depends only on the
-# shape, so `fits` answers from a table filled on first use.
+# composition could break.  No tree is built from raw edges or runs a
+# search.  Membership in a tree set depends only on the shape, so `fits`
+# answers from a table filled on first use.
 
 
 @dataclass(frozen=True)
@@ -97,38 +101,29 @@ class BoundTree:
     real edges of the graph being partitioned.
 
     `root`, `edges` and `dummies` define the tree and are all that equality,
-    hashing and repr see.  The rest is its shape, computed once when it is
-    built: the vertex set (the ends of the edges, or just the root), the
-    non-dummy `actives`, the `order`, and `child_subtree_sizes`, the orders of
-    the subtrees below the root's children in ascending order.  Building from
-    raw edges traps unless the edges form a tree on those vertices that
-    contains the root, the root is not a dummy and every dummy is a vertex;
-    the composing constructors keep each of these facts with a check on
-    their inputs alone.
+    hashing and repr see.  The rest is its shape, which only the
+    constructors below compose: the vertex set (the ends of the edges, or
+    just the root), the root's children and `child_subtree_sizes`, the
+    orders of the subtrees below them, each ascending.  Each constructor
+    keeps a tree that contains its root, with a non-dummy root and dummies
+    among its vertices, by a check on its inputs alone.
     """
 
     root: int
     edges: tuple[tuple[int, int], ...]
-    dummies: frozenset[int] = frozenset()
-    vertices: frozenset[int] = field(init=False, repr=False, compare=False)
-    actives: frozenset[int] = field(init=False, repr=False, compare=False)
-    order: int = field(init=False, repr=False, compare=False)
-    child_subtree_sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _children: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    dummies: frozenset[int]
+    vertices: frozenset[int] = field(repr=False, compare=False)
+    _children: tuple[int, ...] = field(repr=False, compare=False)
+    child_subtree_sizes: tuple[int, ...] = field(repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        root, edges = self.root, self.edges
-        verts = frozenset(x for e in edges for x in e) if edges else frozenset((root,))
-        if root not in verts:
-            raise EngineBug(f"root {root} missing from tree vertices")
-        if len(edges) != len(verts) - 1:
-            raise EngineBug(f"edge count {len(edges)} does not make a tree on {len(verts)} vertices")
-        adj = adjacency(edges, (root,))
-        parent = bfs_parents(adj, root)
-        if len(parent) != len(verts):
-            raise EngineBug("tree edges are not connected")
-        _check_dummies(root, verts, self.dummies)
-        _shape(self, verts, *_subtrees(root, parent))
+    @property
+    def order(self) -> int:
+        return len(self.vertices)
+
+    @property
+    def actives(self) -> frozenset[int]:
+        """The vertices that are not dummies."""
+        return self.vertices - self.dummies
 
     def root_children(self) -> list[int]:
         """The root's neighbours in ascending order."""
@@ -136,7 +131,7 @@ class BoundTree:
 
     def fits(self, ts: TreeSet) -> bool:
         """True when the tree belongs to `ts` or to a set below it in the order."""
-        key = (self.order, len(self.dummies), self.child_subtree_sizes, ts)
+        key = (len(self.vertices), len(self.dummies), self.child_subtree_sizes, ts)
         hit = _FITS.get(key)
         if hit is None:
             order, n_dummies, sizes, _ = key  # one size per root child
@@ -146,7 +141,7 @@ class BoundTree:
     def with_dummies(self, extra: frozenset[int] | set[int]) -> "BoundTree":
         dummies = self.dummies | frozenset(extra)
         _check_dummies(self.root, self.vertices, dummies)
-        return _composed(self.root, self.edges, dummies, self.vertices, self._children, self.child_subtree_sizes)
+        return BoundTree(self.root, self.edges, dummies, self.vertices, self._children, self.child_subtree_sizes)
 
 
 # (order, dummy count, child subtree sizes, tree set) -> BoundTree.fits; it
@@ -162,51 +157,23 @@ def _check_dummies(root: int, vertices: frozenset[int], dummies: frozenset[int])
         raise EngineBug("dummy markers outside the tree")
 
 
-def _subtrees(root: int, parent: dict[int, int | None]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The root's children and the orders of their subtrees, each ascending,
-    from a breadth-first parent map of the tree."""
+def from_parents(root: int, parent: dict[int, int | None], dummies: frozenset[int]) -> BoundTree:
+    """The tree of a :func:`graphs.bfs_parents` map from `root`, with edges
+    in discovery order; such a map is a tree, so only the dummies are checked."""
+    vertices = frozenset(parent)
+    _check_dummies(root, vertices, dummies)
     top: dict[int, int] = {}  # vertex -> the root child above it
     size: dict[int, int] = {}
     for x, p in parent.items():
         if p is not None:
             t = top[x] = x if p == root else top[p]
             size[t] = size.get(t, 0) + 1
-    return tuple(sorted(size)), tuple(sorted(size.values()))
-
-
-def _shape(tree: BoundTree, vertices: frozenset[int], children: tuple[int, ...], sizes: tuple[int, ...]) -> None:
-    """Set the carried shape fields of `tree`."""
-    setf = object.__setattr__
-    setf(tree, "vertices", vertices)
-    setf(tree, "actives", vertices - tree.dummies)
-    setf(tree, "order", len(vertices))
-    setf(tree, "child_subtree_sizes", sizes)
-    setf(tree, "_children", children)
-
-
-def _composed(root: int, edges: tuple[tuple[int, int], ...], dummies: frozenset[int], vertices: frozenset[int],
-              children: tuple[int, ...], sizes: tuple[int, ...]) -> BoundTree:
-    """A tree whose shape the caller composed from checked trees: no search."""
-    tree = object.__new__(BoundTree)
-    setf = object.__setattr__
-    setf(tree, "root", root)
-    setf(tree, "edges", edges)
-    setf(tree, "dummies", dummies)
-    _shape(tree, vertices, children, sizes)
-    return tree
-
-
-def from_parents(root: int, parent: dict[int, int | None], dummies: frozenset[int]) -> BoundTree:
-    """The tree of a :func:`graphs.bfs_parents` map from `root`, with edges
-    in discovery order; such a map is a tree, so only the dummies are checked."""
-    vertices = frozenset(parent)
-    _check_dummies(root, vertices, dummies)
     edges = tuple((p, x) for x, p in parent.items() if p is not None)
-    return _composed(root, edges, dummies, vertices, *_subtrees(root, parent))
+    return BoundTree(root, edges, dummies, vertices, tuple(sorted(size)), tuple(sorted(size.values())))
 
 
 def single(root: int) -> BoundTree:
-    return _composed(root, (), frozenset(), frozenset((root,)), (), ())
+    return BoundTree(root, (), frozenset(), frozenset((root,)), (), ())
 
 
 def fuse(*trees: BoundTree) -> BoundTree:
@@ -231,20 +198,20 @@ def fuse(*trees: BoundTree) -> BoundTree:
         raise EngineBug(f"fuse needs trees that meet only at the root, they share {shared}")
     children.sort()
     sizes.sort()
-    return _composed(trees[0].root, tuple(edges), frozenset(dummies), frozenset(vertices),
+    return BoundTree(trees[0].root, tuple(edges), frozenset(dummies), frozenset(vertices),
                      tuple(children), tuple(sizes))
 
 
 def graft(new_root: int, bridge: tuple[int, int], subtree: BoundTree) -> BoundTree:
     """Re-root: hang `subtree` below `new_root` via the real edge `bridge`,
-    which joins `new_root`, outside the subtree, to a vertex of it.  Any other
-    bridge gets the raw-edge checks and their trap."""
+    which must join `new_root`, outside the subtree, to a vertex of it."""
     a, b = bridge
     end = b if a == new_root else a if b == new_root else None
-    edges = (bridge, *subtree.edges)
     if end is None or end not in subtree.vertices or new_root in subtree.vertices:
-        return BoundTree(new_root, edges, subtree.dummies)
-    return _composed(new_root, edges, subtree.dummies, subtree.vertices | {new_root}, (end,), (subtree.order,))
+        raise EngineBug(f"graft needs a bridge from {new_root}, outside the subtree, to a vertex of it, "
+                        f"got {bridge}")
+    return BoundTree(new_root, (bridge, *subtree.edges), subtree.dummies, subtree.vertices | {new_root},
+                     (end,), (subtree.order,))
 
 
 # ---------------------------------------------------------------------------
@@ -259,10 +226,15 @@ class Realization:
     subdivisions, `subdiv` lists the new internal vertices from tail to head.
     `fragment` collects every real edge this realization materialized, which
     the parent lift's :class:`~quadparts.engine.local.Local` searches for
-    witnesses and spans its trees in, and `parts` carries all nearly
-    connected 4-sets finalized at or below this edge.  A lift receives it as
-    the value of the ``yield`` that requested it, read from the tail of the
-    view it yielded, and only after the child's gadget has checked it.
+    witnesses and spans its trees in.  Every tree edge lies in the fragment:
+    a leaf's split trees have no edges and its subdivision's fragment is its
+    edge; a lift's fragment unites its children's, spans its trees in it,
+    grafts only by a subdivided leaf's edge and fuses or passes on its
+    children's trees.  `parts` holds only the nearly connected 4-sets that
+    this realization's own lift finalized; :func:`drive` appends them to its
+    sink, and no realization copies another's.  A lift receives a
+    realization as the value of the ``yield`` that requested it, read from
+    the tail of the view it yielded, after the child's gadget checked it.
     """
 
     parts: tuple[frozenset[int], ...] = ()
@@ -343,19 +315,20 @@ class Gadget:
             raise EngineBug(f"label {self.label} does not admit {op}", self.provenance)
         return self._split_lift(witness)
 
-    def check(self, real: Realization, op: Operation) -> None:
+    def check(self, real: Realization, op: Operation, parts: list[frozenset[int]]) -> None:
         """Trap unless `real` realizes `op` (stored orientation): the
-        operation's shape, the witness pair and the ledger."""
+        operation's shape, the witness pair and the ledger, where `parts`
+        are all the parts finalized at or below this gadget."""
         if isinstance(op, Subdivide):
-            self._check_subdiv(real, op.k)
+            self._check_subdiv(real, op.k, parts)
         else:
-            self._check_split(real, admits(self.label, op.p, op.q))
+            self._check_split(real, admits(self.label, op.p, op.q), parts)
 
     # -- validation -------------------------------------------------------
 
-    def _covered(self, real: Realization, bound_active: set[int]) -> None:
+    def _covered(self, real: Realization, parts: list[frozenset[int]], bound_active: set[int]) -> None:
         part_members: set[int] = set()
-        for part in real.parts:
+        for part in parts:
             if len(part) != 4:
                 raise EngineBug(f"finalized part {sorted(part)} does not have 4 vertices", self.provenance)
             if part & part_members:
@@ -375,7 +348,7 @@ class Gadget:
                 self.provenance,
             )
 
-    def _check_split(self, real: Realization, witness: Pair) -> None:
+    def _check_split(self, real: Realization, witness: Pair, parts: list[frozenset[int]]) -> None:
         p, q = real.p_tree, real.q_tree
         if p is None or q is None or real.subdiv is not None:
             raise EngineBug("split realization must carry two trees and no subdivision", self.provenance)
@@ -394,14 +367,14 @@ class Gadget:
         out = (p.vertices | q.vertices) - self.scope - {self.u, self.v}
         if out:
             raise EngineBug(f"tree vertices {sorted(out)} outside scope", self.provenance)
-        self._covered(real, set(bound_active))
+        self._covered(real, parts, set(bound_active))
 
-    def _check_subdiv(self, real: Realization, k: int) -> None:
+    def _check_subdiv(self, real: Realization, k: int, parts: list[frozenset[int]]) -> None:
         if real.subdiv is None or real.p_tree is not None or real.q_tree is not None:
             raise EngineBug("subdivision realization must carry a path and no trees", self.provenance)
         if len(real.subdiv) != k:
             raise EngineBug(f"subdivision produced {len(real.subdiv)} vertices, expected {k}", self.provenance)
-        self._covered(real, set())
+        self._covered(real, parts, set())
 
 
 def leaf_gadget(label: Label, u: int, v: int) -> Gadget:
@@ -419,24 +392,28 @@ def leaf_gadget(label: Label, u: int, v: int) -> Gadget:
     return Gadget(label, u, v, frozenset(), split_lift, subdiv_lift, provenance=f"leaf({u},{v})")
 
 
-def drive(lift: Generator[tuple["EdgeView", Operation], Realization, _R]) -> _R:
+def drive(lift: Generator[tuple["EdgeView", Operation], Realization, _R], sink: list[frozenset[int]]) -> _R:
     """Run `lift` to completion and return its value, realizing every child
-    operation it yields, and theirs in turn, on one explicit stack.  This is
-    the one place where a gadget operation starts, and where its result is
-    checked and mirrored: the reduction driver's own requests come here too,
-    each as the one-request lift :func:`ask`.
+    operation it yields, and theirs in turn, on one explicit stack, and
+    append the parts each realization finalized to `sink`.  This is the one
+    place where a gadget operation starts, where its result is checked and
+    mirrored and where its parts are recorded: the reduction driver's own
+    requests come here too, each as the one-request lift :func:`ask`.
 
     Each frame holds a running lift, its gadget, the operation it realizes
-    in the gadget's stored orientation and whether its parent reads it
-    mirrored.  A yielded ``(view, op)`` is mapped to the stored orientation
-    and goes to :meth:`Gadget.start`: a running lift is pushed, and a
-    realization that comes back at once (a leaf's) is finished on the spot.
-    A finished realization, at once or when its pushed lift returns, is
-    checked by its gadget, mirrored if need be and sent to the frame below.
-    Children are realized in the order they are yielded, and an exception
-    leaves the loop unchanged, since no lift catches one.
+    in the gadget's stored orientation, whether its parent reads it
+    mirrored and the length of `sink` when it started.  A yielded
+    ``(view, op)`` is mapped to the stored orientation and goes to
+    :meth:`Gadget.start`: a running lift is pushed, and a realization that
+    comes back at once (a leaf's) is finished on the spot.  A finished
+    realization, at once or when its pushed lift returns, appends its own
+    parts to `sink`, is checked by its gadget against all parts appended
+    since its frame started (the cascade runs depth first, so these are the
+    parts finalized at or below it), mirrored if need be and sent to the
+    frame below.  Children are realized in the order they are yielded, and
+    an exception leaves the loop unchanged, since no lift catches one.
     """
-    stack: list[tuple[Generator, Gadget | None, Operation | None, bool]] = [(lift, None, None, False)]
+    stack: list[tuple[Generator, Gadget | None, Operation | None, bool, int]] = [(lift, None, None, False, 0)]
     sent = None
     while True:
         top = stack[-1]
@@ -446,18 +423,20 @@ def drive(lift: Generator[tuple["EdgeView", Operation], Realization, _R]) -> _R:
             stack.pop()
             if not stack:
                 return stop.value
-            _, gadget, op, flip = top
+            _, gadget, op, flip, start = top
             out = stop.value
         else:
             gadget, flip = view.edge, view.flipped_store
             if flip:
                 op = flip_op(op)
+            start = len(sink)
             out = gadget.start(op)
             if not isinstance(out, Realization):
-                stack.append((out, gadget, op, flip))
+                stack.append((out, gadget, op, flip, start))
                 sent = None
                 continue
-        gadget.check(out, op)
+        sink.extend(out.parts)
+        gadget.check(out, op, sink[start:])
         sent = out.flipped() if flip else out
 
 
@@ -514,7 +493,9 @@ class EdgeView:
 
 class LabeledMultigraph(Multigraph):
     """The engine state: a block multigraph whose every edge carries a gadget,
-    plus the stream of parts already finalized by eager reductions.
+    plus `emitted`, the one list of finalized parts: every request of the
+    reduction driver (a drop, a strip, an eager elimination and the base
+    case) passes it to :func:`drive` as the sink, and nothing else adds to it.
 
     `edges` maps each edge id to its gadget, which holds the edge's label
     and its stored orientation u -> v; the graph structure itself is the
@@ -676,6 +657,3 @@ class LabeledMultigraph(Multigraph):
         from ..graphs import is_biconnected
 
         return is_biconnected(self)
-
-    def emit(self, parts) -> None:
-        self.emitted.extend(parts)

@@ -112,20 +112,22 @@ def emit_graph6(g: SimpleGraph) -> str:
     return bytes(out).decode("ascii")
 
 
-def _significant_lines(text: str) -> list[str]:
-    """The nonblank lines of `text` with comments stripped; "#" is never a
-    graph6 byte, so this holds for both formats."""
-    return [ln for ln in (raw.split("#", 1)[0].strip() for raw in text.splitlines()) if ln]
+def _significant_lines(text: str) -> list[tuple[int, str]]:
+    """The nonblank lines of `text` with comments stripped, each with its
+    line number; "#" is never a graph6 byte, so this holds for both formats."""
+    stripped = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
+    return [(lineno, ln) for lineno, ln in enumerate(stripped, start=1) if ln]
 
 
 def looks_like_graph6(text: str) -> bool:
     # A bare integer or several fields on the first line mean edge-list.
     lines = _significant_lines(text)
-    return bool(lines) and not lines[0].isdigit() and len(lines[0].split()) == 1
+    return bool(lines) and not lines[0][1].isdigit() and len(lines[0][1].split()) == 1
 
 
 def parse_graph(text: str, fmt: str = "auto") -> SimpleGraph:
-    """Parse one graph from text in edge-list or graph6 format."""
+    """Parse one graph from text in edge-list or graph6 format; graph6 text
+    holding a second graph is rejected at that graph's line."""
     if fmt == "auto":
         fmt = "graph6" if looks_like_graph6(text) else "edge-list"
     if fmt == "edge-list":
@@ -134,7 +136,10 @@ def parse_graph(text: str, fmt: str = "auto") -> SimpleGraph:
         lines = _significant_lines(text)
         if not lines:
             raise GraphParseError("no graph6 line found", "end of input")
-        return parse_graph6(lines[0])
+        g = parse_graph6(lines[0][1])
+        if len(lines) > 1:
+            raise GraphParseError("a second graph6 graph; the input must hold one graph", f"line {lines[1][0]}")
+        return g
     raise ValueError(f"unknown graph format {fmt!r}")
 
 

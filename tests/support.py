@@ -13,7 +13,8 @@ constructing a graph that actually reaches it.  Its `check` passes
 everything: a stub's ledger is balanced by construction, and a withholding
 stub must leave the trap to the ledger of the gadget built on it.
 `realize` drives one operation on a gadget read in its stored orientation,
-as the reduction driver does.  Each stub owns
+as the reduction driver does, and gathers every part finalized at or below
+it from the sink.  Each stub owns
 `label.weight + 8` fresh vertices (its scope) and every realization covers
 that scope exactly once: the active tree slots (or the subdivision path)
 take the first scope vertices and the rest are emitted as 4-sets.  The
@@ -21,6 +22,9 @@ active counts of every catalog pair are congruent to the weight mod 4 and at
 most weight + 4, so at least one 4-set is always emitted, and a dummy slot
 takes one of its vertices.  The gadgets built on top of stubs therefore run
 with the conservation ledger on, exactly as on real graphs.
+
+`tree_of` builds a bound tree from raw edges, which the engine never does:
+it computes the shape the engine's constructors compose.
 
 `path_graph`, `cycle_graph`, `complete_graph` and `random_tree` build the
 standard small graphs, `equal_theta` thetas whose paths differ in length
@@ -40,8 +44,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import deque
-from dataclasses import dataclass
+from collections import Counter, deque
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 from quadparts.engine.model import (
@@ -186,6 +190,33 @@ def members_extensional(ts: TreeSet) -> list[TreeShape]:
     return [t for t in enumerate_rooted_trees(ts.order) if member_of(t, ts)]
 
 
+def tree_of(root: int, edges, dummies: Iterable[int] = ()) -> BoundTree:
+    """The bound tree on `edges`, kept in the given order, rooted at `root`,
+    with its shape read off a breadth-first search; raises ValueError
+    unless the edges form a tree containing the root, the root is not a
+    dummy and every dummy is a vertex."""
+    edges, dummies = tuple(edges), frozenset(dummies)
+    neighbours: dict[int, list[int]] = {root: []}
+    for a, b in edges:
+        neighbours.setdefault(a, []).append(b)
+        neighbours.setdefault(b, []).append(a)
+    top = {root: root}  # vertex -> the root child above it
+    queue = deque([root])
+    while queue:
+        x = queue.popleft()
+        for y in neighbours[x]:
+            if y not in top:
+                top[y] = y if x == root else top[x]
+                queue.append(y)
+    if len(top) != len(neighbours) or len(edges) != len(top) - 1:
+        raise ValueError(f"edges {edges} do not form a tree containing {root}")
+    if root in dummies or not dummies <= top.keys():
+        raise ValueError(f"dummies {sorted(dummies)} are not non-root vertices")
+    del top[root]
+    sizes = Counter(top.values())
+    return BoundTree(root, edges, dummies, frozenset(neighbours), tuple(sorted(sizes)), tuple(sorted(sizes.values())))
+
+
 # ---------------------------------------------------------------------------
 # Synthetic gadgets
 
@@ -214,7 +245,7 @@ def bind_shape(ts: TreeSet, root: int, actives, dummy: int) -> BoundTree:
     edges = tuple(
         (ids[a], ids[parent]) for a, parent in enumerate(shape.parent) if parent is not None
     )
-    return BoundTree(root, edges, frozenset(ids[d] for d in shape.dummies))
+    return tree_of(root, edges, (ids[d] for d in shape.dummies))
 
 
 def _quads(vertices: list[int]) -> tuple[frozenset[int], ...]:
@@ -260,7 +291,7 @@ class StubGadget:
         frag = frozenset(norm_edge(a, b) for t in (p, q) for a, b in t.edges)
         return Realization(parts=self._emit(used), p_tree=p, q_tree=q, fragment=frag)
 
-    def check(self, real, op) -> None:
+    def check(self, real, op, parts) -> None:
         """Stub results are not checked (see the module docstring)."""
 
 
@@ -269,8 +300,16 @@ def stub_edge(label: Label, u: int, v: int, withhold: bool = False) -> StubGadge
 
 
 def realize(gadget, op) -> Realization:
-    """The checked realization of `op` on `gadget`, stored orientation."""
-    return drive(ask(EdgeView(gadget, gadget.u, -1), op))
+    """The checked realization of `op` on `gadget`, stored orientation,
+    carrying every part finalized at or below it, in the order the sink
+    received them.  Asserts that every tree edge lies in the fragment."""
+    sink: list[frozenset[int]] = []
+    real = drive(ask(EdgeView(gadget, gadget.u, -1), op), sink)
+    for tree in (real.p_tree, real.q_tree):
+        if tree is not None:
+            stray = {norm_edge(a, b) for a, b in tree.edges} - real.fragment
+            assert not stray, f"tree edges {sorted(stray)} of {gadget.provenance} are not in the fragment"
+    return replace(real, parts=tuple(sink))
 
 
 def all_ops(label: Label):

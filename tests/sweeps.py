@@ -83,14 +83,22 @@ def _deg3_views(la, lb, lc):
     return v, ea, eb, ec
 
 
+def _eliminated(ops, v) -> list:
+    """Every part a flat elimination at v finalizes: its children's, from
+    the sink, then its own."""
+    sink: list = []
+    sink.extend(drive(eliminate_with_fixed_splits(ops, v, True, "cover"), sink))
+    return sink
+
+
 def flat_eliminations():
     v, a, b, c = _deg3_views(CATALOG["L1"], CATALOG["L10"], CATALOG["L1"])
-    yield drive(eliminate_with_fixed_splits([(a, (S1, S0)), (b, (S1, S0)), (c, (S1, S0))], v, True, "cover"))
+    yield _eliminated([(a, (S1, S0)), (b, (S1, S0)), (c, (S1, S0))], v)
     for heavy, mids in ((CATALOG["L30"], (CATALOG["L2"], CATALOG["L21"])),
                         (CATALOG["L31"], (CATALOG["L20"], CATALOG["L2"])),
                         (CATALOG["L32"], (CATALOG["L21"], CATALOG["L20"]))):
         v, a, b, c = _deg3_views(heavy, mids[0], mids[1])
-        yield drive(eliminate_with_fixed_splits([(a, (S3, S0)), (b, (S2, S0)), (c, (S2, S0))], v, True, "cover"))
+        yield _eliminated([(a, (S3, S0)), (b, (S2, S0)), (c, (S2, S0))], v)
 
 
 def paired_tail():

@@ -130,6 +130,20 @@ def test_explore_order8_sample(capture):
     assert "0 failures" in out
 
 
+def test_explore_rejects_a_count_below_one(capture):
+    for count in ("-3", "0"):
+        code, out, err = capture(["explore", "--sizes", "3,5", "--count", count])
+        assert (code, out, err) == (2, "", f"error: --count must be at least 1, got {count}\n"), count
+
+
+def test_partition_rejects_a_graph6_file_with_two_graphs(capture, tmp_path):
+    path = tmp_path / "two.g6"
+    path.write_text("Cr\nC~\n", encoding="utf-8")
+    for fmt in ("auto", "graph6"):
+        code, out, err = capture(["partition", str(path), "--format", fmt, "--json"])
+        assert (code, out) == (2, "") and err.startswith("error: line 2: a second graph6 graph"), (fmt, err)
+
+
 def test_labels_dump(capture):
     code, out, _ = capture(["labels"])
     assert code == 0

@@ -23,14 +23,16 @@ from quadparts.engine import (
 )
 from quadparts.engine.driver import apply_reduction
 from quadparts.engine.local import Fragment, Local, group
-from quadparts.engine.model import BoundTree, Gadget, Realization, fuse, graft, single
+from quadparts.engine.model import BoundTree, EdgeView, Gadget, Realization, ask, fuse, graft, single
 from quadparts.families import enumerate_2connected, random_2connected, random_corpus, subdivided_k4, theta
 from quadparts.graphs import SimpleGraph, is_biconnected, norm_edge, separation_index
 from quadparts.labels import CATALOG, TreeSet
 from quadparts.oracle import verify_partition
 
-from .support import (TreeShape, complete_graph, cycle_graph, dense_block, equal_theta, path_graph, relabelled,
-                      scanned_degree2_vertex, scanned_parallel_pair, sparse_block, stub_edge, summed_weight)
+from . import sweeps
+from .support import (StubGadget, TreeShape, all_ops, complete_graph, cycle_graph, dense_block, equal_theta,
+                      path_graph, relabelled, scanned_degree2_vertex, scanned_parallel_pair, sparse_block, stub_edge,
+                      summed_weight, tree_of)
 from .support import fits as shape_fits
 
 
@@ -111,13 +113,14 @@ class TestLocalGrouping:
         loc.part({0, 2, 3, 4})
         assert loc.parts == [frozenset({0, 2, 3, 4})]
 
-    def test_parts_follow_the_cascaded_parts_in_call_order(self):
-        """The fragment is the union of the children's fragments and tree
-        edges; the parts are the children's parts in request order, then
-        whatever the lift finalized, in call order."""
+    def test_parts_are_the_lifts_own_in_call_order(self):
+        """The fragment is the union of the children's fragments and nothing
+        else: a tree edge missing from its child's fragment stays out.  The
+        parts are whatever the lift finalized, in call order; the children's
+        parts are drive's to record and stay out too."""
         left = Realization(parts=(frozenset({20, 21, 22, 23}),),
-                           p_tree=BoundTree(0, ((0, 1), (1, 2))), q_tree=single(9),
-                           fragment=frozenset({(2, 3), (3, 4)}))
+                           p_tree=tree_of(0, ((0, 1), (1, 2), (2, 9))), q_tree=single(9),
+                           fragment=frozenset({(0, 1), (1, 2), (2, 3), (3, 4)}))
         right = Realization(parts=(frozenset({30, 31, 32, 33}), frozenset({24, 25, 26, 27})),
                             subdiv=(5, 6), fragment=frozenset({(4, 5), (5, 6), (6, 7), (3, 4)}))
         loc = Local("caller", left, right)
@@ -125,9 +128,7 @@ class TestLocalGrouping:
         loc.part({4, 5, 6, 7})
         loc.finalize({0, 1, 2, 3})
         real = loc.done(subdiv=(8,))
-        assert real.parts == (frozenset({20, 21, 22, 23}), frozenset({30, 31, 32, 33}),
-                              frozenset({24, 25, 26, 27}), frozenset({4, 5, 6, 7}),
-                              frozenset({0, 1, 2, 3}))
+        assert real.parts == (frozenset({4, 5, 6, 7}), frozenset({0, 1, 2, 3}))
         assert real.fragment == loc.edges and real.subdiv == (8,)
         assert real.p_tree is None and real.q_tree is None
 
@@ -153,10 +154,10 @@ class TestLocalGrouping:
     def test_far_tree_closes_a_split_child(self):
         """A split child v -> 9 closes its tail tree with v and the extra
         vertices into 4-sets, and its head tree serves the far side."""
-        head = BoundTree(9, ((9, 8),))
-        for tail, extra in ((BoundTree(0, ((0, 1), (1, 2), (2, 3))), ()),
-                            (BoundTree(0, ((0, 1), (1, 2))), (3,))):
-            child = Realization(p_tree=tail, q_tree=head, fragment=frozenset({(2, 3)}))
+        head = tree_of(9, ((9, 8),))
+        for tail, extra in ((tree_of(0, ((0, 1), (1, 2), (2, 3))), ()),
+                            (tree_of(0, ((0, 1), (1, 2))), (3,))):
+            child = Realization(p_tree=tail, q_tree=head, fragment=frozenset({(0, 1), (1, 2), (2, 3), (8, 9)}))
             loc = Local("caller", child)
             assert loc.far_tree(child, 0, 9, *extra) is head
             assert loc.parts == [frozenset({0, 1, 2, 3})]
@@ -214,7 +215,7 @@ def _random_tree(rng: random.Random, ids, root: int, budget: int, depth: int = 0
         rng.shuffle(edges)
         dummies = frozenset(rng.sample(vs[1:], min(len(vs) - 1, rng.choice((0, 0, 1, 2)))))
         if kind == "raw":
-            return BoundTree(root, tuple(edges), dummies), [kind]
+            return tree_of(root, edges, dummies), [kind]
         extra = [tuple(rng.sample(vs, 2)) for _ in range(rng.randrange(len(vs)))] if len(vs) > 1 else []
         outside = [(rng.choice(vs), next(ids)) for _ in range(rng.randrange(3))]
         loc = Local("shape", Realization(fragment=frozenset(norm_edge(a, b) for a, b in edges + extra + outside)))
@@ -268,33 +269,34 @@ class TestBoundTreeShape:
 
 
 class TestBoundTreeTraps:
-    """Each trap of the tree constructors fires both for raw edges and
-    through the constructors that compose checked trees."""
+    """Each trap of the tree constructors fires where a composition would
+    break a tree: no tree is built from raw edges."""
 
-    PATH = BoundTree(0, ((0, 1), (1, 2)))
+    PATH = tree_of(0, ((0, 1), (1, 2)))
 
-    @pytest.mark.parametrize("message, raw, composed", [
-        ("root 5 missing", lambda: BoundTree(5, ((0, 1),)),
-         lambda: graft(5, (0, 1), TestBoundTreeTraps.PATH)),
-        ("edge count", lambda: BoundTree(0, ((0, 1), (1, 2), (2, 0))),
-         lambda: graft(5, (5, 7), TestBoundTreeTraps.PATH)),
-        ("not connected", lambda: BoundTree(0, ((0, 1), (2, 3), (3, 2))),
-         lambda: graft(5, (5, 5), TestBoundTreeTraps.PATH)),
-        ("root cannot be a dummy", lambda: BoundTree(0, ((0, 1),), frozenset({0})),
-         lambda: TestBoundTreeTraps.PATH.with_dummies({0})),
-        ("dummy markers outside", lambda: BoundTree(0, ((0, 1),), frozenset({5})),
-         lambda: TestBoundTreeTraps.PATH.with_dummies({5})),
-    ], ids=["root", "edge_count", "connected", "dummy_root", "dummy_outside"])
-    def test_tree_traps(self, message, raw, composed):
-        for build in (raw, composed):
-            with pytest.raises(EngineBug, match=message):
-                build()
+    @pytest.mark.parametrize("message, build", [
+        ("root cannot be a dummy", lambda: TestBoundTreeTraps.PATH.with_dummies({0})),
+        ("dummy markers outside", lambda: TestBoundTreeTraps.PATH.with_dummies({5})),
+    ], ids=["dummy_root", "dummy_outside"])
+    def test_tree_traps(self, message, build):
+        with pytest.raises(EngineBug, match=message):
+            build()
+
+    def test_graft_traps_a_bridge_that_does_not_join_the_subtree(self):
+        """The bridge must join the new root, outside the subtree, to a
+        vertex of the subtree; every other bridge traps."""
+        for new_root, bridge in ((5, (0, 1)), (5, (5, 7)), (5, (7, 5)), (5, (5, 5)), (0, (0, 1)), (2, (1, 2))):
+            with pytest.raises(EngineBug, match=rf"graft needs a bridge from {new_root}, outside the subtree"):
+                graft(new_root, bridge, self.PATH)
+        tree = graft(5, (2, 5), self.PATH)
+        assert tree == tree_of(5, ((2, 5), (0, 1), (1, 2)))
+        assert tree.vertices == {0, 1, 2, 5} and tree.root_children() == [2] and tree.child_subtree_sizes == (3,)
 
     def test_fuse_traps(self):
         with pytest.raises(EngineBug, match="common root"):
             fuse(single(0), single(1))
         with pytest.raises(EngineBug, match=r"meet only at the root, they share \[1\]"):
-            fuse(BoundTree(0, ((0, 1),)), self.PATH)
+            fuse(tree_of(0, ((0, 1),)), self.PATH)
         with pytest.raises(EngineBug, match=r"they share \[1, 2\]"):
             fuse(self.PATH, self.PATH)
 
@@ -561,35 +563,31 @@ class TestConstantStepWork:
 
 
     def test_tree_shapes_build_no_adjacency(self, monkeypatch):
-        """Bound trees carry their shape, so `fits`, `order` and
-        `root_children` build no adjacency, and `Local.span` builds its tree
-        from the search it already ran: a partition builds no tree from raw
-        edges, and every `graphs.adjacency` call is a Local's fragment.  The
-        input graph's own adjacency, which the final verification reads, is
-        built before counting starts."""
+        """Bound trees carry their shape and are only composed, so `fits`,
+        `order` and `root_children` build no adjacency, the model module has
+        no adjacency builder or search to call, and `Local.span` builds its
+        tree from the search it already ran: every `graphs.adjacency` call is
+        a Local's fragment.  The input graph's own adjacency, which the final
+        verification reads, is built before counting starts."""
+        assert not hasattr(model, "adjacency") and not hasattr(model, "bfs_parents")
         g = relabelled(cycle_graph(400), 1)
         g.adj()
         counts = Counter()
-        real_adjacency, real_post_init, real_fragment = graphs.adjacency, BoundTree.__post_init__, Fragment.__init__
+        real_adjacency, real_fragment = graphs.adjacency, Fragment.__init__
 
         def adjacency(*args):
             counts["adjacency"] += 1
             return real_adjacency(*args)
 
-        def post_init(tree):
-            counts["raw tree"] += 1
-            real_post_init(tree)
-
         def fragment(frag, edges):
             counts["fragment"] += 1
             real_fragment(frag, edges)
 
-        for module in (graphs, model, local):
+        for module in (graphs, local):
             monkeypatch.setattr(module, "adjacency", adjacency)
-        monkeypatch.setattr(BoundTree, "__post_init__", post_init)
         monkeypatch.setattr(Fragment, "__init__", fragment)
         partition, trace = partition_with_trace(g)
-        assert counts["raw tree"] == 0 and 0 < counts["adjacency"] <= counts["fragment"], counts
+        assert 0 < counts["adjacency"] <= counts["fragment"], counts
         assert len(trace) > 300 and verify_partition(g, partition.member_sets()).ok
 
 
@@ -676,20 +674,67 @@ class TestOneRealizationPath:
     @pytest.mark.parametrize("g", [dense_block(8, 1), random_2connected(16, 0)], ids=["dense8", "random16"])
     def test_every_driver_request_runs_through_drive(self, monkeypatch, g):
         """The driver realizes at each drop, strip and eager elimination,
-        and once at the base, and each time through one `drive`."""
-        calls = []
+        and once at the base, and each time through one `drive` into one
+        sink, which ends up holding exactly the parts of the partition."""
+        sinks = []
         real = driver.drive
 
-        def counted(lift):
-            calls.append(lift)
-            return real(lift)
+        def counted(lift, sink):
+            sinks.append(sink)
+            return real(lift, sink)
 
         monkeypatch.setattr(driver, "drive", counted)
-        _, trace = partition_with_trace(g)
+        partition, trace = partition_with_trace(g)
         kinds = Counter(t.detail.split("[")[0] for t in trace)
         requesting = kinds["drop"] + kinds["strip"] + sum(c for k, c in kinds.items() if k.endswith(("-flat", "-pair")))
         assert kinds["drop"] and kinds["strip"]
-        assert len(calls) == requesting + 1
+        assert len(sinks) == requesting + 1 and all(sink is sinks[0] for sink in sinks)
+        assert sorted(map(sorted, sinks[0])) == partition.as_lists()
+
+    def test_drive_appends_each_part_once_and_a_lift_keeps_its_own(self, monkeypatch):
+        """For every swept gadget on stub children and every operation, the
+        sink receives each child's parts in request order and then the
+        lift's own, each once, and the realization that `drive` returns
+        carries only the lift's own."""
+        children = []
+        real_start = StubGadget.start
+
+        def start(stub, op):
+            children.append(real_start(stub, op))
+            return children[-1]
+
+        monkeypatch.setattr(StubGadget, "start", start)
+        own = 0
+        for sweep in sweeps.GADGET_SWEEPS.values():
+            for _, gadget in sweep():
+                for op in all_ops(gadget.label):
+                    children.clear()
+                    sink = []
+                    real = model.drive(ask(EdgeView(gadget, gadget.u, -1), op), sink)
+                    assert sink == [p for child in children for p in child.parts] + list(real.parts)
+                    assert len(set(sink)) == len(sink)
+                    own += bool(real.parts)
+        assert own > 500, own
+
+    @pytest.mark.parametrize("g", [dense_block(16, 3), relabelled(cycle_graph(64), 2), subdivided_k4(6)],
+                             ids=["dense16", "cycle64", "subdivided_k4-24"])
+    def test_realizations_of_real_graphs_carry_their_own_parts_and_tree_edges(self, monkeypatch, g):
+        """On real graphs, every tree edge of a checked realization lies in
+        its fragment, and no part of the partition is carried by two
+        realizations: none copies the parts of another."""
+        carried = Counter()
+        real_check = Gadget.check
+
+        def check(gadget, real, op, parts):
+            for tree in (real.p_tree, real.q_tree):
+                if tree is not None:
+                    assert {norm_edge(a, b) for a, b in tree.edges} <= real.fragment, gadget.provenance
+            carried.update(real.parts)
+            real_check(gadget, real, op, parts)
+
+        monkeypatch.setattr(Gadget, "check", check)
+        partition, _ = partition_with_trace(g)
+        assert carried and max(carried.values()) == 1 and set(carried) <= set(partition.member_sets())
 
 
 class TestCorpus:

@@ -98,3 +98,12 @@ def test_auto_format_reads_graph6_after_a_comment_line():
     text = "# K4\nC~  # complete\n"
     assert looks_like_graph6(text)
     assert parse_graph(text, "auto").edges == complete_graph(4).edges
+
+
+def test_graph6_text_with_two_graphs_is_rejected_at_the_second():
+    """A second graph is not silently dropped, whatever the format flag."""
+    text = "# two graphs\nCr\n\nC~\n"
+    for fmt in ("auto", "graph6"):
+        with pytest.raises(GraphParseError, match="a second graph6 graph") as exc:
+            parse_graph(text, fmt)
+        assert exc.value.position == "line 4", fmt

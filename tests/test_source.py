@@ -43,3 +43,21 @@ def test_every_definition_is_named_in_src():
         and not (node.name.startswith("__") and node.name.endswith("__")) and node.name not in named
     )
     assert unnamed == []
+
+
+def test_every_imported_name_is_read():
+    """No module of the package imports a name it never reads.  A package
+    `__init__` re-exports what it imports and is exempt, and so are
+    `__future__` imports.  A name read only inside a string does not count."""
+    unread = []
+    for module, tree in _trees().items():
+        if Path(module).name == "__init__.py":
+            continue
+        imported: dict[str, int] = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread += [f"{module}:{line} {name}" for name, line in imported.items() if name not in read]
+    assert unread == []
