@@ -1,5 +1,6 @@
 """Write the golden fixtures ``golden_partitions.jsonl``, ``golden_dense.jsonl``,
-``golden_deep.jsonl`` and ``golden_stub_realizations.jsonl`` beside this file.
+``golden_deep.jsonl``, ``golden_regular.jsonl`` and ``golden_stub_realizations.jsonl``
+beside this file.
 
 Usage: ``PYTHONPATH=src:. python tests/data/make_golden.py`` from the repository root.
 
@@ -11,7 +12,11 @@ pairs), on which almost every step strips one edge.  The deep fixture holds
 three identity-labelled chains (a 400-cycle, the 600-vertex theta of three
 paths of equal length and a 396-vertex subdivided K4), whose long paths
 contract in label order into a realization cascade hundreds of gadgets
-deep.  The last holds one
+deep.  The regular fixture holds seven networkx random regular and G(n, p)
+blocks, each relabelled with its own generator seed, which reach the
+degree >= 4 eliminations (pair, flat, light and heavy), the combined-weight-10
+and combined-weight-9 degree-3 steps and the weight-8 flat elimination whose
+middle edge has weight 2.  The last holds one
 sha256 per builder sweep of ``tests/sweeps.py`` over every realization of
 the lifts built on stub children (bound trees, subdivision paths, fragments
 and parts), which pins the lifts that the partition fixtures rarely reach,
@@ -28,15 +33,18 @@ import random
 from itertools import combinations
 from pathlib import Path
 
+import networkx as nx
+
 from quadparts.engine import partition_with_trace
 from quadparts.families import random_corpus, subdivided_k4, theta
 from quadparts.graphs import SimpleGraph
-from tests.support import complete_graph, cycle_graph, dense_block, equal_theta
+from tests.support import complete_graph, cycle_graph, dense_block, equal_theta, relabelled
 from tests.sweeps import stub_realization_lines
 
 FIXTURE = Path(__file__).with_name("golden_partitions.jsonl")
 DENSE_FIXTURE = Path(__file__).with_name("golden_dense.jsonl")
 DEEP_FIXTURE = Path(__file__).with_name("golden_deep.jsonl")
+REGULAR_FIXTURE = Path(__file__).with_name("golden_regular.jsonl")
 STUB_FIXTURE = Path(__file__).with_name("golden_stub_realizations.jsonl")
 
 
@@ -69,6 +77,21 @@ def deep_inputs() -> list[tuple[str, SimpleGraph]]:
             ("subdivided_k4-396", subdivided_k4(66))]
 
 
+def _networkx_block(name: str, graph: nx.Graph, seed: int) -> tuple[str, SimpleGraph]:
+    return name, relabelled(SimpleGraph.from_edges(graph.number_of_nodes(), graph.edges()), seed)
+
+
+def regular_inputs() -> list[tuple[str, SimpleGraph]]:
+    """(name, graph) for the regular fixture, named after the step each input pins."""
+    regular = [("vertex4-light", 5, 16, 48), ("vertex4-pair", 5, 20, 78), ("vertex4-heavy", 5, 32, 45),
+               ("vertex3-weight10", 4, 20, 28), ("vertex3-flat-weight8", 6, 20, 42),
+               ("vertex3-sum9-c", 3, 20, 10)]
+    out = [_networkx_block(f"{step}-regular{d}-{n}-{seed}", nx.random_regular_graph(d, n, seed=seed), seed)
+           for step, d, n, seed in regular]
+    out.append(_networkx_block("vertex4-flat-gnp-40-4", nx.gnp_random_graph(40, 0.25, seed=4), 4))
+    return out
+
+
 def golden_record(name: str, g: SimpleGraph) -> dict:
     partition, trace = partition_with_trace(g)
     digest = hashlib.sha256("\n".join(step.format() for step in trace).encode()).hexdigest()
@@ -84,7 +107,7 @@ def write_fixture(path: Path, inputs: list[tuple[str, SimpleGraph]]) -> None:
 
 def main() -> None:
     for path, inputs in ((FIXTURE, golden_inputs()), (DENSE_FIXTURE, dense_inputs()),
-                         (DEEP_FIXTURE, deep_inputs())):
+                         (DEEP_FIXTURE, deep_inputs()), (REGULAR_FIXTURE, regular_inputs())):
         write_fixture(path, inputs)
     STUB_FIXTURE.write_text("".join(line + "\n" for line in stub_realization_lines()), encoding="utf-8")
 

@@ -6,6 +6,7 @@ alters engine output on purpose regenerates them and says so.
 
 import hashlib
 import json
+from functools import cache
 from pathlib import Path
 
 from quadparts.engine import partition_with_trace
@@ -16,15 +17,27 @@ from .sweeps import stub_realization_lines
 DATA = Path(__file__).parent / "data"
 
 
-def _check_fixture(name: str) -> int:
+PARTITION_FIXTURES = ("golden_partitions.jsonl", "golden_dense.jsonl", "golden_deep.jsonl",
+                      "golden_regular.jsonl")
+
+
+@cache
+def _replay(name: str) -> tuple[tuple[str, ...], ...]:
+    """The step details of every record of fixture `name`, replayed once."""
     records = [json.loads(line) for line in (DATA / name).read_text(encoding="utf-8").splitlines()]
+    details = []
     for rec in records:
         g = SimpleGraph.from_edges(rec["n"], rec["edges"])
         partition, trace = partition_with_trace(g)
         digest = hashlib.sha256("\n".join(s.format() for s in trace).encode()).hexdigest()
         assert partition.as_lists() == rec["parts"], rec["name"]
         assert digest == rec["trace_sha256"], rec["name"]
-    return len(records)
+        details.append(tuple(s.detail for s in trace))
+    return tuple(details)
+
+
+def _check_fixture(name: str) -> int:
+    return len(_replay(name))
 
 
 def test_partitions_and_traces_match_fixture():
@@ -41,6 +54,20 @@ def test_deep_partitions_and_traces_match_fixture():
     gadgets deep, recorded by the recursive cascade under a raised
     recursion limit."""
     assert _check_fixture("golden_deep.jsonl") == 3
+
+
+def test_regular_partitions_and_traces_match_fixture():
+    """networkx regular and G(n, p) blocks that reach the degree >= 4
+    eliminations and the heavy degree-3 steps."""
+    assert _check_fixture("golden_regular.jsonl") == 7
+
+
+def test_fixtures_reach_every_step_kind():
+    """The replayed fixtures run every step but absorb, which no real graph
+    is known to reach."""
+    reached = {detail.split("[")[0] for name in PARTITION_FIXTURES for trace in _replay(name) for detail in trace}
+    assert reached == {"drop", "parallel", "series", "strip", "vertex3", "vertex3-flat",
+                       "vertex4-pair", "vertex4-flat", "vertex4-light", "vertex4-heavy"}
 
 
 def test_stub_realizations_match_fixture():
