@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from ..graphs import SimpleGraph, is_biconnected
-from ..labels import CATALOG, Pair, TreeSet
+from ..labels import CATALOG, S0, S1, S2, S3, S3P, Pair
 from ..oracle import Part, Partition, is_nearly_connected
 from .model import (
     EdgeView,
@@ -57,9 +57,6 @@ from .reducible import (
     eliminate_with_fixed_splits,
 )
 from .series import build_series_gadget
-
-S0, S1, S2, S3 = TreeSet.S0, TreeSet.S1, TreeSet.S2, TreeSet.S3
-S3P = TreeSet.S3P
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +118,7 @@ def init_labeled(g: SimpleGraph) -> LabeledMultigraph:
     lg = LabeledMultigraph(g)
     l0 = CATALOG["L0"]
     for u, v in g.sorted_edges():
-        lg.add(leaf_gadget(l0, u, v))
+        lg.install(leaf_gadget(l0, u, v))
     if not lg.invariant_ok():
         raise EngineBug("weight/order invariant broken at initialization")
     return lg
@@ -186,45 +183,32 @@ def reduce_parallel(lg: LabeledMultigraph, eid1: int, eid2: int) -> str:
     a = lg.edges[eid1]
     u = min(a.u, a.v)
     v = max(a.u, a.v)
-    e1, e2 = sorted((lg.view(eid1, u), lg.view(eid2, u)), key=lambda e: (e.weight(), e.eid))
-    if e1.weight() == 0:
+    e1, e2 = sorted((lg.view(eid1, u), lg.view(eid2, u)), key=lambda e: (e.label.weight, e.eid))
+    if e1.label.weight == 0:
         drive(ask(e1, Split(S0, S0)), lg.emitted)
         lg.remove_labeled(e1.eid)
         return f"drop[{e1.label.name}] eid={e1.eid}"
     if e1.label.name == "L30" and e2.label.name != "L30":
         e1, e2 = e2, e1
     tag = f"parallel[{e1.label.name}+{e2.label.name}]@({u},{v})"
-    gadget = build_parallel_gadget(e1, e2, u, v, tag)
-    lg.remove_labeled(eid1)
-    lg.remove_labeled(eid2)
-    lg.add(gadget)
+    lg.install(build_parallel_gadget(e1, e2, tag))
     return tag
 
 
 def reduce_series(lg: LabeledMultigraph, v: int) -> str:
     ea, eb = lg.incident(v)
-    na, nb = lg.other_end(ea, v), lg.other_end(eb, v)
-    if (lg.edges[ea].label.weight, ea) <= (lg.edges[eb].label.weight, eb):
-        e1, e2, v1, v2 = lg.view(ea, na), lg.view(eb, v), na, nb
-    else:
-        e1, e2, v1, v2 = lg.view(eb, nb), lg.view(ea, v), nb, na
+    if (lg.edges[ea].label.weight, ea) > (lg.edges[eb].label.weight, eb):
+        ea, eb = eb, ea
+    e1, e2 = lg.view(ea, lg.other_end(ea, v)), lg.view(eb, v)
     tag = f"series[{e1.label.name}+{e2.label.name}]@{v}"
-    gadget = build_series_gadget(e1, e2, v, v1, v2, tag)
-    lg.remove_labeled(ea)
-    lg.remove_labeled(eb)
-    lg.remove_vertex(v)
-    lg.add(gadget)
+    lg.install(build_series_gadget(e1, e2, tag))
     return tag
 
 
 def reduce_edge(lg: LabeledMultigraph, eid1: int, eid2: int, v: int) -> str:
     e1, e2 = lg.view(eid1, v), lg.view(eid2, v)
-    v2 = e2.head
     tag = f"absorb[{e1.label.name}->{e2.label.name}]@{v}"
-    gadget = build_edge_absorb(e1, e2, v, v2, tag)
-    lg.remove_labeled(eid1)
-    lg.remove_labeled(eid2)
-    lg.add(gadget)
+    lg.install(build_edge_absorb(e1, e2, tag))
     return tag
 
 
@@ -238,7 +222,7 @@ def _strip_weight0(lg: LabeledMultigraph, v: int) -> str:
 
 def reduce_vertex(lg: LabeledMultigraph, v: int) -> str:
     views = [lg.view(eid, v) for eid in lg.incident(v)]
-    if any(e.weight() == 0 for e in views):
+    if any(e.label.weight == 0 for e in views):
         raise EngineBug(f"vertex {v} still carries a weight-0 edge", "reduce_vertex")
     d = len(views)
     if d == 3:
@@ -246,26 +230,17 @@ def reduce_vertex(lg: LabeledMultigraph, v: int) -> str:
     return _reduce_vertex_deg4plus(lg, v, views)
 
 
-def _remove_star(lg: LabeledMultigraph, v: int, views: list[EdgeView]) -> None:
-    for e in views:
-        lg.remove_labeled(e.eid)
-    lg.remove_vertex(v)
-
-
 def _eliminate(lg: LabeledMultigraph, ops: list[tuple[EdgeView, Pair]], v: int, with_v: bool, tag: str) -> None:
     """An eager elimination at v: realize the fixed splits `ops`, add the
-    parts they free to `lg.emitted` and remove their edges, and v too when
+    parts they free to `lg.emitted` and retire their edges, and v too when
     `with_v`."""
     lg.emitted.extend(drive(eliminate_with_fixed_splits(ops, v, with_v, tag), lg.emitted))
-    for e, _ in ops:
-        lg.remove_labeled(e.eid)
-    if with_v:
-        lg.remove_vertex(v)
+    lg.retire([e for e, _ in ops], v if with_v else None)
 
 
 def _reduce_vertex_deg3(lg: LabeledMultigraph, v: int, views: list[EdgeView]) -> str:
-    a, b, c = sorted(views, key=lambda e: (-e.weight(), e.eid))
-    i, j, k = a.weight(), b.weight(), c.weight()
+    a, b, c = sorted(views, key=lambda e: (-e.label.weight, e.eid))
+    i, j, k = a.label.weight, b.label.weight, c.label.weight
     s = i + j + k + 1
     names = f"{a.label.name}/{b.label.name}/{c.label.name}"
     if s in (4, 8):
@@ -280,28 +255,27 @@ def _reduce_vertex_deg3(lg: LabeledMultigraph, v: int, views: list[EdgeView]) ->
     tag = f"vertex3[{names}]@{v}"
     if 5 <= s <= 7:
         if k == 1 and b.label.name == "L21" and a.label.name in ("L21", "L32"):
-            gadget = build_deg3_pair_config(a, b, c, v, tag)
+            gadget = build_deg3_pair_config(a, b, c, tag)
         else:
-            gadget = build_deg3_general(a, b, c, v, tag)
+            gadget = build_deg3_general(a, b, c, tag)
     elif s == 9:
         if b.label.name == "L31":
             a, b = b, a
         if a.label.name == "L31" and b.label.name == "L30" and c.label.name in ("L2", "L20"):
-            gadget = build_deg3_sum9_a(a, b, c, v, tag)
+            gadget = build_deg3_sum9_a(a, b, c, tag)
         elif a.label.name == "L31" and b.label.name == "L32" and c.label.name in ("L2", "L20"):
-            gadget = build_deg3_sum9_b(a, b, c, v, tag)
+            gadget = build_deg3_sum9_b(a, b, c, tag)
         else:
-            gadget = build_deg3_sum9_c(a, b, c, v, tag)
+            gadget = build_deg3_sum9_c(a, b, c, tag)
     elif s == 10:
         heavies = sorted(views, key=lambda e: (e.label.name != "L31", e.eid))
         a, b, c = heavies[0], heavies[1], heavies[2]
         if b.label.name != "L30" or c.label.name != "L30":
             raise EngineBug(f"unabsorbed asymmetric weight-3 edge at {v} ({names})", tag)
-        gadget = build_deg4plus_heavy(b, c, v, tag, fixed=a)
+        gadget = build_deg4plus_heavy(b, c, tag, fixed=a)
     else:
         raise EngineBug(f"impossible combined weight {s} at vertex {v}", tag)
-    _remove_star(lg, v, views)
-    lg.add(gadget)
+    lg.install(gadget)
     return tag
 
 
@@ -310,26 +284,22 @@ def _reduce_vertex_deg4plus(lg: LabeledMultigraph, v: int, views: list[EdgeView]
     names = "/".join(e.label.name for e in views)
     plain = {1: S1, 2: S2, 3: S3}
     for ei, ej in combinations(sorted(views, key=lambda e: e.eid), 2):
-        if ei.weight() + ej.weight() == 4:
-            ops = [(ei, (plain[ei.weight()], S0)), (ej, (plain[ej.weight()], S0))]
+        if ei.label.weight + ej.label.weight == 4:
+            ops = [(ei, (plain[ei.label.weight], S0)), (ej, (plain[ej.label.weight], S0))]
             _eliminate(lg, ops, v, False, f"vertex4+pair[{names}]@{v}")
             return f"vertex4-pair[{ei.label.name}+{ej.label.name}]@{v}"
-    weights = sorted(e.weight() for e in views)
+    weights = sorted(e.label.weight for e in views)
     if weights[-1] < 3:
-        ordered = sorted(views, key=lambda e: (-e.weight(), e.eid))
-        if d >= 6 or (d == 5 and ordered[0].weight() == 2):
+        ordered = sorted(views, key=lambda e: (-e.label.weight, e.eid))
+        if d >= 6 or (d == 5 and ordered[0].label.weight == 2):
             if d >= 6:
                 ops = [(e, (S1, S0)) for e in ordered[-4:]]
             else:
                 ops = [(ordered[0], (S2, S0)), (ordered[-2], (S1, S0)), (ordered[-1], (S1, S0))]
             _eliminate(lg, ops, v, False, f"vertex4+flat[{names}]@{v}")
             return f"vertex4-flat[{names}]@{v}"
-        e1, e2 = ordered[0], ordered[1]
-        singles = ordered[2:]
         tag = f"vertex4-light[{names}]@{v}"
-        gadget = build_deg4plus_light(e1, e2, singles, v, tag)
-        _remove_star(lg, v, views)
-        lg.add(gadget)
+        lg.install(build_deg4plus_light(ordered[0], ordered[1], ordered[2:], tag))
         return tag
     if 1 in weights:
         raise EngineBug(f"mixed unit and weight-3 edges survived pair elimination at {v}", names)
@@ -338,10 +308,7 @@ def _reduce_vertex_deg4plus(lg: LabeledMultigraph, v: int, views: list[EdgeView]
         raise EngineBug(f"expected two plain weight-3 edges at {v}, got {names}", names)
     e3, e4 = plain_heavy[0], plain_heavy[1]
     tag = f"vertex4-heavy[{e3.label.name}+{e4.label.name}]@{v}"
-    gadget = build_deg4plus_heavy(e3, e4, v, tag)
-    lg.remove_labeled(e3.eid)
-    lg.remove_labeled(e4.eid)
-    lg.add(gadget)
+    lg.install(build_deg4plus_heavy(e3, e4, tag))
     return tag
 
 

@@ -2,17 +2,20 @@
 
 A labeled edge stands for a connected chunk of the original graph, and its
 :class:`Gadget` is the one record of it: the label, the stored orientation
-u -> v and the lift that *realizes* any operation the label admits.  The
-result binds concrete original-graph vertices into trees attached at the
-edge's two ends (or into a subdivision path) and emits any nearly connected
-4-sets that the rewrite finalized along the way.  A gadget's lift does not
+u -> v, the edges and the vertex it replaces, and the lift that *realizes*
+any operation the label admits.  The result binds concrete original-graph
+vertices into trees attached at the edge's two ends (or into a subdivision
+path) and emits any nearly connected 4-sets that the rewrite finalized
+along the way.  A gadget's lift does not
 call its children: it yields each child request and :func:`drive` realizes
 the whole cascade on one explicit stack, so deep cascades need no deep
 Python stack.  The reduction driver's own requests (a dropped or stripped
 edge, the final edge) run through the same loop as the one-request lift
 :func:`ask`.  The :class:`LabeledMultigraph` is a
 :class:`~quadparts.graphs.Multigraph` whose edge ids map to these gadgets;
-an :class:`EdgeView` reads one of them from either end.
+an :class:`EdgeView` reads one of them from either end.  A gadget is the one
+declaration of its reduction step: the graph installs it by removing exactly
+what it replaces, and its scope is read off the same declaration.
 
 Each record of a realization comes in by one path: :func:`drive` appends
 each finalized part once to its sink, a bound tree is only composed from
@@ -20,10 +23,12 @@ other bound trees or a breadth-first search, and real edges travel only in
 fragments, which hold every tree edge.
 
 Conservation invariant: every gadget owns a fixed set of interior vertices
-(its *scope*); each realization must cover that scope exactly once between
-active tree slots, subdivision vertices, and finalized-part members.  Dummy
-tree slots are structural only (they re-use vertices covered elsewhere) and
-never count toward coverage.
+(its *scope*): the scopes of the edges it replaces (its *children*) and the
+vertex that leaves the graph with them, if any, so a leaf owns none.  Each
+realization must cover that scope exactly once between active tree slots,
+subdivision vertices, and finalized-part members.  Dummy tree slots are
+structural only (they re-use vertices covered elsewhere) and never count
+toward coverage.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import combinations, islice
-from typing import Callable, Generator, TypeVar
+from typing import Callable, Generator, Iterable, TypeVar
 
 from ..graphs import Multigraph, SeparationIndex, SimpleGraph, has_three_paths, norm_edge, separation_index
 from ..labels import Label, Pair, TreeSet, admits, down_set, involution, shape_matches
@@ -266,7 +271,11 @@ _R = TypeVar("_R")
 
 class Gadget:
     """One labeled edge: its label for the stored orientation u -> v, the
-    scope it owns, and the lifts that realize its operations.
+    views of the edges it replaces (`children`), the vertex that leaves the
+    graph with them (`eliminated`, or None), and the lifts that realize its
+    operations.  Its `scope` is the union of its children's scopes plus
+    `eliminated`, and :meth:`LabeledMultigraph.install` removes exactly the
+    children's edges and `eliminated` when it adds the gadget.
 
     `split_lift` receives the witness pair actually admitted (always a literal
     pair of the label), `subdiv_lift` the subdivision count.  A lift that
@@ -287,7 +296,8 @@ class Gadget:
         label: Label,
         u: int,
         v: int,
-        scope: frozenset[int],
+        children: tuple["EdgeView", ...],
+        eliminated: int | None,
         split_lift: Callable[[Pair], Realization | Lift],
         subdiv_lift: Callable[[int], Realization | Lift] | None = None,
         provenance: str = "",
@@ -295,7 +305,10 @@ class Gadget:
         self.label = label
         self.u = u
         self.v = v
-        self.scope = scope
+        self.children = children
+        self.eliminated = eliminated
+        scope = frozenset().union(*(e.edge.scope for e in children))
+        self.scope = scope if eliminated is None else scope | {eliminated}
         self._split_lift = split_lift
         self._subdiv_lift = subdiv_lift
         self.provenance = provenance
@@ -389,7 +402,7 @@ def leaf_gadget(label: Label, u: int, v: int) -> Gadget:
     def subdiv_lift(k: int) -> Realization:
         return Realization(subdiv=(), fragment=frozenset({norm_edge(u, v)}))
 
-    return Gadget(label, u, v, frozenset(), split_lift, subdiv_lift, provenance=f"leaf({u},{v})")
+    return Gadget(label, u, v, (), None, split_lift, subdiv_lift, provenance=f"leaf({u},{v})")
 
 
 def drive(lift: Generator[tuple["EdgeView", Operation], Realization, _R], sink: list[frozenset[int]]) -> _R:
@@ -477,13 +490,6 @@ class EdgeView:
     def head(self) -> int:
         return self.edge.v if not self.flipped_store else self.edge.u
 
-    @property
-    def scope(self) -> frozenset[int]:
-        return self.edge.scope
-
-    def weight(self) -> int:
-        return self.edge.label.weight
-
     def reversed(self) -> "EdgeView":
         return EdgeView(self.edge, self.head, self.eid)
 
@@ -499,8 +505,11 @@ class LabeledMultigraph(Multigraph):
 
     `edges` maps each edge id to its gadget, which holds the edge's label
     and its stored orientation u -> v; the graph structure itself is the
-    inherited incidence map.  The mutation hooks keep up to date, in
-    O(log m) per edge added or removed:
+    inherited incidence map.  A reduction step that adds an edge declares
+    what it replaces in its gadget and :meth:`install` reads the removal off
+    that declaration; an eager elimination, which adds no edge, removes its
+    edges and vertex through the same :meth:`retire`.  The mutation hooks
+    keep up to date, in O(log m) per edge added or removed:
 
     - the total weight of the labels, so :meth:`weight` and
       :meth:`invariant_ok` cost O(1);
@@ -568,8 +577,11 @@ class LabeledMultigraph(Multigraph):
             self._touched.discard(v)
         self._removed.append(v)
 
-    def add(self, gadget: Gadget) -> int:
-        """Install `gadget` as a new edge from gadget.u to gadget.v."""
+    def install(self, gadget: Gadget) -> int:
+        """Replace what `gadget` declares it replaces, its children's edges
+        and its eliminated vertex, by a new edge from gadget.u to gadget.v
+        that carries it.  A leaf replaces nothing."""
+        self.retire(gadget.children, gadget.eliminated)
         eid = self.add_edge(gadget.u, gadget.v)
         self.edges[eid] = gadget
         self._weight += gadget.label.weight
@@ -578,6 +590,13 @@ class LabeledMultigraph(Multigraph):
     def remove_labeled(self, eid: int) -> None:
         self.remove_edge(eid)
         self._weight -= self.edges.pop(eid).label.weight
+
+    def retire(self, views: Iterable[EdgeView], vertex: int | None) -> None:
+        """Remove the edges of `views`, then `vertex` unless it is None."""
+        for e in views:
+            self.remove_labeled(e.eid)
+        if vertex is not None:
+            self.remove_vertex(vertex)
 
     # -- inspection --------------------------------------------------------
 

@@ -9,13 +9,9 @@ edge is simply deleted by the driver; no merge gadget is involved.)
 
 from __future__ import annotations
 
-from ..labels import CATALOG, Label, Pair, TreeSet
+from ..labels import CATALOG, S0, S1, S1P, S2, S2M, S2P, S3, S3M, S3P, S5M, Label, Pair
 from .local import PLAIN, PLUS, Local, mirrored, pair_shape
 from .model import EdgeView, EngineBug, Gadget, Lift, Split, Subdivide, fuse, single
-
-S0, S1, S2, S3 = TreeSet.S0, TreeSet.S1, TreeSet.S2, TreeSet.S3
-S1P, S2P, S3P = TreeSet.S1P, TreeSet.S2P, TreeSet.S3P
-S2M, S3M, S5M = TreeSet.S2M, TreeSet.S3M, TreeSet.S5M
 
 
 def merged_parallel_label(l1: Label, l2: Label) -> Label:
@@ -28,37 +24,34 @@ def merged_parallel_label(l1: Label, l2: Label) -> Label:
     return CATALOG[f"L{w}0"]
 
 
-def build_parallel_gadget(e1: EdgeView, e2: EdgeView, u: int, v: int, tag: str) -> Gadget:
+def build_parallel_gadget(e1: EdgeView, e2: EdgeView, tag: str) -> Gadget:
     """New gadget (u -> v) replacing parallel edges e1, e2 (both viewed u -> v).
 
     Caller guarantees w(e1) <= w(e2), both weights positive, and for the
     general case that e1 is not the plain weight-3 label.
     """
     l1, l2 = e1.label, e2.label
-    scope = e1.scope | e2.scope
     if l1.name == l2.name == "L30":
-        label = CATALOG["L21"]
-        lift = _both_w3_lift(e1, e2, u, v, tag)
-        return Gadget(label, u, v, scope, lift, provenance=tag)
-    if l1.name == l2.name == "L1":
-        label = CATALOG["L2"]
-        split, subdiv = _both_w1_lifts(e1, e2, u, v, tag)
-        return Gadget(label, u, v, scope, split, subdiv, provenance=tag)
-    if l1.name == "L30":
+        lifts = (_both_w3_lift(e1, e2, tag),)
+    elif l1.name == l2.name == "L1":
+        lifts = _both_w1_lifts(e1, e2, tag)
+    elif l1.name == "L30":
         raise EngineBug("caller must order the general parallel case so e1 is not L30", tag)
-    label = merged_parallel_label(l1, l2)
-    lift = _general_lift(e1, e2, u, v, tag)
-    return Gadget(label, u, v, scope, lift, provenance=tag)
+    else:
+        lifts = (_general_lift(e1, e2, tag),)
+    return Gadget(merged_parallel_label(l1, l2), e1.tail, e1.head, (e1, e2), None, *lifts, provenance=tag)
 
 
 # ---------------------------------------------------------------------------
 # Both edges plain weight 3 -> the weight-2 minus-pair label
 
 
-def _both_w3_lift(e1: EdgeView, e2: EdgeView, u: int, v: int, tag: str):
+def _both_w3_lift(e1: EdgeView, e2: EdgeView, tag: str):
+    u, v = e1.tail, e1.head
+
     def lift(pair: Pair) -> Lift:
         if pair in ((S2M, S0), (S1P, S1), (S5M, S1)):
-            return (yield from mirrored(_both_w3_lift(e1.reversed(), e2.reversed(), v, u, tag + "~"), pair))
+            return (yield from mirrored(_both_w3_lift(e1.reversed(), e2.reversed(), tag + "~"), pair))
         if pair == (S0, S2M):
             r1 = yield e1, Split(S2, S1)
             r2 = yield e2, Split(S2, S1)
@@ -89,14 +82,16 @@ def _both_w3_lift(e1: EdgeView, e2: EdgeView, u: int, v: int, tag: str):
 # Both edges subdividable weight 1 -> the subdividable weight-2 label
 
 
-def _both_w1_lifts(e1: EdgeView, e2: EdgeView, u: int, v: int, tag: str):
+def _both_w1_lifts(e1: EdgeView, e2: EdgeView, tag: str):
+    u = e1.tail
+
     def split_lift(pair: Pair) -> Lift:
         if pair == (S0, S2):
             r1 = yield e1, Split(S0, S1)
             r2 = yield e2, Split(S0, S1)
             return Local(tag, r1, r2).done(single(u), fuse(r1.q_tree, r2.q_tree))
         if pair == (S2, S0):
-            return (yield from mirrored(_both_w1_lifts(e1.reversed(), e2.reversed(), v, u, tag + "~")[0], pair))
+            return (yield from mirrored(_both_w1_lifts(e1.reversed(), e2.reversed(), tag + "~")[0], pair))
         if pair == (S1, S1):
             r1 = yield e1, Split(S1, S0)
             r2 = yield e2, Split(S0, S1)
@@ -117,11 +112,12 @@ def _both_w1_lifts(e1: EdgeView, e2: EdgeView, u: int, v: int, tag: str):
 # General merge: replacement label carries weight (w1+w2) mod 4
 
 
-def _general_lift(e1: EdgeView, e2: EdgeView, u: int, v: int, tag: str):
+def _general_lift(e1: EdgeView, e2: EdgeView, tag: str):
+    u, v = e1.tail, e1.head
     i, j = e1.label.weight, e2.label.weight
 
     def reverse():
-        return _general_lift(e1.reversed(), e2.reversed(), v, u, tag + "~")
+        return _general_lift(e1.reversed(), e2.reversed(), tag + "~")
 
     def lift(pair: Pair) -> Lift:
         kind, x, y = pair_shape(pair)

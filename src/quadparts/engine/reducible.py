@@ -12,13 +12,9 @@ from __future__ import annotations
 
 from typing import Generator
 
-from ..labels import CATALOG, Pair, TreeSet
+from ..labels import CATALOG, S0, S1, S1P, S2, S2M, S2P, S3, S3M, S3P, S5M, Pair
 from .local import PLAIN, PLUS, Local, mirrored, pair_shape
 from .model import EdgeView, EngineBug, Gadget, Lift, Operation, Realization, Split, Subdivide, single
-
-S0, S1, S2, S3 = TreeSet.S0, TreeSet.S1, TreeSet.S2, TreeSet.S3
-S1P, S2P, S3P = TreeSet.S1P, TreeSet.S2P, TreeSet.S3P
-S2M, S3M, S5M = TreeSet.S2M, TreeSet.S3M, TreeSet.S5M
 
 
 # ---------------------------------------------------------------------------
@@ -30,7 +26,8 @@ def eliminate_with_fixed_splits(
 ) -> Generator[tuple[EdgeView, Operation], Realization, tuple[frozenset[int], ...]]:
     """Request a fixed split on each listed edge and finalize everything
     freed; :func:`~quadparts.engine.model.drive` runs it like a lift and
-    returns the finalized parts.
+    returns the parts this elimination finalizes itself.  The parts its
+    children finalize reach drive's sink inside drive, not this value.
 
     Used when the weight arithmetic closes on its own: the tail trees at v
     (plus v itself when it leaves the graph) group into nearly connected
@@ -49,7 +46,7 @@ def eliminate_with_fixed_splits(
 # Absorbing a removable asymmetric weight-3 edge into a sibling
 
 
-def build_edge_absorb(e1: EdgeView, e2: EdgeView, v: int, v2: int, tag: str) -> Gadget:
+def build_edge_absorb(e1: EdgeView, e2: EdgeView, tag: str) -> Gadget:
     """e1 (v -> v1, the forward asymmetric weight-3 label) is deleted and its
     sibling e2 (v -> v2, weight 3) is relabeled to the paired weight-2 label.
 
@@ -61,8 +58,7 @@ def build_edge_absorb(e1: EdgeView, e2: EdgeView, v: int, v2: int, tag: str) -> 
         raise EngineBug("absorbed edge must carry the forward asymmetric weight-3 label", tag)
     if e2.label.name not in ("L32", "L30"):
         raise EngineBug("sibling edge must carry a weight-3 label other than the reverse form", tag)
-    label = CATALOG["L20"]
-    scope = e1.scope | e2.scope
+    v = e1.tail
     sibling_asym = e2.label.name == "L32"
 
     def lift(pair: Pair) -> Lift:
@@ -84,22 +80,19 @@ def build_edge_absorb(e1: EdgeView, e2: EdgeView, v: int, v2: int, tag: str) -> 
             return Local(tag, r1, r2).done(r1.p_tree, r2.q_tree)
         raise EngineBug(f"pair {pair} is not part of the absorbed-edge table", tag)
 
-    return Gadget(label, v, v2, scope, lift, provenance=tag)
+    return Gadget(CATALOG["L20"], v, e2.head, (e1, e2), None, lift, provenance=tag)
 
 
 # ---------------------------------------------------------------------------
 # Degree-3 elimination with a paired weight-2 tail and a unit third edge
 
 
-def build_deg3_pair_config(e1: EdgeView, e2: EdgeView, e3: EdgeView, v: int,
-                           tag: str) -> Gadget:
+def build_deg3_pair_config(e1: EdgeView, e2: EdgeView, e3: EdgeView, tag: str) -> Gadget:
     """Configuration: e1 carries the weight-2 or weight-3 minus-pair-bearing
     label, e2 the weight-2 minus-pair label, w(e3) = 1.  The replacement edge
     runs from e1's far end to e3's far end; e2 always receives (S2-, S0)."""
     i = e1.label.weight
-    v1, v3 = e1.head, e3.head
-    label = CATALOG[f"L{i}0"]
-    scope = e1.scope | e2.scope | e3.scope | {v}
+    v, v1, v3 = e1.tail, e1.head, e3.head
 
     def lift(pair: Pair) -> Lift:
         r2 = yield e2, Split(S2M, S0)
@@ -141,28 +134,25 @@ def build_deg3_pair_config(e1: EdgeView, e2: EdgeView, e3: EdgeView, v: int,
             raise EngineBug("no single-vertex graft keeps the pool partitionable", tag)
         raise EngineBug(f"pair {pair} is not liftable in the paired-tail configuration", tag)
 
-    return Gadget(label, v1, v3, scope, lift, provenance=tag)
+    return Gadget(CATALOG[f"L{i}0"], v1, v3, (e1, e2, e3), v, lift, provenance=tag)
 
 
 # ---------------------------------------------------------------------------
 # General degree-3 elimination (combined weight 4 through 6)
 
 
-def build_deg3_general(e1: EdgeView, e2: EdgeView, e3: EdgeView, v: int,
-                       tag: str) -> Gadget:
+def build_deg3_general(e1: EdgeView, e2: EdgeView, e3: EdgeView, tag: str) -> Gadget:
     """Edges ordered by weight i >= j >= k; the replacement edge joins the two
     heaviest far ends and e3 always receives (S_k, S0)."""
     i, j, k = e1.label.weight, e2.label.weight, e3.label.weight
-    v1, v2 = e1.head, e2.head
+    v, v1, v2 = e1.tail, e1.head, e2.head
     w = i + j + k - 3
-    label = CATALOG[f"L{w}0"]
-    scope = e1.scope | e2.scope | e3.scope | {v}
 
     def lift(pair: Pair) -> Lift:
         kind, x, y = pair_shape(pair)
         if kind == "plus_left" and (x, y) == (3, 3) and i != 3:
             # read from e2's side before any request, so e3 is realized once
-            return (yield from mirrored(build_deg3_general(e2, e1, e3, v, tag + "~")._split_lift, pair))
+            return (yield from mirrored(build_deg3_general(e2, e1, e3, tag + "~")._split_lift, pair))
         r3 = yield e3, Split(PLAIN[k], S0)
         a3 = sorted(r3.p_tree.actives - {v})
         if kind == "plain":
@@ -300,20 +290,17 @@ def build_deg3_general(e1: EdgeView, e2: EdgeView, e3: EdgeView, v: int,
         p = loc.span(v1, {v1, v, *r1.subdiv})
         return loc.done(p, loc.span(v2, {v2, v, a3[0], *r2.subdiv}, {v}))
 
-    return Gadget(label, v1, v2, scope, lift, provenance=tag)
+    return Gadget(CATALOG[f"L{w}0"], v1, v2, (e1, e2, e3), v, lift, provenance=tag)
 
 
 # ---------------------------------------------------------------------------
 # Degree-3 elimination at combined weight 9 (two weight-3 edges, one weight-2)
 
 
-def build_deg3_sum9_a(e1: EdgeView, e2: EdgeView, e3: EdgeView, v: int,
-                      tag: str) -> Gadget:
+def build_deg3_sum9_a(e1: EdgeView, e2: EdgeView, e3: EdgeView, tag: str) -> Gadget:
     """e1 reverse-asymmetric weight 3, e2 plain weight 3, e3 subdividable
     weight 2.  Replacement edge joins e2's and e3's far ends; e1 is fixed."""
-    v2, v3 = e2.head, e3.head
-    label = CATALOG["L10"]
-    scope = e1.scope | e2.scope | e3.scope | {v}
+    v, v3 = e1.tail, e3.head
 
     def lift(pair: Pair) -> Lift:
         r1 = yield e1, Split(S3, S0)
@@ -345,17 +332,14 @@ def build_deg3_sum9_a(e1: EdgeView, e2: EdgeView, e3: EdgeView, v: int,
             return loc.done(r2.q_tree, r3.q_tree)
         raise EngineBug(f"pair {pair} not liftable at combined weight 9 (variant A)", tag)
 
-    return Gadget(label, v2, v3, scope, lift, provenance=tag)
+    return Gadget(CATALOG["L10"], e2.head, v3, (e1, e2, e3), v, lift, provenance=tag)
 
 
-def build_deg3_sum9_b(e1: EdgeView, e2: EdgeView, e3: EdgeView, v: int,
-                      tag: str) -> Gadget:
+def build_deg3_sum9_b(e1: EdgeView, e2: EdgeView, e3: EdgeView, tag: str) -> Gadget:
     """e1 reverse-asymmetric weight 3, e2 forward-asymmetric weight 3, e3
     subdividable weight 2.  Replacement edge joins e1's and e3's far ends;
     e2 is fixed with (S3-, S0)."""
-    v1, v3 = e1.head, e3.head
-    label = CATALOG["L10"]
-    scope = e1.scope | e2.scope | e3.scope | {v}
+    v, v3 = e1.tail, e3.head
 
     def lift(pair: Pair) -> Lift:
         r2 = yield e2, Split(S3M, S0)
@@ -380,16 +364,13 @@ def build_deg3_sum9_b(e1: EdgeView, e2: EdgeView, e3: EdgeView, v: int,
             return loc.done(r1.q_tree, r3.q_tree)
         raise EngineBug(f"pair {pair} not liftable at combined weight 9 (variant B)", tag)
 
-    return Gadget(label, v1, v3, scope, lift, provenance=tag)
+    return Gadget(CATALOG["L10"], e1.head, v3, (e1, e2, e3), v, lift, provenance=tag)
 
 
-def build_deg3_sum9_c(e1: EdgeView, e2: EdgeView, e3: EdgeView, v: int,
-                      tag: str) -> Gadget:
+def build_deg3_sum9_c(e1: EdgeView, e2: EdgeView, e3: EdgeView, tag: str) -> Gadget:
     """Remaining combined-weight-9 configurations: the replacement edge joins
     the far ends of the two weight-3 edges and e3 is fixed with (S2, S0)."""
-    v1, v2 = e1.head, e2.head
-    label = CATALOG["L10"]
-    scope = e1.scope | e2.scope | e3.scope | {v}
+    v = e1.tail
 
     def lift(pair: Pair) -> Lift:
         r3 = yield e3, Split(S2, S0)
@@ -425,7 +406,7 @@ def build_deg3_sum9_c(e1: EdgeView, e2: EdgeView, e3: EdgeView, v: int,
             return loc.done(r1.q_tree, r2.q_tree)
         raise EngineBug(f"pair {pair} not liftable at combined weight 9 (variant C)", tag)
 
-    return Gadget(label, v1, v2, scope, lift, provenance=tag)
+    return Gadget(CATALOG["L10"], e1.head, e2.head, (e1, e2, e3), v, lift, provenance=tag)
 
 
 # ---------------------------------------------------------------------------
@@ -441,8 +422,7 @@ _W3_PAIR_ROWS: dict[Pair, tuple[Pair, Pair]] = {
 }
 
 
-def build_deg4plus_heavy(e3: EdgeView, e4: EdgeView, v: int, tag: str,
-                         fixed: EdgeView | None = None) -> Gadget:
+def build_deg4plus_heavy(e3: EdgeView, e4: EdgeView, tag: str, fixed: EdgeView | None = None) -> Gadget:
     """Two plain weight-3 edges are replaced by one weight-2 edge between
     their far ends.
 
@@ -450,9 +430,8 @@ def build_deg4plus_heavy(e3: EdgeView, e4: EdgeView, v: int, tag: str,
     combined weight 10, `fixed` is the third weight-3 edge: it receives
     (S3, S0) before the pair is split, and v leaves with the finalized parts.
     """
-    label = CATALOG["L20"]
-    leaving = frozenset() if fixed is None else frozenset({v})
-    scope = e3.scope | e4.scope | leaving | (frozenset() if fixed is None else fixed.scope)
+    v = e3.tail
+    children, eliminated = ((e3, e4), None) if fixed is None else ((fixed, e3, e4), v)
 
     def lift(pair: Pair) -> Lift:
         row = _W3_PAIR_ROWS.get(pair)
@@ -465,10 +444,11 @@ def build_deg4plus_heavy(e3: EdgeView, e4: EdgeView, v: int, tag: str,
         rb = yield e4, Split(*row[1])
         reals += [ra, rb]
         loc = Local(tag, *reals)
-        loc.finalize((set().union(*(r.p_tree.actives for r in reals)) - {v}) | leaving)
+        pool = set().union(*(r.p_tree.actives for r in reals)) - {v}
+        loc.finalize(pool if eliminated is None else pool | {v})
         return loc.done(ra.q_tree, rb.q_tree)
 
-    return Gadget(label, e3.head, e4.head, scope, lift, provenance=tag)
+    return Gadget(CATALOG["L20"], e3.head, e4.head, children, eliminated, lift, provenance=tag)
 
 
 # ---------------------------------------------------------------------------
@@ -476,19 +456,17 @@ def build_deg4plus_heavy(e3: EdgeView, e4: EdgeView, v: int, tag: str,
 # unit pre-splits on the remaining edges
 
 
-def build_deg4plus_light(e1: EdgeView, e2: EdgeView, singles: list[EdgeView], v: int,
-                         tag: str) -> Gadget:
+def build_deg4plus_light(e1: EdgeView, e2: EdgeView, singles: list[EdgeView], tag: str) -> Gadget:
     """Light elimination: every edge in `singles` is fixed with (S1, S0).
 
     With w(e1)=2 (degree 4) or five unit edges (degree 5) the replacement
     edge carries the augmented weight-2 label; with four unit edges it
     carries the augmented weight-1 label.
     """
-    v1, v2 = e1.head, e2.head
+    v, v1, v2 = e1.tail, e1.head, e2.head
     d = 2 + len(singles)
     w1 = e1.label.weight
     label = CATALOG["L20"] if w1 == 2 or d == 5 else CATALOG["L10"]
-    scope = e1.scope | e2.scope | frozenset().union(*(s.scope for s in singles)) | {v}
 
     def fixed_singles():
         rs = []
@@ -498,7 +476,7 @@ def build_deg4plus_light(e1: EdgeView, e2: EdgeView, singles: list[EdgeView], v:
         return rs, avs
 
     def swapped():
-        return build_deg4plus_light(e2, e1, singles, v, tag + "~")._split_lift
+        return build_deg4plus_light(e2, e1, singles, tag + "~")._split_lift
 
     def lift(pair: Pair) -> Lift:
         if label.name == "L20":
@@ -653,4 +631,4 @@ def build_deg4plus_light(e1: EdgeView, e2: EdgeView, singles: list[EdgeView], v:
             return loc.done(p, loc.span(v2, {v2, v, *s2.subdiv, avs[1]}, {v}))
         raise EngineBug(f"pair {pair} not liftable in the unit-weight elimination", tag)
 
-    return Gadget(label, v1, v2, scope, lift, provenance=tag)
+    return Gadget(label, v1, v2, (e1, e2, *singles), v, lift, provenance=tag)

@@ -10,13 +10,9 @@ gathered around v together with v itself are finalized into nearly connected
 
 from __future__ import annotations
 
-from ..labels import CATALOG, Label, Pair, TreeSet
+from ..labels import CATALOG, S0, S1, S1P, S2, S2M, S2P, S3, S3M, S3P, S5M, Label, Pair
 from .local import PLAIN, PLUS, Local, mirrored, pair_shape
 from .model import EdgeView, EngineBug, Gadget, Lift, Realization, Split, Subdivide, graft, single
-
-S0, S1, S2, S3 = TreeSet.S0, TreeSet.S1, TreeSet.S2, TreeSet.S3
-S1P, S2P, S3P = TreeSet.S1P, TreeSet.S2P, TreeSet.S3P
-S2M, S3M, S5M = TreeSet.S2M, TreeSet.S3M, TreeSet.S5M
 
 KEEP = "keep"
 
@@ -83,8 +79,7 @@ def merged_series_label(l1: Label, l2: Label) -> Label:
     return CATALOG[f"L{w}0"]
 
 
-def build_series_gadget(e1: EdgeView, e2: EdgeView, v: int, v1: int, v2: int,
-                        tag: str) -> Gadget:
+def build_series_gadget(e1: EdgeView, e2: EdgeView, tag: str) -> Gadget:
     """Replacement gadget (v1 -> v2) for contracting degree-2 vertex v.
 
     e1 is viewed v1 -> v and e2 is viewed v -> v2 with w(e1) <= w(e2).
@@ -92,12 +87,13 @@ def build_series_gadget(e1: EdgeView, e2: EdgeView, v: int, v1: int, v2: int,
     l1, l2 = e1.label, e2.label
     if l1.weight > l2.weight:
         raise EngineBug("series children must be ordered by weight", tag)
-    scope = frozenset({v}) | e1.scope | e2.scope
     label = merged_series_label(l1, l2)
 
+    def gadget(split, subdiv=None) -> Gadget:
+        return Gadget(label, e1.tail, e2.head, (e1, e2), e2.tail, split, subdiv, provenance=tag)
+
     if l1.name == "L0" and l2.name in ("L0", "L1"):
-        split, subdiv = _chain_lifts(e1, e2, v, v1, v2, tag)
-        return Gadget(label, v1, v2, scope, split, subdiv, provenance=tag)
+        return gadget(*_chain_lifts(e1, e2, tag))
     table = None
     if l1.name == "L0" and l2.name == "L21":
         table = _TABLE_ZERO_PLUS_MINUSPAIR
@@ -108,21 +104,20 @@ def build_series_gadget(e1: EdgeView, e2: EdgeView, v: int, v1: int, v2: int,
     elif l1.name == "L32" and l2.name == "L32":
         table = _TABLE_BOTH_W3ASYM
     if table is not None:
-        lift = _table_lift(e1, e2, v, v1, v2, table, tag)
-        return Gadget(label, v1, v2, scope, lift, provenance=tag)
+        return gadget(_table_lift(e1, e2, table, tag))
     if l1.name == "L31" and l2.name == "L31":
         # reading the chain from the other side turns both labels into L32
-        inner = _table_lift(e2.reversed(), e1.reversed(), v, v2, v1, _TABLE_BOTH_W3ASYM, tag + "~")
-        return Gadget(label, v1, v2, scope, lambda pair: mirrored(inner, pair), provenance=tag)
-    lift = _general_series_lift(e1, e2, v, v1, v2, tag)
-    return Gadget(label, v1, v2, scope, lift, provenance=tag)
+        inner = _table_lift(e2.reversed(), e1.reversed(), _TABLE_BOTH_W3ASYM, tag + "~")
+        return gadget(lambda pair: mirrored(inner, pair))
+    return gadget(_general_series_lift(e1, e2, tag))
 
 
 # ---------------------------------------------------------------------------
 # Pure chain: e1 unlabeled-weight (L0) and e2 subdividable of weight 0 or 1
 
 
-def _chain_lifts(e1: EdgeView, e2: EdgeView, v: int, v1: int, v2: int, tag: str):
+def _chain_lifts(e1: EdgeView, e2: EdgeView, tag: str):
+    v1, v, v2 = e1.tail, e2.tail, e2.head
     j = e2.label.weight
 
     def split_lift(pair: Pair) -> Lift:
@@ -150,7 +145,9 @@ def _chain_lifts(e1: EdgeView, e2: EdgeView, v: int, v1: int, v2: int, tag: str)
 # Fixed two-op tables
 
 
-def _table_lift(e1: EdgeView, e2: EdgeView, v: int, v1: int, v2: int, table: dict, tag: str):
+def _table_lift(e1: EdgeView, e2: EdgeView, table: dict, tag: str):
+    v1, v = e1.tail, e2.tail
+
     def lift(pair: Pair) -> Lift:
         row = table.get(pair)
         if row is None:
@@ -178,7 +175,8 @@ def _close_at_v(tag: str, r1: Realization, r2: Realization, v: int) -> Realizati
 # w(e1)+w(e2)+1 mod 4
 
 
-def _general_series_lift(e1: EdgeView, e2: EdgeView, v: int, v1: int, v2: int, tag: str):
+def _general_series_lift(e1: EdgeView, e2: EdgeView, tag: str):
+    v1, v, v2 = e1.tail, e2.tail, e2.head
     i, j = e1.label.weight, e2.label.weight
     low = i + j + 1 <= 3
 
@@ -189,7 +187,7 @@ def _general_series_lift(e1: EdgeView, e2: EdgeView, v: int, v1: int, v2: int, t
         if kind == "plus_right":
             return (yield from (_plus_low if low else _plus_high)(pair, x, y))
         # plus_left: replay from the far side
-        return (yield from mirrored(_general_series_lift(e2.reversed(), e1.reversed(), v, v2, v1, tag + "~"), pair))
+        return (yield from mirrored(_general_series_lift(e2.reversed(), e1.reversed(), tag + "~"), pair))
 
     def _head_side(r1: Realization, r2: Realization, dummies=frozenset()) -> Realization:
         # e2 subdivided: v and its path join e1's head tree

@@ -127,7 +127,9 @@ def looks_like_graph6(text: str) -> bool:
 
 def parse_graph(text: str, fmt: str = "auto") -> SimpleGraph:
     """Parse one graph from text in edge-list or graph6 format; graph6 text
-    holding a second graph is rejected at that graph's line."""
+    holding a second graph is rejected at that graph's line.  One leading
+    UTF-8 byte-order mark is dropped first."""
+    text = text.removeprefix("\ufeff")
     if fmt == "auto":
         fmt = "graph6" if looks_like_graph6(text) else "edge-list"
     if fmt == "edge-list":

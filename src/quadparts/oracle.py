@@ -120,27 +120,6 @@ def verify_partition(
 # Exact clique-factor decision
 
 
-@dataclass(frozen=True)
-class FactorInstance:
-    """Host graph, part size r, and the candidate r-cliques for exact cover."""
-
-    host: SimpleGraph
-    r: int
-    candidates: tuple[frozenset[int], ...]
-
-    @staticmethod
-    def build(host: SimpleGraph, r: int) -> "FactorInstance":
-        if r < 2:
-            raise ValueError("r must be at least 2")
-        edges = host.edges
-        cands = [
-            frozenset(c)
-            for c in combinations(range(host.n), r)
-            if all((a, b) in edges for a, b in combinations(c, 2))
-        ]
-        return FactorInstance(host, r, tuple(cands))
-
-
 def has_kr_factor(g: SimpleGraph, r: int) -> list[frozenset[int]] | None:
     """Exact decision: disjoint r-cliques covering V(g), or None.
 
@@ -153,11 +132,12 @@ def has_kr_factor(g: SimpleGraph, r: int) -> list[frozenset[int]] | None:
         return None
     if g.n == 0:
         return []
-    inst = FactorInstance.build(g, r)
     by_vertex: dict[int, list[frozenset[int]]] = {v: [] for v in range(g.n)}
-    for c in inst.candidates:
-        for v in c:
-            by_vertex[v].append(c)
+    for c in combinations(range(g.n), r):
+        if all(pair in g.edges for pair in combinations(c, 2)):
+            clique = frozenset(c)
+            for v in c:
+                by_vertex[v].append(clique)
 
     covered: set[int] = set()
     chosen: list[frozenset[int]] = []

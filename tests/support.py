@@ -256,8 +256,12 @@ class StubGadget:
     """Duck-typed gadget whose canonical realizations balance its ledger.
 
     With `withhold=True` every realization drops its last emitted 4-set, so
-    the ledger of any gadget built on top of the stub must trap.
+    the ledger of any gadget built on top of the stub must trap.  Like a
+    leaf, a stub replaces nothing when a graph installs it.
     """
+
+    children = ()
+    eliminated = None
 
     def __init__(self, label: Label, u: int, v: int, withhold: bool = False):
         self.label = label

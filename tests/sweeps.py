@@ -51,7 +51,7 @@ def series():
                 continue
             e1 = EdgeView(stub_edge(l1, v1, v), v1, 0)
             e2 = EdgeView(stub_edge(l2, v, v2), v, 1)
-            yield (l1, l2), build_series_gadget(e1, e2, v, v1, v2, f"cover[{l1.name}+{l2.name}]")
+            yield (l1, l2), build_series_gadget(e1, e2, f"cover[{l1.name}+{l2.name}]")
 
 
 def parallel():
@@ -64,7 +64,7 @@ def parallel():
                 continue  # the driver orders this pair the other way
             e1 = EdgeView(stub_edge(l1, u, v), u, 0)
             e2 = EdgeView(stub_edge(l2, u, v), u, 1)
-            yield (l1, l2), build_parallel_gadget(e1, e2, u, v, f"cover[{l1.name}+{l2.name}]")
+            yield (l1, l2), build_parallel_gadget(e1, e2, f"cover[{l1.name}+{l2.name}]")
 
 
 def absorb():
@@ -72,7 +72,7 @@ def absorb():
     for sibling in ("L30", "L32"):
         e1 = EdgeView(stub_edge(CATALOG["L32"], v, v1), v, 0)
         e2 = EdgeView(stub_edge(CATALOG[sibling], v, v2), v, 1)
-        yield (CATALOG[sibling],), build_edge_absorb(e1, e2, v, v2, f"cover[{sibling}]")
+        yield (CATALOG[sibling],), build_edge_absorb(e1, e2, f"cover[{sibling}]")
 
 
 def _deg3_views(la, lb, lc):
@@ -80,32 +80,32 @@ def _deg3_views(la, lb, lc):
     ea = EdgeView(stub_edge(la, v, 1), v, 0)
     eb = EdgeView(stub_edge(lb, v, 2), v, 1)
     ec = EdgeView(stub_edge(lc, v, 3), v, 2)
-    return v, ea, eb, ec
+    return ea, eb, ec
 
 
-def _eliminated(ops, v) -> list:
-    """Every part a flat elimination at v finalizes: its children's, from
-    the sink, then its own."""
+def _eliminated(ops) -> list:
+    """Every part a flat elimination at the views' tail finalizes: its
+    children's, from the sink, then its own."""
     sink: list = []
-    sink.extend(drive(eliminate_with_fixed_splits(ops, v, True, "cover"), sink))
+    sink.extend(drive(eliminate_with_fixed_splits(ops, ops[0][0].tail, True, "cover"), sink))
     return sink
 
 
 def flat_eliminations():
-    v, a, b, c = _deg3_views(CATALOG["L1"], CATALOG["L10"], CATALOG["L1"])
-    yield _eliminated([(a, (S1, S0)), (b, (S1, S0)), (c, (S1, S0))], v)
+    a, b, c = _deg3_views(CATALOG["L1"], CATALOG["L10"], CATALOG["L1"])
+    yield _eliminated([(a, (S1, S0)), (b, (S1, S0)), (c, (S1, S0))])
     for heavy, mids in ((CATALOG["L30"], (CATALOG["L2"], CATALOG["L21"])),
                         (CATALOG["L31"], (CATALOG["L20"], CATALOG["L2"])),
                         (CATALOG["L32"], (CATALOG["L21"], CATALOG["L20"]))):
-        v, a, b, c = _deg3_views(heavy, mids[0], mids[1])
-        yield _eliminated([(a, (S3, S0)), (b, (S2, S0)), (c, (S2, S0))], v)
+        a, b, c = _deg3_views(heavy, mids[0], mids[1])
+        yield _eliminated([(a, (S3, S0)), (b, (S2, S0)), (c, (S2, S0))])
 
 
 def paired_tail():
     for la in (CATALOG["L21"], CATALOG["L32"]):
         for lc in W1:
-            v, a, b, c = _deg3_views(la, CATALOG["L21"], lc)
-            yield (la, lc), build_deg3_pair_config(a, b, c, v, "cover")
+            a, b, c = _deg3_views(la, CATALOG["L21"], lc)
+            yield (la, lc), build_deg3_pair_config(a, b, c, "cover")
 
 
 def general_mid_weight():
@@ -119,8 +119,8 @@ def general_mid_weight():
                     continue  # two outward asymmetric edges never reduce
                 if k == 1 and lb.name == "L21" and la.name in ("L21", "L32"):
                     continue  # routed to the paired-tail configuration
-                v, a, b, c = _deg3_views(la, lb, lc)
-                yield (la, lb, lc), build_deg3_general(a, b, c, v, "cover")
+                a, b, c = _deg3_views(la, lb, lc)
+                yield (la, lb, lc), build_deg3_general(a, b, c, "cover")
 
 
 def weight9():
@@ -137,21 +137,21 @@ def weight9():
                     build = build_deg3_sum9_b
                 else:
                     build = build_deg3_sum9_c
-                v, a, b, c = _deg3_views(la, lb, lc)
-                yield (la, lb, lc), build(a, b, c, v, f"cover[{la.name}/{lb.name}/{lc.name}]")
+                a, b, c = _deg3_views(la, lb, lc)
+                yield (la, lb, lc), build(a, b, c, f"cover[{la.name}/{lb.name}/{lc.name}]")
 
 
 def weight10():
     for la in ("L30", "L31"):
-        v, a, b, c = _deg3_views(CATALOG[la], CATALOG["L30"], CATALOG["L30"])
-        yield (CATALOG[la],), build_deg4plus_heavy(b, c, v, f"cover[{la}]", fixed=a)
+        a, b, c = _deg3_views(CATALOG[la], CATALOG["L30"], CATALOG["L30"])
+        yield (CATALOG[la],), build_deg4plus_heavy(b, c, f"cover[{la}]", fixed=a)
 
 
 def heavy_pair():
     v = 0
     e3 = EdgeView(stub_edge(CATALOG["L30"], v, 1), v, 0)
     e4 = EdgeView(stub_edge(CATALOG["L30"], v, 2), v, 1)
-    yield (), build_deg4plus_heavy(e3, e4, v, "cover")
+    yield (), build_deg4plus_heavy(e3, e4, "cover")
 
 
 def _light(firsts, seconds, singles):
@@ -165,7 +165,7 @@ def _light(firsts, seconds, singles):
                 e2 = EdgeView(stub_edge(l2, v, 2), v, 1)
                 views = [EdgeView(stub_edge(ls, v, 3 + idx), v, 2 + idx)
                          for idx, ls in enumerate(single_labels)]
-                yield (l1, l2, *single_labels), build_deg4plus_light(e1, e2, views, v, "cover")
+                yield (l1, l2, *single_labels), build_deg4plus_light(e1, e2, views, "cover")
 
 
 def degree4_with_weight2():

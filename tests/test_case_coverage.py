@@ -132,7 +132,7 @@ class TestLedgerIsOn:
         v1, v, v2 = 1, 0, 2
         e1 = EdgeView(stub_edge(CATALOG["L1"], v1, v), v1, 0)
         e2 = EdgeView(stub_edge(CATALOG["L2"], v, v2, withhold=True), v, 1)
-        gadget = build_series_gadget(e1, e2, v, v1, v2, "ledger[series]")
+        gadget = build_series_gadget(e1, e2, "ledger[series]")
         self._assert_traps(gadget, "ledger[series]")
 
     def test_light_degree4_lift(self):
@@ -141,5 +141,5 @@ class TestLedgerIsOn:
         e2 = EdgeView(stub_edge(CATALOG["L1"], v, 2), v, 1)
         singles = [EdgeView(stub_edge(CATALOG["L1"], v, 3), v, 2),
                    EdgeView(stub_edge(CATALOG["L10"], v, 4, withhold=True), v, 3)]
-        gadget = build_deg4plus_light(e1, e2, singles, v, "ledger[light]")
+        gadget = build_deg4plus_light(e1, e2, singles, "ledger[light]")
         self._assert_traps(gadget, "ledger[light]")

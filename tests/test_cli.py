@@ -108,6 +108,15 @@ def test_partition_reads_an_edge_list_with_a_commented_header(capture, tmp_path)
     assert json.loads(out)["parts"] == [[0, 1, 2, 3]]
 
 
+def test_partition_reads_a_file_with_a_byte_order_mark(capture, tmp_path):
+    path = tmp_path / "c8.txt"
+    path.write_text(emit_edge_list(cycle_graph(8)), encoding="utf-8-sig")
+    for fmt in ([], ["--format", "edge-list"]):
+        code, out, err = capture(["partition", str(path), "--json", *fmt])
+        assert (code, err) == (0, ""), fmt
+        assert json.loads(out)["parts"] == [[0, 1, 2, 7], [3, 4, 5, 6]]
+
+
 def test_tree_partition_sizes(capture):
     code, out, _ = capture(
         ["tree-partition", "-", "--sizes", "3,3", "--json"],

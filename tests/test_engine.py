@@ -321,7 +321,7 @@ class TestFindReduction:
         """One edge left is the base case, which the caller realizes; there
         is no reduction to choose."""
         lg = LabeledMultigraph(SimpleGraph.from_edges(2, [(0, 1)]))
-        lg.add(leaf_gadget(CATALOG["L0"], 0, 1))
+        lg.install(leaf_gadget(CATALOG["L0"], 0, 1))
         with pytest.raises(EngineBug, match="single edge is the base case"):
             find_reduction(lg)
 
@@ -339,7 +339,7 @@ class TestCarriedSeparationIndex:
             g = dense_block(rng.randint(6, 11), seed)
             lg = LabeledMultigraph(g)
             for u, v in g.sorted_edges():
-                lg.add(leaf_gadget(CATALOG["L0"], u, v))
+                lg.install(leaf_gadget(CATALOG["L0"], u, v))
             if separation_index(lg).in_cut:
                 continue
             vertex_gone = False  # since the last index with no 2-cut
@@ -352,17 +352,17 @@ class TestCarriedSeparationIndex:
                     lg.remove_labeled(ea)
                     lg.remove_labeled(eb)
                     lg.remove_vertex(v)
-                    lg.add(leaf_gadget(CATALOG["L0"], a, b))
+                    lg.install(leaf_gadget(CATALOG["L0"], a, b))
                     vertex_gone = True
                 elif roll < 0.55 and pair is not None:
                     gadget = lg.edges[pair[0]]
                     lg.remove_labeled(pair[0])
                     lg.remove_labeled(pair[1])
-                    lg.add(leaf_gadget(CATALOG["L0"], gadget.u, gadget.v))
+                    lg.install(leaf_gadget(CATALOG["L0"], gadget.u, gadget.v))
                 elif roll < 0.75 and lg.edges:
                     lg.remove_labeled(rng.choice(lg.edge_ids()))
                 elif roll < 0.97:
-                    lg.add(leaf_gadget(CATALOG["L0"], *rng.sample(sorted(lg.vertices), 2)))
+                    lg.install(leaf_gadget(CATALOG["L0"], *rng.sample(sorted(lg.vertices), 2)))
                 elif lg.n > 4:
                     x = rng.choice(sorted(lg.vertices))
                     for eid in lg.incident(x):
@@ -429,7 +429,7 @@ class TestWorklists:
             lg = LabeledMultigraph(g)
             names = sorted(CATALOG)
             for u, v in g.sorted_edges():
-                lg.add(stub_edge(CATALOG[rng.choice(names)], u, v))
+                lg.install(stub_edge(CATALOG[rng.choice(names)], u, v))
             lg.take_changes()
             for _ in range(60):
                 before = {norm_edge(gd.u, gd.v) for gd in lg.edges.values()}
@@ -439,9 +439,9 @@ class TestWorklists:
                     lg.remove_labeled(rng.choice(sorted(lg.edges)))
                 elif roll < 0.7 and lg.edges:
                     ends = rng.choice(sorted(before))
-                    lg.add(stub_edge(CATALOG[rng.choice(names)], *ends))
+                    lg.install(stub_edge(CATALOG[rng.choice(names)], *ends))
                 elif roll < 0.85 or lg.n <= 3:
-                    lg.add(stub_edge(CATALOG[rng.choice(names)], *rng.sample(sorted(lg.vertices), 2)))
+                    lg.install(stub_edge(CATALOG[rng.choice(names)], *rng.sample(sorted(lg.vertices), 2)))
                 else:
                     x = rng.choice(sorted(lg.vertices))
                     for eid in lg.incident(x):
@@ -494,9 +494,7 @@ def _hang_off_one_neighbour(lg, choice):
             break
     x = min(ends)
     for eid in lg.incident(w):
-        gadget = lg.edges[eid]
-        lg.remove_labeled(eid)
-        lg.add(Gadget(gadget.label, w, x, gadget.scope, lambda pair: None))
+        lg.install(Gadget(lg.edges[eid].label, w, x, (lg.view(eid, w),), None, lambda pair: None))
 
 
 class TestBlockCertificates:
@@ -529,7 +527,7 @@ class TestBlockCertificates:
             lg.remove_labeled(ea)
             lg.remove_labeled(eb)
             lg.remove_vertex(choice.v)
-            lg.add(Gadget(CATALOG["L1"], a, c, frozenset(), lambda pair: None))
+            lg.install(Gadget(CATALOG["L1"], a, c, (), None, lambda pair: None))
             return "series", f"misplaced@{choice.v}"
 
         monkeypatch.setattr(driver, "apply_reduction", misplaced_series)

@@ -107,3 +107,15 @@ def test_graph6_text_with_two_graphs_is_rejected_at_the_second():
         with pytest.raises(GraphParseError, match="a second graph6 graph") as exc:
             parse_graph(text, fmt)
         assert exc.value.position == "line 4", fmt
+
+
+def test_a_leading_byte_order_mark_is_dropped():
+    """Text saved with a UTF-8 byte-order mark parses as without it, in
+    every format; only one leading mark is dropped."""
+    for text, fmt, want in (("\ufeff4\n0 1\n1 2\n2 3\n3 0\n", "edge-list", cycle_graph(4)),
+                            ("\ufeff4\n0 1\n1 2\n2 3\n3 0\n", "auto", cycle_graph(4)),
+                            ("\ufeffC~\n", "graph6", complete_graph(4)),
+                            ("\ufeffC~\n", "auto", complete_graph(4))):
+        assert parse_graph(text, fmt).edges == want.edges, (text, fmt)
+    with pytest.raises(GraphParseError):
+        parse_graph("\ufeff\ufeff4\n0 1\n1 2\n2 3\n3 0\n", "edge-list")

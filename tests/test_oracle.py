@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from quadparts.families import random_2connected, spider, subdivided_k4
 from quadparts.graphs import SimpleGraph, graph_power, induced_is_connected
 from quadparts.oracle import (
-    FactorInstance,
     InstanceTooLarge,
     brute_force_partition,
     has_kr_factor,
@@ -123,8 +122,11 @@ class TestKrFactor:
         assert sorted(len(c) for c in factor) == [4, 4, 4, 4]
 
     def test_candidates_are_cliques(self):
-        inst = FactorInstance.build(cycle_graph(6), 2)
-        assert set(inst.candidates) == {frozenset(e) for e in cycle_graph(6).edges}
+        """The r = 2 factor of C6 is three disjoint edges of the cycle."""
+        c6 = cycle_graph(6)
+        factor = has_kr_factor(c6, 2)
+        assert len(factor) == 3 and frozenset().union(*factor) == frozenset(range(6))
+        assert all(tuple(sorted(c)) in c6.edges for c in factor)
 
 
 class TestBruteForce:
