@@ -41,7 +41,12 @@ class UsageError(ValueError):
 
 
 def _read_graph(path: str, fmt: str) -> SimpleGraph:
-    text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+    """The graph at `path` ("-" for stdin); a path that cannot be read, such
+    as a missing file or a directory, is a usage error."""
+    try:
+        text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(str(exc)) from None
     return parse_graph(text, fmt)
 
 
@@ -269,7 +274,7 @@ def run(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    except (ValueError, FileNotFoundError) as exc:  # UsageError, GraphParseError and InstanceTooLarge too
+    except ValueError as exc:  # UsageError, GraphParseError and InstanceTooLarge too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except EngineBug as exc:

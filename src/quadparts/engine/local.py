@@ -5,11 +5,11 @@ requests an operation on a child edge by yielding ``(view, op)`` and
 receives the child's realization as the value of that ``yield``, so that
 :func:`~quadparts.engine.model.drive` realizes the whole cascade on one
 explicit stack; a lift never calls a child itself.  It then closes through
-one :class:`Local` built from the child realizations: the union of their
-fragments, which hold every real edge they materialized, tree edges
-included.  The children's parts are not gathered: drive has already
-appended them to its sink, and a Local holds only the parts its lift
-finalizes.  Its methods are the closing moves:
+one :class:`Local` built from the child realizations: the one span of
+drive's edge log that their fragments make up together, which holds every
+real edge they materialized, tree edges included.  The children's parts are
+not gathered: drive has already appended them to its sink, and a Local
+holds only the parts its lift finalizes.  Its methods are the closing moves:
 
 - :meth:`~Local.group` finalizes a pool if it groups into nearly connected
   4-sets, and :meth:`~Local.finalize` traps with the lift's provenance when
@@ -27,20 +27,27 @@ name tree sets by size, :func:`pair_shape` classifies a pair and
 lift that delegates with ``yield from``.
 
 Groupings come from a tiny exact search, :func:`group`, since they depend
-on the shapes the children happened to produce.  A :class:`Fragment` is an
-adjacency from :func:`graphs.adjacency` searched by the graph layer's
+on the shapes the children happened to produce.  A
+:class:`~quadparts.engine.model.Fragment` is a span of drive's edge log,
+not a union of edge sets: its neighbour rows are read from the log's
+incidence index only for the vertices a query names, and the graph layer's
 :func:`bfs_parents` and :func:`nearly_connected_witness`, which the oracle
-uses too; a vertex outside it is connected to nothing.
+uses too, search it as they search an adjacency; a vertex outside it is
+connected to nothing.  So closing a lift costs what its queries touch, not
+the size of what lies below it.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from operator import attrgetter
 from typing import Callable, Collection, Iterable
 
-from ..graphs import adjacency, bfs_parents, nearly_connected_witness
+from ..graphs import bfs_parents
 from ..labels import Pair, TreeSet
-from .model import BoundTree, EngineBug, Lift, Realization, from_parents
+from .model import BoundTree, EngineBug, Fragment, Lift, Realization, from_parents
+
+_SPAN = attrgetter("start", "end")
 
 PLAIN = {0: TreeSet.S0, 1: TreeSet.S1, 2: TreeSet.S2, 3: TreeSet.S3}
 PLUS = {1: TreeSet.S1P, 2: TreeSet.S2P, 3: TreeSet.S3P}
@@ -69,24 +76,6 @@ def mirrored(lift: Callable[[Pair], Lift], pair: Pair) -> Lift:
     """Realize `pair` through `lift` built on the reversed configuration: the
     lift receives the swapped pair and its realization is flipped back."""
     return (yield from lift((pair[1], pair[0]))).flipped()
-
-
-class Fragment:
-    """A small scratch graph of real edges materialized by child realizations."""
-
-    def __init__(self, edges: Iterable[tuple[int, int]]):
-        self.adj = adjacency(edges)
-
-    def connected(self, vs: Collection[int]) -> bool:
-        if not vs or min(vs) not in self.adj:
-            return False
-        return len(bfs_parents(self.adj, min(vs), vs)) == len(vs)
-
-    def witness_for(self, part: frozenset[int]) -> frozenset[int] | None:
-        """Connected superset of `part` within the fragment, at most one extra vertex."""
-        if part - self.adj.keys():
-            return None
-        return nearly_connected_witness(self.adj, part)
 
 
 def group(fragment: Fragment, pool: Iterable[int]) -> tuple[frozenset[int], ...] | None:
@@ -122,23 +111,21 @@ def group(fragment: Fragment, pool: Iterable[int]) -> tuple[frozenset[int], ...]
 class Local:
     """The closing state of one lift over its child realizations.
 
-    `edges` is the union of the children's fragments and nothing else: every
-    tree edge of a child lies in that child's fragment.  `parts` holds the
-    parts this lift finalizes, in call order, and only those.  The fragment
-    adjacency is built on first use only.
+    `fragment` runs from the first child's fragment start to the last one's
+    end, so it holds the children's edges and nothing else: every tree edge
+    of a child lies in that child's fragment.  The children were realized
+    one after the other in one cascade, so their fragments abut, in some
+    order; a Local traps unless they do.  `parts` holds the parts this lift
+    finalizes, in call order, and only those.
     """
 
     def __init__(self, tag: str, *children: Realization):
         self.tag = tag
-        self.edges: frozenset[tuple[int, int]] = frozenset().union(*(r.fragment for r in children))
+        spans = sorted([r.fragment for r in children], key=_SPAN)
+        if not spans or any(b.log is not a.log or b.start != a.end for a, b in zip(spans, spans[1:])):
+            raise EngineBug(f"child fragments {[_SPAN(f) for f in spans]} do not make one span", tag)
+        self.fragment = Fragment(spans[0].log, spans[0].start, spans[-1].end)
         self.parts: list[frozenset[int]] = []
-        self._fragment: Fragment | None = None
-
-    @property
-    def fragment(self) -> Fragment:
-        if self._fragment is None:
-            self._fragment = Fragment(self.edges)
-        return self._fragment
 
     def group(self, pool: Iterable[int]) -> bool:
         """Finalize `pool` if it groups into nearly connected 4-sets; report whether it did."""
@@ -196,15 +183,14 @@ class Local:
         ascending order.  Used to build composite trees out of child fragments
         whose exact shape varies.
         """
-        adj = self.fragment.adj
-        parent = bfs_parents(adj, root, vertices) if root in adj else {root: None}
+        parent = bfs_parents(self.fragment, root, vertices)
         if parent.keys() != set(vertices):
             raise EngineBug(f"cannot span {sorted(vertices)} from {root} with the available edges", self.tag)
         return from_parents(root, parent, frozenset(dummies))
 
     def done(self, p_tree: BoundTree | None = None, q_tree: BoundTree | None = None,
              subdiv: tuple[int, ...] | None = None) -> Realization:
-        """The lift's realization: the given trees or subdivision path, the
-        parts this lift finalized, and the gathered fragment."""
-        return Realization(parts=tuple(self.parts), p_tree=p_tree, q_tree=q_tree,
-                           subdiv=subdiv, fragment=self.edges)
+        """The lift's realization: the given trees or subdivision path and
+        the parts this lift finalized; it materializes no edge of its own,
+        and drive gives it its fragment."""
+        return Realization(parts=tuple(self.parts), p_tree=p_tree, q_tree=q_tree, subdiv=subdiv)

@@ -15,12 +15,13 @@ edge, the final edge) run through the same loop as the one-request lift
 :class:`~quadparts.graphs.Multigraph` whose edge ids map to these gadgets;
 an :class:`EdgeView` reads one of them from either end.  A gadget is the one
 declaration of its reduction step: the graph installs it by removing exactly
-what it replaces, and its scope is read off the same declaration.
+what it replaces, and its ledger is read off the same declaration.
 
 Each record of a realization comes in by one path: :func:`drive` appends
-each finalized part once to its sink, a bound tree is only composed from
-other bound trees or a breadth-first search, and real edges travel only in
-fragments, which hold every tree edge.
+each finalized part once to its sink and each materialized real edge once
+to its :class:`EdgeLog`, a bound tree is only composed from other bound
+trees or a breadth-first search, and a realization's :class:`Fragment`, the
+span of the log its cascade wrote, holds every tree edge.
 
 Conservation invariant: every gadget owns a fixed set of interior vertices
 (its *scope*): the scopes of the edges it replaces (its *children*) and the
@@ -28,18 +29,22 @@ vertex that leaves the graph with them, if any, so a leaf owns none.  Each
 realization must cover that scope exactly once between active tree slots,
 subdivision vertices, and finalized-part members.  Dummy tree slots are
 structural only (they re-use vertices covered elsewhere) and never count
-toward coverage.
+toward coverage.  No gadget stores its scope: :meth:`Gadget.check` checks
+each realization against what its children handed up, which implies the
+whole-scope check (see :class:`Gadget`).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import combinations, islice
-from typing import Callable, Generator, Iterable, TypeVar
+from typing import Callable, Collection, Generator, Iterable, TypeVar
 
-from ..graphs import Multigraph, SeparationIndex, SimpleGraph, has_three_paths, norm_edge, separation_index
+from ..graphs import (Multigraph, SeparationIndex, SimpleGraph, bfs_parents, has_three_paths,
+                      nearly_connected_witness, norm_edge, separation_index)
 from ..labels import Label, Pair, TreeSet, admits, down_set, involution, shape_matches
 
 
@@ -220,42 +225,115 @@ def graft(new_root: int, bridge: tuple[int, int], subtree: BoundTree) -> BoundTr
 
 
 # ---------------------------------------------------------------------------
+# Fragments: spans of one log of real edges
+#
+# A cascade realizes depth first, so the real edges materialized below one
+# realization are exactly those logged while its frame ran: one span of the
+# log.  A lift's children ran one after the other, so their spans abut and
+# together make one span, and a query reads only the vertices it asks about.
+# Rows are filtered to the span, so edges that a sibling or an ancestor
+# logged before or after it never change an answer.
+
+
+class EdgeLog:
+    """The real edges one :func:`drive` call materializes, in the order it
+    receives them, and an incidence index: vertex -> [(position, neighbour)]
+    in position order."""
+
+    def __init__(self) -> None:
+        self.edges: list[tuple[int, int]] = []
+        self._inc: dict[int, list[tuple[int, int]]] = {}
+
+    def extend(self, edges: Iterable[tuple[int, int]]) -> None:
+        inc = self._inc
+        for a, b in edges:
+            pos = len(self.edges)
+            self.edges.append((a, b))
+            inc.setdefault(a, []).append((pos, b))
+            inc.setdefault(b, []).append((pos, a))
+
+    def neighbours(self, x: int, start: int, end: int) -> list[int]:
+        """The neighbours of `x` over the log positions [start, end), ascending."""
+        row = self._inc.get(x, ())
+        out = [y for _, y in row[bisect_left(row, (start,)):bisect_left(row, (end,))]]
+        out.sort()
+        return out
+
+
+class Fragment(dict):
+    """The real edges at positions [start, end) of one :class:`EdgeLog`.
+
+    It is an adjacency for the graph layer's searches, filled on demand:
+    indexing it by a vertex gives that vertex's neighbours within the span
+    in ascending order, as :func:`graphs.adjacency` sorts them, read from
+    the log's index the first time and kept.  As a dict it holds only the
+    rows read so far.  A vertex with no neighbour lies outside the fragment
+    and is connected to nothing, so each query reads only the vertices it
+    names and, for a witness, their neighbours.
+    """
+
+    __slots__ = ("log", "start", "end")
+
+    def __init__(self, log: EdgeLog, start: int, end: int):  # dict.__new__ made it empty
+        self.log = log
+        self.start = start
+        self.end = end
+
+    def __missing__(self, x: int) -> list[int]:
+        row = self[x] = self.log.neighbours(x, self.start, self.end)
+        return row
+
+    def connected(self, vs: Collection[int]) -> bool:
+        if not vs or not self[min(vs)]:
+            return False
+        return len(bfs_parents(self, min(vs), vs)) == len(vs)
+
+    def witness_for(self, part: frozenset[int]) -> frozenset[int] | None:
+        """Connected superset of `part` within the fragment, at most one extra vertex."""
+        if not all(self[x] for x in part):
+            return None
+        return nearly_connected_witness(self, part)
+
+
+# ---------------------------------------------------------------------------
 # Realizations
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Realization:
     """Concrete outcome of one operation on one labeled edge.
 
     For splits, `p_tree`/`q_tree` are bound at the tail/head.  For
     subdivisions, `subdiv` lists the new internal vertices from tail to head.
-    `fragment` collects every real edge this realization materialized, which
-    the parent lift's :class:`~quadparts.engine.local.Local` searches for
-    witnesses and spans its trees in.  Every tree edge lies in the fragment:
-    a leaf's split trees have no edges and its subdivision's fragment is its
-    edge; a lift's fragment unites its children's, spans its trees in it,
-    grafts only by a subdivided leaf's edge and fuses or passes on its
-    children's trees.  `parts` holds only the nearly connected 4-sets that
-    this realization's own lift finalized; :func:`drive` appends them to its
-    sink, and no realization copies another's.  A lift receives a
-    realization as the value of the ``yield`` that requested it, read from
-    the tail of the view it yielded, after the child's gadget checked it.
+    `edges` holds only the real edges this realization's own lift
+    materialized (a subdivided leaf's edge), and `parts` only the nearly
+    connected 4-sets it finalized: :func:`drive` appends them to its log
+    and its sink, and no realization copies another's.  `fragment` is set by
+    :func:`drive` alone, once, when it finishes the realization: the span of
+    the log written while the realization's frame ran, so every real edge
+    materialized at or below it, which the parent lift's
+    :class:`~quadparts.engine.local.Local` searches for witnesses and spans
+    its trees in.  Every tree edge lies in the fragment: a leaf's split
+    trees have no edges and a subdivided leaf logs its edge; a lift spans
+    its trees in its children's fragments, grafts only by a subdivided
+    leaf's edge and fuses or passes on its children's trees.  A lift
+    receives a realization as the value of the ``yield`` that requested it,
+    read from the tail of the view it yielded, after the child's gadget
+    checked it, and only reads it.  A realization is built on every step of
+    every cascade, so it is a plain record rather than a frozen one, whose
+    construction costs several times as much.
     """
 
     parts: tuple[frozenset[int], ...] = ()
     p_tree: BoundTree | None = None
     q_tree: BoundTree | None = None
     subdiv: tuple[int, ...] | None = None
-    fragment: frozenset[tuple[int, int]] = frozenset()
+    edges: tuple[tuple[int, int], ...] = ()
+    fragment: Fragment | None = field(default=None, compare=False)
 
     def flipped(self) -> "Realization":
-        return Realization(
-            parts=self.parts,
-            p_tree=self.q_tree,
-            q_tree=self.p_tree,
-            subdiv=None if self.subdiv is None else tuple(reversed(self.subdiv)),
-            fragment=self.fragment,
-        )
+        return Realization(self.parts, self.q_tree, self.p_tree,
+                           None if self.subdiv is None else self.subdiv[::-1], self.edges, self.fragment)
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +351,10 @@ class Gadget:
     """One labeled edge: its label for the stored orientation u -> v, the
     views of the edges it replaces (`children`), the vertex that leaves the
     graph with them (`eliminated`, or None), and the lifts that realize its
-    operations.  Its `scope` is the union of its children's scopes plus
-    `eliminated`, and :meth:`LabeledMultigraph.install` removes exactly the
-    children's edges and `eliminated` when it adds the gadget.
+    operations.  :meth:`LabeledMultigraph.install` removes exactly the
+    children's edges and `eliminated` when it adds the gadget.  Its `size`
+    is the size of its scope: its children's sizes plus one for
+    `eliminated`; the scope itself is stored nowhere.
 
     `split_lift` receives the witness pair actually admitted (always a literal
     pair of the label), `subdiv_lift` the subdivision count.  A lift that
@@ -286,9 +365,47 @@ class Gadget:
     :func:`drive` runs the whole cascade below a request on one explicit
     stack, so Python's stack depth does not grow with the depth of the
     cascade; a request from outside any lift is ``drive(ask(view, op))``.
-    :func:`drive` checks every realization against the conservation
-    invariant (its ledger must cover `scope` exactly once) and the witness
-    pair when it is finished, before its parent receives it.
+    :func:`drive` checks every realization with :meth:`check` when it is
+    finished, before its parent receives it, and the check first traps a
+    lift that did not realize each of its children exactly once.
+
+    The ledger is checked against the children.  A checked child realization
+    hands up its *exposed* vertices: the active vertices of its trees other
+    than the child's two ends, and its subdivision path.  The check of a
+    realization R reads only R and what its children handed up: R's own
+    parts, its bound actives (the active tree vertices other than u and v)
+    and its subdivision path are disjoint, and their union is the disjoint
+    union of the children's exposed vertices and `eliminated`.  That implies
+    the whole-scope check: the parts finalized at or below the gadget and
+    R's exposed vertices are disjoint and together make up the scope.  By
+    induction over the cascade, which checks each child before its parent: a
+    leaf's scope is empty and it exposes nothing.  Live edges have disjoint
+    scopes and the vertex that leaves with them lies in none, since each
+    vertex leaves the graph once, with the one gadget that names it, and
+    each edge is replaced once; so the scope is the disjoint union of the
+    children's scopes and `eliminated`.  Each child was already checked
+    exactly, and exactly once: its parts at or below and its exposed
+    vertices partition its scope.  The parts below different children lie
+    in disjoint scopes; R's own parts and exposed vertices lie in the
+    children's exposed vertices and `eliminated`, which miss every part
+    below a child; and the union of it all is the children's scopes and
+    `eliminated`.  The check also counts the parts at or below, four
+    vertices each, plus R's exposed vertices against `size`; the induction
+    makes that redundant for checked children, and it still catches a child
+    whose own check let a fault through, such as a stand-in gadget that
+    checks nothing.
+
+    Tree vertices other than u and v must lie in the scope.  The ledger
+    places the active ones; a dummy re-uses a vertex covered elsewhere,
+    perhaps below a child.  So a tree vertex that no child exposed and that
+    is not `eliminated` must be a vertex of some child's trees other than
+    that child's ends, which lies in the child's scope by the child's own
+    check.  Every lift here composes its trees from its children's trees and
+    from spans over vertices they hand up, so this check rejects nothing the
+    whole scope would admit.
+
+    Each check costs O(children + tree and own-part vertices), whatever the
+    scope below.
     """
 
     def __init__(
@@ -307,8 +424,9 @@ class Gadget:
         self.v = v
         self.children = children
         self.eliminated = eliminated
-        scope = frozenset().union(*(e.edge.scope for e in children))
-        self.scope = scope if eliminated is None else scope | {eliminated}
+        self.size = int(eliminated is not None)
+        for e in children:
+            self.size += e.edge.size
         self._split_lift = split_lift
         self._subdiv_lift = subdiv_lift
         self.provenance = provenance
@@ -328,40 +446,56 @@ class Gadget:
             raise EngineBug(f"label {self.label} does not admit {op}", self.provenance)
         return self._split_lift(witness)
 
-    def check(self, real: Realization, op: Operation, parts: list[frozenset[int]]) -> None:
+    def check(self, real: Realization, op: Operation, children: list[tuple["Gadget", Realization, set[int]]],
+              below: int) -> set[int]:
         """Trap unless `real` realizes `op` (stored orientation): the
-        operation's shape, the witness pair and the ledger, where `parts`
-        are all the parts finalized at or below this gadget."""
+        operation's shape, the witness pair, the tree vertices and the
+        ledger; return the vertices it exposes.  `children` holds each child
+        realized for it, in order, with its checked realization and the
+        vertices it exposes, and `below` counts the parts finalized at or
+        below this gadget, its own included."""
+        if (children or self.children) and (len(children) != len(self.children)
+                                            or {c for c, _, _ in children} != {e.edge for e in self.children}):
+            raise EngineBug(f"lift realized {[c.provenance for c, _, _ in children]}, not each child once",
+                            self.provenance)
+        handed: set[int] = set()  # the children's exposed vertices and `eliminated`
+        for _, _, exposed in children:
+            if not handed.isdisjoint(exposed):
+                raise EngineBug(f"children hand up {sorted(handed & exposed)} twice", self.provenance)
+            handed |= exposed
+        if self.eliminated is not None:
+            if self.eliminated in handed:
+                raise EngineBug(f"a child hands up the eliminated vertex {self.eliminated}", self.provenance)
+            handed.add(self.eliminated)
         if isinstance(op, Subdivide):
-            self._check_subdiv(real, op.k, parts)
+            exposed = self._check_subdiv(real, op.k)
         else:
-            self._check_split(real, admits(self.label, op.p, op.q), parts)
+            exposed = self._check_split(real, admits(self.label, op.p, op.q), children, handed)
+        self._covered(real, below, exposed, handed)
+        return exposed
 
     # -- validation -------------------------------------------------------
 
-    def _covered(self, real: Realization, parts: list[frozenset[int]], bound_active: set[int]) -> None:
-        part_members: set[int] = set()
-        for part in parts:
+    def _covered(self, real: Realization, below: int, exposed: set[int], handed: set[int]) -> None:
+        covered = set(exposed)
+        for part in real.parts:
             if len(part) != 4:
                 raise EngineBug(f"finalized part {sorted(part)} does not have 4 vertices", self.provenance)
-            if part & part_members:
-                raise EngineBug(f"finalized parts overlap on {sorted(part & part_members)}", self.provenance)
-            part_members |= part
-        sub = set(real.subdiv or ())
-        pools = [bound_active, sub, part_members]
-        for i in range(len(pools)):
-            for j in range(i + 1, len(pools)):
-                overlap = pools[i] & pools[j]
-                if overlap:
-                    raise EngineBug(f"vertices {sorted(overlap)} covered twice", self.provenance)
-        covered = bound_active | sub | part_members
-        if covered != self.scope:
+            if not covered.isdisjoint(part):
+                raise EngineBug(f"vertices {sorted(covered & part)} covered twice", self.provenance)
+            covered |= part
+        if covered != handed:
             raise EngineBug(
-                f"scope mismatch: covered {sorted(covered)} vs scope {sorted(self.scope)}",
+                f"scope mismatch: covered {sorted(covered)} vs handed up {sorted(handed)}",
                 self.provenance,
             )
+        count = 4 * below + len(exposed)
+        if count != self.size:
+            raise EngineBug(f"scope mismatch: {count} vertices covered at or below, scope has {self.size}",
+                            self.provenance)
 
-    def _check_split(self, real: Realization, witness: Pair, parts: list[frozenset[int]]) -> None:
+    def _check_split(self, real: Realization, witness: Pair, children: list[tuple["Gadget", Realization, set[int]]],
+                     handed: set[int]) -> set[int]:
         p, q = real.p_tree, real.q_tree
         if p is None or q is None or real.subdiv is not None:
             raise EngineBug("split realization must carry two trees and no subdivision", self.provenance)
@@ -376,18 +510,24 @@ class Gadget:
         shared = (p.vertices & q.vertices) - (p.dummies | q.dummies)
         if shared:
             raise EngineBug(f"trees share non-dummy vertices {sorted(shared)}", self.provenance)
-        bound_active = (p.actives | q.actives) - {self.u, self.v}
-        out = (p.vertices | q.vertices) - self.scope - {self.u, self.v}
+        ends = {self.u, self.v}
+        out = (p.vertices | q.vertices) - handed - ends
         if out:
-            raise EngineBug(f"tree vertices {sorted(out)} outside scope", self.provenance)
-        self._covered(real, parts, set(bound_active))
+            # a dummy may re-use a vertex of a child's trees other than its ends
+            for child, r, _ in children:
+                for t in (r.p_tree, r.q_tree):
+                    if t is not None:
+                        out -= t.vertices - {child.u, child.v}
+            if out:
+                raise EngineBug(f"tree vertices {sorted(out)} outside scope", self.provenance)
+        return set((p.actives | q.actives) - ends)
 
-    def _check_subdiv(self, real: Realization, k: int, parts: list[frozenset[int]]) -> None:
+    def _check_subdiv(self, real: Realization, k: int) -> set[int]:
         if real.subdiv is None or real.p_tree is not None or real.q_tree is not None:
             raise EngineBug("subdivision realization must carry a path and no trees", self.provenance)
         if len(real.subdiv) != k:
             raise EngineBug(f"subdivision produced {len(real.subdiv)} vertices, expected {k}", self.provenance)
-        self._covered(real, parts, set())
+        return set(real.subdiv)
 
 
 def leaf_gadget(label: Label, u: int, v: int) -> Gadget:
@@ -400,7 +540,7 @@ def leaf_gadget(label: Label, u: int, v: int) -> Gadget:
         return Realization(p_tree=single(u), q_tree=single(v))
 
     def subdiv_lift(k: int) -> Realization:
-        return Realization(subdiv=(), fragment=frozenset({norm_edge(u, v)}))
+        return Realization(subdiv=(), edges=(norm_edge(u, v),))
 
     return Gadget(label, u, v, (), None, split_lift, subdiv_lift, provenance=f"leaf({u},{v})")
 
@@ -408,25 +548,33 @@ def leaf_gadget(label: Label, u: int, v: int) -> Gadget:
 def drive(lift: Generator[tuple["EdgeView", Operation], Realization, _R], sink: list[frozenset[int]]) -> _R:
     """Run `lift` to completion and return its value, realizing every child
     operation it yields, and theirs in turn, on one explicit stack, and
-    append the parts each realization finalized to `sink`.  This is the one
-    place where a gadget operation starts, where its result is checked and
-    mirrored and where its parts are recorded: the reduction driver's own
-    requests come here too, each as the one-request lift :func:`ask`.
+    append the parts each realization finalized to `sink` and the real
+    edges it materialized to one :class:`EdgeLog`.  This is the one place
+    where a gadget operation starts, where its result is checked, placed
+    and mirrored and where its parts and edges are recorded: the reduction
+    driver's own requests come here too, each as the one-request lift
+    :func:`ask`.
 
     Each frame holds a running lift, its gadget, the operation it realizes
     in the gadget's stored orientation, whether its parent reads it
-    mirrored and the length of `sink` when it started.  A yielded
-    ``(view, op)`` is mapped to the stored orientation and goes to
+    mirrored, the lengths of `sink` and of the log when it started and each
+    child it received, with that child's realization and exposed vertices.
+    A yielded ``(view, op)`` is mapped to the stored orientation and goes to
     :meth:`Gadget.start`: a running lift is pushed, and a realization that
     comes back at once (a leaf's) is finished on the spot.  A finished
     realization, at once or when its pushed lift returns, appends its own
-    parts to `sink`, is checked by its gadget against all parts appended
-    since its frame started (the cascade runs depth first, so these are the
-    parts finalized at or below it), mirrored if need be and sent to the
-    frame below.  Children are realized in the order they are yielded, and
-    an exception leaves the loop unchanged, since no lift catches one.
+    parts to `sink` and its own edges to the log, and drive sets its
+    fragment, the one field no lift sets: the log's span since its frame
+    started (the cascade runs depth first, so these are the edges
+    materialized at or below it).  Its gadget checks it against the
+    children its frame received and the count of parts appended since the
+    frame started; it is then mirrored if need be and sent to the frame
+    below, which records it with the vertices it exposes.  Children are
+    realized in the order they are yielded, and an exception leaves the
+    loop unchanged, since no lift catches one.
     """
-    stack: list[tuple[Generator, Gadget | None, Operation | None, bool, int]] = [(lift, None, None, False, 0)]
+    log = EdgeLog()
+    stack: list[tuple] = [(lift, None, None, False, 0, 0, [])]
     sent = None
     while True:
         top = stack[-1]
@@ -436,20 +584,24 @@ def drive(lift: Generator[tuple["EdgeView", Operation], Realization, _R], sink: 
             stack.pop()
             if not stack:
                 return stop.value
-            _, gadget, op, flip, start = top
+            _, gadget, op, flip, parts_start, edges_start, children = top
             out = stop.value
         else:
             gadget, flip = view.edge, view.flipped_store
             if flip:
                 op = flip_op(op)
-            start = len(sink)
+            parts_start, edges_start, children = len(sink), len(log.edges), []
             out = gadget.start(op)
             if not isinstance(out, Realization):
-                stack.append((out, gadget, op, flip, start))
+                stack.append((out, gadget, op, flip, parts_start, edges_start, children))
                 sent = None
                 continue
         sink.extend(out.parts)
-        gadget.check(out, op, sink[start:])
+        if out.edges:
+            log.extend(out.edges)
+        out.fragment = Fragment(log, edges_start, len(log.edges))
+        exposed = gadget.check(out, op, children, len(sink) - parts_start)
+        stack[-1][-1].append((gadget, out, exposed))  # the requesting frame's children
         sent = out.flipped() if flip else out
 
 

@@ -11,13 +11,14 @@ once and without children (its `start` returns the Realization), so
 a lift table can be exercised for every label combination without
 constructing a graph that actually reaches it.  Its `check` passes
 everything: a stub's ledger is balanced by construction, and a withholding
-stub must leave the trap to the ledger of the gadget built on it.
-`realize` drives one operation on a gadget read in its stored orientation,
-as the reduction driver does, and gathers every part finalized at or below
-it from the sink.  Each stub owns
-`label.weight + 8` fresh vertices (its scope) and every realization covers
-that scope exactly once: the active tree slots (or the subdivision path)
-take the first scope vertices and the rest are emitted as 4-sets.  The
+stub must leave the trap to the ledger of the gadget built on it.  Like a
+subdivided leaf, a stub hands its tree or path edges to `drive`, which logs
+them.  `realize` drives one operation on a gadget read in its stored
+orientation, as the reduction driver does, and gathers every part finalized
+at or below it from the sink.  Each stub owns `label.weight + 8` fresh
+vertices (its scope; `size` counts them) and every realization covers that
+scope exactly once: the active tree slots (or the subdivision path) take
+the first scope vertices and the rest are emitted as 4-sets.  The
 active counts of every catalog pair are congruent to the weight mod 4 and at
 most weight + 4, so at least one 4-set is always emitted, and a dummy slot
 takes one of its vertices.  The gadgets built on top of stubs therefore run
@@ -25,6 +26,13 @@ with the conservation ledger on, exactly as on real graphs.
 
 `tree_of` builds a bound tree from raw edges, which the engine never does:
 it computes the shape the engine's constructors compose.
+
+`AdjacencyFragment` is the differential oracle for fragments: the whole
+`graphs.adjacency` of a set of edges, built at once and searched by the
+same graph-layer primitives.  `logged` lays edge lists
+out as consecutive spans of one log, the fragments that children realized
+one after the other would have, and `fragment_edges` reads a realization's
+span back as a set of edges.
 
 `path_graph`, `cycle_graph`, `complete_graph` and `random_tree` build the
 standard small graphs, `equal_theta` thetas whose paths differ in length
@@ -50,15 +58,17 @@ from typing import Iterable
 
 from quadparts.engine.model import (
     BoundTree,
+    EdgeLog,
     EdgeView,
     EngineBug,
+    Fragment,
     Realization,
     Split,
     Subdivide,
     ask,
     drive,
 )
-from quadparts.graphs import SimpleGraph, norm_edge
+from quadparts.graphs import SimpleGraph, adjacency, bfs_parents, nearly_connected_witness, norm_edge
 from quadparts.labels import Label, TreeSet, admits, down_set, shape_matches
 
 S0, S1, S2, S3 = TreeSet.S0, TreeSet.S1, TreeSet.S2, TreeSet.S3
@@ -218,6 +228,51 @@ def tree_of(root: int, edges, dummies: Iterable[int] = ()) -> BoundTree:
 
 
 # ---------------------------------------------------------------------------
+# Fragments
+
+
+class AdjacencyFragment:
+    """A fragment as one whole adjacency of its edges: the oracle for
+    :class:`quadparts.engine.model.Fragment`."""
+
+    def __init__(self, edges: Iterable[tuple[int, int]]):
+        self.adj = adjacency(edges)
+
+    def connected(self, vs) -> bool:
+        if not vs or min(vs) not in self.adj:
+            return False
+        return len(bfs_parents(self.adj, min(vs), vs)) == len(vs)
+
+    def witness_for(self, part: frozenset[int]) -> frozenset[int] | None:
+        if part - self.adj.keys():
+            return None
+        return nearly_connected_witness(self.adj, part)
+
+    def span_parents(self, root: int, vertices) -> dict[int, int | None]:
+        """What `Local.span` searched: the breadth-first parents from `root` within `vertices`."""
+        return bfs_parents(self.adj, root, vertices) if root in self.adj else {root: None}
+
+
+def logged(*edge_lists) -> list[Fragment]:
+    """One fragment per edge list, consecutive spans of one fresh log."""
+    log, out = EdgeLog(), []
+    for edges in edge_lists:
+        start = len(log.edges)
+        log.extend(edges)
+        out.append(Fragment(log, start, len(log.edges)))
+    return out
+
+
+def fragment_edges(real: Realization) -> set[tuple[int, int]]:
+    """The edges of a realization's fragment, with ends ascending; asserts
+    that the fragment holds each edge once."""
+    f = real.fragment
+    edges = [norm_edge(a, b) for a, b in f.log.edges[f.start:f.end]]
+    assert len(set(edges)) == len(edges), f"fragment {f.start}..{f.end} repeats an edge"
+    return set(edges)
+
+
+# ---------------------------------------------------------------------------
 # Synthetic gadgets
 
 _counter = itertools.count(10_000)
@@ -268,7 +323,7 @@ class StubGadget:
         self.u = u
         self.v = v
         self.owned = [fresh() for _ in range(label.weight + 8)]
-        self.scope = frozenset(self.owned)
+        self.size = len(self.owned)
         self.withhold = withhold
         self.provenance = f"stub({label.name})"
 
@@ -283,8 +338,8 @@ class StubGadget:
                 raise EngineBug(f"stub {self.label} cannot {op}")
             ids = self.owned[:op.k]
             path = [self.u, *ids, self.v]
-            frag = frozenset(norm_edge(a, b) for a, b in zip(path, path[1:]))
-            return Realization(parts=self._emit(op.k), subdiv=tuple(ids), fragment=frag)
+            edges = tuple(norm_edge(a, b) for a, b in zip(path, path[1:]))
+            return Realization(parts=self._emit(op.k), subdiv=tuple(ids), edges=edges)
         witness = admits(self.label, op.p, op.q)
         if witness is None:
             raise EngineBug(f"stub {self.label} does not admit {op}")
@@ -292,11 +347,16 @@ class StubGadget:
         actives = iter(self.owned[:used])
         p = bind_shape(witness[0], self.u, actives, dummy=self.owned[used])
         q = bind_shape(witness[1], self.v, actives, dummy=self.owned[used + 1])
-        frag = frozenset(norm_edge(a, b) for t in (p, q) for a, b in t.edges)
-        return Realization(parts=self._emit(used), p_tree=p, q_tree=q, fragment=frag)
+        edges = tuple(norm_edge(a, b) for t in (p, q) for a, b in t.edges)
+        return Realization(parts=self._emit(used), p_tree=p, q_tree=q, edges=edges)
 
-    def check(self, real, op, parts) -> None:
-        """Stub results are not checked (see the module docstring)."""
+    def check(self, real, op, children, below) -> set[int]:
+        """Stub results are not checked (see the module docstring); like a
+        checked realization, one exposes its active tree vertices other than
+        its ends, or its subdivision path."""
+        if real.subdiv is not None:
+            return set(real.subdiv)
+        return set((real.p_tree.actives | real.q_tree.actives) - {self.u, self.v})
 
 
 def stub_edge(label: Label, u: int, v: int, withhold: bool = False) -> StubGadget:
@@ -311,7 +371,7 @@ def realize(gadget, op) -> Realization:
     real = drive(ask(EdgeView(gadget, gadget.u, -1), op), sink)
     for tree in (real.p_tree, real.q_tree):
         if tree is not None:
-            stray = {norm_edge(a, b) for a, b in tree.edges} - real.fragment
+            stray = {norm_edge(a, b) for a, b in tree.edges} - fragment_edges(real)
             assert not stray, f"tree edges {sorted(stray)} of {gadget.provenance} are not in the fragment"
     return replace(real, parts=tuple(sink))
 

@@ -34,7 +34,7 @@ from quadparts.engine.series import build_series_gadget
 from quadparts.labels import CATALOG, LABELS, TreeSet
 from quadparts.treepart import partition_tree
 
-from .support import all_ops, random_tree, realize, reset_fresh, stub_edge
+from .support import all_ops, fragment_edges, random_tree, realize, reset_fresh, stub_edge
 
 S0, S1, S2, S3 = TreeSet.S0, TreeSet.S1, TreeSet.S2, TreeSet.S3
 
@@ -241,7 +241,7 @@ def stub_realization_lines() -> list[str]:
                 real = realize(gadget, op)
                 records.append([_parts(real.parts), _tree(real.p_tree), _tree(real.q_tree),
                                 None if real.subdiv is None else list(real.subdiv),
-                                sorted(real.fragment)])
+                                sorted(fragment_edges(real))])
         lines.append(_line(name, records))
     reset_fresh()
     lines.append(_line("flat_eliminations", [_parts(parts) for parts in flat_eliminations()]))

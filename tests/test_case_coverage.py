@@ -14,13 +14,13 @@ from collections import Counter
 
 import pytest
 
-from quadparts.engine.model import EdgeView, EngineBug
+from quadparts.engine.model import EdgeView, EngineBug, Gadget, Realization, Split, single
 from quadparts.engine.reducible import build_deg4plus_light
 from quadparts.engine.series import build_series_gadget
-from quadparts.labels import CATALOG
+from quadparts.labels import CATALOG, TreeSet
 
 from . import sweeps
-from .support import StubGadget, all_ops, realize, stub_edge
+from .support import StubGadget, all_ops, realize, stub_edge, tree_of
 
 
 def run_all_ops(gadget):
@@ -143,3 +143,109 @@ class TestLedgerIsOn:
                    EdgeView(stub_edge(CATALOG["L10"], v, 4, withhold=True), v, 3)]
         gadget = build_deg4plus_light(e1, e2, singles, "ledger[light]")
         self._assert_traps(gadget, "ledger[light]")
+
+
+def _series_on_stubs(u: int, w: int, v: int, eid: int, labels=("L1", "L2")):
+    """A real child gadget u -> v: the series gadget of two stub grandchildren
+    u -> w and w -> v with the given labels, L1 and L2 making it L00; also
+    the second stub."""
+    first, second = stub_edge(CATALOG[labels[0]], u, w), stub_edge(CATALOG[labels[1]], w, v)
+    child = build_series_gadget(EdgeView(first, u, 0), EdgeView(second, w, 1), f"planted[child{eid}]")
+    return EdgeView(child, u, eid), second
+
+
+def _exposed(real: Realization, u: int, v: int) -> frozenset[int]:
+    return (real.p_tree.actives | real.q_tree.actives) - {u, v}
+
+
+class TestPlantedLedgerFaults:
+    """A planted lift over two real children, each the series gadget of two
+    stubs, asks each for (S1, S3+), whose four active vertices it hands up,
+    and finalizes them as two parts.  Honest, the local ledger balances; a
+    fault anywhere in what it covers must trap, as a whole-scope check
+    would, and so must a lift that does not request each child exactly
+    once."""
+
+    U, V = 1, 2
+    S1P3 = Split(TreeSet.S1, TreeSet.S3P)
+
+    def _gadget(self, close, requests=lambda e1, e2, other: (e1, e2)):
+        """The planted gadget: its lift requests `requests(...)` of its two
+        children and another gadget's edge, then returns `close(reals,
+        stub)`, where `stub` is the first child's second grandchild."""
+        e1, second = _series_on_stubs(self.U, 0, self.V, 0)
+        e2, _ = _series_on_stubs(self.U, 3, self.V, 1)
+        other, _ = _series_on_stubs(self.U, 4, self.V, 2)
+
+        def lift(pair):
+            reals = []
+            for e in requests(e1, e2, other):
+                reals.append((yield e, self.S1P3))
+            return close(reals, second)
+
+        return Gadget(CATALOG["L0"], self.U, self.V, (e1, e2), None, lift, provenance="planted")
+
+    def _closing(self, reals, *extra):
+        """Finalize what each realization hands up, then the `extra` parts."""
+        parts = tuple(_exposed(r, self.U, self.V) for r in reals) + extra
+        return Realization(parts=parts, p_tree=single(self.U), q_tree=single(self.V))
+
+    def _assert_traps(self, gadget, message):
+        with pytest.raises(EngineBug, match=message) as info:
+            realize(gadget, Split(TreeSet.S0, TreeSet.S0))
+        assert info.value.provenance == "planted"
+
+    def _honest(self, reals, stub):
+        return self._closing(reals)
+
+    def test_the_honest_lift_balances(self):
+        real = realize(self._gadget(self._honest), Split(TreeSet.S0, TreeSet.S0))
+        assert len(real.parts) == 10 and len(frozenset().union(*real.parts)) == 40
+
+    def test_double_covering_a_vertex_a_grandchild_finalized_traps(self):
+        """Both as an extra part, and in place of an exposed vertex, which
+        keeps the count of covered vertices right."""
+        def extra(reals, stub):
+            # the stub's last owned vertices make the last 4-set it finalized
+            return self._closing(reals, frozenset(stub.owned[-4:]))
+
+        def swapped(reals, stub):
+            first, second = (_exposed(r, self.U, self.V) for r in reals)
+            return Realization(parts=(first - {max(first)} | {stub.owned[-1]}, second),
+                               p_tree=single(self.U), q_tree=single(self.V))
+
+        for close in (extra, swapped):
+            self._assert_traps(self._gadget(close), "scope mismatch")
+
+    def test_dropping_a_childs_exposed_vertices_traps(self):
+        self._assert_traps(self._gadget(lambda reals, stub: self._closing(reals[:1])), "scope mismatch")
+
+    def test_a_lift_must_request_each_child_exactly_once(self):
+        for requests in (lambda e1, e2, other: (e1, e1), lambda e1, e2, other: (e1, other),
+                         lambda e1, e2, other: (e1,), lambda e1, e2, other: (e2, e1, e1)):
+            self._assert_traps(self._gadget(self._honest, requests), "not each child once")
+
+    def test_a_tree_vertex_outside_scope_traps(self):
+        """A single child, labelled L10, read straight through: its head
+        tree for (S2, S3+) keeps its shape but marks a vertex outside every
+        scope as its dummy."""
+        e1, _ = _series_on_stubs(self.U, 0, self.V, 0, ("L0", "L00"))
+        op = Split(TreeSet.S2, TreeSet.S3P)
+
+        def lift(pair, outside=None):
+            r = yield e1, Split(*pair)
+            q = r.q_tree
+            if outside is not None:
+                (dummy,) = q.dummies
+                swap = {dummy: outside}
+                q = tree_of(q.root, [(swap.get(a, a), swap.get(b, b)) for a, b in q.edges], {outside})
+            return Realization(p_tree=r.p_tree, q_tree=q)
+
+        for outside in (None, 99_999):
+            gadget = Gadget(e1.label, self.U, self.V, (e1,), None,
+                            lambda pair: lift(pair, outside), provenance="planted")
+            if outside is None:
+                assert realize(gadget, op).q_tree.dummies
+            else:
+                with pytest.raises(EngineBug, match=r"tree vertices \[99999\] outside scope"):
+                    realize(gadget, op)

@@ -174,6 +174,12 @@ def test_usage_errors_exit_two(capture):
     assert (code, err) == (2, "error: power must be at least 1\n")
 
 
+def test_unreadable_graph_path_is_a_usage_error(capture, tmp_path):
+    code, out, err = capture(["partition", str(tmp_path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Is a directory" in err and str(tmp_path) in err
+
+
 def test_partition_rejects_odd_order(capture):
     code, _, err = capture(["partition", "-"], stdin=emit_edge_list(cycle_graph(6)))
     assert code == 2

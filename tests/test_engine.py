@@ -3,6 +3,7 @@ import inspect
 import random
 import sys
 from collections import Counter
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -22,17 +23,17 @@ from quadparts.engine import (
     partition_with_trace,
 )
 from quadparts.engine.driver import apply_reduction
-from quadparts.engine.local import Fragment, Local, group
-from quadparts.engine.model import BoundTree, EdgeView, Gadget, Realization, ask, fuse, graft, single
+from quadparts.engine.local import Local, group
+from quadparts.engine.model import BoundTree, EdgeView, Gadget, Realization, ask, from_parents, fuse, graft, single
 from quadparts.families import enumerate_2connected, random_2connected, random_corpus, subdivided_k4, theta
 from quadparts.graphs import SimpleGraph, is_biconnected, norm_edge, separation_index
 from quadparts.labels import CATALOG, TreeSet
 from quadparts.oracle import verify_partition
 
 from . import sweeps
-from .support import (StubGadget, TreeShape, all_ops, complete_graph, cycle_graph, dense_block, equal_theta,
-                      path_graph, relabelled, scanned_degree2_vertex, scanned_parallel_pair, sparse_block, stub_edge,
-                      summed_weight, tree_of)
+from .support import (AdjacencyFragment, StubGadget, TreeShape, all_ops, complete_graph, cycle_graph, dense_block,
+                      equal_theta, fragment_edges, logged, path_graph, relabelled, scanned_degree2_vertex,
+                      scanned_parallel_pair, sparse_block, stub_edge, summed_weight, tree_of)
 from .support import fits as shape_fits
 
 
@@ -51,9 +52,13 @@ class TestInit:
         assert lg.invariant_ok()
 
 
+def _fragment(edges):
+    return logged(edges)[0]
+
+
 def _local(edges, tag: str = "caller") -> Local:
     """A Local over one child whose fragment is `edges`."""
-    return Local(tag, Realization(fragment=frozenset(edges)))
+    return Local(tag, Realization(fragment=_fragment(edges)))
 
 
 class TestLocalGrouping:
@@ -64,27 +69,27 @@ class TestLocalGrouping:
 
     def test_group_finds_the_canonical_grouping(self):
         canonical = (frozenset({0, 1, 2, 3}), frozenset({4, 5, 6, 7}))
-        assert group(Fragment(self.PATH8), range(8)) == canonical
-        assert group(Fragment(self.PATH8), []) == ()
+        assert group(_fragment(self.PATH8), range(8)) == canonical
+        assert group(_fragment(self.PATH8), []) == ()
         loc = _local(self.PATH8)
         assert loc.group(range(8)) and loc.group([])
         assert tuple(loc.parts) == canonical
 
     def test_group_uses_one_extra_vertex(self):
         # 0 and 2 are joined through 1, which is outside the pool
-        assert group(Fragment(self.PATH8), {0, 2, 3, 4}) == (frozenset({0, 2, 3, 4}),)
+        assert group(_fragment(self.PATH8), {0, 2, 3, 4}) == (frozenset({0, 2, 3, 4}),)
         loc = _local(self.PATH8)
         assert loc.group({0, 2, 3, 4}) and loc.parts == [frozenset({0, 2, 3, 4})]
 
     def test_group_returns_none_on_bad_size(self):
         for pool in ({0, 1, 2}, range(6)):
-            assert group(Fragment(self.PATH8), pool) is None
+            assert group(_fragment(self.PATH8), pool) is None
             loc = _local(self.PATH8)
             assert not loc.group(pool) and loc.parts == []
 
     def test_group_returns_none_without_grouping(self):
         for edges, pool in ((self.SPLIT, {0, 1, 2, 3}), (self.PATH8, {0, 1, 6, 7})):
-            assert group(Fragment(edges), pool) is None
+            assert group(_fragment(edges), pool) is None
             loc = _local(edges)
             assert not loc.group(pool) and loc.parts == []
 
@@ -99,7 +104,7 @@ class TestLocalGrouping:
     def test_finalize_agrees_with_group(self):
         loc = _local(self.PATH8)
         loc.finalize(range(8))
-        assert tuple(loc.parts) == group(Fragment(self.PATH8), range(8))
+        assert tuple(loc.parts) == group(_fragment(self.PATH8), range(8))
 
     def test_part_traps_with_provenance(self):
         loc = _local(self.PATH8 + self.SPLIT, "caller[part]")
@@ -114,22 +119,26 @@ class TestLocalGrouping:
         assert loc.parts == [frozenset({0, 2, 3, 4})]
 
     def test_parts_are_the_lifts_own_in_call_order(self):
-        """The fragment is the union of the children's fragments and nothing
-        else: a tree edge missing from its child's fragment stays out.  The
+        """The fragment is the span of the children's fragments, in any
+        order, and nothing else: a tree edge missing from its child's
+        fragment stays out, and so do the edges logged just before and after
+        them; drive, not the Local, gives the lift's realization its own.  The
         parts are whatever the lift finalized, in call order; the children's
         parts are drive's to record and stay out too."""
+        before, left_edges, right_edges, after = logged([(2, 9)], [(0, 1), (1, 2), (2, 3)],
+                                                         [(4, 5), (5, 6), (6, 7), (3, 4)], [(9, 4)])
         left = Realization(parts=(frozenset({20, 21, 22, 23}),),
-                           p_tree=tree_of(0, ((0, 1), (1, 2), (2, 9))), q_tree=single(9),
-                           fragment=frozenset({(0, 1), (1, 2), (2, 3), (3, 4)}))
+                           p_tree=tree_of(0, ((0, 1), (1, 2), (2, 9))), q_tree=single(9), fragment=left_edges)
         right = Realization(parts=(frozenset({30, 31, 32, 33}), frozenset({24, 25, 26, 27})),
-                            subdiv=(5, 6), fragment=frozenset({(4, 5), (5, 6), (6, 7), (3, 4)}))
-        loc = Local("caller", left, right)
-        assert loc.edges == {(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)}
+                            subdiv=(5, 6), fragment=right_edges)
+        loc = Local("caller", right, left)
+        assert (loc.fragment.start, loc.fragment.end) == (left_edges.start, right_edges.end)
+        assert loc.fragment[9] == [] and loc.fragment[3] == [2, 4] and loc.fragment[4] == [3, 5]
         loc.part({4, 5, 6, 7})
         loc.finalize({0, 1, 2, 3})
         real = loc.done(subdiv=(8,))
         assert real.parts == (frozenset({4, 5, 6, 7}), frozenset({0, 1, 2, 3}))
-        assert real.fragment == loc.edges and real.subdiv == (8,)
+        assert real.fragment is None and real.edges == () and real.subdiv == (8,)
         assert real.p_tree is None and real.q_tree is None
 
     def test_span_is_a_breadth_first_tree_of_the_fragment(self):
@@ -145,7 +154,7 @@ class TestLocalGrouping:
     def test_far_tree_spans_a_subdivided_child(self):
         """A subdivided child v -> 9 hands v, its path and the extra vertices
         to a tree spanned from the head; nothing is finalized."""
-        child = Realization(subdiv=(5,), fragment=frozenset({(0, 5), (5, 9), (0, 3)}))
+        child = Realization(subdiv=(5,), fragment=_fragment([(0, 5), (5, 9), (0, 3)]))
         for extra, edges in (((), ((9, 5), (5, 0))), ((3,), ((9, 5), (5, 0), (0, 3)))):
             loc = Local("caller", child)
             tree = loc.far_tree(child, 0, 9, *extra)
@@ -157,7 +166,7 @@ class TestLocalGrouping:
         head = tree_of(9, ((9, 8),))
         for tail, extra in ((tree_of(0, ((0, 1), (1, 2), (2, 3))), ()),
                             (tree_of(0, ((0, 1), (1, 2))), (3,))):
-            child = Realization(p_tree=tail, q_tree=head, fragment=frozenset({(0, 1), (1, 2), (2, 3), (8, 9)}))
+            child = Realization(p_tree=tail, q_tree=head, fragment=_fragment([(0, 1), (1, 2), (2, 3), (8, 9)]))
             loc = Local("caller", child)
             assert loc.far_tree(child, 0, 9, *extra) is head
             assert loc.parts == [frozenset({0, 1, 2, 3})]
@@ -175,6 +184,58 @@ class TestLocalGrouping:
         with pytest.raises(EngineBug, match="no way to keep a 1-vertex subtree at 0") as info:
             loc.keep(0, 1, {2, 3, 4, 5, 6})
         assert info.value.provenance == "caller[keep]" and loc.parts == []
+
+
+    def test_children_must_make_one_span(self):
+        """Children realized one after the other abut in the log, in any
+        order; a gap, an overlap, a repeated child or another log traps."""
+        a, b, c = logged([(0, 1)], [(1, 2)], [(2, 3)])
+        (elsewhere,) = logged([(1, 2)])
+        empty = Realization(fragment=logged([(0, 1)], [])[1])
+        assert Local("ok", *(Realization(fragment=f) for f in (c, a, b))).fragment[2] == [1, 3]
+        for children in ((a, c), (a, a), (a, elsewhere), ()):
+            with pytest.raises(EngineBug, match="do not make one span") as info:
+                Local("caller[abut]", *(Realization(fragment=f) for f in children))
+            assert info.value.provenance == "caller[abut]"
+        assert Local("ok", empty).fragment[0] == []
+
+
+class TestFragmentOracle:
+    def test_abutting_spans_answer_like_one_adjacency(self):
+        """Random edge sets cut into abutting child spans, with sibling
+        edges logged just before and after them, answer `connected`,
+        `witness_for` and `Local.span` exactly as one whole adjacency of the
+        children's edges does."""
+        rng = random.Random(20)
+        answers = Counter()
+        for trial in range(300):
+            n = rng.randint(2, 10)
+            pairs = [p if rng.random() < 0.5 else p[::-1] for p in combinations(range(n), 2)]
+            rng.shuffle(pairs)
+            cut = rng.randint(0, len(pairs))
+            edges, siblings = pairs[:cut], pairs[cut:]
+            bounds = sorted(rng.choices(range(len(edges) + 1), k=rng.randint(0, 4)))
+            chunks = [edges[i:j] for i, j in zip([0, *bounds], [*bounds, len(edges)])]
+            before = rng.randint(0, len(siblings))
+            frags = logged(siblings[:before], *chunks, siblings[before:])[1:-1]
+            children = [Realization(fragment=f) for f in frags]
+            rng.shuffle(children)
+            loc, oracle = Local("oracle", *children), AdjacencyFragment(edges)
+            for _ in range(20):
+                vs = frozenset(rng.sample(range(n + 1), rng.randint(1, min(5, n + 1))))
+                root = rng.choice(sorted(vs))
+                assert loc.fragment.connected(vs) == oracle.connected(vs), (trial, vs)
+                witness = oracle.witness_for(vs)
+                assert loc.fragment.witness_for(vs) == witness, (trial, vs)
+                parent = oracle.span_parents(root, vs)
+                if parent.keys() == vs:
+                    assert loc.span(root, vs) == from_parents(root, parent, frozenset()), (trial, vs)
+                else:
+                    with pytest.raises(EngineBug, match="cannot span"):
+                        loc.span(root, vs)
+                answers["spanned" if parent.keys() == vs else "unspanned"] += 1
+                answers["witnessed" if witness is not None else "unwitnessed"] += 1
+        assert min(answers.values()) > 500, answers
 
 
 class TestClosingProtocol:
@@ -218,7 +279,7 @@ def _random_tree(rng: random.Random, ids, root: int, budget: int, depth: int = 0
             return tree_of(root, edges, dummies), [kind]
         extra = [tuple(rng.sample(vs, 2)) for _ in range(rng.randrange(len(vs)))] if len(vs) > 1 else []
         outside = [(rng.choice(vs), next(ids)) for _ in range(rng.randrange(3))]
-        loc = Local("shape", Realization(fragment=frozenset(norm_edge(a, b) for a, b in edges + extra + outside)))
+        loc = Local("shape", Realization(fragment=_fragment(edges + extra + outside)))
         return loc.span(root, set(vs), dummies), [kind]
     if kind == "fuse":
         parts = [_random_tree(rng, ids, root, rng.randint(1, budget - 1), depth + 1)
@@ -560,33 +621,37 @@ class TestConstantStepWork:
         assert len(trace) > 1900
 
 
-    def test_tree_shapes_build_no_adjacency(self, monkeypatch):
-        """Bound trees carry their shape and are only composed, so `fits`,
-        `order` and `root_children` build no adjacency, the model module has
-        no adjacency builder or search to call, and `Local.span` builds its
-        tree from the search it already ran: every `graphs.adjacency` call is
-        a Local's fragment.  The input graph's own adjacency, which the final
-        verification reads, is built before counting starts."""
-        assert not hasattr(model, "adjacency") and not hasattr(model, "bfs_parents")
-        g = relabelled(cycle_graph(400), 1)
+    def test_identity_cycle_reads_linear_rows(self, monkeypatch):
+        """An identity-labelled 2400-cycle contracts in label order, so its
+        realization cascade is about 2400 gadgets deep.  Each lift reads
+        only its own vertices and its children's: the neighbour rows read
+        from the edge log, and the rows of any whole adjacency built on the
+        way, number O(n) and hold O(n) entries in all.  The input graph's
+        own adjacency, which the final verification reads, is built before
+        counting starts."""
+        assert not hasattr(model, "adjacency") and not hasattr(local, "adjacency")
+        g = cycle_graph(2400)
         g.adj()
         counts = Counter()
-        real_adjacency, real_fragment = graphs.adjacency, Fragment.__init__
+        real_neighbours, real_adjacency = model.EdgeLog.neighbours, graphs.adjacency
+
+        def neighbours(log, x, start, end):
+            row = real_neighbours(log, x, start, end)
+            counts["rows"] += 1
+            counts["entries"] += len(row)
+            return row
 
         def adjacency(*args):
-            counts["adjacency"] += 1
-            return real_adjacency(*args)
+            adj = real_adjacency(*args)
+            counts["rows"] += len(adj)
+            counts["entries"] += sum(map(len, adj.values()))
+            return adj
 
-        def fragment(frag, edges):
-            counts["fragment"] += 1
-            real_fragment(frag, edges)
-
-        for module in (graphs, local):
-            monkeypatch.setattr(module, "adjacency", adjacency)
-        monkeypatch.setattr(Fragment, "__init__", fragment)
+        monkeypatch.setattr(model.EdgeLog, "neighbours", neighbours)
+        monkeypatch.setattr(graphs, "adjacency", adjacency)
         partition, trace = partition_with_trace(g)
-        assert 0 < counts["adjacency"] <= counts["fragment"], counts
-        assert len(trace) > 300 and verify_partition(g, partition.member_sets()).ok
+        assert verify_partition(g, partition.member_sets()).ok and len(trace) > 2300
+        assert 0 < counts["rows"] <= 5 * g.n and counts["entries"] <= 8 * g.n, counts
 
 
 class TestReplacementLabels:
@@ -723,12 +788,12 @@ class TestOneRealizationPath:
         carried = Counter()
         real_check = Gadget.check
 
-        def check(gadget, real, op, parts):
+        def check(gadget, real, op, children, below):
             for tree in (real.p_tree, real.q_tree):
                 if tree is not None:
-                    assert {norm_edge(a, b) for a, b in tree.edges} <= real.fragment, gadget.provenance
+                    assert {norm_edge(a, b) for a, b in tree.edges} <= fragment_edges(real), gadget.provenance
             carried.update(real.parts)
-            real_check(gadget, real, op, parts)
+            return real_check(gadget, real, op, children, below)
 
         monkeypatch.setattr(Gadget, "check", check)
         partition, _ = partition_with_trace(g)

@@ -4,7 +4,6 @@ from itertools import combinations
 
 import pytest
 
-from quadparts.engine.local import Fragment
 from quadparts.graphs import (
     Multigraph,
     SimpleGraph,
@@ -17,7 +16,7 @@ from quadparts.graphs import (
 )
 from quadparts.oracle import is_nearly_connected
 
-from .support import complete_graph, connected_components, cycle_graph, diameter, path_graph
+from .support import complete_graph, connected_components, cycle_graph, diameter, logged, path_graph
 
 
 def brute_biconnected(g: SimpleGraph) -> bool:
@@ -238,7 +237,7 @@ class TestTraversalAgainstNetworkx:
                 g = random_graph(n, p, 10 * n + int(10 * p))
                 simple = nx.Graph(list(g.edges))
                 simple.add_nodes_from(range(n))
-                adj, fragment = g.adj(), Fragment(g.edges)
+                adj, fragment = g.adj(), logged(sorted(g.edges))[0]
                 for size in range(1, 6):
                     for part in map(frozenset, combinations(range(n), size)):
                         induced = simple.subgraph(part)
@@ -256,7 +255,7 @@ class TestTraversalAgainstNetworkx:
                         # the fragment knows only the ends of its edges, and a vertex
                         # outside it has no witness; that differs from g only on a
                         # singleton at an isolated vertex
-                        isolated = part - fragment.adj.keys()
+                        isolated = {x for x in part if not fragment[x]}
                         assert not isolated or expected is None or len(part) == 1
                         assert fragment.witness_for(part) == (None if isolated else expected), (n, p, sorted(part))
                         isolated_singletons += bool(isolated) and len(part) == 1
