@@ -34,28 +34,11 @@ from itertools import combinations
 from ..graphs import SimpleGraph, is_biconnected
 from ..labels import CATALOG, S0, S1, S2, S3, S3P, Pair
 from ..oracle import Part, Partition, is_nearly_connected
-from .model import (
-    EdgeView,
-    EngineBug,
-    LabeledMultigraph,
-    Split,
-    Subdivide,
-    ask,
-    drive,
-    leaf_gadget,
-)
+from .model import EdgeView, EngineBug, LabeledMultigraph, Split, Subdivide, ask, drive, leaf_gadget
 from .parallel import build_parallel_gadget
-from .reducible import (
-    build_deg3_general,
-    build_deg3_pair_config,
-    build_deg3_sum9_a,
-    build_deg3_sum9_b,
-    build_deg3_sum9_c,
-    build_deg4plus_heavy,
-    build_deg4plus_light,
-    build_edge_absorb,
-    eliminate_with_fixed_splits,
-)
+from .reducible import (build_deg3_general, build_deg3_pair_config, build_deg3_sum9_a, build_deg3_sum9_b,
+                        build_deg3_sum9_c, build_deg4plus_heavy, build_deg4plus_light, build_edge_absorb,
+                        eliminate_with_fixed_splits)
 from .series import build_series_gadget
 
 

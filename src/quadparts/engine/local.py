@@ -5,30 +5,19 @@ requests an operation on a child edge by yielding ``(view, op)`` and
 receives the child's realization as the value of that ``yield``, so that
 :func:`~quadparts.engine.model.drive` realizes the whole cascade on one
 explicit stack; a lift never calls a child itself.  It then closes through
-one :class:`Local` built from the child realizations: the one span of
-drive's edge log that their fragments make up together, which holds every
-real edge they materialized, tree edges included.  The children's parts are
-not gathered: drive has already appended them to its sink, and a Local
-holds only the parts its lift finalizes.  Its methods are the closing moves:
-
-- :meth:`~Local.group` finalizes a pool if it groups into nearly connected
-  4-sets, and :meth:`~Local.finalize` traps with the lift's provenance when
-  it does not (the case table promised a grouping);
-- :meth:`~Local.part` finalizes one constructed 4-set;
-- :meth:`~Local.keep` keeps a few freed vertices at the eliminated vertex v
-  and finalizes the rest;
-- :meth:`~Local.far_tree` serves the far side through a child read from v;
-- :meth:`~Local.span` builds a breadth-first tree over the fragment;
-- :meth:`~Local.done` returns the lift's :class:`Realization`.
+one :class:`Local` built from the child realizations, over the one span of
+drive's edge log that their fragments make up together.  The children's
+parts are not gathered: drive has already appended them to its sink, and a
+Local holds only the parts its lift finalizes.  Its methods are the closing
+moves, and :func:`group`, a tiny exact search, finds the groupings they
+need, since those depend on the shapes the children happened to produce.
 
 The lifts' pair vocabulary lives here too: :data:`PLAIN` and :data:`PLUS`
 name tree sets by size, :func:`pair_shape` classifies a pair and
-:func:`mirrored` serves one by reading the lift from the other end, as a
-lift that delegates with ``yield from``.
+:func:`mirrored` serves one by running a module-level lift on the reversed
+configuration.
 
-Groupings come from a tiny exact search, :func:`group`, since they depend
-on the shapes the children happened to produce.  A
-:class:`~quadparts.engine.model.Fragment` is a span of drive's edge log,
+A :class:`~quadparts.engine.model.Fragment` is a span of drive's edge log,
 not a union of edge sets: its neighbour rows are read from the log's
 incidence index only for the vertices a query names, and the graph layer's
 :func:`bfs_parents` and :func:`nearly_connected_witness`, which the oracle
@@ -72,10 +61,11 @@ def pair_shape(pair: Pair) -> tuple[str, int, int]:
     raise EngineBug(f"pair {pair} is not a plain/plus combination")
 
 
-def mirrored(lift: Callable[[Pair], Lift], pair: Pair) -> Lift:
-    """Realize `pair` through `lift` built on the reversed configuration: the
-    lift receives the swapped pair and its realization is flipped back."""
-    return (yield from lift((pair[1], pair[0]))).flipped()
+def mirrored(lift: Callable[..., Lift], pair: Pair, *config) -> Lift:
+    """Realize `pair` through `lift` on the reversed configuration `config`
+    (its views read from the other end, and its tag): the lift receives the
+    swapped pair and its realization is flipped back."""
+    return (yield from lift((pair[1], pair[0]), *config)).flipped()
 
 
 def group(fragment: Fragment, pool: Iterable[int]) -> tuple[frozenset[int], ...] | None:
@@ -90,22 +80,24 @@ def group(fragment: Fragment, pool: Iterable[int]) -> tuple[frozenset[int], ...]
     if len(todo) % 4 != 0:
         return None
     chosen: list[frozenset[int]] = []
+    return tuple(chosen) if _extend(fragment, todo, chosen) else None
 
-    def solve(remaining: list[int]) -> bool:
-        if not remaining:
+
+def _extend(fragment: Fragment, remaining: list[int], chosen: list[frozenset[int]]) -> bool:
+    """Append to `chosen` the first grouping of `remaining` in canonical
+    order and report whether one exists; `chosen` is as before when not."""
+    if not remaining:
+        return True
+    seed, rest = remaining[0], remaining[1:]
+    for combo in combinations(rest, 3):
+        part = frozenset((seed, *combo))
+        if fragment.witness_for(part) is None:
+            continue
+        chosen.append(part)
+        if _extend(fragment, [v for v in rest if v not in part], chosen):
             return True
-        seed, rest = remaining[0], remaining[1:]
-        for combo in combinations(rest, 3):
-            part = frozenset((seed, *combo))
-            if fragment.witness_for(part) is None:
-                continue
-            chosen.append(part)
-            if solve([v for v in rest if v not in part]):
-                return True
-            chosen.pop()
-        return False
-
-    return tuple(chosen) if solve(todo) else None
+        chosen.pop()
+    return False
 
 
 class Local:

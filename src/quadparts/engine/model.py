@@ -2,20 +2,20 @@
 
 A labeled edge stands for a connected chunk of the original graph, and its
 :class:`Gadget` is the one record of it: the label, the stored orientation
-u -> v, the edges and the vertex it replaces, and the lift that *realizes*
-any operation the label admits.  The result binds concrete original-graph
-vertices into trees attached at the edge's two ends (or into a subdivision
-path) and emits any nearly connected 4-sets that the rewrite finalized
-along the way.  A gadget's lift does not
-call its children: it yields each child request and :func:`drive` realizes
-the whole cascade on one explicit stack, so deep cascades need no deep
-Python stack.  The reduction driver's own requests (a dropped or stripped
-edge, the final edge) run through the same loop as the one-request lift
-:func:`ask`.  The :class:`LabeledMultigraph` is a
+u -> v, the edges and the vertex it replaces, and the kind of step whose
+module-level lifts (:data:`LIFTS`) *realize* any operation the label
+admits.  The result binds concrete original-graph vertices into trees
+attached at the edge's two ends (or into a subdivision path) and emits any
+nearly connected 4-sets that the rewrite finalized along the way.  A lift
+does not call its children: it yields each child request and :func:`drive`
+realizes the whole cascade on one explicit stack, so deep cascades need no
+deep Python stack.  The :class:`LabeledMultigraph` is a
 :class:`~quadparts.graphs.Multigraph` whose edge ids map to these gadgets;
 an :class:`EdgeView` reads one of them from either end.  A gadget is the one
 declaration of its reduction step: the graph installs it by removing exactly
-what it replaces, and its ledger is read off the same declaration.
+what it replaces, and its lift and its ledger read the same declaration.
+Gadgets, views and bound trees are slotted records that hold no closure, so
+a long cascade leaves the cyclic garbage collector little to walk.
 
 Each record of a realization comes in by one path: :func:`drive` appends
 each finalized part once to its sink and each materialized real edge once
@@ -23,15 +23,12 @@ to its :class:`EdgeLog`, a bound tree is only composed from other bound
 trees or a breadth-first search, and a realization's :class:`Fragment`, the
 span of the log its cascade wrote, holds every tree edge.
 
-Conservation invariant: every gadget owns a fixed set of interior vertices
-(its *scope*): the scopes of the edges it replaces (its *children*) and the
-vertex that leaves the graph with them, if any, so a leaf owns none.  Each
-realization must cover that scope exactly once between active tree slots,
-subdivision vertices, and finalized-part members.  Dummy tree slots are
-structural only (they re-use vertices covered elsewhere) and never count
-toward coverage.  No gadget stores its scope: :meth:`Gadget.check` checks
-each realization against what its children handed up, which implies the
-whole-scope check (see :class:`Gadget`).
+Conservation invariant: every realization covers its gadget's *scope* (the
+scopes of its children and the vertex that leaves with them, so a leaf owns
+none) exactly once between active tree slots, subdivision vertices and
+finalized-part members; dummy tree slots re-use vertices covered elsewhere.
+:meth:`Gadget.check` checks it against what the children handed up (see
+:class:`Gadget`).
 """
 
 from __future__ import annotations
@@ -64,7 +61,7 @@ class EngineBug(RuntimeError):
 # Operations
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Subdivide:
     k: int
 
@@ -72,7 +69,7 @@ class Subdivide:
         return f"subdiv({self.k})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Split:
     p: TreeSet
     q: TreeSet
@@ -105,7 +102,7 @@ def flip_op(op: Operation) -> Operation:
 # answers from a table filled on first use.
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class BoundTree:
     """A rooted tree whose vertices are original-graph ids and whose edges are
     real edges of the graph being partitioned.
@@ -116,7 +113,8 @@ class BoundTree:
     just the root), the root's children and `child_subtree_sizes`, the
     orders of the subtrees below them, each ascending.  Each constructor
     keeps a tree that contains its root, with a non-dummy root and dummies
-    among its vertices, by a check on its inputs alone.
+    among its vertices, by a check on its inputs alone.  No code assigns to
+    a tree; it is not frozen only because that costs at every construction.
     """
 
     root: int
@@ -308,20 +306,14 @@ class Realization:
     `edges` holds only the real edges this realization's own lift
     materialized (a subdivided leaf's edge), and `parts` only the nearly
     connected 4-sets it finalized: :func:`drive` appends them to its log
-    and its sink, and no realization copies another's.  `fragment` is set by
-    :func:`drive` alone, once, when it finishes the realization: the span of
-    the log written while the realization's frame ran, so every real edge
-    materialized at or below it, which the parent lift's
-    :class:`~quadparts.engine.local.Local` searches for witnesses and spans
-    its trees in.  Every tree edge lies in the fragment: a leaf's split
-    trees have no edges and a subdivided leaf logs its edge; a lift spans
-    its trees in its children's fragments, grafts only by a subdivided
-    leaf's edge and fuses or passes on its children's trees.  A lift
-    receives a realization as the value of the ``yield`` that requested it,
-    read from the tail of the view it yielded, after the child's gadget
-    checked it, and only reads it.  A realization is built on every step of
-    every cascade, so it is a plain record rather than a frozen one, whose
-    construction costs several times as much.
+    and its sink, and no realization copies another's.  `fragment`, set by
+    :func:`drive` alone when it finishes the realization, is the span of the
+    log its frame wrote: every real edge materialized at or below it, tree
+    edges included, since a lift spans its trees in its children's
+    fragments, grafts only by a subdivided leaf's edge and fuses or passes
+    on its children's trees.  A lift receives a realization, checked and
+    read from the tail of the view it yielded, as the value of that
+    ``yield``, and only reads it; it is not frozen only for speed.
     """
 
     parts: tuple[frozenset[int], ...] = ()
@@ -348,25 +340,23 @@ _R = TypeVar("_R")
 
 
 class Gadget:
-    """One labeled edge: its label for the stored orientation u -> v, the
-    views of the edges it replaces (`children`), the vertex that leaves the
-    graph with them (`eliminated`, or None), and the lifts that realize its
-    operations.  :meth:`LabeledMultigraph.install` removes exactly the
-    children's edges and `eliminated` when it adds the gadget.  Its `size`
-    is the size of its scope: its children's sizes plus one for
-    `eliminated`; the scope itself is stored nowhere.
+    """One labeled edge, as a slotted record: its label for the stored
+    orientation u -> v, the views of the edges it replaces (`children`), the
+    vertex that leaves the graph with them (`eliminated`, or None), the
+    `kind` of step that built it and, for a series table, its `table`.
+    :meth:`LabeledMultigraph.install` removes exactly the children's edges
+    and `eliminated` when it adds the gadget.  `size` is the size of its
+    scope, its children's sizes plus one for `eliminated`; the scope itself
+    is stored nowhere.  `tag` is the step's provenance; a leaf, built
+    without one, derives it from its kind and ends when a trap reads it.
 
-    `split_lift` receives the witness pair actually admitted (always a literal
-    pair of the label), `subdiv_lift` the subdivision count.  A lift that
-    needs no child, like a leaf edge's, returns its Realization at once.
-    Every other lift is a generator, a :data:`Lift`: instead of calling its
-    children it yields ``(view, op)`` for each child operation, in order,
-    and receives that child's realization as the value of the ``yield``.
-    :func:`drive` runs the whole cascade below a request on one explicit
-    stack, so Python's stack depth does not grow with the depth of the
-    cascade; a request from outside any lift is ``drive(ask(view, op))``.
-    :func:`drive` checks every realization with :meth:`check` when it is
-    finished, before its parent receives it, and the check first traps a
+    :data:`LIFTS` maps `kind` to the module-level lifts that realize the
+    operations, called with the gadget and the witness pair actually
+    admitted (a literal pair of the label) or the subdivision count, so no
+    gadget holds a closure or a bound lift.  A lift that needs no child,
+    like a leaf's, returns its Realization at once; every other lift is a
+    :data:`Lift` run by :func:`drive`, which checks every realization with
+    :meth:`check` before its parent receives it.  The check first traps a
     lift that did not realize each of its children exactly once.
 
     The ledger is checked against the children.  A checked child realization
@@ -408,17 +398,11 @@ class Gadget:
     scope below.
     """
 
-    def __init__(
-        self,
-        label: Label,
-        u: int,
-        v: int,
-        children: tuple["EdgeView", ...],
-        eliminated: int | None,
-        split_lift: Callable[[Pair], Realization | Lift],
-        subdiv_lift: Callable[[int], Realization | Lift] | None = None,
-        provenance: str = "",
-    ):
+    __slots__ = ("kind", "label", "u", "v", "children", "eliminated", "size", "tag", "table")
+
+    def __init__(self, kind: str, label: Label, u: int, v: int, children: tuple["EdgeView", ...] = (),
+                 eliminated: int | None = None, tag: str | None = None, table: dict | None = None):
+        self.kind = kind
         self.label = label
         self.u = u
         self.v = v
@@ -427,24 +411,29 @@ class Gadget:
         self.size = int(eliminated is not None)
         for e in children:
             self.size += e.edge.size
-        self._split_lift = split_lift
-        self._subdiv_lift = subdiv_lift
-        self.provenance = provenance
+        self.tag = tag
+        self.table = table
+
+    @property
+    def provenance(self) -> str:
+        return self.tag if self.tag is not None else f"{self.kind}({self.u},{self.v})"
 
     def start(self, op: Operation) -> Realization | Lift:
-        """Begin realizing `op` (stored orientation): the realization when
-        the lift needs no child, else the running lift.  Either way the
-        result is unchecked until :func:`drive` passes it to :meth:`check`."""
+        """Begin realizing `op` (stored orientation) with the lift of this
+        gadget's kind: the realization when the lift needs no child, else
+        the running lift.  Either way the result is unchecked until
+        :func:`drive` passes it to :meth:`check`."""
+        split, subdiv = LIFTS[self.kind]
         if isinstance(op, Subdivide):
             if not self.label.subdividable or op.k != self.label.weight:
                 raise EngineBug(f"label {self.label} does not allow {op}", self.provenance)
-            if self._subdiv_lift is None:
+            if subdiv is None:
                 raise EngineBug(f"no subdivision lift on {self.label}", self.provenance)
-            return self._subdiv_lift(op.k)
+            return subdiv(self, op.k)
         witness = admits(self.label, op.p, op.q)
         if witness is None:
             raise EngineBug(f"label {self.label} does not admit {op}", self.provenance)
-        return self._split_lift(witness)
+        return split(self, witness)
 
     def check(self, real: Realization, op: Operation, children: list[tuple["Gadget", Realization, set[int]]],
               below: int) -> set[int]:
@@ -530,19 +519,26 @@ class Gadget:
         return set(real.subdiv)
 
 
+def _leaf_split(g: Gadget, witness: Pair) -> Realization:
+    # the only pair is (S0, S0): delete the edge
+    return Realization(p_tree=single(g.u), q_tree=single(g.v))
+
+
+def _leaf_subdiv(g: Gadget, k: int) -> Realization:
+    return Realization(subdiv=(), edges=(norm_edge(g.u, g.v),))
+
+
+# kind -> (split lift, subdivision lift or None); each builder module adds
+# the kinds it builds.
+LIFTS: dict[str, tuple[Callable[[Gadget, Pair], Realization | Lift],
+                       Callable[[Gadget, int], Realization | Lift] | None]] = {"leaf": (_leaf_split, _leaf_subdiv)}
+
+
 def leaf_gadget(label: Label, u: int, v: int) -> Gadget:
     """Gadget for an original graph edge: deletion or retention only."""
     if label.name != "L0":
         raise EngineBug("leaf edges carry the empty-weight label")
-
-    def split_lift(witness: Pair) -> Realization:
-        # the only pair is (S0, S0): delete the edge
-        return Realization(p_tree=single(u), q_tree=single(v))
-
-    def subdiv_lift(k: int) -> Realization:
-        return Realization(subdiv=(), edges=(norm_edge(u, v),))
-
-    return Gadget(label, u, v, (), None, split_lift, subdiv_lift, provenance=f"leaf({u},{v})")
+    return Gadget("leaf", label, u, v)
 
 
 def drive(lift: Generator[tuple["EdgeView", Operation], Realization, _R], sink: list[frozenset[int]]) -> _R:
@@ -614,29 +610,31 @@ def ask(view: "EdgeView", op: Operation) -> Lift:
 # The labeled multigraph and directed reads of its edges
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True, init=False)
 class EdgeView:
     """The labeled edge `eid`, whose gadget is `edge`, read from `tail`.
 
     Reading against the gadget's stored orientation (u -> v) swaps the label
     by the involution and mirrors realizations, so case code can be written
     for one orientation.  Whether the read is flipped, and the label it sees,
-    are worked out once when the view is made.
+    are worked out once when the view is made.  Like a tree, a view is not
+    frozen only for speed.
     """
 
     edge: Gadget
     tail: int
     eid: int
-    flipped_store: bool = field(init=False, repr=False, compare=False)
-    label: Label = field(init=False, repr=False, compare=False)
+    flipped_store: bool = field(repr=False, compare=False)
+    label: Label = field(repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        edge = self.edge
-        if self.tail not in (edge.u, edge.v):
-            raise EngineBug(f"vertex {self.tail} is not an endpoint of edge {self.eid}")
-        flipped = self.tail != edge.u
-        object.__setattr__(self, "flipped_store", flipped)
-        object.__setattr__(self, "label", involution(edge.label) if flipped else edge.label)
+    def __init__(self, edge: Gadget, tail: int, eid: int):
+        if tail != edge.u and tail != edge.v:
+            raise EngineBug(f"vertex {tail} is not an endpoint of edge {eid}")
+        self.edge = edge
+        self.tail = tail
+        self.eid = eid
+        self.flipped_store = flipped = tail != edge.u
+        self.label = involution(edge.label) if flipped else edge.label
 
     @property
     def head(self) -> int:

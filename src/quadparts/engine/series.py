@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from ..labels import CATALOG, S0, S1, S1P, S2, S2M, S2P, S3, S3M, S3P, S5M, Label, Pair
 from .local import PLAIN, PLUS, Local, mirrored, pair_shape
-from .model import EdgeView, EngineBug, Gadget, Lift, Realization, Split, Subdivide, graft, single
+from .model import LIFTS, EdgeView, EngineBug, Gadget, Lift, Realization, Split, Subdivide, graft, single
 
 KEEP = "keep"
 
@@ -62,21 +62,9 @@ _TABLE_BOTH_W3ASYM = {  # both children carry L32 in this direction
 
 def merged_series_label(l1: Label, l2: Label) -> Label:
     """Label of the replacement edge for a degree-2 contraction (view labels,
-    w(l1) <= w(l2))."""
-    if l1.name == "L0" and l2.name in ("L0", "L1"):
-        return CATALOG[f"L{l2.weight + 1}"]
-    if l1.name == "L0" and l2.name == "L21":
-        return CATALOG["L31"]
-    if l1.name == "L00" and l2.name == "L21":
-        return CATALOG["L31"]
-    if l1.name == "L21" and l2.name == "L31":
-        return CATALOG["L21"]
-    if l1.name == "L32" and l2.name == "L32":
-        return CATALOG["L32"]
-    if l1.name == "L31" and l2.name == "L31":
-        return CATALOG["L31"]
-    w = (l1.weight + l2.weight + 1) % 4
-    return CATALOG[f"L{w}0"]
+    w(l1) <= w(l2)): that of the pair's row below, else the paired label of
+    weight w(l1)+w(l2)+1 mod 4."""
+    return CATALOG[_KINDS.get((l1.name, l2.name), ("", f"L{(l1.weight + l2.weight + 1) % 4}0"))[1]]
 
 
 def build_series_gadget(e1: EdgeView, e2: EdgeView, tag: str) -> Gadget:
@@ -87,80 +75,75 @@ def build_series_gadget(e1: EdgeView, e2: EdgeView, tag: str) -> Gadget:
     l1, l2 = e1.label, e2.label
     if l1.weight > l2.weight:
         raise EngineBug("series children must be ordered by weight", tag)
-    label = merged_series_label(l1, l2)
+    kind, _, table = _KINDS.get((l1.name, l2.name), ("series-general", "", None))
+    return Gadget(kind, merged_series_label(l1, l2), e1.tail, e2.head, (e1, e2), e2.tail, tag, table)
 
-    def gadget(split, subdiv=None) -> Gadget:
-        return Gadget(label, e1.tail, e2.head, (e1, e2), e2.tail, split, subdiv, provenance=tag)
 
-    if l1.name == "L0" and l2.name in ("L0", "L1"):
-        return gadget(*_chain_lifts(e1, e2, tag))
-    table = None
-    if l1.name == "L0" and l2.name == "L21":
-        table = _TABLE_ZERO_PLUS_MINUSPAIR
-    elif l1.name == "L00" and l2.name == "L21":
-        table = _TABLE_ZEROPAIR_PLUS_MINUSPAIR
-    elif l1.name == "L21" and l2.name == "L31":
-        table = _TABLE_MINUSPAIR_PLUS_W3ASYM
-    elif l1.name == "L32" and l2.name == "L32":
-        table = _TABLE_BOTH_W3ASYM
-    if table is not None:
-        return gadget(_table_lift(e1, e2, table, tag))
-    if l1.name == "L31" and l2.name == "L31":
-        # reading the chain from the other side turns both labels into L32
-        inner = _table_lift(e2.reversed(), e1.reversed(), _TABLE_BOTH_W3ASYM, tag + "~")
-        return gadget(lambda pair: mirrored(inner, pair))
-    return gadget(_general_series_lift(e1, e2, tag))
+# (view label names) -> (kind, replacement label, table) for every pair of
+# children that the general contraction does not serve
+_KINDS = {
+    ("L0", "L0"): ("series-chain", "L1", None),
+    ("L0", "L1"): ("series-chain", "L2", None),
+    ("L0", "L21"): ("series-table", "L31", _TABLE_ZERO_PLUS_MINUSPAIR),
+    ("L00", "L21"): ("series-table", "L31", _TABLE_ZEROPAIR_PLUS_MINUSPAIR),
+    ("L21", "L31"): ("series-table", "L21", _TABLE_MINUSPAIR_PLUS_W3ASYM),
+    ("L32", "L32"): ("series-table", "L32", _TABLE_BOTH_W3ASYM),
+    # reading the chain from the other side turns both labels into L32
+    ("L31", "L31"): ("series-reversed-table", "L31", _TABLE_BOTH_W3ASYM),
+}
 
 
 # ---------------------------------------------------------------------------
 # Pure chain: e1 unlabeled-weight (L0) and e2 subdividable of weight 0 or 1
 
 
-def _chain_lifts(e1: EdgeView, e2: EdgeView, tag: str):
-    v1, v, v2 = e1.tail, e2.tail, e2.head
+def _chain_split(g: Gadget, pair: Pair) -> Lift:
+    e1, e2 = g.children
+    v1, v, v2 = g.u, g.eliminated, g.v
     j = e2.label.weight
-
-    def split_lift(pair: Pair) -> Lift:
-        kind, x, y = pair_shape(pair)
-        if kind != "plain" or x + y != j + 1:
-            raise EngineBug(f"pair {pair} invalid for a chained weight-{j + 1} edge", tag)
-        if x == 0:
-            r1 = yield e1, Split(S0, S0)
-            r2 = yield e2, Subdivide(j)
-            loc = Local(tag, r1, r2)
-            return loc.done(single(v1), loc.span(v2, {v2, v, *r2.subdiv}))
-        r1 = yield e1, Subdivide(0)
-        r2 = yield e2, Split(PLAIN[x - 1], PLAIN[j + 1 - x])
-        return Local(tag, r1, r2).done(graft(v1, (v1, v), r2.p_tree), r2.q_tree)
-
-    def subdiv_lift(k: int) -> Lift:
-        r1 = yield e1, Subdivide(0)
+    kind, x, y = pair_shape(pair)
+    if kind != "plain" or x + y != j + 1:
+        raise EngineBug(f"pair {pair} invalid for a chained weight-{j + 1} edge", g.tag)
+    if x == 0:
+        r1 = yield e1, Split(S0, S0)
         r2 = yield e2, Subdivide(j)
-        return Local(tag, r1, r2).done(subdiv=(v, *r2.subdiv))
+        loc = Local(g.tag, r1, r2)
+        return loc.done(single(v1), loc.span(v2, {v2, v, *r2.subdiv}))
+    r1 = yield e1, Subdivide(0)
+    r2 = yield e2, Split(PLAIN[x - 1], PLAIN[j + 1 - x])
+    return Local(g.tag, r1, r2).done(graft(v1, (v1, v), r2.p_tree), r2.q_tree)
 
-    return split_lift, subdiv_lift
+
+def _chain_subdiv(g: Gadget, k: int) -> Lift:
+    e1, e2 = g.children
+    r1 = yield e1, Subdivide(0)
+    r2 = yield e2, Subdivide(e2.label.weight)
+    return Local(g.tag, r1, r2).done(subdiv=(g.eliminated, *r2.subdiv))
 
 
 # ---------------------------------------------------------------------------
 # Fixed two-op tables
 
 
-def _table_lift(e1: EdgeView, e2: EdgeView, table: dict, tag: str):
-    v1, v = e1.tail, e2.tail
+def _table_split(g: Gadget, pair: Pair) -> Lift:
+    e1, e2 = g.children
+    if g.kind == "series-reversed-table":
+        return mirrored(_table, pair, e2.reversed(), e1.reversed(), g.table, g.tag + "~")
+    return _table(pair, e1, e2, g.table, g.tag)
 
-    def lift(pair: Pair) -> Lift:
-        row = table.get(pair)
-        if row is None:
-            raise EngineBug(f"pair {pair} missing from the series table", tag)
-        op1, op2 = row
-        r2 = yield e2, Split(*op2)
-        if op1 == KEEP:
-            r1 = yield e1, Subdivide(0)
-            return Local(tag, r1, r2).done(graft(v1, (v1, v), r2.p_tree), r2.q_tree)
-        r1 = yield e1, Split(*op1)
-        return _close_at_v(tag, r1, r2, v)
 
-    return lift
+def _table(pair: Pair, e1: EdgeView, e2: EdgeView, table: dict, tag: str) -> Lift:
+    row = table.get(pair)
+    if row is None:
+        raise EngineBug(f"pair {pair} missing from the series table", tag)
+    op1, op2 = row
+    r2 = yield e2, Split(*op2)
+    if op1 == KEEP:
+        r1 = yield e1, Subdivide(0)
+        v1 = e1.tail
+        return Local(tag, r1, r2).done(graft(v1, (v1, e2.tail), r2.p_tree), r2.q_tree)
+    r1 = yield e1, Split(*op1)
+    return _close_at_v(tag, r1, r2, e2.tail)
 
 
 def _close_at_v(tag: str, r1: Realization, r2: Realization, v: int) -> Realization:
@@ -172,107 +155,128 @@ def _close_at_v(tag: str, r1: Realization, r2: Realization, v: int) -> Realizati
 
 # ---------------------------------------------------------------------------
 # General contraction: replacement label is the paired label of weight
-# w(e1)+w(e2)+1 mod 4
+# w(e1)+w(e2)+1 mod 4.  Each step below reads v1 -> v off e1 and v -> v2 off
+# e2, which the plus_left mirror passes reversed and swapped.
 
 
-def _general_series_lift(e1: EdgeView, e2: EdgeView, tag: str):
-    v1, v, v2 = e1.tail, e2.tail, e2.head
+def _general_split(g: Gadget, pair: Pair) -> Lift:
+    e1, e2 = g.children
+    return _general(pair, e1, e2, g.tag)
+
+
+def _general(pair: Pair, e1: EdgeView, e2: EdgeView, tag: str) -> Lift:
+    kind, x, y = pair_shape(pair)
+    if kind == "plus_left":  # replay from the far side
+        return mirrored(_general, pair, e2.reversed(), e1.reversed(), tag + "~")
+    low = e1.label.weight + e2.label.weight + 1 <= 3
+    if kind == "plain":
+        return (_plain_low if low else _plain_high)(pair, x, y, e1, e2, tag)
+    return (_plus_low if low else _plus_high)(pair, x, y, e1, e2, tag)
+
+
+def _head_side(tag: str, e2: EdgeView, r1: Realization, r2: Realization, dummies=frozenset()) -> Realization:
+    # e2 subdivided: v and its path join e1's head tree
+    loc = Local(tag, r1, r2)
+    v, v2 = e2.tail, e2.head
+    q = loc.span(v2, {v2, v, *r2.subdiv} | set(r1.q_tree.vertices), dummies)
+    return loc.done(r1.p_tree, q)
+
+
+def _tail_side(tag: str, e1: EdgeView, r1: Realization, r2: Realization) -> Realization:
+    # e1 subdivided: v and its path join e2's tail tree
+    loc = Local(tag, r1, r2)
+    v1, v = e1.tail, e1.head
+    return loc.done(loc.span(v1, {v1, v, *r1.subdiv} | set(r2.p_tree.vertices)), r2.q_tree)
+
+
+# -- combined weight at most 2 ---------------------------------------------
+
+
+def _plain_low(pair: Pair, x: int, y: int, e1: EdgeView, e2: EdgeView, tag: str) -> Lift:
     i, j = e1.label.weight, e2.label.weight
-    low = i + j + 1 <= 3
-
-    def lift(pair: Pair) -> Lift:
-        kind, x, y = pair_shape(pair)
-        if kind == "plain":
-            return (yield from (_plain_low if low else _plain_high)(pair, x, y))
-        if kind == "plus_right":
-            return (yield from (_plus_low if low else _plus_high)(pair, x, y))
-        # plus_left: replay from the far side
-        return (yield from mirrored(_general_series_lift(e2.reversed(), e1.reversed(), tag + "~"), pair))
-
-    def _head_side(r1: Realization, r2: Realization, dummies=frozenset()) -> Realization:
-        # e2 subdivided: v and its path join e1's head tree
-        loc = Local(tag, r1, r2)
-        q = loc.span(v2, {v2, v, *r2.subdiv} | set(r1.q_tree.vertices), dummies)
-        return loc.done(r1.p_tree, q)
-
-    def _tail_side(r1: Realization, r2: Realization) -> Realization:
-        # e1 subdivided: v and its path join e2's tail tree
-        loc = Local(tag, r1, r2)
-        return loc.done(loc.span(v1, {v1, v, *r1.subdiv} | set(r2.p_tree.vertices)), r2.q_tree)
-
-    # -- combined weight at most 2 -----------------------------------------
-
-    def _plain_low(pair: Pair, x: int, y: int) -> Lift:
-        if x + y != i + j + 1:
-            raise EngineBug(f"pair {pair} inconsistent with weights {i},{j}", tag)
-        if y <= j:
-            if e2.admits(PLAIN[j - y], PLAIN[y]) is None:
-                raise EngineBug(
-                    f"head child {e2.label} lacks ({PLAIN[j - y]},{PLAIN[y]}); "
-                    "this configuration belongs to a fixed table", tag)
-            r2 = yield e2, Split(PLAIN[j - y], PLAIN[y])
-            if e1.label.subdividable:
-                return _tail_side((yield e1, Subdivide(i)), r2)
-            r1 = yield e1, Split(PLAIN[x], PLUS[i + 4 - x])
-            return _close_at_v(tag, r1, r2, v)
-        # y > j, hence x <= i
-        r1 = yield e1, Split(PLAIN[x], PLAIN[i - x])
-        if e2.label.subdividable:
-            return _head_side(r1, (yield e2, Subdivide(j)))
-        r2 = yield e2, Split(PLUS[j + 4 - y], PLAIN[y])
-        return _close_at_v(tag, r1, r2, v)
-
-    def _plus_low(pair: Pair, x: int, y: int) -> Lift:
-        # combined weight at most 1, so x exceeds the tail weight by at least 2
-        if x + y != i + j + 5 or i + j > 1:
-            raise EngineBug(f"plus pair {pair} invalid at weights {i},{j}", tag)
-        if not e1.label.subdividable:
-            r1 = yield e1, Split(PLAIN[x], PLUS[i + 4 - x])
-            if e2.label.subdividable:
-                return _head_side(r1, (yield e2, Subdivide(j)), r1.q_tree.dummies)
-            r2 = yield e2, Split(PLAIN[j + 4 - y], PLUS[y])
-            return _close_at_v(tag, r1, r2, v)
-        if e2.label.subdividable:
-            raise EngineBug("pure chain must be handled by the chain table", tag)
-        r1 = yield e1, Subdivide(i)
-        r2 = yield e2, Split(PLAIN[x - i - 1], PLUS[y])
-        return _tail_side(r1, r2)
-
-    # -- combined weight at least 3 ----------------------------------------
-
-    def _plain_high(pair: Pair, x: int, y: int) -> Lift:
-        if x + y != i + j - 3:
-            raise EngineBug(f"pair {pair} inconsistent with weights {i},{j}", tag)
-        if e1.admits(PLAIN[x], PLAIN[i - x]) is not None:
-            r1 = yield e1, Split(PLAIN[x], PLAIN[i - x])
-            want_p = PLUS[j - y] if j - y >= 1 else S0
-            r2 = yield e2, Split(want_p, PLAIN[y])
-        elif e2.admits(PLAIN[j - y], PLAIN[y]) is not None:
-            r2 = yield e2, Split(PLAIN[j - y], PLAIN[y])
-            want_q = PLUS[i - x] if i - x >= 1 else S0
-            r1 = yield e1, Split(PLAIN[x], want_q)
-        else:
+    if x + y != i + j + 1:
+        raise EngineBug(f"pair {pair} inconsistent with weights {i},{j}", tag)
+    if y <= j:
+        if e2.admits(PLAIN[j - y], PLAIN[y]) is None:
             raise EngineBug(
-                f"neither child of ({e1.label},{e2.label}) admits the plain route for {pair}; "
+                f"head child {e2.label} lacks ({PLAIN[j - y]},{PLAIN[y]}); "
                 "this configuration belongs to a fixed table", tag)
-        return _close_at_v(tag, r1, r2, v)
+        r2 = yield e2, Split(PLAIN[j - y], PLAIN[y])
+        if e1.label.subdividable:
+            return _tail_side(tag, e1, (yield e1, Subdivide(i)), r2)
+        r1 = yield e1, Split(PLAIN[x], PLUS[i + 4 - x])
+        return _close_at_v(tag, r1, r2, e2.tail)
+    # y > j, hence x <= i
+    r1 = yield e1, Split(PLAIN[x], PLAIN[i - x])
+    if e2.label.subdividable:
+        return _head_side(tag, e2, r1, (yield e2, Subdivide(j)))
+    r2 = yield e2, Split(PLUS[j + 4 - y], PLAIN[y])
+    return _close_at_v(tag, r1, r2, e2.tail)
 
-    def _plus_high(pair: Pair, x: int, y: int) -> Lift:
-        if x + y != i + j + 1:
-            raise EngineBug(f"plus pair {pair} inconsistent with weights {i},{j}", tag)
-        if x <= i:
-            want_q = PLUS[i - x] if i - x >= 1 else S0
-            r1 = yield e1, Split(PLAIN[x], want_q)
-            if e2.label.subdividable:
-                return _head_side(r1, (yield e2, Subdivide(j)), r1.q_tree.dummies)
-            r2 = yield e2, Split(PLAIN[j + 4 - y], PLUS[y])
-            return _close_at_v(tag, r1, r2, v)
-        if y <= j:
-            r2 = yield e2, Split(PLAIN[j - y], PLUS[y])
-            if e1.label.subdividable:
-                return _tail_side((yield e1, Subdivide(i)), r2)
-            r1 = yield e1, Split(PLAIN[x], PLUS[i + 4 - x])
-            return _close_at_v(tag, r1, r2, v)
-        raise EngineBug(f"plus pair {pair} has neither side within the child weights", tag)
 
-    return lift
+def _plus_low(pair: Pair, x: int, y: int, e1: EdgeView, e2: EdgeView, tag: str) -> Lift:
+    # combined weight at most 1, so x exceeds the tail weight by at least 2
+    i, j = e1.label.weight, e2.label.weight
+    if x + y != i + j + 5 or i + j > 1:
+        raise EngineBug(f"plus pair {pair} invalid at weights {i},{j}", tag)
+    if not e1.label.subdividable:
+        r1 = yield e1, Split(PLAIN[x], PLUS[i + 4 - x])
+        if e2.label.subdividable:
+            return _head_side(tag, e2, r1, (yield e2, Subdivide(j)), r1.q_tree.dummies)
+        r2 = yield e2, Split(PLAIN[j + 4 - y], PLUS[y])
+        return _close_at_v(tag, r1, r2, e2.tail)
+    if e2.label.subdividable:
+        raise EngineBug("pure chain must be handled by the chain table", tag)
+    r1 = yield e1, Subdivide(i)
+    r2 = yield e2, Split(PLAIN[x - i - 1], PLUS[y])
+    return _tail_side(tag, e1, r1, r2)
+
+
+# -- combined weight at least 3 --------------------------------------------
+
+
+def _plain_high(pair: Pair, x: int, y: int, e1: EdgeView, e2: EdgeView, tag: str) -> Lift:
+    i, j = e1.label.weight, e2.label.weight
+    if x + y != i + j - 3:
+        raise EngineBug(f"pair {pair} inconsistent with weights {i},{j}", tag)
+    if e1.admits(PLAIN[x], PLAIN[i - x]) is not None:
+        r1 = yield e1, Split(PLAIN[x], PLAIN[i - x])
+        want_p = PLUS[j - y] if j - y >= 1 else S0
+        r2 = yield e2, Split(want_p, PLAIN[y])
+    elif e2.admits(PLAIN[j - y], PLAIN[y]) is not None:
+        r2 = yield e2, Split(PLAIN[j - y], PLAIN[y])
+        want_q = PLUS[i - x] if i - x >= 1 else S0
+        r1 = yield e1, Split(PLAIN[x], want_q)
+    else:
+        raise EngineBug(
+            f"neither child of ({e1.label},{e2.label}) admits the plain route for {pair}; "
+            "this configuration belongs to a fixed table", tag)
+    return _close_at_v(tag, r1, r2, e2.tail)
+
+
+def _plus_high(pair: Pair, x: int, y: int, e1: EdgeView, e2: EdgeView, tag: str) -> Lift:
+    i, j = e1.label.weight, e2.label.weight
+    if x + y != i + j + 1:
+        raise EngineBug(f"plus pair {pair} inconsistent with weights {i},{j}", tag)
+    if x <= i:
+        want_q = PLUS[i - x] if i - x >= 1 else S0
+        r1 = yield e1, Split(PLAIN[x], want_q)
+        if e2.label.subdividable:
+            return _head_side(tag, e2, r1, (yield e2, Subdivide(j)), r1.q_tree.dummies)
+        r2 = yield e2, Split(PLAIN[j + 4 - y], PLUS[y])
+        return _close_at_v(tag, r1, r2, e2.tail)
+    if y <= j:
+        r2 = yield e2, Split(PLAIN[j - y], PLUS[y])
+        if e1.label.subdividable:
+            return _tail_side(tag, e1, (yield e1, Subdivide(i)), r2)
+        r1 = yield e1, Split(PLAIN[x], PLUS[i + 4 - x])
+        return _close_at_v(tag, r1, r2, e2.tail)
+    raise EngineBug(f"plus pair {pair} has neither side within the child weights", tag)
+
+
+LIFTS.update({
+    "series-chain": (_chain_split, _chain_subdiv),
+    "series-table": (_table_split, None),
+    "series-reversed-table": (_table_split, None),
+    "series-general": (_general_split, None),
+})

@@ -11,10 +11,11 @@ which also hashes what they realize into a golden fixture.
 """
 
 from collections import Counter
+from functools import partial
 
 import pytest
 
-from quadparts.engine.model import EdgeView, EngineBug, Gadget, Realization, Split, single
+from quadparts.engine.model import LIFTS, EdgeView, EngineBug, Gadget, Realization, Split, single
 from quadparts.engine.reducible import build_deg4plus_light
 from quadparts.engine.series import build_series_gadget
 from quadparts.labels import CATALOG, TreeSet
@@ -169,21 +170,28 @@ class TestPlantedLedgerFaults:
     U, V = 1, 2
     S1P3 = Split(TreeSet.S1, TreeSet.S3P)
 
+    @pytest.fixture(autouse=True)
+    def _lifts(self, monkeypatch):
+        """Planted lifts are registered under the kind "planted" for one test."""
+        self.plant = partial(monkeypatch.setitem, LIFTS, "planted")
+
     def _gadget(self, close, requests=lambda e1, e2, other: (e1, e2)):
-        """The planted gadget: its lift requests `requests(...)` of its two
-        children and another gadget's edge, then returns `close(reals,
-        stub)`, where `stub` is the first child's second grandchild."""
+        """The planted gadget: its lift requests `requests(...)` of the two
+        children it reads off the gadget and another gadget's edge, then
+        returns `close(reals, stub)`, where `stub` is the first child's
+        second grandchild."""
         e1, second = _series_on_stubs(self.U, 0, self.V, 0)
         e2, _ = _series_on_stubs(self.U, 3, self.V, 1)
         other, _ = _series_on_stubs(self.U, 4, self.V, 2)
 
-        def lift(pair):
+        def lift(g, pair):
             reals = []
-            for e in requests(e1, e2, other):
+            for e in requests(*g.children, other):
                 reals.append((yield e, self.S1P3))
             return close(reals, second)
 
-        return Gadget(CATALOG["L0"], self.U, self.V, (e1, e2), None, lift, provenance="planted")
+        self.plant((lift, None))
+        return Gadget("planted", CATALOG["L0"], self.U, self.V, (e1, e2), None, "planted")
 
     def _closing(self, reals, *extra):
         """Finalize what each realization hands up, then the `extra` parts."""
@@ -232,8 +240,9 @@ class TestPlantedLedgerFaults:
         e1, _ = _series_on_stubs(self.U, 0, self.V, 0, ("L0", "L00"))
         op = Split(TreeSet.S2, TreeSet.S3P)
 
-        def lift(pair, outside=None):
-            r = yield e1, Split(*pair)
+        def lift(g, pair, outside=None):
+            (child,) = g.children
+            r = yield child, Split(*pair)
             q = r.q_tree
             if outside is not None:
                 (dummy,) = q.dummies
@@ -242,8 +251,8 @@ class TestPlantedLedgerFaults:
             return Realization(p_tree=r.p_tree, q_tree=q)
 
         for outside in (None, 99_999):
-            gadget = Gadget(e1.label, self.U, self.V, (e1,), None,
-                            lambda pair: lift(pair, outside), provenance="planted")
+            self.plant((partial(lift, outside=outside), None))
+            gadget = Gadget("planted", e1.label, self.U, self.V, (e1,), None, "planted")
             if outside is None:
                 assert realize(gadget, op).q_tree.dummies
             else:

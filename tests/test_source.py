@@ -61,3 +61,21 @@ def test_every_imported_name_is_read():
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
         unread += [f"{module}:{line} {name}" for name, line in imported.items() if name not in read]
     assert unread == []
+
+
+def test_gadgets_hold_no_closures():
+    """Each lift is a module-level function that reads its gadget's record,
+    so the builder modules and `leaf_gadget` define no nested function and
+    no lambda: a closure stored in a gadget would keep cells and functions
+    alive for the cyclic collector to walk."""
+    trees = _trees()
+    scopes = [trees[f"engine/{name}.py"] for name in ("series", "parallel", "reducible")]
+    scopes += [node for node in trees["engine/model.py"].body
+               if isinstance(node, ast.FunctionDef) and node.name == "leaf_gadget"]
+    nested = []
+    for scope in scopes:
+        outer = set(map(id, scope.body)) if isinstance(scope, ast.Module) else {id(scope)}
+        nested += [f"{getattr(node, 'name', 'lambda')}:{node.lineno}" for node in ast.walk(scope)
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+                   and id(node) not in outer]
+    assert len(scopes) == 4 and nested == []
