@@ -1,10 +1,11 @@
 """Merging a pair of parallel labeled edges into one labeled edge.
 
 Both edges are viewed from u to v with w(e1) <= w(e2); when both have
-positive weight they are replaced by a single edge whose gadget replays each
-of its operations as a pair of operations on the originals, finalizing the
-local nearly connected parts the rewrite frees up.  (A weight-0 parallel
-edge is simply deleted by the driver; no merge gadget is involved.)
+positive weight they are replaced by a single edge whose gadget's kind
+names the module-level lift that replays each of its operations as a pair
+of operations on the originals, read off the gadget, finalizing the local
+nearly connected parts the rewrite frees up.  (A weight-0 parallel edge is
+simply deleted by the driver; no merge gadget is involved.)
 """
 
 from __future__ import annotations

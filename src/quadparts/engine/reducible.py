@@ -4,8 +4,9 @@ eliminating a vertex of minimum degree at least 3.
 All incident edges are viewed oriented away from the eliminated vertex v.
 Some eliminations are *eager*: every incident edge receives a fixed split,
 the freed vertices are finalized on the spot, and no replacement edge is
-created.  The remaining eliminations install a replacement edge between two
-former neighbours whose gadget replays its operations onto the removed edges.
+created.  The remaining eliminations, and an absorb, install a replacement
+edge whose gadget's kind names the module-level lift that replays its
+operations onto the removed edges it reads off the gadget.
 """
 
 from __future__ import annotations
@@ -451,9 +452,8 @@ def build_deg4plus_heavy(e3: EdgeView, e4: EdgeView, tag: str, fixed: EdgeView |
     child: it receives (S3, S0) before the pair is split, and v leaves with
     the finalized parts.
     """
-    if fixed is None:
-        return Gadget("deg4-heavy", CATALOG["L20"], e3.head, e4.head, (e3, e4), None, tag)
-    return Gadget("deg4-heavy", CATALOG["L20"], e3.head, e4.head, (fixed, e3, e4), e3.tail, tag)
+    children, eliminated = ((e3, e4), None) if fixed is None else ((fixed, e3, e4), e3.tail)
+    return Gadget("deg4-heavy", CATALOG["L20"], e3.head, e4.head, children, eliminated, tag)
 
 
 def _heavy_split(g: Gadget, pair: Pair) -> Lift:
@@ -544,8 +544,7 @@ def _light_w2(pair: Pair, e1: EdgeView, e2: EdgeView, singles: list[EdgeView], t
 def _w2_large(head_plain: bool, e1: EdgeView, e2: EdgeView, tag: str, rs, avs, d5: bool) -> Lift:
     # (S3, S3+) with head_plain=False; (S3+, S3) with head_plain=True
     v, v1, v2 = e1.tail, e1.head, e2.head
-    e1_sub = e1.label.subdividable
-    e2_sub = e2.label.subdividable
+    e1_sub, e2_sub = e1.label.subdividable, e2.label.subdividable
     k1 = 1 if d5 else 2
     if not head_plain:
         r1 = None if e1_sub else (yield e1, Split(S2P, S3) if d5 else Split(S3P, S3))

@@ -2,10 +2,11 @@
 
 The eliminated vertex v is viewed with e1 entering (v1 -> v) and e2 leaving
 (v -> v2), weights w(e1) <= w(e2).  The replacement edge runs v1 -> v2 and
-carries weight w(e1)+w(e2)+1 mod 4.  Its gadget replays every operation as a
-pair of operations on e1 and e2; whenever both children are split, the trees
-gathered around v together with v itself are finalized into nearly connected
-4-sets.
+carries weight w(e1)+w(e2)+1 mod 4.  Its gadget's kind (a chain, a fixed
+table or the general case) names the module-level lift that replays every
+operation as a pair of operations on the children e1 and e2, read off the
+gadget; whenever both are split, the trees gathered around v together with
+v itself are finalized into nearly connected 4-sets.
 """
 
 from __future__ import annotations
@@ -79,8 +80,7 @@ def build_series_gadget(e1: EdgeView, e2: EdgeView, tag: str) -> Gadget:
     return Gadget(kind, merged_series_label(l1, l2), e1.tail, e2.head, (e1, e2), e2.tail, tag, table)
 
 
-# (view label names) -> (kind, replacement label, table) for every pair of
-# children that the general contraction does not serve
+# (view label names) -> (kind, label, table) unless the general case serves them
 _KINDS = {
     ("L0", "L0"): ("series-chain", "L1", None),
     ("L0", "L1"): ("series-chain", "L2", None),

@@ -37,11 +37,6 @@ class TreeSet(Enum):
     S3M = "S3-"
     S5M = "S5-"
 
-    # Members are singletons compared by identity, so the identity hash is
-    # consistent with equality, and it is computed in C; Enum's own hash
-    # runs Python code on every lookup keyed by a tree set.
-    __hash__ = object.__hash__
-
     @property
     def display(self) -> str:
         return self.value
