@@ -309,11 +309,12 @@ class Realization:
     and its sink, and no realization copies another's.  `fragment`, set by
     :func:`drive` alone when it finishes the realization, is the span of the
     log its frame wrote: every real edge materialized at or below it, tree
-    edges included, since a lift spans its trees in its children's
-    fragments, grafts only by a subdivided leaf's edge and fuses or passes
-    on its children's trees.  A lift receives a realization, checked and
-    read from the tail of the view it yielded, as the value of that
-    ``yield``, and only reads it; it is not frozen only for speed.
+    edges included, since a leaf's split trees have none and a lift spans
+    its trees in its children's fragments, grafts only by a subdivided
+    leaf's edge and fuses or passes on its children's trees.  A lift
+    receives a realization, checked and read from the tail of the view it
+    yielded, as the value of that ``yield``, and only reads it; it is not
+    frozen only for speed.
     """
 
     parts: tuple[frozenset[int], ...] = ()
