@@ -52,6 +52,15 @@ class TestInit:
         assert all(le.label.name == "L0" for le in lg.edges.values())
         assert lg.invariant_ok()
 
+    def test_a_leaf_names_itself_only_when_it_traps(self):
+        """A leaf stores no provenance string; a trap reads `leaf(u,v)` off
+        its kind and ends."""
+        leaf = leaf_gadget(CATALOG["L0"], 3, 5)
+        assert leaf.kind == "leaf" and leaf.tag is None
+        with pytest.raises(EngineBug, match="does not allow") as trap:
+            model.drive(ask(EdgeView(leaf, 5, 0), model.Subdivide(1)), [])
+        assert trap.value.provenance == "leaf(3,5)"
+
 
 def _fragment(edges):
     return logged(edges)[0]
