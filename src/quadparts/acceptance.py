@@ -225,7 +225,7 @@ CRITERIA: list[tuple[str, Callable[[bool], tuple[bool, str]]]] = [
 ]
 
 
-def run_all(fast: bool = False, out=print) -> bool:
+def run_all(fast: bool = False) -> bool:
     all_ok = True
     for name, fn in CRITERIA:
         start = time.monotonic()
@@ -235,6 +235,6 @@ def run_all(fast: bool = False, out=print) -> bool:
             ok, detail = False, f"{type(exc).__name__}: {exc}"
         elapsed = time.monotonic() - start
         status = "PASS" if ok else "FAIL"
-        out(f"[{status}] {name}: {detail} ({elapsed:.1f}s)")
+        print(f"[{status}] {name}: {detail} ({elapsed:.1f}s)")
         all_ok &= ok
     return all_ok

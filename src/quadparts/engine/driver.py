@@ -5,6 +5,9 @@ partition of the original vertices into nearly connected 4-sets.
 Reduction priority is fixed (parallel pair, then degree-2 contraction, then
 a zero-weight strip at a removable vertex, then an absorbable edge, then a
 removable vertex), scanning lowest ids first, so runs are reproducible.
+Each step is decided once: :func:`find_reduction` returns it as a pair
+``(kind, args)``, whose kind is the one the trace prints, and
+:func:`apply_reduction` passes the args to that kind's reduce function.
 Past the first two checks, the separation index (carried while three-path
 checks between the ends of removed edges show it still has no 2-cut:
 :meth:`~quadparts.engine.model.LabeledMultigraph.separation_index`)
@@ -43,33 +46,11 @@ from .series import build_series_gadget
 
 
 # ---------------------------------------------------------------------------
-# Reduction choices
+# Reduction steps
 
-
-@dataclass(frozen=True)
-class Parallel:
-    e1: int
-    e2: int
-
-
-@dataclass(frozen=True)
-class Series:
-    v: int
-
-
-@dataclass(frozen=True)
-class ReducibleEdge:
-    e1: int
-    e2: int
-    v: int
-
-
-@dataclass(frozen=True)
-class ReducibleVertex:
-    v: int
-
-
-ReductionChoice = Parallel | Series | ReducibleEdge | ReducibleVertex
+# A step is a pair (kind, args): the kind names the reduce function, which
+# reads the edge ids and vertex in args (see find_reduction).
+Step = tuple[str, tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -116,17 +97,21 @@ def _is_reducible_vertex(lg: LabeledMultigraph, v: int, in_cut: frozenset[int]) 
     return v not in in_cut and sum(1 for e in lg.incident(v) if lg.view(e, v).label.name == "L31") <= 1
 
 
-def find_reduction(lg: LabeledMultigraph) -> ReductionChoice:
-    """Next reduction under the fixed priority order; traps if none exists
-    and on a single edge, which the caller realizes instead."""
+def find_reduction(lg: LabeledMultigraph) -> Step:
+    """Next reduction step under the fixed priority order, as ``(kind,
+    args)``: ``("parallel", (e1, e2))``, ``("series", (v,))``, ``("strip",
+    (v,))``, ``("absorb", (e1, e2, v))`` or ``("vertex", (v,))``.  A strip
+    is picked at a removable vertex with a weight-0 edge, a vertex step at
+    one without.  Traps if none exists and on a single edge, which the
+    caller realizes instead."""
     if len(lg.edges) < 2:
         raise EngineBug(f"find_reduction called with {len(lg.edges)} edges; a single edge is the base case")
     pair = lg.parallel_pair()
     if pair is not None:
-        return Parallel(*pair)
+        return "parallel", pair
     v = lg.degree2_vertex()
     if v is not None:
-        return Series(v)
+        return "series", (v,)
     # The block is now simple with minimum degree 3, so n >= 4: G - v is a
     # block iff v lies in no 2-cut, and G - e iff e is not a fixed edge.
     index = lg.separation_index()
@@ -142,7 +127,7 @@ def find_reduction(lg: LabeledMultigraph) -> ReductionChoice:
         zero = any(lg.edges[eid].label.weight == 0 for eid in lg.incident(v))
         if (zero or first_reducible is None) and _is_reducible_vertex(lg, v, index.in_cut):
             if zero:
-                return ReducibleVertex(v)
+                return "strip", (v,)
             first_reducible = v
     for y in host_pool:
         for eid in lg.incident(y):
@@ -152,9 +137,9 @@ def find_reduction(lg: LabeledMultigraph) -> ReductionChoice:
                 continue
             for eid2 in lg.incident(y):
                 if eid2 != eid and lg.view(eid2, y).label.name in ("L32", "L30"):
-                    return ReducibleEdge(eid, eid2, y)
+                    return "absorb", (eid, eid2, y)
     if first_reducible is not None:
-        return ReducibleVertex(first_reducible)
+        return "vertex", (first_reducible,)
     raise EngineBug("no reduction applies; the block analysis promises one")
 
 
@@ -295,18 +280,24 @@ def _reduce_vertex_deg4plus(lg: LabeledMultigraph, v: int, views: list[EdgeView]
     return tag
 
 
-def apply_reduction(lg: LabeledMultigraph, choice: ReductionChoice) -> tuple[str, str]:
-    if isinstance(choice, Parallel):
-        return "parallel", reduce_parallel(lg, choice.e1, choice.e2)
-    if isinstance(choice, Series):
-        return "series", reduce_series(lg, choice.v)
-    if isinstance(choice, ReducibleEdge):
-        return "absorb", reduce_edge(lg, choice.e1, choice.e2, choice.v)
-    if isinstance(choice, ReducibleVertex):
-        if any(lg.edges[eid].label.weight == 0 for eid in lg.incident(choice.v)):
-            return "strip", _strip_weight0(lg, choice.v)
-        return "vertex", reduce_vertex(lg, choice.v)
-    raise EngineBug(f"cannot apply reduction choice {choice}")
+_REDUCE = {
+    "parallel": reduce_parallel,
+    "series": reduce_series,
+    "strip": _strip_weight0,
+    "absorb": reduce_edge,
+    "vertex": reduce_vertex,
+}
+
+
+def apply_reduction(lg: LabeledMultigraph, step: Step) -> tuple[str, str]:
+    """Rewrite `lg` by the step ``(kind, args)`` of :func:`find_reduction`:
+    the reduce function of `kind` reads `args`.  Returns the kind and the
+    step's trace detail; an unknown kind traps."""
+    kind, args = step
+    reduce = _REDUCE.get(kind)
+    if reduce is None:
+        raise EngineBug(f"cannot apply reduction step {step}")
+    return kind, reduce(lg, *args)
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +325,8 @@ def solve_base(lg: LabeledMultigraph) -> tuple[frozenset[int], ...]:
     return tuple(lg.emitted)
 
 
-def _still_a_block(lg: LabeledMultigraph, kind: str, choice: ReductionChoice) -> bool:
-    """Whether the graph, a block before the step `choice` of `kind`, is
+def _still_a_block(lg: LabeledMultigraph, kind: str, args: tuple[int, ...]) -> bool:
+    """Whether the graph, a block before the step ``(kind, args)``, is
     still one: an O(degree) certificate for the step kinds below, the full
     O(n + m) check for absorb and vertex steps.
 
@@ -359,11 +350,11 @@ def _still_a_block(lg: LabeledMultigraph, kind: str, choice: ReductionChoice) ->
     if kind == "parallel":
         return not removed and not lost
     if kind == "series":
-        v = choice.v
+        (v,) = args
         ends = {x for pair in lost for x in pair} - {v}
         return removed == [v] and len(lost) == 2 and all(v in pair for pair in lost) and lg.adjacent(*ends)
     if kind == "strip":
-        v = choice.v
+        (v,) = args
         return (not removed and len(lost) <= 1 and all(v in pair for pair in lost)
                 and len({lg.other_end(eid, v) for eid in lg.incident(v)}) >= 2)
     return lg.is_block()
@@ -378,10 +369,10 @@ def run_reduction(g: SimpleGraph) -> tuple[tuple[frozenset[int], ...], list[Trac
     while len(lg.edges) > 1:
         if step > budget:
             raise EngineBug("reduction failed to terminate within the edge budget")
-        choice = find_reduction(lg)
-        kind, detail = apply_reduction(lg, choice)
+        picked = find_reduction(lg)
+        kind, detail = apply_reduction(lg, picked)
         mod4 = lg.invariant_ok()
-        block = _still_a_block(lg, kind, choice)
+        block = _still_a_block(lg, kind, picked[1])
         trace.append(TraceStep(step, kind, detail, mod4, block, len(lg.edges), lg.n))
         if not mod4:
             raise EngineBug(f"weight/order invariant broken after {detail}")

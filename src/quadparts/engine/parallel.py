@@ -15,14 +15,18 @@ from .local import PLAIN, PLUS, Local, mirrored, pair_shape
 from .model import LIFTS, EdgeView, EngineBug, Gadget, Lift, Split, Subdivide, fuse, single
 
 
+# (label names) -> (kind, label) unless the general case serves them
+_KINDS = {
+    ("L30", "L30"): ("parallel-w3", "L21"),
+    ("L1", "L1"): ("parallel-w1", "L2"),
+}
+
+
 def merged_parallel_label(l1: Label, l2: Label) -> Label:
-    """Label of the replacement edge for two positive-weight parallel edges."""
-    if l1.name == l2.name == "L30":
-        return CATALOG["L21"]
-    if l1.name == l2.name == "L1":
-        return CATALOG["L2"]
-    w = (l1.weight + l2.weight) % 4
-    return CATALOG[f"L{w}0"]
+    """Label of the replacement edge for two positive-weight parallel edges:
+    that of the pair's row above, else the paired label of weight
+    w(l1)+w(l2) mod 4."""
+    return CATALOG[_KINDS.get((l1.name, l2.name), ("", f"L{(l1.weight + l2.weight) % 4}0"))[1]]
 
 
 def build_parallel_gadget(e1: EdgeView, e2: EdgeView, tag: str) -> Gadget:
@@ -32,14 +36,9 @@ def build_parallel_gadget(e1: EdgeView, e2: EdgeView, tag: str) -> Gadget:
     general case that e1 is not the plain weight-3 label.
     """
     l1, l2 = e1.label, e2.label
-    if l1.name == l2.name == "L30":
-        kind = "parallel-w3"
-    elif l1.name == l2.name == "L1":
-        kind = "parallel-w1"
-    elif l1.name == "L30":
+    kind, _ = _KINDS.get((l1.name, l2.name), ("parallel-general", ""))
+    if kind == "parallel-general" and l1.name == "L30":
         raise EngineBug("caller must order the general parallel case so e1 is not L30", tag)
-    else:
-        kind = "parallel-general"
     return Gadget(kind, merged_parallel_label(l1, l2), e1.tail, e1.head, (e1, e2), None, tag)
 
 

@@ -110,11 +110,11 @@ def canonical_form(g: SimpleGraph) -> tuple:
     return (g.n, best)
 
 
-def enumerate_2connected(n: int, dedup: bool = True) -> Iterator[SimpleGraph]:
-    """All 2-connected graphs on vertex set 0..n-1, as edge subsets of K_n.
+def enumerate_2connected(n: int) -> Iterator[SimpleGraph]:
+    """One 2-connected graph on vertex set 0..n-1 per isomorphism class, as
+    edge subsets of K_n.
 
-    With dedup=True yields one representative per isomorphism class.  The
-    exhaustive sweep is limited to n <= 7; use graph6 streams for larger n.
+    The exhaustive sweep is limited to n <= 7; use graph6 streams for larger n.
     """
     if n < 3:
         raise ValueError("2-connected graphs need n >= 3")
@@ -136,11 +136,10 @@ def enumerate_2connected(n: int, dedup: bool = True) -> Iterator[SimpleGraph]:
         g = SimpleGraph(n, edges)
         if not is_biconnected(g):
             continue
-        if dedup:
-            key = canonical_form(g)
-            if key in seen:
-                continue
-            seen.add(key)
+        key = canonical_form(g)
+        if key in seen:
+            continue
+        seen.add(key)
         yield g
 
 

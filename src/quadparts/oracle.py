@@ -170,13 +170,14 @@ def has_kr_factor(g: SimpleGraph, r: int) -> list[frozenset[int]] | None:
 # ---------------------------------------------------------------------------
 # Exhaustive partition search (the differential-testing oracle)
 
+SIZE_LIMIT = 16  # the most vertices brute_force_partition searches unforced
+
 
 def brute_force_partition(
     g: SimpleGraph,
     sizes: Sequence[int],
     mode: str = "nearly-connected",
     power_k: int | None = None,
-    size_limit: int = 16,
     force: bool = False,
 ) -> list[frozenset[int]] | None:
     """Complete backtracking search for a partition with the given part sizes.
@@ -185,15 +186,15 @@ def brute_force_partition(
     ``clique-in-power`` accepts parts inducing cliques in g**power_k.  Part
     order symmetry is eliminated by always seeding the next part with the
     lowest unassigned vertex, so a None answer is exhaustive.  Instances with
-    more than `size_limit` vertices are refused unless `force` is set.
+    more than `SIZE_LIMIT` vertices are refused unless `force` is set.
     """
     if sum(sizes) != g.n:
         raise ValueError(f"sizes sum to {sum(sizes)}, expected n={g.n}")
     if any(s < 1 for s in sizes):
         raise ValueError("all part sizes must be positive")
-    if g.n > size_limit and not force:
+    if g.n > SIZE_LIMIT and not force:
         raise InstanceTooLarge(
-            f"n={g.n} exceeds the exhaustive-search limit {size_limit} (pass force=True to override)"
+            f"n={g.n} exceeds the exhaustive-search limit {SIZE_LIMIT} (pass force=True to override)"
         )
     if mode == "nearly-connected":
         def part_ok(p: frozenset[int]) -> bool:

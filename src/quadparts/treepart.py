@@ -23,11 +23,10 @@ class RootedTreeView:
 
     parent: tuple[int, ...]  # parent[root] == -1
     depth: tuple[int, ...]
-    root: int
 
     @staticmethod
-    def build(g: SimpleGraph, root: int = 0) -> "RootedTreeView":
-        reached = bfs_parents(g.adj(), root)
+    def build(g: SimpleGraph) -> "RootedTreeView":
+        reached = bfs_parents(g.adj(), 0)
         if len(reached) != g.n:
             raise ValueError("graph is disconnected")
         parent = [-1] * g.n
@@ -36,7 +35,7 @@ class RootedTreeView:
             if p is not None:
                 parent[x] = p
                 depth[x] = depth[p] + 1
-        return RootedTreeView(tuple(parent), tuple(depth), root)
+        return RootedTreeView(tuple(parent), tuple(depth))
 
 
 def _subtree_sizes(view: RootedTreeView, alive: set[int]) -> dict[int, int]:

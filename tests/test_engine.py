@@ -13,9 +13,6 @@ from quadparts import graphs
 from quadparts.engine import driver, local, model
 from quadparts.engine import (
     EngineBug,
-    Parallel,
-    ReducibleVertex,
-    Series,
     LabeledMultigraph,
     find_reduction,
     init_labeled,
@@ -375,18 +372,21 @@ class TestBoundTreeTraps:
 class TestFindReduction:
     def test_c4_starts_with_a_contraction(self):
         lg = init_labeled(cycle_graph(4))
-        assert find_reduction(lg) == Series(0)
+        assert find_reduction(lg) == ("series", (0,))
 
     def test_k4_starts_at_a_removable_vertex(self):
+        """Every edge of K4 carries weight 0, so the lowest removable vertex
+        is stripped of one."""
         lg = init_labeled(complete_graph(4))
-        assert find_reduction(lg) == ReducibleVertex(0)
+        assert find_reduction(lg) == ("strip", (0,))
 
     def test_parallel_has_priority(self):
         # two contractions of a 4-cycle leave a doubled edge
         lg = init_labeled(cycle_graph(4))
-        apply_reduction(lg, Series(0))
+        apply_reduction(lg, ("series", (0,)))
         apply_reduction(lg, find_reduction(lg))
-        assert isinstance(find_reduction(lg), Parallel)
+        kind, (e1, e2) = find_reduction(lg)
+        assert kind == "parallel" and {lg.edges[e1].u, lg.edges[e1].v} == {lg.edges[e2].u, lg.edges[e2].v}
 
     def test_single_edge_traps(self):
         """One edge left is the base case, which the caller realizes; there
@@ -395,6 +395,11 @@ class TestFindReduction:
         lg.install(leaf_gadget(CATALOG["L0"], 0, 1))
         with pytest.raises(EngineBug, match="single edge is the base case"):
             find_reduction(lg)
+
+    def test_unknown_kind_traps(self):
+        lg = init_labeled(cycle_graph(4))
+        with pytest.raises(EngineBug, match=r"cannot apply reduction step \('contract', \(0,\)\)"):
+            apply_reduction(lg, ("contract", (0,)))
 
 
 class TestCarriedSeparationIndex:
@@ -538,27 +543,29 @@ class TestWorklists:
 
 def _plant_after(monkeypatch, prefix: str, rewrite):
     """Make the first step whose detail starts with `prefix` run `rewrite(lg,
-    choice)` after the real rewrite; returns the list that receives that
+    step)` after the real rewrite; returns the list that receives that
     step's detail."""
     planted: list[str] = []
     real = driver.apply_reduction
 
-    def apply(lg, choice):
-        kind, detail = real(lg, choice)
+    def apply(lg, step):
+        kind, detail = real(lg, step)
         if not planted and detail.startswith(prefix):
             planted.append(detail)
-            rewrite(lg, choice)
+            rewrite(lg, step)
         return kind, detail
 
     monkeypatch.setattr(driver, "apply_reduction", apply)
     return planted
 
 
-def _hang_off_one_neighbour(lg, choice):
+def _hang_off_one_neighbour(lg, step):
     """Re-attach every edge of the lowest vertex w with two neighbours, other
-    than the step's own vertex, to one neighbour x of w, keeping the labels:
-    weight and order are unchanged but x becomes a cut vertex."""
-    skip = getattr(choice, "v", None)
+    than the step's own vertex (the last of its args, unless it merges a
+    parallel pair), to one neighbour x of w, keeping the labels: weight and
+    order are unchanged but x becomes a cut vertex."""
+    kind, args = step
+    skip = None if kind == "parallel" else args[-1]
     for w in sorted(lg.vertices):
         ends = {lg.other_end(eid, w) for eid in lg.incident(w)}
         if w != skip and len(ends) >= 2:
@@ -589,17 +596,19 @@ class TestBlockCertificates:
         with one neighbour."""
         real = driver.apply_reduction
 
-        def misplaced_series(lg, choice):
-            if not isinstance(choice, Series):
-                return real(lg, choice)
-            ea, eb = lg.incident(choice.v)
-            a = lg.other_end(ea, choice.v)
-            c = next(x for x in (lg.other_end(eid, a) for eid in lg.incident(a)) if x != choice.v)
+        def misplaced_series(lg, step):
+            kind, args = step
+            if kind != "series":
+                return real(lg, step)
+            (v,) = args
+            ea, eb = lg.incident(v)
+            a = lg.other_end(ea, v)
+            c = next(x for x in (lg.other_end(eid, a) for eid in lg.incident(a)) if x != v)
             lg.remove_labeled(ea)
             lg.remove_labeled(eb)
-            lg.remove_vertex(choice.v)
+            lg.remove_vertex(v)
             lg.install(Gadget("planted", CATALOG["L1"], a, c))
-            return "series", f"misplaced@{choice.v}"
+            return "series", f"misplaced@{v}"
 
         monkeypatch.setattr(driver, "apply_reduction", misplaced_series)
         with pytest.raises(EngineBug, match="block certificate failed after misplaced@0"):

@@ -70,10 +70,9 @@ def test_enumerate_order4_classes():
     assert sorted(g.m for g in classes) == [4, 5, 6]  # cycle, diamond, complete
 
 
-def test_enumerate_labeled_counts():
-    labeled = list(enumerate_2connected(4, dedup=False))
-    # 3 labeled 4-cycles, 6 diamonds (one per missing edge), 1 complete graph
-    assert len(labeled) == 3 + 6 + 1
+def test_enumerate_class_counts():
+    # unlabeled 2-connected graphs on 3, 4 and 5 vertices (OEIS A002218)
+    assert [len(list(enumerate_2connected(n))) for n in (3, 4, 5)] == [1, 3, 10]
 
 
 def test_canonical_form_invariance():

@@ -1,6 +1,7 @@
 """Static checks over the package source."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import quadparts
@@ -61,6 +62,16 @@ def test_every_imported_name_is_read():
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
         unread += [f"{module}:{line} {name}" for name, line in imported.items() if name not in read]
     assert unread == []
+
+
+def test_every_exported_name_is_bound():
+    """Each name a package lists in `__all__` is bound in that package, so a
+    deleted class or function leaves no stale export behind."""
+    packages = [importlib.import_module(".".join(("quadparts", *Path(module).parent.parts)))
+                for module in _trees() if Path(module).name == "__init__.py"]
+    stale = [f"{package.__name__}.{name}" for package in packages
+             for name in getattr(package, "__all__", ()) if not hasattr(package, name)]
+    assert len(packages) == 2 and stale == []
 
 
 def test_gadgets_hold_no_closures():
