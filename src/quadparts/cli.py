@@ -170,8 +170,6 @@ def cmd_explore(args) -> int:
     n = sum(sizes)
     if args.count < 1:
         raise UsageError(f"--count must be at least 1, got {args.count}")
-    if args.n is not None and args.n != n:
-        raise UsageError(f"--n {args.n} disagrees with the size sum {n}")
     if n <= 6:
         stream = list(enumerate_2connected(n))
         source = f"all {len(stream)} isomorphism classes on {n} vertices"
@@ -250,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_gen)
 
     p = sub.add_parser("explore", help="search small 2-connected graphs for partition failures")
-    p.add_argument("--n", type=int, default=None)
     p.add_argument("--sizes", required=True)
     p.add_argument("--count", type=int, default=1000, help="corpus size when n > 6")
     p.add_argument("--seed", type=int, default=None)

@@ -25,8 +25,10 @@ vertex come from worklists the graph keeps up to date
 steps cost O(degree) plus heap upkeep.
 
 Every part finalized along the way goes to one list, ``lg.emitted``: each
-drop, strip, eager elimination and the base case passes it to
-:func:`~quadparts.engine.model.drive` as the sink.
+request of the driver passes it to :func:`~quadparts.engine.model.drive` as
+the sink for each realization's own parts, :func:`_eliminate` adds the parts
+an eager elimination (a drop and a strip are one-edge ones) finalizes
+itself, and :func:`solve_base` the two base parts of the final edge.
 """
 
 from __future__ import annotations
@@ -55,17 +57,17 @@ Step = tuple[str, tuple[int, ...]]
 
 @dataclass(frozen=True)
 class TraceStep:
+    """One applied step; a step after which an invariant failed traps
+    instead, so `format` prints both as holding."""
+
     index: int
     kind: str
     detail: str
-    mod4_ok: bool
-    block_ok: bool
     edges_after: int
     vertices_after: int
 
     def format(self) -> str:
-        return (f"step={self.index} kind={self.kind} detail={self.detail} "
-                f"mod4={int(self.mod4_ok)} block={int(self.block_ok)} "
+        return (f"step={self.index} kind={self.kind} detail={self.detail} mod4=1 block=1 "
                 f"edges={self.edges_after} vertices={self.vertices_after}")
 
 
@@ -100,10 +102,10 @@ def _is_reducible_vertex(lg: LabeledMultigraph, v: int, in_cut: frozenset[int]) 
 def find_reduction(lg: LabeledMultigraph) -> Step:
     """Next reduction step under the fixed priority order, as ``(kind,
     args)``: ``("parallel", (e1, e2))``, ``("series", (v,))``, ``("strip",
-    (v,))``, ``("absorb", (e1, e2, v))`` or ``("vertex", (v,))``.  A strip
-    is picked at a removable vertex with a weight-0 edge, a vertex step at
-    one without.  Traps if none exists and on a single edge, which the
-    caller realizes instead."""
+    (v, e))``, ``("absorb", (e1, e2, v))`` or ``("vertex", (v,))``.  A strip
+    is picked at a removable vertex with a weight-0 edge, e the lowest one,
+    and a vertex step at one without.  Traps if none exists and on a single
+    edge, which the caller realizes instead."""
     if len(lg.edges) < 2:
         raise EngineBug(f"find_reduction called with {len(lg.edges)} edges; a single edge is the base case")
     pair = lg.parallel_pair()
@@ -124,10 +126,10 @@ def find_reduction(lg: LabeledMultigraph) -> Step:
         host_pool = sorted(comp | {cu, cv})
     first_reducible = None
     for v in vertex_pool:
-        zero = any(lg.edges[eid].label.weight == 0 for eid in lg.incident(v))
-        if (zero or first_reducible is None) and _is_reducible_vertex(lg, v, index.in_cut):
-            if zero:
-                return "strip", (v,)
+        zero = next((eid for eid in lg.incident(v) if lg.edges[eid].label.weight == 0), None)
+        if (zero is not None or first_reducible is None) and _is_reducible_vertex(lg, v, index.in_cut):
+            if zero is not None:
+                return "strip", (v, zero)
             first_reducible = v
     for y in host_pool:
         for eid in lg.incident(y):
@@ -153,9 +155,9 @@ def reduce_parallel(lg: LabeledMultigraph, eid1: int, eid2: int) -> str:
     v = max(a.u, a.v)
     e1, e2 = sorted((lg.view(eid1, u), lg.view(eid2, u)), key=lambda e: (e.label.weight, e.eid))
     if e1.label.weight == 0:
-        drive(ask(e1, Split(S0, S0)), lg.emitted)
-        lg.remove_labeled(e1.eid)
-        return f"drop[{e1.label.name}] eid={e1.eid}"
+        tag = f"drop[{e1.label.name}] eid={e1.eid}"
+        _eliminate(lg, [(e1, (S0, S0))], e1.tail, False, tag)
+        return tag
     if e1.label.name == "L30" and e2.label.name != "L30":
         e1, e2 = e2, e1
     tag = f"parallel[{e1.label.name}+{e2.label.name}]@({u},{v})"
@@ -180,12 +182,11 @@ def reduce_edge(lg: LabeledMultigraph, eid1: int, eid2: int, v: int) -> str:
     return tag
 
 
-def _strip_weight0(lg: LabeledMultigraph, v: int) -> str:
-    eid = min(e for e in lg.incident(v) if lg.edges[e].label.weight == 0)
+def _strip_weight0(lg: LabeledMultigraph, v: int, eid: int) -> str:
     view = lg.view(eid, v)
-    drive(ask(view, Split(S0, S0)), lg.emitted)
-    lg.remove_labeled(eid)
-    return f"strip[{view.label.name}] eid={eid}@{v}"
+    tag = f"strip[{view.label.name}] eid={eid}@{v}"
+    _eliminate(lg, [(view, (S0, S0))], v, False, tag)
+    return tag
 
 
 def reduce_vertex(lg: LabeledMultigraph, v: int) -> str:
@@ -202,7 +203,8 @@ def _eliminate(lg: LabeledMultigraph, ops: list[tuple[EdgeView, Pair]], v: int, 
     """An eager elimination at v: realize the fixed splits `ops`, add the
     parts they free to `lg.emitted` and retire their edges, and v too when
     `with_v`."""
-    lg.emitted.extend(drive(eliminate_with_fixed_splits(ops, v, with_v, tag), lg.emitted))
+    loc, _ = drive(eliminate_with_fixed_splits(ops, v, with_v, tag), lg.emitted)
+    lg.emitted.extend(loc.parts)
     lg.retire([e for e, _ in ops], v if with_v else None)
 
 
@@ -354,7 +356,7 @@ def _still_a_block(lg: LabeledMultigraph, kind: str, args: tuple[int, ...]) -> b
         ends = {x for pair in lost for x in pair} - {v}
         return removed == [v] and len(lost) == 2 and all(v in pair for pair in lost) and lg.adjacent(*ends)
     if kind == "strip":
-        (v,) = args
+        v, _ = args
         return (not removed and len(lost) <= 1 and all(v in pair for pair in lost)
                 and len({lg.other_end(eid, v) for eid in lg.incident(v)}) >= 2)
     return lg.is_block()
@@ -371,14 +373,12 @@ def run_reduction(g: SimpleGraph) -> tuple[tuple[frozenset[int], ...], list[Trac
             raise EngineBug("reduction failed to terminate within the edge budget")
         picked = find_reduction(lg)
         kind, detail = apply_reduction(lg, picked)
-        mod4 = lg.invariant_ok()
-        block = _still_a_block(lg, kind, picked[1])
-        trace.append(TraceStep(step, kind, detail, mod4, block, len(lg.edges), lg.n))
-        if not mod4:
+        if not lg.invariant_ok():
             raise EngineBug(f"weight/order invariant broken after {detail}")
-        if not block:
+        if not _still_a_block(lg, kind, picked[1]):
             raise EngineBug(f"graph stopped being a block after {detail}"
                             if kind in ("absorb", "vertex") else f"block certificate failed after {detail}")
+        trace.append(TraceStep(step, kind, detail, len(lg.edges), lg.n))
         step += 1
     return solve_base(lg), trace
 

@@ -134,15 +134,6 @@ class Local:
         if not self.group(todo):
             raise EngineBug(f"no nearly connected grouping of {todo} in the local fragment", self.tag)
 
-    def part(self, members: Iterable[int]) -> None:
-        """Finalize one explicitly constructed 4-set, checked against the fragment."""
-        p = frozenset(members)
-        if len(p) != 4:
-            raise EngineBug(f"constructed part {sorted(p)} does not have 4 vertices", self.tag)
-        if self.fragment.witness_for(p) is None:
-            raise EngineBug(f"constructed part {sorted(p)} is not nearly connected locally", self.tag)
-        self.parts.append(p)
-
     def keep(self, v: int, size: int, pool: Collection[int]) -> frozenset[int]:
         """The first `size`-subset of `pool`, in lexicographic order, that is
         connected to `v` in the fragment and whose complement groups into
@@ -150,7 +141,7 @@ class Local:
         subset works."""
         for combo in combinations(sorted(pool), size):
             kept = frozenset(combo)
-            if self.fragment.connected(kept | {v}) and self.group(set(pool) - kept):
+            if len(bfs_parents(self.fragment, v, kept | {v})) == len(kept) + 1 and self.group(set(pool) - kept):
                 return kept
         raise EngineBug(f"no way to keep a {size}-vertex subtree at {v} from pool {sorted(pool)}", self.tag)
 

@@ -38,10 +38,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import combinations, islice
-from typing import Callable, Collection, Generator, Iterable, TypeVar
+from typing import Callable, Generator, Iterable, TypeVar
 
-from ..graphs import (Multigraph, SeparationIndex, SimpleGraph, bfs_parents, has_three_paths,
-                      nearly_connected_witness, norm_edge, separation_index)
+from ..graphs import (Multigraph, SeparationIndex, SimpleGraph, has_three_paths, nearly_connected_witness,
+                      norm_edge, separation_index)
 from ..labels import Label, Pair, TreeSet, admits, down_set, involution, shape_matches
 
 
@@ -280,11 +280,6 @@ class Fragment(dict):
     def __missing__(self, x: int) -> list[int]:
         row = self[x] = self.log.neighbours(x, self.start, self.end)
         return row
-
-    def connected(self, vs: Collection[int]) -> bool:
-        if not vs or not self[min(vs)]:
-            return False
-        return len(bfs_parents(self, min(vs), vs)) == len(vs)
 
     def witness_for(self, part: frozenset[int]) -> frozenset[int] | None:
         """Connected superset of `part` within the fragment, at most one extra vertex."""
@@ -650,9 +645,9 @@ class EdgeView:
 
 class LabeledMultigraph(Multigraph):
     """The engine state: a block multigraph whose every edge carries a gadget,
-    plus `emitted`, the one list of finalized parts: every request of the
-    reduction driver (a drop, a strip, an eager elimination and the base
-    case) passes it to :func:`drive` as the sink, and nothing else adds to it.
+    plus `emitted`, the one list of finalized parts: :func:`drive` appends
+    each realization's own parts to it, and the driver's `_eliminate` the
+    parts an elimination finalizes itself and `solve_base` the base parts.
 
     `edges` maps each edge id to its gadget, which holds the edge's label
     and its stored orientation u -> v; the graph structure itself is the

@@ -66,7 +66,7 @@ def _w3(pair: Pair, e1: EdgeView, e2: EdgeView, tag: str) -> Lift:
         r2 = yield e2, Split(S0, S3)
         loc = Local(tag, r1, r2)
         v_prime = min(r1.q_tree.root_children())
-        loc.part((r2.q_tree.actives - {v}) | {v_prime})
+        loc.finalize((r2.q_tree.actives - {v}) | {v_prime})
         return loc.done(r1.p_tree, r1.q_tree.with_dummies({v_prime}))
     if pair == (S1, S5M):
         r1 = yield e1, Split(S1, S2)
@@ -171,7 +171,7 @@ def _plain_high(pair: Pair, x: int, y: int, e1: EdgeView, e2: EdgeView, tag: str
             r2 = yield e2, Split(S0, S3M)
             loc = Local(tag, r1, r2)
             a, b = sorted(r1.q_tree.root_children())
-            loc.part((r2.q_tree.actives - {v}) | {a})
+            loc.finalize((r2.q_tree.actives - {v}) | {a})
             return loc.done(single(u), loc.span(v, {v, b}))
         elif y == 2:
             r1 = yield e1, Split(S2M, S1)
@@ -190,14 +190,14 @@ def _plain_high(pair: Pair, x: int, y: int, e1: EdgeView, e2: EdgeView, tag: str
             r2 = yield e2, Split(S0, S3)
             loc = Local(tag, r1, r2)
             a, b = sorted(r1.q_tree.root_children())
-            loc.part((r2.q_tree.actives - {v}) | {a})
+            loc.finalize((r2.q_tree.actives - {v}) | {a})
             return loc.done(r1.p_tree, loc.span(v, {v, b}))
         if e1.label.name == "L32":
             r1 = yield e1, Split(S2M, S1)
             r2 = yield e2, Split(S3, S0)
             loc = Local(tag, r1, r2)
             a, b = sorted(r1.p_tree.root_children())
-            loc.part((r2.p_tree.actives - {u}) | {a})
+            loc.finalize((r2.p_tree.actives - {u}) | {a})
             return loc.done(loc.span(u, {u, b}), r1.q_tree)
         raise EngineBug(f"plain (1,1) reached with e1 labeled {e1.label}", tag)
     raise EngineBug(f"unhandled reduced plain pair {pair}", tag)

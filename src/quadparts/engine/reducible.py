@@ -24,23 +24,17 @@ from .model import LIFTS, EdgeView, EngineBug, Gadget, Lift, Operation, Realizat
 
 def eliminate_with_fixed_splits(
         ops: list[tuple[EdgeView, Pair]], v: int, include_v: bool, tag: str,
-) -> Generator[tuple[EdgeView, Operation], Realization, tuple[frozenset[int], ...]]:
+) -> Generator[tuple[EdgeView, Operation], Realization, tuple[Local, list[Realization]]]:
     """Request a fixed split on each listed edge and finalize everything
     freed; :func:`~quadparts.engine.model.drive` runs it like a lift and
-    returns the parts this elimination finalizes itself.  The parts its
-    children finalize reach drive's sink inside drive, not this value.
+    returns the Local, which holds the parts this elimination finalizes
+    itself, and the realizations in request order.  The parts its children
+    finalize reach drive's sink inside drive, not this value.
 
     Used when the weight arithmetic closes on its own: the tail trees at v
-    (plus v itself when it leaves the graph) group into nearly connected
-    4-sets with no residue.
+    (plus v itself when `include_v`, as it leaves the graph) group into
+    nearly connected 4-sets with no residue.
     """
-    loc, _ = yield from _close_fixed_splits(ops, v, include_v, tag)
-    return tuple(loc.parts)
-
-
-def _close_fixed_splits(ops: list[tuple[EdgeView, Pair]], v: int, include_v: bool, tag: str):
-    """Request each fixed split and finalize the tail trees at v, and v when
-    `include_v`; the Local and the realizations, in request order."""
     reals = []
     for e, op in ops:
         reals.append((yield e, Split(*op)))
@@ -48,6 +42,15 @@ def _close_fixed_splits(ops: list[tuple[EdgeView, Pair]], v: int, include_v: boo
     pool = set().union(*(r.p_tree.actives for r in reals)) - {v}
     loc.finalize(pool | {v} if include_v else pool)
     return loc, reals
+
+
+def _close(tag: str, v: int, r1: Realization, r2: Realization, others, pool) -> Realization:
+    """Close at v: the tail trees of the split children r1 and r2 finalize
+    with v and `pool`, their head trees serve the replacement edge, and
+    `others` are the lift's remaining children."""
+    loc = Local(tag, r1, r2, *others)
+    loc.finalize(r1.p_tree.actives | r2.p_tree.actives | {v, *pool})
+    return loc.done(r1.q_tree, r2.q_tree)
 
 
 # ---------------------------------------------------------------------------
@@ -114,9 +117,7 @@ def _deg3_pair_split(g: Gadget, pair: Pair) -> Lift:
             r3 = yield e3, Split(PLAIN[1 - y], PLAIN[y])
             want = PLUS[i - x] if i - x >= 1 else S0
             r1 = yield e1, Split(want, PLAIN[x])
-            loc = Local(tag, r1, r2, r3)
-            loc.finalize(r1.p_tree.actives | r3.p_tree.actives | {v, *cs})
-            return loc.done(r1.q_tree, r3.q_tree)
+            return _close(tag, v, r1, r3, [r2], cs)
         if y == 2:
             r1 = yield e1, Split(S2M, PLAIN[x])
             r3 = yield e3, Subdivide(1) if e3.label.subdividable else Split(S3P, S2)
@@ -128,17 +129,16 @@ def _deg3_pair_split(g: Gadget, pair: Pair) -> Lift:
             r1 = yield e1, Split(S3M, S0)
             r3 = yield e3, Subdivide(1) if e3.label.subdividable else Split(S2P, S3)
             loc = Local(tag, r1, r2, r3)
-            loc.part((r1.p_tree.actives - {v}) | {cs[0]})
+            loc.finalize((r1.p_tree.actives - {v}) | {cs[0]})
             return loc.done(r1.q_tree, loc.far_tree(r3, v, v3, cs[1]))
         raise EngineBug(f"plain pair {pair} out of range for tail weight {i}", tag)
     if kind in ("plus_right", "plus_left") and {x, y} == {3} and i == 2:
         # large-pair request on the weight-2 replacement edge
         r1 = yield e1, Split(S3, S3P)
         r3 = yield e3, Subdivide(1) if e3.label.subdividable else Split(S2P, S3)
-        loc = Local(tag, r1, r2, r3)
         if not e3.label.subdividable:
-            loc.finalize(r1.p_tree.actives | r3.p_tree.actives | {v, *cs})
-            return loc.done(r1.q_tree, r3.q_tree)
+            return _close(tag, v, r1, r3, [r2], cs)
+        loc = Local(tag, r1, r2, r3)
         for cq in cs:
             if loc.group((r1.p_tree.actives - {v}) | (set(cs) - {cq})):
                 return loc.done(r1.q_tree, loc.span(v3, {v3, v, cq, *r3.subdiv}))
@@ -188,9 +188,7 @@ def _deg3_general(pair: Pair, e1: EdgeView, e2: EdgeView, e3: EdgeView, tag: str
                 raise EngineBug(
                     f"neither heavy edge admits the plain route for {pair}; the "
                     "paired-tail configuration should have matched first", tag)
-            loc = Local(tag, r1, r2, r3)
-            loc.finalize(r1.p_tree.actives | r2.p_tree.actives | {v, *a3})
-            return loc.done(r1.q_tree, r2.q_tree)
+            return _close(tag, v, r1, r2, [r3], a3)
         if y > j:
             return (yield from _plain_overweight_head(y, e1, e2, tag, r3, a3))
         return (yield from _plain_overweight_tail(e1, e2, tag, r3, a3))
@@ -243,12 +241,12 @@ def _plus_32(e1: EdgeView, e2: EdgeView, tag: str, r3, a3) -> Lift:
         if e2.label.subdividable:
             r2 = yield e2, Subdivide(1)
             loc = Local(tag, r1, r2, r3)
-            loc.part(r1.p_tree.actives | {v})
+            loc.finalize(r1.p_tree.actives | {v})
             return loc.done(r1.q_tree, loc.span(v2, {v2, v, a3[0], *r2.subdiv}, {v}))
         r2 = yield e2, Split(S3, S2P)
         loc = Local(tag, r1, r2, r3)
-        loc.part((r2.p_tree.actives - {v}) | {a3[0]})
-        loc.part(r1.p_tree.actives | {v})
+        loc.finalize((r2.p_tree.actives - {v}) | {a3[0]})
+        loc.finalize(r1.p_tree.actives | {v})
         return loc.done(r1.q_tree, r2.q_tree)
     r1 = yield e1, Subdivide(2)
     if e2.label.subdividable:
@@ -258,7 +256,7 @@ def _plus_32(e1: EdgeView, e2: EdgeView, tag: str, r3, a3) -> Lift:
         return loc.done(p, loc.span(v2, {v2, v, a3[0], *r2.subdiv}, {v}))
     r2 = yield e2, Split(S3, S2P)
     loc = Local(tag, r1, r2, r3)
-    loc.part((r2.p_tree.actives - {v}) | {a3[0]})
+    loc.finalize((r2.p_tree.actives - {v}) | {a3[0]})
     return loc.done(loc.span(v1, {v1, v, *r1.subdiv}), r2.q_tree)
 
 
@@ -268,9 +266,7 @@ def _plus_32_left(e1: EdgeView, e2: EdgeView, tag: str, r3, a3) -> Lift:
     e1_spl = None if not e1.admits(S3, S3P) else (yield e1, Split(S3, S3P))
     e2_spl = None if e2.label.subdividable else (yield e2, Split(S3P, S2))
     if e1_spl is not None and e2_spl is not None:
-        loc = Local(tag, e1_spl, e2_spl, r3)
-        loc.finalize(e1_spl.p_tree.actives | e2_spl.p_tree.actives | {v, a3[0]})
-        return loc.done(e1_spl.q_tree, e2_spl.q_tree)
+        return _close(tag, v, e1_spl, e2_spl, [r3], a3)
     if e1_spl is not None and e2_spl is None:
         s2 = yield e2, Subdivide(1)
         loc = Local(tag, e1_spl, s2, r3)
@@ -297,15 +293,14 @@ def _plus_33(e1: EdgeView, e2: EdgeView, tag: str, r3, a3) -> Lift:
     e2_split = e2.admits(S3, S3P) is not None
     r1 = yield e1, Split(S3P, S3) if e1_split else Subdivide(2)
     r2 = yield e2, Split(S3, S3P) if e2_split else Subdivide(2)
-    loc = Local(tag, r1, r2, r3)
     if e1_split and e2_split:
-        loc.finalize(r1.p_tree.actives | r2.p_tree.actives | {v, a3[0]})
-        return loc.done(r1.q_tree, r2.q_tree)
+        return _close(tag, v, r1, r2, [r3], a3)
+    loc = Local(tag, r1, r2, r3)
     if e2_split:
-        loc.part((r2.p_tree.actives - {v}) | {a3[0]})
+        loc.finalize((r2.p_tree.actives - {v}) | {a3[0]})
         return loc.done(loc.span(v1, {v1, v, *r1.subdiv}), r2.q_tree)
     if e1_split:
-        loc.part(r1.p_tree.actives | {v})
+        loc.finalize(r1.p_tree.actives | {v})
         return loc.done(r1.q_tree, loc.span(v2, {v2, v, a3[0], *r2.subdiv}, {v}))
     p = loc.span(v1, {v1, v, *r1.subdiv})
     return loc.done(p, loc.span(v2, {v2, v, a3[0], *r2.subdiv}, {v}))
@@ -336,9 +331,7 @@ def _sum9_a_split(g: Gadget, pair: Pair) -> Lift:
     if pair == (S0, S1):
         r2 = yield e2, Split(S3, S0)
         r3 = yield e3, Split(S1, S1)
-        loc = Local(tag, r1, r2, r3)
-        loc.finalize(m | r2.p_tree.actives | r3.p_tree.actives | {v})
-        return loc.done(r2.q_tree, r3.q_tree)
+        return _close(tag, v, r2, r3, [r1], m)
     if pair in ((S2, S3P), (S2P, S3)):
         r2 = yield e2, Split(S1, S2)
         r3 = yield e3, Subdivide(2) if e3.label.subdividable else Split(S3P, S3)
@@ -348,9 +341,7 @@ def _sum9_a_split(g: Gadget, pair: Pair) -> Lift:
     if pair in ((S3, S2P), (S3P, S2)):
         r2 = yield e2, Split(S0, S3)
         r3 = yield e3, Split(S0, S2)
-        loc = Local(tag, r1, r2, r3)
-        loc.finalize(m | {v})
-        return loc.done(r2.q_tree, r3.q_tree)
+        return _close(tag, v, r2, r3, [r1], m)
     raise EngineBug(f"pair {pair} not liftable at combined weight 9 (variant A)", tag)
 
 
@@ -369,9 +360,7 @@ def _sum9_b_split(g: Gadget, pair: Pair) -> Lift:
     if pair in ((S1, S0), (S0, S1)):
         r1 = yield e1, Split(S2P, S1) if pair == (S1, S0) else Split(S3, S0)
         r3 = yield e3, Split(S2, S0) if pair == (S1, S0) else Split(S1, S1)
-        loc = Local(tag, r1, r2, r3)
-        loc.finalize(m | r1.p_tree.actives | r3.p_tree.actives | {v})
-        return loc.done(r1.q_tree, r3.q_tree)
+        return _close(tag, v, r1, r3, [r2], m)
     if pair in ((S2, S3P), (S2P, S3)):
         r1 = yield e1, Split(S1, S2M)
         r3 = yield e3, Subdivide(2) if e3.label.subdividable else Split(S3P, S3)
@@ -381,9 +370,7 @@ def _sum9_b_split(g: Gadget, pair: Pair) -> Lift:
     if pair in ((S3, S2P), (S3P, S2)):
         r1 = yield e1, Split(S0, S3M)
         r3 = yield e3, Split(S0, S2)
-        loc = Local(tag, r1, r2, r3)
-        loc.finalize(m | {v})
-        return loc.done(r1.q_tree, r3.q_tree)
+        return _close(tag, v, r1, r3, [r2], m)
     raise EngineBug(f"pair {pair} not liftable at combined weight 9 (variant B)", tag)
 
 
@@ -410,7 +397,7 @@ def _sum9_c_split(g: Gadget, pair: Pair) -> Lift:
         r1 = yield e1, Split(S2P, S1)
         r2 = yield e2, Split(S3, S0)
         loc = Local(tag, r1, r2, r3)
-        loc.part((r2.p_tree.actives - {v}) | {cs[0]})
+        loc.finalize((r2.p_tree.actives - {v}) | {cs[0]})
         loc.finalize(r1.p_tree.actives | {v, cs[1]})
         return loc.done(r1.q_tree, r2.q_tree)
     if pair == (S0, S1):
@@ -424,9 +411,7 @@ def _sum9_c_split(g: Gadget, pair: Pair) -> Lift:
         tail_plain = pair in ((S2, S3P), (S2P, S3))
         r1 = yield e1, Split(S1P, S2) if tail_plain else Split(S0, S3)
         r2 = yield e2, Split(S0, S3) if tail_plain else Split(S1P, S2)
-        loc = Local(tag, r1, r2, r3)
-        loc.finalize(r1.p_tree.actives | r2.p_tree.actives | {v, *cs})
-        return loc.done(r1.q_tree, r2.q_tree)
+        return _close(tag, v, r1, r2, [r3], cs)
     raise EngineBug(f"pair {pair} not liftable at combined weight 9 (variant C)", tag)
 
 
@@ -462,7 +447,7 @@ def _heavy_split(g: Gadget, pair: Pair) -> Lift:
         raise EngineBug(f"pair {pair} missing from the weight-3 pair table", g.tag)
     *fixed, e3, e4 = g.children
     ops = [(e, (S3, S0)) for e in fixed] + [(e3, row[0]), (e4, row[1])]
-    loc, reals = yield from _close_fixed_splits(ops, e3.tail, g.eliminated is not None, g.tag)
+    loc, reals = yield from eliminate_with_fixed_splits(ops, e3.tail, g.eliminated is not None, g.tag)
     return loc.done(reals[-2].q_tree, reals[-1].q_tree)
 
 
@@ -500,13 +485,6 @@ def _fixed_singles(singles: list[EdgeView], v: int):
         rs.append((yield s, Split(S1, S0)))
     avs = sorted(set().union(*(r.p_tree.actives for r in rs)) - {v})
     return rs, avs
-
-
-def _close(tag: str, v: int, r1: Realization, r2: Realization, rs, avs) -> Realization:
-    # both edges split: every tail tree at v closes with v and the singles
-    loc = Local(tag, r1, r2, *rs)
-    loc.finalize(r1.p_tree.actives | r2.p_tree.actives | {v, *avs})
-    return loc.done(r1.q_tree, r2.q_tree)
 
 
 # -- replacement weight 2 (degree 5 all-unit, or degree 4 with one weight-2)

@@ -22,10 +22,7 @@ class GraphParseError(ValueError):
 def parse_edge_list(text: str) -> SimpleGraph:
     n: int | None = None
     edges: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _significant_lines(text):
         pos = f"line {lineno}"
         fields = line.split()
         if n is None:

@@ -110,7 +110,9 @@ def _child_components(view: RootedTreeView, alive: set[int], w: int, sub_w: set[
 def _minimal_bundle(comps: list[frozenset[int]], target: int) -> list[frozenset[int]]:
     """Inclusion-minimal set of components whose total size reaches `target`.
 
-    Greedy by decreasing size, then drop any component that is not needed.
+    Greedy by decreasing size up to the first prefix that reaches `target`,
+    which is minimal: dropping any chosen component, at least as large as
+    the last one, falls below `target`.
     """
     order = sorted(comps, key=lambda c: (-len(c), min(c)))
     chosen: list[frozenset[int]] = []
@@ -122,8 +124,4 @@ def _minimal_bundle(comps: list[frozenset[int]], target: int) -> list[frozenset[
             break
     if total < target:
         raise AssertionError("bundle cannot reach the requested size")
-    for c in sorted(chosen, key=lambda c: (len(c), min(c))):
-        if total - len(c) >= target:
-            chosen.remove(c)
-            total -= len(c)
     return chosen

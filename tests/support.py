@@ -238,11 +238,6 @@ class AdjacencyFragment:
     def __init__(self, edges: Iterable[tuple[int, int]]):
         self.adj = adjacency(edges)
 
-    def connected(self, vs) -> bool:
-        if not vs or min(vs) not in self.adj:
-            return False
-        return len(bfs_parents(self.adj, min(vs), vs)) == len(vs)
-
     def witness_for(self, part: frozenset[int]) -> frozenset[int] | None:
         if part - self.adj.keys():
             return None

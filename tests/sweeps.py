@@ -87,7 +87,8 @@ def _eliminated(ops) -> list:
     """Every part a flat elimination at the views' tail finalizes: its
     children's, from the sink, then its own."""
     sink: list = []
-    sink.extend(drive(eliminate_with_fixed_splits(ops, ops[0][0].tail, True, "cover"), sink))
+    loc, _ = drive(eliminate_with_fixed_splits(ops, ops[0][0].tail, True, "cover"), sink)
+    sink.extend(loc.parts)
     return sink
 
 

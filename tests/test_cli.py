@@ -82,6 +82,15 @@ def test_verify_good_partition(capture):
     assert code == 0
 
 
+def test_verify_size_mismatch_exits_one(capture):
+    code, out, err = capture(
+        ["verify", "-", "--parts", "[[0,1,2,3],[4,5,6,7]]", "--sizes", "3,5"],
+        stdin=emit_edge_list(cycle_graph(8)),
+    )
+    assert (code, err) == (1, "")
+    assert "part sizes [4, 4] do not match expected [3, 5]" in out
+
+
 @pytest.mark.parametrize("stray", [8, -1])
 def test_verify_unknown_vertex_exits_one(capture, stray):
     code, out, err = capture(

@@ -96,6 +96,17 @@ class TestVerifyPartition:
         res2 = verify_partition(cycle_graph(8), [[0, 1, 2], [3, 4, 5, 6, 7]], [3, 5])
         assert res2.ok
 
+    def test_expected_size_mismatch_is_reported(self):
+        res = verify_partition(cycle_graph(8), [[0, 1, 2, 3], [4, 5, 6, 7]], [3, 5])
+        assert not res.ok
+        assert res.problems == ("part sizes [4, 4] do not match expected [3, 5]",)
+
+    def test_empty_part_is_reported(self):
+        res = verify_partition(cycle_graph(8), [[0, 1, 2, 3], [], [4, 5, 6, 7]])
+        assert not res.ok
+        assert res.problems == ("part 1 has size 0, expected 4", "part 1 is empty")
+        assert len(res.witnesses) == 2
+
     @pytest.mark.parametrize("stray", [8, -1])
     def test_unknown_vertex_is_reported_not_raised(self, stray):
         res = verify_partition(cycle_graph(8), [[0, 1, 2, 3], [4, 5, 6, stray]])

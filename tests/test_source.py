@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 import quadparts
@@ -62,6 +63,24 @@ def test_every_imported_name_is_read():
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
         unread += [f"{module}:{line} {name}" for name, line in imported.items() if name not in read]
     assert unread == []
+
+
+def test_every_absolute_import_is_in_the_standard_library():
+    """The package declares no runtime dependency (`dependencies = []` in
+    pyproject.toml): each absolute import names a standard-library module,
+    so networkx and hypothesis stay test-only."""
+    outside = []
+    for module, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{module}:{node.lineno} {name}" for name in names
+                        if name.split(".")[0] not in sys.stdlib_module_names]
+    assert outside == []
 
 
 def test_every_exported_name_is_bound():
