@@ -12,13 +12,16 @@ low-point DFS (``_low_points``) over that incidence map, run on g or on g
 minus one vertex: it reports the vertices reached, the cut vertices and the
 bridges.  A SimpleGraph argument is first turned into the multigraph whose
 edge ids are the positions of its sorted edge list.  :func:`is_biconnected`
-is one run on g; :func:`separation_index` is one run on g - u for every
-vertex u, which finds the vertices of a block that lie in some 2-cut, the
-2-cut with the smallest side and the edges whose deletion leaves no block.
-:func:`has_three_paths` decides whether no 2-set separates two
-non-adjacent vertices a and b: three common neighbours settle it in
-O(deg a + deg b), else at most three breadth-first augmentations, O(m)
-each, search g minus the common neighbours.
+is one run on g; :func:`separation_index` finds the vertices of a block
+that lie in some 2-cut, the 2-cut with the smallest side and the edges
+whose deletion leaves no block from runs on g - u: first for the branch
+vertices u of a breadth-first spanning tree, which settle a block with no
+2-cut, else for every vertex u once.  :func:`has_three_paths` decides
+whether no 2-set separates two non-adjacent vertices a and b: three
+common neighbours settle it in O(deg a + deg b), else it finds the paths
+in g minus the common neighbours, first by plain searches from both ends
+and then, only if one of those fails, by breadth-first augmentations of
+O(m) each.
 
 Every other traversal in the package calls three primitives: :func:`adjacency`
 builds a vertex -> ascending neighbours map, :func:`bfs_parents` is the one
@@ -214,37 +217,38 @@ def _low_points(adj: dict[int, dict[int, int]], root: int,
     DFS parent, so a parallel edge to the parent acts as a back edge.
     """
     disc = {root: 0}
-    low = {root: 0}
-    entry = {root: -1}
-    iters = {root: iter(adj[root].items())}
-    stack = [root]
+    # a frame per vertex of the DFS path: [vertex, id of its tree edge, its
+    # edges left to scan, its low point so far]
+    stack = [[root, -1, iter(adj[root].items()), 0]]
     cuts: set[int] = set()
     bridges: set[int] = set()
     root_children = 0
     while stack:
-        v = stack[-1]
-        for eid, w in iters[v]:
-            if w == skip or eid == entry[v]:
+        top = stack[-1]
+        _, tree_edge, edges, lv = top
+        for eid, w in edges:
+            if w == skip or eid == tree_edge:
                 continue
-            if w not in disc:
-                disc[w] = low[w] = len(disc)
-                entry[w] = eid
-                iters[w] = iter(adj[w].items())
-                stack.append(w)
+            dw = disc.get(w)
+            if dw is None:
+                top[3] = lv
+                disc[w] = dw = len(disc)
+                stack.append([w, eid, iter(adj[w].items()), dw])
                 break
-            if disc[w] < low[v]:
-                low[v] = disc[w]
+            if dw < lv:
+                lv = dw
         else:
             stack.pop()
             if stack:
-                p = stack[-1]
-                if low[v] < low[p]:
-                    low[p] = low[v]
-                if low[v] > disc[p]:
-                    bridges.add(entry[v])
+                up = stack[-1]
+                if lv < up[3]:
+                    up[3] = lv
+                p = up[0]
+                if lv > disc[p]:
+                    bridges.add(tree_edge)
                 if p == root:
                     root_children += 1
-                elif low[v] >= disc[p]:
+                elif lv >= disc[p]:
                     cuts.add(p)
     if root_children > 1:
         cuts.add(root)
@@ -295,25 +299,52 @@ class SeparationIndex:
 
 
 def separation_index(g: SimpleGraph | Multigraph) -> SeparationIndex:
-    """Separation index of a block g on at least 3 vertices, in O(n(n + m))
-    plus O(n + m) per 2-cut.
+    """Separation index of a block g on at least 3 vertices.
 
-    One low-point DFS of g - u for every vertex u: {u, v} is a 2-cut iff v
-    is a cut vertex of g - u, and g - e is not a block iff e is a bridge of
-    some g - u.  Each cut (u, v) is met at u with v > u, u ascending and v
+    {u, v} is a 2-cut iff v is a cut vertex of g - u, and g - e is not a
+    block iff e is a bridge of some g - u, so the index is read from one
+    low-point DFS of g - u per vertex u.  With n >= 4 a pre-check runs those
+    searches first for the branch (non-leaf) vertices u of the breadth-first
+    tree from the vertex of highest degree (lowest on ties), and stops at
+    the first that finds a cut vertex.
+
+    Lemma 1: every 2-cut of g holds a branch vertex of any spanning tree T,
+    since deleting two leaves of T leaves T, and so g, connected.  Lemma 2:
+    if n >= 4 and g has no 2-cut, no edge is fixed.  Each g - u is then a
+    block on at least 3 vertices, so it has no bridge and g - e - u is
+    connected for every edge e and vertex u.  (On a triangle g - u is one
+    edge, which is a bridge.)  So when no pre-check search finds a cut
+    vertex the index is empty, at O(n + m) per branch vertex: a few
+    searches on a dense block.  Otherwise the searches go on over every
+    vertex u ascending and reuse the cut vertices and bridges the pre-check
+    found, so each g - u is searched once: O(n(n + m)) plus O(n + m) per
+    2-cut.  Each cut (u, v) is met at u with v > u, u ascending and v
     ascending, so cuts are met in lexicographic order and components are
     taken once per cut.  The caller guarantees that g is a block; on other
     inputs the index is incomplete.
     """
     adj = _as_multigraph(g)._inc
     verts = sorted(adj)
+    neighbours = {x: ends.values() for x, ends in adj.items()}
+
+    def cuts_and_bridges(u: int) -> tuple[set[int], set[int]]:
+        _, cut_vertices, bridges = _low_points(adj, verts[1] if u == verts[0] else verts[0], skip=u)
+        return cut_vertices, bridges
+
+    found: dict[int, tuple[set[int], set[int]]] = {}
+    if len(verts) >= 4:
+        tree = bfs_parents(neighbours, max(verts, key=lambda x: len(adj[x])))
+        for u in dict.fromkeys(p for p in tree.values() if p is not None):
+            found[u] = cuts_and_bridges(u)
+            if found[u][0]:
+                break
+        else:
+            return SeparationIndex(frozenset(), None, frozenset())
     in_cut: set[int] = set()
     fixed: set[int] = set()
     smallest: tuple[tuple[int, int], frozenset[int]] | None = None
-    neighbours = {x: ends.values() for x, ends in adj.items()}
     for u in verts:
-        root = verts[1] if u == verts[0] else verts[0]
-        _, cut_vertices, bridges = _low_points(adj, root, skip=u)
+        cut_vertices, bridges = found.pop(u) if u in found else cuts_and_bridges(u)
         fixed |= bridges
         if cut_vertices:
             in_cut |= cut_vertices | {u}
@@ -333,10 +364,65 @@ def has_three_paths(g: SimpleGraph | Multigraph, a: int, b: int) -> bool:
     family, else a-c-b would join it, and swapping that path for a-c-b keeps
     the family disjoint and keeps the paths a-c'-b of the other common
     neighbours.  So three paths exist iff |C| >= 3, settled in O(deg a +
-    deg b), or g - C has 3 - |C| of them, found by as many breadth-first
-    augmentations, O(m) each, that never enter C.
+    deg b), or g - C has 3 - |C| of them.
 
-    The augmentations split every other vertex x into x_in -> x_out of unit
+    The paths in g - C are first grown by plain breadth-first searches from
+    both ends (`_plain_path`), each avoiding the vertices of the paths found
+    before.  Disjoint paths are a flow of as many units, and a flow that is
+    not maximum has an augmenting path in its residual graph, so when a
+    plain search fails the residual augmentations (`_augment`) go on from
+    that flow and the answer stays exact.  Each search costs O(m) at worst,
+    but a plain one reaches only about the vertices within half the a-b
+    distance of either end, and one that meets settles a path without a
+    residual graph; an augmentation runs only after a plain search fails.
+    """
+    adj = _as_multigraph(g)._inc
+    common = set(adj[a].values()).intersection(adj[b].values())
+    if len(common) >= 3:
+        return True
+    closed = common | {a}  # never entered
+    into: dict[int, int] = {}  # x -> the tail of the flow arc entering x_in
+    need = 3 - len(common)
+    while need and _plain_path(adj, a, b, closed, into):
+        need -= 1
+    return all(_augment(adj, a, b, closed, into) for _ in range(need))
+
+
+def _plain_path(adj: dict[int, dict[int, int]], a: int, b: int, closed: set[int], into: dict[int, int]) -> bool:
+    """Add to the flow `into` one a-b path that enters neither `closed` nor
+    a vertex with flow, found by breadth-first search from both ends a level
+    at a time, each time from the end with the smaller frontier; False if
+    there is none."""
+    sides = ({a: a}, {b: b})  # vertex -> the vertex it was reached from, one map per end
+    fronts = [[a], [b]]
+    while fronts[0] and fronts[1]:
+        s = len(fronts[0]) > len(fronts[1])
+        mine, theirs = sides[s], sides[not s]
+        nxt = []
+        for x in fronts[s]:
+            for y in adj[x].values():
+                if y in theirs:
+                    p, q = (y, x) if s else (x, y)  # the edge p-q joins a's side to b's
+                    into[q] = p
+                    while p != a:
+                        into[p] = sides[0][p]
+                        p = into[p]
+                    while q != b:
+                        into[sides[1][q]] = q
+                        q = sides[1][q]
+                    return True
+                if y not in mine and y not in closed and y not in into:
+                    mine[y] = x
+                    nxt.append(y)
+        fronts[s] = nxt
+    return False
+
+
+def _augment(adj: dict[int, dict[int, int]], a: int, b: int, closed: set[int], into: dict[int, int]) -> bool:
+    """Grow the flow `into` by one unit with a breadth-first augmentation in
+    the residual graph that never enters `closed`; False if it is maximum.
+
+    Every vertex x other than a and b splits into x_in -> x_out of unit
     capacity, and each neighbour y of x gives the arc x_out -> y_in; parallel
     edges give one arc, as between non-adjacent vertices they add no
     disjoint path.  `into` maps each vertex with flow to the vertex its flow
@@ -346,46 +432,39 @@ def has_three_paths(g: SimpleGraph | Multigraph, a: int, b: int) -> bool:
     way on, to y_out when no flow passes y, else back to into[y]_out, so the
     search queues exits only.
     """
-    adj = _as_multigraph(g)._inc
-    common = set(adj[a].values()).intersection(adj[b].values())
-    if len(common) >= 3:
-        return True
-    closed = common | {a}  # never entered
-    into: dict[int, int] = {}  # x -> the tail of the flow arc entering x_in
-    for _ in range(3 - len(common)):
-        in_from: dict[int, int] = {}  # y -> x: y_in reached from x_out (x == y: back from y_out)
-        out_from: dict[int, int] = {a: a}  # x -> y: x_out reached from y_in (y == x: through x)
-        queue = deque([a])
-        while queue and b not in in_from:
-            x = queue.popleft()
-            if x in into and x not in in_from:  # back from x_out into x_in, then along its flow arc
-                in_from[x] = x
-                t = into[x]
-                if t not in out_from:
-                    out_from[t] = x
-                    queue.append(t)
-            for y in adj[x].values():
-                if y in in_from or y in closed:
-                    continue
-                in_from[y] = x
-                if y == b:
-                    break
-                t = into.get(y, y)
-                if t not in out_from:
-                    out_from[t] = y
-                    queue.append(t)
-        if b not in in_from:
-            return False
-        y = b
-        while True:  # sink first: an entry loses its old flow arc before it gains the new one
-            x = in_from[y]
-            if x != y:
-                into[y] = x  # into[b] is never read
-            if x == a:
+    in_from: dict[int, int] = {}  # y -> x: y_in reached from x_out (x == y: back from y_out)
+    out_from: dict[int, int] = {a: a}  # x -> y: x_out reached from y_in (y == x: through x)
+    queue = deque([a])
+    while queue and b not in in_from:
+        x = queue.popleft()
+        if x in into and x not in in_from:  # back from x_out into x_in, then along its flow arc
+            in_from[x] = x
+            t = into[x]
+            if t not in out_from:
+                out_from[t] = x
+                queue.append(t)
+        for y in adj[x].values():
+            if y in in_from or y in closed:
+                continue
+            in_from[y] = x
+            if y == b:
                 break
-            y = out_from[x]
-            if y != x:
-                del into[y]
+            t = into.get(y, y)
+            if t not in out_from:
+                out_from[t] = y
+                queue.append(t)
+    if b not in in_from:
+        return False
+    y = b
+    while True:  # sink first: an entry loses its old flow arc before it gains the new one
+        x = in_from[y]
+        if x != y:
+            into[y] = x  # into[b] is never read
+        if x == a:
+            break
+        y = out_from[x]
+        if y != x:
+            del into[y]
     return True
 
 

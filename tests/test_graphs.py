@@ -4,8 +4,10 @@ from itertools import combinations
 
 import pytest
 
+from quadparts import graphs
 from quadparts.graphs import (
     Multigraph,
+    SeparationIndex,
     SimpleGraph,
     bfs_parents,
     graph_power,
@@ -16,7 +18,8 @@ from quadparts.graphs import (
 )
 from quadparts.oracle import is_nearly_connected
 
-from .support import complete_graph, connected_components, cycle_graph, diameter, logged, path_graph
+from .support import (complete_graph, connected_components, cycle_graph, dense_block, diameter, logged, path_graph,
+                      relabelled)
 
 
 def brute_biconnected(g: SimpleGraph) -> bool:
@@ -77,6 +80,98 @@ def brute_smallest_cut(vertices, pairs):
             if best is None or len(side) < len(best[1]):
                 best = ((u, v), side)
     return best
+
+
+def brute_index(mg: Multigraph) -> SeparationIndex:
+    """The separation index of the block mg by brute force: components of
+    mg - {u, v} for every pair, and of mg - e and mg - e - x for every edge e
+    and vertex x."""
+    verts, edges = sorted(mg.vertices), mg.edge_tuples()
+    pairs = [(u, v) for _, u, v in edges]
+    in_cut = {x for u, v in combinations(verts, 2) if len(brute_components(set(verts) - {u, v}, pairs)) > 1
+              for x in (u, v)}
+    fixed = set()
+    for eid, _, _ in edges:
+        rest = [(u, v) for e, u, v in edges if e != eid]
+        if any(len(brute_components(set(verts) - removed, rest)) > 1 for removed in [set(), *({x} for x in verts)]):
+            fixed.add(eid)
+    return SeparationIndex(frozenset(in_cut), brute_smallest_cut(verts, pairs), frozenset(fixed))
+
+
+def networkx_index(nx, mg: Multigraph) -> SeparationIndex:
+    """The separation index of the block mg read from networkx."""
+    verts, edges = sorted(mg.vertices), mg.edge_tuples()
+    simple = nx.Graph([(u, v) for _, u, v in edges])
+    sides = {}  # each 2-cut, in lexicographic order, with its least (order, min) component
+    for u, v in combinations(verts, 2):
+        comps = list(nx.connected_components(simple.subgraph(set(verts) - {u, v})))
+        if len(comps) > 1:
+            sides[u, v] = frozenset(min(comps, key=lambda c: (len(c), min(c))))
+    least = min((len(side) for side in sides.values()), default=None)
+    smallest = next(((pair, side) for pair, side in sides.items() if len(side) == least), None)
+    fixed = {eid for eid, _, _ in edges
+             if not nx.is_biconnected(nx.MultiGraph([(u, v) for e, u, v in edges if e != eid]))}
+    return SeparationIndex(frozenset(x for pair in sides for x in pair), smallest, frozenset(fixed))
+
+
+def ladder(k: int, chords=(), closed: bool = False) -> SimpleGraph:
+    """networkx's ladder_graph(k) (rails 0..k-1 and k..2k-1, rungs i, i + k),
+    closed into its prism circular_ladder_graph(k) if asked, plus `chords`."""
+    rails = [(i, i + 1) for i in range(k - 1)] + [(k + i, k + i + 1) for i in range(k - 1)]
+    ends = [(0, k - 1), (k, 2 * k - 1)] if closed else []
+    return SimpleGraph.from_edges(2 * k, rails + ends + [(i, i + k) for i in range(k)] + list(chords))
+
+
+def index_blocks() -> list[Multigraph]:
+    """Blocks with and without 2-cuts: relabelled 3-regular blocks, relabelled
+    prisms and ladders with up to two chords, and dense blocks; each also as
+    a multigraph with reversed, spread-out ids and doubled edges; and the
+    triangle with and without parallel edges."""
+    nx = pytest.importorskip("networkx")
+    simple = []
+    for seed in range(16):
+        cubic = nx.random_regular_graph(3, 6 + 2 * (seed % 6), seed)
+        simple.append(relabelled(SimpleGraph.from_edges(cubic.number_of_nodes(), cubic.edges), seed))
+    for k in range(3, 8):
+        rng = random.Random(k)
+        for closed in (False, True):
+            chords = [tuple(rng.sample(range(2 * k), 2)) for _ in range(2)]
+            for count in range(3):
+                simple.append(relabelled(ladder(k, chords[:count], closed), 10 * k + count))
+    simple += [dense_block(n, seed) for n in range(4, 13) for seed in (1, 2)]
+    blocks = []
+    for g in simple:
+        if not is_biconnected(g):
+            continue
+        pairs = g.sorted_edges()
+        name = {v: 3 * (g.n - 1 - v) + 2 for v in range(g.n)}
+        moved = [(name[a], name[b]) for a, b in pairs]
+        blocks += [Multigraph(range(g.n), pairs), Multigraph(name.values(), moved + moved[::3])]
+    triangle = [(0, 1), (1, 2), (0, 2)]
+    blocks += [Multigraph(range(3), triangle), Multigraph(range(3), triangle + triangle[:1]),
+               Multigraph(range(3), triangle + triangle)]
+    return blocks
+
+
+@pytest.fixture
+def low_point_runs(monkeypatch) -> list[int]:
+    """The roots of the low-point searches run since the test started (or since the list was last cleared)."""
+    runs: list[int] = []
+    real = graphs._low_points
+
+    def counted(adj, root, skip=None):
+        runs.append(root)
+        return real(adj, root, skip)
+
+    monkeypatch.setattr(graphs, "_low_points", counted)
+    return runs
+
+
+def precheck_outcome(mg: Multigraph, runs: list[int]) -> str:
+    """How separation_index settled mg, from the searches it ran: a search
+    per vertex is the full loop, fewer means the pre-check found no 2-cut."""
+    assert len(runs) <= mg.n, "a vertex was searched twice"
+    return "full" if len(runs) == mg.n else "settled"
 
 
 class TestBiconnected:
@@ -153,8 +248,31 @@ class TestSmallest2Cut:
                 mg = Multigraph(name.values(), moved + moved[::3])
                 assert separation_index(mg).smallest == brute_smallest_cut(name.values(), moved), (n, seed)
 
+    def test_blocks_with_and_without_2cuts(self):
+        for i, mg in enumerate(index_blocks()):
+            if mg.n <= 12:
+                assert separation_index(mg) == brute_index(mg), i
+
 
 class TestSeparationIndexAgainstNetworkx:
+    def test_blocks_with_and_without_2cuts(self, low_point_runs):
+        """Every field against networkx, counting how each index was
+        settled: on a block of n >= 4 the pre-check answers exactly when
+        there is no 2-cut, and on a triangle it never applies, since every
+        edge without a parallel copy is fixed there."""
+        nx = pytest.importorskip("networkx")
+        outcomes: Counter[tuple[str, bool]] = Counter()  # (outcome, has a 2-cut)
+        for i, mg in enumerate(index_blocks()):
+            low_point_runs.clear()
+            index = separation_index(mg)
+            outcome = precheck_outcome(mg, low_point_runs)
+            assert index == networkx_index(nx, mg), i
+            assert (outcome == "settled") == (mg.n >= 4 and not index.in_cut), i
+            outcomes[outcome, bool(index.in_cut)] += 1
+        assert outcomes["full", False] == 3  # the triangles
+        assert outcomes["settled", False] > 60 and outcomes["full", True] > 30, outcomes
+        assert separation_index(Multigraph(range(3), [(0, 1), (1, 2), (0, 2)])).fixed_edges == {0, 1, 2}
+
     def test_random_cycle_multigraphs(self):
         nx = pytest.importorskip("networkx")
         for n in range(3, 10):
@@ -162,22 +280,12 @@ class TestSeparationIndexAgainstNetworkx:
                 mg = random_cycle_multigraph(n, 100 * n + seed)
                 edges = mg.edge_tuples()
                 index = separation_index(mg)
-                simple = nx.Graph([(u, v) for _, u, v in edges])
-                sides = {}  # each 2-cut, in lexicographic order, with its least (order, min) component
-                for u, v in combinations(range(n), 2):
-                    comps = list(nx.connected_components(simple.subgraph(set(range(n)) - {u, v})))
-                    if len(comps) > 1:
-                        sides[u, v] = frozenset(min(comps, key=lambda c: (len(c), min(c))))
-                assert index.in_cut == {x for pair in sides for x in pair}, (n, seed)
-                least = min((len(side) for side in sides.values()), default=None)
-                smallest = next(((pair, side) for pair, side in sides.items() if len(side) == least), None)
-                assert index.smallest == smallest, (n, seed)
-                assert is_biconnected(mg) and nx.is_biconnected(nx.MultiGraph(simple))
+                assert index == networkx_index(nx, mg), (n, seed)
+                assert is_biconnected(mg) and nx.is_biconnected(nx.MultiGraph([(u, v) for _, u, v in edges]))
                 for eid, _, _ in edges:
                     rest = [(u, v) for e, u, v in edges if e != eid]
                     block = nx.is_biconnected(nx.MultiGraph(rest))
                     assert is_biconnected(Multigraph(range(n), rest)) == block, (n, seed, eid)
-                    assert (eid in index.fixed_edges) == (not block), (n, seed, eid)
                 for v in range(n):
                     alive = set(range(n)) - {v}
                     rest = [(a, b) for _, a, b in edges if v not in (a, b)]
@@ -187,25 +295,57 @@ class TestSeparationIndexAgainstNetworkx:
                         assert (v in index.in_cut) == (not block), (n, seed, v)
 
 
+class TestSeparationIndexCost:
+    def test_dense_block_searches_only_branch_vertices(self, low_point_runs):
+        # a breadth-first tree from a vertex of degree about n/2 has few branch vertices
+        index = separation_index(relabelled(dense_block(64, 1), 1))
+        assert not index.in_cut and not index.fixed_edges
+        assert len(low_point_runs) <= 16
+
+    def test_ladder_reuses_the_precheck_searches(self, low_point_runs):
+        g = relabelled(ladder(20), 1)
+        assert separation_index(g).in_cut
+        assert len(low_point_runs) <= g.n
+
+
+@pytest.fixture
+def augmentations(monkeypatch) -> list[bool]:
+    """What each residual augmentation of has_three_paths returned since the
+    test started (or since the list was last cleared)."""
+    found: list[bool] = []
+    real = graphs._augment
+
+    def recorded(*args):
+        found.append(real(*args))
+        return found[-1]
+
+    monkeypatch.setattr(graphs, "_augment", recorded)
+    return found
+
+
 class TestThreePaths:
-    def test_agrees_with_networkx_on_non_adjacent_pairs(self):
-        """Both routes of has_three_paths against networkx: three common
+    def test_agrees_with_networkx_on_non_adjacent_pairs(self, augmentations):
+        """Every route of has_three_paths against networkx: three common
         neighbours settle a pair at once, one or two leave a search in g
-        minus them, and with none the search runs in g.  Random 3-regular
-        graphs give pairs where no common neighbour helps."""
+        minus them, and with none the search runs in g.  The search grows
+        the flow by plain paths first and augments in the residual graph
+        only when one fails, which then finds the rest or shows there is
+        none.  Random 3-regular graphs give pairs where no common neighbour
+        helps."""
         nx = pytest.importorskip("networkx")
         from networkx.algorithms.connectivity import build_auxiliary_node_connectivity, local_node_connectivity
         from networkx.algorithms.flow import build_residual_network
 
-        graphs = []
+        inputs = []
         for seed in range(250):
             rng = random.Random(seed)
-            graphs.append(random_graph(rng.randint(4, 10), rng.uniform(0.3, 0.9), seed))
+            inputs.append(random_graph(rng.randint(4, 10), rng.uniform(0.3, 0.9), seed))
         for seed in range(24):
             cubic = nx.random_regular_graph(3, 8 + 2 * (seed % 12), seed)
-            graphs.append(SimpleGraph.from_edges(cubic.number_of_nodes(), cubic.edges))
+            inputs.append(SimpleGraph.from_edges(cubic.number_of_nodes(), cubic.edges))
         routes: Counter[tuple[int, bool]] = Counter()  # (common neighbours up to 3, verdict)
-        for i, g in enumerate(graphs):
+        residual: Counter[bool] = Counter()  # verdict of the checks that augmented in the residual graph
+        for i, g in enumerate(inputs):
             n, adj, edges = g.n, g.adj(), g.sorted_edges()
             simple = nx.Graph(edges)
             simple.add_nodes_from(range(n))
@@ -216,12 +356,33 @@ class TestThreePaths:
                 if (a, b) in g.edges:
                     continue
                 expected = local_node_connectivity(simple, a, b, **flows) >= 3
+                augmentations.clear()
                 assert has_three_paths(g, a, b) == expected, (i, a, b)
+                if augmentations:
+                    assert all(augmentations[:-1]) and augmentations[-1] == expected, (i, a, b)
+                    residual[expected] += 1
                 assert has_three_paths(mg, b, a) == expected, (i, a, b)
                 routes[min(len(set(adj[a]) & set(adj[b])), 3), expected] += 1
         for route, least in {(3, True): 300, (2, True): 150, (2, False): 100, (1, True): 500,
                              (1, False): 300, (0, True): 1300, (0, False): 300}.items():
             assert routes[route] > least, (route, routes[route])
+        assert residual[True] > 50, residual
+        assert residual[False] == sum(count for (_, verdict), count in routes.items() if not verdict)
+
+    def test_greedy_shortest_paths_block_each_other(self, augmentations):
+        """a = 0 and b = 1 have no common neighbour and three disjoint paths
+        2-8-5, 3-9-6 and 4-10-11-7, but the shortest a-b path 0-2-6-1 takes
+        the one exit of 3-9 towards b.  The plain searches find it and
+        0-4-10-11-7-1, then stop; the residual augmentation 0-3-9-6-2-8-5-1
+        gives back the edge 2-6 and finds the third path."""
+        g = SimpleGraph.from_edges(12, [(0, 2), (0, 3), (0, 4), (1, 5), (1, 6), (1, 7), (2, 8), (8, 5),
+                                        (3, 9), (9, 6), (4, 10), (10, 11), (11, 7), (2, 6)])
+        assert has_three_paths(g, 0, 1) and has_three_paths(g, 1, 0)
+        assert augmentations == [True, True]
+        g = SimpleGraph.from_edges(12, g.edges - {(5, 8)})
+        augmentations.clear()
+        assert not has_three_paths(g, 0, 1)
+        assert augmentations == [False]
 
 
 class TestTraversalAgainstNetworkx:
