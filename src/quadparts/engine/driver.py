@@ -22,13 +22,18 @@ vertex steps run the full block check.  The parallel pair and the degree-2
 vertex come from worklists the graph keeps up to date
 (:meth:`~quadparts.engine.model.LabeledMultigraph.parallel_pair` and
 :meth:`~quadparts.engine.model.LabeledMultigraph.degree2_vertex`), so those
-steps cost O(degree) plus heap upkeep.
+steps cost O(degree) plus heap upkeep.  Two more per-vertex counts, of
+weight-0 edges and of edges that read L31 away from the vertex, decide in
+O(1) whether a vertex outside every 2-cut takes a strip or a vertex step.
 
-Every part finalized along the way goes to one list, ``lg.emitted``: each
-request of the driver passes it to :func:`~quadparts.engine.model.drive` as
-the sink for each realization's own parts, :func:`_eliminate` adds the parts
-an eager elimination (a drop and a strip are one-edge ones) finalizes
-itself, and :func:`solve_base` the two base parts of the final edge.
+A drop or a strip deletes one weight-0 edge (:func:`_delete`).  A leaf, an
+original edge, is retired with nothing to realize; an ``L00`` edge is
+eliminated like the flat and pair eliminations at a vertex.  Every part
+finalized along the way goes to one list, ``lg.emitted``: each request of
+the driver passes it to :func:`~quadparts.engine.model.drive` as the sink
+for each realization's own parts, :func:`_eliminate` adds the parts an
+eager elimination finalizes itself, and :func:`solve_base` the two base
+parts of the final edge.
 """
 
 from __future__ import annotations
@@ -94,17 +99,15 @@ def init_labeled(g: SimpleGraph) -> LabeledMultigraph:
 # Reduction search
 
 
-def _is_reducible_vertex(lg: LabeledMultigraph, v: int, in_cut: frozenset[int]) -> bool:
-    """G - v is a block (v lies in no 2-cut) and at most one L31 edge points away from v."""
-    return v not in in_cut and sum(1 for e in lg.incident(v) if lg.view(e, v).label.name == "L31") <= 1
-
-
 def find_reduction(lg: LabeledMultigraph) -> Step:
     """Next reduction step under the fixed priority order, as ``(kind,
     args)``: ``("parallel", (e1, e2))``, ``("series", (v,))``, ``("strip",
     (v, e))``, ``("absorb", (e1, e2, v))`` or ``("vertex", (v,))``.  A strip
     is picked at a removable vertex with a weight-0 edge, e the lowest one,
-    and a vertex step at one without.  Traps if none exists and on a single
+    and a vertex step at one without.  A vertex v is removable when G - v is
+    a block (v lies in no 2-cut) and at most one edge reads L31 away from v;
+    the index's `in_cut` and the graph's counts `l31_away` and `zero_at`
+    decide each candidate in O(1).  Traps if none exists and on a single
     edge, which the caller realizes instead."""
     if len(lg.edges) < 2:
         raise EngineBug(f"find_reduction called with {len(lg.edges)} edges; a single edge is the base case")
@@ -124,12 +127,14 @@ def find_reduction(lg: LabeledMultigraph) -> Step:
         (cu, cv), comp = index.smallest
         vertex_pool = sorted(comp)
         host_pool = sorted(comp | {cu, cv})
+    in_cut, zero_at, l31_away = index.in_cut, lg.zero_at, lg.l31_away
     first_reducible = None
     for v in vertex_pool:
-        zero = next((eid for eid in lg.incident(v) if lg.edges[eid].label.weight == 0), None)
-        if (zero is not None or first_reducible is None) and _is_reducible_vertex(lg, v, index.in_cut):
-            if zero is not None:
-                return "strip", (v, zero)
+        if v in in_cut or l31_away[v] > 1:
+            continue
+        if zero_at[v]:
+            return "strip", (v, next(eid for eid in lg.incident(v) if lg.edges[eid].label.weight == 0))
+        if first_reducible is None:
             first_reducible = v
     for y in host_pool:
         for eid in lg.incident(y):
@@ -156,7 +161,7 @@ def reduce_parallel(lg: LabeledMultigraph, eid1: int, eid2: int) -> str:
     e1, e2 = sorted((lg.view(eid1, u), lg.view(eid2, u)), key=lambda e: (e.label.weight, e.eid))
     if e1.label.weight == 0:
         tag = f"drop[{e1.label.name}] eid={e1.eid}"
-        _eliminate(lg, [(e1, (S0, S0))], e1.tail, False, tag)
+        _delete(lg, e1, tag)
         return tag
     if e1.label.name == "L30" and e2.label.name != "L30":
         e1, e2 = e2, e1
@@ -185,7 +190,7 @@ def reduce_edge(lg: LabeledMultigraph, eid1: int, eid2: int, v: int) -> str:
 def _strip_weight0(lg: LabeledMultigraph, v: int, eid: int) -> str:
     view = lg.view(eid, v)
     tag = f"strip[{view.label.name}] eid={eid}@{v}"
-    _eliminate(lg, [(view, (S0, S0))], v, False, tag)
+    _delete(lg, view, tag)
     return tag
 
 
@@ -199,10 +204,24 @@ def reduce_vertex(lg: LabeledMultigraph, v: int) -> str:
     return _reduce_vertex_deg4plus(lg, v, views)
 
 
+def _delete(lg: LabeledMultigraph, view: EdgeView, tag: str) -> None:
+    """Delete the weight-0 edge `view` at its tail, by its one split (S0, S0).
+
+    A leaf, an original edge, is retired as it is: its split binds its two
+    ends as bare roots, and its scope is empty, so the split finalizes,
+    materializes and exposes nothing and there is nothing to realize or
+    check.  Any other weight-0 edge is eliminated through :func:`drive`."""
+    if view.edge.kind == "leaf":
+        lg.retire((view,), None)
+    else:
+        _eliminate(lg, [(view, (S0, S0))], view.tail, False, tag)
+
+
 def _eliminate(lg: LabeledMultigraph, ops: list[tuple[EdgeView, Pair]], v: int, with_v: bool, tag: str) -> None:
     """An eager elimination at v: realize the fixed splits `ops`, add the
     parts they free to `lg.emitted` and retire their edges, and v too when
-    `with_v`."""
+    `with_v`.  Flat and pair eliminations at a vertex and the deletion of an
+    `L00` edge (:func:`_delete`) come here; a leaf is retired without one."""
     loc, _ = drive(eliminate_with_fixed_splits(ops, v, with_v, tag), lg.emitted)
     lg.emitted.extend(loc.parts)
     lg.retire([e for e, _ in ops], v if with_v else None)

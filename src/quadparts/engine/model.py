@@ -664,6 +664,10 @@ class LabeledMultigraph(Multigraph):
       candidates read by :meth:`parallel_pair`;
     - a heap of the vertices whose degree became 2, read by
       :meth:`degree2_vertex`;
+    - `zero_at`, each live vertex -> the number of weight-0 edges at it, and
+      `l31_away`, each live vertex -> the number of edges that read L31 from
+      it (a stored L31 counts at its u, a stored L32 at its v), which the
+      driver's strip and vertex picks read in O(1) per candidate;
     - the vertices removed and the pairs whose last edge went since the last
       :meth:`take_changes`, which the driver's block certificates read.
 
@@ -682,6 +686,8 @@ class LabeledMultigraph(Multigraph):
         self._pairs: dict[tuple[int, int], dict[int, None]] = {}
         self._pair_heap: list[tuple[int, tuple[int, int]]] = []
         self._degree2_heap: list[int] = []
+        self.zero_at = dict.fromkeys(range(original.n), 0)
+        self.l31_away = dict.fromkeys(range(original.n), 0)
         self._removed: list[int] = []
         self._emptied: list[tuple[int, int]] = []
 
@@ -722,6 +728,7 @@ class LabeledMultigraph(Multigraph):
         if self._touched is not None:
             self._touched.discard(v)
         self._removed.append(v)
+        del self.zero_at[v], self.l31_away[v]
 
     def install(self, gadget: Gadget) -> int:
         """Replace what `gadget` declares it replaces, its children's edges
@@ -730,12 +737,25 @@ class LabeledMultigraph(Multigraph):
         self.retire(gadget.children, gadget.eliminated)
         eid = self.add_edge(gadget.u, gadget.v)
         self.edges[eid] = gadget
-        self._weight += gadget.label.weight
+        self._count(gadget, 1)
         return eid
 
     def remove_labeled(self, eid: int) -> None:
         self.remove_edge(eid)
-        self._weight -= self.edges.pop(eid).label.weight
+        self._count(self.edges.pop(eid), -1)
+
+    def _count(self, gadget: Gadget, sign: int) -> None:
+        """Add (`sign` 1) or take away (-1) `gadget`'s label in the weight
+        total, `zero_at` and `l31_away`."""
+        label = gadget.label
+        self._weight += sign * label.weight
+        if label.weight == 0:
+            self.zero_at[gadget.u] += sign
+            self.zero_at[gadget.v] += sign
+        elif label.name == "L31":
+            self.l31_away[gadget.u] += sign
+        elif label.name == "L32":
+            self.l31_away[gadget.v] += sign
 
     def retire(self, views: Iterable[EdgeView], vertex: int | None) -> None:
         """Remove the edges of `views`, then `vertex` unless it is None."""

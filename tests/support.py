@@ -46,6 +46,9 @@ independent of the library's own traversals.
 `scanned_parallel_pair`, `scanned_degree2_vertex` and `summed_weight` scan
 every edge of a labeled multigraph: they are the oracle for the worklists
 and the running weight total that the multigraph keeps.
+`scanned_zero_counts` and `scanned_l31_away` are the per-vertex scans the
+driver's strip and vertex picks once ran, kept as the oracle for the
+weight-0 and L31-away counts.
 """
 
 from __future__ import annotations
@@ -526,3 +529,14 @@ def scanned_degree2_vertex(lg) -> int | None:
 
 def summed_weight(lg) -> int:
     return sum(g.label.weight for g in lg.edges.values())
+
+
+def scanned_zero_counts(lg) -> dict[int, int]:
+    """Each live vertex -> the number of weight-0 edges at it."""
+    return {v: sum(1 for eid in lg.incident(v) if lg.edges[eid].label.weight == 0) for v in lg.vertices}
+
+
+def scanned_l31_away(lg) -> dict[int, int]:
+    """Each live vertex -> the number of edges that read L31 from it, read
+    through a view of each edge at v."""
+    return {v: sum(1 for eid in lg.incident(v) if lg.view(eid, v).label.name == "L31") for v in lg.vertices}

@@ -22,16 +22,18 @@ from quadparts.engine import (
 )
 from quadparts.engine.driver import apply_reduction
 from quadparts.engine.local import Local, group
-from quadparts.engine.model import BoundTree, EdgeView, Gadget, Realization, ask, from_parents, fuse, graft, single
+from quadparts.engine.model import (BoundTree, EdgeView, Gadget, Realization, Split, ask, from_parents, fuse, graft,
+                                   single)
 from quadparts.families import enumerate_2connected, random_2connected, random_corpus, subdivided_k4, theta
 from quadparts.graphs import SimpleGraph, is_biconnected, norm_edge, separation_index
-from quadparts.labels import CATALOG, TreeSet
+from quadparts.labels import CATALOG, S0, TreeSet
 from quadparts.oracle import verify_partition
 
 from . import sweeps
 from .support import (AdjacencyFragment, StubGadget, TreeShape, all_ops, complete_graph, cycle_graph, dense_block,
                       equal_theta, fragment_edges, logged, path_graph, relabelled, scanned_degree2_vertex,
-                      scanned_parallel_pair, sparse_block, stub_edge, summed_weight, tree_of)
+                      scanned_l31_away, scanned_parallel_pair, scanned_zero_counts, sparse_block, stub_edge,
+                      summed_weight, tree_of)
 from .support import fits as shape_fits
 
 
@@ -394,6 +396,44 @@ class TestFindReduction:
         with pytest.raises(EngineBug, match="single edge is the base case"):
             find_reduction(lg)
 
+    @pytest.mark.parametrize("away, step", [(1, ("strip", (0, 2))), (2, ("strip", (3, 2)))])
+    def test_a_vertex_with_two_l31_edges_away_is_not_removable(self, away, step):
+        """On K5 with L1 edges, 0 reads L31 on its edge to 1 (stored L31
+        from 0), and with `away` 2 also on its edge to 2 (stored L32 from
+        2); 0-3 and 3-4 carry weight 0.  With one L31 away, 0 is stripped of
+        edge 2 (0-3); with two, 0 is skipped and 3 is stripped of it."""
+        g = complete_graph(5)
+        lg = LabeledMultigraph(g)
+        labels = {(0, 1): "L31", (0, 3): "L0", (3, 4): "L0"}
+        for u, v in g.sorted_edges():
+            if (u, v) == (0, 2) and away == 2:
+                lg.install(stub_edge(CATALOG["L32"], 2, 0))
+            else:
+                lg.install(stub_edge(CATALOG[labels.get((u, v), "L1")], u, v))
+        assert lg.l31_away[0] == away and find_reduction(lg) == step
+
+    def test_strip_picks_read_no_view(self, monkeypatch):
+        """A strip is picked from the graph's counts: no call of
+        find_reduction that returns one reads an edge through a view."""
+        views, strips = [], []
+        real_view, real_find = LabeledMultigraph.view, driver.find_reduction
+
+        def view(lg, eid, tail):
+            views.append(eid)
+            return real_view(lg, eid, tail)
+
+        def find(lg):
+            views.clear()
+            step = real_find(lg)
+            if step[0] == "strip":
+                strips.append(list(views))
+            return step
+
+        monkeypatch.setattr(LabeledMultigraph, "view", view)
+        monkeypatch.setattr(driver, "find_reduction", find)
+        partition_with_trace(dense_block(16, 1))
+        assert len(strips) == 42 and not any(strips)
+
     def test_unknown_kind_traps(self):
         lg = init_labeled(cycle_graph(4))
         with pytest.raises(EngineBug, match=r"cannot apply reduction step \('contract', \(0,\)\)"):
@@ -490,53 +530,95 @@ class TestCarriedSeparationIndex:
         assert len(consultations) > 20 and len(builds) < len(consultations) // 2
 
 
+def _random_rewrites(seeds):
+    """Random edge deletions and additions, parallel edges and vertex
+    removals on blocks with random labels: yields ``(seed, lg, removed,
+    lost)`` after every mutation, with the vertices it removed and the
+    pairs it left unjoined."""
+    names = sorted(CATALOG)
+    for seed in seeds:
+        rng = random.Random(seed)
+        g = dense_block(rng.randint(5, 10), seed)
+        lg = LabeledMultigraph(g)
+        for u, v in g.sorted_edges():
+            lg.install(stub_edge(CATALOG[rng.choice(names)], u, v))
+        lg.take_changes()
+        for _ in range(60):
+            before = {norm_edge(gd.u, gd.v) for gd in lg.edges.values()}
+            removed = []
+            roll = rng.random()
+            if roll < 0.4 and lg.edges:
+                lg.remove_labeled(rng.choice(sorted(lg.edges)))
+            elif roll < 0.7 and lg.edges:
+                ends = rng.choice(sorted(before))
+                lg.install(stub_edge(CATALOG[rng.choice(names)], *ends))
+            elif roll < 0.85 or lg.n <= 3:
+                lg.install(stub_edge(CATALOG[rng.choice(names)], *rng.sample(sorted(lg.vertices), 2)))
+            else:
+                x = rng.choice(sorted(lg.vertices))
+                for eid in lg.incident(x):
+                    lg.remove_labeled(eid)
+                lg.remove_vertex(x)
+                removed.append(x)
+            yield seed, lg, removed, before - {norm_edge(gd.u, gd.v) for gd in lg.edges.values()}
+
+
+_honest_count = LabeledMultigraph._count
+
+
+def _zero_forgets_the_head(lg, gadget, sign):
+    """Planted fault: removing a weight-0 edge leaves its head's count."""
+    _honest_count(lg, gadget, sign)
+    if gadget.label.weight == 0 and sign < 0:
+        lg.zero_at[gadget.v] += 1
+
+
+def _l32_read_as_stored(lg, gadget, sign):
+    """Planted fault: a stored L32 is counted at its u, as if it read L31
+    from there."""
+    _honest_count(lg, gadget, sign)
+    if gadget.label.name == "L32":
+        lg.l31_away[gadget.v] -= sign
+        lg.l31_away[gadget.u] += sign
+
+
 class TestWorklists:
     def test_picks_match_the_scans_under_random_rewrites(self):
-        """Random edge deletions and additions, parallel edges and vertex
-        removals on labeled blocks: after every mutation the parallel pair,
-        the degree-2 vertex, the weight, the adjacencies and the changes
-        reported since the last mutation equal whole-graph scans."""
-        pairs_seen = degree2_seen = vertices_removed = 0
-        for seed in range(60):
-            rng = random.Random(seed)
-            g = dense_block(rng.randint(5, 10), seed)
-            lg = LabeledMultigraph(g)
-            names = sorted(CATALOG)
-            for u, v in g.sorted_edges():
-                lg.install(stub_edge(CATALOG[rng.choice(names)], u, v))
-            lg.take_changes()
-            for _ in range(60):
-                before = {norm_edge(gd.u, gd.v) for gd in lg.edges.values()}
-                removed = []
-                roll = rng.random()
-                if roll < 0.4 and lg.edges:
-                    lg.remove_labeled(rng.choice(sorted(lg.edges)))
-                elif roll < 0.7 and lg.edges:
-                    ends = rng.choice(sorted(before))
-                    lg.install(stub_edge(CATALOG[rng.choice(names)], *ends))
-                elif roll < 0.85 or lg.n <= 3:
-                    lg.install(stub_edge(CATALOG[rng.choice(names)], *rng.sample(sorted(lg.vertices), 2)))
-                else:
-                    x = rng.choice(sorted(lg.vertices))
-                    for eid in lg.incident(x):
-                        lg.remove_labeled(eid)
-                    lg.remove_vertex(x)
-                    removed.append(x)
-                after = {norm_edge(gd.u, gd.v) for gd in lg.edges.values()}
-                assert lg.take_changes() == (removed, before - after), seed
-                assert lg.parallel_pair() == scanned_parallel_pair(lg), seed
-                assert lg.degree2_vertex() == scanned_degree2_vertex(lg), seed
-                assert lg.weight() == summed_weight(lg), seed
-                assert lg.invariant_ok() == ((summed_weight(lg) + lg.n) % 4 == 0)
-                alive = sorted(lg.vertices)
-                for a in alive:
-                    for b in alive:
-                        if a < b:
-                            assert lg.adjacent(a, b) == ((a, b) in after), seed
-                pairs_seen += lg.parallel_pair() is not None
-                degree2_seen += lg.degree2_vertex() is not None
-                vertices_removed += bool(removed)
+        """After every mutation of `_random_rewrites` the parallel pair, the
+        degree-2 vertex, the weight, the weight-0 and L31-away counts, the
+        adjacencies and the changes reported since the last mutation equal
+        whole-graph scans."""
+        pairs_seen = degree2_seen = vertices_removed = zero_seen = l31_seen = 0
+        for seed, lg, removed, lost in _random_rewrites(range(60)):
+            assert lg.take_changes() == (removed, lost), seed
+            assert lg.parallel_pair() == scanned_parallel_pair(lg), seed
+            assert lg.degree2_vertex() == scanned_degree2_vertex(lg), seed
+            assert lg.weight() == summed_weight(lg), seed
+            assert lg.invariant_ok() == ((summed_weight(lg) + lg.n) % 4 == 0)
+            assert lg.zero_at == scanned_zero_counts(lg), seed
+            assert lg.l31_away == scanned_l31_away(lg), seed
+            alive = sorted(lg.vertices)
+            joined = {norm_edge(gd.u, gd.v) for gd in lg.edges.values()}
+            for a in alive:
+                for b in alive:
+                    if a < b:
+                        assert lg.adjacent(a, b) == ((a, b) in joined), seed
+            pairs_seen += lg.parallel_pair() is not None
+            degree2_seen += lg.degree2_vertex() is not None
+            vertices_removed += bool(removed)
+            zero_seen += max(lg.zero_at.values(), default=0) > 1
+            l31_seen += max(lg.l31_away.values(), default=0) > 1
         assert pairs_seen > 2000 and degree2_seen > 1000 and vertices_removed > 200
+        assert zero_seen > 1000 and l31_seen > 500
+
+    @pytest.mark.parametrize("fault, counts, scan", [(_zero_forgets_the_head, "zero_at", scanned_zero_counts),
+                                                     (_l32_read_as_stored, "l31_away", scanned_l31_away)],
+                             ids=["zero_at", "l31_away"])
+    def test_planted_count_faults_are_caught(self, monkeypatch, fault, counts, scan):
+        """A count that goes wrong in the mutation hooks differs from its
+        scan within a few random rewrites."""
+        monkeypatch.setattr(LabeledMultigraph, "_count", fault)
+        assert any(getattr(lg, counts) != scan(lg) for _, lg, _, _ in _random_rewrites(range(5)))
 
 
 def _plant_after(monkeypatch, prefix: str, rewrite):
@@ -726,7 +808,7 @@ class TestConstantStepWork:
 class TestReplacementLabels:
     def test_parallel_merge_rows(self):
         from quadparts.engine.parallel import merged_parallel_label
-        from quadparts.labels import CATALOG, TreeSet
+        from quadparts.labels import CATALOG, S0, TreeSet
 
         rows = [("L30", "L30", "L21"), ("L1", "L1", "L2"), ("L1", "L30", "L00"),
                 ("L2", "L20", "L00"), ("L1", "L2", "L30"), ("L21", "L32", "L10")]
@@ -735,7 +817,7 @@ class TestReplacementLabels:
 
     def test_series_contraction_rows(self):
         from quadparts.engine.series import merged_series_label
-        from quadparts.labels import CATALOG, TreeSet
+        from quadparts.labels import CATALOG, S0, TreeSet
 
         rows = [("L0", "L0", "L1"), ("L0", "L1", "L2"), ("L0", "L21", "L31"),
                 ("L00", "L21", "L31"), ("L21", "L31", "L21"), ("L32", "L32", "L32"),
@@ -803,11 +885,14 @@ class TestDeepCascades:
 
 
 class TestOneRealizationPath:
-    @pytest.mark.parametrize("g", [dense_block(8, 1), random_2connected(16, 0)], ids=["dense8", "random16"])
-    def test_every_driver_request_runs_through_drive(self, monkeypatch, g):
-        """The driver realizes at each drop, strip and eager elimination,
-        and once at the base, and each time through one `drive` into one
-        sink, which ends up holding exactly the parts of the partition."""
+    @pytest.mark.parametrize("g, non_leaf", [(dense_block(8, 1), 0), (random_2connected(16, 0), 2),
+                                             (sparse_block(32, 0), 1)], ids=["dense8", "random16", "sparse32"])
+    def test_every_driver_request_runs_through_drive(self, monkeypatch, g, non_leaf):
+        """The driver realizes at each drop and strip of an `L00` edge and
+        each eager elimination, and once at the base, and each time through
+        one `drive` into one sink, which ends up holding exactly the parts
+        of the partition.  random16 drops `L00` edges and sparse32 strips
+        one; a leaf's drop or strip realizes nothing."""
         sinks = []
         real = driver.drive
 
@@ -818,10 +903,47 @@ class TestOneRealizationPath:
         monkeypatch.setattr(driver, "drive", counted)
         partition, trace = partition_with_trace(g)
         kinds = Counter(t.detail.split("[")[0] for t in trace)
-        requesting = kinds["drop"] + kinds["strip"] + sum(c for k, c in kinds.items() if k.endswith(("-flat", "-pair")))
-        assert kinds["drop"] and kinds["strip"]
+        deleted_l00 = sum(t.detail.startswith(("drop[L00]", "strip[L00]")) for t in trace)
+        requesting = deleted_l00 + sum(c for k, c in kinds.items() if k.endswith(("-flat", "-pair")))
+        assert kinds["drop"] and kinds["strip"] and deleted_l00 == non_leaf
         assert len(sinks) == requesting + 1 and all(sink is sinks[0] for sink in sinks)
         assert sorted(map(sorted, sinks[0])) == partition.as_lists()
+
+    def test_a_leaf_split_binds_bare_roots_and_nothing_else(self):
+        """Why a leaf is deleted without `drive`: its one split (S0, S0),
+        read from either end, binds the two ends as single roots, finalizes
+        no part, materializes no edge and exposes no vertex."""
+        leaf = leaf_gadget(CATALOG["L0"], 3, 7)
+        op = Split(S0, S0)
+        for tail, head in ((3, 7), (7, 3)):
+            sink = []
+            real = model.drive(ask(EdgeView(leaf, tail, 0), op), sink)
+            assert real == Realization(p_tree=single(tail), q_tree=single(head))
+            assert not sink and not real.parts and not real.edges and not fragment_edges(real)
+            if tail == leaf.u:
+                assert leaf.check(real, op, [], 0) == set()
+
+    def test_no_leaf_deletion_enters_drive(self, monkeypatch):
+        """On dense_block(16), 45 leaves are dropped or stripped and none
+        of them is realized: every `drive` call is the one `L00` drop, a
+        vertex elimination or the base, and no elimination requests a
+        leaf."""
+        drives, eliminated = [], []
+        real_drive, real_lift = driver.drive, driver.eliminate_with_fixed_splits
+
+        def counted(lift, sink):
+            drives.append(lift)
+            return real_drive(lift, sink)
+
+        def lift(ops, v, include_v, tag):
+            eliminated.append([e.edge.kind for e, _ in ops])
+            return real_lift(ops, v, include_v, tag)
+
+        monkeypatch.setattr(driver, "drive", counted)
+        monkeypatch.setattr(driver, "eliminate_with_fixed_splits", lift)
+        _, trace = partition_with_trace(dense_block(16, 1))
+        assert sum(t.detail.startswith(("drop[L0]", "strip[L0]")) for t in trace) == 45
+        assert len(drives) == len(eliminated) + 1 and not any("leaf" in kinds for kinds in eliminated)
 
     def test_drive_appends_each_part_once_and_a_lift_keeps_its_own(self, monkeypatch):
         """For every swept gadget on stub children and every operation, the
