@@ -16,9 +16,10 @@ vertices in no 2-cut, which are the removable ones; and the edges whose
 deletion would leave no block.
 After every step the driver asserts the two structural invariants: total
 weight plus order stays divisible by 4, read off a running total, and the
-graph remains a block.  Parallel, drop, series and strip steps prove the
-second with an O(degree) certificate (:func:`_still_a_block`); absorb and
-vertex steps run the full block check.  The parallel pair and the degree-2
+graph remains a block.  Every step kind proves the second with an
+O(degree) certificate read from what the step removed
+(:func:`_still_a_block`), so no step runs a whole-graph block check; only
+:func:`init_labeled` checks the input.  The parallel pair and the degree-2
 vertex come from worklists the graph keeps up to date
 (:meth:`~quadparts.engine.model.LabeledMultigraph.parallel_pair` and
 :meth:`~quadparts.engine.model.LabeledMultigraph.degree2_vertex`), so those
@@ -41,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from ..graphs import SimpleGraph, is_biconnected
+from ..graphs import SimpleGraph, is_biconnected, norm_edge
 from ..labels import CATALOG, S0, S1, S2, S3, S3P, Pair
 from ..oracle import Part, Partition, is_nearly_connected
 from .model import EdgeView, EngineBug, LabeledMultigraph, Split, Subdivide, ask, drive, leaf_gadget
@@ -348,11 +349,14 @@ def solve_base(lg: LabeledMultigraph) -> tuple[frozenset[int], ...]:
 
 def _still_a_block(lg: LabeledMultigraph, kind: str, args: tuple[int, ...]) -> bool:
     """Whether the graph, a block before the step ``(kind, args)``, is
-    still one: an O(degree) certificate for the step kinds below, the full
-    O(n + m) check for absorb and vertex steps.
+    still one: an O(degree) certificate per step kind, read from what the
+    step removed (`take_changes`).
 
     Adding an edge between two vertices of a block leaves a block, so each
-    certificate reads only what the step removed (`take_changes`).
+    certificate reads only what went.  Strip, absorb and vertex steps are
+    picked on a simple block of minimum degree 3 (parallel pairs and
+    degree-2 vertices go first), so n >= 4 and each pick's reason holds in
+    the simple graph G before the step.
 
     - parallel (merge or drop): no vertex and no adjacency went, so the
       underlying simple graph is unchanged.
@@ -362,10 +366,18 @@ def _still_a_block(lg: LabeledMultigraph, kind: str, args: tuple[int, ...]) -> b
       and contracting keeps a block a block: G' - x for x not in {a, b} is
       G - x with the path a v b shortened to an edge, and G' - a is
       G - a less the leaf v.
-    - strip at v: no vertex went and at most one adjacency, at v, while v
-      keeps two neighbours.  v lies in no 2-cut (that is why it was
-      chosen), so G - v is a block, and G - e is G - v plus an ear through
-      v.
+    - strip or vertex step at v: v lies in no 2-cut (that is why it was
+      picked), so G - v is a block.  No vertex but v went and every lost
+      adjacency is at v, so G' contains G - v.  If v went, that is all of
+      G'; if v stays with two distinct neighbours, G' is G - v plus an ear
+      through v.  A strip that lost at most one of the three or more
+      adjacencies v had leaves v two, so it needs no neighbour scan; the
+      vertex steps that keep v (heavy at degree >= 4, pair and flat) read
+      v's neighbours.
+    - absorb of e1 at y: e1 is not a fixed edge (that is why it was
+      picked), so G - e1 is a block.  No vertex went and at most e1's
+      adjacency was lost, so G' contains G - e1.  e1's ends are read off
+      the absorb gadget, the newest edge, which holds e1 as a child.
     """
     removed, lost = lg.take_changes()
     if kind == "parallel":
@@ -374,11 +386,18 @@ def _still_a_block(lg: LabeledMultigraph, kind: str, args: tuple[int, ...]) -> b
         (v,) = args
         ends = {x for pair in lost for x in pair} - {v}
         return removed == [v] and len(lost) == 2 and all(v in pair for pair in lost) and lg.adjacent(*ends)
+    if kind == "absorb":
+        newest = next(reversed(lg.edges.values()))
+        absorbed = {norm_edge(e.tail, e.head) for e in newest.children if e.eid == args[0]}
+        return not removed and len(absorbed) == 1 and lost <= absorbed
+    v = args[0]
+    if removed not in ([], [v]) or any(v not in pair for pair in lost):
+        return False
+    if removed:
+        return True
     if kind == "strip":
-        v, _ = args
-        return (not removed and len(lost) <= 1 and all(v in pair for pair in lost)
-                and len({lg.other_end(eid, v) for eid in lg.incident(v)}) >= 2)
-    return lg.is_block()
+        return len(lost) <= 1
+    return len({lg.other_end(eid, v) for eid in lg.incident(v)}) >= 2
 
 
 def run_reduction(g: SimpleGraph) -> tuple[tuple[frozenset[int], ...], list[TraceStep]]:
@@ -395,8 +414,7 @@ def run_reduction(g: SimpleGraph) -> tuple[tuple[frozenset[int], ...], list[Trac
         if not lg.invariant_ok():
             raise EngineBug(f"weight/order invariant broken after {detail}")
         if not _still_a_block(lg, kind, picked[1]):
-            raise EngineBug(f"graph stopped being a block after {detail}"
-                            if kind in ("absorb", "vertex") else f"block certificate failed after {detail}")
+            raise EngineBug(f"block certificate failed after {detail}")
         trace.append(TraceStep(step, kind, detail, len(lg.edges), lg.n))
         step += 1
     return solve_base(lg), trace

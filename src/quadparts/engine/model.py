@@ -669,7 +669,9 @@ class LabeledMultigraph(Multigraph):
       it (a stored L31 counts at its u, a stored L32 at its v), which the
       driver's strip and vertex picks read in O(1) per candidate;
     - the vertices removed and the pairs whose last edge went since the last
-      :meth:`take_changes`, which the driver's block certificates read.
+      :meth:`take_changes`, from which the driver certifies after every
+      step that the graph is still a block; no step runs a whole-graph
+      block check.
 
     Both heaps are cleaned lazily: an entry that no longer holds is popped
     when it reaches the top.  A vertex is pushed whenever its degree becomes
@@ -837,8 +839,3 @@ class LabeledMultigraph(Multigraph):
         index = separation_index(self)
         self._touched = None if index.in_cut else set()
         return index
-
-    def is_block(self) -> bool:
-        from ..graphs import is_biconnected
-
-        return is_biconnected(self)

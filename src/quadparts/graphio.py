@@ -81,6 +81,8 @@ def parse_graph6(line: str) -> SimpleGraph:
     for b in data[1:]:
         val = b - 63
         bits.extend((val >> shift) & 1 for shift in range(5, -1, -1))
+    if any(bits[bits_needed:]):
+        raise GraphParseError("padding bits after the adjacency bits must be zero", f"byte {len(data)}")
     edges = set()
     idx = 0
     for v in range(1, n):

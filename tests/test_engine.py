@@ -1,6 +1,7 @@
 import ast
 import gc
 import inspect
+import json
 import random
 import sys
 from collections import Counter
@@ -35,6 +36,8 @@ from .support import (AdjacencyFragment, StubGadget, TreeShape, all_ops, complet
                       scanned_l31_away, scanned_parallel_pair, scanned_zero_counts, sparse_block, stub_edge,
                       summed_weight, tree_of)
 from .support import fits as shape_fits
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestInit:
@@ -647,28 +650,99 @@ def _hang_off_one_neighbour(lg, step):
     vertex."""
     kind, args = step
     skip = {"parallel": None, "strip": args[0]}.get(kind, args[-1])
-    for w in sorted(lg.vertices):
-        ends = {lg.other_end(eid, w) for eid in lg.incident(w)}
-        if w != skip and len(ends) >= 2:
-            break
-    x = min(ends)
+    _hang_off(lg, next(w for w in sorted(lg.vertices) if w != skip and len(_neighbours(lg, w)) >= 2))
+
+
+def _hang_the_pivot_off_one_neighbour(lg, step):
+    """As `_hang_off_one_neighbour`, but for the step's own vertex v, which
+    stays: every adjacency lost is at v, and v is left with one neighbour."""
+    _hang_off(lg, step[1][0])
+
+
+def _neighbours(lg, w) -> set[int]:
+    return {lg.other_end(eid, w) for eid in lg.incident(w)}
+
+
+def _hang_off(lg, w):
+    x = min(_neighbours(lg, w))
     for eid in lg.incident(w):
         lg.install(Gadget("planted", lg.edges[eid].label, w, x, (lg.view(eid, w),)))
 
 
+def _golden_graph(fixture: str, name: str) -> SimpleGraph:
+    rec = next(r for r in map(json.loads, (DATA / fixture).read_text(encoding="utf-8").splitlines())
+               if r["name"] == name)
+    return SimpleGraph.from_edges(rec["n"], rec["edges"])
+
+
+def _absorb_block() -> LabeledMultigraph:
+    """K4 labeled so that the first step is an absorb at 0: (0, 1) reads
+    L32 from 0 and (0, 2) L30, no edge has weight 0, and weight 12 plus
+    order 4 is divisible by 4."""
+    lg = LabeledMultigraph(complete_graph(4))
+    for (u, v), name in zip(complete_graph(4).sorted_edges(), ("L32", "L30", "L2", "L2", "L1", "L1")):
+        lg.install(Gadget("planted", CATALOG[name], u, v))
+    return lg
+
+
 class TestBlockCertificates:
-    @pytest.mark.parametrize("graph, prefix, message", [
-        (dense_block(8, 1), "drop[", "block certificate failed after"),
-        (dense_block(8, 1), "parallel[", "block certificate failed after"),
-        (dense_block(8, 1), "series[", "block certificate failed after"),
-        (dense_block(8, 1), "strip[", "block certificate failed after"),
-        (subdivided_k4(2), "vertex3[", "graph stopped being a block after"),
+    @pytest.mark.parametrize("graph, prefix, rewrite", [
+        (dense_block(8, 1), "drop[", _hang_off_one_neighbour),
+        (dense_block(8, 1), "parallel[", _hang_off_one_neighbour),
+        (dense_block(8, 1), "series[", _hang_off_one_neighbour),
+        (dense_block(8, 1), "strip[", _hang_off_one_neighbour),
+        (subdivided_k4(2), "vertex3[", _hang_off_one_neighbour),
+        (dense_block(8, 1), "strip[", _hang_the_pivot_off_one_neighbour),
+        (_golden_graph("golden_regular.jsonl", "vertex4-pair-regular5-20-78"), "vertex4-pair[",
+         _hang_the_pivot_off_one_neighbour),
+        (_golden_graph("golden_regular.jsonl", "vertex4-flat-gnp-40-4"), "vertex4-flat[",
+         _hang_the_pivot_off_one_neighbour),
+        (_golden_graph("golden_regular.jsonl", "vertex4-heavy-regular5-32-45"), "vertex4-heavy[",
+         _hang_the_pivot_off_one_neighbour),
     ])
-    def test_planted_blockness_breaking_rewrites_trap(self, monkeypatch, graph, prefix, message):
-        planted = _plant_after(monkeypatch, prefix, _hang_off_one_neighbour)
+    def test_planted_blockness_breaking_rewrites_trap(self, monkeypatch, graph, prefix, rewrite):
+        planted = _plant_after(monkeypatch, prefix, rewrite)
         with pytest.raises(EngineBug) as trap:
             partition_with_trace(graph)
-        assert planted and f"{message} {planted[0]}" in str(trap.value)
+        assert planted and f"block certificate failed after {planted[0]}" in str(trap.value)
+
+    def test_planted_absorb_fault_traps(self, monkeypatch):
+        """No real graph is known to reach an absorb, so a hand-built labeled
+        block does.  The real absorb passes its certificate; one that also
+        deletes the two weight-2 edges, (0, 3) and (1, 2), keeps weight plus
+        order divisible by 4 but leaves the path 0 2 3 1, and traps."""
+        lg = _absorb_block()
+        step = find_reduction(lg)
+        assert step == ("absorb", (0, 1, 0))
+        kind, detail = apply_reduction(lg, step)
+        assert driver._still_a_block(lg, kind, step[1]) and is_biconnected(lg)
+
+        def delete_weight2_leaves(lg, step):
+            for eid in [eid for eid, e in lg.edges.items() if e.kind == "planted" and e.label.weight == 2]:
+                lg.remove_labeled(eid)
+
+        planted = _plant_after(monkeypatch, "absorb[", delete_weight2_leaves)
+        monkeypatch.setattr(driver, "init_labeled", lambda g: _absorb_block())
+        with pytest.raises(EngineBug) as trap:
+            partition_with_trace(complete_graph(4))
+        assert planted == [detail] and f"block certificate failed after {detail}" in str(trap.value)
+
+    @pytest.mark.parametrize("fixture", ["golden_regular.jsonl", "golden_dense.jsonl"])
+    def test_certificates_agree_with_a_full_block_check_on_every_step(self, fixture):
+        """Every graph of the fixture, replayed step by step: after each step
+        the step's certificate says what a block check from scratch says.
+        The replay meets every vertex step at degree 3 and above."""
+        reached = set()
+        for rec in map(json.loads, (DATA / fixture).read_text(encoding="utf-8").splitlines()):
+            lg = init_labeled(SimpleGraph.from_edges(rec["n"], rec["edges"]))
+            while len(lg.edges) > 1:
+                step = find_reduction(lg)
+                kind, detail = apply_reduction(lg, step)
+                assert driver._still_a_block(lg, kind, step[1]) == is_biconnected(lg), (rec["name"], detail)
+                reached.add(detail.split("[")[0])
+        if fixture == "golden_regular.jsonl":
+            assert {"vertex3", "vertex3-flat", "vertex4-pair", "vertex4-flat", "vertex4-light",
+                    "vertex4-heavy"} <= reached
 
     def test_planted_weight_change_traps(self, monkeypatch):
         """A rewrite that relabels one weight-0 edge with a weight-1 label
@@ -713,9 +787,10 @@ class TestConstantStepWork:
     @pytest.mark.parametrize("graph", [cycle_graph(2400), theta(44), subdivided_k4(334)],
                              ids=["cycle2400", "theta1980", "k4_2004"])
     def test_long_chains_need_no_per_step_block_check(self, monkeypatch, graph):
-        """Only init_labeled and the absorb and vertex steps run the
-        whole-graph block check.  Vertex ids are randomly relabelled: in
-        label order, realization recurses once per contracted vertex and
+        """Only init_labeled runs the whole-graph block check: every step,
+        the vertex steps of the subdivided K4 included, is certified from
+        what it removed.  Vertex ids are randomly relabelled: in label
+        order, realization recurses once per contracted vertex and
         overflows the interpreter stack at these sizes."""
         calls = []
         real = graphs.is_biconnected
@@ -729,8 +804,7 @@ class TestConstantStepWork:
         g = relabelled(graph, 1)
         partition, trace = partition_with_trace(g)
         assert verify_partition(g, partition.member_sets()).ok
-        full = sum(1 for t in trace if t.kind in ("absorb", "vertex"))
-        assert len(calls) == 1 + full <= 4
+        assert len(calls) == 1
         assert len(trace) > 1900
 
 

@@ -76,6 +76,17 @@ def test_graph6_rejects_non_ascii_at_its_position():
     assert "byte 2" in str(exc.value)
 
 
+def test_graph6_rejects_a_set_padding_bit_at_the_last_byte():
+    """The bits after the last adjacency bit pad the last byte with zeros:
+    "A@" sets the one padding bit of n = 2 and is not read as the empty
+    graph that "A?" spells."""
+    assert parse_graph6("A?").edges == frozenset()
+    for line, byte in (("A@", 2), ("BA", 2), ("Dr@", 3)):
+        with pytest.raises(GraphParseError, match="padding") as exc:
+            parse_graph6(line)
+        assert exc.value.position == f"byte {byte}", line
+
+
 def test_graph6_truncated_payload():
     with pytest.raises(GraphParseError):
         parse_graph6("C")

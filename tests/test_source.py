@@ -109,3 +109,13 @@ def test_gadgets_hold_no_closures():
                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
                    and id(node) not in outer]
     assert len(scopes) == 4 and nested == []
+
+
+def test_no_function_imports_at_call_time():
+    """Every import of the package runs at module level: no function or
+    method imports when it is called, so each module's dependencies can be
+    read off its head."""
+    inside = [f"{module}:{node.lineno} {scope.name}" for module, tree in _trees().items()
+              for scope in ast.walk(tree) if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for node in ast.walk(scope) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert inside == []
