@@ -11,6 +11,10 @@ parts are not gathered: drive has already appended them to its sink, and a
 Local holds only the parts its lift finalizes.  Its methods are the closing
 moves, and :func:`group`, a tiny exact search, finds the groupings they
 need, since those depend on the shapes the children happened to produce.
+:meth:`Local.far_tree` is the one closing move for a child edge that is
+either split or subdivided: the lifts request each such child one way or
+the other and close each side with it, naming only the extra vertices the
+side takes and whether the eliminated vertex belongs to it.
 
 The lifts' pair vocabulary lives here too: :data:`PLAIN` and :data:`PLUS`
 name tree sets by size, :func:`pair_shape` classifies a pair and
@@ -76,11 +80,8 @@ def group(fragment: Fragment, pool: Iterable[int]) -> tuple[frozenset[int], ...]
     deterministic.  None when the pool size is not a multiple of 4 or no
     grouping exists.
     """
-    todo = sorted(set(pool))
-    if len(todo) % 4 != 0:
-        return None
     chosen: list[frozenset[int]] = []
-    return tuple(chosen) if _extend(fragment, todo, chosen) else None
+    return tuple(chosen) if _extend(fragment, sorted(set(pool)), chosen) else None
 
 
 def _extend(fragment: Fragment, remaining: list[int], chosen: list[frozenset[int]]) -> bool:
@@ -145,16 +146,18 @@ class Local:
                 return kept
         raise EngineBug(f"no way to keep a {size}-vertex subtree at {v} from pool {sorted(pool)}", self.tag)
 
-    def far_tree(self, r: Realization, v: int, head: int, *extra: int) -> BoundTree:
+    def far_tree(self, r: Realization, v: int, head: int, *extra: int, dummy_v: bool = False) -> BoundTree:
         """The tree at `head` of a child realization `r` read v -> head.
 
         A subdivided child hands v, its path and `extra` to the far side,
         spanned from `head`; a split child's tail tree closes with v and
         `extra` into finalized 4-sets, and its head tree serves the far side.
+        With `dummy_v`, v belongs to another side: the spanned tree holds it
+        as a dummy, and a split child's tail tree closes without it.
         """
         if r.subdiv is not None:
-            return self.span(head, {head, v, *extra, *r.subdiv})
-        self.finalize(r.p_tree.actives | {v, *extra})
+            return self.span(head, {head, v, *extra, *r.subdiv}, {v} if dummy_v else set())
+        self.finalize((r.p_tree.actives - {v} if dummy_v else r.p_tree.actives | {v}) | set(extra))
         return r.q_tree
 
     def span(self, root: int, vertices: set[int] | frozenset[int],

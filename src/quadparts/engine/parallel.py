@@ -182,7 +182,8 @@ def _plain_high(pair: Pair, x: int, y: int, e1: EdgeView, e2: EdgeView, tag: str
         loc = Local(tag, r1, r2)
         loc.finalize((r1.p_tree.actives | r2.p_tree.actives) - {u})
         return loc.done(single(u), q)
-    if y == 0:
+    if y == 0 or ((x, y) == (1, 1) and e1.label.name == "L32"):
+        # e1 read backwards carries the reverse asymmetric label L31
         return (yield from mirrored(_general, pair, e1.reversed(), e2.reversed(), tag + "~"))
     if x == 1 and y == 1:
         if e1.label.name == "L31":
@@ -192,13 +193,6 @@ def _plain_high(pair: Pair, x: int, y: int, e1: EdgeView, e2: EdgeView, tag: str
             a, b = sorted(r1.q_tree.root_children())
             loc.finalize((r2.q_tree.actives - {v}) | {a})
             return loc.done(r1.p_tree, loc.span(v, {v, b}))
-        if e1.label.name == "L32":
-            r1 = yield e1, Split(S2M, S1)
-            r2 = yield e2, Split(S3, S0)
-            loc = Local(tag, r1, r2)
-            a, b = sorted(r1.p_tree.root_children())
-            loc.finalize((r2.p_tree.actives - {u}) | {a})
-            return loc.done(loc.span(u, {u, b}), r1.q_tree)
         raise EngineBug(f"plain (1,1) reached with e1 labeled {e1.label}", tag)
     raise EngineBug(f"unhandled reduced plain pair {pair}", tag)
 

@@ -235,75 +235,38 @@ def _plus_23(e2: EdgeView, tag: str, r1, r3, a3) -> Lift:
 
 
 def _plus_32(e1: EdgeView, e2: EdgeView, tag: str, r3, a3) -> Lift:
-    v, v1, v2 = e1.tail, e1.head, e2.head
-    if e1.admits(S3P, S3) is not None:
-        r1 = yield e1, Split(S3P, S3)
-        if e2.label.subdividable:
-            r2 = yield e2, Subdivide(1)
-            loc = Local(tag, r1, r2, r3)
-            loc.finalize(r1.p_tree.actives | {v})
-            return loc.done(r1.q_tree, loc.span(v2, {v2, v, a3[0], *r2.subdiv}, {v}))
-        r2 = yield e2, Split(S3, S2P)
-        loc = Local(tag, r1, r2, r3)
-        loc.finalize((r2.p_tree.actives - {v}) | {a3[0]})
-        loc.finalize(r1.p_tree.actives | {v})
-        return loc.done(r1.q_tree, r2.q_tree)
-    r1 = yield e1, Subdivide(2)
-    if e2.label.subdividable:
-        r2 = yield e2, Subdivide(1)
-        loc = Local(tag, r1, r2, r3)
-        p = loc.span(v1, {v1, v, *r1.subdiv})
-        return loc.done(p, loc.span(v2, {v2, v, a3[0], *r2.subdiv}, {v}))
-    r2 = yield e2, Split(S3, S2P)
+    # both sides close on their own, even when both children split
+    v = e1.tail
+    r1 = yield e1, Split(S3P, S3) if e1.admits(S3P, S3) is not None else Subdivide(2)
+    r2 = yield e2, Subdivide(1) if e2.label.subdividable else Split(S3, S2P)
     loc = Local(tag, r1, r2, r3)
-    loc.finalize((r2.p_tree.actives - {v}) | {a3[0]})
-    return loc.done(loc.span(v1, {v1, v, *r1.subdiv}), r2.q_tree)
+    return loc.done(loc.far_tree(r1, v, e1.head), loc.far_tree(r2, v, e2.head, a3[0], dummy_v=True))
 
 
 def _plus_32_left(e1: EdgeView, e2: EdgeView, tag: str, r3, a3) -> Lift:
     # large tail, plain head: the head side must stay dummy-free
-    v, v1, v2 = e1.tail, e1.head, e2.head
-    e1_spl = None if not e1.admits(S3, S3P) else (yield e1, Split(S3, S3P))
-    e2_spl = None if e2.label.subdividable else (yield e2, Split(S3P, S2))
-    if e1_spl is not None and e2_spl is not None:
-        return _close(tag, v, e1_spl, e2_spl, [r3], a3)
-    if e1_spl is not None and e2_spl is None:
-        s2 = yield e2, Subdivide(1)
-        loc = Local(tag, e1_spl, s2, r3)
-        loc.finalize((e1_spl.p_tree.actives - {v}) | {a3[0]})
-        return loc.done(e1_spl.q_tree, loc.span(v2, {v2, v, *s2.subdiv}))
-    if e1_spl is None and e2_spl is not None:
-        s1 = yield e1, Subdivide(2)
-        loc = Local(tag, s1, e2_spl, r3)
-        loc.finalize(e2_spl.p_tree.actives | {v})
-        return loc.done(loc.span(v1, {v1, v, *s1.subdiv, a3[0]}, {v}), e2_spl.q_tree)
-    s1 = yield e1, Subdivide(2)
-    s2 = yield e2, Subdivide(1)
-    loc = Local(tag, s1, s2, r3)
-    p = loc.span(v1, {v1, v, *s1.subdiv, a3[0]}, {v})
-    return loc.done(p, loc.span(v2, {v2, v, *s2.subdiv}))
+    v = e1.tail
+    r1 = None if e1.admits(S3, S3P) is None else (yield e1, Split(S3, S3P))
+    r2 = None if e2.label.subdividable else (yield e2, Split(S3P, S2))
+    if r1 and r2:
+        return _close(tag, v, r1, r2, [r3], a3)
+    r1 = r1 or (yield e1, Subdivide(2))
+    r2 = r2 or (yield e2, Subdivide(1))
+    loc = Local(tag, r1, r2, r3)
+    return loc.done(loc.far_tree(r1, v, e1.head, a3[0], dummy_v=True), loc.far_tree(r2, v, e2.head))
 
 
 def _plus_33(e1: EdgeView, e2: EdgeView, tag: str, r3, a3) -> Lift:
     if e1.label.weight == 3:
         return (yield from _plus_23(e2, tag, (yield e1, Split(S0, S3)), r3, a3))
     # i == j == 2
-    v, v1, v2 = e1.tail, e1.head, e2.head
-    e1_split = e1.admits(S3P, S3) is not None
-    e2_split = e2.admits(S3, S3P) is not None
-    r1 = yield e1, Split(S3P, S3) if e1_split else Subdivide(2)
-    r2 = yield e2, Split(S3, S3P) if e2_split else Subdivide(2)
-    if e1_split and e2_split:
+    v = e1.tail
+    r1 = yield e1, Split(S3P, S3) if e1.admits(S3P, S3) is not None else Subdivide(2)
+    r2 = yield e2, Split(S3, S3P) if e2.admits(S3, S3P) is not None else Subdivide(2)
+    if r1.subdiv is None and r2.subdiv is None:
         return _close(tag, v, r1, r2, [r3], a3)
     loc = Local(tag, r1, r2, r3)
-    if e2_split:
-        loc.finalize((r2.p_tree.actives - {v}) | {a3[0]})
-        return loc.done(loc.span(v1, {v1, v, *r1.subdiv}), r2.q_tree)
-    if e1_split:
-        loc.finalize(r1.p_tree.actives | {v})
-        return loc.done(r1.q_tree, loc.span(v2, {v2, v, a3[0], *r2.subdiv}, {v}))
-    p = loc.span(v1, {v1, v, *r1.subdiv})
-    return loc.done(p, loc.span(v2, {v2, v, a3[0], *r2.subdiv}, {v}))
+    return loc.done(loc.far_tree(r1, v, e1.head), loc.far_tree(r2, v, e2.head, a3[0], dummy_v=True))
 
 
 # ---------------------------------------------------------------------------
@@ -520,114 +483,58 @@ def _light_w2(pair: Pair, e1: EdgeView, e2: EdgeView, singles: list[EdgeView], t
 
 
 def _w2_large(head_plain: bool, e1: EdgeView, e2: EdgeView, tag: str, rs, avs, d5: bool) -> Lift:
-    # (S3, S3+) with head_plain=False; (S3+, S3) with head_plain=True
-    v, v1, v2 = e1.tail, e1.head, e2.head
-    e1_sub, e2_sub = e1.label.subdividable, e2.label.subdividable
-    k1 = 1 if d5 else 2
-    if not head_plain:
-        r1 = None if e1_sub else (yield e1, Split(S2P, S3) if d5 else Split(S3P, S3))
-        r2 = None if e2_sub else (yield e2, Split(S2, S3P))
-        if r1 is not None and r2 is not None:
-            return _close(tag, v, r1, r2, rs, avs)
-        if r1 is None and r2 is not None:
-            s1 = yield e1, Subdivide(k1)
-            loc = Local(tag, s1, r2, *rs)
-            grabs = [avs[0]] if d5 else []
-            p = loc.span(v1, {v1, v, *s1.subdiv} | set(grabs))
-            loc.finalize((r2.p_tree.actives - {v}) | (set(avs) - set(grabs)))
-            return loc.done(p, r2.q_tree)
-        if r1 is not None and r2 is None:
-            s2 = yield e2, Subdivide(1)
-            loc = Local(tag, r1, s2, *rs)
-            grabs = avs[:2]
-            q = loc.span(v2, {v2, v, *s2.subdiv} | set(grabs), {v})
-            loc.finalize(r1.p_tree.actives | (set(avs) - set(grabs)) | {v})
-            return loc.done(r1.q_tree, q)
-        s1 = yield e1, Subdivide(k1)
-        s2 = yield e2, Subdivide(1)
-        loc = Local(tag, s1, s2, *rs)
-        grabs = avs[:2]
-        rest = [a for a in avs if a not in grabs]
-        p = loc.span(v1, {v1, v, *s1.subdiv} | set(rest))
-        return loc.done(p, loc.span(v2, {v2, v, *s2.subdiv} | set(grabs), {v}))
-    # (S3+, S3) at degree 4 with w(e1) = 2
-    r1 = None if e1_sub else (yield e1, Split(S3, S3P))
-    r2 = None if e2_sub else (yield e2, Split(S2P, S3))
-    if r1 is not None and r2 is not None:
+    # (S3, S3+) with head_plain=False; (S3+, S3) with head_plain=True, which
+    # arises only at degree 4 with w(e1) = 2.  v is a dummy on the plus side;
+    # e2's side takes g of the freed vertices, the first g when e2 is
+    # subdivided and the last g when it is split, and e1's side the rest.
+    v = e1.tail
+    if head_plain:
+        split1, split2 = Split(S3, S3P), Split(S2P, S3)
+    else:
+        split1, split2 = Split(S2P, S3) if d5 else Split(S3P, S3), Split(S2, S3P)
+    r1 = None if e1.label.subdividable else (yield e1, split1)
+    r2 = None if e2.label.subdividable else (yield e2, split2)
+    if r1 and r2:
         return _close(tag, v, r1, r2, rs, avs)
-    if r1 is not None and r2 is None:
-        s2 = yield e2, Subdivide(1)
-        loc = Local(tag, r1, s2, *rs)
-        q = loc.span(v2, {v2, v, *s2.subdiv, avs[0]})
-        loc.finalize((r1.p_tree.actives - {v}) | set(avs[1:]))
-        return loc.done(r1.q_tree, q)
-    if r1 is None and r2 is not None:
-        s1 = yield e1, Subdivide(2)
-        loc = Local(tag, s1, r2, *rs)
-        p = loc.span(v1, {v1, v, *s1.subdiv, avs[0]}, {v})
-        loc.finalize(r2.p_tree.actives | set(avs[1:]) | {v})
-        return loc.done(p, r2.q_tree)
-    s1 = yield e1, Subdivide(2)
-    s2 = yield e2, Subdivide(1)
-    loc = Local(tag, s1, s2, *rs)
-    q = loc.span(v2, {v2, v, *s2.subdiv, avs[0]})
-    return loc.done(loc.span(v1, {v1, v, *s1.subdiv, avs[1]}, {v}), q)
+    r1 = r1 or (yield e1, Subdivide(1 if d5 else 2))
+    r2 = r2 or (yield e2, Subdivide(1))
+    loc = Local(tag, r1, r2, *rs)
+    g = 1 if head_plain else 2
+    x2 = avs[:g] if r2.subdiv is not None else avs[-g:]
+    x1 = [a for a in avs if a not in x2]
+    return loc.done(loc.far_tree(r1, v, e1.head, *x1, dummy_v=head_plain),
+                    loc.far_tree(r2, v, e2.head, *x2, dummy_v=not head_plain))
 
 
 # -- replacement weight 1 (degree 4, all edges unit weight)
 
 
 def _light_w1(pair: Pair, e1: EdgeView, e2: EdgeView, singles: list[EdgeView], tag: str) -> Lift:
-    v, v1, v2 = e1.tail, e1.head, e2.head
+    v = e1.tail
     rs, avs = yield from _fixed_singles(singles, v)
     if pair == (S0, S1):
         r1 = yield e1, Split(S1, S0)
         r2 = yield e2, Split(S0, S1)
         return _close(tag, v, r1, r2, rs, avs)
-    if pair == (S2, S3P):
-        e1_spl = None if e1.label.subdividable else (yield e1, Split(S3P, S2))
-        e2_spl = None if e2.label.subdividable else (yield e2, Split(S2, S3P))
-        if e1_spl is not None and e2_spl is not None:
-            return _close(tag, v, e1_spl, e2_spl, rs, avs)
-        if e1_spl is not None and e2_spl is None:
-            s2 = yield e2, Subdivide(1)
-            loc = Local(tag, e1_spl, s2, *rs)
-            q = loc.span(v2, {v2, v, *s2.subdiv} | set(avs), {v})
-            loc.finalize(e1_spl.p_tree.actives | {v})
-            return loc.done(e1_spl.q_tree, q)
-        if e1_spl is None and e2_spl is not None:
-            s1 = yield e1, Subdivide(1)
-            loc = Local(tag, s1, e2_spl, *rs)
-            p = loc.span(v1, {v1, v, *s1.subdiv})
-            loc.finalize((e2_spl.p_tree.actives - {v}) | set(avs))
-            return loc.done(p, e2_spl.q_tree)
-        s1 = yield e1, Subdivide(1)
-        s2 = yield e2, Subdivide(1)
-        loc = Local(tag, s1, s2, *rs)
-        p = loc.span(v1, {v1, v, *s1.subdiv})
-        return loc.done(p, loc.span(v2, {v2, v, *s2.subdiv} | set(avs), {v}))
-    if pair == (S3, S2P):
-        e1_spl = None if e1.label.subdividable else (yield e1, Split(S2P, S3))
-        e2_spl = None if e2.label.subdividable else (yield e2, Split(S3P, S2))
-        if e1_spl is not None and e2_spl is not None:
-            return _close(tag, v, e1_spl, e2_spl, rs, avs)
-        if e1_spl is not None and e2_spl is None:
-            s2 = yield e2, Subdivide(1)
-            loc = Local(tag, e1_spl, s2, *rs)
-            q = loc.span(v2, {v2, v, *s2.subdiv, avs[1]}, {v})
-            loc.finalize(e1_spl.p_tree.actives | {avs[0], v})
-            return loc.done(e1_spl.q_tree, q)
-        if e1_spl is None and e2_spl is not None:
-            s1 = yield e1, Subdivide(1)
-            loc = Local(tag, s1, e2_spl, *rs)
-            kept = loc.keep(v, 1, (e2_spl.p_tree.actives - {v}) | set(avs))
-            return loc.done(loc.span(v1, {v1, v, *s1.subdiv, *kept}), e2_spl.q_tree)
-        s1 = yield e1, Subdivide(1)
-        s2 = yield e2, Subdivide(1)
-        loc = Local(tag, s1, s2, *rs)
-        p = loc.span(v1, {v1, v, *s1.subdiv, avs[0]})
-        return loc.done(p, loc.span(v2, {v2, v, *s2.subdiv, avs[1]}, {v}))
-    raise EngineBug(f"pair {pair} not liftable in the unit-weight elimination", tag)
+    if pair not in ((S2, S3P), (S3, S2P)):
+        raise EngineBug(f"pair {pair} not liftable in the unit-weight elimination", tag)
+    # e1's side takes n of the freed vertices and e2's side the rest, with v
+    # as a dummy
+    n, split1, split2 = ((0, Split(S3P, S2), Split(S2, S3P)) if pair == (S2, S3P)
+                         else (1, Split(S2P, S3), Split(S3P, S2)))
+    r1 = None if e1.label.subdividable else (yield e1, split1)
+    r2 = None if e2.label.subdividable else (yield e2, split2)
+    if r1 and r2:
+        return _close(tag, v, r1, r2, rs, avs)
+    r1 = r1 or (yield e1, Subdivide(1))
+    r2 = r2 or (yield e2, Subdivide(1))
+    loc = Local(tag, r1, r2, *rs)
+    if n and r2.subdiv is None:
+        # (S3, S2+) with only e2 split: e1's path keeps the one freed vertex
+        # that lets the rest close
+        kept = loc.keep(v, 1, (r2.p_tree.actives - {v}) | set(avs))
+        return loc.done(loc.far_tree(r1, v, e1.head, *kept), r2.q_tree)
+    return loc.done(loc.far_tree(r1, v, e1.head, *avs[:n]), loc.far_tree(r2, v, e2.head, *avs[n:], dummy_v=True))
 
 
 LIFTS.update({

@@ -14,9 +14,9 @@ bridges.  A SimpleGraph argument is first turned into the multigraph whose
 edge ids are the positions of its sorted edge list.  :func:`is_biconnected`
 is one run on g; :func:`separation_index` finds the vertices of a block
 that lie in some 2-cut, the 2-cut with the smallest side and the edges
-whose deletion leaves no block from runs on g - u: first for the branch
-vertices u of a breadth-first spanning tree, which settle a block with no
-2-cut, else for every vertex u once.  :func:`has_three_paths` decides
+whose deletion leaves no block from runs on g - u, in one worklist loop:
+for the branch vertices u of a breadth-first spanning tree, and then for
+each cut vertex those runs find, each vertex once.  :func:`has_three_paths` decides
 whether no 2-set separates two non-adjacent vertices a and b: three
 common neighbours settle it in O(deg a + deg b), else it finds the paths
 in g minus the common neighbours, first by plain searches from both ends
@@ -302,55 +302,51 @@ def separation_index(g: SimpleGraph | Multigraph) -> SeparationIndex:
     """Separation index of a block g on at least 3 vertices.
 
     {u, v} is a 2-cut iff v is a cut vertex of g - u, and g - e is not a
-    block iff e is a bridge of some g - u, so the index is read from one
-    low-point DFS of g - u per vertex u.  With n >= 4 a pre-check runs those
-    searches first for the branch (non-leaf) vertices u of the breadth-first
-    tree from the vertex of highest degree (lowest on ties), and stops at
-    the first that finds a cut vertex.
+    block iff e is a bridge of some g - u, so the index is read from
+    low-point DFSs of g - u.  One worklist loop runs them: it starts from
+    the branch (non-leaf) vertices of the breadth-first tree from the
+    vertex of highest degree (lowest on ties), queues every cut vertex a
+    search finds, and searches each queued vertex once.  On a triangle it
+    searches every vertex.
 
     Lemma 1: every 2-cut of g holds a branch vertex of any spanning tree T,
-    since deleting two leaves of T leaves T, and so g, connected.  Lemma 2:
-    if n >= 4 and g has no 2-cut, no edge is fixed.  Each g - u is then a
-    block on at least 3 vertices, so it has no bridge and g - e - u is
-    connected for every edge e and vertex u.  (On a triangle g - u is one
-    edge, which is a bridge.)  So when no pre-check search finds a cut
-    vertex the index is empty, at O(n + m) per branch vertex: a few
-    searches on a dense block.  Otherwise the searches go on over every
-    vertex u ascending and reuse the cut vertices and bridges the pre-check
-    found, so each g - u is searched once: O(n(n + m)) plus O(n + m) per
-    2-cut.  Each cut (u, v) is met at u with v > u, u ascending and v
-    ascending, so cuts are met in lexicographic order and components are
-    taken once per cut.  The caller guarantees that g is a block; on other
-    inputs the index is incomplete.
+    since deleting two leaves of T leaves T, and so g, connected.  So the
+    searches meet both ends of every 2-cut, and `in_cut` and `smallest` are
+    exact.  Lemma 2: if n >= 4 and e = xy is a bridge of g - w, then w lies
+    in a 2-cut: one side of g - w - e has at least two vertices, say x's,
+    and {w, x} separates the rest of it from y.  So the searched vertices
+    hold every w whose g - w has a bridge, and `fixed_edges` is exact too.
+    (On a triangle g - u is one edge, which is a bridge, and no vertex lies
+    in a 2-cut.)  A block
+    with no 2-cut costs O(n + m) per branch vertex, a few searches on a
+    dense block; one with 2-cuts adds one search per vertex of a 2-cut and
+    O(n + m) per 2-cut.  Each cut (u, v) is taken at u < v, and `smallest`
+    is the least by (order of its smaller side, (u, v)).  The caller
+    guarantees that g is a block; on other inputs the index is incomplete.
     """
     adj = _as_multigraph(g)._inc
     verts = sorted(adj)
     neighbours = {x: ends.values() for x, ends in adj.items()}
-
-    def cuts_and_bridges(u: int) -> tuple[set[int], set[int]]:
-        _, cut_vertices, bridges = _low_points(adj, verts[1] if u == verts[0] else verts[0], skip=u)
-        return cut_vertices, bridges
-
-    found: dict[int, tuple[set[int], set[int]]] = {}
-    if len(verts) >= 4:
+    if len(verts) == 3:
+        todo = verts[:]
+    else:
         tree = bfs_parents(neighbours, max(verts, key=lambda x: len(adj[x])))
-        for u in dict.fromkeys(p for p in tree.values() if p is not None):
-            found[u] = cuts_and_bridges(u)
-            if found[u][0]:
-                break
-        else:
-            return SeparationIndex(frozenset(), None, frozenset())
+        todo = list(dict.fromkeys(p for p in tree.values() if p is not None))
+    queued = set(todo)
     in_cut: set[int] = set()
     fixed: set[int] = set()
     smallest: tuple[tuple[int, int], frozenset[int]] | None = None
-    for u in verts:
-        cut_vertices, bridges = found.pop(u) if u in found else cuts_and_bridges(u)
+    while todo:
+        u = todo.pop()
+        _, cut_vertices, bridges = _low_points(adj, verts[1] if u == verts[0] else verts[0], skip=u)
         fixed |= bridges
         if cut_vertices:
             in_cut |= cut_vertices | {u}
+        todo += cut_vertices - queued
+        queued |= cut_vertices
         for v in sorted(x for x in cut_vertices if x > u):
             comp = _components_of(neighbours, set(verts) - {u, v})[0]
-            if smallest is None or len(comp) < len(smallest[1]):
+            if smallest is None or (len(comp), (u, v)) < (len(smallest[1]), smallest[0]):
                 smallest = ((u, v), comp)
     return SeparationIndex(frozenset(in_cut), smallest, frozenset(fixed))
 

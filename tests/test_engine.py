@@ -164,23 +164,30 @@ class TestLocalGrouping:
 
     def test_far_tree_spans_a_subdivided_child(self):
         """A subdivided child v -> 9 hands v, its path and the extra vertices
-        to a tree spanned from the head; nothing is finalized."""
+        to a tree spanned from the head; nothing is finalized.  With
+        `dummy_v` the tree holds v as a dummy."""
         child = Realization(subdiv=(5,), fragment=_fragment([(0, 5), (5, 9), (0, 3)]))
         for extra, edges in (((), ((9, 5), (5, 0))), ((3,), ((9, 5), (5, 0), (0, 3)))):
-            loc = Local("caller", child)
-            tree = loc.far_tree(child, 0, 9, *extra)
-            assert tree.root == 9 and tree.edges == edges and loc.parts == []
+            for dummy_v, dummies in ((False, set()), (True, {0})):
+                loc = Local("caller", child)
+                tree = loc.far_tree(child, 0, 9, *extra, dummy_v=dummy_v)
+                assert tree.root == 9 and tree.edges == edges and loc.parts == []
+                assert tree.dummies == dummies
 
     def test_far_tree_closes_a_split_child(self):
         """A split child v -> 9 closes its tail tree with v and the extra
-        vertices into 4-sets, and its head tree serves the far side."""
+        vertices into 4-sets, and its head tree serves the far side.  With
+        `dummy_v` the tail tree closes with the extra vertices but not v."""
         head = tree_of(9, ((9, 8),))
-        for tail, extra in ((tree_of(0, ((0, 1), (1, 2), (2, 3))), ()),
-                            (tree_of(0, ((0, 1), (1, 2))), (3,))):
-            child = Realization(p_tree=tail, q_tree=head, fragment=_fragment([(0, 1), (1, 2), (2, 3), (8, 9)]))
+        fragment = [(0, 1), (1, 2), (2, 3), (3, 4), (8, 9)]
+        for tail, extra, dummy_v, part in ((tree_of(0, ((0, 1), (1, 2), (2, 3))), (), False, {0, 1, 2, 3}),
+                                           (tree_of(0, ((0, 1), (1, 2))), (3,), False, {0, 1, 2, 3}),
+                                           (tree_of(0, ((0, 1), (1, 2), (2, 3), (3, 4))), (), True, {1, 2, 3, 4}),
+                                           (tree_of(0, ((0, 1), (1, 2), (2, 3))), (4,), True, {1, 2, 3, 4})):
+            child = Realization(p_tree=tail, q_tree=head, fragment=_fragment(fragment))
             loc = Local("caller", child)
-            assert loc.far_tree(child, 0, 9, *extra) is head
-            assert loc.parts == [frozenset({0, 1, 2, 3})]
+            assert loc.far_tree(child, 0, 9, *extra, dummy_v=dummy_v) is head
+            assert loc.parts == [frozenset(part)]
 
     def test_keep_picks_the_first_subset_that_closes(self):
         fan = _local([(0, x) for x in range(1, 6)])

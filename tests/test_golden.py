@@ -4,12 +4,14 @@ The fixtures are written by ``tests/data/make_golden.py``; a change that
 alters engine output on purpose regenerates them and says so.
 """
 
+import ast
 import hashlib
 import json
+import sys
 from functools import cache
 from pathlib import Path
 
-from quadparts.engine import partition_with_trace
+from quadparts.engine import local, parallel, partition_with_trace, reducible, series
 from quadparts.graphs import SimpleGraph
 
 from .sweeps import stub_realization_lines
@@ -75,3 +77,41 @@ def test_stub_realizations_match_fixture():
     random trees, realizes exactly what was recorded."""
     recorded = (DATA / "golden_stub_realizations.jsonl").read_text(encoding="utf-8").splitlines()
     assert stub_realization_lines() == recorded
+
+
+def _statement_lines(path: Path) -> set[int]:
+    """The first line of every statement inside a function of the module at
+    `path`, except raise statements and docstrings."""
+    functions = [f for f in ast.walk(ast.parse(path.read_text(encoding="utf-8"))) if isinstance(f, ast.FunctionDef)]
+    docstrings = {f.body[0] for f in functions if ast.get_docstring(f) is not None}
+    return {s.lineno for f in functions for s in ast.walk(f)
+            if isinstance(s, ast.stmt) and s is not f and s not in docstrings and not isinstance(s, ast.Raise)}
+
+
+def test_stub_sweeps_reach_every_lift_statement():
+    """The stub sweeps run every statement of the lift modules but their
+    raise statements, so a byte-identical stub fixture checks every branch
+    of a rewritten lift."""
+    modules = {Path(m.__file__): _statement_lines(Path(m.__file__)) for m in (series, parallel, reducible, local)}
+    ran: dict[Path, set[int]] = {path: set() for path in modules}
+    files = {str(path): path for path in modules}
+
+    def tracer(frame, event, arg):
+        path = files.get(frame.f_code.co_filename)
+        if path is None:
+            return None
+
+        def line(frame, event, arg):
+            if event == "line":
+                ran[path].add(frame.f_lineno)
+            return line
+        return line(frame, event, arg)
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        stub_realization_lines()
+    finally:
+        sys.settrace(previous)
+    missed = {path.name: sorted(lines - ran[path]) for path, lines in modules.items() if lines - ran[path]}
+    assert not missed, missed

@@ -154,24 +154,26 @@ def index_blocks() -> list[Multigraph]:
 
 
 @pytest.fixture
-def low_point_runs(monkeypatch) -> list[int]:
-    """The roots of the low-point searches run since the test started (or since the list was last cleared)."""
-    runs: list[int] = []
+def low_point_runs(monkeypatch) -> list[int | None]:
+    """The vertex u of each low-point search of g - u run since the test
+    started (or since the list was last cleared); None for a search of g."""
+    runs: list[int | None] = []
     real = graphs._low_points
 
     def counted(adj, root, skip=None):
-        runs.append(root)
+        runs.append(skip)
         return real(adj, root, skip)
 
     monkeypatch.setattr(graphs, "_low_points", counted)
     return runs
 
 
-def precheck_outcome(mg: Multigraph, runs: list[int]) -> str:
-    """How separation_index settled mg, from the searches it ran: a search
-    per vertex is the full loop, fewer means the pre-check found no 2-cut."""
-    assert len(runs) <= mg.n, "a vertex was searched twice"
-    return "full" if len(runs) == mg.n else "settled"
+def branch_vertices(mg: Multigraph) -> set[int]:
+    """The non-leaf vertices of the breadth-first tree of mg from its vertex
+    of highest degree (lowest on ties), neighbours in edge-id order."""
+    neighbours = {x: [mg.other_end(eid, x) for eid in mg.incident(x)] for x in mg.vertices}
+    root = max(sorted(mg.vertices), key=lambda x: len(neighbours[x]))
+    return {p for p in bfs_parents(neighbours, root).values() if p is not None}
 
 
 class TestBiconnected:
@@ -256,21 +258,22 @@ class TestSmallest2Cut:
 
 class TestSeparationIndexAgainstNetworkx:
     def test_blocks_with_and_without_2cuts(self, low_point_runs):
-        """Every field against networkx, counting how each index was
-        settled: on a block of n >= 4 the pre-check answers exactly when
-        there is no 2-cut, and on a triangle it never applies, since every
+        """Every field against networkx, and the vertices searched: on a
+        block of n >= 4 each branch vertex of the breadth-first tree and each
+        vertex of a 2-cut, once, and on a triangle every vertex, since every
         edge without a parallel copy is fixed there."""
         nx = pytest.importorskip("networkx")
-        outcomes: Counter[tuple[str, bool]] = Counter()  # (outcome, has a 2-cut)
+        outcomes: Counter[tuple[bool, bool]] = Counter()  # (has a 2-cut, every vertex searched)
         for i, mg in enumerate(index_blocks()):
             low_point_runs.clear()
             index = separation_index(mg)
-            outcome = precheck_outcome(mg, low_point_runs)
+            searched = set(low_point_runs)
             assert index == networkx_index(nx, mg), i
-            assert (outcome == "settled") == (mg.n >= 4 and not index.in_cut), i
-            outcomes[outcome, bool(index.in_cut)] += 1
-        assert outcomes["full", False] == 3  # the triangles
-        assert outcomes["settled", False] > 60 and outcomes["full", True] > 30, outcomes
+            assert len(low_point_runs) == len(searched), f"{i}: a vertex was searched twice"
+            assert searched == (mg.vertices if mg.n == 3 else branch_vertices(mg) | index.in_cut), i
+            outcomes[bool(index.in_cut), searched == mg.vertices] += 1
+        assert outcomes[False, True] == 3  # the triangles
+        assert outcomes[False, False] > 60 and outcomes[True, True] > 10 and outcomes[True, False] > 10, outcomes
         assert separation_index(Multigraph(range(3), [(0, 1), (1, 2), (0, 2)])).fixed_edges == {0, 1, 2}
 
     def test_random_cycle_multigraphs(self):
@@ -306,6 +309,14 @@ class TestSeparationIndexCost:
         g = relabelled(ladder(20), 1)
         assert separation_index(g).in_cut
         assert len(low_point_runs) <= g.n
+
+    def test_searches_only_branch_vertices_and_2cut_vertices(self, low_point_runs):
+        # K(2, 6): one 2-cut, the two hubs, and two branch vertices, one hub and one leaf
+        g = relabelled(SimpleGraph.from_edges(8, [(hub, x) for hub in (0, 1) for x in range(2, 8)]), 1)
+        mg = Multigraph(range(g.n), g.sorted_edges())
+        index = separation_index(mg)
+        assert len(index.in_cut) == 2 and len(index.smallest[1]) == 1
+        assert len(low_point_runs) <= len(branch_vertices(mg) | index.in_cut) == 3
 
 
 @pytest.fixture
