@@ -446,6 +446,21 @@ def sparse_block(n: int, seed: int) -> SimpleGraph:
     return SimpleGraph(n, frozenset(edges))
 
 
+def cubic_block(n: int, seed: int) -> SimpleGraph:
+    """A Hamiltonian cycle in seeded random order plus a seeded random perfect
+    matching that repeats none of its edges: a 3-regular block on an even
+    n >= 6."""
+    rng = random.Random(seed)
+    order = list(range(n))
+    rng.shuffle(order)
+    cycle = {norm_edge(order[i - 1], order[i]) for i in range(n)}
+    while True:
+        rng.shuffle(order)
+        chords = {norm_edge(order[i], order[i + 1]) for i in range(0, n, 2)}
+        if not chords & cycle:
+            return SimpleGraph(n, frozenset(cycle | chords))
+
+
 def _distances(neighbours: dict[int, list[int]], source: int) -> dict[int, int]:
     dist = {source: 0}
     queue = deque([source])

@@ -31,8 +31,8 @@ from quadparts.labels import CATALOG, S0, TreeSet
 from quadparts.oracle import verify_partition
 
 from . import sweeps
-from .support import (AdjacencyFragment, StubGadget, TreeShape, all_ops, complete_graph, cycle_graph, dense_block,
-                      equal_theta, fragment_edges, logged, path_graph, relabelled, scanned_degree2_vertex,
+from .support import (AdjacencyFragment, StubGadget, TreeShape, all_ops, complete_graph, cubic_block, cycle_graph,
+                      dense_block, equal_theta, fragment_edges, logged, path_graph, relabelled, scanned_degree2_vertex,
                       scanned_l31_away, scanned_parallel_pair, scanned_zero_counts, sparse_block, stub_edge,
                       summed_weight, tree_of)
 from .support import fits as shape_fits
@@ -869,8 +869,8 @@ class TestConstantStepWork:
         partition_with_trace(g)
         assert tracked and tracked[0] <= 15 * g.n, tracked[0] / g.n
 
-    @pytest.mark.parametrize("graph", [cycle_graph(400), sparse_block(128, 1), dense_block(24, 1)],
-                             ids=["cycle400", "sparse128", "dense24"])
+    @pytest.mark.parametrize("graph", [cycle_graph(400), sparse_block(128, 1), dense_block(24, 1), cubic_block(64, 1)],
+                             ids=["cycle400", "sparse128", "dense24", "cubic64"])
     def test_a_partition_leaves_no_cyclic_garbage(self, graph):
         """Nothing a partition allocates is kept alive by a reference cycle,
         so the collector has nothing to free after it.  The collector is off

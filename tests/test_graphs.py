@@ -1,4 +1,5 @@
 import random
+import sys
 from collections import Counter
 from itertools import combinations
 
@@ -258,22 +259,32 @@ class TestSmallest2Cut:
 
 class TestSeparationIndexAgainstNetworkx:
     def test_blocks_with_and_without_2cuts(self, low_point_runs):
-        """Every field against networkx, and the vertices searched: on a
-        block of n >= 4 each branch vertex of the breadth-first tree and each
-        vertex of a 2-cut, once, and on a triangle every vertex, since every
-        edge without a parallel copy is fixed there."""
+        """Every field against networkx, and the vertices searched: none on a
+        block of n >= 4 with no 2-cut whose breadth-first tree has more than
+        4 branch vertices, which the separation-pair test settles; on any
+        other block of n >= 4 each branch vertex and each vertex of a 2-cut,
+        once; and on a triangle every vertex, since every edge without a
+        parallel copy is fixed there."""
         nx = pytest.importorskip("networkx")
-        outcomes: Counter[tuple[bool, bool]] = Counter()  # (has a 2-cut, every vertex searched)
+        outcomes: Counter[tuple[bool, str]] = Counter()  # (has a 2-cut, which vertices were searched)
         for i, mg in enumerate(index_blocks()):
             low_point_runs.clear()
             index = separation_index(mg)
             searched = set(low_point_runs)
             assert index == networkx_index(nx, mg), i
             assert len(low_point_runs) == len(searched), f"{i}: a vertex was searched twice"
-            assert searched == (mg.vertices if mg.n == 3 else branch_vertices(mg) | index.in_cut), i
-            outcomes[bool(index.in_cut), searched == mg.vertices] += 1
-        assert outcomes[False, True] == 3  # the triangles
-        assert outcomes[False, False] > 60 and outcomes[True, True] > 10 and outcomes[True, False] > 10, outcomes
+            branch = branch_vertices(mg)
+            if mg.n == 3:
+                assert searched == mg.vertices, i
+            elif len(branch) > 4 and not index.in_cut:
+                assert searched == set(), i
+            else:
+                assert searched == branch | index.in_cut, i
+            outcomes[bool(index.in_cut), "none" if not searched else "all" if searched == mg.vertices else "some"] += 1
+        assert outcomes[False, "all"] == 3  # the triangles
+        assert outcomes[False, "none"] + outcomes[False, "some"] > 60, outcomes
+        assert outcomes[False, "none"] > 20 and outcomes[False, "some"] > 20, outcomes
+        assert outcomes[True, "all"] > 10 and outcomes[True, "some"] > 10, outcomes
         assert separation_index(Multigraph(range(3), [(0, 1), (1, 2), (0, 2)])).fixed_edges == {0, 1, 2}
 
     def test_random_cycle_multigraphs(self):
@@ -298,12 +309,136 @@ class TestSeparationIndexAgainstNetworkx:
                         assert (v in index.in_cut) == (not block), (n, seed, v)
 
 
+def searched_2cut(mg: Multigraph) -> bool:
+    """Whether the block mg has a 2-cut, by one low-point search of mg - u
+    for every vertex u: {u, v} is a 2-cut iff v cuts mg - u."""
+    adj, verts = mg._inc, sorted(mg.vertices)
+    return any(graphs._low_points(adj, verts[1] if u == verts[0] else verts[0], skip=u)[1] for u in verts)
+
+
+def from_networkx(nx, g, seed: int) -> SimpleGraph:
+    """The networkx graph g with its nodes renamed 0..n-1, then permuted with `seed`."""
+    g = nx.convert_node_labels_to_integers(g)
+    return relabelled(SimpleGraph.from_edges(len(g), g.edges), seed)
+
+
+def separation_pair_corpus(nx) -> list[SimpleGraph]:
+    """Blocks of order 4 to 36, relabelled: random 3-, 4- and 5-regular
+    graphs, G(n, p) graphs, hypercubes and tori; prisms and ladders with up
+    to two chords; a random 3-regular and a random 4-regular graph glued at
+    two vertices, with or without an edge between their other vertices; and
+    random 3-regular graphs with one to three edges each replaced by a
+    K4 - e whose ends of degree 2 take the edge's ends."""
+    out = []
+    for seed in range(150):
+        rng = random.Random(seed)
+        degree, n = 3 + seed % 3, rng.randrange(6, 26)
+        out.append(from_networkx(nx, nx.random_regular_graph(degree, n + n * degree % 2, seed), seed))
+        out.append(from_networkx(nx, nx.gnp_random_graph(rng.randrange(5, 16), rng.uniform(0.25, 0.6), seed), seed))
+        pieces = [nx.random_regular_graph(3, rng.choice([4, 6, 8]), seed),
+                  nx.relabel_nodes(nx.random_regular_graph(4, rng.randrange(5, 10), seed), lambda x: x + 100)]
+        glued = nx.union(*pieces)
+        (a, b), (c, d) = (rng.sample(sorted(piece), 2) for piece in pieces)
+        glued = nx.contracted_nodes(nx.contracted_nodes(glued, a, c, self_loops=False), b, d, self_loops=False)
+        if seed % 3 == 0:
+            glued.add_edge(*(rng.choice(sorted(set(piece) - {a, b, c, d})) for piece in pieces))
+        out.append(from_networkx(nx, nx.Graph(glued), seed))
+        cubic = nx.random_regular_graph(3, rng.choice([6, 8, 10, 12]), seed)
+        gadgets = nx.Graph(cubic)
+        for u, v in rng.sample(sorted(cubic.edges), 1 + seed % 3):
+            x, y = (u, v, 0), (u, v, 1)
+            gadgets.remove_edge(u, v)
+            gadgets.add_edges_from([(u, x), (u, y), (x, y), (x, v), (y, v)])
+        out.append(from_networkx(nx, gadgets, seed))
+    for k in range(3, 11):
+        rng = random.Random(k)
+        for closed in (False, True):
+            chords = [tuple(rng.sample(range(2 * k), 2)) for _ in range(2)]
+            out += [relabelled(ladder(k, chords[:count], closed), 10 * k + count) for count in range(3)]
+    out += [from_networkx(nx, nx.hypercube_graph(d), d) for d in (2, 3, 4, 5)]
+    out += [from_networkx(nx, nx.grid_2d_graph(a, b, periodic=True), a * b) for a in range(3, 7) for b in range(a, 7)]
+    return [g for g in out if g.n >= 4 and is_biconnected(g)]
+
+
+@pytest.fixture
+def pair_tests(monkeypatch) -> list[tuple[int, int, int] | None]:
+    """What each separation-pair test returned since the test started."""
+    found: list[tuple[int, int, int] | None] = []
+    real = graphs._separation_pair
+
+    def recorded(adj):
+        found.append(real(adj))
+        return found[-1]
+
+    monkeypatch.setattr(graphs, "_separation_pair", recorded)
+    return found
+
+
+class TestSeparationPair:
+    def test_agrees_with_networkx_and_the_searches(self):
+        """The separation-pair test, run directly, against networkx's node
+        connectivity and against a search of g - u at every vertex u, on
+        every block of the corpus and on a copy with reversed, spread-out ids
+        and doubled edges; every pair it reports separates the block.  Each
+        way out is taken often: a pair from the first depth-first search
+        (kind 1), a pair from the path search and its triple stack (kind 2),
+        and no pair."""
+        nx = pytest.importorskip("networkx")
+        kinds: Counter[int] = Counter()  # 0 for no pair
+        for i, g in enumerate(separation_pair_corpus(nx)):
+            pairs = g.sorted_edges()
+            expected = nx.node_connectivity(nx.Graph(pairs)) < 3
+            name = {v: 3 * (g.n - 1 - v) + 2 for v in range(g.n)}
+            moved = [(name[a], name[b]) for a, b in pairs]
+            for mg in (Multigraph(range(g.n), pairs), Multigraph(name.values(), moved + moved[::2])):
+                found = graphs._separation_pair(mg._inc)
+                assert (found is not None) == expected == searched_2cut(mg), i
+                kinds[found[0] if found else 0] += 1
+                if found:
+                    rest = nx.Graph([(u, v) for _, u, v in mg.edge_tuples()])
+                    rest.remove_nodes_from(found[1:])
+                    assert not nx.is_connected(rest), (i, found)
+        assert min(kinds[0], kinds[1], kinds[2]) >= 100, kinds
+
+
 class TestSeparationIndexCost:
-    def test_dense_block_searches_only_branch_vertices(self, low_point_runs):
-        # a breadth-first tree from a vertex of degree about n/2 has few branch vertices
-        index = separation_index(relabelled(dense_block(64, 1), 1))
-        assert not index.in_cut and not index.fixed_edges
-        assert len(low_point_runs) <= 16
+    def test_dense_block_searches_only_branch_vertices(self, low_point_runs, pair_tests):
+        """A breadth-first tree from a vertex of degree about n/2 has few
+        branch vertices.  With at most 4, as on this block of order 24, the
+        index searches exactly those and runs no separation-pair test, which
+        costs more; with 6, as on this block of order 64, it runs the test
+        and no search."""
+        for n, branches in ((24, 4), (64, 6)):
+            low_point_runs.clear()
+            pair_tests.clear()
+            mg = Multigraph(range(n), relabelled(dense_block(n, 1), 1).sorted_edges())
+            index = separation_index(mg)
+            assert not index.in_cut and not index.fixed_edges
+            assert len(branch_vertices(mg)) == branches
+            if branches <= 4:
+                assert sorted(low_point_runs) == sorted(branch_vertices(mg)) and pair_tests == []
+            else:
+                assert low_point_runs == [] and pair_tests == [None]
+
+    def test_cubic_block_runs_no_search(self, low_point_runs, pair_tests):
+        """A block with no 2-cut and a breadth-first tree of more than 4
+        branch vertices costs one separation-pair test and no search of
+        g - u, where the worklist alone would run 533 searches."""
+        nx = pytest.importorskip("networkx")
+        g = relabelled(SimpleGraph.from_edges(800, nx.random_regular_graph(3, 800, 1).edges), 1)
+        assert separation_index(g) == SeparationIndex(frozenset(), None, frozenset())
+        assert low_point_runs == [] and pair_tests == [None]
+
+    def test_deep_moebius_ladder_runs_no_search(self, low_point_runs):
+        """The separation-pair test recurses nowhere: on the identity-labelled
+        Möbius ladder on 6000 vertices, far deeper than the recursion limit,
+        it finds no 2-cut, and the index runs none of the 4,498 searches the
+        worklist alone would run."""
+        n = 6000
+        assert sys.getrecursionlimit() < n
+        g = SimpleGraph.from_edges(n, [(i, (i + 1) % n) for i in range(n)] + [(i, i + n // 2) for i in range(n // 2)])
+        assert separation_index(g) == SeparationIndex(frozenset(), None, frozenset())
+        assert low_point_runs == []
 
     def test_ladder_reuses_the_precheck_searches(self, low_point_runs):
         g = relabelled(ladder(20), 1)
