@@ -11,16 +11,15 @@ Each step is decided once: :func:`find_reduction` returns it as a pair
 Past the first two checks, the separation index (carried while three-path
 checks between the ends of removed edges show it still has no 2-cut:
 :meth:`~quadparts.engine.model.LabeledMultigraph.separation_index`)
-supplies the 2-cut with the smallest side, which confines the search; the
-vertices in no 2-cut, which are the removable ones; and the edges whose
-deletion would leave no block.
+supplies the 2-cut with the smallest side, which confines the search, and
+the vertices in no 2-cut, which are the removable ones.
 After every step the driver asserts the two structural invariants: total
 weight plus order stays divisible by 4, read off a running total, and the
 graph remains a block.  Every step kind proves the second with an
 O(degree) certificate read from what the step removed
-(:func:`_still_a_block`), so no step runs a whole-graph block check; only
-:func:`init_labeled` checks the input.  The parallel pair and the degree-2
-vertex come from worklists the graph keeps up to date
+(:func:`_still_a_block`); the only whole-graph block checks are of the
+input and of G - e1 for an absorb candidate e1.  The parallel pair and
+the degree-2 vertex come from worklists the graph keeps up to date
 (:meth:`~quadparts.engine.model.LabeledMultigraph.parallel_pair` and
 :meth:`~quadparts.engine.model.LabeledMultigraph.degree2_vertex`), so those
 steps cost O(degree) plus heap upkeep.  Two more per-vertex counts, of
@@ -42,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from ..graphs import SimpleGraph, is_biconnected, norm_edge
+from ..graphs import Multigraph, SimpleGraph, is_biconnected, norm_edge
 from ..labels import CATALOG, S0, S1, S2, S3, S3P, Pair
 from ..oracle import Part, Partition, is_nearly_connected
 from .model import EdgeView, EngineBug, LabeledMultigraph, Split, Subdivide, ask, drive, leaf_gadget
@@ -108,8 +107,11 @@ def find_reduction(lg: LabeledMultigraph) -> Step:
     and a vertex step at one without.  A vertex v is removable when G - v is
     a block (v lies in no 2-cut) and at most one edge reads L31 away from v;
     the index's `in_cut` and the graph's counts `l31_away` and `zero_at`
-    decide each candidate in O(1).  Traps if none exists and on a single
-    edge, which the caller realizes instead."""
+    decide each candidate in O(1).  An absorb takes an edge e1 that reads
+    L32 from its host y and a sibling at y that reads L32 or L30, when G -
+    e1 is a block; only such a candidate pays for that O(n + m) check.
+    Traps if none exists and on a single edge, which the caller realizes
+    instead."""
     if len(lg.edges) < 2:
         raise EngineBug(f"find_reduction called with {len(lg.edges)} edges; a single edge is the base case")
     pair = lg.parallel_pair()
@@ -119,7 +121,7 @@ def find_reduction(lg: LabeledMultigraph) -> Step:
     if v is not None:
         return "series", (v,)
     # The block is now simple with minimum degree 3, so n >= 4: G - v is a
-    # block iff v lies in no 2-cut, and G - e iff e is not a fixed edge.
+    # block iff v lies in no 2-cut.
     index = lg.separation_index()
     if index.smallest is None:
         vertex_pool = sorted(lg.vertices)
@@ -141,11 +143,12 @@ def find_reduction(lg: LabeledMultigraph) -> Step:
         for eid in lg.incident(y):
             if lg.view(eid, y).label.name != "L32":
                 continue
-            if eid in index.fixed_edges:
-                continue
             for eid2 in lg.incident(y):
                 if eid2 != eid and lg.view(eid2, y).label.name in ("L32", "L30"):
-                    return "absorb", (eid, eid2, y)
+                    rest = Multigraph(lg.vertices, [(a, b) for x, a, b in lg.edge_tuples() if x != eid])
+                    if is_biconnected(rest):
+                        return "absorb", (eid, eid2, y)
+                    break
     if first_reducible is not None:
         return "vertex", (first_reducible,)
     raise EngineBug("no reduction applies; the block analysis promises one")
@@ -374,10 +377,10 @@ def _still_a_block(lg: LabeledMultigraph, kind: str, args: tuple[int, ...]) -> b
       adjacencies v had leaves v two, so it needs no neighbour scan; the
       vertex steps that keep v (heavy at degree >= 4, pair and flat) read
       v's neighbours.
-    - absorb of e1 at y: e1 is not a fixed edge (that is why it was
-      picked), so G - e1 is a block.  No vertex went and at most e1's
-      adjacency was lost, so G' contains G - e1.  e1's ends are read off
-      the absorb gadget, the newest edge, which holds e1 as a child.
+    - absorb of e1 at y: G - e1 is a block (find_reduction checked that
+      before it picked e1).  No vertex went and at most e1's adjacency was
+      lost, so G' contains G - e1.  e1's ends are read off the absorb
+      gadget, the newest edge, which holds e1 as a child.
     """
     removed, lost = lg.take_changes()
     if kind == "parallel":

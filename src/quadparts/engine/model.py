@@ -828,14 +828,13 @@ class LabeledMultigraph(Multigraph):
         components of K - S and so are non-adjacent, and S separates them.
         Conversely Menger gives two non-adjacent vertices without three such
         paths a separator of at most two vertices.  Adding an edge cannot
-        create a 2-cut, so it leaves the set as it is.  With no 2-cut each
-        K - u is 2-connected: no edge is fixed either.
+        create a 2-cut, so it leaves the set as it is.
         """
         touched = self._touched
         if touched is not None and all(has_three_paths(self, a, b) for a, b in combinations(sorted(touched), 2)
                                        if not self.adjacent(a, b)):
             self._touched = set()
-            return SeparationIndex(frozenset(), None, frozenset())
+            return SeparationIndex(frozenset(), None)
         index = separation_index(self)
         self._touched = None if index.in_cut else set()
         return index

@@ -7,17 +7,16 @@ A multigraph keeps one incidence map, vertex -> {edge id: other end}, in
 which each vertex's edges iterate in edge-id order, so degrees and incident
 edges cost O(degree).
 
-Blocks, 2-cuts and removable edges all come from one primitive, Tarjan's
-low-point DFS (``_low_points``) over that incidence map, run on g or on g
-minus one vertex: it reports the vertices reached, the cut vertices and the
-bridges.  A SimpleGraph argument is first turned into the multigraph whose
-edge ids are the positions of its sorted edge list.  :func:`is_biconnected`
-is one run on g; :func:`separation_index` finds the vertices of a block
-that lie in some 2-cut, the 2-cut with the smallest side and the edges
-whose deletion leaves no block from runs on g - u, in one worklist loop:
-for the branch vertices u of a breadth-first spanning tree, and then for
-each cut vertex those runs find, each vertex once.  When that tree has more
-than 4 branch vertices, the Hopcroft-Tarjan separation-pair test
+Blocks and 2-cuts both come from one primitive, Tarjan's low-point DFS
+(``_low_points``) over that incidence map, run on g or on g minus one
+vertex: it reports the vertices reached and the cut vertices.  A
+SimpleGraph argument is first turned into the multigraph whose edge ids are
+the positions of its sorted edge list.  :func:`is_biconnected` is one run
+on g, after an O(1) edge count that rejects a graph with fewer edges than
+vertices; :func:`separation_index` finds the vertices of a block that lie
+in some 2-cut and the 2-cut with the smallest side from one run on g - u
+for each branch vertex u of a breadth-first spanning tree.  When that tree
+has more than 4 branch vertices, the Hopcroft-Tarjan separation-pair test
 (``_separation_pair``, O(n + m)) runs first, and a block it finds no 2-cut
 in gets the empty index without any run.  :func:`has_three_paths` decides
 whether no 2-set separates two non-adjacent vertices a and b: three
@@ -209,22 +208,21 @@ def _as_multigraph(g: SimpleGraph | Multigraph) -> Multigraph:
 
 
 def _low_points(adj: dict[int, dict[int, int]], root: int,
-                skip: int | None = None) -> tuple[dict[int, int], set[int], set[int]]:
+                skip: int | None = None) -> tuple[dict[int, int], set[int]]:
     """Tarjan's low-point DFS from `root` of the graph minus the vertex `skip`.
 
     `adj` is an incidence map, vertex -> {edge id: other end}.
 
-    Returns the discovery index of every vertex reached, the cut vertices of
-    the component reached and the edge ids of its bridges.  Only the tree
-    edge itself, identified by edge id, is ignored when scanning back to the
-    DFS parent, so a parallel edge to the parent acts as a back edge.
+    Returns the discovery index of every vertex reached and the cut vertices
+    of the component reached.  Only the tree edge itself, identified by edge
+    id, is ignored when scanning back to the DFS parent, so a parallel edge
+    to the parent acts as a back edge.
     """
     disc = {root: 0}
     # a frame per vertex of the DFS path: [vertex, id of its tree edge, its
     # edges left to scan, its low point so far]
     stack = [[root, -1, iter(adj[root].items()), 0]]
     cuts: set[int] = set()
-    bridges: set[int] = set()
     root_children = 0
     while stack:
         top = stack[-1]
@@ -247,15 +245,13 @@ def _low_points(adj: dict[int, dict[int, int]], root: int,
                 if lv < up[3]:
                     up[3] = lv
                 p = up[0]
-                if lv > disc[p]:
-                    bridges.add(tree_edge)
                 if p == root:
                     root_children += 1
                 elif lv >= disc[p]:
                     cuts.add(p)
     if root_children > 1:
         cuts.add(root)
-    return disc, cuts, bridges
+    return disc, cuts
 
 
 def _separation_pair(adj: dict[int, dict[int, int]]) -> tuple[int, int, int] | None:
@@ -415,12 +411,17 @@ def is_biconnected(g: SimpleGraph | Multigraph) -> bool:
     """True iff g is connected, has at least 2 vertices and no cutvertex.
 
     A two-vertex graph with at least one edge counts as biconnected.  For
-    multigraphs, a parallel edge to the DFS parent acts as a back edge.
+    multigraphs, a parallel edge to the DFS parent acts as a back edge.  A
+    block on n >= 3 vertices has minimum degree 2 and so at least n edges;
+    a graph with fewer is rejected before any incidence map is built, so
+    the cost of a rejected input does not grow with its vertex count.
     """
+    if g.n >= 3 and g.m < g.n:
+        return False
     adj = _as_multigraph(g)._inc
     if len(adj) < 2:
         return False
-    reached, cuts, _ = _low_points(adj, min(adj))
+    reached, cuts = _low_points(adj, min(adj))
     return len(reached) == len(adj) and not cuts
 
 
@@ -445,13 +446,11 @@ class SeparationIndex:
     the order of the smallest component of g - {u, v} with that component:
     among equal orders the first cut in lexicographic order wins, and within
     a cut the component with the lowest vertex; it is None when g has no
-    2-cut.  `fixed_edges` holds the ids of the edges e for which g - e is
-    not a block.
+    2-cut.
     """
 
     in_cut: frozenset[int]
     smallest: tuple[tuple[int, int], frozenset[int]] | None
-    fixed_edges: frozenset[int]
 
 
 # The most branch vertices whose searches of g - u run without the
@@ -465,59 +464,42 @@ _TEST_COST = 4
 def separation_index(g: SimpleGraph | Multigraph) -> SeparationIndex:
     """Separation index of a block g on at least 3 vertices.
 
-    {u, v} is a 2-cut iff v is a cut vertex of g - u, and g - e is not a
-    block iff e is a bridge of some g - u, so the index is read from
-    low-point DFSs of g - u.  One worklist loop runs them: it starts from
-    the branch (non-leaf) vertices of the breadth-first tree from the
-    vertex of highest degree (lowest on ties), queues every cut vertex a
-    search finds, and searches each queued vertex once.  On a triangle it
-    searches every vertex.  When the tree has more than `_TEST_COST` branch
-    vertices, `_separation_pair` runs first.  If it finds no 2-cut the
-    index is empty: every g - u is then 2-connected, so no edge is fixed
-    either.  If it finds one, the loop runs as above.
+    {u, v} is a 2-cut iff v is a cut vertex of g - u, so the index is read
+    from low-point DFSs of g - u, one at each branch (non-leaf) vertex u of
+    the breadth-first tree from the vertex of highest degree (lowest on
+    ties), and at no other vertex.  When the tree has more than `_TEST_COST`
+    branch vertices, `_separation_pair` runs first, and if it finds no 2-cut
+    the index is empty without any search.
 
     Lemma 1: every 2-cut of g holds a branch vertex of any spanning tree T,
     since deleting two leaves of T leaves T, and so g, connected.  So the
-    searches meet both ends of every 2-cut, and `in_cut` and `smallest` are
-    exact.  Lemma 2: if n >= 4 and e = xy is a bridge of g - w, then w lies
-    in a 2-cut: one side of g - w - e has at least two vertices, say x's,
-    and {w, x} separates the rest of it from y.  So the searched vertices
-    hold every w whose g - w has a bridge, and `fixed_edges` is exact too.
-    (On a triangle g - u is one edge, which is a bridge, and no vertex lies
-    in a 2-cut.)  A block with no 2-cut costs O(n + m): one test, or at most
-    `_TEST_COST` searches.  One with 2-cuts costs O(n + m) per branch
-    vertex, one more search per vertex of a 2-cut and O(n + m) per 2-cut.
-    Each cut (u, v) is taken at u < v, and `smallest` is the least by
-    (order of its smaller side, (u, v)).  The caller
-    guarantees that g is a block; on other inputs the index is incomplete.
+    search at that branch vertex finds the other end of the cut as a cut
+    vertex, and `in_cut` and the set of 2-cuts are exact.  A triangle has
+    no 2-cut and gets the empty index.  Each cut is taken once as (u, v),
+    u < v, in lexicographic order, and `smallest` is the least by (order of
+    its smaller side, (u, v)).  A block with no 2-cut costs O(n + m): one
+    test, or at most `_TEST_COST` searches.  One with 2-cuts costs O(n + m)
+    per branch vertex, plus O(n + m) per 2-cut for its components.  The
+    caller guarantees that g is a block; on other inputs the index is
+    incomplete.
     """
     adj = _as_multigraph(g)._inc
     verts = sorted(adj)
     neighbours = {x: ends.values() for x, ends in adj.items()}
-    if len(verts) == 3:
-        todo = verts[:]
-    else:
-        tree = bfs_parents(neighbours, max(verts, key=lambda x: len(adj[x])))
-        todo = list(dict.fromkeys(p for p in tree.values() if p is not None))
-        if len(todo) > _TEST_COST and _separation_pair(adj) is None:
-            return SeparationIndex(frozenset(), None, frozenset())
-    queued = set(todo)
-    in_cut: set[int] = set()
-    fixed: set[int] = set()
+    tree = bfs_parents(neighbours, max(verts, key=lambda x: len(adj[x])))
+    branch = {p for p in tree.values() if p is not None}
+    if len(branch) > _TEST_COST and _separation_pair(adj) is None:
+        return SeparationIndex(frozenset(), None)
+    cuts: set[tuple[int, int]] = set()
+    for u in branch:
+        _, cut_vertices = _low_points(adj, verts[1] if u == verts[0] else verts[0], skip=u)
+        cuts |= {norm_edge(u, v) for v in cut_vertices}
     smallest: tuple[tuple[int, int], frozenset[int]] | None = None
-    while todo:
-        u = todo.pop()
-        _, cut_vertices, bridges = _low_points(adj, verts[1] if u == verts[0] else verts[0], skip=u)
-        fixed |= bridges
-        if cut_vertices:
-            in_cut |= cut_vertices | {u}
-        todo += cut_vertices - queued
-        queued |= cut_vertices
-        for v in sorted(x for x in cut_vertices if x > u):
-            comp = _components_of(neighbours, set(verts) - {u, v})[0]
-            if smallest is None or (len(comp), (u, v)) < (len(smallest[1]), smallest[0]):
-                smallest = ((u, v), comp)
-    return SeparationIndex(frozenset(in_cut), smallest, frozenset(fixed))
+    for u, v in sorted(cuts):
+        comp = _components_of(neighbours, set(verts) - {u, v})[0]
+        if smallest is None or len(comp) < len(smallest[1]):
+            smallest = ((u, v), comp)
+    return SeparationIndex(frozenset(x for pair in cuts for x in pair), smallest)
 
 
 def has_three_paths(g: SimpleGraph | Multigraph, a: int, b: int) -> bool:

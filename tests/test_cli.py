@@ -1,5 +1,6 @@
 import io
 import json
+import tracemalloc
 
 import pytest
 
@@ -193,6 +194,22 @@ def test_partition_rejects_odd_order(capture):
     code, _, err = capture(["partition", "-"], stdin=emit_edge_list(cycle_graph(6)))
     assert code == 2
     assert "divisible" in err
+
+
+def test_partition_rejects_a_large_header_before_allocating_for_it(capture, tmp_path):
+    """A 12-byte edge list that declares 10**6 vertices and holds one edge
+    is not 2-connected; it is rejected from its edge count, before anything
+    is built per vertex."""
+    path = tmp_path / "header.txt"
+    path.write_text("1000000\n0 1\n", encoding="utf-8")
+    tracemalloc.start()
+    try:
+        code, out, err = capture(["partition", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out, err) == (2, "", "error: graph is not 2-connected\n")
+    assert peak < 2**20, peak
 
 
 def test_partition_identity_labelled_long_cycle(capture):

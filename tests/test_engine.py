@@ -734,6 +734,23 @@ class TestBlockCertificates:
             partition_with_trace(complete_graph(4))
         assert planted == [detail] and f"block certificate failed after {detail}" in str(trap.value)
 
+    def test_absorb_needs_a_block_without_the_edge(self):
+        """Two K4s, {0, 1, 2, 3} and {0, 4, 5, 6}, share 0 and are joined by
+        (1, 4), which reads L32 from 1; (1, 2) reads L30 and every other edge
+        L1, so weight 17 plus order 7 is divisible by 4.  (1, 4) with its
+        sibling (1, 2) is the one absorb candidate, but 0 cuts G - (1, 4), so
+        the pick passes it over for the vertex step at 2, the lowest vertex
+        of {2, 3}, the smallest side of the 2-cut {0, 1}."""
+        g = SimpleGraph.from_edges(7, [*combinations(range(4), 2), *combinations((0, 4, 5, 6), 2), (1, 4)])
+        lg = LabeledMultigraph(g)
+        names = {(1, 4): "L32", (1, 2): "L30"}
+        for u, v in g.sorted_edges():
+            lg.install(Gadget("planted", CATALOG[names.get((u, v), "L1")], u, v))
+        (e14,) = [eid for eid, e in lg.edges.items() if (e.u, e.v) == (1, 4)]
+        assert lg.invariant_ok() and lg.view(e14, 1).label.name == "L32"
+        assert not is_biconnected(SimpleGraph.from_edges(7, g.edges - {(1, 4)}))
+        assert find_reduction(lg) == ("vertex", (2,))
+
     @pytest.mark.parametrize("fixture", ["golden_regular.jsonl", "golden_dense.jsonl"])
     def test_certificates_agree_with_a_full_block_check_on_every_step(self, fixture):
         """Every graph of the fixture, replayed step by step: after each step

@@ -85,24 +85,18 @@ def brute_smallest_cut(vertices, pairs):
 
 def brute_index(mg: Multigraph) -> SeparationIndex:
     """The separation index of the block mg by brute force: components of
-    mg - {u, v} for every pair, and of mg - e and mg - e - x for every edge e
-    and vertex x."""
-    verts, edges = sorted(mg.vertices), mg.edge_tuples()
-    pairs = [(u, v) for _, u, v in edges]
+    mg - {u, v} for every pair."""
+    verts = sorted(mg.vertices)
+    pairs = [(u, v) for _, u, v in mg.edge_tuples()]
     in_cut = {x for u, v in combinations(verts, 2) if len(brute_components(set(verts) - {u, v}, pairs)) > 1
               for x in (u, v)}
-    fixed = set()
-    for eid, _, _ in edges:
-        rest = [(u, v) for e, u, v in edges if e != eid]
-        if any(len(brute_components(set(verts) - removed, rest)) > 1 for removed in [set(), *({x} for x in verts)]):
-            fixed.add(eid)
-    return SeparationIndex(frozenset(in_cut), brute_smallest_cut(verts, pairs), frozenset(fixed))
+    return SeparationIndex(frozenset(in_cut), brute_smallest_cut(verts, pairs))
 
 
 def networkx_index(nx, mg: Multigraph) -> SeparationIndex:
     """The separation index of the block mg read from networkx."""
-    verts, edges = sorted(mg.vertices), mg.edge_tuples()
-    simple = nx.Graph([(u, v) for _, u, v in edges])
+    verts = sorted(mg.vertices)
+    simple = nx.Graph([(u, v) for _, u, v in mg.edge_tuples()])
     sides = {}  # each 2-cut, in lexicographic order, with its least (order, min) component
     for u, v in combinations(verts, 2):
         comps = list(nx.connected_components(simple.subgraph(set(verts) - {u, v})))
@@ -110,9 +104,7 @@ def networkx_index(nx, mg: Multigraph) -> SeparationIndex:
             sides[u, v] = frozenset(min(comps, key=lambda c: (len(c), min(c))))
     least = min((len(side) for side in sides.values()), default=None)
     smallest = next(((pair, side) for pair, side in sides.items() if len(side) == least), None)
-    fixed = {eid for eid, _, _ in edges
-             if not nx.is_biconnected(nx.MultiGraph([(u, v) for e, u, v in edges if e != eid]))}
-    return SeparationIndex(frozenset(x for pair in sides for x in pair), smallest, frozenset(fixed))
+    return SeparationIndex(frozenset(x for pair in sides for x in pair), smallest)
 
 
 def ladder(k: int, chords=(), closed: bool = False) -> SimpleGraph:
@@ -260,11 +252,10 @@ class TestSmallest2Cut:
 class TestSeparationIndexAgainstNetworkx:
     def test_blocks_with_and_without_2cuts(self, low_point_runs):
         """Every field against networkx, and the vertices searched: none on a
-        block of n >= 4 with no 2-cut whose breadth-first tree has more than
-        4 branch vertices, which the separation-pair test settles; on any
-        other block of n >= 4 each branch vertex and each vertex of a 2-cut,
-        once; and on a triangle every vertex, since every edge without a
-        parallel copy is fixed there."""
+        block with no 2-cut whose breadth-first tree has more than 4 branch
+        vertices, which the separation-pair test settles, and on any other
+        block exactly the branch vertices, once each.  A triangle has no
+        2-cut: its index is empty after one search, at the root."""
         nx = pytest.importorskip("networkx")
         outcomes: Counter[tuple[bool, str]] = Counter()  # (has a 2-cut, which vertices were searched)
         for i, mg in enumerate(index_blocks()):
@@ -274,18 +265,16 @@ class TestSeparationIndexAgainstNetworkx:
             assert index == networkx_index(nx, mg), i
             assert len(low_point_runs) == len(searched), f"{i}: a vertex was searched twice"
             branch = branch_vertices(mg)
-            if mg.n == 3:
-                assert searched == mg.vertices, i
-            elif len(branch) > 4 and not index.in_cut:
+            if len(branch) > 4 and not index.in_cut:
                 assert searched == set(), i
             else:
-                assert searched == branch | index.in_cut, i
+                assert searched == branch, i
+            if mg.n == 3:
+                assert index == SeparationIndex(frozenset(), None) and len(searched) == 1, i
             outcomes[bool(index.in_cut), "none" if not searched else "all" if searched == mg.vertices else "some"] += 1
-        assert outcomes[False, "all"] == 3  # the triangles
         assert outcomes[False, "none"] + outcomes[False, "some"] > 60, outcomes
         assert outcomes[False, "none"] > 20 and outcomes[False, "some"] > 20, outcomes
-        assert outcomes[True, "all"] > 10 and outcomes[True, "some"] > 10, outcomes
-        assert separation_index(Multigraph(range(3), [(0, 1), (1, 2), (0, 2)])).fixed_edges == {0, 1, 2}
+        assert outcomes[True, "some"] > 20, outcomes
 
     def test_random_cycle_multigraphs(self):
         nx = pytest.importorskip("networkx")
@@ -413,7 +402,7 @@ class TestSeparationIndexCost:
             pair_tests.clear()
             mg = Multigraph(range(n), relabelled(dense_block(n, 1), 1).sorted_edges())
             index = separation_index(mg)
-            assert not index.in_cut and not index.fixed_edges
+            assert index == SeparationIndex(frozenset(), None)
             assert len(branch_vertices(mg)) == branches
             if branches <= 4:
                 assert sorted(low_point_runs) == sorted(branch_vertices(mg)) and pair_tests == []
@@ -426,7 +415,7 @@ class TestSeparationIndexCost:
         g - u, where the worklist alone would run 533 searches."""
         nx = pytest.importorskip("networkx")
         g = relabelled(SimpleGraph.from_edges(800, nx.random_regular_graph(3, 800, 1).edges), 1)
-        assert separation_index(g) == SeparationIndex(frozenset(), None, frozenset())
+        assert separation_index(g) == SeparationIndex(frozenset(), None)
         assert low_point_runs == [] and pair_tests == [None]
 
     def test_deep_moebius_ladder_runs_no_search(self, low_point_runs):
@@ -437,7 +426,7 @@ class TestSeparationIndexCost:
         n = 6000
         assert sys.getrecursionlimit() < n
         g = SimpleGraph.from_edges(n, [(i, (i + 1) % n) for i in range(n)] + [(i, i + n // 2) for i in range(n // 2)])
-        assert separation_index(g) == SeparationIndex(frozenset(), None, frozenset())
+        assert separation_index(g) == SeparationIndex(frozenset(), None)
         assert low_point_runs == []
 
     def test_ladder_reuses_the_precheck_searches(self, low_point_runs):
@@ -445,13 +434,14 @@ class TestSeparationIndexCost:
         assert separation_index(g).in_cut
         assert len(low_point_runs) <= g.n
 
-    def test_searches_only_branch_vertices_and_2cut_vertices(self, low_point_runs):
-        # K(2, 6): one 2-cut, the two hubs, and two branch vertices, one hub and one leaf
+    def test_searches_exactly_the_branch_vertices(self, low_point_runs):
+        # K(2, 6): one 2-cut, the two hubs, and two branch vertices, one hub
+        # and one leaf; the search at the hub finds the other hub
         g = relabelled(SimpleGraph.from_edges(8, [(hub, x) for hub in (0, 1) for x in range(2, 8)]), 1)
         mg = Multigraph(range(g.n), g.sorted_edges())
         index = separation_index(mg)
         assert len(index.in_cut) == 2 and len(index.smallest[1]) == 1
-        assert len(low_point_runs) <= len(branch_vertices(mg) | index.in_cut) == 3
+        assert sorted(low_point_runs) == sorted(branch_vertices(mg)) and len(low_point_runs) == 2
 
 
 @pytest.fixture
@@ -668,6 +658,5 @@ class TestMultigraph:
                 if len(alive) >= 3 and is_biconnected(mg):
                     index, again = separation_index(mg), separation_index(fresh)
                     assert (index.in_cut, index.smallest) == (again.in_cut, again.smallest)
-                    assert index.fixed_edges == {tuples[i][0] for i in again.fixed_edges}
                     indexed += 1
         assert indexed > 100
