@@ -11,8 +11,9 @@ Each step is decided once: :func:`find_reduction` returns it as a pair
 Past the first two checks, the separation index (carried while three-path
 checks between the ends of removed edges show it still has no 2-cut:
 :meth:`~quadparts.engine.model.LabeledMultigraph.separation_index`)
-supplies the 2-cut with the smallest side, which confines the search, and
-the vertices in no 2-cut, which are the removable ones.
+supplies a 2-cut with a leaf side (:func:`~quadparts.graphs.leaf_side`),
+whose vertices lie in no 2-cut and so are the candidates for a strip or
+vertex step, or says that there is no 2-cut, when every vertex is one.
 After every step the driver asserts the two structural invariants: total
 weight plus order stays divisible by 4, read off a running total, and the
 graph remains a block.  Every step kind proves the second with an
@@ -105,8 +106,10 @@ def find_reduction(lg: LabeledMultigraph) -> Step:
     (v, e))``, ``("absorb", (e1, e2, v))`` or ``("vertex", (v,))``.  A strip
     is picked at a removable vertex with a weight-0 edge, e the lowest one,
     and a vertex step at one without.  A vertex v is removable when G - v is
-    a block (v lies in no 2-cut) and at most one edge reads L31 away from v;
-    the index's `in_cut` and the graph's counts `l31_away` and `zero_at`
+    a block (v lies in no 2-cut) and at most one edge reads L31 away from v.
+    The candidates are the leaf side of the separation index, none of whose
+    vertices lies in a 2-cut (the lemma of `leaf_side`), or every vertex
+    when there is no 2-cut; the graph's counts `l31_away` and `zero_at`
     decide each candidate in O(1).  An absorb takes an edge e1 that reads
     L32 from its host y and a sibling at y that reads L32 or L30, when G -
     e1 is a block; only such a candidate pays for that O(n + m) check.
@@ -122,18 +125,18 @@ def find_reduction(lg: LabeledMultigraph) -> Step:
         return "series", (v,)
     # The block is now simple with minimum degree 3, so n >= 4: G - v is a
     # block iff v lies in no 2-cut.
-    index = lg.separation_index()
-    if index.smallest is None:
+    side = lg.separation_index()
+    if side is None:
         vertex_pool = sorted(lg.vertices)
         host_pool = vertex_pool
     else:
-        (cu, cv), comp = index.smallest
+        (cu, cv), comp = side
         vertex_pool = sorted(comp)
         host_pool = sorted(comp | {cu, cv})
-    in_cut, zero_at, l31_away = index.in_cut, lg.zero_at, lg.l31_away
+    zero_at, l31_away = lg.zero_at, lg.l31_away
     first_reducible = None
     for v in vertex_pool:
-        if v in in_cut or l31_away[v] > 1:
+        if l31_away[v] > 1:
             continue
         if zero_at[v]:
             return "strip", (v, next(eid for eid in lg.incident(v) if lg.edges[eid].label.weight == 0))
@@ -369,14 +372,15 @@ def _still_a_block(lg: LabeledMultigraph, kind: str, args: tuple[int, ...]) -> b
       and contracting keeps a block a block: G' - x for x not in {a, b} is
       G - x with the path a v b shortened to an edge, and G' - a is
       G - a less the leaf v.
-    - strip or vertex step at v: v lies in no 2-cut (that is why it was
-      picked), so G - v is a block.  No vertex but v went and every lost
-      adjacency is at v, so G' contains G - v.  If v went, that is all of
-      G'; if v stays with two distinct neighbours, G' is G - v plus an ear
-      through v.  A strip that lost at most one of the three or more
-      adjacencies v had leaves v two, so it needs no neighbour scan; the
-      vertex steps that keep v (heavy at degree >= 4, pair and flat) read
-      v's neighbours.
+    - strip or vertex step at v: v lies in no 2-cut (it was picked from a
+      leaf side, which holds none by the lemma of `graphs.leaf_side`, or
+      from a graph with no 2-cut), so G - v is a block.  No vertex but v
+      went and every lost adjacency is at v, so G' contains G - v.  If v
+      went, that is all of G'; if v stays with two distinct neighbours, G'
+      is G - v plus an ear through v.  A strip that lost at most one of the
+      three or more adjacencies v had leaves v two, so it needs no
+      neighbour scan; the vertex steps that keep v (heavy at degree >= 4,
+      pair and flat) read v's neighbours.
     - absorb of e1 at y: G - e1 is a block (find_reduction checked that
       before it picked e1).  No vertex went and at most e1's adjacency was
       lost, so G' contains G - e1.  e1's ends are read off the absorb

@@ -40,8 +40,8 @@ from heapq import heappop, heappush
 from itertools import combinations, islice
 from typing import Callable, Generator, Iterable, TypeVar
 
-from ..graphs import (Multigraph, SeparationIndex, SimpleGraph, has_three_paths, nearly_connected_witness,
-                      norm_edge, separation_index)
+from ..graphs import (Multigraph, Side, SimpleGraph, has_three_paths, leaf_side, nearly_connected_witness,
+                      norm_edge)
 from ..labels import Label, Pair, TreeSet, admits, down_set, involution, shape_matches
 
 
@@ -813,8 +813,10 @@ class LabeledMultigraph(Multigraph):
     def invariant_ok(self) -> bool:
         return (self.weight() + self.n) % 4 == 0
 
-    def separation_index(self) -> SeparationIndex:
-        """The separation index of this graph, which must be a simple block.
+    def separation_index(self) -> Side | None:
+        """The `leaf_side` of this graph, which must be a simple block: a
+        2-cut with a side whose split component has no 2-cut, or None when
+        the graph has no 2-cut.
 
         `_touched` holds the live vertices that are an end of an edge removed
         since the last index with no 2-cut, or is None.  Lemma: let R have no
@@ -834,7 +836,7 @@ class LabeledMultigraph(Multigraph):
         if touched is not None and all(has_three_paths(self, a, b) for a, b in combinations(sorted(touched), 2)
                                        if not self.adjacent(a, b)):
             self._touched = set()
-            return SeparationIndex(frozenset(), None)
-        index = separation_index(self)
-        self._touched = None if index.in_cut else set()
-        return index
+            return None
+        side = leaf_side(self)
+        self._touched = None if side else set()
+        return side

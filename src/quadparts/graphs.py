@@ -7,23 +7,19 @@ A multigraph keeps one incidence map, vertex -> {edge id: other end}, in
 which each vertex's edges iterate in edge-id order, so degrees and incident
 edges cost O(degree).
 
-Blocks and 2-cuts both come from one primitive, Tarjan's low-point DFS
-(``_low_points``) over that incidence map, run on g or on g minus one
-vertex: it reports the vertices reached and the cut vertices.  A
-SimpleGraph argument is first turned into the multigraph whose edge ids are
-the positions of its sorted edge list.  :func:`is_biconnected` is one run
-on g, after an O(1) edge count that rejects a graph with fewer edges than
-vertices; :func:`separation_index` finds the vertices of a block that lie
-in some 2-cut and the 2-cut with the smallest side from one run on g - u
-for each branch vertex u of a breadth-first spanning tree.  When that tree
-has more than 4 branch vertices, the Hopcroft-Tarjan separation-pair test
-(``_separation_pair``, O(n + m)) runs first, and a block it finds no 2-cut
-in gets the empty index without any run.  :func:`has_three_paths` decides
-whether no 2-set separates two non-adjacent vertices a and b: three
-common neighbours settle it in O(deg a + deg b), else it finds the paths
-in g minus the common neighbours, first by plain searches from both ends
-and then, only if one of those fails, by breadth-first augmentations of
-O(m) each.
+Blocks come from Tarjan's low-point DFS (``_low_points``) over that
+incidence map and 2-cuts from the Hopcroft-Tarjan separation-pair test
+(``_separation_pair``, O(n + m)).  A SimpleGraph argument is first turned
+into the multigraph whose edge ids are the positions of its sorted edge
+list.  :func:`is_biconnected` is one DFS, after an O(1) edge count that
+rejects a graph with fewer edges than vertices; :func:`leaf_side` finds a
+2-cut with a side whose split component has no 2-cut, or None when the
+block has none, by separation-pair tests on split components of falling
+order.  :func:`has_three_paths` decides whether no 2-set separates two
+non-adjacent vertices a and b: three common neighbours settle it in
+O(deg a + deg b), else it finds the paths in g minus the common
+neighbours, first by plain searches from both ends and then, only if one
+of those fails, by breadth-first augmentations of O(m) each.
 
 Every other traversal in the package calls three primitives: :func:`adjacency`
 builds a vertex -> ascending neighbours map, :func:`bfs_parents` is the one
@@ -207,9 +203,8 @@ def _as_multigraph(g: SimpleGraph | Multigraph) -> Multigraph:
     return Multigraph(range(g.n), sorted(g.edges)) if isinstance(g, SimpleGraph) else g
 
 
-def _low_points(adj: dict[int, dict[int, int]], root: int,
-                skip: int | None = None) -> tuple[dict[int, int], set[int]]:
-    """Tarjan's low-point DFS from `root` of the graph minus the vertex `skip`.
+def _low_points(adj: dict[int, dict[int, int]], root: int) -> tuple[dict[int, int], set[int]]:
+    """Tarjan's low-point DFS from `root`.
 
     `adj` is an incidence map, vertex -> {edge id: other end}.
 
@@ -228,7 +223,7 @@ def _low_points(adj: dict[int, dict[int, int]], root: int,
         top = stack[-1]
         _, tree_edge, edges, lv = top
         for eid, w in edges:
-            if w == skip or eid == tree_edge:
+            if eid == tree_edge:
                 continue
             dw = disc.get(w)
             if dw is None:
@@ -254,16 +249,16 @@ def _low_points(adj: dict[int, dict[int, int]], root: int,
     return disc, cuts
 
 
-def _separation_pair(adj: dict[int, dict[int, int]]) -> tuple[int, int, int] | None:
-    """A 2-cut {a, b} of the block `adj`, an incidence map on at least 4
-    vertices, as (kind, a, b), or None when it has none; O(n + m).
+def _separation_pair(nbrs: dict[int, set[int]]) -> tuple[int, int, int] | None:
+    """A 2-cut {a, b} of the block `nbrs`, a map from each of at least 4
+    vertices to the set of its neighbours, as (kind, a, b), or None when it
+    has none; O(n + m).
 
     This is the separation-pair test of Hopcroft and Tarjan ("Dividing a
     graph into triconnected components", 1973) as corrected by Gutwenger and
     Mutzel ("A linear time implementation of SPQR-trees", 2001), stopped at
-    the first pair it finds, so it never splits the graph.  Parallel edges
-    separate nothing, so it reads distinct neighbours only, and a vertex
-    with two of them has them as a 2-cut (kind 1).  Passes:
+    the first pair it finds, so it never splits the graph.  A vertex with
+    two neighbours has them as a 2-cut (kind 1).  Passes:
 
     1. A depth-first search numbers the vertices 1..n and computes the
        lowest and second-lowest points lowpt1 and lowpt2 reached from
@@ -292,7 +287,6 @@ def _separation_pair(adj: dict[int, dict[int, int]]) -> tuple[int, int, int] | N
     Every pass keeps its own stack, so no depth of search meets the
     recursion limit.
     """
-    nbrs = {x: set(ends.values()) for x, ends in adj.items()}
     for ws in nbrs.values():
         if len(ws) < 3:
             return (1, *sorted(ws))
@@ -425,81 +419,56 @@ def is_biconnected(g: SimpleGraph | Multigraph) -> bool:
     return len(reached) == len(adj) and not cuts
 
 
-def _components_of(adj: Adjacency, alive: set[int]) -> list[frozenset[int]]:
-    """Connected components of the subgraph induced by `alive`, sorted by (size, min vertex)."""
-    seen: set[int] = set()
-    comps: list[frozenset[int]] = []
-    for s in sorted(alive):
-        if s not in seen:
-            comps.append(frozenset(bfs_parents(adj, s, alive)))
-            seen |= comps[-1]
-    comps.sort(key=lambda c: (len(c), min(c)))
-    return comps
+Side = tuple[tuple[int, int], frozenset[int]]
 
 
-@dataclass(frozen=True)
-class SeparationIndex:
-    """What the reduction driver reads from the 2-cuts of a block.
+def leaf_side(g: SimpleGraph | Multigraph) -> Side | None:
+    """A 2-cut (u, v), u < v, of the block g with a component C of
+    g - {u, v} whose split component H = g[C ∪ {u, v}] + uv has no 2-cut,
+    or None when g has no 2-cut; g has at least 3 vertices.
 
-    `in_cut` holds every vertex of some 2-cut, so it is empty exactly when
-    g has no 2-cut.  `smallest` pairs the 2-cut (u, v), u < v, minimizing
-    the order of the smallest component of g - {u, v} with that component:
-    among equal orders the first cut in lexicographic order wins, and within
-    a cut the component with the lowest vertex; it is None when g has no
-    2-cut.
+    The search descends by separation-pair tests (`_separation_pair`): on
+    a pair {a, b} of the current graph (g at first) it takes the least
+    component C of the current graph - {a, b} by (order, lowest vertex)
+    among those that hold no pole of the previous round, and goes on in
+    H = current[C ∪ {a, b}] + ab until the test finds no pair or H has 3
+    vertices.  The previous poles are adjacent in the current graph, so at
+    most one component holds a pole and some component holds none.  Such
+    a C meets the rest of g only at a and b, so it is a component of
+    g - {a, b} too, and H is a block.  Each round costs O(|H| + its edges).
+
+    Lemma: on a simple block of minimum degree 3, as the driver consults
+    it, no vertex of the final C lies in a 2-cut of g.  Take a 2-cut {x, y}
+    of g with x in C.  If y lies in C ∪ {u, v}, the rest of g meets both u
+    and v, so it acts as the edge uv and {x, y} cuts H too.  Otherwise u
+    and v fall in different components of g - {x, y}, or one vertex would
+    cut off a component; so C - x splits into a part that meets only x
+    and u and a part that meets only x and v, and {x, u} or {x, v} cuts H,
+    unless C = {x}, which would give x degree at most 2.  So C is also a
+    least side by inclusion: a side D of a 2-cut {x, y} inside C misses x
+    and y and is closed in the connected C, so D = C.
     """
-
-    in_cut: frozenset[int]
-    smallest: tuple[tuple[int, int], frozenset[int]] | None
-
-
-# The most branch vertices whose searches of g - u run without the
-# separation-pair test first.  The test costs as much as 4 to 7 such searches
-# on dense blocks of order 16 to 24 (96-196 µs against 14-28 µs per search
-# with Python 3.11 on a 2-vCPU Xeon), and those blocks' breadth-first trees
-# have 3 or 4 branch vertices, so they keep their searches.
-_TEST_COST = 4
-
-
-def separation_index(g: SimpleGraph | Multigraph) -> SeparationIndex:
-    """Separation index of a block g on at least 3 vertices.
-
-    {u, v} is a 2-cut iff v is a cut vertex of g - u, so the index is read
-    from low-point DFSs of g - u, one at each branch (non-leaf) vertex u of
-    the breadth-first tree from the vertex of highest degree (lowest on
-    ties), and at no other vertex.  When the tree has more than `_TEST_COST`
-    branch vertices, `_separation_pair` runs first, and if it finds no 2-cut
-    the index is empty without any search.
-
-    Lemma 1: every 2-cut of g holds a branch vertex of any spanning tree T,
-    since deleting two leaves of T leaves T, and so g, connected.  So the
-    search at that branch vertex finds the other end of the cut as a cut
-    vertex, and `in_cut` and the set of 2-cuts are exact.  A triangle has
-    no 2-cut and gets the empty index.  Each cut is taken once as (u, v),
-    u < v, in lexicographic order, and `smallest` is the least by (order of
-    its smaller side, (u, v)).  A block with no 2-cut costs O(n + m): one
-    test, or at most `_TEST_COST` searches.  One with 2-cuts costs O(n + m)
-    per branch vertex, plus O(n + m) per 2-cut for its components.  The
-    caller guarantees that g is a block; on other inputs the index is
-    incomplete.
-    """
-    adj = _as_multigraph(g)._inc
-    verts = sorted(adj)
-    neighbours = {x: ends.values() for x, ends in adj.items()}
-    tree = bfs_parents(neighbours, max(verts, key=lambda x: len(adj[x])))
-    branch = {p for p in tree.values() if p is not None}
-    if len(branch) > _TEST_COST and _separation_pair(adj) is None:
-        return SeparationIndex(frozenset(), None)
-    cuts: set[tuple[int, int]] = set()
-    for u in branch:
-        _, cut_vertices = _low_points(adj, verts[1] if u == verts[0] else verts[0], skip=u)
-        cuts |= {norm_edge(u, v) for v in cut_vertices}
-    smallest: tuple[tuple[int, int], frozenset[int]] | None = None
-    for u, v in sorted(cuts):
-        comp = _components_of(neighbours, set(verts) - {u, v})[0]
-        if smallest is None or len(comp) < len(smallest[1]):
-            smallest = ((u, v), comp)
-    return SeparationIndex(frozenset(x for pair in cuts for x in pair), smallest)
+    nbrs = {x: set(ends.values()) for x, ends in _as_multigraph(g)._inc.items()}
+    side: Side | None = None
+    poles: tuple[int, ...] = ()
+    while len(nbrs) > 3:
+        found = _separation_pair(nbrs)
+        if found is None:
+            break
+        _, a, b = found
+        rest = nbrs.keys() - {a, b}
+        comps = []
+        for s in nbrs:
+            if s in rest:
+                comps.append(frozenset(bfs_parents(nbrs, s, rest)))
+                rest -= comps[-1]
+        side = (norm_edge(a, b), min((c for c in comps if not c.intersection(poles)),
+                                     key=lambda c: (len(c), min(c))))
+        inside, poles = side[1] | {a, b}, (a, b)
+        nbrs = {x: ws & inside for x, ws in nbrs.items() if x in inside}
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    return side
 
 
 def has_three_paths(g: SimpleGraph | Multigraph, a: int, b: int) -> bool:

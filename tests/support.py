@@ -38,8 +38,9 @@ span back as a set of edges.
 standard small graphs, `equal_theta` thetas whose paths differ in length
 by at most one, `dense_block` the dense random blocks of the
 second golden fixture, `sparse_block` cycle-plus-chord blocks like the
-benchmark's sparse inputs, and `relabelled` applies a seeded random permutation
-to the vertex ids.  `connected_components`, `diameter` and `degree` read a
+benchmark's sparse inputs, `prism`, `circulant` and `grid` the regular
+shapes of `tests/scale_index.py`, and `relabelled` applies a seeded random
+permutation to the vertex ids.  `connected_components`, `diameter` and `degree` read a
 SimpleGraph's edge list directly, so tests can use them as oracles
 independent of the library's own traversals.
 
@@ -49,6 +50,10 @@ and the running weight total that the multigraph keeps.
 `scanned_zero_counts` and `scanned_l31_away` are the per-vertex scans the
 driver's strip and vertex picks once ran, kept as the oracle for the
 weight-0 and L31-away counts.
+
+`primitive_visits` counts the vertices that the separation-pair test and
+the low-point search enter, a deterministic cost of the 2-cut steering,
+and `leaf_side_holds` is the networkx oracle for `graphs.leaf_side`.
 """
 
 from __future__ import annotations
@@ -56,9 +61,11 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter, deque
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Iterable
+from typing import Iterable, Iterator
 
+from quadparts import graphs
 from quadparts.engine.model import (
     BoundTree,
     EdgeLog,
@@ -510,6 +517,27 @@ def degree(g: SimpleGraph, v: int) -> int:
     return sum(1 for e in g.edges if v in e)
 
 
+def circulant(n: int, steps: tuple[int, ...]) -> SimpleGraph:
+    """Vertex i joined to i + s and i - s (mod n) for each s in `steps`."""
+    return SimpleGraph.from_edges(n, {norm_edge(i, (i + s) % n) for i in range(n) for s in steps})
+
+
+def grid(rows: int, cols: int, wrap: bool = False) -> SimpleGraph:
+    """The rows x cols grid, with each row closed into a cycle if `wrap`:
+    the cylinder rows x cols, a path of `rows` rings of `cols` vertices."""
+    n = rows * cols
+    edges = [(v, v + 1) for v in range(n) if (v + 1) % cols] + [(v, v + cols) for v in range(n - cols)]
+    if wrap:
+        edges += [(v, v + cols - 1) for v in range(0, n, cols)]
+    return SimpleGraph.from_edges(n, edges)
+
+
+def prism(k: int) -> SimpleGraph:
+    """Two k-cycles joined by a perfect matching: the circular ladder."""
+    return SimpleGraph.from_edges(2 * k, [(i, (i + 1) % k) for i in range(k)]
+                                  + [(k + i, k + (i + 1) % k) for i in range(k)] + [(i, k + i) for i in range(k)])
+
+
 def relabelled(g: SimpleGraph, seed: int) -> SimpleGraph:
     """g with its vertex ids permuted by a seeded random permutation."""
     perm = list(range(g.n))
@@ -555,3 +583,52 @@ def scanned_l31_away(lg) -> dict[int, int]:
     """Each live vertex -> the number of edges that read L31 from it, read
     through a view of each edge at v."""
     return {v: sum(1 for eid in lg.incident(v) if lg.view(eid, v).label.name == "L31") for v in lg.vertices}
+
+
+# ---------------------------------------------------------------------------
+# The 2-cut primitives: vertex visits and the leaf-side oracle
+
+
+@contextmanager
+def primitive_visits() -> Iterator[Counter]:
+    """Count, while the block runs, the vertices that the two connectivity
+    primitives of `quadparts.graphs` enter: a separation-pair test is
+    charged the order of the graph it is given, a low-point search the
+    vertices it reaches.  Yields a Counter keyed by the primitive's name."""
+    visits: Counter = Counter()
+    real_pair, real_low = graphs._separation_pair, graphs._low_points
+
+    def pair(nbrs):
+        visits["_separation_pair"] += len(nbrs)
+        return real_pair(nbrs)
+
+    def low(adj, root):
+        reached, cuts = real_low(adj, root)
+        visits["_low_points"] += len(reached)
+        return reached, cuts
+
+    graphs._separation_pair, graphs._low_points = pair, low
+    try:
+        yield visits
+    finally:
+        graphs._separation_pair, graphs._low_points = real_pair, real_low
+
+
+def _no_2cut(nx, g) -> bool:
+    """Whether the networkx block g has no 2-cut."""
+    return len(g) <= 3 or nx.node_connectivity(g) >= 3
+
+
+def leaf_side_holds(nx, edges, side) -> bool:
+    """networkx oracle for `graphs.leaf_side` of the block with the edge list
+    `edges` (parallel edges allowed): `side` is None exactly when the block
+    has no 2-cut; otherwise (u, v) separates it, C is a component of
+    G - {u, v}, and H = G[C ∪ {u, v}] + uv has no 2-cut."""
+    g = nx.Graph(list(edges))
+    if side is None:
+        return _no_2cut(nx, g)
+    (u, v), comp = side
+    comps = list(nx.connected_components(g.subgraph(set(g) - {u, v})))
+    h = nx.Graph(g.subgraph(comp | {u, v}))
+    h.add_edge(u, v)
+    return u < v and len(comps) > 1 and set(comp) in comps and _no_2cut(nx, h)

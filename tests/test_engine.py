@@ -26,15 +26,15 @@ from quadparts.engine.local import Local, group
 from quadparts.engine.model import (BoundTree, EdgeView, Gadget, Realization, Split, ask, from_parents, fuse, graft,
                                    single)
 from quadparts.families import enumerate_2connected, random_2connected, random_corpus, subdivided_k4, theta
-from quadparts.graphs import SimpleGraph, is_biconnected, norm_edge, separation_index
+from quadparts.graphs import SimpleGraph, is_biconnected, leaf_side, norm_edge
 from quadparts.labels import CATALOG, S0, TreeSet
 from quadparts.oracle import verify_partition
 
 from . import sweeps
-from .support import (AdjacencyFragment, StubGadget, TreeShape, all_ops, complete_graph, cubic_block, cycle_graph,
-                      dense_block, equal_theta, fragment_edges, logged, path_graph, relabelled, scanned_degree2_vertex,
-                      scanned_l31_away, scanned_parallel_pair, scanned_zero_counts, sparse_block, stub_edge,
-                      summed_weight, tree_of)
+from .support import (AdjacencyFragment, StubGadget, TreeShape, all_ops, circulant, complete_graph, cubic_block,
+                      cycle_graph, dense_block, equal_theta, fragment_edges, grid, leaf_side_holds, logged, path_graph,
+                      primitive_visits, prism, relabelled, scanned_degree2_vertex, scanned_l31_away,
+                      scanned_parallel_pair, scanned_zero_counts, sparse_block, stub_edge, summed_weight, tree_of)
 from .support import fits as shape_fits
 
 DATA = Path(__file__).parent / "data"
@@ -454,9 +454,11 @@ class TestCarriedSeparationIndex:
     def test_matches_a_fresh_index_under_random_rewrites(self):
         """Random edge deletions and additions, vertex removals, series
         contractions and parallel merges on 3-connected blocks: the index
-        equals a freshly built one, also when it was carried across vertex
-        removals.  Odd seeds consult it where find_reduction would (a simple
-        block of minimum degree 3), even seeds at every simple block."""
+        equals a fresh `leaf_side` and meets the networkx oracle, also when
+        it was carried across vertex removals.  Odd seeds consult it where
+        find_reduction would (a simple block of minimum degree 3), even
+        seeds at every simple block."""
+        nx = pytest.importorskip("networkx")
         carried = rebuilt_after_deletions = carried_after_vertex_removal = 0
         for seed in range(100):
             rng = random.Random(seed)
@@ -464,7 +466,7 @@ class TestCarriedSeparationIndex:
             lg = LabeledMultigraph(g)
             for u, v in g.sorted_edges():
                 lg.install(leaf_gadget(CATALOG["L0"], u, v))
-            if separation_index(lg).in_cut:
+            if leaf_side(lg) is not None:
                 continue
             vertex_gone = False  # since the last index with no 2-cut
             for _ in range(40):
@@ -499,13 +501,14 @@ class TestCarriedSeparationIndex:
                 if seed % 2 and lg.degree2_vertex() is not None:
                     continue
                 touched = lg._touched
-                index, fresh = lg.separation_index(), separation_index(lg)
+                index, fresh = lg.separation_index(), leaf_side(lg)
                 assert index == fresh, seed
+                assert leaf_side_holds(nx, pairs, index), seed
                 if touched:
-                    carried += not fresh.in_cut
-                    rebuilt_after_deletions += bool(fresh.in_cut)
-                    carried_after_vertex_removal += vertex_gone and not fresh.in_cut
-                if not fresh.in_cut:
+                    carried += fresh is None
+                    rebuilt_after_deletions += fresh is not None
+                    carried_after_vertex_removal += vertex_gone and fresh is None
+                if fresh is None:
                     vertex_gone = False
         assert carried > 200 and rebuilt_after_deletions > 50 and carried_after_vertex_removal > 40
 
@@ -517,7 +520,7 @@ class TestCarriedSeparationIndex:
         meets 2-cuts on the way, seed 11 none."""
         consultations: list[tuple[bool, bool]] = []  # (rebuilt, has a 2-cut)
         builds = []
-        real_build, real_consult = model.separation_index, LabeledMultigraph.separation_index
+        real_build, real_consult = model.leaf_side, LabeledMultigraph.separation_index
 
         def build(g):
             builds.append(g)
@@ -525,11 +528,11 @@ class TestCarriedSeparationIndex:
 
         def consult(lg):
             before = len(builds)
-            index = real_consult(lg)
-            consultations.append((len(builds) > before, bool(index.in_cut)))
-            return index
+            side = real_consult(lg)
+            consultations.append((len(builds) > before, side is not None))
+            return side
 
-        monkeypatch.setattr(model, "separation_index", build)
+        monkeypatch.setattr(model, "leaf_side", build)
         monkeypatch.setattr(LabeledMultigraph, "separation_index", consult)
         g = sparse_block(128, seed)
         partition, _ = partition_with_trace(g)
@@ -538,6 +541,51 @@ class TestCarriedSeparationIndex:
         for (_, cut_before), (rebuilt, cut) in zip(consultations, consultations[1:]):
             assert not rebuilt or cut or cut_before
         assert len(consultations) > 20 and len(builds) < len(consultations) // 2
+
+    @pytest.mark.parametrize("inputs", ["golden_partitions.jsonl", "golden_deep.jsonl", "golden_regular.jsonl",
+                                        "golden_dense.jsonl", "seeded"])
+    def test_every_consultation_meets_the_oracle(self, monkeypatch, inputs):
+        """Every consultation while partitioning the graphs of a fixture, or
+        seeded relabelled prisms, Möbius ladders, grids, cylinders and cubic
+        blocks, meets the networkx oracle: None exactly when the graph has
+        no 2-cut, else a side whose split component has none.  Of the dense
+        fixture only the blocks of order 24 run: each consultation there
+        costs a flow computation per vertex, and the larger ones would take
+        40 s.  The seeded shapes reach many sides."""
+        nx = pytest.importorskip("networkx")
+        real = LabeledMultigraph.separation_index
+        outcomes: Counter[bool] = Counter()  # has a 2-cut
+
+        def consult(lg):
+            side = real(lg)
+            assert leaf_side_holds(nx, [(u, v) for _, u, v in lg.edge_tuples()], side), lg.edge_tuples()
+            outcomes[side is not None] += 1
+            return side
+
+        monkeypatch.setattr(LabeledMultigraph, "separation_index", consult)
+        if inputs == "seeded":
+            blocks = ([relabelled(prism(k), k) for k in range(6, 31, 2)]
+                      + [relabelled(circulant(n, (1, n // 2)), n) for n in range(12, 61, 4)]
+                      + [relabelled(grid(a, 4, wrap), a) for a in range(3, 8) for wrap in (False, True)]
+                      + [cubic_block(24 + 4 * seed, seed) for seed in range(2)])
+        else:
+            records = [json.loads(line) for line in (DATA / inputs).read_text(encoding="utf-8").splitlines()]
+            blocks = [SimpleGraph.from_edges(rec["n"], rec["edges"]) for rec in records
+                      if inputs != "golden_dense.jsonl" or rec["n"] == 24]
+        for g in blocks:
+            partition_with_trace(g)
+        assert outcomes[False] > 0 and (outcomes[True] > 100 or inputs != "seeded"), outcomes
+
+    def test_prism_index_visits_at_most_200_per_vertex(self):
+        """Over one partition of a relabelled prism on 400 vertices, the
+        separation-pair tests and the low-point searches enter at most 200
+        vertices per vertex of the input: each consultation with a 2-cut
+        descends through split components that shrink, rather than searching
+        the whole graph once per vertex."""
+        g = relabelled(prism(200), 1)
+        with primitive_visits() as visits:
+            partition_with_trace(g)
+        assert sum(visits.values()) <= 200 * g.n, visits
 
 
 def _random_rewrites(seeds):
@@ -740,7 +788,7 @@ class TestBlockCertificates:
         L1, so weight 17 plus order 7 is divisible by 4.  (1, 4) with its
         sibling (1, 2) is the one absorb candidate, but 0 cuts G - (1, 4), so
         the pick passes it over for the vertex step at 2, the lowest vertex
-        of {2, 3}, the smallest side of the 2-cut {0, 1}."""
+        of {2, 3}, the leaf side of the 2-cut {0, 1}."""
         g = SimpleGraph.from_edges(7, [*combinations(range(4), 2), *combinations((0, 4, 5, 6), 2), (1, 4)])
         lg = LabeledMultigraph(g)
         names = {(1, 4): "L32", (1, 2): "L30"}

@@ -8,19 +8,18 @@ import pytest
 from quadparts import graphs
 from quadparts.graphs import (
     Multigraph,
-    SeparationIndex,
     SimpleGraph,
     bfs_parents,
     graph_power,
     has_three_paths,
     induced_is_connected,
     is_biconnected,
-    separation_index,
+    leaf_side,
 )
 from quadparts.oracle import is_nearly_connected
 
-from .support import (complete_graph, connected_components, cycle_graph, dense_block, diameter, logged, path_graph,
-                      relabelled)
+from .support import (complete_graph, connected_components, cycle_graph, dense_block, diameter, leaf_side_holds,
+                      logged, path_graph, relabelled)
 
 
 def brute_biconnected(g: SimpleGraph) -> bool:
@@ -69,42 +68,31 @@ def brute_components(alive: set[int], pairs) -> list[frozenset[int]]:
     return comps
 
 
-def brute_smallest_cut(vertices, pairs):
-    """Lexicographic scan of all vertex pairs: a pair replaces the incumbent
-    only when its smallest side (lowest vertex on equal orders) is strictly
-    smaller."""
-    best = None
+def brute_sides(vertices, pairs) -> dict[tuple[int, int], list[frozenset[int]]]:
+    """Each 2-cut (u, v), u < v, of the graph on `vertices` with the edge
+    list `pairs`, with the components it leaves, by brute force."""
+    sides = {}
     for u, v in combinations(sorted(vertices), 2):
         comps = brute_components(set(vertices) - {u, v}, pairs)
-        if len(comps) >= 2:
-            side = min(comps, key=lambda c: (len(c), min(c)))
-            if best is None or len(side) < len(best[1]):
-                best = ((u, v), side)
-    return best
-
-
-def brute_index(mg: Multigraph) -> SeparationIndex:
-    """The separation index of the block mg by brute force: components of
-    mg - {u, v} for every pair."""
-    verts = sorted(mg.vertices)
-    pairs = [(u, v) for _, u, v in mg.edge_tuples()]
-    in_cut = {x for u, v in combinations(verts, 2) if len(brute_components(set(verts) - {u, v}, pairs)) > 1
-              for x in (u, v)}
-    return SeparationIndex(frozenset(in_cut), brute_smallest_cut(verts, pairs))
-
-
-def networkx_index(nx, mg: Multigraph) -> SeparationIndex:
-    """The separation index of the block mg read from networkx."""
-    verts = sorted(mg.vertices)
-    simple = nx.Graph([(u, v) for _, u, v in mg.edge_tuples()])
-    sides = {}  # each 2-cut, in lexicographic order, with its least (order, min) component
-    for u, v in combinations(verts, 2):
-        comps = list(nx.connected_components(simple.subgraph(set(verts) - {u, v})))
         if len(comps) > 1:
-            sides[u, v] = frozenset(min(comps, key=lambda c: (len(c), min(c))))
-    least = min((len(side) for side in sides.values()), default=None)
-    smallest = next(((pair, side) for pair, side in sides.items() if len(side) == least), None)
-    return SeparationIndex(frozenset(x for pair in sides for x in pair), smallest)
+            sides[u, v] = comps
+    return sides
+
+
+def brute_leaf_side_holds(mg: Multigraph, side) -> bool:
+    """The leaf-side contract checked by brute force on the block mg: None
+    exactly when mg has no 2-cut; otherwise C is a component of mg - {u, v},
+    H = mg[C ∪ {u, v}] + uv has no 2-cut, and no side of a 2-cut of mg is
+    a proper subset of C."""
+    pairs = [(u, v) for _, u, v in mg.edge_tuples()]
+    sides = brute_sides(mg.vertices, pairs)
+    if side is None:
+        return not sides
+    (u, v), comp = side
+    inside = comp | {u, v}
+    h = brute_sides(inside, [(a, b) for a, b in pairs if a in inside and b in inside] + [(u, v)])
+    return (comp in sides.get((u, v), ()) and not h
+            and not any(c < comp for comps in sides.values() for c in comps))
 
 
 def ladder(k: int, chords=(), closed: bool = False) -> SimpleGraph:
@@ -147,26 +135,17 @@ def index_blocks() -> list[Multigraph]:
 
 
 @pytest.fixture
-def low_point_runs(monkeypatch) -> list[int | None]:
-    """The vertex u of each low-point search of g - u run since the test
-    started (or since the list was last cleared); None for a search of g."""
-    runs: list[int | None] = []
+def low_point_runs(monkeypatch) -> list[int]:
+    """The root of each low-point search run since the test started."""
+    runs: list[int] = []
     real = graphs._low_points
 
-    def counted(adj, root, skip=None):
-        runs.append(skip)
-        return real(adj, root, skip)
+    def counted(adj, root):
+        runs.append(root)
+        return real(adj, root)
 
     monkeypatch.setattr(graphs, "_low_points", counted)
     return runs
-
-
-def branch_vertices(mg: Multigraph) -> set[int]:
-    """The non-leaf vertices of the breadth-first tree of mg from its vertex
-    of highest degree (lowest on ties), neighbours in edge-id order."""
-    neighbours = {x: [mg.other_end(eid, x) for eid in mg.incident(x)] for x in mg.vertices}
-    root = max(sorted(mg.vertices), key=lambda x: len(neighbours[x]))
-    return {p for p in bfs_parents(neighbours, root).values() if p is not None}
 
 
 class TestBiconnected:
@@ -214,18 +193,24 @@ class TestBiconnected:
 
 
 class TestSmallest2Cut:
+    """The leaf side by brute force: a side of a 2-cut that is least by
+    inclusion and whose split component has no 2-cut."""
+
     def test_c4(self):
-        pair, comp = separation_index(cycle_graph(4)).smallest
-        assert pair == (0, 2)
-        assert comp == frozenset({1})
+        """Vertex 0 has two neighbours, so the first test gives the pair
+        {1, 3}; of its sides {0} and {2}, the lower is kept, and its split
+        component is a triangle."""
+        pair, comp = leaf_side(cycle_graph(4))
+        assert pair == (1, 3)
+        assert comp == frozenset({0})
 
     def test_k4_is_3connected(self):
-        assert separation_index(complete_graph(4)).smallest is None
+        assert leaf_side(complete_graph(4)) is None
 
     def test_theta_of_short_paths(self):
         # three internally disjoint length-2 paths between 0 and 1
         g = SimpleGraph.from_edges(5, [(0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 1)])
-        pair, comp = separation_index(g).smallest
+        pair, comp = leaf_side(g)
         assert pair == (0, 1)
         assert len(comp) == 1
 
@@ -236,45 +221,45 @@ class TestSmallest2Cut:
                 if not is_biconnected(g):
                     continue
                 pairs = g.sorted_edges()
-                assert separation_index(g).smallest == brute_smallest_cut(range(n), pairs), (n, seed)
+                mg = Multigraph(range(n), pairs)
+                assert brute_leaf_side_holds(mg, leaf_side(g)), (n, seed)
                 # the same block as a multigraph: reversed, spread-out ids and doubled edges
                 name = {v: 3 * (n - 1 - v) + 2 for v in range(n)}
                 moved = [(name[a], name[b]) for a, b in pairs]
                 mg = Multigraph(name.values(), moved + moved[::3])
-                assert separation_index(mg).smallest == brute_smallest_cut(name.values(), moved), (n, seed)
+                assert brute_leaf_side_holds(mg, leaf_side(mg)), (n, seed)
 
     def test_blocks_with_and_without_2cuts(self):
         for i, mg in enumerate(index_blocks()):
             if mg.n <= 12:
-                assert separation_index(mg) == brute_index(mg), i
+                assert brute_leaf_side_holds(mg, leaf_side(mg)), i
 
 
 class TestSeparationIndexAgainstNetworkx:
-    def test_blocks_with_and_without_2cuts(self, low_point_runs):
-        """Every field against networkx, and the vertices searched: none on a
-        block with no 2-cut whose breadth-first tree has more than 4 branch
-        vertices, which the separation-pair test settles, and on any other
-        block exactly the branch vertices, once each.  A triangle has no
-        2-cut: its index is empty after one search, at the root."""
+    def test_blocks_with_and_without_2cuts(self, pair_tests, low_point_runs):
+        """The leaf side against networkx on the index blocks and the
+        separation-pair corpus, and its descent: the separation-pair tests
+        run on graphs of strictly falling order, every one but the last
+        finds a pair, and no low-point search runs.  A triangle has no 2-cut
+        and costs no test.  Blocks of minimum degree 3 with 2-cuts descend
+        through two or more tests."""
         nx = pytest.importorskip("networkx")
-        outcomes: Counter[tuple[bool, str]] = Counter()  # (has a 2-cut, which vertices were searched)
-        for i, mg in enumerate(index_blocks()):
-            low_point_runs.clear()
-            index = separation_index(mg)
-            searched = set(low_point_runs)
-            assert index == networkx_index(nx, mg), i
-            assert len(low_point_runs) == len(searched), f"{i}: a vertex was searched twice"
-            branch = branch_vertices(mg)
-            if len(branch) > 4 and not index.in_cut:
-                assert searched == set(), i
-            else:
-                assert searched == branch, i
+        outcomes: Counter[tuple[bool, int]] = Counter()  # (has a 2-cut, pair tests up to 3)
+        blocks = index_blocks() + [Multigraph(range(g.n), g.sorted_edges()) for g in separation_pair_corpus(nx)]
+        low_point_runs.clear()
+        for i, mg in enumerate(blocks):
+            pair_tests.clear()
+            side = leaf_side(mg)
+            assert leaf_side_holds(nx, [(u, v) for _, u, v in mg.edge_tuples()], side), i
+            orders = [order for order, _ in pair_tests]
+            assert orders == sorted(set(orders), reverse=True), i
+            assert all(found for _, found in pair_tests[:-1]), i
             if mg.n == 3:
-                assert index == SeparationIndex(frozenset(), None) and len(searched) == 1, i
-            outcomes[bool(index.in_cut), "some" if searched else "none"] += 1
-        assert outcomes[False, "none"] + outcomes[False, "some"] > 60, outcomes
-        assert outcomes[False, "none"] > 20 and outcomes[False, "some"] > 20, outcomes
-        assert outcomes[True, "some"] > 20, outcomes
+                assert side is None and pair_tests == [], i
+            outcomes[side is not None, min(len(pair_tests), 3)] += 1
+        assert low_point_runs == []
+        assert outcomes[False, 1] > 300 and outcomes[True, 1] > 50, outcomes
+        assert outcomes[True, 2] > 200 and outcomes[True, 3] > 10, outcomes
 
     def test_random_cycle_multigraphs(self):
         nx = pytest.importorskip("networkx")
@@ -282,27 +267,29 @@ class TestSeparationIndexAgainstNetworkx:
             for seed in range(40):
                 mg = random_cycle_multigraph(n, 100 * n + seed)
                 edges = mg.edge_tuples()
-                index = separation_index(mg)
-                assert index == networkx_index(nx, mg), (n, seed)
+                side = leaf_side(mg)
+                assert leaf_side_holds(nx, [(u, v) for _, u, v in edges], side), (n, seed)
                 assert is_biconnected(mg) and nx.is_biconnected(nx.MultiGraph([(u, v) for _, u, v in edges]))
                 for eid, _, _ in edges:
                     rest = [(u, v) for e, u, v in edges if e != eid]
                     block = nx.is_biconnected(nx.MultiGraph(rest))
                     assert is_biconnected(Multigraph(range(n), rest)) == block, (n, seed, eid)
+                blocks = []
                 for v in range(n):
                     alive = set(range(n)) - {v}
                     rest = [(a, b) for _, a, b in edges if v not in (a, b)]
-                    block = nx.is_biconnected(nx.MultiGraph(rest))
-                    assert is_biconnected(Multigraph(alive, rest)) == block, (n, seed, v)
-                    if n >= 4:
-                        assert (v in index.in_cut) == (not block), (n, seed, v)
+                    blocks.append(nx.is_biconnected(nx.MultiGraph(rest)))
+                    assert is_biconnected(Multigraph(alive, rest)) == blocks[-1], (n, seed, v)
+                if n >= 4:
+                    assert (side is None) == all(blocks), (n, seed)
 
 
 def searched_2cut(mg: Multigraph) -> bool:
-    """Whether the block mg has a 2-cut, by one low-point search of mg - u
-    for every vertex u: {u, v} is a 2-cut iff v cuts mg - u."""
-    adj, verts = mg._inc, sorted(mg.vertices)
-    return any(graphs._low_points(adj, verts[1] if u == verts[0] else verts[0], skip=u)[1] for u in verts)
+    """Whether the block mg has a 2-cut, by a block check of mg - u for
+    every vertex u: {u, v} is a 2-cut iff v cuts mg - u."""
+    edges = mg.edge_tuples()
+    return not all(is_biconnected(Multigraph(mg.vertices - {u}, [(a, b) for _, a, b in edges if u not in (a, b)]))
+                   for u in mg.vertices)
 
 
 def from_networkx(nx, g, seed: int) -> SimpleGraph:
@@ -350,14 +337,15 @@ def separation_pair_corpus(nx) -> list[SimpleGraph]:
 
 
 @pytest.fixture
-def pair_tests(monkeypatch) -> list[tuple[int, int, int] | None]:
-    """What each separation-pair test returned since the test started."""
-    found: list[tuple[int, int, int] | None] = []
+def pair_tests(monkeypatch) -> list[tuple[int, tuple[int, int, int] | None]]:
+    """The order of the graph each separation-pair test ran on and what it
+    returned, since the test started (or since the list was last cleared)."""
+    found: list[tuple[int, tuple[int, int, int] | None]] = []
     real = graphs._separation_pair
 
-    def recorded(adj):
-        found.append(real(adj))
-        return found[-1]
+    def recorded(nbrs):
+        found.append((len(nbrs), real(nbrs)))
+        return found[-1][1]
 
     monkeypatch.setattr(graphs, "_separation_pair", recorded)
     return found
@@ -380,7 +368,7 @@ class TestSeparationPair:
             name = {v: 3 * (g.n - 1 - v) + 2 for v in range(g.n)}
             moved = [(name[a], name[b]) for a, b in pairs]
             for mg in (Multigraph(range(g.n), pairs), Multigraph(name.values(), moved + moved[::2])):
-                found = graphs._separation_pair(mg._inc)
+                found = graphs._separation_pair({x: set(ends.values()) for x, ends in mg._inc.items()})
                 assert (found is not None) == expected == searched_2cut(mg), i
                 kinds[found[0] if found else 0] += 1
                 if found:
@@ -391,57 +379,23 @@ class TestSeparationPair:
 
 
 class TestSeparationIndexCost:
-    def test_dense_block_searches_only_branch_vertices(self, low_point_runs, pair_tests):
-        """A breadth-first tree from a vertex of degree about n/2 has few
-        branch vertices.  With at most 4, as on this block of order 24, the
-        index searches exactly those and runs no separation-pair test, which
-        costs more; with 6, as on this block of order 64, it runs the test
-        and no search."""
-        for n, branches in ((24, 4), (64, 6)):
-            low_point_runs.clear()
-            pair_tests.clear()
-            mg = Multigraph(range(n), relabelled(dense_block(n, 1), 1).sorted_edges())
-            index = separation_index(mg)
-            assert index == SeparationIndex(frozenset(), None)
-            assert len(branch_vertices(mg)) == branches
-            if branches <= 4:
-                assert sorted(low_point_runs) == sorted(branch_vertices(mg)) and pair_tests == []
-            else:
-                assert low_point_runs == [] and pair_tests == [None]
-
     def test_cubic_block_runs_no_search(self, low_point_runs, pair_tests):
-        """A block with no 2-cut and a breadth-first tree of more than 4
-        branch vertices costs one separation-pair test and no search of
-        g - u, where searching its branch vertices would run 533."""
+        """A block with no 2-cut costs one separation-pair test of the whole
+        graph and no low-point search."""
         nx = pytest.importorskip("networkx")
         g = relabelled(SimpleGraph.from_edges(800, nx.random_regular_graph(3, 800, 1).edges), 1)
-        assert separation_index(g) == SeparationIndex(frozenset(), None)
-        assert low_point_runs == [] and pair_tests == [None]
+        assert leaf_side(g) is None
+        assert low_point_runs == [] and pair_tests == [(800, None)]
 
-    def test_deep_moebius_ladder_runs_no_search(self, low_point_runs):
+    def test_deep_moebius_ladder_runs_no_search(self, low_point_runs, pair_tests):
         """The separation-pair test recurses nowhere: on the identity-labelled
         Möbius ladder on 6000 vertices, far deeper than the recursion limit,
-        it finds no 2-cut, and the index runs none of the 4,498 searches of
-        its branch vertices."""
+        it finds no 2-cut, and no low-point search runs."""
         n = 6000
         assert sys.getrecursionlimit() < n
         g = SimpleGraph.from_edges(n, [(i, (i + 1) % n) for i in range(n)] + [(i, i + n // 2) for i in range(n // 2)])
-        assert separation_index(g) == SeparationIndex(frozenset(), None)
-        assert low_point_runs == []
-
-    def test_ladder_reuses_the_precheck_searches(self, low_point_runs):
-        g = relabelled(ladder(20), 1)
-        assert separation_index(g).in_cut
-        assert len(low_point_runs) <= g.n
-
-    def test_searches_exactly_the_branch_vertices(self, low_point_runs):
-        # K(2, 6): one 2-cut, the two hubs, and two branch vertices, one hub
-        # and one leaf; the search at the hub finds the other hub
-        g = relabelled(SimpleGraph.from_edges(8, [(hub, x) for hub in (0, 1) for x in range(2, 8)]), 1)
-        mg = Multigraph(range(g.n), g.sorted_edges())
-        index = separation_index(mg)
-        assert len(index.in_cut) == 2 and len(index.smallest[1]) == 1
-        assert sorted(low_point_runs) == sorted(branch_vertices(mg)) and len(low_point_runs) == 2
+        assert leaf_side(g) is None
+        assert low_point_runs == [] and pair_tests == [(n, None)]
 
 
 @pytest.fixture
@@ -656,7 +610,6 @@ class TestMultigraph:
                 fresh = Multigraph(sorted(alive), [(u, v) for _, u, v in tuples])
                 assert is_biconnected(mg) == is_biconnected(fresh)
                 if len(alive) >= 3 and is_biconnected(mg):
-                    index, again = separation_index(mg), separation_index(fresh)
-                    assert (index.in_cut, index.smallest) == (again.in_cut, again.smallest)
+                    assert leaf_side(mg) == leaf_side(fresh)
                     indexed += 1
         assert indexed > 100
