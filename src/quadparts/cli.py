@@ -114,7 +114,11 @@ def cmd_power(args) -> int:
 
 def cmd_factor(args) -> int:
     g = _read_graph(args.graph, args.format)
-    host = graph_power(g, args.k) if args.k is not None else g
+    host = g
+    # Below n/2 edges some vertex is isolated, and it stays isolated in every
+    # power, so g answers for g^k without the power being built.
+    if args.k is not None and (args.k < 1 or 2 * g.m >= g.n):
+        host = graph_power(g, args.k)
     factor = has_kr_factor(host, args.r)
     name = f"K{args.r}-factor"
     if factor is None:

@@ -124,11 +124,13 @@ def has_kr_factor(g: SimpleGraph, r: int) -> list[frozenset[int]] | None:
     """Exact decision: disjoint r-cliques covering V(g), or None.
 
     Backtracking on the uncovered vertex with the fewest remaining candidate
-    cliques; complete, so a None answer is a proof of absence.
+    cliques; complete, so a None answer is a proof of absence.  Every vertex
+    of a K_r-factor has r - 1 neighbours, so a graph with fewer than
+    n(r - 1)/2 edges gets None before any clique is listed.
     """
     if r < 2:
         raise ValueError("r must be at least 2")
-    if g.n % r != 0:
+    if g.n % r != 0 or 2 * g.m < g.n * (r - 1):
         return None
     if g.n == 0:
         return []

@@ -1,9 +1,14 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import quadparts
 from quadparts.cli import run
 from quadparts.graphio import emit_edge_list, parse_edge_list
 from quadparts.graphs import graph_power
@@ -210,6 +215,21 @@ def test_partition_rejects_a_large_header_before_allocating_for_it(capture, tmp_
         tracemalloc.stop()
     assert (code, out, err) == (2, "", "error: graph is not 2-connected\n")
     assert peak < 2**20, peak
+
+
+def test_factor_answers_an_isolated_vertex_before_the_power(tmp_path):
+    """The same 12-byte file has an isolated vertex, so no power of it has a
+    K4-factor; `factor` says so without building the power or listing
+    4-sets.  It runs in a child process, which the time limit can stop."""
+    path = tmp_path / "header.txt"
+    path.write_text("1000000\n0 1\n", encoding="utf-8")
+    probe = ("import sys, tracemalloc; from quadparts.cli import run; tracemalloc.start(); "
+             "code = run(sys.argv[1:]); print(tracemalloc.get_traced_memory()[1], file=sys.stderr); sys.exit(code)")
+    env = dict(os.environ, PYTHONPATH=str(Path(quadparts.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", probe, "factor", str(path), "-r", "4", "-k", "2"], env=env,
+                         capture_output=True, text=True, timeout=30)
+    assert (out.returncode, out.stdout) == (0, "no K4-factor in the power k=2\n")
+    assert int(out.stderr) < 2**20, out.stderr
 
 
 def test_partition_identity_labelled_long_cycle(capture):
