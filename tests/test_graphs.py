@@ -136,7 +136,8 @@ def index_blocks() -> list[Multigraph]:
 
 @pytest.fixture
 def low_point_runs(monkeypatch) -> list[int]:
-    """The root of each low-point search run since the test started."""
+    """The root of each low-point search run since the test started (or
+    since the list was last cleared)."""
     runs: list[int] = []
     real = graphs._low_points
 
