@@ -263,9 +263,9 @@ class Fragment(dict):
 
     It is an adjacency for the graph layer's searches, filled on demand:
     indexing it by a vertex gives that vertex's neighbours within the span
-    in ascending order, as :func:`graphs.adjacency` sorts them, read from
-    the log's index the first time and kept.  As a dict it holds only the
-    rows read so far.  A vertex with no neighbour lies outside the fragment
+    in ascending order, as :meth:`graphs.SimpleGraph.adj` sorts them, read
+    from the log's index the first time and kept.  As a dict it holds only
+    the rows read so far.  A vertex with no neighbour lies outside the fragment
     and is connected to nothing, so each query reads only the vertices it
     names and, for a witness, their neighbours.
     """

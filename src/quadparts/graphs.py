@@ -7,31 +7,34 @@ A multigraph keeps one incidence map, vertex -> {edge id: other end}, in
 which each vertex's edges iterate in edge-id order, so degrees and incident
 edges cost O(degree).
 
-Blocks come from Tarjan's low-point DFS (``_low_points``) over that
-incidence map and 2-cuts from the Hopcroft-Tarjan separation-pair test
-(``_separation_pair``, O(n + m)).  A SimpleGraph argument is first turned
-into the multigraph whose edge ids are the positions of its sorted edge
-list.  :func:`is_biconnected` is one DFS, after an O(1) edge count that
-rejects a graph with fewer edges than vertices; :func:`leaf_side` finds a
-2-cut with a side whose split component has no 2-cut, or None when the
-block has none, by separation-pair tests on split components of falling
-order.  :func:`has_three_paths` decides whether no 2-set separates two
-non-adjacent vertices a and b: three common neighbours settle it in
+Blocks and 2-cuts come from one iterative depth-first search
+(``_LowPoints``), which numbers the vertices and computes Hopcroft and
+Tarjan's low points lowpt1 and lowpt2 and the descendant counts, yielding
+each vertex as its subtree finishes.  :func:`is_biconnected` reads cut
+vertices off it, after an O(1) edge count that rejects a graph with fewer
+edges than vertices, and the Hopcroft-Tarjan separation-pair test
+(``_separation_pair``, O(n + m)) takes it as its first pass, stopping at
+the first type-1 pair.  :func:`leaf_side` finds a 2-cut of a Multigraph
+with a side whose split component has no 2-cut, or None when the block has
+none, by separation-pair tests on split components of falling order.
+:func:`has_three_paths` decides whether no 2-set of a Multigraph separates
+two non-adjacent vertices a and b: three common neighbours settle it in
 O(deg a + deg b), else it finds the paths in g minus the common
 neighbours, first by plain searches from both ends and then, only if one
 of those fails, by breadth-first augmentations of O(m) each.
 
-Every other traversal in the package calls three primitives: :func:`adjacency`
-builds a vertex -> ascending neighbours map, :func:`bfs_parents` is the one
-breadth-first search, and :func:`nearly_connected_witness` the one search
-for a connected superset of a set with at most one extra vertex.
+Every other traversal in the package calls three primitives:
+:meth:`SimpleGraph.adj` builds the ascending neighbour lists,
+:func:`bfs_parents` is the one breadth-first search, and
+:func:`nearly_connected_witness` the one search for a connected superset
+of a set with at most one extra vertex.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 Adjacency = Mapping[int, Iterable[int]] | Sequence[Iterable[int]]
 
@@ -73,7 +76,13 @@ class SimpleGraph:
         """Adjacency lists, each sorted ascending.  Built on the first call and
         returned as the same object afterwards, so callers must not mutate it."""
         if "_adj" not in self.__dict__:
-            object.__setattr__(self, "_adj", list(adjacency(self.edges, range(self.n)).values()))
+            adj: list[list[int]] = [[] for _ in range(self.n)]
+            for a, b in self.edges:
+                adj[a].append(b)
+                adj[b].append(a)
+            for row in adj:
+                row.sort()
+            object.__setattr__(self, "_adj", adj)
         return self.__dict__["_adj"]
 
     def sorted_edges(self) -> list[tuple[int, int]]:
@@ -145,20 +154,6 @@ class Multigraph:
         return w
 
 
-def adjacency(edges: Iterable[tuple[int, int]], vertices: Iterable[int] = ()) -> dict[int, list[int]]:
-    """Map from each of `vertices` and each end of `edges` to its neighbours
-    in ascending order; `vertices` come first in the map's order."""
-    adj: dict[int, list[int]] = {}
-    for v in vertices:
-        adj[v] = []
-    for a, b in edges:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    for row in adj.values():
-        row.sort()
-    return adj
-
-
 def bfs_parents(adj: Adjacency, root: int, within: Collection[int] | None = None) -> dict[int, int | None]:
     """Breadth-first search from `root`: the parent of every vertex reached
     (None for the root), in discovery order.  Neighbours are scanned in the
@@ -197,56 +192,67 @@ def nearly_connected_witness(adj: Adjacency, part: frozenset[int]) -> frozenset[
     return None
 
 
-def _as_multigraph(g: SimpleGraph | Multigraph) -> Multigraph:
-    """g itself, or for a SimpleGraph the multigraph whose edge ids are the
-    positions of its sorted edge list."""
-    return Multigraph(range(g.n), sorted(g.edges)) if isinstance(g, SimpleGraph) else g
+class _LowPoints:
+    """The one depth-first search behind the block test and pass 1 of the
+    separation-pair test.  It searches `nbrs`, which gives each vertex's
+    neighbours, from `root` and numbers the vertices it reaches 1, 2, ...
+    in the order it enters them (`num`, and `vert` back).  For each number
+    v it fills the parent (0 for the root), the lowest and second-lowest
+    points lowpt1 and lowpt2 reached from the subtree of v by at most one
+    frond (`low1`, `low2`; v itself when there is none), and the descendant
+    count nd, v included.  A frond is an edge to an ancestor other than the
+    parent, so neither the edge to the parent nor a parallel copy of any
+    edge changes a value.
 
-
-def _low_points(adj: dict[int, dict[int, int]], root: int) -> tuple[dict[int, int], set[int]]:
-    """Tarjan's low-point DFS from `root`.
-
-    `adj` is an incidence map, vertex -> {edge id: other end}.
-
-    Returns the discovery index of every vertex reached and the cut vertices
-    of the component reached.  Only the tree edge itself, identified by edge
-    id, is ignored when scanning back to the DFS parent, so a parallel edge
-    to the parent acts as a back edge.
+    `finishing` runs the search once, on its own stack, and yields each
+    vertex as its subtree finishes, when the vertex's values are final and
+    folded into its parent's, so a caller may stop at the first vertex
+    that settles its question.
     """
-    disc = {root: 0}
-    # a frame per vertex of the DFS path: [vertex, id of its tree edge, its
-    # edges left to scan, its low point so far]
-    stack = [[root, -1, iter(adj[root].items()), 0]]
-    cuts: set[int] = set()
-    root_children = 0
-    while stack:
-        top = stack[-1]
-        _, tree_edge, edges, lv = top
-        for eid, w in edges:
-            if eid == tree_edge:
-                continue
-            dw = disc.get(w)
-            if dw is None:
-                top[3] = lv
-                disc[w] = dw = len(disc)
-                stack.append([w, eid, iter(adj[w].items()), dw])
-                break
-            if dw < lv:
-                lv = dw
-        else:
-            stack.pop()
-            if stack:
-                up = stack[-1]
-                if lv < up[3]:
-                    up[3] = lv
-                p = up[0]
-                if p == root:
-                    root_children += 1
-                elif lv >= disc[p]:
-                    cuts.add(p)
-    if root_children > 1:
-        cuts.add(root)
-    return disc, cuts
+
+    __slots__ = ("nbrs", "num", "vert", "parent", "low1", "low2", "nd")
+
+    def __init__(self, nbrs: Adjacency, root: int):
+        self.nbrs = nbrs
+        self.num, self.vert = {root: 1}, [root, root]
+        self.parent, self.low1, self.low2, self.nd = [0, 0], [0, 1], [0, 1], [0, 1]
+
+    def finishing(self) -> Iterator[int]:
+        nbrs, num, vert = self.nbrs, self.num, self.vert
+        parent, low1, low2, nd = self.parent, self.low1, self.low2, self.nd
+        path, scans = [1], [iter(nbrs[vert[1]])]
+        while path:
+            v = path[-1]
+            for x in scans[-1]:
+                w = num.get(x)
+                if w is None:
+                    num[x] = w = len(vert)
+                    vert.append(x)
+                    parent.append(v)
+                    low1.append(w)
+                    low2.append(w)
+                    nd.append(1)
+                    path.append(w)
+                    scans.append(iter(nbrs[x]))
+                    break
+                if w < parent[v]:  # a frond
+                    if w < low1[v]:
+                        low1[v], low2[v] = w, low1[v]
+                    elif low1[v] < w < low2[v]:
+                        low2[v] = w
+            else:
+                path.pop()
+                scans.pop()
+                if path:
+                    p = path[-1]
+                    nd[p] += nd[v]
+                    if low1[v] < low1[p]:
+                        low1[p], low2[p] = low1[v], min(low1[p], low2[v])
+                    elif low1[v] == low1[p]:
+                        low2[p] = min(low2[p], low2[v])
+                    else:
+                        low2[p] = min(low2[p], low1[v])
+                yield v
 
 
 def _separation_pair(nbrs: dict[int, set[int]]) -> tuple[int, int, int] | None:
@@ -260,13 +266,12 @@ def _separation_pair(nbrs: dict[int, set[int]]) -> tuple[int, int, int] | None:
     the first pair it finds, so it never splits the graph.  A vertex with
     two neighbours has them as a 2-cut (kind 1).  Passes:
 
-    1. A depth-first search numbers the vertices 1..n and computes the
-       lowest and second-lowest points lowpt1 and lowpt2 reached from
-       each subtree by at most one frond, and the descendant counts nd.
-       The subtree of r, for a tree arc b -> r with lowpt1(r) < b <=
-       lowpt2(r), meets the rest of the graph only at lowpt1(r) and b,
-       which then form a 2-cut if a third vertex lies outside it: a type-1
-       pair (kind 1).
+    1. The depth-first search of `_LowPoints` numbers the vertices 1..n
+       and computes lowpt1, lowpt2 and nd.  The subtree of r, for a tree
+       arc b -> r with lowpt1(r) < b <= lowpt2(r), meets the rest of the
+       graph only at lowpt1(r) and b, which then form a 2-cut if a third
+       vertex lies outside it: a type-1 pair (kind 1).  The test stops at
+       the first such r to finish.
     2. Each vertex's arcs are sorted by φ: 3 lowpt1(w) for a tree arc v -> w
        with lowpt2(w) < v, 3 w + 1 for a frond v -> w, 3 lowpt1(w) + 2 for
        any other tree arc.
@@ -291,43 +296,12 @@ def _separation_pair(nbrs: dict[int, set[int]]) -> tuple[int, int, int] | None:
         if len(ws) < 3:
             return (1, *sorted(ws))
     n = len(nbrs)
-    root = next(iter(nbrs))
-    num, vert = {root: 1}, [root, root]  # vertex -> DFS number, and back
-    parent, low1, low2, nd = [0, 0], [0, 1], [0, 1], [0, 1]
-    path, scans = [1], [iter(nbrs[root])]
-    while path:
-        v = path[-1]
-        for x in scans[-1]:
-            w = num.get(x)
-            if w is None:
-                num[x] = w = len(vert)
-                vert.append(x)
-                parent.append(v)
-                low1.append(w)
-                low2.append(w)
-                nd.append(1)
-                path.append(w)
-                scans.append(iter(nbrs[x]))
-                break
-            if w < parent[v]:  # a frond to an ancestor other than the parent
-                if w < low1[v]:
-                    low1[v], low2[v] = w, low1[v]
-                elif low1[v] < w < low2[v]:
-                    low2[v] = w
-        else:
-            path.pop()
-            scans.pop()
-            if path:
-                p = path[-1]
-                nd[p] += nd[v]
-                if low1[v] < low1[p]:
-                    low1[p], low2[p] = low1[v], min(low1[p], low2[v])
-                elif low1[v] == low1[p]:
-                    low2[p] = min(low2[p], low2[v])
-                else:
-                    low2[p] = min(low2[p], low1[v])
-                if low1[v] < p <= low2[v] and nd[v] < n - 2:
-                    return (1, vert[low1[v]], vert[p])
+    tree = _LowPoints(nbrs, next(iter(nbrs)))
+    num, vert, parent, low1, low2, nd = tree.num, tree.vert, tree.parent, tree.low1, tree.low2, tree.nd
+    for v in tree.finishing():
+        p = parent[v]
+        if low1[v] < p <= low2[v] and nd[v] < n - 2:
+            return (1, vert[low1[v]], vert[p])
     arcs: list[list[int]] = [[]]
     for v in range(1, n + 1):
         keyed = []
@@ -357,7 +331,7 @@ def _separation_pair(nbrs: dict[int, set[int]]) -> tuple[int, int, int] | None:
             scans.pop()
             m -= 1
     out: list[list[int]] = [[]] * (n + 1)
-    low, size, up, name = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1), [root] * (n + 1)
+    low, size, up, name = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
     for v in range(1, n + 1):
         u = new[v]
         out[u] = [new[w] for w in arcs[v]]
@@ -404,25 +378,39 @@ def _separation_pair(nbrs: dict[int, set[int]]) -> tuple[int, int, int] | None:
 def is_biconnected(g: SimpleGraph | Multigraph) -> bool:
     """True iff g is connected, has at least 2 vertices and no cutvertex.
 
-    A two-vertex graph with at least one edge counts as biconnected.  For
-    multigraphs, a parallel edge to the DFS parent acts as a back edge.  A
+    A two-vertex graph with at least one edge counts as biconnected.  A
     block on n >= 3 vertices has minimum degree 2 and so at least n edges;
-    a graph with fewer is rejected before any incidence map is built, so
+    a graph with fewer is rejected before any neighbour map is built, so
     the cost of a rejected input does not grow with its vertex count.
+
+    Otherwise the search of `_LowPoints` reads the cut vertices off its
+    low points, stopping at the first: a non-root v is one when a child w
+    has lowpt1(w) >= v, as no frond from the subtree of w passes over v.
+    The root is one when it has two children, and then a child finishes
+    with fewer than n - 1 descendants, as it does when g is disconnected
+    and the root has a child; g is connected when the root's nd is n.
+    Parallel edges change no low point, and a cut vertex of a multigraph
+    is one of its simple graph.
     """
-    if g.n >= 3 and g.m < g.n:
+    n = g.n
+    if n < 2 or n >= 3 and g.m < n:
         return False
-    adj = _as_multigraph(g)._inc
-    if len(adj) < 2:
-        return False
-    reached, cuts = _low_points(adj, min(adj))
-    return len(reached) == len(adj) and not cuts
+    if isinstance(g, SimpleGraph):
+        tree = _LowPoints(g.adj(), 0)
+    else:
+        tree = _LowPoints({x: ends.values() for x, ends in g._inc.items()}, next(iter(g._inc)))
+    parent, low1, nd = tree.parent, tree.low1, tree.nd
+    for v in tree.finishing():
+        p = parent[v]
+        if p == 1 and nd[v] < n - 1 or p > 1 and low1[v] >= p:
+            return False
+    return nd[1] == n
 
 
 Side = tuple[tuple[int, int], frozenset[int]]
 
 
-def leaf_side(g: SimpleGraph | Multigraph) -> Side | None:
+def leaf_side(g: Multigraph) -> Side | None:
     """A 2-cut (u, v), u < v, of the block g with a component C of
     g - {u, v} whose split component H = g[C ∪ {u, v}] + uv has no 2-cut,
     or None when g has no 2-cut; g has at least 3 vertices.
@@ -448,7 +436,7 @@ def leaf_side(g: SimpleGraph | Multigraph) -> Side | None:
     least side by inclusion: a side D of a 2-cut {x, y} inside C misses x
     and y and is closed in the connected C, so D = C.
     """
-    nbrs = {x: set(ends.values()) for x, ends in _as_multigraph(g)._inc.items()}
+    nbrs = {x: set(ends.values()) for x, ends in g._inc.items()}
     side: Side | None = None
     poles: tuple[int, ...] = ()
     while len(nbrs) > 3:
@@ -471,7 +459,7 @@ def leaf_side(g: SimpleGraph | Multigraph) -> Side | None:
     return side
 
 
-def has_three_paths(g: SimpleGraph | Multigraph, a: int, b: int) -> bool:
+def has_three_paths(g: Multigraph, a: int, b: int) -> bool:
     """True iff g has three internally vertex-disjoint a-b paths; a and b
     must be distinct and non-adjacent.
 
@@ -492,7 +480,7 @@ def has_three_paths(g: SimpleGraph | Multigraph, a: int, b: int) -> bool:
     distance of either end, and one that meets settles a path without a
     residual graph; an augmentation runs only after a plain search fails.
     """
-    adj = _as_multigraph(g)._inc
+    adj = g._inc
     common = set(adj[a].values()).intersection(adj[b].values())
     if len(common) >= 3:
         return True

@@ -5,9 +5,11 @@ Usage, from the repository root::
     PYTHONPATH=src python -m tests.scale_index [--only NAME ...]
 
 For each input it prints the wall time of one ``partition_with_trace`` call
-and the vertices that call's separation-pair tests and low-point searches
-entered (``graphs._separation_pair`` and ``graphs._low_points``, counted by
-``support.primitive_visits``), in total and per vertex.  The visits are a
+and the vertices that call visited, as ``support.primitive_visits`` counts
+them: under "pair tests" the orders of the graphs its separation-pair tests
+were given (``graphs._separation_pair``), under "DFS" the vertices its
+depth-first searches reached (``graphs._LowPoints``, run by every pair test
+and block test), and their sum per vertex of the input.  The visits are a
 deterministic count, so they compare two versions of the engine without
 timing noise; the wall time depends on the machine.  This is a script, not
 a test module, so the tier-1 suite does not run it; it needs networkx for
@@ -51,24 +53,23 @@ SHAPES = {
 
 
 def measure(g: SimpleGraph) -> tuple[float, int, int]:
-    """Seconds of one partition of g, and the vertices its separation-pair
-    tests and its low-point searches entered."""
+    """Seconds of one partition of g, and its pair-test and DFS visits."""
     with primitive_visits() as visits:
         start = time.perf_counter()
         partition_with_trace(g)
         wall = time.perf_counter() - start
-    return wall, visits["_separation_pair"], visits["_low_points"]
+    return wall, visits["pair tests"], visits["DFS"]
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--only", nargs="+", choices=sorted(SHAPES), help="measure only these inputs")
     names = parser.parse_args().only or list(SHAPES)
-    print(f"{'input':<20} {'n':>5} {'wall s':>8} {'pair visits':>11} {'low visits':>10} {'per vertex':>10}")
+    print(f"{'input':<20} {'n':>5} {'wall s':>8} {'pair tests':>10} {'DFS':>10} {'per vertex':>10}")
     for name in names:
         g = SHAPES[name]()
-        wall, pair, low = measure(g)
-        print(f"{name:<20} {g.n:>5} {wall:>8.2f} {pair:>11} {low:>10} {(pair + low) / g.n:>10.1f}", flush=True)
+        wall, pair, dfs = measure(g)
+        print(f"{name:<20} {g.n:>5} {wall:>8.2f} {pair:>10} {dfs:>10} {(pair + dfs) / g.n:>10.1f}", flush=True)
 
 
 if __name__ == "__main__":

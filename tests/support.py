@@ -27,12 +27,12 @@ with the conservation ledger on, exactly as on real graphs.
 `tree_of` builds a bound tree from raw edges, which the engine never does:
 it computes the shape the engine's constructors compose.
 
-`AdjacencyFragment` is the differential oracle for fragments: the whole
-`graphs.adjacency` of a set of edges, built at once and searched by the
-same graph-layer primitives.  `logged` lays edge lists
-out as consecutive spans of one log, the fragments that children realized
-one after the other would have, and `fragment_edges` reads a realization's
-span back as a set of edges.
+`AdjacencyFragment` is the differential oracle for fragments: the
+ascending neighbour lists of a set of edges, as `SimpleGraph.adj` sorts
+them, built at once and searched by the same graph-layer primitives.
+`logged` lays edge lists out as consecutive spans of one log, the
+fragments that children realized one after the other would have, and
+`fragment_edges` reads a realization's span back as a set of edges.
 
 `path_graph`, `cycle_graph`, `complete_graph` and `random_tree` build the
 standard small graphs, `equal_theta` thetas whose paths differ in length
@@ -51,9 +51,10 @@ and the running weight total that the multigraph keeps.
 driver's strip and vertex picks once ran, kept as the oracle for the
 weight-0 and L31-away counts.
 
-`primitive_visits` counts the vertices that the separation-pair test and
-the low-point search enter, a deterministic cost of the 2-cut steering,
-and `leaf_side_holds` is the networkx oracle for `graphs.leaf_side`.
+`primitive_visits` counts the vertices that the separation-pair tests are
+given and that the shared depth-first search reaches, a deterministic cost
+of the 2-cut steering, and `leaf_side_holds` is the networkx oracle for
+`graphs.leaf_side`.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ from quadparts.engine.model import (
     ask,
     drive,
 )
-from quadparts.graphs import SimpleGraph, adjacency, bfs_parents, nearly_connected_witness, norm_edge
+from quadparts.graphs import SimpleGraph, bfs_parents, nearly_connected_witness, norm_edge
 from quadparts.labels import Label, TreeSet, admits, down_set, shape_matches
 
 S0, S1, S2, S3 = TreeSet.S0, TreeSet.S1, TreeSet.S2, TreeSet.S3
@@ -246,7 +247,12 @@ class AdjacencyFragment:
     :class:`quadparts.engine.model.Fragment`."""
 
     def __init__(self, edges: Iterable[tuple[int, int]]):
-        self.adj = adjacency(edges)
+        self.adj: dict[int, list[int]] = {}
+        for a, b in edges:
+            self.adj.setdefault(a, []).append(b)
+            self.adj.setdefault(b, []).append(a)
+        for row in self.adj.values():
+            row.sort()
 
     def witness_for(self, part: frozenset[int]) -> frozenset[int] | None:
         if part - self.adj.keys():
@@ -591,27 +597,30 @@ def scanned_l31_away(lg) -> dict[int, int]:
 
 @contextmanager
 def primitive_visits() -> Iterator[Counter]:
-    """Count, while the block runs, the vertices that the two connectivity
-    primitives of `quadparts.graphs` enter: a separation-pair test is
-    charged the order of the graph it is given, a low-point search the
-    vertices it reaches.  Yields a Counter keyed by the primitive's name."""
+    """Count, while the block runs, the vertices that the connectivity
+    primitives of `quadparts.graphs` visit: under "pair tests" the order of
+    the graph each separation-pair test is given, and under "DFS" the
+    vertices each run of the shared depth-first search reaches, whether
+    the block test or a pair test ran it and whether or not it was stopped
+    early.  Yields the Counter."""
     visits: Counter = Counter()
-    real_pair, real_low = graphs._separation_pair, graphs._low_points
+    real_pair, real_finishing = graphs._separation_pair, graphs._LowPoints.finishing
 
     def pair(nbrs):
-        visits["_separation_pair"] += len(nbrs)
+        visits["pair tests"] += len(nbrs)
         return real_pair(nbrs)
 
-    def low(adj, root):
-        reached, cuts = real_low(adj, root)
-        visits["_low_points"] += len(reached)
-        return reached, cuts
+    def finishing(tree):
+        try:
+            yield from real_finishing(tree)
+        finally:  # also when the caller stops early and drops the search
+            visits["DFS"] += len(tree.num)
 
-    graphs._separation_pair, graphs._low_points = pair, low
+    graphs._separation_pair, graphs._LowPoints.finishing = pair, finishing
     try:
         yield visits
     finally:
-        graphs._separation_pair, graphs._low_points = real_pair, real_low
+        graphs._separation_pair, graphs._LowPoints.finishing = real_pair, real_finishing
 
 
 def _no_2cut(nx, g) -> bool:

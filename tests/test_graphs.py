@@ -32,6 +32,12 @@ def brute_biconnected(g: SimpleGraph) -> bool:
     return all(len(connected_components(g, removed={v})) <= 1 for v in range(g.n))
 
 
+def as_multigraph(g: SimpleGraph) -> Multigraph:
+    """g as the multigraph whose edge ids are the positions of its sorted
+    edge list."""
+    return Multigraph(range(g.n), g.sorted_edges())
+
+
 def random_graph(n: int, p: float, seed: int) -> SimpleGraph:
     rng = random.Random(seed)
     return SimpleGraph.from_edges(
@@ -135,18 +141,18 @@ def index_blocks() -> list[Multigraph]:
 
 
 @pytest.fixture
-def low_point_runs(monkeypatch) -> list[int]:
-    """The root of each low-point search run since the test started (or
-    since the list was last cleared)."""
-    runs: list[int] = []
-    real = graphs._low_points
+def block_tests(monkeypatch) -> list:
+    """The graph of each `graphs.is_biconnected` call since the test started
+    (or since the list was last cleared)."""
+    calls: list = []
+    real = graphs.is_biconnected
 
-    def counted(adj, root):
-        runs.append(root)
-        return real(adj, root)
+    def counted(g):
+        calls.append(g)
+        return real(g)
 
-    monkeypatch.setattr(graphs, "_low_points", counted)
-    return runs
+    monkeypatch.setattr(graphs, "is_biconnected", counted)
+    return calls
 
 
 class TestBiconnected:
@@ -179,6 +185,30 @@ class TestBiconnected:
         mg2 = Multigraph(range(3), [(0, 1), (0, 1), (1, 2), (1, 2)])
         assert not is_biconnected(mg2)
 
+    def test_cut_vertices_far_down_the_search(self):
+        """The block test runs on its own stack and finds a cut vertex at any
+        depth, on graphs far deeper than the recursion limit, both as
+        SimpleGraphs and as multigraphs.  An 8000-cycle with a pendant path
+        of 4000 vertices off vertex 7999 has n edges, so only the search
+        rejects it, at the path's end.  Two identity-labelled 6000-cycles
+        that share vertex 3000 are cut there, after the search has walked
+        the first cycle to its end.  The 20,000-cycle with every edge
+        doubled is a block."""
+        k = 8000
+        pendant = SimpleGraph.from_edges(k + 4000, [(i, (i + 1) % k) for i in range(k)]
+                                         + [(i, i + 1) for i in range(k - 1, k + 3999)])
+        c = 3000
+        shared = SimpleGraph.from_edges(11999, [(i, (i + 1) % 6000) for i in range(6000)]
+                                        + [(c, 6000), (11998, c)] + [(i, i + 1) for i in range(6000, 11998)])
+        for g in (pendant, shared):
+            assert sys.getrecursionlimit() < g.n <= g.m
+            assert not is_biconnected(g)
+            assert not is_biconnected(as_multigraph(g))
+        n = 20000
+        assert sys.getrecursionlimit() < n
+        cycle = [(i, (i + 1) % n) for i in range(n)]
+        assert is_biconnected(Multigraph(range(n), cycle + cycle))
+
     def test_agrees_with_brute_force_exhaustively_tiny(self):
         for n in (2, 3, 4, 5):
             pairs = list(combinations(range(n), 2))
@@ -201,17 +231,17 @@ class TestSmallest2Cut:
         """Vertex 0 has two neighbours, so the first test gives the pair
         {1, 3}; of its sides {0} and {2}, the lower is kept, and its split
         component is a triangle."""
-        pair, comp = leaf_side(cycle_graph(4))
+        pair, comp = leaf_side(as_multigraph(cycle_graph(4)))
         assert pair == (1, 3)
         assert comp == frozenset({0})
 
     def test_k4_is_3connected(self):
-        assert leaf_side(complete_graph(4)) is None
+        assert leaf_side(as_multigraph(complete_graph(4))) is None
 
     def test_theta_of_short_paths(self):
         # three internally disjoint length-2 paths between 0 and 1
         g = SimpleGraph.from_edges(5, [(0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 1)])
-        pair, comp = leaf_side(g)
+        pair, comp = leaf_side(as_multigraph(g))
         assert pair == (0, 1)
         assert len(comp) == 1
 
@@ -223,7 +253,7 @@ class TestSmallest2Cut:
                     continue
                 pairs = g.sorted_edges()
                 mg = Multigraph(range(n), pairs)
-                assert brute_leaf_side_holds(mg, leaf_side(g)), (n, seed)
+                assert brute_leaf_side_holds(mg, leaf_side(mg)), (n, seed)
                 # the same block as a multigraph: reversed, spread-out ids and doubled edges
                 name = {v: 3 * (n - 1 - v) + 2 for v in range(n)}
                 moved = [(name[a], name[b]) for a, b in pairs]
@@ -237,17 +267,17 @@ class TestSmallest2Cut:
 
 
 class TestSeparationIndexAgainstNetworkx:
-    def test_blocks_with_and_without_2cuts(self, pair_tests, low_point_runs):
+    def test_blocks_with_and_without_2cuts(self, pair_tests, block_tests):
         """The leaf side against networkx on the index blocks and the
         separation-pair corpus, and its descent: the separation-pair tests
         run on graphs of strictly falling order, every one but the last
-        finds a pair, and no low-point search runs.  A triangle has no 2-cut
+        finds a pair, and no block test runs.  A triangle has no 2-cut
         and costs no test.  Blocks of minimum degree 3 with 2-cuts descend
         through two or more tests."""
         nx = pytest.importorskip("networkx")
         outcomes: Counter[tuple[bool, int]] = Counter()  # (has a 2-cut, pair tests up to 3)
         blocks = index_blocks() + [Multigraph(range(g.n), g.sorted_edges()) for g in separation_pair_corpus(nx)]
-        low_point_runs.clear()
+        block_tests.clear()
         for i, mg in enumerate(blocks):
             pair_tests.clear()
             side = leaf_side(mg)
@@ -258,7 +288,7 @@ class TestSeparationIndexAgainstNetworkx:
             if mg.n == 3:
                 assert side is None and pair_tests == [], i
             outcomes[side is not None, min(len(pair_tests), 3)] += 1
-        assert low_point_runs == []
+        assert block_tests == []
         assert outcomes[False, 1] > 300 and outcomes[True, 1] > 50, outcomes
         assert outcomes[True, 2] > 200 and outcomes[True, 3] > 10, outcomes
 
@@ -380,23 +410,23 @@ class TestSeparationPair:
 
 
 class TestSeparationIndexCost:
-    def test_cubic_block_runs_no_search(self, low_point_runs, pair_tests):
+    def test_cubic_block_runs_no_search(self, block_tests, pair_tests):
         """A block with no 2-cut costs one separation-pair test of the whole
-        graph and no low-point search."""
+        graph and no block test."""
         nx = pytest.importorskip("networkx")
         g = relabelled(SimpleGraph.from_edges(800, nx.random_regular_graph(3, 800, 1).edges), 1)
-        assert leaf_side(g) is None
-        assert low_point_runs == [] and pair_tests == [(800, None)]
+        assert leaf_side(as_multigraph(g)) is None
+        assert block_tests == [] and pair_tests == [(800, None)]
 
-    def test_deep_moebius_ladder_runs_no_search(self, low_point_runs, pair_tests):
+    def test_deep_moebius_ladder_runs_no_search(self, block_tests, pair_tests):
         """The separation-pair test recurses nowhere: on the identity-labelled
         Möbius ladder on 6000 vertices, far deeper than the recursion limit,
-        it finds no 2-cut, and no low-point search runs."""
+        it finds no 2-cut, and no block test runs."""
         n = 6000
         assert sys.getrecursionlimit() < n
         g = SimpleGraph.from_edges(n, [(i, (i + 1) % n) for i in range(n)] + [(i, i + n // 2) for i in range(n // 2)])
-        assert leaf_side(g) is None
-        assert low_point_runs == [] and pair_tests == [(n, None)]
+        assert leaf_side(as_multigraph(g)) is None
+        assert block_tests == [] and pair_tests == [(n, None)]
 
 
 @pytest.fixture
@@ -440,6 +470,7 @@ class TestThreePaths:
             n, adj, edges = g.n, g.adj(), g.sorted_edges()
             simple = nx.Graph(edges)
             simple.add_nodes_from(range(n))
+            plain = as_multigraph(g)
             mg = Multigraph(range(n), edges + edges[::2])  # parallel edges add no disjoint path
             aux = build_auxiliary_node_connectivity(simple)
             flows = {"auxiliary": aux, "residual": build_residual_network(aux, "capacity"), "cutoff": 3}
@@ -448,7 +479,7 @@ class TestThreePaths:
                     continue
                 expected = local_node_connectivity(simple, a, b, **flows) >= 3
                 augmentations.clear()
-                assert has_three_paths(g, a, b) == expected, (i, a, b)
+                assert has_three_paths(plain, a, b) == expected, (i, a, b)
                 if augmentations:
                     assert all(augmentations[:-1]) and augmentations[-1] == expected, (i, a, b)
                     residual[expected] += 1
@@ -468,11 +499,12 @@ class TestThreePaths:
         gives back the edge 2-6 and finds the third path."""
         g = SimpleGraph.from_edges(12, [(0, 2), (0, 3), (0, 4), (1, 5), (1, 6), (1, 7), (2, 8), (8, 5),
                                         (3, 9), (9, 6), (4, 10), (10, 11), (11, 7), (2, 6)])
-        assert has_three_paths(g, 0, 1) and has_three_paths(g, 1, 0)
+        mg = as_multigraph(g)
+        assert has_three_paths(mg, 0, 1) and has_three_paths(mg, 1, 0)
         assert augmentations == [True, True]
         g = SimpleGraph.from_edges(12, g.edges - {(5, 8)})
         augmentations.clear()
-        assert not has_three_paths(g, 0, 1)
+        assert not has_three_paths(as_multigraph(g), 0, 1)
         assert augmentations == [False]
 
 
