@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from ..graphs import Multigraph, SimpleGraph, is_biconnected, norm_edge
-from ..labels import CATALOG, S0, S1, S2, S3, S3P, Pair
+from ..labels import S0, S1, S2, S3, S3P, Pair
 from ..oracle import Part, Partition, is_nearly_connected
 from .model import EdgeView, EngineBug, LabeledMultigraph, Split, Subdivide, ask, drive, leaf_gadget
 from .parallel import build_parallel_gadget
@@ -88,9 +88,8 @@ def init_labeled(g: SimpleGraph) -> LabeledMultigraph:
     if not is_biconnected(g):
         raise ValueError("graph is not 2-connected")
     lg = LabeledMultigraph(g)
-    l0 = CATALOG["L0"]
     for u, v in g.sorted_edges():
-        lg.install(leaf_gadget(l0, u, v))
+        lg.install(leaf_gadget(u, v))
     if not lg.invariant_ok():
         raise EngineBug("weight/order invariant broken at initialization")
     return lg

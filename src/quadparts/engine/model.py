@@ -42,7 +42,7 @@ from typing import Callable, Generator, Iterable, TypeVar
 
 from ..graphs import (Multigraph, Side, SimpleGraph, has_three_paths, leaf_side, nearly_connected_witness,
                       norm_edge)
-from ..labels import Label, Pair, TreeSet, admits, down_set, involution, shape_matches
+from ..labels import CATALOG, Label, Pair, TreeSet, admits, down_set, involution, shape_matches
 
 
 class EngineBug(RuntimeError):
@@ -530,11 +530,10 @@ LIFTS: dict[str, tuple[Callable[[Gadget, Pair], Realization | Lift],
                        Callable[[Gadget, int], Realization | Lift] | None]] = {"leaf": (_leaf_split, _leaf_subdiv)}
 
 
-def leaf_gadget(label: Label, u: int, v: int) -> Gadget:
-    """Gadget for an original graph edge: deletion or retention only."""
-    if label.name != "L0":
-        raise EngineBug("leaf edges carry the empty-weight label")
-    return Gadget("leaf", label, u, v)
+def leaf_gadget(u: int, v: int) -> Gadget:
+    """Gadget for an original graph edge, under the empty-weight label L0:
+    deletion or retention only."""
+    return Gadget("leaf", CATALOG["L0"], u, v)
 
 
 def drive(lift: Generator[tuple["EdgeView", Operation], Realization, _R], sink: list[frozenset[int]]) -> _R:

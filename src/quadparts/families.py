@@ -96,7 +96,8 @@ def random_2connected(n: int, seed: int) -> SimpleGraph:
 
 def canonical_form(g: SimpleGraph) -> tuple:
     """Exact canonical form by minimizing the adjacency bitstring over all
-    vertex permutations; intended for n <= 7."""
+    n! vertex permutations (720 for n = 6, 5040 for n = 7); refused above
+    n = 7."""
     if g.n > 7:
         raise ValueError("exact canonicalization is limited to n <= 7")
     pairs = list(combinations(range(g.n), 2))
@@ -114,7 +115,10 @@ def enumerate_2connected(n: int) -> Iterator[SimpleGraph]:
     """One 2-connected graph on vertex set 0..n-1 per isomorphism class, as
     edge subsets of K_n.
 
-    The exhaustive sweep is limited to n <= 7; use graph6 streams for larger n.
+    Each 2-connected subset is canonicalized over all n! permutations: n = 5
+    took 0.12 s (10 classes) and n = 6 took 51-64 s (56 classes) on 2 vCPUs;
+    n = 7 (2^21 subsets, 5040 permutations each) was not run.  Refused above
+    n = 7; use graph6 streams for larger n.
     """
     if n < 3:
         raise ValueError("2-connected graphs need n >= 3")

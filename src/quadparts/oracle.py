@@ -6,16 +6,17 @@ on at most |A|+1 vertices contains A.  Every routine here is exact and
 deterministic; they are the oracles the reduction engine is tested against.
 They share the traversal primitives of :mod:`quadparts.graphs` with the
 engine, which the tests check against networkx, but none of the reduction
-logic.
+logic.  The one K_r-factor decision lists only cliques, so its cost follows
+the edges; the exhaustive partition search is exponential in n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .graphs import SimpleGraph, graph_power, nearly_connected_witness
+from .graphs import SimpleGraph, nearly_connected_witness
 
 
 @dataclass(frozen=True)
@@ -123,50 +124,57 @@ def verify_partition(
 def has_kr_factor(g: SimpleGraph, r: int) -> list[frozenset[int]] | None:
     """Exact decision: disjoint r-cliques covering V(g), or None.
 
-    Backtracking on the uncovered vertex with the fewest remaining candidate
-    cliques; complete, so a None answer is a proof of absence.  Every vertex
-    of a K_r-factor has r - 1 neighbours, so a graph with fewer than
-    n(r - 1)/2 edges gets None before any clique is listed.
+    Each r-clique is listed once, depth first from its lowest vertex through
+    the common higher neighbours of its members, so the cliques come in
+    lexicographic order.  Backtracking on an explicit stack then covers the
+    uncovered vertex with the fewest free cliques (ties to the lowest), tries
+    those in order and remembers each covered set it refuted; it is
+    complete, so None is a proof of absence.  Every vertex of a K_r-factor
+    has r - 1 neighbours, so fewer than n(r - 1)/2 edges give None at once.
     """
     if r < 2:
         raise ValueError("r must be at least 2")
     if g.n % r != 0 or 2 * g.m < g.n * (r - 1):
         return None
-    if g.n == 0:
-        return []
-    by_vertex: dict[int, list[frozenset[int]]] = {v: [] for v in range(g.n)}
-    for c in combinations(range(g.n), r):
-        if all(pair in g.edges for pair in combinations(c, 2)):
-            clique = frozenset(c)
-            for v in c:
-                by_vertex[v].append(clique)
+    higher = [{w for w in row if w > v} for v, row in enumerate(g.adj())]
+    by_vertex: list[list[frozenset[int]]] = [[] for _ in range(g.n)]
+    for low in range(g.n):
+        clique, pools = [low], [sorted(higher[low], reverse=True)]
+        while pools:  # pools[i] holds the candidates for member i + 1, largest first
+            if not pools[-1]:
+                pools.pop()
+                clique.pop()
+            elif len(clique) == r - 1:
+                found = frozenset(clique + [pools[-1].pop()])
+                for v in found:
+                    by_vertex[v].append(found)
+            else:
+                w = pools[-1].pop()
+                pools.append([x for x in pools[-1] if x in higher[w]])
+                clique.append(w)
 
     covered: set[int] = set()
     chosen: list[frozenset[int]] = []
     dead_states: set[frozenset[int]] = set()  # memo of refuted covered-sets
-
-    def feasible_cands(v: int) -> list[frozenset[int]]:
-        return [c for c in by_vertex[v] if not (c & covered)]
-
-    def solve() -> bool:
-        if len(covered) == g.n:
-            return True
-        state = frozenset(covered)
-        if state in dead_states:
-            return False
-        pool = [v for v in range(g.n) if v not in covered]
-        pivot = min(pool, key=lambda v: (len(feasible_cands(v)), v))
-        for c in sorted(feasible_cands(pivot), key=sorted):
-            covered.update(c)
-            chosen.append(c)
-            if solve():
-                return True
-            chosen.pop()
-            covered.difference_update(c)
-        dead_states.add(state)
-        return False
-
-    return chosen if solve() else None
+    untried: list[Iterator[frozenset[int]]] = []  # per open level, its candidates left
+    while len(covered) < g.n:
+        if frozenset(covered) not in dead_states:
+            pivot = min((v for v in range(g.n) if v not in covered),
+                        key=lambda v: sum(1 for c in by_vertex[v] if not c & covered))
+            untried.append(iter([c for c in by_vertex[pivot] if not c & covered]))
+        while untried:  # try the innermost level's next candidate, closing refuted levels
+            if len(chosen) == len(untried):  # undo its last try first
+                covered.difference_update(chosen.pop())
+            c = next(untried[-1], None)
+            if c is not None:
+                chosen.append(c)
+                covered.update(c)
+                break
+            dead_states.add(frozenset(covered))
+            untried.pop()
+        else:
+            return None
+    return chosen
 
 
 # ---------------------------------------------------------------------------
@@ -175,20 +183,13 @@ def has_kr_factor(g: SimpleGraph, r: int) -> list[frozenset[int]] | None:
 SIZE_LIMIT = 16  # the most vertices brute_force_partition searches unforced
 
 
-def brute_force_partition(
-    g: SimpleGraph,
-    sizes: Sequence[int],
-    mode: str = "nearly-connected",
-    power_k: int | None = None,
-    force: bool = False,
-) -> list[frozenset[int]] | None:
-    """Complete backtracking search for a partition with the given part sizes.
+def brute_force_partition(g: SimpleGraph, sizes: Sequence[int], force: bool = False) -> list[frozenset[int]] | None:
+    """Complete backtracking search for a partition of V(g) into nearly
+    connected parts of the given sizes.
 
-    Modes: ``nearly-connected`` accepts parts that are nearly connected in g;
-    ``clique-in-power`` accepts parts inducing cliques in g**power_k.  Part
-    order symmetry is eliminated by always seeding the next part with the
-    lowest unassigned vertex, so a None answer is exhaustive.  Instances with
-    more than `SIZE_LIMIT` vertices are refused unless `force` is set.
+    Part order symmetry is eliminated by always seeding the next part with
+    the lowest unassigned vertex, so a None answer is exhaustive.  Instances
+    with more than `SIZE_LIMIT` vertices are refused unless `force` is set.
     """
     if sum(sizes) != g.n:
         raise ValueError(f"sizes sum to {sum(sizes)}, expected n={g.n}")
@@ -198,17 +199,6 @@ def brute_force_partition(
         raise InstanceTooLarge(
             f"n={g.n} exceeds the exhaustive-search limit {SIZE_LIMIT} (pass force=True to override)"
         )
-    if mode == "nearly-connected":
-        def part_ok(p: frozenset[int]) -> bool:
-            return len(p) == 1 or is_nearly_connected(g, p) is not None
-    elif mode == "clique-in-power":
-        if power_k is None:
-            raise ValueError("clique-in-power mode needs power_k")
-        pow_edges = graph_power(g, power_k).edges
-        def part_ok(p: frozenset[int]) -> bool:
-            return all((a, b) in pow_edges for a, b in combinations(sorted(p), 2))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
 
     unassigned = set(range(g.n))
     result: list[frozenset[int]] = []
@@ -223,7 +213,7 @@ def brute_force_partition(
             nxt.remove(size)
             for combo in combinations(rest, size - 1):
                 part = frozenset((seed, *combo))
-                if not part_ok(part):
+                if is_nearly_connected(g, part) is None:
                     continue
                 unassigned.difference_update(part)
                 result.append(part)

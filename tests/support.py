@@ -40,7 +40,10 @@ by at most one, `dense_block` the dense random blocks of the
 second golden fixture, `sparse_block` cycle-plus-chord blocks like the
 benchmark's sparse inputs, `prism`, `circulant` and `grid` the regular
 shapes of `tests/scale_index.py`, and `relabelled` applies a seeded random
-permutation to the vertex ids.  `connected_components`, `diameter` and `degree` read a
+permutation to the vertex ids.  `seeded_clique_cover` is the reference
+K_r-factor decider that `oracle.has_kr_factor` is checked against: it
+tries r-subsets that hold the lowest uncovered vertex and shares no code
+with the oracle.  `connected_components`, `diameter` and `degree` read a
 SimpleGraph's edge list directly, so tests can use them as oracles
 independent of the library's own traversals.
 
@@ -411,6 +414,26 @@ def cycle_graph(n: int) -> SimpleGraph:
 
 def complete_graph(n: int) -> SimpleGraph:
     return SimpleGraph.from_edges(n, itertools.combinations(range(n), 2))
+
+
+def seeded_clique_cover(g: SimpleGraph, r: int) -> list[frozenset[int]] | None:
+    """Disjoint r-cliques of g covering its vertices, or None.  Each part is
+    seeded with the lowest uncovered vertex and completed by the first
+    (r - 1)-subset of the other uncovered vertices that makes a clique and
+    leaves a coverable rest, so a None answer is exhaustive."""
+    def cover(uncovered: list[int]) -> list[frozenset[int]] | None:
+        if not uncovered:
+            return []
+        seed, rest = uncovered[0], uncovered[1:]
+        for combo in itertools.combinations(rest, r - 1):
+            part = (seed, *combo)
+            if all(pair in g.edges for pair in itertools.combinations(part, 2)):
+                found = cover([v for v in rest if v not in combo])
+                if found is not None:
+                    return [frozenset(part), *found]
+        return None
+
+    return cover(list(range(g.n))) if g.n % r == 0 else None
 
 
 def equal_theta(n: int, paths: int) -> SimpleGraph:

@@ -232,6 +232,19 @@ def test_factor_answers_an_isolated_vertex_before_the_power(tmp_path):
     assert int(out.stderr) < 2**20, out.stderr
 
 
+def test_factor_lists_the_cliques_of_a_long_cycle_power_from_its_edges(tmp_path):
+    """The 4th power of a 200-cycle has C(200, 4) = 64.7 million sets of
+    four vertices but only 800 cliques on four; `factor` lists the cliques
+    and finds the blocks {4i, ..., 4i + 3}.  It runs in a child process,
+    which the time limit can stop."""
+    path = tmp_path / "cycle.txt"
+    path.write_text(emit_edge_list(cycle_graph(200)), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(quadparts.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-m", "quadparts.cli", "factor", str(path), "-r", "4", "-k", "4", "--json"],
+                         env=env, capture_output=True, text=True, timeout=10)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["factor"] == [list(range(4 * i, 4 * i + 4)) for i in range(50)]
+
 def test_partition_identity_labelled_long_cycle(capture):
     """Its realization cascade is about 2000 gadgets deep."""
     code, out, _ = capture(["partition", "-", "--json"], stdin=emit_edge_list(cycle_graph(2000)))

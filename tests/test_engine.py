@@ -57,7 +57,7 @@ class TestInit:
     def test_a_leaf_names_itself_only_when_it_traps(self):
         """A leaf stores no provenance string; a trap reads `leaf(u,v)` off
         its kind and ends."""
-        leaf = leaf_gadget(CATALOG["L0"], 3, 5)
+        leaf = leaf_gadget(3, 5)
         assert leaf.kind == "leaf" and leaf.tag is None
         with pytest.raises(EngineBug, match="does not allow") as trap:
             model.drive(ask(EdgeView(leaf, 5, 0), model.Subdivide(1)), [])
@@ -402,7 +402,7 @@ class TestFindReduction:
         """One edge left is the base case, which the caller realizes; there
         is no reduction to choose."""
         lg = LabeledMultigraph(SimpleGraph.from_edges(2, [(0, 1)]))
-        lg.install(leaf_gadget(CATALOG["L0"], 0, 1))
+        lg.install(leaf_gadget(0, 1))
         with pytest.raises(EngineBug, match="single edge is the base case"):
             find_reduction(lg)
 
@@ -465,7 +465,7 @@ class TestCarriedSeparationIndex:
             g = dense_block(rng.randint(6, 11), seed)
             lg = LabeledMultigraph(g)
             for u, v in g.sorted_edges():
-                lg.install(leaf_gadget(CATALOG["L0"], u, v))
+                lg.install(leaf_gadget(u, v))
             if leaf_side(lg) is not None:
                 continue
             vertex_gone = False  # since the last index with no 2-cut
@@ -478,17 +478,17 @@ class TestCarriedSeparationIndex:
                     lg.remove_labeled(ea)
                     lg.remove_labeled(eb)
                     lg.remove_vertex(v)
-                    lg.install(leaf_gadget(CATALOG["L0"], a, b))
+                    lg.install(leaf_gadget(a, b))
                     vertex_gone = True
                 elif roll < 0.55 and pair is not None:
                     gadget = lg.edges[pair[0]]
                     lg.remove_labeled(pair[0])
                     lg.remove_labeled(pair[1])
-                    lg.install(leaf_gadget(CATALOG["L0"], gadget.u, gadget.v))
+                    lg.install(leaf_gadget(gadget.u, gadget.v))
                 elif roll < 0.75 and lg.edges:
                     lg.remove_labeled(rng.choice(lg.edge_ids()))
                 elif roll < 0.97:
-                    lg.install(leaf_gadget(CATALOG["L0"], *rng.sample(sorted(lg.vertices), 2)))
+                    lg.install(leaf_gadget(*rng.sample(sorted(lg.vertices), 2)))
                 elif lg.n > 4:
                     x = rng.choice(sorted(lg.vertices))
                     for eid in lg.incident(x):
@@ -1061,7 +1061,7 @@ class TestOneRealizationPath:
         """Why a leaf is deleted without `drive`: its one split (S0, S0),
         read from either end, binds the two ends as single roots, finalizes
         no part, materializes no edge and exposes no vertex."""
-        leaf = leaf_gadget(CATALOG["L0"], 3, 7)
+        leaf = leaf_gadget(3, 7)
         op = Split(S0, S0)
         for tail, head in ((3, 7), (7, 3)):
             sink = []

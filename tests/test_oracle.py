@@ -1,10 +1,15 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quadparts
 from quadparts.families import random_2connected, spider, subdivided_k4
 from quadparts.graphs import SimpleGraph, graph_power, induced_is_connected
 from quadparts.oracle import (
@@ -15,7 +20,7 @@ from quadparts.oracle import (
     verify_partition,
 )
 
-from .support import complete_graph, cycle_graph, path_graph
+from .support import complete_graph, cycle_graph, path_graph, seeded_clique_cover
 
 
 class TestNearlyConnected:
@@ -139,6 +144,38 @@ class TestKrFactor:
         assert len(factor) == 3 and frozenset().union(*factor) == frozenset(range(6))
         assert all(tuple(sorted(c)) in c6.edges for c in factor)
 
+    def test_agrees_with_exact_cover_on_powers(self):
+        """The first powers of the sparser corpus hold inputs with no factor."""
+        absent = set()
+        for n, r, k in [(8, 4, 2), (8, 4, 3), (9, 3, 2), (12, 4, 2), (12, 3, 1),
+                        (9, 3, 1), (12, 4, 1), (16, 4, 1)]:
+            for seed in range(6):
+                host = graph_power(random_2connected(n, 9000 + 13 * seed + n), k)
+                via_cover = has_kr_factor(host, r)
+                via_search = seeded_clique_cover(host, r)
+                assert (via_cover is None) == (via_search is None), (n, r, k, seed)
+                absent.add(via_cover is None)
+                if via_cover is not None:
+                    assert sorted(v for c in via_cover for v in c) == list(range(n))
+                    assert all(pair in host.edges for c in via_cover
+                               for pair in combinations(sorted(c), 2))
+        assert absent == {False, True}
+
+    def test_many_disjoint_cliques_need_no_recursion(self):
+        """500 disjoint K4s give 500 cliques under a recursion limit below
+        500, listed from their edges rather than from all C(2000, 4) sets of
+        four vertices.  It runs in a child process, which the time limit can
+        stop."""
+        probe = ("import sys; from itertools import combinations; "
+                 "from quadparts.graphs import SimpleGraph; from quadparts.oracle import has_kr_factor; "
+                 "g = SimpleGraph.from_edges(2000, [(4 * i + a, 4 * i + b) for i in range(500) "
+                 "for a, b in combinations(range(4), 2)]); "
+                 "sys.setrecursionlimit(120); "
+                 "print(has_kr_factor(g, 4) == [frozenset(range(4 * i, 4 * i + 4)) for i in range(500)])")
+        env = dict(os.environ, PYTHONPATH=str(Path(quadparts.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=10)
+        assert (out.returncode, out.stdout, out.stderr) == (0, "True\n", "")
+
 
 class TestBruteForce:
     def test_disconnected_four_set(self):
@@ -171,17 +208,6 @@ class TestBruteForce:
         with pytest.raises(InstanceTooLarge):
             brute_force_partition(g, [4] * 5)
         assert brute_force_partition(g, [4] * 5, force=True) is not None
-
-    def test_agrees_with_exact_cover_on_powers(self):
-        for n, r, k in [(8, 4, 2), (8, 4, 3), (9, 3, 2), (12, 4, 2), (12, 3, 1)]:
-            for seed in range(6):
-                g = random_2connected(n, 9000 + 13 * seed + n)
-                host = graph_power(g, k)
-                via_cover = has_kr_factor(host, r)
-                via_search = brute_force_partition(
-                    g, [r] * (n // r), mode="clique-in-power", power_k=k
-                )
-                assert (via_cover is None) == (via_search is None), (n, r, k, seed)
 
     def test_spider_power_thresholds(self):
         for r in (3, 4):
