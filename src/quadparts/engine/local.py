@@ -6,7 +6,9 @@ receives the child's realization as the value of that ``yield``, so that
 :func:`~quadparts.engine.model.drive` realizes the whole cascade on one
 explicit stack; a lift never calls a child itself.  It then closes through
 one :class:`Local` built from the child realizations, over the one span of
-drive's edge log that their fragments make up together.  The children's
+drive's edge log that their spans make up together: drive records each
+realization's span as two integers, and the Local builds the lift's one
+:class:`~quadparts.engine.model.Fragment` from them.  The children's
 parts are not gathered: drive has already appended them to its sink, and a
 Local holds only the parts its lift finalizes.  Its methods are the closing
 moves, and :func:`group`, a tiny exact search, finds the groupings they
@@ -80,8 +82,12 @@ def group(fragment: Fragment, pool: Iterable[int]) -> tuple[frozenset[int], ...]
     deterministic.  None when the pool size is not a multiple of 4 or no
     grouping exists.
     """
+    remaining = sorted(set(pool))
+    if len(remaining) == 4:  # the pool is its own one candidate grouping
+        part = frozenset(remaining)
+        return None if fragment.witness_for(part) is None else (part,)
     chosen: list[frozenset[int]] = []
-    return tuple(chosen) if _extend(fragment, sorted(set(pool)), chosen) else None
+    return tuple(chosen) if _extend(fragment, remaining, chosen) else None
 
 
 def _extend(fragment: Fragment, remaining: list[int], chosen: list[frozenset[int]]) -> bool:
@@ -104,20 +110,25 @@ def _extend(fragment: Fragment, remaining: list[int], chosen: list[frozenset[int
 class Local:
     """The closing state of one lift over its child realizations.
 
-    `fragment` runs from the first child's fragment start to the last one's
-    end, so it holds the children's edges and nothing else: every tree edge
-    of a child lies in that child's fragment.  The children were realized
-    one after the other in one cascade, so their fragments abut, in some
-    order; a Local traps unless they do.  `parts` holds the parts this lift
-    finalizes, in call order, and only those.
+    `fragment`, the one Fragment a lift reads, runs from the first child's
+    span start to the last one's end, so it holds the children's edges and
+    nothing else: every tree edge of a child lies in that child's span.
+    The children were realized one after the other in one cascade, so
+    their spans abut, in some order, in one log; a Local traps unless they
+    do.  It is the only place a Fragment is built, once per lift.  `parts`
+    holds the parts this lift finalizes, in call order, and only those.
     """
 
     def __init__(self, tag: str, *children: Realization):
         self.tag = tag
-        spans = sorted([r.fragment for r in children], key=_SPAN)
-        if not spans or any(b.log is not a.log or b.start != a.end for a, b in zip(spans, spans[1:])):
-            raise EngineBug(f"child fragments {[_SPAN(f) for f in spans]} do not make one span", tag)
-        self.fragment = Fragment(spans[0].log, spans[0].start, spans[-1].end)
+        spans = sorted(children, key=_SPAN)
+        log = spans[0].log if spans else None
+        gap = log is None
+        for a, b in zip(spans, spans[1:]):
+            gap = gap or b.log is not log or b.start != a.end
+        if gap:
+            raise EngineBug(f"child spans {[_SPAN(r) for r in spans]} do not make one span", tag)
+        self.fragment = Fragment(log, spans[0].start, spans[-1].end)
         self.parts: list[frozenset[int]] = []
 
     def group(self, pool: Iterable[int]) -> bool:
@@ -167,10 +178,11 @@ class Local:
         The tree's edges are the (parent, child) pairs of :func:`graphs.bfs_parents`
         confined to `vertices`, in discovery order, with neighbours visited in
         ascending order.  Used to build composite trees out of child fragments
-        whose exact shape varies.
+        whose exact shape varies.  The search enters only `vertices`, so
+        once the root is among them it spans them when it reaches as many.
         """
         parent = bfs_parents(self.fragment, root, vertices)
-        if parent.keys() != set(vertices):
+        if root not in vertices or len(parent) != len(vertices):
             raise EngineBug(f"cannot span {sorted(vertices)} from {root} with the available edges", self.tag)
         return from_parents(root, parent, frozenset(dummies))
 
@@ -178,5 +190,5 @@ class Local:
              subdiv: tuple[int, ...] | None = None) -> Realization:
         """The lift's realization: the given trees or subdivision path and
         the parts this lift finalized; it materializes no edge of its own,
-        and drive gives it its fragment."""
+        and drive gives it its span."""
         return Realization(parts=tuple(self.parts), p_tree=p_tree, q_tree=q_tree, subdiv=subdiv)

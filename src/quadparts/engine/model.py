@@ -20,8 +20,10 @@ a long cascade leaves the cyclic garbage collector little to walk.
 Each record of a realization comes in by one path: :func:`drive` appends
 each finalized part once to its sink and each materialized real edge once
 to its :class:`EdgeLog`, a bound tree is only composed from other bound
-trees or a breadth-first search, and a realization's :class:`Fragment`, the
-span of the log its cascade wrote, holds every tree edge.
+trees or a breadth-first search, and a realization's span of the log, the
+two positions between which its cascade wrote, holds every tree edge.  Only
+a lift's closing state reads spans, as one :class:`Fragment` over its
+children's; drive records a span as plain integers and builds none.
 
 Conservation invariant: every realization covers its gadget's *scope* (the
 scopes of its children and the vertex that leaves with them, so a leaf owns
@@ -38,6 +40,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import combinations, islice
+from operator import attrgetter, itemgetter
 from typing import Callable, Generator, Iterable, TypeVar
 
 from ..graphs import (Multigraph, Side, SimpleGraph, has_three_paths, leaf_side, nearly_connected_witness,
@@ -61,7 +64,11 @@ class EngineBug(RuntimeError):
 # Operations
 
 
-@dataclass(frozen=True, slots=True)
+# Operations are values: no code assigns to one, and they are not frozen
+# only because that costs at every construction, several per realization.
+
+
+@dataclass(slots=True, unsafe_hash=True)
 class Subdivide:
     k: int
 
@@ -69,7 +76,7 @@ class Subdivide:
         return f"subdiv({self.k})"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Split:
     p: TreeSet
     q: TreeSet
@@ -79,12 +86,6 @@ class Split:
 
 
 Operation = Subdivide | Split
-
-
-def flip_op(op: Operation) -> Operation:
-    if isinstance(op, Split):
-        return Split(op.q, op.p)
-    return op
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +131,8 @@ class BoundTree:
 
     @property
     def actives(self) -> frozenset[int]:
-        """The vertices that are not dummies."""
-        return self.vertices - self.dummies
+        """The vertices that are not dummies (`vertices` itself when there is none)."""
+        return self.vertices - self.dummies if self.dummies else self.vertices
 
     def root_children(self) -> list[int]:
         """The root's neighbours in ascending order."""
@@ -169,15 +170,17 @@ def from_parents(root: int, parent: dict[int, int | None], dummies: frozenset[in
     """The tree of a :func:`graphs.bfs_parents` map from `root`, with edges
     in discovery order; such a map is a tree, so only the dummies are checked."""
     vertices = frozenset(parent)
-    _check_dummies(root, vertices, dummies)
+    if dummies:
+        _check_dummies(root, vertices, dummies)
+    edges: list[tuple[int, int]] = []
     top: dict[int, int] = {}  # vertex -> the root child above it
     size: dict[int, int] = {}
     for x, p in parent.items():
         if p is not None:
+            edges.append((p, x))
             t = top[x] = x if p == root else top[p]
             size[t] = size.get(t, 0) + 1
-    edges = tuple((p, x) for x, p in parent.items() if p is not None)
-    return BoundTree(root, edges, dummies, vertices, tuple(sorted(size)), tuple(sorted(size.values())))
+    return BoundTree(root, tuple(edges), dummies, vertices, tuple(sorted(size)), tuple(sorted(size.values())))
 
 
 def single(root: int) -> BoundTree:
@@ -227,39 +230,51 @@ def graft(new_root: int, bridge: tuple[int, int], subtree: BoundTree) -> BoundTr
 #
 # A cascade realizes depth first, so the real edges materialized below one
 # realization are exactly those logged while its frame ran: one span of the
-# log.  A lift's children ran one after the other, so their spans abut and
-# together make one span, and a query reads only the vertices it asks about.
-# Rows are filtered to the span, so edges that a sibling or an ancestor
-# logged before or after it never change an answer.
+# log, which drive records on the realization as two integers.  A lift's
+# children ran one after the other, so their spans abut and together make
+# one span, the one Fragment its Local builds, and a query reads only the
+# vertices it asks about.  Rows are filtered to the span, so edges that a
+# sibling or an ancestor logged before or after it never change an answer.
 
 
 class EdgeLog:
     """The real edges one :func:`drive` call materializes, in the order it
-    receives them, and an incidence index: vertex -> [(position, neighbour)]
-    in position order."""
+    receives them, and an incidence index: vertex -> (positions, neighbours),
+    two parallel lists in position order, so a span read bisects plain
+    integers."""
 
     def __init__(self) -> None:
         self.edges: list[tuple[int, int]] = []
-        self._inc: dict[int, list[tuple[int, int]]] = {}
+        self._inc: dict[int, tuple[list[int], list[int]]] = {}
 
     def extend(self, edges: Iterable[tuple[int, int]]) -> None:
-        inc = self._inc
+        inc, logged = self._inc, self.edges
         for a, b in edges:
-            pos = len(self.edges)
-            self.edges.append((a, b))
-            inc.setdefault(a, []).append((pos, b))
-            inc.setdefault(b, []).append((pos, a))
+            pos = len(logged)
+            logged.append((a, b))
+            row = inc.get(a) or inc.setdefault(a, ([], []))
+            row[0].append(pos)
+            row[1].append(b)
+            row = inc.get(b) or inc.setdefault(b, ([], []))
+            row[0].append(pos)
+            row[1].append(a)
 
     def neighbours(self, x: int, start: int, end: int) -> list[int]:
         """The neighbours of `x` over the log positions [start, end), ascending."""
-        row = self._inc.get(x, ())
-        out = [y for _, y in row[bisect_left(row, (start,)):bisect_left(row, (end,))]]
+        row = self._inc.get(x)
+        if row is None:
+            return []
+        positions, nbrs = row
+        i = bisect_left(positions, start)
+        out = nbrs[i:bisect_left(positions, end, i)]
         out.sort()
         return out
 
 
 class Fragment(dict):
-    """The real edges at positions [start, end) of one :class:`EdgeLog`.
+    """The real edges at positions [start, end) of one :class:`EdgeLog`,
+    built by a :class:`~quadparts.engine.local.Local` over its children's
+    abutting spans; no realization carries one.
 
     It is an adjacency for the graph layer's searches, filled on demand:
     indexing it by a vertex gives that vertex's neighbours within the span
@@ -283,8 +298,9 @@ class Fragment(dict):
 
     def witness_for(self, part: frozenset[int]) -> frozenset[int] | None:
         """Connected superset of `part` within the fragment, at most one extra vertex."""
-        if not all(self[x] for x in part):
-            return None
+        for x in part:
+            if not self[x]:
+                return None
         return nearly_connected_witness(self, part)
 
 
@@ -301,15 +317,17 @@ class Realization:
     `edges` holds only the real edges this realization's own lift
     materialized (a subdivided leaf's edge), and `parts` only the nearly
     connected 4-sets it finalized: :func:`drive` appends them to its log
-    and its sink, and no realization copies another's.  `fragment`, set by
-    :func:`drive` alone when it finishes the realization, is the span of the
-    log its frame wrote: every real edge materialized at or below it, tree
-    edges included, since a leaf's split trees have none and a lift spans
-    its trees in its children's fragments, grafts only by a subdivided
-    leaf's edge and fuses or passes on its children's trees.  A lift
-    receives a realization, checked and read from the tail of the view it
-    yielded, as the value of that ``yield``, and only reads it; it is not
-    frozen only for speed.
+    and its sink, and no realization copies another's.  `log`, `start` and
+    `end`, set by :func:`drive` alone when it finishes the realization, are
+    the span [start, end) of the log its frame wrote: every real edge
+    materialized at or below it, tree edges included, since a leaf's split
+    trees have none and a lift spans its trees in its children's spans,
+    grafts only by a subdivided leaf's edge and fuses or passes on its
+    children's trees.  The span is two integers; only a lift's
+    :class:`~quadparts.engine.local.Local` reads it, as a :class:`Fragment`.
+    A lift receives a realization, checked and read from the tail of the
+    view it yielded, as the value of that ``yield``, and only reads it; it
+    is not frozen only for speed.
     """
 
     parts: tuple[frozenset[int], ...] = ()
@@ -317,16 +335,21 @@ class Realization:
     q_tree: BoundTree | None = None
     subdiv: tuple[int, ...] | None = None
     edges: tuple[tuple[int, int], ...] = ()
-    fragment: Fragment | None = field(default=None, compare=False)
+    log: EdgeLog | None = field(default=None, compare=False)
+    start: int = field(default=0, compare=False)
+    end: int = field(default=0, compare=False)
 
     def flipped(self) -> "Realization":
-        return Realization(self.parts, self.q_tree, self.p_tree,
-                           None if self.subdiv is None else self.subdiv[::-1], self.edges, self.fragment)
+        return Realization(self.parts, self.q_tree, self.p_tree, None if self.subdiv is None else self.subdiv[::-1],
+                           self.edges, self.log, self.start, self.end)
 
 
 # ---------------------------------------------------------------------------
 # Gadgets
 
+
+_GADGET = itemgetter(0)  # of a (gadget, realization, exposed) child record
+_EDGE = attrgetter("edge")  # of a view
 
 # A running lift: it yields ``(view, op)`` for each child operation it needs,
 # in order, receives each child's realization read from the view's tail, and
@@ -351,8 +374,10 @@ class Gadget:
     admitted (a literal pair of the label) or the subdivision count, so no
     gadget holds a closure or a bound lift.  A lift that needs no child,
     like a leaf's, returns its Realization at once; every other lift is a
-    :data:`Lift` run by :func:`drive`, which checks every realization with
-    :meth:`check` before its parent receives it.  The check first traps a
+    :data:`Lift` run by :func:`drive`, which checks every realization, a
+    leaf's included, with :meth:`check` before its parent receives it,
+    against the witness pair or subdivision that :meth:`start` admitted, so
+    the label is consulted once per realization.  The check first traps a
     lift that did not realize each of its children exactly once.
 
     The ledger is checked against the children.  A checked child realization
@@ -414,33 +439,37 @@ class Gadget:
     def provenance(self) -> str:
         return self.tag if self.tag is not None else f"{self.kind}({self.u},{self.v})"
 
-    def start(self, op: Operation) -> Realization | Lift:
+    def start(self, op: Operation) -> tuple[Pair | Subdivide, Realization | Lift]:
         """Begin realizing `op` (stored orientation) with the lift of this
-        gadget's kind: the realization when the lift needs no child, else
-        the running lift.  Either way the result is unchecked until
-        :func:`drive` passes it to :meth:`check`."""
+        gadget's kind.  Returns what the label admitted, the witness pair
+        of a split or the subdivision itself, and the realization when the
+        lift needs no child, else the running lift.  Either way the result
+        is unchecked until :func:`drive` passes it to :meth:`check` with
+        that admitted operation."""
         split, subdiv = LIFTS[self.kind]
         if isinstance(op, Subdivide):
             if not self.label.subdividable or op.k != self.label.weight:
                 raise EngineBug(f"label {self.label} does not allow {op}", self.provenance)
             if subdiv is None:
                 raise EngineBug(f"no subdivision lift on {self.label}", self.provenance)
-            return subdiv(self, op.k)
+            return op, subdiv(self, op.k)
         witness = admits(self.label, op.p, op.q)
         if witness is None:
             raise EngineBug(f"label {self.label} does not admit {op}", self.provenance)
-        return split(self, witness)
+        return witness, split(self, witness)
 
-    def check(self, real: Realization, op: Operation, children: list[tuple["Gadget", Realization, set[int]]],
-              below: int) -> set[int]:
-        """Trap unless `real` realizes `op` (stored orientation): the
-        operation's shape, the witness pair, the tree vertices and the
-        ledger; return the vertices it exposes.  `children` holds each child
+    def check(self, real: Realization, admitted: Pair | Subdivide,
+              children: list[tuple["Gadget", Realization, frozenset[int]]], below: int) -> frozenset[int]:
+        """Trap unless `real` realizes `admitted`, what :meth:`start`
+        admitted (stored orientation): the subdivision, or a split whose
+        trees fit the witness pair, with the tree vertices and the ledger;
+        return the vertices it exposes.  `children` holds each child
         realized for it, in order, with its checked realization and the
         vertices it exposes, and `below` counts the parts finalized at or
         below this gadget, its own included."""
-        if (children or self.children) and (len(children) != len(self.children)
-                                            or {c for c, _, _ in children} != {e.edge for e in self.children}):
+        kids = self.children
+        if (children or kids) and (len(children) != len(kids)
+                                   or set(map(_GADGET, children)) != set(map(_EDGE, kids))):
             raise EngineBug(f"lift realized {[c.provenance for c, _, _ in children]}, not each child once",
                             self.provenance)
         handed: set[int] = set()  # the children's exposed vertices and `eliminated`
@@ -452,16 +481,16 @@ class Gadget:
             if self.eliminated in handed:
                 raise EngineBug(f"a child hands up the eliminated vertex {self.eliminated}", self.provenance)
             handed.add(self.eliminated)
-        if isinstance(op, Subdivide):
-            exposed = self._check_subdiv(real, op.k)
+        if isinstance(admitted, Subdivide):
+            exposed = self._check_subdiv(real, admitted.k)
         else:
-            exposed = self._check_split(real, admits(self.label, op.p, op.q), children, handed)
+            exposed = self._check_split(real, admitted, children, handed)
         self._covered(real, below, exposed, handed)
         return exposed
 
     # -- validation -------------------------------------------------------
 
-    def _covered(self, real: Realization, below: int, exposed: set[int], handed: set[int]) -> None:
+    def _covered(self, real: Realization, below: int, exposed: frozenset[int], handed: set[int]) -> None:
         covered = set(exposed)
         for part in real.parts:
             if len(part) != 4:
@@ -479,8 +508,8 @@ class Gadget:
             raise EngineBug(f"scope mismatch: {count} vertices covered at or below, scope has {self.size}",
                             self.provenance)
 
-    def _check_split(self, real: Realization, witness: Pair, children: list[tuple["Gadget", Realization, set[int]]],
-                     handed: set[int]) -> set[int]:
+    def _check_split(self, real: Realization, witness: Pair,
+                     children: list[tuple["Gadget", Realization, frozenset[int]]], handed: set[int]) -> frozenset[int]:
         p, q = real.p_tree, real.q_tree
         if p is None or q is None or real.subdiv is not None:
             raise EngineBug("split realization must carry two trees and no subdivision", self.provenance)
@@ -492,11 +521,12 @@ class Gadget:
                 f"({witness[0].display},{witness[1].display})",
                 self.provenance,
             )
-        shared = (p.vertices & q.vertices) - (p.dummies | q.dummies)
-        if shared:
-            raise EngineBug(f"trees share non-dummy vertices {sorted(shared)}", self.provenance)
-        ends = {self.u, self.v}
-        out = (p.vertices | q.vertices) - handed - ends
+        if not p.vertices.isdisjoint(q.vertices):
+            shared = (p.vertices & q.vertices) - (p.dummies | q.dummies)
+            if shared:
+                raise EngineBug(f"trees share non-dummy vertices {sorted(shared)}", self.provenance)
+        ends = (self.u, self.v)
+        out = (p.vertices | q.vertices).difference(handed, ends)
         if out:
             # a dummy may re-use a vertex of a child's trees other than its ends
             for child, r, _ in children:
@@ -505,14 +535,14 @@ class Gadget:
                         out -= t.vertices - {child.u, child.v}
             if out:
                 raise EngineBug(f"tree vertices {sorted(out)} outside scope", self.provenance)
-        return set((p.actives | q.actives) - ends)
+        return (p.actives | q.actives).difference(ends)
 
-    def _check_subdiv(self, real: Realization, k: int) -> set[int]:
+    def _check_subdiv(self, real: Realization, k: int) -> frozenset[int]:
         if real.subdiv is None or real.p_tree is not None or real.q_tree is not None:
             raise EngineBug("subdivision realization must carry a path and no trees", self.provenance)
         if len(real.subdiv) != k:
             raise EngineBug(f"subdivision produced {len(real.subdiv)} vertices, expected {k}", self.provenance)
-        return set(real.subdiv)
+        return frozenset(real.subdiv)
 
 
 def _leaf_split(g: Gadget, witness: Pair) -> Realization:
@@ -546,25 +576,29 @@ def drive(lift: Generator[tuple["EdgeView", Operation], Realization, _R], sink: 
     driver's own requests come here too, each as the one-request lift
     :func:`ask`.
 
-    Each frame holds a running lift, its gadget, the operation it realizes
-    in the gadget's stored orientation, whether its parent reads it
-    mirrored, the lengths of `sink` and of the log when it started and each
-    child it received, with that child's realization and exposed vertices.
-    A yielded ``(view, op)`` is mapped to the stored orientation and goes to
+    Each frame holds a running lift, its gadget, what the gadget's
+    :meth:`Gadget.start` admitted (the witness pair of a split, or the
+    subdivision), whether its parent reads it mirrored, the lengths of
+    `sink` and of the log when it started and each child it received, with
+    that child's realization and exposed vertices.  A yielded
+    ``(view, op)`` is mapped to the stored orientation, as a split with its
+    two sets swapped when the view is flipped, and goes to
     :meth:`Gadget.start`: a running lift is pushed, and a realization that
     comes back at once (a leaf's) is finished on the spot.  A finished
     realization, at once or when its pushed lift returns, appends its own
-    parts to `sink` and its own edges to the log, and drive sets its
-    fragment, the one field no lift sets: the log's span since its frame
-    started (the cascade runs depth first, so these are the edges
-    materialized at or below it).  Its gadget checks it against the
-    children its frame received and the count of parts appended since the
-    frame started; it is then mirrored if need be and sent to the frame
-    below, which records it with the vertices it exposes.  Children are
-    realized in the order they are yielded, and an exception leaves the
-    loop unchanged, since no lift catches one.
+    parts to `sink` and its own edges to the log, and drive sets its span,
+    the fields no lift sets: the log and the two positions it ran between
+    since its frame started (the cascade runs depth first, so these are the
+    edges materialized at or below it).  No fragment is built here.  Its
+    gadget checks it against what start admitted, the children its frame
+    received and the count of parts appended since the frame started; it is
+    then mirrored if need be and sent to the frame below, which records it
+    with the vertices it exposes.  Children are realized in the order they
+    are yielded, and an exception leaves the loop unchanged, since no lift
+    catches one.
     """
     log = EdgeLog()
+    logged = log.edges
     stack: list[tuple] = [(lift, None, None, False, 0, 0, [])]
     sent = None
     while True:
@@ -575,23 +609,23 @@ def drive(lift: Generator[tuple["EdgeView", Operation], Realization, _R], sink: 
             stack.pop()
             if not stack:
                 return stop.value
-            _, gadget, op, flip, parts_start, edges_start, children = top
+            _, gadget, admitted, flip, parts_start, edges_start, children = top
             out = stop.value
         else:
             gadget, flip = view.edge, view.flipped_store
-            if flip:
-                op = flip_op(op)
-            parts_start, edges_start, children = len(sink), len(log.edges), []
-            out = gadget.start(op)
+            if flip and isinstance(op, Split):
+                op = Split(op.q, op.p)
+            parts_start, edges_start, children = len(sink), len(logged), []
+            admitted, out = gadget.start(op)
             if not isinstance(out, Realization):
-                stack.append((out, gadget, op, flip, parts_start, edges_start, children))
+                stack.append((out, gadget, admitted, flip, parts_start, edges_start, children))
                 sent = None
                 continue
         sink.extend(out.parts)
         if out.edges:
             log.extend(out.edges)
-        out.fragment = Fragment(log, edges_start, len(log.edges))
-        exposed = gadget.check(out, op, children, len(sink) - parts_start)
+        out.log, out.start, out.end = log, edges_start, len(logged)
+        exposed = gadget.check(out, admitted, children, len(sink) - parts_start)
         stack[-1][-1].append((gadget, out, exposed))  # the requesting frame's children
         sent = out.flipped() if flip else out
 

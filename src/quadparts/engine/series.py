@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from ..labels import CATALOG, S0, S1, S1P, S2, S2M, S2P, S3, S3M, S3P, S5M, Label, Pair
 from .local import PLAIN, PLUS, Local, mirrored, pair_shape
-from .model import LIFTS, EdgeView, EngineBug, Gadget, Lift, Realization, Split, Subdivide, graft, single
+from .model import LIFTS, BoundTree, EdgeView, EngineBug, Gadget, Lift, Realization, Split, Subdivide, graft, single
 
 KEEP = "keep"
 
@@ -146,47 +146,54 @@ def _table(pair: Pair, e1: EdgeView, e2: EdgeView, table: dict, tag: str) -> Lif
     return _close_at_v(tag, r1, r2, e2.tail)
 
 
-def _close_at_v(tag: str, r1: Realization, r2: Realization, v: int) -> Realization:
-    """Both children split: finalize v with the trees gathered at v."""
+def _close_at_v(tag: str, r1: Realization, r2: Realization, v: int, far: bool = False) -> Realization:
+    """Both children split: finalize v with the trees gathered at v.  With
+    `far` the children were read from the far side, and so is the result."""
     loc = Local(tag, r1, r2)
     loc.finalize(r1.q_tree.actives | r2.p_tree.actives | {v})
-    return loc.done(r1.p_tree, r2.q_tree)
+    return _done(loc, r1.p_tree, r2.q_tree, far)
+
+
+def _done(loc: Local, p: BoundTree, q: BoundTree, far: bool) -> Realization:
+    """The closing split realization, its trees swapped back when `far`."""
+    return loc.done(q, p) if far else loc.done(p, q)
 
 
 # ---------------------------------------------------------------------------
 # General contraction: replacement label is the paired label of weight
 # w(e1)+w(e2)+1 mod 4.  Each step below reads v1 -> v off e1 and v -> v2 off
-# e2, which the plus_left mirror passes reversed and swapped.
+# e2.  A plus_left pair is the plus_right pair of the same contraction read
+# from v2: the plus lifts run on the children reversed and swapped, with
+# `far` set, and close with their two trees swapped back, so no wrapper
+# lift flips the result.
 
 
 def _general_split(g: Gadget, pair: Pair) -> Lift:
     e1, e2 = g.children
-    return _general(pair, e1, e2, g.tag)
-
-
-def _general(pair: Pair, e1: EdgeView, e2: EdgeView, tag: str) -> Lift:
     kind, x, y = pair_shape(pair)
-    if kind == "plus_left":  # replay from the far side
-        return mirrored(_general, pair, e2.reversed(), e1.reversed(), tag + "~")
     low = e1.label.weight + e2.label.weight + 1 <= 3
     if kind == "plain":
-        return (_plain_low if low else _plain_high)(pair, x, y, e1, e2, tag)
-    return (_plus_low if low else _plus_high)(pair, x, y, e1, e2, tag)
+        return (_plain_low if low else _plain_high)(pair, x, y, e1, e2, g.tag)
+    if kind == "plus_left":  # replay from the far side
+        return (_plus_low if low else _plus_high)((pair[1], pair[0]), y, x, e2.reversed(), e1.reversed(),
+                                                  g.tag + "~", True)
+    return (_plus_low if low else _plus_high)(pair, x, y, e1, e2, g.tag)
 
 
-def _head_side(tag: str, e2: EdgeView, r1: Realization, r2: Realization, dummies=frozenset()) -> Realization:
+def _head_side(tag: str, e2: EdgeView, r1: Realization, r2: Realization, dummies=frozenset(),
+               far: bool = False) -> Realization:
     # e2 subdivided: v and its path join e1's head tree
     loc = Local(tag, r1, r2)
     v, v2 = e2.tail, e2.head
     q = loc.span(v2, {v2, v, *r2.subdiv} | set(r1.q_tree.vertices), dummies)
-    return loc.done(r1.p_tree, q)
+    return _done(loc, r1.p_tree, q, far)
 
 
-def _tail_side(tag: str, e1: EdgeView, r1: Realization, r2: Realization) -> Realization:
+def _tail_side(tag: str, e1: EdgeView, r1: Realization, r2: Realization, far: bool = False) -> Realization:
     # e1 subdivided: v and its path join e2's tail tree
     loc = Local(tag, r1, r2)
     v1, v = e1.tail, e1.head
-    return loc.done(loc.span(v1, {v1, v, *r1.subdiv} | set(r2.p_tree.vertices)), r2.q_tree)
+    return _done(loc, loc.span(v1, {v1, v, *r1.subdiv} | set(r2.p_tree.vertices)), r2.q_tree, far)
 
 
 # -- combined weight at most 2 ---------------------------------------------
@@ -214,7 +221,7 @@ def _plain_low(pair: Pair, x: int, y: int, e1: EdgeView, e2: EdgeView, tag: str)
     return _close_at_v(tag, r1, r2, e2.tail)
 
 
-def _plus_low(pair: Pair, x: int, y: int, e1: EdgeView, e2: EdgeView, tag: str) -> Lift:
+def _plus_low(pair: Pair, x: int, y: int, e1: EdgeView, e2: EdgeView, tag: str, far: bool = False) -> Lift:
     # combined weight at most 1, so x exceeds the tail weight by at least 2
     i, j = e1.label.weight, e2.label.weight
     if x + y != i + j + 5 or i + j > 1:
@@ -222,14 +229,14 @@ def _plus_low(pair: Pair, x: int, y: int, e1: EdgeView, e2: EdgeView, tag: str) 
     if not e1.label.subdividable:
         r1 = yield e1, Split(PLAIN[x], PLUS[i + 4 - x])
         if e2.label.subdividable:
-            return _head_side(tag, e2, r1, (yield e2, Subdivide(j)), r1.q_tree.dummies)
+            return _head_side(tag, e2, r1, (yield e2, Subdivide(j)), r1.q_tree.dummies, far)
         r2 = yield e2, Split(PLAIN[j + 4 - y], PLUS[y])
-        return _close_at_v(tag, r1, r2, e2.tail)
+        return _close_at_v(tag, r1, r2, e2.tail, far)
     if e2.label.subdividable:
         raise EngineBug("pure chain must be handled by the chain table", tag)
     r1 = yield e1, Subdivide(i)
     r2 = yield e2, Split(PLAIN[x - i - 1], PLUS[y])
-    return _tail_side(tag, e1, r1, r2)
+    return _tail_side(tag, e1, r1, r2, far)
 
 
 # -- combined weight at least 3 --------------------------------------------
@@ -254,7 +261,7 @@ def _plain_high(pair: Pair, x: int, y: int, e1: EdgeView, e2: EdgeView, tag: str
     return _close_at_v(tag, r1, r2, e2.tail)
 
 
-def _plus_high(pair: Pair, x: int, y: int, e1: EdgeView, e2: EdgeView, tag: str) -> Lift:
+def _plus_high(pair: Pair, x: int, y: int, e1: EdgeView, e2: EdgeView, tag: str, far: bool = False) -> Lift:
     i, j = e1.label.weight, e2.label.weight
     if x + y != i + j + 1:
         raise EngineBug(f"plus pair {pair} inconsistent with weights {i},{j}", tag)
@@ -262,15 +269,15 @@ def _plus_high(pair: Pair, x: int, y: int, e1: EdgeView, e2: EdgeView, tag: str)
         want_q = PLUS[i - x] if i - x >= 1 else S0
         r1 = yield e1, Split(PLAIN[x], want_q)
         if e2.label.subdividable:
-            return _head_side(tag, e2, r1, (yield e2, Subdivide(j)), r1.q_tree.dummies)
+            return _head_side(tag, e2, r1, (yield e2, Subdivide(j)), r1.q_tree.dummies, far)
         r2 = yield e2, Split(PLAIN[j + 4 - y], PLUS[y])
-        return _close_at_v(tag, r1, r2, e2.tail)
+        return _close_at_v(tag, r1, r2, e2.tail, far)
     if y <= j:
         r2 = yield e2, Split(PLAIN[j - y], PLUS[y])
         if e1.label.subdividable:
-            return _tail_side(tag, e1, (yield e1, Subdivide(i)), r2)
+            return _tail_side(tag, e1, (yield e1, Subdivide(i)), r2, far)
         r1 = yield e1, Split(PLAIN[x], PLUS[i + 4 - x])
-        return _close_at_v(tag, r1, r2, e2.tail)
+        return _close_at_v(tag, r1, r2, e2.tail, far)
     raise EngineBug(f"plus pair {pair} has neither side within the child weights", tag)
 
 

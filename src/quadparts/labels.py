@@ -37,6 +37,12 @@ class TreeSet(Enum):
     S3M = "S3-"
     S5M = "S5-"
 
+    # Members are singletons compared by identity, so they hash by identity
+    # too: Enum's own hash runs Python code on every dict or set lookup.
+    # Nothing iterates a hashed collection of tree sets, so no output
+    # depends on these hashes.
+    __hash__ = object.__hash__
+
     @property
     def display(self) -> str:
         return self.value

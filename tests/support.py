@@ -30,8 +30,9 @@ it computes the shape the engine's constructors compose.
 `AdjacencyFragment` is the differential oracle for fragments: the
 ascending neighbour lists of a set of edges, as `SimpleGraph.adj` sorts
 them, built at once and searched by the same graph-layer primitives.
-`logged` lays edge lists out as consecutive spans of one log, the
-fragments that children realized one after the other would have, and
+`logged` lays edge lists out as consecutive spans of one log, carried by
+realizations as children realized one after the other would carry them,
+`spanned` puts such a span on a realization with trees or a path, and
 `fragment_edges` reads a realization's span back as a set of edges.
 
 `path_graph`, `cycle_graph`, `complete_graph` and `random_tree` build the
@@ -57,7 +58,9 @@ weight-0 and L31-away counts.
 `primitive_visits` counts the vertices that the separation-pair tests are
 given and that the shared depth-first search reaches, a deterministic cost
 of the 2-cut steering, and `leaf_side_holds` is the networkx oracle for
-`graphs.leaf_side`.
+`graphs.leaf_side`.  `cascade_counts` counts the fixed work of each
+realization: the label reads of starting and checking it, and the closing
+states and fragments its lift builds.
 """
 
 from __future__ import annotations
@@ -75,7 +78,6 @@ from quadparts.engine.model import (
     EdgeLog,
     EdgeView,
     EngineBug,
-    Fragment,
     Realization,
     Split,
     Subdivide,
@@ -267,22 +269,28 @@ class AdjacencyFragment:
         return bfs_parents(self.adj, root, vertices) if root in self.adj else {root: None}
 
 
-def logged(*edge_lists) -> list[Fragment]:
-    """One fragment per edge list, consecutive spans of one fresh log."""
+def logged(*edge_lists) -> list[Realization]:
+    """One realization per edge list, holding no tree, whose spans are
+    consecutive spans of one fresh log: what children realized one after
+    the other would hand a Local."""
     log, out = EdgeLog(), []
     for edges in edge_lists:
         start = len(log.edges)
         log.extend(edges)
-        out.append(Fragment(log, start, len(log.edges)))
+        out.append(Realization(log=log, start=start, end=len(log.edges)))
     return out
 
 
+def spanned(child: Realization, **fields) -> Realization:
+    """`child`'s span carried by a realization with the given fields."""
+    return Realization(**fields, log=child.log, start=child.start, end=child.end)
+
+
 def fragment_edges(real: Realization) -> set[tuple[int, int]]:
-    """The edges of a realization's fragment, with ends ascending; asserts
-    that the fragment holds each edge once."""
-    f = real.fragment
-    edges = [norm_edge(a, b) for a, b in f.log.edges[f.start:f.end]]
-    assert len(set(edges)) == len(edges), f"fragment {f.start}..{f.end} repeats an edge"
+    """The edges of a realization's span, with ends ascending; asserts that
+    the span holds each edge once."""
+    edges = [norm_edge(a, b) for a, b in real.log.edges[real.start:real.end]]
+    assert len(set(edges)) == len(edges), f"span {real.start}..{real.end} repeats an edge"
     return set(edges)
 
 
@@ -346,14 +354,15 @@ class StubGadget:
         return parts[:-1] if self.withhold else parts
 
     def start(self, op):
-        """A stub needs no child, so starting an operation finishes it."""
+        """A stub needs no child, so starting an operation finishes it: it
+        returns what the label admitted and the realization."""
         if isinstance(op, Subdivide):
             if not self.label.subdividable or op.k != self.label.weight:
                 raise EngineBug(f"stub {self.label} cannot {op}")
             ids = self.owned[:op.k]
             path = [self.u, *ids, self.v]
             edges = tuple(norm_edge(a, b) for a, b in zip(path, path[1:]))
-            return Realization(parts=self._emit(op.k), subdiv=tuple(ids), edges=edges)
+            return op, Realization(parts=self._emit(op.k), subdiv=tuple(ids), edges=edges)
         witness = admits(self.label, op.p, op.q)
         if witness is None:
             raise EngineBug(f"stub {self.label} does not admit {op}")
@@ -362,9 +371,9 @@ class StubGadget:
         p = bind_shape(witness[0], self.u, actives, dummy=self.owned[used])
         q = bind_shape(witness[1], self.v, actives, dummy=self.owned[used + 1])
         edges = tuple(norm_edge(a, b) for t in (p, q) for a, b in t.edges)
-        return Realization(parts=self._emit(used), p_tree=p, q_tree=q, edges=edges)
+        return witness, Realization(parts=self._emit(used), p_tree=p, q_tree=q, edges=edges)
 
-    def check(self, real, op, children, below) -> set[int]:
+    def check(self, real, admitted, children, below) -> set[int]:
         """Stub results are not checked (see the module docstring); like a
         checked realization, one exposes its active tree vertices other than
         its ends, or its subdivision path."""
@@ -644,6 +653,60 @@ def primitive_visits() -> Iterator[Counter]:
         yield visits
     finally:
         graphs._separation_pair, graphs._LowPoints.finishing = real_pair, real_finishing
+
+
+@contextmanager
+def cascade_counts() -> Iterator[Counter]:
+    """Count, while the block runs, the fixed work of the realization
+    cascade: under "split realizations" and "subdivisions" the operations
+    `Gadget.start` began, under "label reads" the `labels.admits` calls that
+    `Gadget.start` and `Gadget.check` made themselves (the lifts' own reads
+    of their children's labels are not counted), under "Locals" the lifts'
+    closing states built and under "Fragments" the fragments built.
+    Yields the Counter."""
+    from quadparts.engine import local, model
+
+    counts: Counter = Counter()
+    inside = [0]  # depth of start and check calls running
+    real_admits, real_start, real_check = model.admits, model.Gadget.start, model.Gadget.check
+    real_local, real_fragment = local.Local.__init__, model.Fragment.__init__
+
+    def admits(label, p, q):
+        counts["label reads"] += bool(inside[0])
+        return real_admits(label, p, q)
+
+    def start(gadget, op):
+        counts["split realizations" if isinstance(op, Split) else "subdivisions"] += 1
+        inside[0] += 1
+        try:
+            return real_start(gadget, op)
+        finally:
+            inside[0] -= 1
+
+    def check(gadget, *args):
+        inside[0] += 1
+        try:
+            return real_check(gadget, *args)
+        finally:
+            inside[0] -= 1
+
+    def local_init(loc, *args):
+        counts["Locals"] += 1
+        real_local(loc, *args)
+
+    def fragment_init(fragment, *args):
+        counts["Fragments"] += 1
+        real_fragment(fragment, *args)
+
+    patched = ((model, "admits", admits), (model.Gadget, "start", start), (model.Gadget, "check", check),
+               (local.Local, "__init__", local_init), (model.Fragment, "__init__", fragment_init))
+    for owner, name, wrapper in patched:
+        setattr(owner, name, wrapper)
+    try:
+        yield counts
+    finally:
+        for (owner, name, _), real in zip(patched, (real_admits, real_start, real_check, real_local, real_fragment)):
+            setattr(owner, name, real)
 
 
 def _no_2cut(nx, g) -> bool:

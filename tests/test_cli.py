@@ -245,6 +245,23 @@ def test_factor_lists_the_cliques_of_a_long_cycle_power_from_its_edges(tmp_path)
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout)["factor"] == [list(range(4 * i, 4 * i + 4)) for i in range(50)]
 
+
+def test_power_of_a_long_cycle_searches_only_k_levels(tmp_path):
+    """The 4th power of a 20,000-cycle joins each vertex to the 8 within
+    distance 4; `power` finds them with searches stopped after 4 levels,
+    not one whole search per vertex.  It runs in a child process, which
+    the time limit can stop."""
+    path = tmp_path / "cycle.txt"
+    path.write_text(emit_edge_list(cycle_graph(20000)), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(quadparts.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-m", "quadparts.cli", "power", str(path), "-k", "4"],
+                         env=env, capture_output=True, text=True, timeout=10)
+    assert out.returncode == 0, out.stderr
+    power = parse_edge_list(out.stdout)
+    assert power.n == 20000 and power.edges == {(min(i, j), max(i, j)) for i in range(20000)
+                                                for j in ((i + d) % 20000 for d in range(1, 5))}
+
+
 def test_partition_identity_labelled_long_cycle(capture):
     """Its realization cascade is about 2000 gadgets deep."""
     code, out, _ = capture(["partition", "-", "--json"], stdin=emit_edge_list(cycle_graph(2000)))

@@ -31,10 +31,11 @@ from quadparts.labels import CATALOG, S0, TreeSet
 from quadparts.oracle import verify_partition
 
 from . import sweeps
-from .support import (AdjacencyFragment, StubGadget, TreeShape, all_ops, circulant, complete_graph, cubic_block,
-                      cycle_graph, dense_block, equal_theta, fragment_edges, grid, leaf_side_holds, logged, path_graph,
-                      primitive_visits, prism, relabelled, scanned_degree2_vertex, scanned_l31_away,
-                      scanned_parallel_pair, scanned_zero_counts, sparse_block, stub_edge, summed_weight, tree_of)
+from .support import (AdjacencyFragment, StubGadget, TreeShape, all_ops, cascade_counts, circulant, complete_graph,
+                      cubic_block, cycle_graph, dense_block, equal_theta, fragment_edges, grid, leaf_side_holds, logged,
+                      path_graph, primitive_visits, prism, relabelled, scanned_degree2_vertex, scanned_l31_away,
+                      scanned_parallel_pair, scanned_zero_counts, spanned, sparse_block, stub_edge, summed_weight,
+                      tree_of)
 from .support import fits as shape_fits
 
 DATA = Path(__file__).parent / "data"
@@ -64,13 +65,14 @@ class TestInit:
         assert trap.value.provenance == "leaf(3,5)"
 
 
-def _fragment(edges):
-    return logged(edges)[0]
-
-
 def _local(edges, tag: str = "caller") -> Local:
-    """A Local over one child whose fragment is `edges`."""
-    return Local(tag, Realization(fragment=_fragment(edges)))
+    """A Local over one child whose span holds `edges`."""
+    return Local(tag, *logged(edges))
+
+
+def _fragment(edges):
+    """The Fragment a Local builds over one child whose span holds `edges`."""
+    return _local(edges).fragment
 
 
 class TestLocalGrouping:
@@ -138,10 +140,10 @@ class TestLocalGrouping:
         parts are drive's to record and stay out too."""
         before, left_edges, right_edges, after = logged([(2, 9)], [(0, 1), (1, 2), (2, 3)],
                                                          [(4, 5), (5, 6), (6, 7), (3, 4)], [(9, 4)])
-        left = Realization(parts=(frozenset({20, 21, 22, 23}),),
-                           p_tree=tree_of(0, ((0, 1), (1, 2), (2, 9))), q_tree=single(9), fragment=left_edges)
-        right = Realization(parts=(frozenset({30, 31, 32, 33}), frozenset({24, 25, 26, 27})),
-                            subdiv=(5, 6), fragment=right_edges)
+        left = spanned(left_edges, parts=(frozenset({20, 21, 22, 23}),),
+                       p_tree=tree_of(0, ((0, 1), (1, 2), (2, 9))), q_tree=single(9))
+        right = spanned(right_edges, parts=(frozenset({30, 31, 32, 33}), frozenset({24, 25, 26, 27})),
+                        subdiv=(5, 6))
         loc = Local("caller", right, left)
         assert (loc.fragment.start, loc.fragment.end) == (left_edges.start, right_edges.end)
         assert loc.fragment[9] == [] and loc.fragment[3] == [2, 4] and loc.fragment[4] == [3, 5]
@@ -149,7 +151,7 @@ class TestLocalGrouping:
         loc.finalize({0, 1, 2, 3})
         real = loc.done(subdiv=(8,))
         assert real.parts == (frozenset({4, 5, 6, 7}), frozenset({0, 1, 2, 3}))
-        assert real.fragment is None and real.edges == () and real.subdiv == (8,)
+        assert real.log is None and real.edges == () and real.subdiv == (8,)
         assert real.p_tree is None and real.q_tree is None
 
     def test_span_is_a_breadth_first_tree_of_the_fragment(self):
@@ -166,7 +168,7 @@ class TestLocalGrouping:
         """A subdivided child v -> 9 hands v, its path and the extra vertices
         to a tree spanned from the head; nothing is finalized.  With
         `dummy_v` the tree holds v as a dummy."""
-        child = Realization(subdiv=(5,), fragment=_fragment([(0, 5), (5, 9), (0, 3)]))
+        child = spanned(logged([(0, 5), (5, 9), (0, 3)])[0], subdiv=(5,))
         for extra, edges in (((), ((9, 5), (5, 0))), ((3,), ((9, 5), (5, 0), (0, 3)))):
             for dummy_v, dummies in ((False, set()), (True, {0})):
                 loc = Local("caller", child)
@@ -184,7 +186,7 @@ class TestLocalGrouping:
                                            (tree_of(0, ((0, 1), (1, 2))), (3,), False, {0, 1, 2, 3}),
                                            (tree_of(0, ((0, 1), (1, 2), (2, 3), (3, 4))), (), True, {1, 2, 3, 4}),
                                            (tree_of(0, ((0, 1), (1, 2), (2, 3))), (4,), True, {1, 2, 3, 4})):
-            child = Realization(p_tree=tail, q_tree=head, fragment=_fragment(fragment))
+            child = spanned(logged(fragment)[0], p_tree=tail, q_tree=head)
             loc = Local("caller", child)
             assert loc.far_tree(child, 0, 9, *extra, dummy_v=dummy_v) is head
             assert loc.parts == [frozenset(part)]
@@ -209,11 +211,11 @@ class TestLocalGrouping:
         order; a gap, an overlap, a repeated child or another log traps."""
         a, b, c = logged([(0, 1)], [(1, 2)], [(2, 3)])
         (elsewhere,) = logged([(1, 2)])
-        empty = Realization(fragment=logged([(0, 1)], [])[1])
-        assert Local("ok", *(Realization(fragment=f) for f in (c, a, b))).fragment[2] == [1, 3]
-        for children in ((a, c), (a, a), (a, elsewhere), ()):
+        empty = logged([(0, 1)], [])[1]
+        assert Local("ok", c, a, b).fragment[2] == [1, 3]
+        for children in ((a, c), (a, a), (a, elsewhere), (Realization(),), ()):
             with pytest.raises(EngineBug, match="do not make one span") as info:
-                Local("caller[abut]", *(Realization(fragment=f) for f in children))
+                Local("caller[abut]", *children)
             assert info.value.provenance == "caller[abut]"
         assert Local("ok", empty).fragment[0] == []
 
@@ -235,8 +237,7 @@ class TestFragmentOracle:
             bounds = sorted(rng.choices(range(len(edges) + 1), k=rng.randint(0, 4)))
             chunks = [edges[i:j] for i, j in zip([0, *bounds], [*bounds, len(edges)])]
             before = rng.randint(0, len(siblings))
-            frags = logged(siblings[:before], *chunks, siblings[before:])[1:-1]
-            children = [Realization(fragment=f) for f in frags]
+            children = logged(siblings[:before], *chunks, siblings[before:])[1:-1]
             rng.shuffle(children)
             loc, oracle = Local("oracle", *children), AdjacencyFragment(edges)
             for _ in range(20):
@@ -296,7 +297,7 @@ def _random_tree(rng: random.Random, ids, root: int, budget: int, depth: int = 0
             return tree_of(root, edges, dummies), [kind]
         extra = [tuple(rng.sample(vs, 2)) for _ in range(rng.randrange(len(vs)))] if len(vs) > 1 else []
         outside = [(rng.choice(vs), next(ids)) for _ in range(rng.randrange(3))]
-        loc = Local("shape", Realization(fragment=_fragment(edges + extra + outside)))
+        loc = _local(edges + extra + outside, "shape")
         return loc.span(root, set(vs), dummies), [kind]
     if kind == "fuse":
         parts = [_random_tree(rng, ids, root, rng.randint(1, budget - 1), depth + 1)
@@ -586,6 +587,22 @@ class TestCarriedSeparationIndex:
         with primitive_visits() as visits:
             partition_with_trace(g)
         assert sum(visits.values()) <= 200 * g.n, visits
+
+
+class TestCascadeCost:
+    @pytest.mark.parametrize("g", [cycle_graph(400), relabelled(sparse_block(128, 3), 3)],
+                             ids=["cycle400", "sparse128"])
+    def test_each_realization_reads_its_label_once_and_each_lift_builds_one_fragment(self, g):
+        """Starting and checking a split realization reads its label once:
+        start finds the witness pair and check is given it.  A realization
+        carries its span of the edge log as two integers, so the only
+        fragments built are those of the lifts' closing states, one each."""
+        with cascade_counts() as counts:
+            partition, _ = partition_with_trace(g)
+        assert verify_partition(g, partition.member_sets()).ok
+        assert counts["split realizations"] > 100 and counts["Locals"] > 100, counts
+        assert counts["label reads"] <= counts["split realizations"], counts
+        assert counts["Fragments"] <= counts["Locals"], counts
 
 
 def _random_rewrites(seeds):
@@ -1069,7 +1086,8 @@ class TestOneRealizationPath:
             assert real == Realization(p_tree=single(tail), q_tree=single(head))
             assert not sink and not real.parts and not real.edges and not fragment_edges(real)
             if tail == leaf.u:
-                assert leaf.check(real, op, [], 0) == set()
+                admitted, _ = leaf.start(op)
+                assert admitted == (S0, S0) and leaf.check(real, admitted, [], 0) == set()
 
     def test_no_leaf_deletion_enters_drive(self, monkeypatch):
         """On dense_block(16), 45 leaves are dropped or stripped and none
@@ -1102,8 +1120,9 @@ class TestOneRealizationPath:
         real_start = StubGadget.start
 
         def start(stub, op):
-            children.append(real_start(stub, op))
-            return children[-1]
+            admitted, real = real_start(stub, op)
+            children.append(real)
+            return admitted, real
 
         monkeypatch.setattr(StubGadget, "start", start)
         own = 0
@@ -1127,12 +1146,12 @@ class TestOneRealizationPath:
         carried = Counter()
         real_check = Gadget.check
 
-        def check(gadget, real, op, children, below):
+        def check(gadget, real, admitted, children, below):
             for tree in (real.p_tree, real.q_tree):
                 if tree is not None:
                     assert {norm_edge(a, b) for a, b in tree.edges} <= fragment_edges(real), gadget.provenance
             carried.update(real.parts)
-            return real_check(gadget, real, op, children, below)
+            return real_check(gadget, real, admitted, children, below)
 
         monkeypatch.setattr(Gadget, "check", check)
         partition, _ = partition_with_trace(g)

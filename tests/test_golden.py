@@ -7,11 +7,15 @@ alters engine output on purpose regenerates them and says so.
 import ast
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from functools import cache
 from pathlib import Path
 
+import quadparts
 from quadparts.engine import local, parallel, partition_with_trace, reducible, series
+from quadparts.graphio import emit_edge_list
 from quadparts.graphs import SimpleGraph
 
 from .sweeps import stub_realization_lines
@@ -62,6 +66,30 @@ def test_regular_partitions_and_traces_match_fixture():
     """networkx regular and G(n, p) blocks that reach the degree >= 4
     eliminations and the heavy degree-3 steps."""
     assert _check_fixture("golden_regular.jsonl") == 7
+
+
+def test_partitions_and_traces_do_not_depend_on_the_hash_seed(tmp_path):
+    """`quadparts partition --json --trace` prints the same bytes for the
+    deep and regular fixture graphs in two child processes whose string
+    hashes are seeded differently, and whose objects, and so whatever
+    hashes by identity, lie at different addresses.  No output may depend
+    on the order of a hashed collection."""
+    paths = []
+    for name in ("golden_deep.jsonl", "golden_regular.jsonl"):
+        for line in (DATA / name).read_text(encoding="utf-8").splitlines():
+            rec = json.loads(line)
+            paths.append(tmp_path / f"{rec['name']}.txt")
+            paths[-1].write_text(emit_edge_list(SimpleGraph.from_edges(rec["n"], rec["edges"])), encoding="utf-8")
+    probe = ("import sys; from quadparts.cli import run; "
+             "sys.exit(max(run(['partition', path, '--json', '--trace']) for path in sys.argv[1:]))")
+    runs = []
+    for seed in ("0", "1234"):
+        env = dict(os.environ, PYTHONPATH=str(Path(quadparts.__file__).parents[1]), PYTHONHASHSEED=seed)
+        runs.append(subprocess.run([sys.executable, "-c", probe, *map(str, paths)], env=env, capture_output=True,
+                                   timeout=60))
+        assert runs[-1].returncode == 0, runs[-1].stderr
+    assert runs[0].stdout.count(b'"ok": true') == len(paths) == 10
+    assert (runs[0].stdout, runs[0].stderr) == (runs[1].stdout, runs[1].stderr)
 
 
 def test_fixtures_reach_every_step_kind():

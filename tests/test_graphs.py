@@ -16,6 +16,7 @@ from quadparts.graphs import (
     is_biconnected,
     leaf_side,
 )
+from quadparts.engine.model import Fragment
 from quadparts.oracle import is_nearly_connected
 
 from .support import (complete_graph, connected_components, cycle_graph, dense_block, diameter, leaf_side_holds,
@@ -521,7 +522,8 @@ class TestTraversalAgainstNetworkx:
                 g = random_graph(n, p, 10 * n + int(10 * p))
                 simple = nx.Graph(list(g.edges))
                 simple.add_nodes_from(range(n))
-                adj, fragment = g.adj(), logged(sorted(g.edges))[0]
+                (child,) = logged(sorted(g.edges))
+                adj, fragment = g.adj(), Fragment(child.log, child.start, child.end)
                 for size in range(1, 6):
                     for part in map(frozenset, combinations(range(n), size)):
                         induced = simple.subgraph(part)
@@ -581,6 +583,22 @@ class TestGraphPower:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             graph_power(cycle_graph(4), 0)
+
+    def test_agrees_with_networkx(self):
+        """networkx's `power` on a seeded corpus of G(n, p) graphs, trees,
+        cycles and grids, connected or not, for k = 1 to 5."""
+        nx = pytest.importorskip("networkx")
+        corpus = [random_graph(rng.randrange(1, 18), rng.uniform(0.05, 0.5), seed)
+                  for seed, rng in ((seed, random.Random(seed)) for seed in range(40))]
+        corpus += [from_networkx(nx, nx.random_labeled_tree(n, seed=n), n) for n in (2, 9, 25)]
+        corpus += [cycle_graph(n) for n in (3, 7, 30)]
+        corpus += [from_networkx(nx, nx.grid_2d_graph(4, 6), 1), path_graph(12)]
+        for g in corpus:
+            reference = nx.Graph(list(g.edges))
+            reference.add_nodes_from(range(g.n))
+            for k in range(1, 6):
+                expected = {(min(a, b), max(a, b)) for a, b in nx.power(reference, k).edges}
+                assert graph_power(g, k).edges == expected, (g.n, sorted(g.edges), k)
 
 
 class TestMultigraph:
