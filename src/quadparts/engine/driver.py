@@ -346,7 +346,7 @@ def solve_base(lg: LabeledMultigraph) -> tuple[frozenset[int], ...]:
         lg.emitted.append(frozenset({edge.u, *real.subdiv, edge.v}))
     elif edge.label.name in ("L20", "L21"):
         real = drive(ask(view, Split(S3, S3P)), lg.emitted)
-        lg.emitted += (real.p_tree.actives, real.q_tree.actives)
+        lg.emitted += (real.at(edge.u).actives, real.at(edge.v).actives)
     else:
         raise EngineBug(f"final edge carries unexpected label {edge.label}")
     return tuple(lg.emitted)

@@ -19,9 +19,10 @@ the other and close each side with it, naming only the extra vertices the
 side takes and whether the eliminated vertex belongs to it.
 
 The lifts' pair vocabulary lives here too: :data:`PLAIN` and :data:`PLUS`
-name tree sets by size, :func:`pair_shape` classifies a pair and
-:func:`mirrored` serves one by running a module-level lift on the reversed
-configuration.
+name tree sets by size, and :func:`pair_shape` classifies a pair.  A lift
+serves a pair from the other side by calling a lift on the swapped pair
+and the reversed configuration; trees are read by root
+(:meth:`~quadparts.engine.model.Realization.at`), so nothing flips back.
 
 A :class:`~quadparts.engine.model.Fragment` is a span of drive's edge log,
 not a union of edge sets: its neighbour rows are read from the log's
@@ -36,11 +37,11 @@ from __future__ import annotations
 
 from itertools import combinations
 from operator import attrgetter
-from typing import Callable, Collection, Iterable
+from typing import Collection, Iterable
 
 from ..graphs import bfs_parents
 from ..labels import Pair, TreeSet
-from .model import BoundTree, EngineBug, Fragment, Lift, Realization, from_parents
+from .model import BoundTree, EngineBug, Fragment, Realization, from_parents
 
 _SPAN = attrgetter("start", "end")
 
@@ -65,13 +66,6 @@ def pair_shape(pair: Pair) -> tuple[str, int, int]:
     if ka == "plus" and kb == "plain":
         return "plus_left", x, y
     raise EngineBug(f"pair {pair} is not a plain/plus combination")
-
-
-def mirrored(lift: Callable[..., Lift], pair: Pair, *config) -> Lift:
-    """Realize `pair` through `lift` on the reversed configuration `config`
-    (its views read from the other end, and its tag): the lift receives the
-    swapped pair and its realization is flipped back."""
-    return (yield from lift((pair[1], pair[0]), *config)).flipped()
 
 
 def group(fragment: Fragment, pool: Iterable[int]) -> tuple[frozenset[int], ...] | None:
@@ -168,8 +162,8 @@ class Local:
         """
         if r.subdiv is not None:
             return self.span(head, {head, v, *extra, *r.subdiv}, {v} if dummy_v else set())
-        self.finalize((r.p_tree.actives - {v} if dummy_v else r.p_tree.actives | {v}) | set(extra))
-        return r.q_tree
+        self.finalize((r.at(v).actives - {v} if dummy_v else r.at(v).actives | {v}) | set(extra))
+        return r.at(head)
 
     def span(self, root: int, vertices: set[int] | frozenset[int],
              dummies: frozenset[int] | set[int] = frozenset()) -> BoundTree:
@@ -186,9 +180,8 @@ class Local:
             raise EngineBug(f"cannot span {sorted(vertices)} from {root} with the available edges", self.tag)
         return from_parents(root, parent, frozenset(dummies))
 
-    def done(self, p_tree: BoundTree | None = None, q_tree: BoundTree | None = None,
-             subdiv: tuple[int, ...] | None = None) -> Realization:
-        """The lift's realization: the given trees or subdivision path and
-        the parts this lift finalized; it materializes no edge of its own,
-        and drive gives it its span."""
-        return Realization(parts=tuple(self.parts), p_tree=p_tree, q_tree=q_tree, subdiv=subdiv)
+    def done(self, *trees: BoundTree, subdiv: tuple[int, ...] | None = None) -> Realization:
+        """The lift's realization: the given two trees, in either order, or
+        subdivision path and the parts this lift finalized; it materializes
+        no edge of its own, and drive gives it its span."""
+        return Realization(parts=tuple(self.parts), trees=trees or None, subdiv=subdiv)

@@ -11,9 +11,11 @@ does not call its children: it yields each child request and :func:`drive`
 realizes the whole cascade on one explicit stack, so deep cascades need no
 deep Python stack.  The :class:`LabeledMultigraph` is a
 :class:`~quadparts.graphs.Multigraph` whose edge ids map to these gadgets;
-an :class:`EdgeView` reads one of them from either end.  A gadget is the one
-declaration of its reduction step: the graph installs it by removing exactly
-what it replaces, and its lift and its ledger read the same declaration.
+an :class:`EdgeView` reads one of them from either end, and a realization,
+whose trees are read by root (:meth:`Realization.at`), reads the same from
+both.  A gadget is the one declaration of its reduction step: the graph
+installs it by removing exactly what it replaces, and its lift and its
+ledger read the same declaration.
 Gadgets, views and bound trees are slotted records that hold no closure, so
 a long cascade leaves the cyclic garbage collector little to walk.
 
@@ -312,36 +314,39 @@ class Fragment(dict):
 class Realization:
     """Concrete outcome of one operation on one labeled edge.
 
-    For splits, `p_tree`/`q_tree` are bound at the tail/head.  For
-    subdivisions, `subdiv` lists the new internal vertices from tail to head.
-    `edges` holds only the real edges this realization's own lift
-    materialized (a subdivided leaf's edge), and `parts` only the nearly
-    connected 4-sets it finalized: :func:`drive` appends them to its log
-    and its sink, and no realization copies another's.  `log`, `start` and
-    `end`, set by :func:`drive` alone when it finishes the realization, are
-    the span [start, end) of the log its frame wrote: every real edge
-    materialized at or below it, tree edges included, since a leaf's split
-    trees have none and a lift spans its trees in its children's spans,
-    grafts only by a subdivided leaf's edge and fuses or passes on its
-    children's trees.  The span is two integers; only a lift's
+    For splits, `trees` holds the two bound trees, one rooted at each end,
+    in no promised order; other modules read one by its root with
+    :meth:`at`.  For subdivisions, `subdiv` holds the k subdivision vertices
+    in no promised order.  `edges` holds only the real edges this
+    realization's own lift materialized (a subdivided leaf's edge), and
+    `parts` only the nearly connected 4-sets it finalized: :func:`drive`
+    appends them to its log and its sink, and no realization copies
+    another's.  `log`, `start` and `end`, set by :func:`drive` alone when it
+    finishes the realization, are the span [start, end) of the log its frame
+    wrote: every real edge materialized at or below it, tree edges included,
+    since a leaf's split trees have none and a lift spans its trees in its
+    children's spans, grafts only by a subdivided leaf's edge and fuses or
+    passes on its children's trees.  The span is two integers; only a lift's
     :class:`~quadparts.engine.local.Local` reads it, as a :class:`Fragment`.
-    A lift receives a realization, checked and read from the tail of the
-    view it yielded, as the value of that ``yield``, and only reads it; it
-    is not frozen only for speed.
+    A lift receives the very realization its child's gadget checked as the
+    value of the ``yield`` that requested it, and only reads it; it is not
+    frozen only for speed.
     """
 
     parts: tuple[frozenset[int], ...] = ()
-    p_tree: BoundTree | None = None
-    q_tree: BoundTree | None = None
+    trees: tuple[BoundTree, BoundTree] | None = None
     subdiv: tuple[int, ...] | None = None
     edges: tuple[tuple[int, int], ...] = ()
     log: EdgeLog | None = field(default=None, compare=False)
     start: int = field(default=0, compare=False)
     end: int = field(default=0, compare=False)
 
-    def flipped(self) -> "Realization":
-        return Realization(self.parts, self.q_tree, self.p_tree, None if self.subdiv is None else self.subdiv[::-1],
-                           self.edges, self.log, self.start, self.end)
+    def at(self, x: int) -> BoundTree:
+        """The tree rooted at `x`; traps when neither tree is."""
+        for t in self.trees or ():
+            if t.root == x:
+                return t
+        raise EngineBug(f"no tree of the realization is rooted at {x}")
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +357,7 @@ _GADGET = itemgetter(0)  # of a (gadget, realization, exposed) child record
 _EDGE = attrgetter("edge")  # of a view
 
 # A running lift: it yields ``(view, op)`` for each child operation it needs,
-# in order, receives each child's realization read from the view's tail, and
-# returns its own result.
+# in order, receives each child's realization, and returns its own result.
 Lift = Generator[tuple["EdgeView", Operation], Realization, Realization]
 _R = TypeVar("_R")
 
@@ -510,11 +514,12 @@ class Gadget:
 
     def _check_split(self, real: Realization, witness: Pair,
                      children: list[tuple["Gadget", Realization, frozenset[int]]], handed: set[int]) -> frozenset[int]:
-        p, q = real.p_tree, real.q_tree
-        if p is None or q is None or real.subdiv is not None:
+        if real.trees is None or len(real.trees) != 2 or real.subdiv is not None:
             raise EngineBug("split realization must carry two trees and no subdivision", self.provenance)
+        a, b = real.trees
+        p, q = (a, b) if a.root == self.u else (b, a)
         if p.root != self.u or q.root != self.v:
-            raise EngineBug(f"trees rooted at {p.root},{q.root}, expected {self.u},{self.v}", self.provenance)
+            raise EngineBug(f"trees rooted at {a.root},{b.root}, expected {self.u},{self.v}", self.provenance)
         if not p.fits(witness[0]) or not q.fits(witness[1]):
             raise EngineBug(
                 f"realized trees (orders {p.order},{q.order}) do not fit witness "
@@ -530,15 +535,14 @@ class Gadget:
         if out:
             # a dummy may re-use a vertex of a child's trees other than its ends
             for child, r, _ in children:
-                for t in (r.p_tree, r.q_tree):
-                    if t is not None:
-                        out -= t.vertices - {child.u, child.v}
+                for t in r.trees or ():
+                    out -= t.vertices - {child.u, child.v}
             if out:
                 raise EngineBug(f"tree vertices {sorted(out)} outside scope", self.provenance)
         return (p.actives | q.actives).difference(ends)
 
     def _check_subdiv(self, real: Realization, k: int) -> frozenset[int]:
-        if real.subdiv is None or real.p_tree is not None or real.q_tree is not None:
+        if real.subdiv is None or real.trees is not None:
             raise EngineBug("subdivision realization must carry a path and no trees", self.provenance)
         if len(real.subdiv) != k:
             raise EngineBug(f"subdivision produced {len(real.subdiv)} vertices, expected {k}", self.provenance)
@@ -547,7 +551,7 @@ class Gadget:
 
 def _leaf_split(g: Gadget, witness: Pair) -> Realization:
     # the only pair is (S0, S0): delete the edge
-    return Realization(p_tree=single(g.u), q_tree=single(g.v))
+    return Realization(trees=(single(g.u), single(g.v)))
 
 
 def _leaf_subdiv(g: Gadget, k: int) -> Realization:
@@ -571,35 +575,33 @@ def drive(lift: Generator[tuple["EdgeView", Operation], Realization, _R], sink: 
     operation it yields, and theirs in turn, on one explicit stack, and
     append the parts each realization finalized to `sink` and the real
     edges it materialized to one :class:`EdgeLog`.  This is the one place
-    where a gadget operation starts, where its result is checked, placed
-    and mirrored and where its parts and edges are recorded: the reduction
-    driver's own requests come here too, each as the one-request lift
-    :func:`ask`.
+    where a gadget operation starts, where its result is checked and placed
+    and where its parts and edges are recorded: the reduction driver's own
+    requests come here too, each as the one-request lift :func:`ask`.
 
     Each frame holds a running lift, its gadget, what the gadget's
     :meth:`Gadget.start` admitted (the witness pair of a split, or the
-    subdivision), whether its parent reads it mirrored, the lengths of
-    `sink` and of the log when it started and each child it received, with
-    that child's realization and exposed vertices.  A yielded
-    ``(view, op)`` is mapped to the stored orientation, as a split with its
-    two sets swapped when the view is flipped, and goes to
-    :meth:`Gadget.start`: a running lift is pushed, and a realization that
-    comes back at once (a leaf's) is finished on the spot.  A finished
+    subdivision), the lengths of `sink` and of the log when it started and
+    each child it received, with that child's realization and exposed
+    vertices.  A yielded ``(view, op)`` is mapped to the stored
+    orientation, as a split with its two sets swapped when the view's tail
+    is the gadget's v, and goes to :meth:`Gadget.start`: a running lift is
+    pushed, and a realization that comes back at once (a leaf's) is finished on the spot.  A finished
     realization, at once or when its pushed lift returns, appends its own
     parts to `sink` and its own edges to the log, and drive sets its span,
     the fields no lift sets: the log and the two positions it ran between
     since its frame started (the cascade runs depth first, so these are the
     edges materialized at or below it).  No fragment is built here.  Its
     gadget checks it against what start admitted, the children its frame
-    received and the count of parts appended since the frame started; it is
-    then mirrored if need be and sent to the frame below, which records it
-    with the vertices it exposes.  Children are realized in the order they
+    received and the count of parts appended since the frame started; the
+    frame below records it with the vertices it exposes, and its lift
+    receives that same object.  Children are realized in the order they
     are yielded, and an exception leaves the loop unchanged, since no lift
     catches one.
     """
     log = EdgeLog()
     logged = log.edges
-    stack: list[tuple] = [(lift, None, None, False, 0, 0, [])]
+    stack: list[tuple] = [(lift, None, None, 0, 0, [])]
     sent = None
     while True:
         top = stack[-1]
@@ -609,16 +611,16 @@ def drive(lift: Generator[tuple["EdgeView", Operation], Realization, _R], sink: 
             stack.pop()
             if not stack:
                 return stop.value
-            _, gadget, admitted, flip, parts_start, edges_start, children = top
+            _, gadget, admitted, parts_start, edges_start, children = top
             out = stop.value
         else:
-            gadget, flip = view.edge, view.flipped_store
-            if flip and isinstance(op, Split):
+            gadget = view.edge
+            if view.tail != gadget.u and isinstance(op, Split):
                 op = Split(op.q, op.p)
             parts_start, edges_start, children = len(sink), len(logged), []
             admitted, out = gadget.start(op)
             if not isinstance(out, Realization):
-                stack.append((out, gadget, admitted, flip, parts_start, edges_start, children))
+                stack.append((out, gadget, admitted, parts_start, edges_start, children))
                 sent = None
                 continue
         sink.extend(out.parts)
@@ -627,7 +629,7 @@ def drive(lift: Generator[tuple["EdgeView", Operation], Realization, _R], sink: 
         out.log, out.start, out.end = log, edges_start, len(logged)
         exposed = gadget.check(out, admitted, children, len(sink) - parts_start)
         stack[-1][-1].append((gadget, out, exposed))  # the requesting frame's children
-        sent = out.flipped() if flip else out
+        sent = out
 
 
 def ask(view: "EdgeView", op: Operation) -> Lift:
@@ -644,16 +646,16 @@ class EdgeView:
     """The labeled edge `eid`, whose gadget is `edge`, read from `tail`.
 
     Reading against the gadget's stored orientation (u -> v) swaps the label
-    by the involution and mirrors realizations, so case code can be written
-    for one orientation.  Whether the read is flipped, and the label it sees,
-    are worked out once when the view is made.  Like a tree, a view is not
-    frozen only for speed.
+    by the involution, and :func:`drive` swaps the two sets of a split
+    requested through the view; the realization that comes back is read by
+    root, so it needs no mirroring and case code can be written for one
+    orientation.  The label a view sees is worked out once when the view is
+    made.  Like a tree, a view is not frozen only for speed.
     """
 
     edge: Gadget
     tail: int
     eid: int
-    flipped_store: bool = field(repr=False, compare=False)
     label: Label = field(repr=False, compare=False)
 
     def __init__(self, edge: Gadget, tail: int, eid: int):
@@ -662,12 +664,11 @@ class EdgeView:
         self.edge = edge
         self.tail = tail
         self.eid = eid
-        self.flipped_store = flipped = tail != edge.u
-        self.label = involution(edge.label) if flipped else edge.label
+        self.label = involution(edge.label) if tail != edge.u else edge.label
 
     @property
     def head(self) -> int:
-        return self.edge.v if not self.flipped_store else self.edge.u
+        return self.edge.u if self.tail != self.edge.u else self.edge.v
 
     def reversed(self) -> "EdgeView":
         return EdgeView(self.edge, self.head, self.eid)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Generator
 
 from ..labels import CATALOG, S0, S1, S1P, S2, S2M, S2P, S3, S3M, S3P, S5M, Pair
-from .local import PLAIN, PLUS, Local, mirrored, pair_shape
+from .local import PLAIN, PLUS, Local, pair_shape
 from .model import LIFTS, EdgeView, EngineBug, Gadget, Lift, Operation, Realization, Split, Subdivide, single
 
 
@@ -39,18 +39,19 @@ def eliminate_with_fixed_splits(
     for e, op in ops:
         reals.append((yield e, Split(*op)))
     loc = Local(tag, *reals)
-    pool = set().union(*(r.p_tree.actives for r in reals)) - {v}
+    pool = set().union(*(r.at(v).actives for r in reals)) - {v}
     loc.finalize(pool | {v} if include_v else pool)
     return loc, reals
 
 
-def _close(tag: str, v: int, r1: Realization, r2: Realization, others, pool) -> Realization:
-    """Close at v: the tail trees of the split children r1 and r2 finalize
-    with v and `pool`, their head trees serve the replacement edge, and
-    `others` are the lift's remaining children."""
+def _close(tag: str, e1: EdgeView, e2: EdgeView, r1: Realization, r2: Realization, others, pool) -> Realization:
+    """Close at v = e1.tail = e2.tail: the tail trees of the split children
+    r1 and r2 finalize with v and `pool`, their head trees serve the
+    replacement edge, and `others` are the lift's remaining children."""
+    v = e1.tail
     loc = Local(tag, r1, r2, *others)
-    loc.finalize(r1.p_tree.actives | r2.p_tree.actives | {v, *pool})
-    return loc.done(r1.q_tree, r2.q_tree)
+    loc.finalize(r1.at(v).actives | r2.at(v).actives | {v, *pool})
+    return loc.done(r1.at(e1.head), r2.at(e2.head))
 
 
 # ---------------------------------------------------------------------------
@@ -76,21 +77,21 @@ def _absorb_split(g: Gadget, pair: Pair) -> Lift:
     e1, e2 = g.children
     v, tag = g.u, g.tag
     r1 = yield e1, Split(S3M, S0)
-    m = r1.p_tree.actives - {v}
+    m = r1.at(v).actives - {v}
     if pair == (S0, S2):
         r2 = yield e2, Split(S5M, S2) if e2.label.name == "L32" else Split(S1, S2)
         loc = Local(tag, r1, r2)
-        loc.finalize(m | (r2.p_tree.actives - {v}))
-        return loc.done(single(v), r2.q_tree)
+        loc.finalize(m | (r2.at(v).actives - {v}))
+        return loc.done(single(v), r2.at(e2.head))
     if pair in ((S1, S1), (S2, S0)):
         size = 1 if pair == (S1, S1) else 2
         r2 = yield e2, Split(S2, S1) if size == 1 else Split(S3, S0)
         loc = Local(tag, r1, r2)
-        kept = loc.keep(v, size, m | (r2.p_tree.actives - {v}))
-        return loc.done(loc.span(v, kept | {v}), r2.q_tree)
+        kept = loc.keep(v, size, m | (r2.at(v).actives - {v}))
+        return loc.done(loc.span(v, kept | {v}), r2.at(e2.head))
     if pair in ((S3, S3P), (S3P, S3)):
         r2 = yield e2, Split(S0, S3)
-        return Local(tag, r1, r2).done(r1.p_tree, r2.q_tree)
+        return Local(tag, r1, r2).done(r1.at(v), r2.at(e2.head))
     raise EngineBug(f"pair {pair} is not part of the absorbed-edge table", tag)
 
 
@@ -110,45 +111,46 @@ def _deg3_pair_split(g: Gadget, pair: Pair) -> Lift:
     i, tag = e1.label.weight, g.tag
     v, v3 = g.eliminated, g.v
     r2 = yield e2, Split(S2M, S0)
-    cs = sorted(r2.p_tree.actives - {v})
+    cs = sorted(r2.at(v).actives - {v})
     kind, x, y = pair_shape(pair)
     if kind == "plain" and x + y == i:
         if y <= 1:
             r3 = yield e3, Split(PLAIN[1 - y], PLAIN[y])
             want = PLUS[i - x] if i - x >= 1 else S0
             r1 = yield e1, Split(want, PLAIN[x])
-            return _close(tag, v, r1, r3, [r2], cs)
+            return _close(tag, e1, e3, r1, r3, [r2], cs)
         if y == 2:
             r1 = yield e1, Split(S2M, PLAIN[x])
             r3 = yield e3, Subdivide(1) if e3.label.subdividable else Split(S3P, S2)
             loc = Local(tag, r1, r2, r3)
-            loc.finalize((r1.p_tree.actives - {v}) | set(cs))
-            return loc.done(r1.q_tree, loc.far_tree(r3, v, v3))
+            loc.finalize((r1.at(v).actives - {v}) | set(cs))
+            return loc.done(r1.at(e1.head), loc.far_tree(r3, v, v3))
         if y == 3:
             # only the weight-3 tail reaches here
             r1 = yield e1, Split(S3M, S0)
             r3 = yield e3, Subdivide(1) if e3.label.subdividable else Split(S2P, S3)
             loc = Local(tag, r1, r2, r3)
-            loc.finalize((r1.p_tree.actives - {v}) | {cs[0]})
-            return loc.done(r1.q_tree, loc.far_tree(r3, v, v3, cs[1]))
+            loc.finalize((r1.at(v).actives - {v}) | {cs[0]})
+            return loc.done(r1.at(e1.head), loc.far_tree(r3, v, v3, cs[1]))
         raise EngineBug(f"plain pair {pair} out of range for tail weight {i}", tag)
     if kind in ("plus_right", "plus_left") and {x, y} == {3} and i == 2:
         # large-pair request on the weight-2 replacement edge
         r1 = yield e1, Split(S3, S3P)
         r3 = yield e3, Subdivide(1) if e3.label.subdividable else Split(S2P, S3)
         if not e3.label.subdividable:
-            return _close(tag, v, r1, r3, [r2], cs)
+            return _close(tag, e1, e3, r1, r3, [r2], cs)
         loc = Local(tag, r1, r2, r3)
         for cq in cs:
-            if loc.group((r1.p_tree.actives - {v}) | (set(cs) - {cq})):
-                return loc.done(r1.q_tree, loc.span(v3, {v3, v, cq, *r3.subdiv}))
+            if loc.group((r1.at(v).actives - {v}) | (set(cs) - {cq})):
+                return loc.done(r1.at(e1.head), loc.span(v3, {v3, v, cq, *r3.subdiv}))
         raise EngineBug("no single-vertex graft keeps the pool partitionable", tag)
     raise EngineBug(f"pair {pair} is not liftable in the paired-tail configuration", tag)
 
 
 # ---------------------------------------------------------------------------
 # General degree-3 elimination (combined weight 4 through 6).  Each step
-# below reads v -> v1 and v -> v2 off e1 and e2, which a mirror swaps.
+# below reads v -> v1 and v -> v2 off e1 and e2, and a pair served from the
+# other side runs with the two swapped.
 
 
 def build_deg3_general(e1: EdgeView, e2: EdgeView, e3: EdgeView, tag: str) -> Gadget:
@@ -169,9 +171,9 @@ def _deg3_general(pair: Pair, e1: EdgeView, e2: EdgeView, e3: EdgeView, tag: str
     kind, x, y = pair_shape(pair)
     if kind == "plus_left" and (x, y) == (3, 3) and i != 3:
         # read from e2's side before any request, so e3 is realized once
-        return (yield from mirrored(_deg3_general, pair, e2, e1, e3, tag + "~"))
+        return (yield from _deg3_general((pair[1], pair[0]), e2, e1, e3, tag + "~"))
     r3 = yield e3, Split(PLAIN[k], S0)
-    a3 = sorted(r3.p_tree.actives - {v})
+    a3 = sorted(r3.at(v).actives - {v})
     if kind == "plain":
         if x + y != i + j + k - 3:
             raise EngineBug(f"plain pair {pair} inconsistent with weight {i + j + k - 3}", tag)
@@ -188,7 +190,7 @@ def _deg3_general(pair: Pair, e1: EdgeView, e2: EdgeView, e3: EdgeView, tag: str
                 raise EngineBug(
                     f"neither heavy edge admits the plain route for {pair}; the "
                     "paired-tail configuration should have matched first", tag)
-            return _close(tag, v, r1, r2, [r3], a3)
+            return _close(tag, e1, e2, r1, r2, [r3], a3)
         if y > j:
             return (yield from _plain_overweight_head(y, e1, e2, tag, r3, a3))
         return (yield from _plain_overweight_tail(e1, e2, tag, r3, a3))
@@ -197,7 +199,7 @@ def _deg3_general(pair: Pair, e1: EdgeView, e2: EdgeView, e3: EdgeView, tag: str
         raise EngineBug(f"plus pair {pair} needs a unit third edge and full weight", tag)
     if (x, y) == (2, 3):
         # every tree it builds is plain, so it fits
-        return (yield from _plus_23(e2, tag, (yield e1, Split(S0, S2)), r3, a3))
+        return (yield from _plus_23(e1, e2, tag, (yield e1, Split(S0, S2)), r3, a3))
     if (x, y) == (3, 2):
         return (yield from (_plus_32_left if kind == "plus_left" else _plus_32)(e1, e2, tag, r3, a3))
     if (x, y) == (3, 3):
@@ -212,8 +214,8 @@ def _plain_overweight_head(y: int, e1: EdgeView, e2: EdgeView, tag: str, r3, a3)
     r1 = yield e1, Split(PLAIN[e1.label.weight], S0)
     r2 = yield e2, Subdivide(e2.label.weight) if e2.label.subdividable else Split(S3P, PLAIN[y])
     loc = Local(tag, r1, r2, r3)
-    loc.finalize((r1.p_tree.actives - {v}) | set(a3))
-    return loc.done(r1.q_tree, loc.far_tree(r2, v, e2.head))
+    loc.finalize((r1.at(v).actives - {v}) | set(a3))
+    return loc.done(r1.at(e1.head), loc.far_tree(r2, v, e2.head))
 
 
 def _plain_overweight_tail(e1: EdgeView, e2: EdgeView, tag: str, r3, a3) -> Lift:
@@ -223,15 +225,15 @@ def _plain_overweight_tail(e1: EdgeView, e2: EdgeView, tag: str, r3, a3) -> Lift
     r2 = yield e2, Split(S2, S0)
     r1 = yield e1, Subdivide(2) if e1.label.subdividable else Split(S3P, S3)
     loc = Local(tag, r1, r2, r3)
-    loc.finalize((r2.p_tree.actives - {v}) | set(a3))
-    return loc.done(loc.far_tree(r1, v, e1.head), r2.q_tree)
+    loc.finalize((r2.at(v).actives - {v}) | set(a3))
+    return loc.done(loc.far_tree(r1, v, e1.head), r2.at(e2.head))
 
 
-def _plus_23(e2: EdgeView, tag: str, r1, r3, a3) -> Lift:
+def _plus_23(e1: EdgeView, e2: EdgeView, tag: str, r1, r3, a3) -> Lift:
     # e1 already split with an empty tail tree: e2 serves the head side
     r2 = yield e2, Subdivide(1) if e2.label.subdividable else Split(S2P, S3)
     loc = Local(tag, r1, r2, r3)
-    return loc.done(r1.q_tree, loc.far_tree(r2, e2.tail, e2.head, a3[0]))
+    return loc.done(r1.at(e1.head), loc.far_tree(r2, e2.tail, e2.head, a3[0]))
 
 
 def _plus_32(e1: EdgeView, e2: EdgeView, tag: str, r3, a3) -> Lift:
@@ -249,7 +251,7 @@ def _plus_32_left(e1: EdgeView, e2: EdgeView, tag: str, r3, a3) -> Lift:
     r1 = None if e1.admits(S3, S3P) is None else (yield e1, Split(S3, S3P))
     r2 = None if e2.label.subdividable else (yield e2, Split(S3P, S2))
     if r1 and r2:
-        return _close(tag, v, r1, r2, [r3], a3)
+        return _close(tag, e1, e2, r1, r2, [r3], a3)
     r1 = r1 or (yield e1, Subdivide(2))
     r2 = r2 or (yield e2, Subdivide(1))
     loc = Local(tag, r1, r2, r3)
@@ -258,13 +260,13 @@ def _plus_32_left(e1: EdgeView, e2: EdgeView, tag: str, r3, a3) -> Lift:
 
 def _plus_33(e1: EdgeView, e2: EdgeView, tag: str, r3, a3) -> Lift:
     if e1.label.weight == 3:
-        return (yield from _plus_23(e2, tag, (yield e1, Split(S0, S3)), r3, a3))
+        return (yield from _plus_23(e1, e2, tag, (yield e1, Split(S0, S3)), r3, a3))
     # i == j == 2
     v = e1.tail
     r1 = yield e1, Split(S3P, S3) if e1.admits(S3P, S3) is not None else Subdivide(2)
     r2 = yield e2, Split(S3, S3P) if e2.admits(S3, S3P) is not None else Subdivide(2)
     if r1.subdiv is None and r2.subdiv is None:
-        return _close(tag, v, r1, r2, [r3], a3)
+        return _close(tag, e1, e2, r1, r2, [r3], a3)
     loc = Local(tag, r1, r2, r3)
     return loc.done(loc.far_tree(r1, v, e1.head), loc.far_tree(r2, v, e2.head, a3[0], dummy_v=True))
 
@@ -283,28 +285,28 @@ def _sum9_a_split(g: Gadget, pair: Pair) -> Lift:
     e1, e2, e3 = g.children
     v, v3, tag = g.eliminated, g.v, g.tag
     r1 = yield e1, Split(S3, S0)
-    m = r1.p_tree.actives - {v}
+    m = r1.at(v).actives - {v}
     if pair == (S1, S0):
         r2 = yield e2, Split(S2, S1)
         r3 = yield e3, Split(S2, S0)
         loc = Local(tag, r1, r2, r3)
-        loc.finalize((r2.p_tree.actives | r3.p_tree.actives) - {v})
+        loc.finalize((r2.at(v).actives | r3.at(v).actives) - {v})
         loc.finalize(m | {v})
-        return loc.done(r2.q_tree, r3.q_tree)
+        return loc.done(r2.at(e2.head), r3.at(v3))
     if pair == (S0, S1):
         r2 = yield e2, Split(S3, S0)
         r3 = yield e3, Split(S1, S1)
-        return _close(tag, v, r2, r3, [r1], m)
+        return _close(tag, e2, e3, r2, r3, [r1], m)
     if pair in ((S2, S3P), (S2P, S3)):
         r2 = yield e2, Split(S1, S2)
         r3 = yield e3, Subdivide(2) if e3.label.subdividable else Split(S3P, S3)
         loc = Local(tag, r1, r2, r3)
-        loc.finalize(m | (r2.p_tree.actives - {v}))
-        return loc.done(r2.q_tree, loc.far_tree(r3, v, v3))
+        loc.finalize(m | (r2.at(v).actives - {v}))
+        return loc.done(r2.at(e2.head), loc.far_tree(r3, v, v3))
     if pair in ((S3, S2P), (S3P, S2)):
         r2 = yield e2, Split(S0, S3)
         r3 = yield e3, Split(S0, S2)
-        return _close(tag, v, r2, r3, [r1], m)
+        return _close(tag, e2, e3, r2, r3, [r1], m)
     raise EngineBug(f"pair {pair} not liftable at combined weight 9 (variant A)", tag)
 
 
@@ -319,21 +321,21 @@ def _sum9_b_split(g: Gadget, pair: Pair) -> Lift:
     e1, e2, e3 = g.children
     v, v3, tag = g.eliminated, g.v, g.tag
     r2 = yield e2, Split(S3M, S0)
-    m = r2.p_tree.actives - {v}
+    m = r2.at(v).actives - {v}
     if pair in ((S1, S0), (S0, S1)):
         r1 = yield e1, Split(S2P, S1) if pair == (S1, S0) else Split(S3, S0)
         r3 = yield e3, Split(S2, S0) if pair == (S1, S0) else Split(S1, S1)
-        return _close(tag, v, r1, r3, [r2], m)
+        return _close(tag, e1, e3, r1, r3, [r2], m)
     if pair in ((S2, S3P), (S2P, S3)):
         r1 = yield e1, Split(S1, S2M)
         r3 = yield e3, Subdivide(2) if e3.label.subdividable else Split(S3P, S3)
         loc = Local(tag, r1, r2, r3)
-        loc.finalize(m | (r1.p_tree.actives - {v}))
-        return loc.done(r1.q_tree, loc.far_tree(r3, v, v3))
+        loc.finalize(m | (r1.at(v).actives - {v}))
+        return loc.done(r1.at(e1.head), loc.far_tree(r3, v, v3))
     if pair in ((S3, S2P), (S3P, S2)):
         r1 = yield e1, Split(S0, S3M)
         r3 = yield e3, Split(S0, S2)
-        return _close(tag, v, r1, r3, [r2], m)
+        return _close(tag, e1, e3, r1, r3, [r2], m)
     raise EngineBug(f"pair {pair} not liftable at combined weight 9 (variant B)", tag)
 
 
@@ -347,34 +349,34 @@ def _sum9_c_split(g: Gadget, pair: Pair) -> Lift:
     e1, e2, e3 = g.children
     v, tag = g.eliminated, g.tag
     r3 = yield e3, Split(S2, S0)
-    cs = sorted(r3.p_tree.actives - {v})
+    cs = sorted(r3.at(v).actives - {v})
     if pair == (S1, S0):
         if e1.admits(S2, S1) is not None:
             r1 = yield e1, Split(S2, S1)
             r2 = yield e2, Split(S3, S0)
             loc = Local(tag, r1, r2, r3)
-            loc.finalize((r1.p_tree.actives - {v}) | set(cs))
-            loc.finalize(r2.p_tree.actives | {v})
-            return loc.done(r1.q_tree, r2.q_tree)
+            loc.finalize((r1.at(v).actives - {v}) | set(cs))
+            loc.finalize(r2.at(v).actives | {v})
+            return loc.done(r1.at(e1.head), r2.at(e2.head))
         # the first heavy edge reads as the reverse asymmetric label
         r1 = yield e1, Split(S2P, S1)
         r2 = yield e2, Split(S3, S0)
         loc = Local(tag, r1, r2, r3)
-        loc.finalize((r2.p_tree.actives - {v}) | {cs[0]})
-        loc.finalize(r1.p_tree.actives | {v, cs[1]})
-        return loc.done(r1.q_tree, r2.q_tree)
+        loc.finalize((r2.at(v).actives - {v}) | {cs[0]})
+        loc.finalize(r1.at(v).actives | {v, cs[1]})
+        return loc.done(r1.at(e1.head), r2.at(e2.head))
     if pair == (S0, S1):
         r1 = yield e1, Split(S3, S0)
         r2 = yield e2, Split(S2, S1)
         loc = Local(tag, r1, r2, r3)
-        loc.finalize((r2.p_tree.actives - {v}) | set(cs))
-        loc.finalize(r1.p_tree.actives | {v})
-        return loc.done(r1.q_tree, r2.q_tree)
+        loc.finalize((r2.at(v).actives - {v}) | set(cs))
+        loc.finalize(r1.at(v).actives | {v})
+        return loc.done(r1.at(e1.head), r2.at(e2.head))
     if pair in ((S2, S3P), (S2P, S3), (S3, S2P), (S3P, S2)):
         tail_plain = pair in ((S2, S3P), (S2P, S3))
         r1 = yield e1, Split(S1P, S2) if tail_plain else Split(S0, S3)
         r2 = yield e2, Split(S0, S3) if tail_plain else Split(S1P, S2)
-        return _close(tag, v, r1, r2, [r3], cs)
+        return _close(tag, e1, e2, r1, r2, [r3], cs)
     raise EngineBug(f"pair {pair} not liftable at combined weight 9 (variant C)", tag)
 
 
@@ -411,13 +413,14 @@ def _heavy_split(g: Gadget, pair: Pair) -> Lift:
     *fixed, e3, e4 = g.children
     ops = [(e, (S3, S0)) for e in fixed] + [(e3, row[0]), (e4, row[1])]
     loc, reals = yield from eliminate_with_fixed_splits(ops, e3.tail, g.eliminated is not None, g.tag)
-    return loc.done(reals[-2].q_tree, reals[-1].q_tree)
+    return loc.done(reals[-2].at(e3.head), reals[-1].at(e4.head))
 
 
 # ---------------------------------------------------------------------------
 # Degree 4 or 5 with no weight-3 edges: replacement edge over e1, e2 plus
 # unit pre-splits on the remaining edges.  Each step below reads v -> v1 and
-# v -> v2 off e1 and e2, which a mirror swaps.
+# v -> v2 off e1 and e2, and a pair served from the other side runs with the
+# two swapped.
 
 
 def build_deg4plus_light(e1: EdgeView, e2: EdgeView, singles: list[EdgeView], tag: str) -> Gadget:
@@ -435,10 +438,10 @@ def _light_split(g: Gadget, pair: Pair) -> Lift:
     e1, e2, *singles = g.children
     if g.label.name == "L20":
         if len(singles) == 3 and pair == (S3P, S3):
-            return mirrored(_light_w2, pair, e2, e1, singles, g.tag + "~")
+            return _light_w2((pair[1], pair[0]), e2, e1, singles, g.tag + "~")
         return _light_w2(pair, e1, e2, singles, g.tag)
     if pair in ((S1, S0), (S2P, S3), (S3P, S2)):
-        return mirrored(_light_w1, pair, e2, e1, singles, g.tag + "~")
+        return _light_w1((pair[1], pair[0]), e2, e1, singles, g.tag + "~")
     return _light_w1(pair, e1, e2, singles, g.tag)
 
 
@@ -446,7 +449,7 @@ def _fixed_singles(singles: list[EdgeView], v: int):
     rs = []
     for s in singles:
         rs.append((yield s, Split(S1, S0)))
-    avs = sorted(set().union(*(r.p_tree.actives for r in rs)) - {v})
+    avs = sorted(set().union(*(r.at(v).actives for r in rs)) - {v})
     return rs, avs
 
 
@@ -461,22 +464,22 @@ def _light_w2(pair: Pair, e1: EdgeView, e2: EdgeView, singles: list[EdgeView], t
         if not d5:
             r1 = yield e1, Split(S0, S2)
             r2 = yield e2, Split(S1, S0)
-            return _close(tag, v, r1, r2, rs, avs)
+            return _close(tag, e1, e2, r1, r2, rs, avs)
         r2 = yield e2, Split(S1, S0)
         r1 = yield e1, Subdivide(1) if e1.label.subdividable else Split(S3P, S2)
         loc = Local(tag, r1, r2, *rs)
-        loc.finalize((r2.p_tree.actives - {v}) | set(avs))
-        return loc.done(loc.far_tree(r1, v, v1), r2.q_tree)
+        loc.finalize((r2.at(v).actives - {v}) | set(avs))
+        return loc.done(loc.far_tree(r1, v, v1), r2.at(v2))
     if pair == (S0, S2):
         r1 = yield e1, Split(PLAIN[e1.label.weight], S0)
         r2 = yield e2, Subdivide(1) if e2.label.subdividable else Split(S3P, S2)
         loc = Local(tag, r1, r2, *rs)
-        loc.finalize((r1.p_tree.actives - {v}) | set(avs))
-        return loc.done(r1.q_tree, loc.far_tree(r2, v, v2))
+        loc.finalize((r1.at(v).actives - {v}) | set(avs))
+        return loc.done(r1.at(v1), loc.far_tree(r2, v, v2))
     if pair == (S1, S1):
         r1 = yield e1, Split(S0, S1) if d5 else Split(S1P, S1)
         r2 = yield e2, Split(S0, S1)
-        return _close(tag, v, r1, r2, rs, avs)
+        return _close(tag, e1, e2, r1, r2, rs, avs)
     if pair in ((S3, S3P), (S3P, S3)):
         return (yield from _w2_large(pair == (S3P, S3), e1, e2, tag, rs, avs, d5))
     raise EngineBug(f"pair {pair} not liftable in the light elimination", tag)
@@ -495,7 +498,7 @@ def _w2_large(head_plain: bool, e1: EdgeView, e2: EdgeView, tag: str, rs, avs, d
     r1 = None if e1.label.subdividable else (yield e1, split1)
     r2 = None if e2.label.subdividable else (yield e2, split2)
     if r1 and r2:
-        return _close(tag, v, r1, r2, rs, avs)
+        return _close(tag, e1, e2, r1, r2, rs, avs)
     r1 = r1 or (yield e1, Subdivide(1 if d5 else 2))
     r2 = r2 or (yield e2, Subdivide(1))
     loc = Local(tag, r1, r2, *rs)
@@ -515,7 +518,7 @@ def _light_w1(pair: Pair, e1: EdgeView, e2: EdgeView, singles: list[EdgeView], t
     if pair == (S0, S1):
         r1 = yield e1, Split(S1, S0)
         r2 = yield e2, Split(S0, S1)
-        return _close(tag, v, r1, r2, rs, avs)
+        return _close(tag, e1, e2, r1, r2, rs, avs)
     if pair not in ((S2, S3P), (S3, S2P)):
         raise EngineBug(f"pair {pair} not liftable in the unit-weight elimination", tag)
     # e1's side takes n of the freed vertices and e2's side the rest, with v
@@ -525,15 +528,15 @@ def _light_w1(pair: Pair, e1: EdgeView, e2: EdgeView, singles: list[EdgeView], t
     r1 = None if e1.label.subdividable else (yield e1, split1)
     r2 = None if e2.label.subdividable else (yield e2, split2)
     if r1 and r2:
-        return _close(tag, v, r1, r2, rs, avs)
+        return _close(tag, e1, e2, r1, r2, rs, avs)
     r1 = r1 or (yield e1, Subdivide(1))
     r2 = r2 or (yield e2, Subdivide(1))
     loc = Local(tag, r1, r2, *rs)
     if n and r2.subdiv is None:
         # (S3, S2+) with only e2 split: e1's path keeps the one freed vertex
         # that lets the rest close
-        kept = loc.keep(v, 1, (r2.p_tree.actives - {v}) | set(avs))
-        return loc.done(loc.far_tree(r1, v, e1.head, *kept), r2.q_tree)
+        kept = loc.keep(v, 1, (r2.at(v).actives - {v}) | set(avs))
+        return loc.done(loc.far_tree(r1, v, e1.head, *kept), r2.at(e2.head))
     return loc.done(loc.far_tree(r1, v, e1.head, *avs[:n]), loc.far_tree(r2, v, e2.head, *avs[n:], dummy_v=True))
 
 

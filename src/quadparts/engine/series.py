@@ -12,8 +12,8 @@ v itself are finalized into nearly connected 4-sets.
 from __future__ import annotations
 
 from ..labels import CATALOG, S0, S1, S1P, S2, S2M, S2P, S3, S3M, S3P, S5M, Label, Pair
-from .local import PLAIN, PLUS, Local, mirrored, pair_shape
-from .model import LIFTS, BoundTree, EdgeView, EngineBug, Gadget, Lift, Realization, Split, Subdivide, graft, single
+from .local import PLAIN, PLUS, Local, pair_shape
+from .model import LIFTS, EdgeView, EngineBug, Gadget, Lift, Realization, Split, Subdivide, graft, single
 
 KEEP = "keep"
 
@@ -111,7 +111,7 @@ def _chain_split(g: Gadget, pair: Pair) -> Lift:
         return loc.done(single(v1), loc.span(v2, {v2, v, *r2.subdiv}))
     r1 = yield e1, Subdivide(0)
     r2 = yield e2, Split(PLAIN[x - 1], PLAIN[j + 1 - x])
-    return Local(g.tag, r1, r2).done(graft(v1, (v1, v), r2.p_tree), r2.q_tree)
+    return Local(g.tag, r1, r2).done(graft(v1, (v1, v), r2.at(v)), r2.at(v2))
 
 
 def _chain_subdiv(g: Gadget, k: int) -> Lift:
@@ -128,7 +128,7 @@ def _chain_subdiv(g: Gadget, k: int) -> Lift:
 def _table_split(g: Gadget, pair: Pair) -> Lift:
     e1, e2 = g.children
     if g.kind == "series-reversed-table":
-        return mirrored(_table, pair, e2.reversed(), e1.reversed(), g.table, g.tag + "~")
+        return _table((pair[1], pair[0]), e2.reversed(), e1.reversed(), g.table, g.tag + "~")
     return _table(pair, e1, e2, g.table, g.tag)
 
 
@@ -140,32 +140,26 @@ def _table(pair: Pair, e1: EdgeView, e2: EdgeView, table: dict, tag: str) -> Lif
     r2 = yield e2, Split(*op2)
     if op1 == KEEP:
         r1 = yield e1, Subdivide(0)
-        v1 = e1.tail
-        return Local(tag, r1, r2).done(graft(v1, (v1, e2.tail), r2.p_tree), r2.q_tree)
+        v1, v = e1.tail, e2.tail
+        return Local(tag, r1, r2).done(graft(v1, (v1, v), r2.at(v)), r2.at(e2.head))
     r1 = yield e1, Split(*op1)
-    return _close_at_v(tag, r1, r2, e2.tail)
+    return _close_at_v(tag, e1, e2, r1, r2)
 
 
-def _close_at_v(tag: str, r1: Realization, r2: Realization, v: int, far: bool = False) -> Realization:
-    """Both children split: finalize v with the trees gathered at v.  With
-    `far` the children were read from the far side, and so is the result."""
+def _close_at_v(tag: str, e1: EdgeView, e2: EdgeView, r1: Realization, r2: Realization) -> Realization:
+    """Both children split: finalize v with the trees gathered at v."""
     loc = Local(tag, r1, r2)
-    loc.finalize(r1.q_tree.actives | r2.p_tree.actives | {v})
-    return _done(loc, r1.p_tree, r2.q_tree, far)
-
-
-def _done(loc: Local, p: BoundTree, q: BoundTree, far: bool) -> Realization:
-    """The closing split realization, its trees swapped back when `far`."""
-    return loc.done(q, p) if far else loc.done(p, q)
+    v = e2.tail
+    loc.finalize(r1.at(v).actives | r2.at(v).actives | {v})
+    return loc.done(r1.at(e1.tail), r2.at(e2.head))
 
 
 # ---------------------------------------------------------------------------
 # General contraction: replacement label is the paired label of weight
 # w(e1)+w(e2)+1 mod 4.  Each step below reads v1 -> v off e1 and v -> v2 off
 # e2.  A plus_left pair is the plus_right pair of the same contraction read
-# from v2: the plus lifts run on the children reversed and swapped, with
-# `far` set, and close with their two trees swapped back, so no wrapper
-# lift flips the result.
+# from v2: the plus lifts run on the children reversed and swapped, and
+# their result, read by root, serves as it is.
 
 
 def _general_split(g: Gadget, pair: Pair) -> Lift:
@@ -176,24 +170,24 @@ def _general_split(g: Gadget, pair: Pair) -> Lift:
         return (_plain_low if low else _plain_high)(pair, x, y, e1, e2, g.tag)
     if kind == "plus_left":  # replay from the far side
         return (_plus_low if low else _plus_high)((pair[1], pair[0]), y, x, e2.reversed(), e1.reversed(),
-                                                  g.tag + "~", True)
+                                                  g.tag + "~")
     return (_plus_low if low else _plus_high)(pair, x, y, e1, e2, g.tag)
 
 
-def _head_side(tag: str, e2: EdgeView, r1: Realization, r2: Realization, dummies=frozenset(),
-               far: bool = False) -> Realization:
+def _head_side(tag: str, e1: EdgeView, e2: EdgeView, r1: Realization, r2: Realization,
+               dummies=frozenset()) -> Realization:
     # e2 subdivided: v and its path join e1's head tree
     loc = Local(tag, r1, r2)
     v, v2 = e2.tail, e2.head
-    q = loc.span(v2, {v2, v, *r2.subdiv} | set(r1.q_tree.vertices), dummies)
-    return _done(loc, r1.p_tree, q, far)
+    q = loc.span(v2, {v2, v, *r2.subdiv} | set(r1.at(v).vertices), dummies)
+    return loc.done(r1.at(e1.tail), q)
 
 
-def _tail_side(tag: str, e1: EdgeView, r1: Realization, r2: Realization, far: bool = False) -> Realization:
+def _tail_side(tag: str, e1: EdgeView, e2: EdgeView, r1: Realization, r2: Realization) -> Realization:
     # e1 subdivided: v and its path join e2's tail tree
     loc = Local(tag, r1, r2)
     v1, v = e1.tail, e1.head
-    return _done(loc, loc.span(v1, {v1, v, *r1.subdiv} | set(r2.p_tree.vertices)), r2.q_tree, far)
+    return loc.done(loc.span(v1, {v1, v, *r1.subdiv} | set(r2.at(v).vertices)), r2.at(e2.head))
 
 
 # -- combined weight at most 2 ---------------------------------------------
@@ -210,18 +204,18 @@ def _plain_low(pair: Pair, x: int, y: int, e1: EdgeView, e2: EdgeView, tag: str)
                 "this configuration belongs to a fixed table", tag)
         r2 = yield e2, Split(PLAIN[j - y], PLAIN[y])
         if e1.label.subdividable:
-            return _tail_side(tag, e1, (yield e1, Subdivide(i)), r2)
+            return _tail_side(tag, e1, e2, (yield e1, Subdivide(i)), r2)
         r1 = yield e1, Split(PLAIN[x], PLUS[i + 4 - x])
-        return _close_at_v(tag, r1, r2, e2.tail)
+        return _close_at_v(tag, e1, e2, r1, r2)
     # y > j, hence x <= i
     r1 = yield e1, Split(PLAIN[x], PLAIN[i - x])
     if e2.label.subdividable:
-        return _head_side(tag, e2, r1, (yield e2, Subdivide(j)))
+        return _head_side(tag, e1, e2, r1, (yield e2, Subdivide(j)))
     r2 = yield e2, Split(PLUS[j + 4 - y], PLAIN[y])
-    return _close_at_v(tag, r1, r2, e2.tail)
+    return _close_at_v(tag, e1, e2, r1, r2)
 
 
-def _plus_low(pair: Pair, x: int, y: int, e1: EdgeView, e2: EdgeView, tag: str, far: bool = False) -> Lift:
+def _plus_low(pair: Pair, x: int, y: int, e1: EdgeView, e2: EdgeView, tag: str) -> Lift:
     # combined weight at most 1, so x exceeds the tail weight by at least 2
     i, j = e1.label.weight, e2.label.weight
     if x + y != i + j + 5 or i + j > 1:
@@ -229,14 +223,14 @@ def _plus_low(pair: Pair, x: int, y: int, e1: EdgeView, e2: EdgeView, tag: str, 
     if not e1.label.subdividable:
         r1 = yield e1, Split(PLAIN[x], PLUS[i + 4 - x])
         if e2.label.subdividable:
-            return _head_side(tag, e2, r1, (yield e2, Subdivide(j)), r1.q_tree.dummies, far)
+            return _head_side(tag, e1, e2, r1, (yield e2, Subdivide(j)), r1.at(e1.head).dummies)
         r2 = yield e2, Split(PLAIN[j + 4 - y], PLUS[y])
-        return _close_at_v(tag, r1, r2, e2.tail, far)
+        return _close_at_v(tag, e1, e2, r1, r2)
     if e2.label.subdividable:
         raise EngineBug("pure chain must be handled by the chain table", tag)
     r1 = yield e1, Subdivide(i)
     r2 = yield e2, Split(PLAIN[x - i - 1], PLUS[y])
-    return _tail_side(tag, e1, r1, r2, far)
+    return _tail_side(tag, e1, e2, r1, r2)
 
 
 # -- combined weight at least 3 --------------------------------------------
@@ -258,10 +252,10 @@ def _plain_high(pair: Pair, x: int, y: int, e1: EdgeView, e2: EdgeView, tag: str
         raise EngineBug(
             f"neither child of ({e1.label},{e2.label}) admits the plain route for {pair}; "
             "this configuration belongs to a fixed table", tag)
-    return _close_at_v(tag, r1, r2, e2.tail)
+    return _close_at_v(tag, e1, e2, r1, r2)
 
 
-def _plus_high(pair: Pair, x: int, y: int, e1: EdgeView, e2: EdgeView, tag: str, far: bool = False) -> Lift:
+def _plus_high(pair: Pair, x: int, y: int, e1: EdgeView, e2: EdgeView, tag: str) -> Lift:
     i, j = e1.label.weight, e2.label.weight
     if x + y != i + j + 1:
         raise EngineBug(f"plus pair {pair} inconsistent with weights {i},{j}", tag)
@@ -269,15 +263,15 @@ def _plus_high(pair: Pair, x: int, y: int, e1: EdgeView, e2: EdgeView, tag: str,
         want_q = PLUS[i - x] if i - x >= 1 else S0
         r1 = yield e1, Split(PLAIN[x], want_q)
         if e2.label.subdividable:
-            return _head_side(tag, e2, r1, (yield e2, Subdivide(j)), r1.q_tree.dummies, far)
+            return _head_side(tag, e1, e2, r1, (yield e2, Subdivide(j)), r1.at(e1.head).dummies)
         r2 = yield e2, Split(PLAIN[j + 4 - y], PLUS[y])
-        return _close_at_v(tag, r1, r2, e2.tail, far)
+        return _close_at_v(tag, e1, e2, r1, r2)
     if y <= j:
         r2 = yield e2, Split(PLAIN[j - y], PLUS[y])
         if e1.label.subdividable:
-            return _tail_side(tag, e1, (yield e1, Subdivide(i)), r2, far)
+            return _tail_side(tag, e1, e2, (yield e1, Subdivide(i)), r2)
         r1 = yield e1, Split(PLAIN[x], PLUS[i + 4 - x])
-        return _close_at_v(tag, r1, r2, e2.tail, far)
+        return _close_at_v(tag, e1, e2, r1, r2)
     raise EngineBug(f"plus pair {pair} has neither side within the child weights", tag)
 
 

@@ -60,7 +60,9 @@ given and that the shared depth-first search reaches, a deterministic cost
 of the 2-cut steering, and `leaf_side_holds` is the networkx oracle for
 `graphs.leaf_side`.  `cascade_counts` counts the fixed work of each
 realization: the label reads of starting and checking it, and the closing
-states and fragments its lift builds.
+states and fragments its lift builds.  `received_copies` counts the child
+realizations that the lifts' closing states receive and that no gadget
+check was given.
 """
 
 from __future__ import annotations
@@ -371,7 +373,7 @@ class StubGadget:
         p = bind_shape(witness[0], self.u, actives, dummy=self.owned[used])
         q = bind_shape(witness[1], self.v, actives, dummy=self.owned[used + 1])
         edges = tuple(norm_edge(a, b) for t in (p, q) for a, b in t.edges)
-        return witness, Realization(parts=self._emit(used), p_tree=p, q_tree=q, edges=edges)
+        return witness, Realization(parts=self._emit(used), trees=(p, q), edges=edges)
 
     def check(self, real, admitted, children, below) -> set[int]:
         """Stub results are not checked (see the module docstring); like a
@@ -379,7 +381,7 @@ class StubGadget:
         its ends, or its subdivision path."""
         if real.subdiv is not None:
             return set(real.subdiv)
-        return set((real.p_tree.actives | real.q_tree.actives) - {self.u, self.v})
+        return set((real.at(self.u).actives | real.at(self.v).actives) - {self.u, self.v})
 
 
 def stub_edge(label: Label, u: int, v: int, withhold: bool = False) -> StubGadget:
@@ -392,10 +394,9 @@ def realize(gadget, op) -> Realization:
     received them.  Asserts that every tree edge lies in the fragment."""
     sink: list[frozenset[int]] = []
     real = drive(ask(EdgeView(gadget, gadget.u, -1), op), sink)
-    for tree in (real.p_tree, real.q_tree):
-        if tree is not None:
-            stray = {norm_edge(a, b) for a, b in tree.edges} - fragment_edges(real)
-            assert not stray, f"tree edges {sorted(stray)} of {gadget.provenance} are not in the fragment"
+    for tree in real.trees or ():
+        stray = {norm_edge(a, b) for a, b in tree.edges} - fragment_edges(real)
+        assert not stray, f"tree edges {sorted(stray)} of {gadget.provenance} are not in the fragment"
     return replace(real, parts=tuple(sink))
 
 
@@ -707,6 +708,35 @@ def cascade_counts() -> Iterator[Counter]:
     finally:
         for (owner, name, _), real in zip(patched, (real_admits, real_start, real_check, real_local, real_fragment)):
             setattr(owner, name, real)
+
+
+@contextmanager
+def received_copies() -> Iterator[Counter]:
+    """Count, while the block runs, under "children" the child realizations
+    that the lifts' closing states (`local.Local`) receive, and under
+    "copies" those that are not an object some `Gadget.check` was given.
+    Every checked realization is held until the block ends, so no id of
+    one is reused.  Yields the Counter."""
+    from quadparts.engine import local, model
+
+    counts: Counter = Counter()
+    checked: dict[int, Realization] = {}  # id -> the checked object, held
+    real_check, real_local = model.Gadget.check, local.Local.__init__
+
+    def check(gadget, real, *args):
+        checked[id(real)] = real
+        return real_check(gadget, real, *args)
+
+    def local_init(loc, tag, *children):
+        counts["children"] += len(children)
+        counts["copies"] += sum(checked.get(id(r)) is not r for r in children)
+        real_local(loc, tag, *children)
+
+    model.Gadget.check, local.Local.__init__ = check, local_init
+    try:
+        yield counts
+    finally:
+        model.Gadget.check, local.Local.__init__ = real_check, real_local
 
 
 def _no_2cut(nx, g) -> bool:

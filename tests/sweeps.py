@@ -201,7 +201,15 @@ GADGET_SWEEPS = {
 
 
 def _tree(t):
-    return None if t is None else [t.root, [list(e) for e in t.edges], sorted(t.dummies)]
+    return [t.root, [list(e) for e in t.edges], sorted(t.dummies)]
+
+
+def _trees(real, gadget) -> list:
+    """The bound trees at the gadget's u and at its v, or two Nones for a
+    subdivision."""
+    if real.subdiv is not None:
+        return [None, None]
+    return [_tree(real.at(gadget.u)), _tree(real.at(gadget.v))]
 
 
 def _parts(parts):
@@ -240,7 +248,7 @@ def stub_realization_lines() -> list[str]:
         for _, gadget in sweep():
             for op in all_ops(gadget.label):
                 real = realize(gadget, op)
-                records.append([_parts(real.parts), _tree(real.p_tree), _tree(real.q_tree),
+                records.append([_parts(real.parts), *_trees(real, gadget),
                                 None if real.subdiv is None else list(real.subdiv),
                                 sorted(fragment_edges(real))])
         lines.append(_line(name, records))

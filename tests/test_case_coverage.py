@@ -156,7 +156,7 @@ def _series_on_stubs(u: int, w: int, v: int, eid: int, labels=("L1", "L2")):
 
 
 def _exposed(real: Realization, u: int, v: int) -> frozenset[int]:
-    return (real.p_tree.actives | real.q_tree.actives) - {u, v}
+    return (real.at(u).actives | real.at(v).actives) - {u, v}
 
 
 class TestPlantedLedgerFaults:
@@ -196,7 +196,7 @@ class TestPlantedLedgerFaults:
     def _closing(self, reals, *extra):
         """Finalize what each realization hands up, then the `extra` parts."""
         parts = tuple(_exposed(r, self.U, self.V) for r in reals) + extra
-        return Realization(parts=parts, p_tree=single(self.U), q_tree=single(self.V))
+        return Realization(parts=parts, trees=(single(self.U), single(self.V)))
 
     def _assert_traps(self, gadget, message):
         with pytest.raises(EngineBug, match=message) as info:
@@ -220,7 +220,7 @@ class TestPlantedLedgerFaults:
         def swapped(reals, stub):
             first, second = (_exposed(r, self.U, self.V) for r in reals)
             return Realization(parts=(first - {max(first)} | {stub.owned[-1]}, second),
-                               p_tree=single(self.U), q_tree=single(self.V))
+                               trees=(single(self.U), single(self.V)))
 
         for close in (extra, swapped):
             self._assert_traps(self._gadget(close), "scope mismatch")
@@ -243,18 +243,18 @@ class TestPlantedLedgerFaults:
         def lift(g, pair, outside=None):
             (child,) = g.children
             r = yield child, Split(*pair)
-            q = r.q_tree
+            q = r.at(self.V)
             if outside is not None:
                 (dummy,) = q.dummies
                 swap = {dummy: outside}
                 q = tree_of(q.root, [(swap.get(a, a), swap.get(b, b)) for a, b in q.edges], {outside})
-            return Realization(p_tree=r.p_tree, q_tree=q)
+            return Realization(trees=(r.at(self.U), q))
 
         for outside in (None, 99_999):
             self.plant((partial(lift, outside=outside), None))
             gadget = Gadget("planted", e1.label, self.U, self.V, (e1,), None, "planted")
             if outside is None:
-                assert realize(gadget, op).q_tree.dummies
+                assert realize(gadget, op).at(self.V).dummies
             else:
                 with pytest.raises(EngineBug, match=r"tree vertices \[99999\] outside scope"):
                     realize(gadget, op)

@@ -33,7 +33,8 @@ from quadparts.oracle import verify_partition
 from . import sweeps
 from .support import (AdjacencyFragment, StubGadget, TreeShape, all_ops, cascade_counts, circulant, complete_graph,
                       cubic_block, cycle_graph, dense_block, equal_theta, fragment_edges, grid, leaf_side_holds, logged,
-                      path_graph, primitive_visits, prism, relabelled, scanned_degree2_vertex, scanned_l31_away,
+                      path_graph, primitive_visits, prism, received_copies, relabelled, scanned_degree2_vertex,
+                      scanned_l31_away,
                       scanned_parallel_pair, scanned_zero_counts, spanned, sparse_block, stub_edge, summed_weight,
                       tree_of)
 from .support import fits as shape_fits
@@ -141,7 +142,7 @@ class TestLocalGrouping:
         before, left_edges, right_edges, after = logged([(2, 9)], [(0, 1), (1, 2), (2, 3)],
                                                          [(4, 5), (5, 6), (6, 7), (3, 4)], [(9, 4)])
         left = spanned(left_edges, parts=(frozenset({20, 21, 22, 23}),),
-                       p_tree=tree_of(0, ((0, 1), (1, 2), (2, 9))), q_tree=single(9))
+                       trees=(tree_of(0, ((0, 1), (1, 2), (2, 9))), single(9)))
         right = spanned(right_edges, parts=(frozenset({30, 31, 32, 33}), frozenset({24, 25, 26, 27})),
                         subdiv=(5, 6))
         loc = Local("caller", right, left)
@@ -152,13 +153,27 @@ class TestLocalGrouping:
         real = loc.done(subdiv=(8,))
         assert real.parts == (frozenset({4, 5, 6, 7}), frozenset({0, 1, 2, 3}))
         assert real.log is None and real.edges == () and real.subdiv == (8,)
-        assert real.p_tree is None and real.q_tree is None
+        assert real.trees is None
+
+    def test_at_reads_a_tree_by_its_root(self):
+        """`at` returns the tree rooted at a vertex whichever order the pair
+        holds, and traps on a vertex that roots neither tree, a tree's
+        other vertex included, and on a subdivision, which has no tree."""
+        a, b = single(3), tree_of(7, ((7, 8),))
+        for trees in ((a, b), (b, a)):
+            real = Realization(trees=trees)
+            assert real.at(3) is a and real.at(7) is b
+            for x in (8, 5):
+                with pytest.raises(EngineBug, match=f"no tree of the realization is rooted at {x}"):
+                    real.at(x)
+        with pytest.raises(EngineBug, match="rooted at 3"):
+            Realization(subdiv=(5,)).at(3)
 
     def test_span_is_a_breadth_first_tree_of_the_fragment(self):
         loc = _local([(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)], "caller[span]")
         tree = loc.span(0, {0, 1, 2, 3}, {2})
         assert tree.edges == ((0, 1), (0, 2), (1, 3)) and tree.dummies == {2}
-        assert loc.done(tree, single(4)).p_tree == tree
+        assert loc.done(tree, single(4)).at(0) is tree
         for root, vertices in ((0, {0, 4}), (9, {9, 0})):
             with pytest.raises(EngineBug, match="cannot span") as info:
                 loc.span(root, vertices)
@@ -186,7 +201,7 @@ class TestLocalGrouping:
                                            (tree_of(0, ((0, 1), (1, 2))), (3,), False, {0, 1, 2, 3}),
                                            (tree_of(0, ((0, 1), (1, 2), (2, 3), (3, 4))), (), True, {1, 2, 3, 4}),
                                            (tree_of(0, ((0, 1), (1, 2), (2, 3))), (4,), True, {1, 2, 3, 4})):
-            child = spanned(logged(fragment)[0], p_tree=tail, q_tree=head)
+            child = spanned(logged(fragment)[0], trees=(tail, head))
             loc = Local("caller", child)
             assert loc.far_tree(child, 0, 9, *extra, dummy_v=dummy_v) is head
             assert loc.parts == [frozenset(part)]
@@ -603,6 +618,17 @@ class TestCascadeCost:
         assert counts["split realizations"] > 100 and counts["Locals"] > 100, counts
         assert counts["label reads"] <= counts["split realizations"], counts
         assert counts["Fragments"] <= counts["Locals"], counts
+
+    @pytest.mark.parametrize("g", [cycle_graph(400), relabelled(cycle_graph(400), 1), sparse_block(256, 1)],
+                             ids=["cycle400", "cycle400-relabelled", "sparse256"])
+    def test_each_lift_receives_the_very_realizations_its_children_checked(self, g):
+        """A realization's trees are read by root, so a lift reads a child
+        from either end as the object the child's gadget checked: drive
+        hands up no copy, mirrored or otherwise."""
+        with received_copies() as counts:
+            partition, _ = partition_with_trace(g)
+        assert verify_partition(g, partition.member_sets()).ok
+        assert counts["children"] > 500 and counts["copies"] == 0, counts
 
 
 def _random_rewrites(seeds):
@@ -1083,11 +1109,24 @@ class TestOneRealizationPath:
         for tail, head in ((3, 7), (7, 3)):
             sink = []
             real = model.drive(ask(EdgeView(leaf, tail, 0), op), sink)
-            assert real == Realization(p_tree=single(tail), q_tree=single(head))
+            assert real.at(tail) == single(tail) and real.at(head) == single(head) and real.subdiv is None
             assert not sink and not real.parts and not real.edges and not fragment_edges(real)
             if tail == leaf.u:
                 admitted, _ = leaf.start(op)
                 assert admitted == (S0, S0) and leaf.check(real, admitted, [], 0) == set()
+
+    def test_a_split_check_reads_each_tree_by_its_root(self):
+        """`Gadget.check` accepts a split's two trees in either order and
+        traps unless their roots are exactly the gadget's two ends."""
+        leaf = leaf_gadget(3, 7)
+        admitted, _ = leaf.start(Split(S0, S0))
+        for trees in ((single(3), single(7)), (single(7), single(3))):
+            assert leaf.check(Realization(trees=trees), admitted, [], 0) == set()
+        for trees, message in (((single(3), single(3)), "rooted at 3,3, expected 3,7"),
+                               ((single(8), single(7)), "rooted at 8,7, expected 3,7"),
+                               ((single(3),), "must carry two trees"), (None, "must carry two trees")):
+            with pytest.raises(EngineBug, match=message):
+                leaf.check(Realization(trees=trees), admitted, [], 0)
 
     def test_no_leaf_deletion_enters_drive(self, monkeypatch):
         """On dense_block(16), 45 leaves are dropped or stripped and none
@@ -1147,9 +1186,8 @@ class TestOneRealizationPath:
         real_check = Gadget.check
 
         def check(gadget, real, admitted, children, below):
-            for tree in (real.p_tree, real.q_tree):
-                if tree is not None:
-                    assert {norm_edge(a, b) for a, b in tree.edges} <= fragment_edges(real), gadget.provenance
+            for tree in real.trees or ():
+                assert {norm_edge(a, b) for a, b in tree.edges} <= fragment_edges(real), gadget.provenance
             carried.update(real.parts)
             return real_check(gadget, real, admitted, children, below)
 

@@ -111,6 +111,18 @@ def test_gadgets_hold_no_closures():
     assert len(scopes) == 4 and nested == []
 
 
+def test_only_the_model_reads_a_realizations_trees():
+    """A split realization holds its two trees as an unordered pair, and
+    only `engine/model.py` reads the pair itself: every other module reads
+    a tree by its root through `Realization.at`, so no code depends on
+    which end a tree sits at.  The rule goes by attribute name and also
+    counts `p_tree` and `q_tree`, names of trees held by position."""
+    readers = [f"{module}:{node.lineno} {node.attr}" for module, tree in _trees().items()
+               if module != "engine/model.py" for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and node.attr in ("trees", "p_tree", "q_tree")]
+    assert readers == []
+
+
 def test_no_function_imports_at_call_time():
     """Every import of the package runs at module level: no function or
     method imports when it is called, so each module's dependencies can be
