@@ -5,6 +5,10 @@ pipelines like ``quadparts gen spider -r 4 | quadparts factor - -r 4 -k 5``
 work.  Exit codes: 0 success, 1 a property violation was found (failed
 verification, discovered counterexample), 2 usage error, 3 internal engine
 trap or any other unexpected internal error (reported as one line on stderr).
+
+The module imports what ``partition`` runs; the commands that need the
+graph families, the tree partitioner or the acceptance suite import them
+when they run, so a ``partition`` process never loads them.
 """
 
 from __future__ import annotations
@@ -14,21 +18,11 @@ import json
 import sys
 from pathlib import Path
 
-from . import acceptance
 from .engine import EngineBug, partition_with_trace
-from .families import (
-    enumerate_2connected,
-    random_2connected,
-    random_corpus,
-    spider,
-    subdivided_k4,
-    theta,
-)
 from .graphio import emit_graph, parse_graph
 from .graphs import SimpleGraph, graph_power
 from .labels import catalog_dump
 from .oracle import brute_force_partition, has_kr_factor, verify_partition
-from .treepart import partition_tree
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -87,6 +81,8 @@ def cmd_partition(args) -> int:
 
 
 def cmd_tree_partition(args) -> int:
+    from .treepart import partition_tree
+
     g = _read_graph(args.graph, args.format)
     sizes = _parse_sizes(args.sizes)
     parts = partition_tree(g, sizes)
@@ -152,6 +148,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from .families import random_2connected, spider, subdivided_k4, theta
+
     fam = args.family
     if fam == "spider":
         g = spider(args.r)
@@ -170,6 +168,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_explore(args) -> int:
+    from .families import enumerate_2connected, random_corpus
+
     sizes = _parse_sizes(args.sizes)
     n = sum(sizes)
     if args.count < 1:
@@ -197,6 +197,8 @@ def cmd_labels(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from . import acceptance
+
     ok = acceptance.run_all(fast=args.fast)
     return EXIT_OK if ok else EXIT_VIOLATION
 

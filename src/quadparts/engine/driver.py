@@ -39,8 +39,8 @@ parts of the final edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from ..graphs import Multigraph, SimpleGraph, is_biconnected, norm_edge
 from ..labels import S0, S1, S2, S3, S3P, Pair
@@ -61,8 +61,7 @@ from .series import build_series_gadget
 Step = tuple[str, tuple[int, ...]]
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     """One applied step; a step after which an invariant failed traps
     instead, so `format` prints both as holding."""
 

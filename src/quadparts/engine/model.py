@@ -39,7 +39,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import combinations, islice
 from operator import attrgetter, itemgetter
@@ -66,22 +65,43 @@ class EngineBug(RuntimeError):
 # Operations
 
 
-# Operations are values: no code assigns to one, and they are not frozen
-# only because that costs at every construction, several per realization.
+# Operations are values that compare and hash by their fields.  They are
+# slotted records, not guarded against assignment, because a guard costs at
+# every construction, several per realization; no code assigns to one.
 
 
-@dataclass(slots=True, unsafe_hash=True)
 class Subdivide:
-    k: int
+    __slots__ = ("k",)
+
+    def __init__(self, k: int):
+        self.k = k
+
+    def __eq__(self, other):
+        if other.__class__ is not Subdivide:
+            return NotImplemented
+        return self.k == other.k
+
+    def __hash__(self) -> int:
+        return hash((self.k,))
 
     def __repr__(self) -> str:
         return f"subdiv({self.k})"
 
 
-@dataclass(slots=True, unsafe_hash=True)
 class Split:
-    p: TreeSet
-    q: TreeSet
+    __slots__ = ("p", "q")
+
+    def __init__(self, p: TreeSet, q: TreeSet):
+        self.p = p
+        self.q = q
+
+    def __eq__(self, other):
+        if other.__class__ is not Split:
+            return NotImplemented
+        return self.p == other.p and self.q == other.q
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.q))
 
     def __repr__(self) -> str:
         return f"split({self.p.display},{self.q.display})"
@@ -105,7 +125,6 @@ Operation = Subdivide | Split
 # answers from a table filled on first use.
 
 
-@dataclass(slots=True, unsafe_hash=True)
 class BoundTree:
     """A rooted tree whose vertices are original-graph ids and whose edges are
     real edges of the graph being partitioned.
@@ -117,15 +136,31 @@ class BoundTree:
     orders of the subtrees below them, each ascending.  Each constructor
     keeps a tree that contains its root, with a non-dummy root and dummies
     among its vertices, by a check on its inputs alone.  No code assigns to
-    a tree; it is not frozen only because that costs at every construction.
+    a tree; it is a slotted record without a guard against assignment,
+    because a guard costs at every construction.
     """
 
-    root: int
-    edges: tuple[tuple[int, int], ...]
-    dummies: frozenset[int]
-    vertices: frozenset[int] = field(repr=False, compare=False)
-    _children: tuple[int, ...] = field(repr=False, compare=False)
-    child_subtree_sizes: tuple[int, ...] = field(repr=False, compare=False)
+    __slots__ = ("root", "edges", "dummies", "vertices", "_children", "child_subtree_sizes")
+
+    def __init__(self, root: int, edges: tuple[tuple[int, int], ...], dummies: frozenset[int],
+                 vertices: frozenset[int], _children: tuple[int, ...], child_subtree_sizes: tuple[int, ...]):
+        self.root = root
+        self.edges = edges
+        self.dummies = dummies
+        self.vertices = vertices
+        self._children = _children
+        self.child_subtree_sizes = child_subtree_sizes
+
+    def __eq__(self, other):
+        if other.__class__ is not BoundTree:
+            return NotImplemented
+        return self.root == other.root and self.edges == other.edges and self.dummies == other.dummies
+
+    def __hash__(self) -> int:
+        return hash((self.root, self.edges, self.dummies))
+
+    def __repr__(self) -> str:
+        return f"BoundTree(root={self.root!r}, edges={self.edges!r}, dummies={self.dummies!r})"
 
     @property
     def order(self) -> int:
@@ -310,7 +345,6 @@ class Fragment(dict):
 # Realizations
 
 
-@dataclass(slots=True)
 class Realization:
     """Concrete outcome of one operation on one labeled edge.
 
@@ -329,17 +363,31 @@ class Realization:
     passes on its children's trees.  The span is two integers; only a lift's
     :class:`~quadparts.engine.local.Local` reads it, as a :class:`Fragment`.
     A lift receives the very realization its child's gadget checked as the
-    value of the ``yield`` that requested it, and only reads it; it is not
-    frozen only for speed.
+    value of the ``yield`` that requested it, and only reads it.  Equality
+    reads `parts`, `trees`, `subdiv` and `edges`, not the span, and a
+    realization is not hashable, since drive assigns its span.
     """
 
-    parts: tuple[frozenset[int], ...] = ()
-    trees: tuple[BoundTree, BoundTree] | None = None
-    subdiv: tuple[int, ...] | None = None
-    edges: tuple[tuple[int, int], ...] = ()
-    log: EdgeLog | None = field(default=None, compare=False)
-    start: int = field(default=0, compare=False)
-    end: int = field(default=0, compare=False)
+    __slots__ = ("parts", "trees", "subdiv", "edges", "log", "start", "end")
+
+    def __init__(self, parts: tuple[frozenset[int], ...] = (), trees: tuple[BoundTree, BoundTree] | None = None,
+                 subdiv: tuple[int, ...] | None = None, edges: tuple[tuple[int, int], ...] = (),
+                 log: EdgeLog | None = None, start: int = 0, end: int = 0):
+        self.parts = parts
+        self.trees = trees
+        self.subdiv = subdiv
+        self.edges = edges
+        self.log = log
+        self.start = start
+        self.end = end
+
+    def __eq__(self, other):
+        if other.__class__ is not Realization:
+            return NotImplemented
+        return (self.parts, self.trees, self.subdiv, self.edges) == (other.parts, other.trees, other.subdiv,
+                                                                      other.edges)
+
+    __hash__ = None
 
     def at(self, x: int) -> BoundTree:
         """The tree rooted at `x`; traps when neither tree is."""
@@ -641,7 +689,6 @@ def ask(view: "EdgeView", op: Operation) -> Lift:
 # The labeled multigraph and directed reads of its edges
 
 
-@dataclass(slots=True, unsafe_hash=True, init=False)
 class EdgeView:
     """The labeled edge `eid`, whose gadget is `edge`, read from `tail`.
 
@@ -650,13 +697,12 @@ class EdgeView:
     requested through the view; the realization that comes back is read by
     root, so it needs no mirroring and case code can be written for one
     orientation.  The label a view sees is worked out once when the view is
-    made.  Like a tree, a view is not frozen only for speed.
+    made.  Equality and hashing read `edge`, `tail` and `eid`; the label
+    follows from them.  Like a tree, a view is a slotted record without a
+    guard against assignment.
     """
 
-    edge: Gadget
-    tail: int
-    eid: int
-    label: Label = field(repr=False, compare=False)
+    __slots__ = ("edge", "tail", "eid", "label")
 
     def __init__(self, edge: Gadget, tail: int, eid: int):
         if tail != edge.u and tail != edge.v:
@@ -665,6 +711,14 @@ class EdgeView:
         self.tail = tail
         self.eid = eid
         self.label = involution(edge.label) if tail != edge.u else edge.label
+
+    def __eq__(self, other):
+        if other.__class__ is not EdgeView:
+            return NotImplemented
+        return self.edge == other.edge and self.tail == other.tail and self.eid == other.eid
+
+    def __hash__(self) -> int:
+        return hash((self.edge, self.tail, self.eid))
 
     @property
     def head(self) -> int:

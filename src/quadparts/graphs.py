@@ -34,7 +34,6 @@ of a set with at most one extra vertex.  The exception is
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 Adjacency = Mapping[int, Iterable[int]] | Sequence[Iterable[int]]
@@ -47,23 +46,37 @@ def norm_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
 class SimpleGraph:
-    """Undirected simple graph: no loops, no parallel edges."""
+    """Undirected simple graph: no loops, no parallel edges.
 
-    n: int
-    edges: frozenset[tuple[int, int]]
+    A value: equality and hashing read `n` and `edges`, and neither can be
+    assigned after construction."""
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
+    def __init__(self, n: int, edges: frozenset[tuple[int, int]]):
+        if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        for u, v in self.edges:
+        for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if u > v:
                 raise ValueError(f"edge {(u, v)} is not canonically ordered")
-            if not 0 <= u < self.n or not v < self.n:
-                raise ValueError(f"edge {(u, v)} has an endpoint outside 0..{self.n - 1}")
+            if not 0 <= u < n or not v < n:
+                raise ValueError(f"edge {(u, v)} has an endpoint outside 0..{n - 1}")
+        self.__dict__.update(n=n, edges=edges)
+
+    def __setattr__(self, attr: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {attr!r} of a SimpleGraph")
+
+    def __eq__(self, other):
+        if other.__class__ is not SimpleGraph:
+            return NotImplemented
+        return self.n == other.n and self.edges == other.edges
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.edges))
+
+    def __repr__(self) -> str:
+        return f"SimpleGraph(n={self.n!r}, edges={self.edges!r})"
 
     @staticmethod
     def from_edges(n: int, pairs: Iterable[tuple[int, int]]) -> "SimpleGraph":
@@ -83,7 +96,7 @@ class SimpleGraph:
                 adj[b].append(a)
             for row in adj:
                 row.sort()
-            object.__setattr__(self, "_adj", adj)
+            self.__dict__["_adj"] = adj
         return self.__dict__["_adj"]
 
     def sorted_edges(self) -> list[tuple[int, int]]:

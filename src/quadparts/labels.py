@@ -10,7 +10,6 @@ these exact pair sets, so the transcription is kept in one reviewable block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 
@@ -50,9 +49,7 @@ class TreeSet(Enum):
     @property
     def order(self) -> int:
         """Vertex count of any member (root included)."""
-        return {"S0": 1, "S1": 2, "S2": 3, "S3": 4,
-                "S1+": 3, "S2+": 4, "S3+": 5,
-                "S2-": 3, "S3-": 4, "S5-": 6}[self.value]
+        return _ORDER[self]
 
     @property
     def rank(self) -> int:
@@ -64,6 +61,8 @@ _RANK = {s: i for i, s in enumerate(TreeSet)}
 S0, S1, S2, S3 = TreeSet.S0, TreeSet.S1, TreeSet.S2, TreeSet.S3
 S1P, S2P, S3P = TreeSet.S1P, TreeSet.S2P, TreeSet.S3P
 S2M, S3M, S5M = TreeSet.S2M, TreeSet.S3M, TreeSet.S5M
+
+_ORDER = {S0: 1, S1: 2, S2: 3, S3: 4, S1P: 3, S2P: 4, S3P: 5, S2M: 3, S3M: 4, S5M: 6}
 
 # The order relation: a tree in a smaller set also satisfies the request for
 # a larger one (a plain tree stands in for a plus tree by treating the absent
@@ -90,18 +89,34 @@ def down_set(b: TreeSet) -> tuple[TreeSet, ...]:
 Pair = tuple[TreeSet, TreeSet]
 
 
-@dataclass(frozen=True)
 class Label:
-    """One edge label: a name, a weight 0..3, and its permitted split pairs."""
+    """One edge label: a name, a weight 0..3, and its permitted split pairs.
 
-    name: str
-    weight: int
-    pairs: tuple[Pair, ...]
+    A value: equality and hashing read the three fields, and no field can be
+    assigned after construction.  `subdividable` is worked out once, when
+    the label is made: only the pure-weight labels L0, L1 and L2 allow the
+    subdivision operation.
+    """
 
-    @property
-    def subdividable(self) -> bool:
-        """Only the pure-weight labels L0, L1, L2 allow the subdivision operation."""
-        return self.name in ("L0", "L1", "L2")
+    __slots__ = ("name", "weight", "pairs", "subdividable")
+
+    def __init__(self, name: str, weight: int, pairs: tuple[Pair, ...]):
+        init = object.__setattr__
+        init(self, "name", name)
+        init(self, "weight", weight)
+        init(self, "pairs", pairs)
+        init(self, "subdividable", name in ("L0", "L1", "L2"))
+
+    def __setattr__(self, attr: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {attr!r} of a Label")
+
+    def __eq__(self, other):
+        if other.__class__ is not Label:
+            return NotImplemented
+        return (self.name, self.weight, self.pairs) == (other.name, other.weight, other.pairs)
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.weight, self.pairs))
 
     def __repr__(self) -> str:  # compact in traces
         return self.name

@@ -12,15 +12,13 @@ the edges; the exhaustive partition search is exponential in n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .graphs import SimpleGraph, nearly_connected_witness
 
 
-@dataclass(frozen=True)
-class Part:
+class Part(NamedTuple):
     """One block of a partition: its members plus an optional witness subtree."""
 
     members: frozenset[int]
@@ -30,8 +28,7 @@ class Part:
         return sorted(self.members)
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(NamedTuple):
     parts: tuple[Part, ...]
 
     def member_sets(self) -> list[frozenset[int]]:
@@ -56,8 +53,7 @@ def is_nearly_connected(g: SimpleGraph, a: Iterable[int]) -> frozenset[int] | No
     return nearly_connected_witness(g.adj(), part)
 
 
-@dataclass(frozen=True)
-class VerifyResult:
+class VerifyResult(NamedTuple):
     ok: bool
     problems: tuple[str, ...] = ()
     witnesses: tuple[frozenset[int], ...] = ()

@@ -10,15 +10,13 @@ components, which keeps the remainder connected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .graphs import SimpleGraph, bfs_parents, induced_is_connected
 from .oracle import Part
 
 
-@dataclass(frozen=True)
-class RootedTreeView:
+class RootedTreeView(NamedTuple):
     """A BFS spanning tree rooted at vertex 0 with parent and depth arrays."""
 
     parent: tuple[int, ...]  # parent[root] == -1

@@ -68,10 +68,12 @@ check was given.
 from __future__ import annotations
 
 import itertools
+import os
 import random
 from collections import Counter, deque
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable, Iterator
 
 from quadparts import graphs
@@ -92,6 +94,11 @@ from quadparts.labels import Label, TreeSet, admits, down_set, shape_matches
 S0, S1, S2, S3 = TreeSet.S0, TreeSet.S1, TreeSet.S2, TreeSet.S3
 S1P, S2P, S3P = TreeSet.S1P, TreeSet.S2P, TreeSet.S3P
 S2M, S3M, S5M = TreeSet.S2M, TreeSet.S3M, TreeSet.S5M
+
+
+def child_env() -> dict[str, str]:
+    """The environment of a child interpreter that imports this checkout's quadparts."""
+    return dict(os.environ, PYTHONPATH=str(Path(graphs.__file__).parents[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +404,7 @@ def realize(gadget, op) -> Realization:
     for tree in real.trees or ():
         stray = {norm_edge(a, b) for a, b in tree.edges} - fragment_edges(real)
         assert not stray, f"tree edges {sorted(stray)} of {gadget.provenance} are not in the fragment"
-    return replace(real, parts=tuple(sink))
+    return Realization(tuple(sink), real.trees, real.subdiv, real.edges, real.log, real.start, real.end)
 
 
 def all_ops(label: Label):

@@ -1,19 +1,16 @@
 import io
 import json
-import os
 import subprocess
 import sys
 import tracemalloc
-from pathlib import Path
 
 import pytest
 
-import quadparts
 from quadparts.cli import run
 from quadparts.graphio import emit_edge_list, parse_edge_list
 from quadparts.graphs import graph_power
 
-from .support import cycle_graph
+from .support import child_env, cycle_graph
 
 
 @pytest.fixture
@@ -225,7 +222,7 @@ def test_factor_answers_an_isolated_vertex_before_the_power(tmp_path):
     path.write_text("1000000\n0 1\n", encoding="utf-8")
     probe = ("import sys, tracemalloc; from quadparts.cli import run; tracemalloc.start(); "
              "code = run(sys.argv[1:]); print(tracemalloc.get_traced_memory()[1], file=sys.stderr); sys.exit(code)")
-    env = dict(os.environ, PYTHONPATH=str(Path(quadparts.__file__).parents[1]))
+    env = child_env()
     out = subprocess.run([sys.executable, "-c", probe, "factor", str(path), "-r", "4", "-k", "2"], env=env,
                          capture_output=True, text=True, timeout=30)
     assert (out.returncode, out.stdout) == (0, "no K4-factor in the power k=2\n")
@@ -239,7 +236,7 @@ def test_factor_lists_the_cliques_of_a_long_cycle_power_from_its_edges(tmp_path)
     which the time limit can stop."""
     path = tmp_path / "cycle.txt"
     path.write_text(emit_edge_list(cycle_graph(200)), encoding="utf-8")
-    env = dict(os.environ, PYTHONPATH=str(Path(quadparts.__file__).parents[1]))
+    env = child_env()
     out = subprocess.run([sys.executable, "-m", "quadparts.cli", "factor", str(path), "-r", "4", "-k", "4", "--json"],
                          env=env, capture_output=True, text=True, timeout=10)
     assert out.returncode == 0, out.stderr
@@ -253,7 +250,7 @@ def test_power_of_a_long_cycle_searches_only_k_levels(tmp_path):
     the time limit can stop."""
     path = tmp_path / "cycle.txt"
     path.write_text(emit_edge_list(cycle_graph(20000)), encoding="utf-8")
-    env = dict(os.environ, PYTHONPATH=str(Path(quadparts.__file__).parents[1]))
+    env = child_env()
     out = subprocess.run([sys.executable, "-m", "quadparts.cli", "power", str(path), "-k", "4"],
                          env=env, capture_output=True, text=True, timeout=10)
     assert out.returncode == 0, out.stderr
@@ -278,3 +275,36 @@ def test_unexpected_exception_exits_three(capture, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "internal error: RecursionError: maximum recursion depth exceeded\n"
+
+
+def test_importing_the_cli_loads_only_what_partition_runs():
+    """A `partition` process imports the engine, graph I/O and the oracle,
+    but neither the dataclass machinery nor the modules that only other
+    commands run."""
+    probe = "import sys, quadparts.cli; print(' '.join(sorted(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", probe], env=child_env(), capture_output=True, text=True,
+                         check=True, timeout=30)
+    loaded = set(out.stdout.split())
+    absent = {"dataclasses", "inspect", "quadparts.acceptance", "quadparts.families", "quadparts.treepart"}
+    assert loaded & absent == set()
+    assert {"quadparts.engine.driver", "quadparts.graphio", "quadparts.oracle"} <= loaded
+
+
+@pytest.mark.parametrize("argv, stdin, expected", [
+    (["gen", "spider", "-r", "2"], "", "4\n0 1\n0 2\n0 3\n"),
+    (["tree-partition", "-", "--sizes", "2,2"], "4\n0 1\n1 2\n2 3\n",
+     "2 parts with subtree witnesses\n  part [2, 3] (size 2)  witness [2, 3] (order 2 <= 3)\n"
+     "  part [0, 1] (size 2)  witness [0, 1] (order 2 <= 3)\n"),
+    (["explore", "--sizes", "2,2"], "", "explored all 3 isomorphism classes on 4 vertices: 0 failures for sizes [2, 2]\n"),
+    (["selftest", "--fast"], "", None),
+], ids=["gen", "tree-partition", "explore", "selftest"])
+def test_lazily_importing_commands_run_in_a_fresh_process(argv, stdin, expected):
+    """Each command that imports its modules when it runs works from a
+    fresh interpreter, where nothing else has imported them."""
+    out = subprocess.run([sys.executable, "-m", "quadparts.cli", *argv], input=stdin, env=child_env(),
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    if expected is None:  # the acceptance suite: eight checks, each passed
+        assert out.stdout.count("[PASS]") == 8, out.stdout
+    else:
+        assert out.stdout == expected

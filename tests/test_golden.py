@@ -7,17 +7,16 @@ alters engine output on purpose regenerates them and says so.
 import ast
 import hashlib
 import json
-import os
 import subprocess
 import sys
 from functools import cache
 from pathlib import Path
 
-import quadparts
 from quadparts.engine import local, parallel, partition_with_trace, reducible, series
 from quadparts.graphio import emit_edge_list
 from quadparts.graphs import SimpleGraph
 
+from .support import child_env
 from .sweeps import stub_realization_lines
 
 DATA = Path(__file__).parent / "data"
@@ -84,7 +83,7 @@ def test_partitions_and_traces_do_not_depend_on_the_hash_seed(tmp_path):
              "sys.exit(max(run(['partition', path, '--json', '--trace']) for path in sys.argv[1:]))")
     runs = []
     for seed in ("0", "1234"):
-        env = dict(os.environ, PYTHONPATH=str(Path(quadparts.__file__).parents[1]), PYTHONHASHSEED=seed)
+        env = dict(child_env(), PYTHONHASHSEED=seed)
         runs.append(subprocess.run([sys.executable, "-c", probe, *map(str, paths)], env=env, capture_output=True,
                                    timeout=60))
         assert runs[-1].returncode == 0, runs[-1].stderr

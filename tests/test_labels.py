@@ -1,8 +1,6 @@
-import os
 import subprocess
 import sys
 from itertools import product
-from pathlib import Path
 
 from quadparts import labels
 from quadparts.labels import CATALOG, LABELS, TreeSet, admits, catalog_dump, involution, leq
@@ -11,6 +9,7 @@ from .support import (
     TreeShape,
     active_count,
     canonical_member,
+    child_env,
     enumerate_rooted_trees,
     fits,
     member_of,
@@ -122,7 +121,7 @@ class TestMemoTables:
         """Importing the engine builds neither the witness nor the fit table."""
         probe = ("import quadparts.cli; from quadparts import labels; from quadparts.engine import model; "
                  "print(len(labels._ADMITS), len(model._FITS))")
-        env = dict(os.environ, PYTHONPATH=str(Path(labels.__file__).parents[1]))
+        env = child_env()
         out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.split() == ["0", "0"]
 

@@ -1,15 +1,12 @@
-import os
 import random
 import subprocess
 import sys
 from itertools import combinations
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import quadparts
 from quadparts.families import random_2connected, spider, subdivided_k4
 from quadparts.graphs import SimpleGraph, graph_power, induced_is_connected
 from quadparts.oracle import (
@@ -20,7 +17,7 @@ from quadparts.oracle import (
     verify_partition,
 )
 
-from .support import complete_graph, cycle_graph, path_graph, seeded_clique_cover
+from .support import child_env, complete_graph, cycle_graph, path_graph, seeded_clique_cover
 
 
 class TestNearlyConnected:
@@ -172,7 +169,7 @@ class TestKrFactor:
                  "for a, b in combinations(range(4), 2)]); "
                  "sys.setrecursionlimit(120); "
                  "print(has_kr_factor(g, 4) == [frozenset(range(4 * i, 4 * i + 4)) for i in range(500)])")
-        env = dict(os.environ, PYTHONPATH=str(Path(quadparts.__file__).parents[1]))
+        env = child_env()
         out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=10)
         assert (out.returncode, out.stdout, out.stderr) == (0, "True\n", "")
 
